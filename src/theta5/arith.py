@@ -7,6 +7,7 @@ series engine rather than being derived from it.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 #: Kernel tags accepted by divisor_sum.
@@ -72,32 +73,34 @@ def divisor_sum(kernel: str, n: int) -> Fraction:
 
 
 _partition_cache: list[int] = [1]
+_partition_lock = threading.Lock()
 
 
 def partition_p(n: int) -> int:
     """Partition number p(n) by Euler's pentagonal-number recurrence.
 
     Independent of the series engine; used as the oracle side of the
-    Ramanujan congruence check.
+    Ramanujan congruence check.  The shared cache grows only under its lock.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_partition_cache) <= n:
-        m = len(_partition_cache)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * _partition_cache[m - g1]
-            if g2 <= m:
-                total += sign * _partition_cache[m - g2]
-            k += 1
-        _partition_cache.append(total)
-    return _partition_cache[n]
+    with _partition_lock:
+        while len(_partition_cache) <= n:
+            m = len(_partition_cache)
+            total = 0
+            k = 1
+            while True:
+                g1 = k * (3 * k - 1) // 2
+                g2 = k * (3 * k + 1) // 2
+                if g1 > m:
+                    break
+                sign = 1 if k % 2 else -1
+                total += sign * _partition_cache[m - g1]
+                if g2 <= m:
+                    total += sign * _partition_cache[m - g2]
+                k += 1
+            _partition_cache.append(total)
+        return _partition_cache[n]
 
 
 def pentagonal_numbers(bound: int) -> list[tuple[int, int]]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +21,9 @@ from typing import Callable, Optional
 from . import arith
 from .cyclo import CycloQ5, Phase, Rat, render_rational, sqrt5
 from .series import FracSeries, series_equal
-from .theta import (CATALOG_CHARS, ThetaChar, char, char_shift_phase, eta_q,
-                    eta_quotient, theta_const, theta_const_product)
+from .theta import (CATALOG_CHARS, ThetaChar, _binomial_product, char,
+                    char_shift_phase, eta_q, eta_quotient, theta_const,
+                    theta_const_product)
 
 AS_STATED = "as-stated"
 CORRECTED = "corrected"
@@ -72,16 +72,6 @@ def _th5(e: Fraction, ep: Fraction, order: Fraction) -> FracSeries:
     return _th(e, ep, 0, order) ** 5
 
 
-@lru_cache(maxsize=None)
-def _eta(mult: Fraction, order: Fraction, offset: Fraction = Fraction(0)) -> FracSeries:
-    return eta_q(mult, order, offset)
-
-
-@lru_cache(maxsize=None)
-def _eta_quot(spec: tuple[tuple[Fraction, int], ...], order: Fraction) -> FracSeries:
-    return eta_quotient(spec, order)
-
-
 def _z(k: int) -> CycloQ5:
     return CycloQ5.zeta(k)
 
@@ -90,8 +80,8 @@ def _f(num: Rat, den: int = 1) -> Fraction:
     return Fraction(num, den)
 
 
-def _kernel_series(kernel: str, order: Fraction, scale5: int = 1,
-                   constant: Rat = 0, factor: Rat = 1) -> FracSeries:
+def _kernel_series(kernel: str, order: Fraction, constant: Rat = 0,
+                   factor: Rat = 1) -> FracSeries:
     """constant + factor * sum_{n>=1} kernel(n) q^n, an oracle-built series."""
     n_max = -(-order.numerator // order.denominator)  # ceil
     terms: list[tuple[Rat, CycloQ5]] = []
@@ -102,15 +92,6 @@ def _kernel_series(kernel: str, order: Fraction, scale5: int = 1,
         if Fraction(n) < order:
             terms.append((n, fac * arith.divisor_sum(kernel, n)))
     return FracSeries.from_terms(terms, order=order)
-
-
-def _unit_product(order: Fraction, factors) -> FracSeries:
-    """prod of (1 + c q^e) factors with e > 0, truncated below order."""
-    acc = FracSeries.from_terms([(0, 1)], order=order)
-    for e, c in factors:
-        if Fraction(e) < order:
-            acc = acc * FracSeries.from_terms([(0, 1), (e, c)])
-    return acc
 
 
 def _check_unit_denominator(series: FracSeries, what: str) -> None:
@@ -131,13 +112,13 @@ def _homogeneous(pairs: Pairs) -> Pairs:
 # ---------------------------------------------------------------------------
 
 def _build_e1(N: Fraction, variant: str) -> Pairs:
-    lhs = _eta_quot(((_f(1), 5), (_f(5), -1)), N)
+    lhs = eta_quotient([(1, 5), (5, -1)], N)
     rhs = _kernel_series("A", N, constant=1, factor=-5)
     return [("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n", lhs, rhs)]
 
 
 def _build_e2(N: Fraction, variant: str) -> Pairs:
-    lhs = _eta_quot(((_f(5), 5), (_f(1), -1)), N)
+    lhs = eta_quotient([(5, 5), (1, -1)], N)
     rhs = _kernel_series("B", N)
     return [("eta^5(5t)/eta(t) = sum B(n) q^n", lhs, rhs)]
 
@@ -147,15 +128,15 @@ def _build_e3(N: Fraction, variant: str) -> Pairs:
     lhs = FracSeries.from_terms(
         [(n, arith.partition_p(5 * n + 4)) for n in range(n_max + 1) if Fraction(n) < N],
         order=N)
-    num = _unit_product(N, ((5 * n, CycloQ5(-1)) for n in range(1, n_max + 1))) ** 5
-    den = _unit_product(N, ((n, CycloQ5(-1)) for n in range(1, n_max + 1))) ** 6
-    rhs = (num * den.inverse()).scalar_mul(5)
+    factors = [f for n in range(1, n_max + 1)
+               for f in ((5 * n, CycloQ5(-1), 5), (n, CycloQ5(-1), -6))]
+    rhs = _binomial_product(N, factors).scalar_mul(5)
     return [("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", lhs, rhs)]
 
 
 def _build_e4(N: Fraction, variant: str) -> Pairs:
     lhs = _th(_f(1), _f(1), 1, N)
-    rhs = (_eta(_f(1), N) ** 3).cpow_shift(1).phase_mul(Phase(Fraction(1, 4)))
+    rhs = (eta_q(1, N) ** 3).cpow_shift(1).phase_mul(Phase(Fraction(1, 4)))
     return [("theta'[1,1] = (2*pi*i) e(1/4) eta^3", lhs, rhs)]
 
 
@@ -343,8 +324,8 @@ def _build_r3(N: Fraction, variant: str) -> Pairs:
     # the chain runs through Theta log(th_A/th_B) = sqrt(5) eta^5(5t)/eta(t)
     ta = _th(A.eps, A.eps_prime, 0, N)
     tb = _th(B.eps, B.eps_prime, 0, N)
-    eta1 = _eta(_f(1), N)
-    eta5t = _eta(_f(5), N)
+    eta1 = eta_q(1, N)
+    eta5t = eta_q(5, N)
     chain_lhs = (ta.theta_op() * tb - tb.theta_op() * ta) * eta1
     chain_rhs = ((eta5t ** 5) * (ta * tb)).scalar_mul(sqrt5())
     pairs.append(("R3 eta-chain", chain_lhs, chain_rhs))
@@ -364,8 +345,8 @@ def _build_r6(N: Fraction, variant: str) -> Pairs:
         bracket=(CycloQ5(4), CycloQ5(44), CycloQ5(-4)), scalar=_z(1))
     pairs = [("R6 bracket", lhs, rhs)]
     pairs += _eta_chain_pairs(A, B, N, "R6",
-                              eta_top=_eta(_f(1, 5), N),
-                              eta_bottom=_eta(_f(1), N),
+                              eta_top=eta_q(_f(1, 5), N),
+                              eta_bottom=eta_q(1, N),
                               theta_form_sign=-1)
     return pairs
 
@@ -377,8 +358,8 @@ def _build_r7a(N: Fraction, variant: str) -> Pairs:
         bracket=(CycloQ5(4), _z(4) * -44, _z(3) * -4), scalar=CycloQ5(1))
     pairs = [("R7a bracket", lhs, rhs)]
     pairs += _eta_chain_pairs(A, B, N, "R7a",
-                              eta_top=_eta(_f(1, 5), N, _f(1, 5)),
-                              eta_bottom=_eta(_f(1), N, _f(1)),
+                              eta_top=eta_q(_f(1, 5), N, _f(1, 5)),
+                              eta_bottom=eta_q(1, N, 1),
                               theta_form_sign=+1)
     return pairs
 
@@ -387,7 +368,7 @@ def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
                       eta_top: FracSeries) -> Pairs:
     """3 (2*pi*i)^2 [Theta(eta_top) eta - Theta(eta) eta_top] th_A^2 th_B^2
        + eta_top eta [th'_A^2 th_B^2 + th'_B^2 th_A^2] = 0."""
-    eta1 = _eta(_f(1), N)
+    eta1 = eta_q(1, N)
     ta = _th(A.eps, A.eps_prime, 0, N)
     tb = _th(B.eps, B.eps_prime, 0, N)
     da = _th(A.eps, A.eps_prime, 1, N)
@@ -401,46 +382,37 @@ def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
 
 def _build_fk5(N: Fraction, variant: str) -> Pairs:
     return _farkas_kra_pairs(char(1, _f(1, 5)), char(1, _f(3, 5)), N,
-                             "FK5 log-derivative relation", _eta(_f(5), N))
+                             "FK5 log-derivative relation", eta_q(5, N))
 
 
 def _build_fk6(N: Fraction, variant: str) -> Pairs:
     return _farkas_kra_pairs(char(_f(1, 5), 1), char(_f(3, 5), 1), N,
-                             "FK6 log-derivative relation", _eta(_f(1, 5), N))
+                             "FK6 log-derivative relation", eta_q(_f(1, 5), N))
 
 
-@lru_cache(maxsize=None)
 def _g_product(sign: int, N: Fraction) -> FracSeries:
-    """prod (1-q^n)^5 (1 + (1 +- sqrt5)/2 q^n + q^(2n))^5 / (1-q^(5n))^3."""
-    phi = (CycloQ5(1) + (sqrt5() if sign > 0 else -sqrt5())) * Fraction(1, 2)
+    """prod (1-q^n)^5 (1 + (1 +- sqrt5)/2 q^n + q^(2n))^5 / (1-q^(5n))^3.
+
+    The trinomials split over Q(zeta_5): 1 + (1+sqrt5)/2 x + x^2 =
+    (1 - z^2 x)(1 - z^3 x) and 1 + (1-sqrt5)/2 x + x^2 = (1 - z x)(1 - z^4 x).
+    """
+    r1, r2 = (2, 3) if sign > 0 else (1, 4)
     n_max = -(-N.numerator // N.denominator)
-    acc = FracSeries.from_terms([(0, 1)], order=N)
-    den = FracSeries.from_terms([(0, 1)], order=N)
-    for n in range(1, n_max + 1):
-        if Fraction(n) < N:
-            acc = acc * FracSeries.from_terms([(0, 1), (n, -1)]) ** 5
-            acc = acc * FracSeries.from_terms([(0, 1), (n, phi), (2 * n, 1)]) ** 5
-        if Fraction(5 * n) < N:
-            den = den * FracSeries.from_terms([(0, 1), (5 * n, -1)]) ** 3
-    return acc * den.inverse()
+    factors = [f for n in range(1, n_max + 1)
+               for f in ((n, CycloQ5(-1), 5), (n, -_z(r1), 5), (n, -_z(r2), 5),
+                         (5 * n, CycloQ5(-1), -3))]
+    return _binomial_product(N, factors)
 
 
-@lru_cache(maxsize=None)
 def _h_product(which: int, N: Fraction) -> FracSeries:
     """H1 = prod (1-q^n)^2 / ((1-q^(5n-1))(1-q^(5n-4)))^5,
        H2 = q * prod (1-q^n)^2 / ((1-q^(5n-2))(1-q^(5n-3)))^5."""
+    r1, r2 = (1, 4) if which == 1 else (2, 3)
     n_max = -(-N.numerator // N.denominator)
-    num = FracSeries.from_terms([(0, 1)], order=N)
-    den = FracSeries.from_terms([(0, 1)], order=N)
-    res_pair = (1, 4) if which == 1 else (2, 3)
-    for n in range(1, n_max + 1):
-        if Fraction(n) < N:
-            num = num * FracSeries.from_terms([(0, 1), (n, -1)]) ** 2
-        for r in res_pair:
-            e = 5 * n - r
-            if e >= 1 and Fraction(e) < N:
-                den = den * FracSeries.from_terms([(0, 1), (e, -1)]) ** 5
-    out = num * den.inverse()
+    factors = [f for n in range(1, n_max + 1)
+               for f in ((n, CycloQ5(-1), 2), (5 * n - r1, CycloQ5(-1), -5),
+                         (5 * n - r2, CycloQ5(-1), -5))]
+    out = _binomial_product(N, factors)
     return out.qpow_shift(1) if which == 2 else out
 
 
@@ -453,8 +425,8 @@ def _c_plus_minus() -> tuple[CycloQ5, CycloQ5]:
 
 def _build_c511(N: Fraction, variant: str) -> Pairs:
     s5 = sqrt5()
-    lhs = (_eta_quot(((_f(1), 5), (_f(5), -1)), N).scalar_mul(s5 * Fraction(22, 50))
-           + _eta_quot(((_f(5), 5), (_f(1), -1)), N).scalar_mul(s5 * 5))
+    lhs = (eta_quotient([(1, 5), (5, -1)], N).scalar_mul(s5 * Fraction(22, 50))
+           + eta_quotient([(5, 5), (1, -1)], N).scalar_mul(s5 * 5))
     cp, cm = _c_plus_minus()
     gp, gm = _g_product(+1, N), _g_product(-1, N)
     rhs = (gp * gp).scalar_mul(cp) - (gm * gm).scalar_mul(cm)
@@ -493,8 +465,8 @@ def _build_ps1(sign: int) -> Callable[[Fraction, str], Pairs]:
 def _build_c611(N: Fraction, variant: str) -> Pairs:
     h1, h2 = _h_product(1, N), _h_product(2, N)
     lhs = h1 * h1 - h2 * h2
-    rhs = (_eta_quot(((_f(5), 5), (_f(1), -1)), N).scalar_mul(11)
-           + _eta_quot(((_f(1), 5), (_f(5), -1)), N))
+    rhs = (eta_quotient([(5, 5), (1, -1)], N).scalar_mul(11)
+           + eta_quotient([(1, 5), (5, -1)], N))
     return [("H1^2 - H2^2 = 11 Z2 + Z1", lhs, rhs)]
 
 
@@ -525,7 +497,7 @@ def _build_ps2(which: int) -> Callable[[Fraction, str], Pairs]:
 def _xyz_level5(N: Fraction) -> tuple[FracSeries, FracSeries, FracSeries]:
     X = _th5(_f(1), _f(1, 5), N)
     Y = _th5(_f(1), _f(3, 5), N)
-    Z = _eta_quot(((_f(1), 5), (_f(5), -1)), N)
+    Z = eta_quotient([(1, 5), (5, -1)], N)
     return X, Y, Z
 
 
@@ -533,7 +505,7 @@ def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, FracSeries, FracSeries
     Npre = Fraction(-(-N.numerator // (5 * N.denominator)) + 2)
     X = _th5(_f(1, 5), _f(1), Npre).rescale_exponent(5)
     Y = _th5(_f(3, 5), _f(1), Npre).rescale_exponent(5)
-    Z = _eta_quot(((_f(5), 5), (_f(1), -1)), N)
+    Z = eta_quotient([(5, 5), (1, -1)], N)
     return X, Y, Z
 
 
@@ -748,23 +720,19 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
     return report
 
 
-def verify_all(order: Rat = 20, parallel: bool = False,
-               variant: str = AS_STATED) -> list[IdentityReport]:
-    """Verify every catalog entry (clamping the order up to each entry's minimum).
+def verify_all(order: Rat = 20, variant: str = AS_STATED) -> list[IdentityReport]:
+    """Verify every catalog entry in catalog order, one after another, clamping
+    the order up to each entry's minimum.
 
     ``variant`` selects which variant to run where an entry has several;
-    entries lacking the requested variant fall back to as-stated.
+    entries lacking the requested variant fall back to as-stated.  The
+    exact lane is pure Python and holds the interpreter lock, so threads
+    would not speed it up.
     """
     order = Fraction(order)
-
-    def run(entry: IdentityEntry) -> IdentityReport:
-        v = variant if variant in entry.variants else AS_STATED
-        return verify(entry.id, max(order, Fraction(entry.min_meaningful_order)), v)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(run, _CATALOG))
-    return [run(e) for e in _CATALOG]
+    return [verify(e.id, max(order, Fraction(e.min_meaningful_order)),
+                   variant if variant in e.variants else AS_STATED)
+            for e in _CATALOG]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Divisor-sum kernels, the residue symbol mod 5, and the partition oracle."""
 
 import random
+import sys
+import threading
 
 import pytest
 
+from theta5 import arith
 from theta5.arith import (divisor_sum, legendre5, partition_p,
                           pentagonal_numbers, sigma, sigma_over_5)
 
@@ -69,6 +72,37 @@ def test_partition_against_direct_count():
 
     for n in range(13):
         assert partition_p(n) == count(n, n)
+
+
+def test_partition_cache_thread_race():
+    # four threads extend one reset cache at once; a doubled or lost append
+    # would shift every later value
+    n_max, n_threads = 1200, 4
+    saved = arith._partition_cache[:]
+    interval = sys.getswitchinterval()
+    try:
+        arith._partition_cache[:] = [1]
+        want = [partition_p(n) for n in range(n_max)]
+        arith._partition_cache[:] = [1]
+        start = threading.Barrier(n_threads)
+        got = [None] * n_threads
+
+        def work(i):
+            start.wait()
+            got[i] = [partition_p(n) for n in range(n_max)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * n_threads
+        assert arith._partition_cache == want
+    finally:
+        sys.setswitchinterval(interval)
+        arith._partition_cache[:] = saved
 
 
 def test_pentagonal_numbers():

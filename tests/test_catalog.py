@@ -108,10 +108,10 @@ def test_verify_all_order_monotonicity():
     assert low == high
 
 
-def test_verify_all_parallel_deterministic():
-    serial = [report_to_dict(r) for r in verify_all(10)]
-    parallel = [report_to_dict(r) for r in verify_all(10, parallel=True)]
-    assert serial == parallel
+def test_verify_all_repeat_run_deterministic():
+    first = [report_to_dict(r) for r in verify_all(10)]
+    second = [report_to_dict(r) for r in verify_all(10)]
+    assert first == second
 
 
 def test_builder_homogeneity_guard():

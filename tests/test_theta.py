@@ -1,16 +1,18 @@
 """Theta constants, the triple product, eta series, and the shift rules."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from theta5.arith import divisor_sum, pentagonal_numbers
+from theta5.cli import series_to_dict
 from theta5.cyclo import CycloQ5, Phase
 from theta5.numeric import series_eval_num, theta_num
 from theta5.series import FracSeries, series_equal
-from theta5.theta import (CATALOG_CHARS, char, char_shift_phase, eta_q,
-                          eta_quotient, reduce_char, theta_const,
-                          theta_const_product)
+from theta5.theta import (CATALOG_CHARS, _binomial_product, char,
+                          char_shift_phase, eta_q, eta_quotient, reduce_char,
+                          theta_const, theta_const_product)
 
 
 def test_theta_00_expansion():
@@ -177,3 +179,106 @@ def test_bridge_theta_numeric():
     exact = series_eval_num(theta_const(ch, 0, 24), tau)
     direct = theta_num(0, tau, ch, 0)
     assert abs(exact - direct) / abs(direct) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the binomial-product kernel against one-series-multiplication-per-factor
+# ---------------------------------------------------------------------------
+
+def _ref_product(order, factors):
+    """prod (1 + c q^e)^k by full series multiplications, dividing by an inverse."""
+    num = FracSeries.from_terms([(0, 1)], order=order)
+    den = FracSeries.from_terms([(0, 1)], order=order)
+    for e, c, k in factors:
+        if e < order:
+            f = FracSeries.from_terms([(0, 1), (e, c)]) ** abs(k)
+            if k > 0:
+                num = num * f
+            else:
+                den = den * f
+    return num * den.inverse()
+
+
+def _ref_theta_product(ch, order):
+    e, ep = ch.eps, ch.eps_prime
+    w, wbar = Phase(ep / 2).to_cyclo(), Phase(-ep / 2).to_cyclo()
+    factors = []
+    n = 1
+    while True:
+        triple = [(F(n), CycloQ5(-1), 1), (F(2 * n - 1, 2) + e / 2, w, 1),
+                  (F(2 * n - 1, 2) - e / 2, wbar, 1)]
+        if all(x >= order for x, _, _ in triple):
+            break
+        factors += triple
+        n += 1
+    return _ref_product(order, factors).phase_mul(Phase(e * ep / 4)).qpow_shift(e * e / 8)
+
+
+def _ref_eta_q(mult, order, offset=F(0)):
+    factors = []
+    n = 1
+    while n * mult < order:
+        factors.append((n * mult, -Phase(n * offset).to_cyclo(), 1))
+        n += 1
+    return _ref_product(order, factors).phase_mul(Phase(offset / 24)).qpow_shift(mult / 24)
+
+
+def _ref_eta_quotient(spec, order):
+    num = den = FracSeries.one()
+    any_neg = False
+    for m, e in spec:
+        if e > 0:
+            num = num * _ref_eta_q(m, order) ** e
+        elif e < 0:
+            any_neg = True
+            den = den * _ref_eta_q(m, order) ** (-e)
+    return num * den.inverse() if any_neg else num
+
+
+def test_binomial_product_random_factors():
+    rng = random.Random(5)
+    units = [CycloQ5.zeta(j) * s for j in range(5) for s in (1, -1)]
+    exponents = [F(1, 2), F(1, 5), F(3, 10), F(7, 10), F(1), F(2), F(6, 5), F(5, 2), F(9)]
+    for _ in range(25):
+        order = rng.choice([F(1, 3), F(3), F(7, 2), F(19, 5), F(5)])
+        factors = [(rng.choice(exponents), rng.choice(units),
+                    rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.3:
+            # a nonzero constant binomial, as in the triple product at eps = +-1
+            factors.append((F(0), rng.choice([CycloQ5.zeta(j) for j in range(1, 5)]), 1))
+        want = series_to_dict(_ref_product(order, factors))
+        assert series_to_dict(_binomial_product(order, factors)) == want, (order, factors)
+
+
+@pytest.mark.parametrize("ch", list(CATALOG_CHARS) + [char(1, 1), char(0, 0), char(-1, 1)],
+                         ids=str)
+@pytest.mark.parametrize("order", [F(1, 20), F(7, 2)])
+def test_theta_product_matches_reference(ch, order):
+    # order 1/20 lies below every factor exponent
+    got = series_to_dict(theta_const_product(ch, order))
+    assert got == series_to_dict(_ref_theta_product(ch, order))
+
+
+def test_theta_product_exact_zero():
+    d = series_to_dict(theta_const_product(char(1, 1), 12))
+    assert d["coeffs"] == {} and d["order"] is None
+
+
+@pytest.mark.parametrize("mult,order,offset", [
+    (F(1), F(10), F(0)), (F(1, 5), F(1, 10), F(0)), (F(5), F(3), F(0)),
+    (F(1), F(8), F(1, 10)), (F(1, 5), F(3), F(-3, 5)), (F(2, 5), F(4), F(1, 5)),
+])
+def test_eta_matches_reference(mult, order, offset):
+    got = series_to_dict(eta_q(mult, order, offset))
+    assert got == series_to_dict(_ref_eta_q(mult, order, offset))
+
+
+@pytest.mark.parametrize("spec,order", [
+    ([(1, 0)], F(10)), ([(1, 1), (2, 0)], F(10)), ([(1, 5), (5, -1)], F(12)),
+    ([(5, 5), (1, -1)], F(12)), ([(F(1, 5), 2), (2, -3)], F(4)), ([(7, 2)], F(5)),
+    ([(1, -1), (F(1, 2), 2)], F(11, 2)),
+])
+def test_eta_quotient_matches_reference(spec, order):
+    spec = [(F(m), e) for m, e in spec]
+    got = series_to_dict(eta_quotient(spec, order))
+    assert got == series_to_dict(_ref_eta_quotient(spec, order))
