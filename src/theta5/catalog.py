@@ -3,7 +3,9 @@ plus the verification drivers and report serialization.
 
 Every entry is verified in cross-multiplied polynomial form, so no theta
 series is ever inverted; both sides of a pair always carry the same power
-of (2*pi*i).  Entries whose printed source carries a misprint ship two
+of (2*pi*i).  Each entry builds only the pairs it compares, and oracle
+series take their coefficients from ``arith`` alone, never from a series
+constructor.  Entries whose printed source carries a misprint ship two
 variants: "as-stated" (the printed form, which fails and is reported as
 failing) and "corrected" (the repaired form, which passes).  The default
 suite runs as-stated variants and reports; it never silently corrects.
@@ -12,6 +14,7 @@ suite runs as-stated variants and reports; it never silently corrects.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,18 +83,11 @@ def _f(num: Rat, den: int = 1) -> Fraction:
     return Fraction(num, den)
 
 
-def _kernel_series(kernel: str, order: Fraction, constant: Rat = 0,
-                   factor: Rat = 1) -> FracSeries:
-    """constant + factor * sum_{n>=1} kernel(n) q^n, an oracle-built series."""
-    n_max = -(-order.numerator // order.denominator)  # ceil
-    terms: list[tuple[Rat, CycloQ5]] = []
-    if constant:
-        terms.append((0, CycloQ5(constant)))
-    fac = CycloQ5(factor) if not isinstance(factor, CycloQ5) else factor
-    for n in range(1, n_max + 1):
-        if Fraction(n) < order:
-            terms.append((n, fac * arith.divisor_sum(kernel, n)))
-    return FracSeries.from_terms(terms, order=order)
+def _oracle_series(N: Fraction, coeff: Callable[[int], Rat | CycloQ5],
+                   constant: Rat = 0) -> FracSeries:
+    """constant + sum_{1<=n<N} coeff(n) q^n; coeff must draw only on ``arith``."""
+    terms = [(0, constant)] + [(n, coeff(n)) for n in range(1, math.ceil(N))]
+    return FracSeries.from_terms(terms, order=N)
 
 
 def _check_unit_denominator(series: FracSeries, what: str) -> None:
@@ -113,22 +109,20 @@ def _homogeneous(pairs: Pairs) -> Pairs:
 
 def _build_e1(N: Fraction, variant: str) -> Pairs:
     lhs = eta_quotient([(1, 5), (5, -1)], N)
-    rhs = _kernel_series("A", N, constant=1, factor=-5)
+    rhs = _oracle_series(N, lambda n: -5 * arith.divisor_sum("A", n), constant=1)
     return [("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n", lhs, rhs)]
 
 
 def _build_e2(N: Fraction, variant: str) -> Pairs:
     lhs = eta_quotient([(5, 5), (1, -1)], N)
-    rhs = _kernel_series("B", N)
+    rhs = _oracle_series(N, lambda n: arith.divisor_sum("B", n))
     return [("eta^5(5t)/eta(t) = sum B(n) q^n", lhs, rhs)]
 
 
 def _build_e3(N: Fraction, variant: str) -> Pairs:
-    n_max = -(-N.numerator // N.denominator)
-    lhs = FracSeries.from_terms(
-        [(n, arith.partition_p(5 * n + 4)) for n in range(n_max + 1) if Fraction(n) < N],
-        order=N)
-    factors = [f for n in range(1, n_max + 1)
+    lhs = _oracle_series(N, lambda n: arith.partition_p(5 * n + 4),
+                         constant=arith.partition_p(4))
+    factors = [f for n in range(1, math.ceil(N) + 1)
                for f in ((5 * n, CycloQ5(-1), 5), (n, CycloQ5(-1), -6))]
     rhs = _binomial_product(N, factors).scalar_mul(5)
     return [("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", lhs, rhs)]
@@ -141,32 +135,33 @@ def _build_e4(N: Fraction, variant: str) -> Pairs:
 
 
 # Thm 1.1 entries: theta'[1,1]^4 * (P^2 + cPQ*PQ + cQ2*Q^2) = (2*pi*i)^4 w * th_A th_B (PQ)^2
+# Each row: (location, char A, char B, {variant: coefficients}).
 _T1_DATA = {
-    "T1a": ((1, _f(1, 5)), (1, _f(3, 5)),
+    "T1a": ("Thm 1.1, pair (1,1/5),(1,3/5)", (_f(1), _f(1, 5)), (_f(1), _f(3, 5)),
             {AS_STATED: (CycloQ5(-11), CycloQ5(-1), CycloQ5(1))}),
-    "T1b": ((_f(3, 5), 1), (_f(1, 5), 1),
+    "T1b": ("Thm 1.1, pair (3/5,1),(1/5,1)", (_f(3, 5), _f(1)), (_f(1, 5), _f(1)),
             {AS_STATED: (CycloQ5(-11), CycloQ5(-1), _z(4))}),
-    "T1c": ((_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)),
+    "T1c": ("Thm 1.1, pair (1/5,1/5),(3/5,3/5)", (_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)),
             {AS_STATED: (_z(4) * -11, -_z(3), CycloQ5(1))}),
-    "T1d": ((_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)),
+    "T1d": ("Thm 1.1, pair (1/5,3/5),(3/5,9/5)", (_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)),
             {AS_STATED: (_z(1) * 11, -_z(2), CycloQ5(1)),
              CORRECTED: (_z(2) * -11, -_z(4), CycloQ5(1))}),
-    "T1e": ((_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)),
+    "T1e": ("Thm 1.1, pair (1/5,7/5),(3/5,1/5)", (_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)),
             {AS_STATED: (_z(3) * -11, -_z(1), _z(3))}),
-    "T1f": ((_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)),
+    "T1f": ("Thm 1.1, pair (1/5,9/5),(3/5,7/5)", (_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)),
             {AS_STATED: (_z(1) * -11, -_z(2), _z(3))}),
 }
 
 
 def _build_t1(entry_id: str) -> Callable[[Fraction, str], Pairs]:
-    (ea, epa), (eb, epb), table = _T1_DATA[entry_id]
+    _, (ea, epa), (eb, epb), table = _T1_DATA[entry_id]
 
     def build(N: Fraction, variant: str) -> Pairs:
-        cpq, cq2, w = table.get(variant, table[AS_STATED])
-        ta = _th(_f(ea), _f(epa), 0, N)
-        tb = _th(_f(eb), _f(epb), 0, N)
-        P = _th5(_f(ea), _f(epa), N)
-        Q = _th5(_f(eb), _f(epb), N)
+        cpq, cq2, w = table[variant]
+        ta = _th(ea, epa, 0, N)
+        tb = _th(eb, epb, 0, N)
+        P = _th5(ea, epa, N)
+        Q = _th5(eb, epb, N)
         PQ = P * Q
         den = P * P + PQ.scalar_mul(cpq) + (Q * Q).scalar_mul(cq2)
         _check_unit_denominator(den, entry_id)
@@ -179,41 +174,42 @@ def _build_t1(entry_id: str) -> Callable[[Fraction, str], Pairs]:
 
 
 # §4 derivative formulas: theta'_X * 10 th_A^3 th_B^3 = s * theta_X * theta'[1,1] * (cP*P + cQ*Q)
+# Each row: (location, char A, char B, X, {variant: coefficients}).
 _D_DATA = {
-    "D1": ((_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)), "A",
+    "D1": ("Thm 4.1", (_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)), "A",
            {AS_STATED: (CycloQ5(1), CycloQ5(1), _z(4) * -3)}),
-    "D2": ((_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)), "B",
+    "D2": ("Thm 4.1", (_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)), "B",
            {AS_STATED: (CycloQ5(1), CycloQ5(3), _z(4))}),
-    "D3": ((_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)), "A",
+    "D3": ("Thm 4.2", (_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)), "A",
            {AS_STATED: (CycloQ5(-1), CycloQ5(1), _z(1) * 3),
             CORRECTED: (CycloQ5(-1), CycloQ5(1), _z(2) * -3)}),
-    "D4": ((_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)), "B",
+    "D4": ("Thm 4.2", (_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)), "B",
            {AS_STATED: (CycloQ5(-1), CycloQ5(3), -_z(1)),
             CORRECTED: (CycloQ5(-1), CycloQ5(3), _z(2))}),
-    "D5": ((_f(1, 5), _f(1)), (_f(3, 5), _f(1)), "A",
+    "D5": ("Thm 4.3", (_f(1, 5), _f(1)), (_f(3, 5), _f(1)), "A",
            {AS_STATED: (-_z(3), CycloQ5(1), CycloQ5(3))}),
-    "D6": ((_f(1, 5), _f(1)), (_f(3, 5), _f(1)), "B",
+    "D6": ("Thm 4.3", (_f(1, 5), _f(1)), (_f(3, 5), _f(1)), "B",
            {AS_STATED: (-_z(3), CycloQ5(3), CycloQ5(-1))}),
-    "D7": ((_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)), "A",
+    "D7": ("Thm 4.4", (_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)), "A",
            {AS_STATED: (-_z(1), CycloQ5(1), _z(3) * -3)}),
-    "D8": ((_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)), "B",
+    "D8": ("Thm 4.4", (_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)), "B",
            {AS_STATED: (-_z(1), CycloQ5(3), _z(3))}),
-    "D9": ((_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)), "A",
+    "D9": ("Thm 4.5", (_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)), "A",
            {AS_STATED: (_z(1), CycloQ5(1), _z(1) * -3)}),
-    "D10": ((_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)), "B",
+    "D10": ("Thm 4.5", (_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)), "B",
             {AS_STATED: (_z(1), CycloQ5(3), _z(1))}),
-    "D11": ((_f(1), _f(1, 5)), (_f(1), _f(3, 5)), "A",
+    "D11": ("Thm 4.6", (_f(1), _f(1, 5)), (_f(1), _f(3, 5)), "A",
             {AS_STATED: (CycloQ5(1), CycloQ5(1), CycloQ5(-3))}),
-    "D12": ((_f(1), _f(1, 5)), (_f(1), _f(3, 5)), "B",
+    "D12": ("Thm 4.6", (_f(1), _f(1, 5)), (_f(1), _f(3, 5)), "B",
             {AS_STATED: (CycloQ5(1), CycloQ5(3), CycloQ5(1))}),
 }
 
 
 def _build_d(entry_id: str) -> Callable[[Fraction, str], Pairs]:
-    A, B, side, table = _D_DATA[entry_id]
+    _, A, B, side, table = _D_DATA[entry_id]
 
     def build(N: Fraction, variant: str) -> Pairs:
-        s, cp, cq = table.get(variant, table[AS_STATED])
+        s, cp, cq = table[variant]
         ta = _th(A[0], A[1], 0, N)
         tb = _th(B[0], B[1], 0, N)
         which = A if side == "A" else B
@@ -231,43 +227,37 @@ def _build_d(entry_id: str) -> Callable[[Fraction, str], Pairs]:
     return build
 
 
-def _residue_relation_pairs(A: ThetaChar, B: ThetaChar, N: Fraction,
-                            label_prefix: str) -> Pairs:
-    """The two vanishing combinations forced by Res(phi,0) = Res(psi,0) = 0,
+#: the characteristic pairs (A, B) of §5 and §6
+_PAIR5 = (char(1, _f(1, 5)), char(1, _f(3, 5)))
+_PAIR6 = (char(_f(1, 5), 1), char(_f(3, 5), 1))
+
+
+def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar],
+                   which: str) -> Callable[[Fraction, str], Pairs]:
+    """One of the two vanishing combinations forced by Res(phi,0) = Res(psi,0) = 0,
     cross-multiplied by theta_A^2 theta_B^2 theta'[1,1]."""
-    ta = _th(A.eps, A.eps_prime, 0, N)
-    tb = _th(B.eps, B.eps_prime, 0, N)
-    da = _th(A.eps, A.eps_prime, 1, N)
-    db = _th(B.eps, B.eps_prime, 1, N)
-    d2a = _th(A.eps, A.eps_prime, 2, N)
-    d2b = _th(B.eps, B.eps_prime, 2, N)
-    tp = _th(_f(1), _f(1), 1, N)
-    t3p = _th(_f(1), _f(1), 3, N)
-    ta2, tb2 = ta * ta, tb * tb
-    common = t3p * (ta2 * tb2)
-    first = ((d2a * ta * tb2).scalar_mul(2) + d2b * ta2 * tb
-             + (da * db * ta * tb).scalar_mul(4) + (da * da * tb2).scalar_mul(2)) * tp - common
-    second = (d2a * ta * tb2 + (d2b * ta2 * tb).scalar_mul(2)
-              - (da * db * ta * tb).scalar_mul(4) + (db * db * ta2).scalar_mul(2)) * tp - common
-    zero = FracSeries.zero()
-    return [(f"{label_prefix} first combination", first, zero),
-            (f"{label_prefix} second combination", second, zero)]
+    A, B = pair
 
+    def build(N: Fraction, variant: str) -> Pairs:
+        ta = _th(A.eps, A.eps_prime, 0, N)
+        tb = _th(B.eps, B.eps_prime, 0, N)
+        da = _th(A.eps, A.eps_prime, 1, N)
+        db = _th(B.eps, B.eps_prime, 1, N)
+        d2a = _th(A.eps, A.eps_prime, 2, N)
+        d2b = _th(B.eps, B.eps_prime, 2, N)
+        tp = _th(_f(1), _f(1), 1, N)
+        t3p = _th(_f(1), _f(1), 3, N)
+        ta2, tb2 = ta * ta, tb * tb
+        common = t3p * (ta2 * tb2)
+        if which == "second":
+            combo = (d2a * ta * tb2 + (d2b * ta2 * tb).scalar_mul(2)
+                     - (da * db * ta * tb).scalar_mul(4) + (db * db * ta2).scalar_mul(2))
+        else:
+            combo = ((d2a * ta * tb2).scalar_mul(2) + d2b * ta2 * tb
+                     + (da * db * ta * tb).scalar_mul(4) + (da * da * tb2).scalar_mul(2))
+        return [(f"{label} {which} combination", combo * tp - common, FracSeries.zero())]
 
-def _build_r1(N: Fraction, variant: str) -> Pairs:
-    return [_residue_relation_pairs(char(1, _f(1, 5)), char(1, _f(3, 5)), N, "R1")[0]]
-
-
-def _build_r2(N: Fraction, variant: str) -> Pairs:
-    return [_residue_relation_pairs(char(1, _f(1, 5)), char(1, _f(3, 5)), N, "R2")[1]]
-
-
-def _build_r4(N: Fraction, variant: str) -> Pairs:
-    return [_residue_relation_pairs(char(_f(1, 5), 1), char(_f(3, 5), 1), N, "R4")[0]]
-
-
-def _build_r5(N: Fraction, variant: str) -> Pairs:
-    return [_residue_relation_pairs(char(_f(1, 5), 1), char(_f(3, 5), 1), N, "R5")[1]]
+    return build
 
 
 def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Fraction,
@@ -295,15 +285,15 @@ def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Fraction,
 
 def _eta_chain_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
                      eta_top: FracSeries, eta_bottom: FracSeries,
-                     theta_form_sign: int) -> Pairs:
-    """The heat-equation chain shared by R3/R6/R7a:
+                     top_scalar: CycloQ5, theta_form_sign: int) -> Pairs:
+    """The heat-equation chain shared by R3/R6/R7a, with k = top_scalar:
 
-    25 [Theta(th_B) th_A - Theta(th_A) th_B] * eta_bottom = eta_top^5 * th_A th_B
-    eta_top^5 * theta'[1,1]^2 = sign * (2*pi*i)^2 * th_A^5 th_B^5 * eta_bottom
+    25 [Theta(th_B) th_A - Theta(th_A) th_B] * eta_bottom = k eta_top^5 * th_A th_B
+    k eta_top^5 * theta'[1,1]^2 = sign * (2*pi*i)^2 * th_A^5 th_B^5 * eta_bottom
     """
     ta = _th(A.eps, A.eps_prime, 0, N)
     tb = _th(B.eps, B.eps_prime, 0, N)
-    top5 = eta_top ** 5
+    top5 = (eta_top ** 5).scalar_mul(top_scalar)
     chain_lhs = ((tb.theta_op() * ta - ta.theta_op() * tb) * eta_bottom).scalar_mul(25)
     chain_rhs = top5 * (ta * tb)
     tp2 = _th(_f(1), _f(1), 1, N) ** 2
@@ -316,38 +306,25 @@ def _eta_chain_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
 
 
 def _build_r3(N: Fraction, variant: str) -> Pairs:
-    A, B = char(1, _f(1, 5)), char(1, _f(3, 5))
+    A, B = _PAIR5
     lhs, rhs = _second_derivative_bracket(
         A, B, N, swap=False,
         bracket=(CycloQ5(-4), CycloQ5(44), CycloQ5(4)), scalar=CycloQ5(1))
     pairs = [("R3 bracket", lhs, rhs)]
     # the chain runs through Theta log(th_A/th_B) = sqrt(5) eta^5(5t)/eta(t)
-    ta = _th(A.eps, A.eps_prime, 0, N)
-    tb = _th(B.eps, B.eps_prime, 0, N)
-    eta1 = eta_q(1, N)
-    eta5t = eta_q(5, N)
-    chain_lhs = (ta.theta_op() * tb - tb.theta_op() * ta) * eta1
-    chain_rhs = ((eta5t ** 5) * (ta * tb)).scalar_mul(sqrt5())
-    pairs.append(("R3 eta-chain", chain_lhs, chain_rhs))
-    tp2 = _th(_f(1), _f(1), 1, N) ** 2
-    P = _th5(A.eps, A.eps_prime, N)
-    Q = _th5(B.eps, B.eps_prime, N)
-    tf_lhs = ((eta5t ** 5) * tp2).scalar_mul(sqrt5() * 25)
-    tf_rhs = ((P * Q) * eta1).scalar_mul(-1).cpow_shift(2)
-    pairs.append(("R3 theta-form", tf_lhs, tf_rhs))
+    pairs += _eta_chain_pairs(A, B, N, "R3", eta_top=eta_q(5, N), eta_bottom=eta_q(1, N),
+                              top_scalar=sqrt5() * -25, theta_form_sign=+1)
     return pairs
 
 
 def _build_r6(N: Fraction, variant: str) -> Pairs:
-    A, B = char(_f(1, 5), 1), char(_f(3, 5), 1)
+    A, B = _PAIR6
     lhs, rhs = _second_derivative_bracket(
         A, B, N, swap=True,
         bracket=(CycloQ5(4), CycloQ5(44), CycloQ5(-4)), scalar=_z(1))
     pairs = [("R6 bracket", lhs, rhs)]
-    pairs += _eta_chain_pairs(A, B, N, "R6",
-                              eta_top=eta_q(_f(1, 5), N),
-                              eta_bottom=eta_q(1, N),
-                              theta_form_sign=-1)
+    pairs += _eta_chain_pairs(A, B, N, "R6", eta_top=eta_q(_f(1, 5), N), eta_bottom=eta_q(1, N),
+                              top_scalar=CycloQ5(1), theta_form_sign=-1)
     return pairs
 
 
@@ -357,10 +334,8 @@ def _build_r7a(N: Fraction, variant: str) -> Pairs:
         A, B, N, swap=True,
         bracket=(CycloQ5(4), _z(4) * -44, _z(3) * -4), scalar=CycloQ5(1))
     pairs = [("R7a bracket", lhs, rhs)]
-    pairs += _eta_chain_pairs(A, B, N, "R7a",
-                              eta_top=eta_q(_f(1, 5), N, _f(1, 5)),
-                              eta_bottom=eta_q(1, N, 1),
-                              theta_form_sign=+1)
+    pairs += _eta_chain_pairs(A, B, N, "R7a", eta_top=eta_q(_f(1, 5), N, _f(1, 5)),
+                              eta_bottom=eta_q(1, N, 1), top_scalar=CycloQ5(1), theta_form_sign=+1)
     return pairs
 
 
@@ -381,12 +356,12 @@ def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
 
 
 def _build_fk5(N: Fraction, variant: str) -> Pairs:
-    return _farkas_kra_pairs(char(1, _f(1, 5)), char(1, _f(3, 5)), N,
+    return _farkas_kra_pairs(*_PAIR5, N,
                              "FK5 log-derivative relation", eta_q(5, N))
 
 
 def _build_fk6(N: Fraction, variant: str) -> Pairs:
-    return _farkas_kra_pairs(char(_f(1, 5), 1), char(_f(3, 5), 1), N,
+    return _farkas_kra_pairs(*_PAIR6, N,
                              "FK6 log-derivative relation", eta_q(_f(1, 5), N))
 
 
@@ -397,8 +372,7 @@ def _g_product(sign: int, N: Fraction) -> FracSeries:
     (1 - z^2 x)(1 - z^3 x) and 1 + (1-sqrt5)/2 x + x^2 = (1 - z x)(1 - z^4 x).
     """
     r1, r2 = (2, 3) if sign > 0 else (1, 4)
-    n_max = -(-N.numerator // N.denominator)
-    factors = [f for n in range(1, n_max + 1)
+    factors = [f for n in range(1, math.ceil(N) + 1)
                for f in ((n, CycloQ5(-1), 5), (n, -_z(r1), 5), (n, -_z(r2), 5),
                          (5 * n, CycloQ5(-1), -3))]
     return _binomial_product(N, factors)
@@ -408,8 +382,7 @@ def _h_product(which: int, N: Fraction) -> FracSeries:
     """H1 = prod (1-q^n)^2 / ((1-q^(5n-1))(1-q^(5n-4)))^5,
        H2 = q * prod (1-q^n)^2 / ((1-q^(5n-2))(1-q^(5n-3)))^5."""
     r1, r2 = (1, 4) if which == 1 else (2, 3)
-    n_max = -(-N.numerator // N.denominator)
-    factors = [f for n in range(1, n_max + 1)
+    factors = [f for n in range(1, math.ceil(N) + 1)
                for f in ((n, CycloQ5(-1), 2), (5 * n - r1, CycloQ5(-1), -5),
                          (5 * n - r2, CycloQ5(-1), -5))]
     out = _binomial_product(N, factors)
@@ -434,7 +407,7 @@ def _build_c511(N: Fraction, variant: str) -> Pairs:
 
 
 def _build_c521(N: Fraction, variant: str) -> Pairs:
-    lhs = _kernel_series("S", N, constant=1, factor=6)
+    lhs = _oracle_series(N, lambda n: 6 * arith.divisor_sum("S", n), constant=1)
     cp, cm = _c_plus_minus()
     gp, gm = _g_product(+1, N), _g_product(-1, N)
     rhs = (gp * gp).scalar_mul(cp) + (gm * gm).scalar_mul(cm)
@@ -445,17 +418,11 @@ def _build_ps1(sign: int) -> Callable[[Fraction, str], Pairs]:
     def build(N: Fraction, variant: str) -> Pairs:
         g = _g_product(sign, N)
         lhs = g * g
-        s5 = sqrt5()
-        outer = (CycloQ5(25) - s5 * 11 if sign > 0 else CycloQ5(25) + s5 * 11) * Fraction(1, 4)
-        inner_sign = s5 if sign > 0 else -s5
-        n_max = -(-N.numerator // N.denominator)
-        terms: list[tuple[Rat, CycloQ5]] = [(0, CycloQ5(1))]
-        for n in range(1, n_max + 1):
-            if Fraction(n) < N:
-                val = (CycloQ5(30 * arith.divisor_sum("C", n))
-                       + inner_sign * arith.divisor_sum("D25", n))
-                terms.append((n, outer * val))
-        rhs = FracSeries.from_terms(terms, order=N)
+        s5 = sqrt5() * sign
+        outer = (CycloQ5(25) - s5 * 11) * Fraction(1, 4)
+        rhs = _oracle_series(N, lambda n: outer * (CycloQ5(30 * arith.divisor_sum("C", n))
+                                                   + s5 * arith.divisor_sum("D25", n)),
+                             constant=1)
         name = "+" if sign > 0 else "-"
         return [(f"G{name}^2 divisor-sum expansion", lhs, rhs)]
 
@@ -473,7 +440,7 @@ def _build_c611(N: Fraction, variant: str) -> Pairs:
 def _build_c621(N: Fraction, variant: str) -> Pairs:
     h1, h2 = _h_product(1, N), _h_product(2, N)
     lhs = h1 * h1 + h2 * h2
-    rhs = _kernel_series("S", N, constant=1, factor=6)
+    rhs = _oracle_series(N, lambda n: 6 * arith.divisor_sum("S", n), constant=1)
     return [("H1^2 + H2^2 = 1 + 6 sum S(n) q^n", lhs, rhs)]
 
 
@@ -481,14 +448,10 @@ def _build_ps2(which: int) -> Callable[[Fraction, str], Pairs]:
     def build(N: Fraction, variant: str) -> Pairs:
         h = _h_product(which, N)
         lhs = h * h
-        n_max = -(-N.numerator // N.denominator)
-        terms: list[tuple[Rat, CycloQ5]] = [(0, CycloQ5(1))] if which == 1 else []
-        for n in range(1, n_max + 1):
-            if Fraction(n) < N:
-                c = 3 * arith.divisor_sum("C", n)
-                e = arith.divisor_sum("E11", n) / 2
-                terms.append((n, CycloQ5(c + e if which == 1 else c - e)))
-        rhs = FracSeries.from_terms(terms, order=N)
+        sign = 1 if which == 1 else -1
+        rhs = _oracle_series(N, lambda n: 3 * arith.divisor_sum("C", n)
+                             + sign * arith.divisor_sum("E11", n) / 2,
+                             constant=1 if which == 1 else 0)
         return [(f"H{which}^2 divisor-sum expansion", lhs, rhs)]
 
     return build
@@ -502,7 +465,7 @@ def _xyz_level5(N: Fraction) -> tuple[FracSeries, FracSeries, FracSeries]:
 
 
 def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, FracSeries, FracSeries]:
-    Npre = Fraction(-(-N.numerator // (5 * N.denominator)) + 2)
+    Npre = Fraction(math.ceil(N / 5) + 2)
     X = _th5(_f(1, 5), _f(1), Npre).rescale_exponent(5)
     Y = _th5(_f(3, 5), _f(1), Npre).rescale_exponent(5)
     Z = eta_quotient([(5, 5), (1, -1)], N)
@@ -622,31 +585,22 @@ def _entries() -> list[IdentityEntry]:
         IdentityEntry("E3", "partition congruence generating function", "§1 Ramanujan identity", 10, 2, _build_e3),
         IdentityEntry("E4", "first derivative theta constant as eta cube", "§2.3", 10, 2, _build_e4),
     ]
-    t1_locs = {
-        "T1a": "Thm 1.1, pair (1,1/5),(1,3/5)",
-        "T1b": "Thm 1.1, pair (3/5,1),(1/5,1)",
-        "T1c": "Thm 1.1, pair (1/5,1/5),(3/5,3/5)",
-        "T1d": "Thm 1.1, pair (1/5,3/5),(3/5,9/5)",
-        "T1e": "Thm 1.1, pair (1/5,7/5),(3/5,1/5)",
-        "T1f": "Thm 1.1, pair (1/5,9/5),(3/5,7/5)",
-    }
-    for tid, loc in t1_locs.items():
-        variants = (AS_STATED, CORRECTED) if tid == "T1d" else (AS_STATED,)
+    for tid, (loc, _, _, table) in _T1_DATA.items():
         es.append(IdentityEntry(tid, "quartic derivative-formula analogue", loc,
-                                10, 10, _build_t1(tid), variants))
-    d_locs = {"D1": "Thm 4.1", "D2": "Thm 4.1", "D3": "Thm 4.2", "D4": "Thm 4.2",
-              "D5": "Thm 4.3", "D6": "Thm 4.3", "D7": "Thm 4.4", "D8": "Thm 4.4",
-              "D9": "Thm 4.5", "D10": "Thm 4.5", "D11": "Thm 4.6", "D12": "Thm 4.6"}
-    for did, loc in d_locs.items():
-        variants = (AS_STATED, CORRECTED) if did in ("D3", "D4") else (AS_STATED,)
+                                10, 10, _build_t1(tid), tuple(table)))
+    for did, (loc, _, _, _, table) in _D_DATA.items():
         es.append(IdentityEntry(did, "first-derivative formula, fifth powers", loc,
-                                10, 8, _build_d(did), variants))
+                                10, 8, _build_d(did), tuple(table)))
     es += [
-        IdentityEntry("R1", "vanishing residue combination", "§5.1 Eq. (11)", 10, 8, _build_r1),
-        IdentityEntry("R2", "vanishing residue combination", "§5.1 Eq. (12)", 10, 8, _build_r2),
+        IdentityEntry("R1", "vanishing residue combination", "§5.1 Eq. (11)", 10, 8,
+                      _build_residue("R1", _PAIR5, "first")),
+        IdentityEntry("R2", "vanishing residue combination", "§5.1 Eq. (12)", 10, 8,
+                      _build_residue("R2", _PAIR5, "second")),
         IdentityEntry("R3", "second-derivative difference, degree ten", "§5.1 Eq. (13)", 10, 10, _build_r3),
-        IdentityEntry("R4", "vanishing residue combination", "§6.1 first relation", 10, 8, _build_r4),
-        IdentityEntry("R5", "vanishing residue combination", "§6.1 second relation", 10, 8, _build_r5),
+        IdentityEntry("R4", "vanishing residue combination", "§6.1 first relation", 10, 8,
+                      _build_residue("R4", _PAIR6, "first")),
+        IdentityEntry("R5", "vanishing residue combination", "§6.1 second relation", 10, 8,
+                      _build_residue("R5", _PAIR6, "second")),
         IdentityEntry("R6", "second-derivative difference with eta chain", "§6.1", 10, 10, _build_r6),
         IdentityEntry("R7a", "second-derivative difference with shifted eta chain", "§7.1", 10, 10, _build_r7a),
         IdentityEntry("FK5", "log-derivative relation for eta(5t)/eta(t)", "Thm 5.2", 10, 8, _build_fk5),

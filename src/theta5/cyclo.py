@@ -83,7 +83,8 @@ class CycloQ5:
         return self.coeffs() == other.coeffs()
 
     def __hash__(self) -> int:
-        return hash(self.coeffs())
+        # a rational element equals its int/Fraction value, so it must hash like it
+        return hash(self.c0) if self.is_rational() else hash(self.coeffs())
 
     # -- ring operations ----------------------------------------------
 

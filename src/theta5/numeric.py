@@ -90,10 +90,16 @@ def eta_num(tau: complex, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
 
 
 def series_eval_num(f: FracSeries, tau: complex) -> complex:
-    """Evaluate an exact series at tau, substituting (2*pi*i)^cpow numerically."""
+    """Evaluate an exact series at tau, substituting (2*pi*i)^cpow numerically.
+
+    Each q^r is e(tau*r) taken from tau: a principal-branch power of q = e(tau)
+    would be wrong whenever |Re tau| > 1/2."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    return f.eval_at_q(cmath.exp(TWO_PI_I * tau))
+    s = 0j
+    for k, v in f.coeffs.items():
+        s += v.embed() * cmath.exp(TWO_PI_I * (tau * float(f.qpow + Fraction(k, f.scale))))
+    return s * f.phase.embed() * TWO_PI_I ** f.cpow
 
 
 def residue_num(f: Callable[[complex], complex], center: complex, radius: float,

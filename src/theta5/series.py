@@ -116,9 +116,7 @@ class FracSeries:
         so the tail always starts at a nonnegative offset.
         """
         pairs = [(Fraction(e), _ccoeff(c)) for e, c in terms]
-        scale = 1
-        for e, _ in pairs:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
+        scale = math.lcm(*(e.denominator for e, _ in pairs))
         coeffs: dict[int, CycloQ5] = {}
         for e, c in pairs:
             k = int(e * scale)
@@ -186,10 +184,7 @@ class FracSeries:
             return NotImplemented
         f, g = self, other
         order = _min_order(_add_order(f.order, g.val()), _add_order(g.order, f.val()))
-        if f.is_zero_tail() or g.is_zero_tail():
-            abs_order = _add_order(order, f.qpow + g.qpow)
-            return FracSeries(1, Phase(0), 0, f.cpow + g.cpow, {}, abs_order)
-        scale = f.scale * g.scale // math.gcd(f.scale, g.scale)
+        scale = math.lcm(f.scale, g.scale)
         fa, ga = f._rescaled(scale), g._rescaled(scale)
         kb = self._key_bound(order, scale)
         coeffs = _convolve(fa.coeffs, ga.coeffs, kb)
@@ -200,21 +195,14 @@ class FracSeries:
 
     def scalar_mul(self, c: Coeff) -> "FracSeries":
         c = _ccoeff(c)
-        if c.is_zero():
-            return FracSeries(1, Phase(0), 0, self.cpow, {}, self.abs_order())
         return FracSeries(self.scale, self.phase, self.qpow, self.cpow,
                           {k: v * c for k, v in self.coeffs.items()}, self.order)
 
     def phase_mul(self, p: Phase) -> "FracSeries":
-        if self.is_zero_tail():
-            return self
         return FracSeries(self.scale, self.phase * p, self.qpow, self.cpow,
                           self.coeffs, self.order)
 
     def qpow_shift(self, r: Rat) -> "FracSeries":
-        if self.is_zero_tail():
-            return FracSeries(1, Phase(0), 0, self.cpow, {},
-                              _add_order(self.abs_order(), Fraction(r)))
         return FracSeries(self.scale, self.phase, self.qpow + Fraction(r),
                           self.cpow, self.coeffs, self.order)
 
@@ -241,18 +229,8 @@ class FracSeries:
                 f"cannot add series with constant powers {f.cpow} and {g.cpow}")
         if g.qpow < f.qpow:
             f, g = g, f
-        scale = f.scale * g.scale // math.gcd(f.scale, g.scale)
+        scale, shift, w = _align(f, g)
         fa, ga = f._rescaled(scale), g._rescaled(scale)
-        dq = g.qpow - f.qpow
-        shift = dq * scale
-        if shift.denominator != 1:
-            raise UnabsorbablePrefactor(
-                f"prefactor q-power difference {dq} is not a multiple of 1/{scale}")
-        try:
-            w = (g.phase / f.phase).to_cyclo()
-        except PhaseNotRepresentable as exc:
-            raise UnabsorbablePrefactor(str(exc)) from None
-        shift = int(shift)
         order = _min_order(fa.abs_order(), ga.abs_order())
         rel_order = None if order is None else order - f.qpow
         coeffs = dict(fa.coeffs)
@@ -344,14 +322,7 @@ class FracSeries:
                           {k * m: v for k, v in self.coeffs.items()},
                           None if self.order is None else self.order * m)
 
-    # -- evaluation and rendering ------------------------------------------
-
-    def eval_at_q(self, q: complex) -> complex:
-        """Numeric value with the prefactors substituted (2*pi*i as a constant)."""
-        s = 0j
-        for k, v in self.coeffs.items():
-            s += v.embed() * q ** (float(self.qpow + Fraction(k, self.scale)))
-        return s * self.phase.embed() * (2j * math.pi) ** self.cpow
+    # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
         """Canonical text rendering: (2*pi*i)^p * e(a) * q^(r) * [tail]."""
@@ -387,6 +358,26 @@ class FracSeries:
         return (f"FracSeries(scale={self.scale}, phase={self.phase}, "
                 f"qpow={self.qpow}, cpow={self.cpow}, terms={len(self.coeffs)}, "
                 f"order={o})")
+
+
+def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, CycloQ5]:
+    """(scale, shift, w) folding g's prefactor into f's: on the common grid
+    1/scale, g's tail key k lands at k + shift with its coefficient times w.
+
+    Raises UnabsorbablePrefactor when the q-power difference is off that grid
+    or the phase ratio is not in Q(zeta_5).
+    """
+    scale = math.lcm(f.scale, g.scale)
+    dq = g.qpow - f.qpow
+    shift = dq * scale
+    if shift.denominator != 1:
+        raise UnabsorbablePrefactor(
+            f"prefactor q-power difference {dq} is not a multiple of 1/{scale}")
+    try:
+        w = (g.phase / f.phase).to_cyclo()
+    except PhaseNotRepresentable as exc:
+        raise UnabsorbablePrefactor(str(exc)) from None
+    return scale, int(shift), w
 
 
 def _convolve(a: dict[int, CycloQ5], b: dict[int, CycloQ5],
@@ -490,20 +481,14 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
         return EqualityResult(False, bound, v, f.coeffs[min(f.coeffs)],
                               g.coeffs[min(g.coeffs)],
                               reason=f"constant powers differ: {f.cpow} vs {g.cpow}")
-    scale = f.scale * g.scale // math.gcd(f.scale, g.scale)
-    fa, ga = f._rescaled(scale), g._rescaled(scale)
-    dq = (ga.qpow - fa.qpow) * scale
     try:
-        w = (ga.phase / fa.phase).to_cyclo()
-        absorbable = dq.denominator == 1
-    except PhaseNotRepresentable:
-        absorbable = False
-    if not absorbable:
+        scale, shift, w = _align(f, g)
+    except UnabsorbablePrefactor:
         v = _min_order(f.abs_val(), g.abs_val())
         return EqualityResult(False, bound, v, f.coeffs[min(f.coeffs)],
                               g.coeffs[min(g.coeffs)],
                               reason="prefactors not absorbable")
-    shift = int(dq)
+    fa, ga = f._rescaled(scale), g._rescaled(scale)
     gmap = {k + shift: v * w for k, v in ga.coeffs.items()}
     keys = sorted(set(fa.coeffs) | set(gmap))
     for k in keys:

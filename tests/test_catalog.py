@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from theta5.series import FracSeries
 
 #: entries whose printed form is misprinted; as-stated fails, corrected passes.
 MISPRINTED = {"T1d", "D3", "D4", "ME6", "W6"}
+
+#: as-stated reports at orders 10 and 20, recorded from the seed package
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_catalog_shape():
@@ -103,9 +107,12 @@ def test_verify_all_corrected_variant_all_green():
 
 
 def test_verify_all_order_monotonicity():
-    low = {r.id: r.passed for r in verify_all(10)}
-    high = {r.id: r.passed for r in verify_all(20)}
-    assert low == high
+    low, high = verify_all(10), verify_all(20)
+    assert {r.id: r.passed for r in low} == {r.id: r.passed for r in high}
+    # every report, field by field, equals the recorded one
+    want = json.loads(REFERENCE.read_text())["catalog"]
+    assert {r.id: report_to_dict(r) for r in low} == want["10"]
+    assert {r.id: report_to_dict(r) for r in high} == want["20"]
 
 
 def test_verify_all_repeat_run_deterministic():

@@ -24,6 +24,17 @@ def test_zeta_power_reduction():
     assert Z(1) ** 5 == CycloQ5(1)
 
 
+def test_hash_agrees_with_eq():
+    for value in (0, 1, 3, -7, Fraction(2, 3), Fraction(-5, 4)):
+        assert CycloQ5(value) == value
+        assert hash(CycloQ5(value)) == hash(value)
+    assert len({CycloQ5(3), 3}) == 1
+    assert {1: "x"}[CycloQ5(1)] == "x"
+    assert {Fraction(2, 3): "y"}[CycloQ5(Fraction(2, 3))] == "y"
+    assert hash(Z(1)) == hash(CycloQ5(0, 1)) == hash(Z(6))
+    assert len({Z(1), Z(6), Z(2), Z(4), CycloQ5(-1, -1, -1, -1)}) == 3
+
+
 def test_multiplicative_identity():
     rng = random.Random(1)
     one = CycloQ5(1)

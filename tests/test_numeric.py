@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from theta5.numeric import (DEFAULT_CONFIG, NumericConfig, check_bridge,
                             contour_radius, eta_num, numeric_check_ids,
                             residue_num, run_numeric_check, series_eval_num,
                             theta_num, theta_prime_fd_residual)
-from theta5.theta import char, theta_const
+from theta5.theta import CATALOG_CHARS, char, theta_const
 
 
 def test_config_validation():
@@ -43,6 +44,18 @@ def test_theta_00_real_positive_and_bridged():
     assert abs(v.imag) < 1e-12 and v.real > 0
     exact = series_eval_num(theta_const(char(0, 0), 0, 30), 1j)
     assert abs(exact - v) / abs(v) < 1e-12
+
+
+def test_bridge_off_the_strip():
+    # q^r must come from e(tau*r), not from a principal-branch power of q = e(tau),
+    # which is wrong for |Re tau| > 1/2
+    rng = random.Random(31)
+    for _ in range(6):
+        tau = complex(rng.uniform(-2, 2), rng.uniform(0.8, 2.0))
+        for ch in CATALOG_CHARS:
+            exact = series_eval_num(theta_const(ch, 0, 24), tau)
+            direct = theta_num(0, tau, ch)
+            assert abs(exact - direct) / abs(direct) < 1e-9, (ch, tau)
 
 
 def test_residue_of_simple_pole():

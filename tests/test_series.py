@@ -1,6 +1,5 @@
 """Ring operations, truncation contracts, and rendering of FracSeries."""
 
-import cmath
 import random
 from fractions import Fraction as F
 
@@ -60,9 +59,21 @@ def test_add_absorbs_prefactor_mismatch():
     assert total.coefficient(F(1, 20)) == CycloQ5(1)
     assert total.coefficient(F(1, 4)) == CycloQ5(3)  # 1/4 = 1/20 + 1/5
     # numeric cross-check at a sample point
-    q = cmath.exp(2j * cmath.pi * 1.1j)
-    direct = s1.eval_at_q(q) + s2.eval_at_q(q)
-    assert abs(total.eval_at_q(q) - direct) < 1e-12
+    direct = series_eval_num(s1, 1.1j) + series_eval_num(s2, 1.1j)
+    assert abs(series_eval_num(total, 1.1j) - direct) < 1e-12
+
+
+def test_zero_tail_results_are_canonical_and_keep_the_absolute_order():
+    def shape(s):
+        return s.coeffs, s.scale, s.phase, s.qpow, s.cpow, s.abs_order()
+
+    z = FracSeries(5, Phase(F(1, 10)), F(1, 2), 1, {}, F(7, 3))
+    assert shape(z) == ({}, 1, Phase(0), 0, 1, F(17, 6))
+    f = geom([(0, 2), (F(1, 5), 3)], order=4).qpow_shift(F(1, 4))
+    assert shape(z * f) == ({}, 1, Phase(0), 0, 1, F(17, 6) + F(1, 4))
+    assert shape(f.scalar_mul(0)) == ({}, 1, Phase(0), 0, 0, F(17, 4))
+    assert shape(z.phase_mul(Phase(F(1, 5)))) == shape(z)
+    assert shape(z.qpow_shift(F(1, 3))) == ({}, 1, Phase(0), 0, 1, F(19, 6))
 
 
 def test_add_requires_matching_constant_power():
