@@ -457,51 +457,49 @@ def _build_ps2(which: int) -> Callable[[Fraction, str], Pairs]:
     return build
 
 
-def _xyz_level5(N: Fraction) -> tuple[FracSeries, FracSeries, FracSeries]:
+def _xyz_level5(N: Fraction) -> tuple[FracSeries, ...]:
+    """(X, Y, Z, XY, F) with F = X^2 - 11XY - Y^2."""
     X = _th5(_f(1), _f(1, 5), N)
     Y = _th5(_f(1), _f(3, 5), N)
     Z = eta_quotient([(1, 5), (5, -1)], N)
-    return X, Y, Z
+    XY = X * Y
+    return X, Y, Z, XY, X * X - XY.scalar_mul(11) - Y * Y
 
 
-def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, FracSeries, FracSeries]:
+def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, ...]:
+    """(X, Y, Z, XY, F) with F = X^2 + 11XY - Y^2."""
     Npre = Fraction(math.ceil(N / 5) + 2)
     X = _th5(_f(1, 5), _f(1), Npre).rescale_exponent(5)
     Y = _th5(_f(3, 5), _f(1), Npre).rescale_exponent(5)
     Z = eta_quotient([(5, 5), (1, -1)], N)
-    return X, Y, Z
+    XY = X * Y
+    return X, Y, Z, XY, X * X + XY.scalar_mul(11) - Y * Y
 
 
 def _build_me5(N: Fraction, variant: str) -> Pairs:
-    X, Y, Z = _xyz_level5(N)
-    XY = X * Y
-    F = X * X - (XY).scalar_mul(11) - Y * Y
+    X, Y, Z, XY, F = _xyz_level5(N)
     lhs = (XY ** 9).scalar_mul(5 ** 5)
     rhs = (Z ** 10) * (F ** 5)
     return [("5^5 X^9 Y^9 = Z^10 (X^2-11XY-Y^2)^5", lhs, rhs)]
 
 
 def _build_ode5(N: Fraction, variant: str) -> Pairs:
-    X, Y, Z = _xyz_level5(N)
-    F = X * X - (X * Y).scalar_mul(11) - Y * Y
+    X, Y, Z, XY, F = _xyz_level5(N)
     lhs = X.tau_derivative() * Y - X * Y.tau_derivative()
     rhs = (Z * F).scalar_mul(sqrt5() * Fraction(1, 25)).cpow_shift(1)
     return [("X'Y - XY' = (2*pi*i)/5^(3/2) Z (X^2-11XY-Y^2)", lhs, rhs)]
 
 
 def _build_w5(N: Fraction, variant: str) -> Pairs:
-    X, Y, Z = _xyz_level5(N)
+    X, Y, Z, XY, F = _xyz_level5(N)
     W = X * Y.tau_derivative() - Y * X.tau_derivative()
-    F = X * X - (X * Y).scalar_mul(11) - Y * Y
     lhs = W ** 10
-    rhs = (((X * Y) ** 9) * (F ** 5)).scalar_mul(Fraction(1, 5 ** 10)).cpow_shift(10)
+    rhs = ((XY ** 9) * (F ** 5)).scalar_mul(Fraction(1, 5 ** 10)).cpow_shift(10)
     return [("W(X,Y)^10 = (2*pi*i/5)^10 X^9 Y^9 (X^2-11XY-Y^2)^5", lhs, rhs)]
 
 
 def _build_me6(N: Fraction, variant: str) -> Pairs:
-    X, Y, Z = _xyz_level5_shifted(N)
-    XY = X * Y
-    F = X * X + XY.scalar_mul(11) - Y * Y
+    X, Y, Z, XY, F = _xyz_level5_shifted(N)
     lhs = XY ** 9
     rhs = (Z ** 10) * (F ** 5)
     if variant == CORRECTED:
@@ -513,17 +511,15 @@ def _build_me6(N: Fraction, variant: str) -> Pairs:
 
 
 def _build_ode6(N: Fraction, variant: str) -> Pairs:
-    X, Y, Z = _xyz_level5_shifted(N)
-    F = X * X + (X * Y).scalar_mul(11) - Y * Y
+    X, Y, Z, XY, F = _xyz_level5_shifted(N)
     lhs = X.tau_derivative() * Y - X * Y.tau_derivative()
     rhs = (Z * F).cpow_shift(1)
     return [("X'Y - XY' = 2*pi*i Z (X^2+11XY-Y^2)", lhs, rhs)]
 
 
 def _build_w6(N: Fraction, variant: str) -> Pairs:
-    X, Y, Z = _xyz_level5_shifted(N)
-    F = X * X + (X * Y).scalar_mul(11) - Y * Y
-    rhs = (((X * Y) ** 9) * (F ** 5)).cpow_shift(10)
+    X, Y, Z, XY, F = _xyz_level5_shifted(N)
+    rhs = ((XY ** 9) * (F ** 5)).cpow_shift(10)
     if variant == CORRECTED:
         W = X * Y.tau_derivative() - Y * X.tau_derivative()
         lhs = W ** 10

@@ -63,8 +63,8 @@ def series_to_dict(f: FracSeries) -> dict:
         "qpow": render_rational(f.qpow),
         "scale": f.scale,
         "order": None if f.order is None else render_rational(f.order),
-        "coeffs": {str(k): [render_rational(x) for x in f.coeffs[k].coeffs()]
-                   for k in sorted(f.coeffs)},
+        "coeffs": {str(k): [render_rational(Fraction(x, f.den)) for x in f.tail[k]]
+                   for k in sorted(f.tail)},
     }
 
 

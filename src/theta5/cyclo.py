@@ -171,15 +171,21 @@ class CycloQ5:
 
     def embed(self) -> complex:
         """Evaluate with z = exp(2*pi*i/5) in double precision."""
-        z = ZETA5_NUMERIC
-        return complex(self.c0) + complex(self.c1) * z \
-            + complex(self.c2) * z * z + complex(self.c3) * z ** 3
+        return embed_coords(self.c0, self.c1, self.c2, self.c3)
 
     def __repr__(self) -> str:
         return f"CycloQ5({self.c0}, {self.c1}, {self.c2}, {self.c3})"
 
     def __str__(self) -> str:
         return render_cyclo(self)
+
+
+def embed_coords(c0: Union[Rat, float], c1: Union[Rat, float],
+                 c2: Union[Rat, float], c3: Union[Rat, float]) -> complex:
+    """c0 + c1*z + c2*z^2 + c3*z^3 at z = exp(2*pi*i/5), each coordinate
+    first rounded to a double."""
+    z = ZETA5_NUMERIC
+    return complex(c0) + complex(c1) * z + complex(c2) * z * z + complex(c3) * z ** 3
 
 
 def _coerce(x) -> "CycloQ5":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .cyclo import embed_coords
 from .series import FracSeries
 from .theta import CATALOG_CHARS, ThetaChar, char
 
@@ -97,8 +98,11 @@ def series_eval_num(f: FracSeries, tau: complex) -> complex:
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     s = 0j
-    for k, v in f.coeffs.items():
-        s += v.embed() * cmath.exp(TWO_PI_I * (tau * float(f.qpow + Fraction(k, f.scale))))
+    d = f.den
+    for k, (a0, a1, a2, a3) in f.tail.items():
+        # int / int rounds correctly, as float() of the reduced Fraction does
+        c = embed_coords(a0 / d, a1 / d, a2 / d, a3 / d)
+        s += c * cmath.exp(TWO_PI_I * (tau * float(f.qpow + Fraction(k, f.scale))))
     return s * f.phase.embed() * TWO_PI_I ** f.cpow
 
 
@@ -220,11 +224,15 @@ def theta_prime_fd_residual(cfg: NumericConfig = DEFAULT_CONFIG, points: int = 3
 # residue setups: the elliptic functions phi, psi with pole only at z = 0
 # ---------------------------------------------------------------------------
 
+#: theta[1, 1], the odd theta function; its zero at z = 0 is the residue setups' pole.
+_ODD_CHAR = char(1, 1)
+
+
 def _ratio_fn(tau: complex, sq: ThetaChar, lin: ThetaChar,
               cfg: NumericConfig) -> Callable[[complex], complex]:
     def f(z: complex) -> complex:
         return (theta_num(z, tau, sq, 0, cfg) ** 2 * theta_num(z, tau, lin, 0, cfg)
-                / theta_num(z, tau, char(1, 1), 0, cfg) ** 3)
+                / theta_num(z, tau, _ODD_CHAR, 0, cfg) ** 3)
     return f
 
 
@@ -308,8 +316,8 @@ def check_bridge(tau: complex = 0.2 + 1.4j, order: int = 24,
     """Relative gap between series_eval_num of every catalog theta constant and theta_num."""
     from .theta import theta_const  # local import to keep the float lane importable alone
     worst = 0.0
-    for ch in CATALOG_CHARS + (char(1, 1),):
-        m = 1 if ch == char(1, 1) else 0
+    for ch in CATALOG_CHARS + (_ODD_CHAR,):
+        m = 1 if ch == _ODD_CHAR else 0
         exact = series_eval_num(theta_const(ch, m, order), tau)
         direct = theta_num(0, tau, ch, m, cfg)
         denom = max(abs(direct), 1e-300)

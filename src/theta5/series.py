@@ -5,11 +5,20 @@ A FracSeries represents
     (2*pi*i)^cpow * e(a) * q^(qpow) * sum_k coeffs[k] * q^(k/scale)
 
 with q = exp(2*pi*i*tau).  The tail keys k are nonnegative integers on the
-grid 1/scale; coefficients are CycloQ5; the phase e(a) and the power of the
-transcendental constant 2*pi*i are carried exactly in the prefactor.  The
-``order`` attribute is the truncation contract: coefficients are exact for
-all relative exponents strictly below it (None means exact everywhere, as
-for constants and finite polynomials).
+grid 1/scale; the phase e(a) and the power of the transcendental constant
+2*pi*i are carried exactly in the prefactor.  The ``order`` attribute is the
+truncation contract: coefficients are exact for all relative exponents
+strictly below it (None means exact everywhere, as for constants and finite
+polynomials).
+
+The tail is stored once, as a positive integer ``den`` and a dict ``tail``
+from each key to an integer 4-vector (a0, a1, a2, a3): the coefficient at k
+is (a0 + a1*z + a2*z^2 + a3*z^3)/den with z = zeta_5 and z^4 = -(1+z+z^2+z^3).
+Zero vectors are never stored and den is reduced by the gcd of all entries,
+so a tail on a given grid has exactly one stored form.  Every ring operation
+works on these integers.  Rationals appear only at the boundary: the
+constructor takes CycloQ5 coefficients in, and ``coeffs``, the CycloQ5 view
+that rendering and callers read, is built from the integers on first use.
 
 Truncation propagates soundly: if f is exact below A and g below B, their
 product is exact below min(A + val(g), B + val(f)), val being the smallest
@@ -20,12 +29,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 from .cyclo import (CycloQ5, Phase, PhaseNotRepresentable, Rat,
                     render_cyclo, render_rational)
 
 Coeff = Union[int, Fraction, CycloQ5]
+#: An element of Z[zeta_5] in the power basis 1, z, z^2, z^3.
+Vec = tuple[int, int, int, int]
+
+_ONE: Vec = (1, 0, 0, 0)
+_ZERO: Vec = (0, 0, 0, 0)
+_PHASE0 = Phase(0)
+_setattr = object.__setattr__
 
 
 class IncompatibleConstantPower(ValueError):
@@ -44,6 +61,41 @@ def _ccoeff(c: Coeff) -> CycloQ5:
     return c if isinstance(c, CycloQ5) else CycloQ5(c)
 
 
+def _to_ints(values: Iterable[CycloQ5]) -> tuple[int, list[Vec]]:
+    """(den, vectors): the values over their least common denominator, which
+    shares no factor with every entry."""
+    values = list(values)
+    den = math.lcm(*(x.denominator for c in values for x in c.coeffs()))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in c.coeffs())
+                 for c in values]
+
+
+def _cyclo(v: Vec, den: int) -> CycloQ5:
+    return CycloQ5(*(Fraction(x, den) for x in v))
+
+
+def _vmul(a: Vec, b: Vec) -> Vec:
+    """Product in Z[zeta_5]: convolve to degree 6, then z^5 = 1 and z^4 = -(1+z+z^2+z^3)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    d4 = a1 * b3 + a2 * b2 + a3 * b1
+    return (a0 * b0 + a2 * b3 + a3 * b2 - d4, a0 * b1 + a1 * b0 + a3 * b3 - d4,
+            a0 * b2 + a1 * b1 + a2 * b0 - d4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - d4)
+
+
+def _times(n: int, tail: dict[int, Vec]) -> dict[int, Vec]:
+    if n == 1:
+        return tail
+    return {k: (n * a0, n * a1, n * a2, n * a3) for k, (a0, a1, a2, a3) in tail.items()}
+
+
+def _key_bound(order: Optional[Fraction], scale: int) -> Optional[int]:
+    """Largest key k with k/scale < order (None: no bound)."""
+    if order is None:
+        return None
+    return math.ceil(order * scale) - 1
+
+
 def _min_order(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
     if a is None:
         return b
@@ -59,7 +111,7 @@ def _add_order(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fractio
 
 
 class FracSeries:
-    __slots__ = ("scale", "phase", "qpow", "cpow", "coeffs", "order")
+    __slots__ = ("scale", "phase", "qpow", "cpow", "den", "tail", "order", "_coeffs")
 
     def __init__(self, scale: int, phase: Phase, qpow: Rat, cpow: int,
                  coeffs: dict[int, CycloQ5], order: Optional[Rat]):
@@ -72,19 +124,63 @@ class FracSeries:
             raise ValueError("tail exponents must be nonnegative")
         if clean and order is not None:
             clean = {k: v for k, v in clean.items() if Fraction(k, scale) < order}
-        if not clean:
+        den, vecs = _to_ints(clean.values())
+        self._set(scale, phase, qpow, cpow, den, dict(zip(clean, vecs)), order)
+
+    def _set(self, scale, phase, qpow, cpow, den, tail, order) -> None:
+        if not tail:
             # canonical zero tail: fold the prefactor away, keep the absolute bound
             order = None if order is None else order + qpow
-            phase, qpow, scale = Phase(0), Fraction(0), 1
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "qpow", qpow)
-        object.__setattr__(self, "cpow", cpow)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "order", order)
+            phase, qpow, scale, den = _PHASE0, Fraction(0), 1, 1
+        _setattr(self, "scale", scale)
+        _setattr(self, "phase", phase)
+        _setattr(self, "qpow", qpow)
+        _setattr(self, "cpow", cpow)
+        _setattr(self, "den", den)
+        _setattr(self, "tail", tail)
+        _setattr(self, "order", order)
+        _setattr(self, "_coeffs", None)
+
+    @classmethod
+    def _make(cls, scale: int, phase: Phase, qpow: Fraction, cpow: int, den: int,
+              tail: dict[int, Vec], order: Optional[Fraction],
+              clean: bool = False) -> "FracSeries":
+        """Build from an integer tail over ``den``; qpow and order are Fractions.
+
+        Unless ``clean`` says the tail already is in stored form (keys below
+        the order, no zero vectors, den reduced), keys at or above the order
+        and zero vectors are dropped and den is reduced.
+        """
+        if not clean:
+            kb = _key_bound(order, scale)
+            tail = {k: v for k, v in tail.items()
+                    if (v[0] or v[1] or v[2] or v[3]) and (kb is None or k <= kb)}
+            if den != 1 and tail:
+                g = math.gcd(den, *chain.from_iterable(tail.values()))
+                if g != 1:
+                    den //= g
+                    tail = {k: (a0 // g, a1 // g, a2 // g, a3 // g)
+                            for k, (a0, a1, a2, a3) in tail.items()}
+        self = object.__new__(cls)
+        self._set(scale, phase, qpow, cpow, den, tail, order)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FracSeries is immutable")
+
+    @property
+    def coeffs(self) -> dict[int, CycloQ5]:
+        """The tail as CycloQ5 values, built on first use.
+
+        The finished dict is published by one attribute store, so threads
+        racing here each get a complete view, and all views are equal.
+        """
+        view = self._coeffs
+        if view is None:
+            den = self.den
+            view = {k: _cyclo(v, den) for k, v in self.tail.items()}
+            _setattr(self, "_coeffs", view)
+        return view
 
     # -- constructors --------------------------------------------------
 
@@ -116,30 +212,42 @@ class FracSeries:
         so the tail always starts at a nonnegative offset.
         """
         pairs = [(Fraction(e), _ccoeff(c)) for e, c in terms]
-        scale = math.lcm(*(e.denominator for e, _ in pairs))
-        coeffs: dict[int, CycloQ5] = {}
-        for e, c in pairs:
+        den, vecs = _to_ints(c for _, c in pairs)
+        return cls._from_int_terms([(e, v) for (e, _), v in zip(pairs, vecs)], den,
+                                   order, cpow, phase, qpow)
+
+    @classmethod
+    def _from_int_terms(cls, terms: list[tuple[Fraction, Vec]], den: int,
+                        order: Optional[Rat], cpow: int, phase: Phase,
+                        qpow: Rat) -> "FracSeries":
+        """``from_terms`` for (exponent, integer 4-vector) pairs over one ``den``."""
+        scale = math.lcm(*(e.denominator for e, _ in terms))
+        tail: dict[int, Vec] = {}
+        for e, v in terms:
             k = int(e * scale)
-            coeffs[k] = coeffs.get(k, CycloQ5()) + c
+            cur = tail.get(k)
+            tail[k] = v if cur is None else (cur[0] + v[0], cur[1] + v[1],
+                                             cur[2] + v[2], cur[3] + v[3])
         qpow = Fraction(qpow)
-        low = min((k for k, v in coeffs.items() if not v.is_zero()), default=0)
+        order = None if order is None else Fraction(order)
+        low = min((k for k, v in tail.items() if v != _ZERO), default=0)
         if low < 0:
             shift = Fraction(low, scale)
-            coeffs = {k - low: v for k, v in coeffs.items()}
+            tail = {k - low: v for k, v in tail.items()}
             qpow += shift
-            order = None if order is None else Fraction(order) - shift
-        return cls(scale, phase, qpow, cpow, coeffs, order)
+            order = None if order is None else order - shift
+        return cls._make(scale, phase, qpow, cpow, den, tail, order)
 
     # -- structure -----------------------------------------------------
 
     def is_zero_tail(self) -> bool:
-        return not self.coeffs
+        return not self.tail
 
     def val(self) -> Optional[Fraction]:
         """Smallest stored relative exponent (the truncation order if the tail is empty)."""
-        if not self.coeffs:
+        if not self.tail:
             return self.order
-        return Fraction(min(self.coeffs), self.scale)
+        return Fraction(min(self.tail), self.scale)
 
     def abs_order(self) -> Optional[Fraction]:
         """Absolute exponent below which coefficients are exact (None = everywhere)."""
@@ -155,11 +263,16 @@ class FracSeries:
         k = r * self.scale
         if r < 0 or k.denominator != 1:
             return CycloQ5()
-        return self.coeffs.get(int(k), CycloQ5())
+        v = self.tail.get(int(k))
+        return CycloQ5() if v is None else _cyclo(v, self.den)
+
+    def _lead(self) -> CycloQ5:
+        return _cyclo(self.tail[min(self.tail)], self.den)
 
     def terms(self) -> list[tuple[Fraction, CycloQ5]]:
         """Sorted (relative exponent, coefficient) pairs."""
-        return [(Fraction(k, self.scale), self.coeffs[k]) for k in sorted(self.coeffs)]
+        coeffs = self.coeffs
+        return [(Fraction(k, self.scale), coeffs[k]) for k in sorted(coeffs)]
 
     def _rescaled(self, scale: int) -> "FracSeries":
         if scale == self.scale:
@@ -167,13 +280,9 @@ class FracSeries:
         if scale % self.scale:
             raise ValueError("can only refine to a multiple of the current scale")
         m = scale // self.scale
-        return FracSeries(scale, self.phase, self.qpow, self.cpow,
-                          {k * m: v for k, v in self.coeffs.items()}, self.order)
-
-    def _key_bound(self, order: Optional[Fraction], scale: int) -> Optional[int]:
-        if order is None:
-            return None
-        return math.ceil(order * scale) - 1
+        return FracSeries._make(scale, self.phase, self.qpow, self.cpow, self.den,
+                                {k * m: v for k, v in self.tail.items()}, self.order,
+                                clean=True)
 
     # -- ring operations -------------------------------------------------
 
@@ -186,30 +295,33 @@ class FracSeries:
         order = _min_order(_add_order(f.order, g.val()), _add_order(g.order, f.val()))
         scale = math.lcm(f.scale, g.scale)
         fa, ga = f._rescaled(scale), g._rescaled(scale)
-        kb = self._key_bound(order, scale)
-        coeffs = _convolve(fa.coeffs, ga.coeffs, kb)
-        return FracSeries(scale, f.phase * g.phase, f.qpow + g.qpow,
-                          f.cpow + g.cpow, coeffs, order)
+        tail = _convolve(fa.tail, ga.tail, _key_bound(order, scale))
+        return FracSeries._make(scale, f.phase * g.phase, f.qpow + g.qpow,
+                                f.cpow + g.cpow, f.den * g.den, tail, order)
 
     __rmul__ = __mul__
 
     def scalar_mul(self, c: Coeff) -> "FracSeries":
-        c = _ccoeff(c)
-        return FracSeries(self.scale, self.phase, self.qpow, self.cpow,
-                          {k: v * c for k, v in self.coeffs.items()}, self.order)
+        cden, (cv,) = _to_ints([_ccoeff(c)])
+        if cv[1] or cv[2] or cv[3]:
+            tail = {k: _vmul(v, cv) for k, v in self.tail.items()}
+        else:
+            tail = _times(cv[0], self.tail)
+        return FracSeries._make(self.scale, self.phase, self.qpow, self.cpow,
+                                self.den * cden, tail, self.order)
 
     def phase_mul(self, p: Phase) -> "FracSeries":
-        return FracSeries(self.scale, self.phase * p, self.qpow, self.cpow,
-                          self.coeffs, self.order)
+        return FracSeries._make(self.scale, self.phase * p, self.qpow, self.cpow,
+                                self.den, self.tail, self.order, clean=True)
 
     def qpow_shift(self, r: Rat) -> "FracSeries":
-        return FracSeries(self.scale, self.phase, self.qpow + Fraction(r),
-                          self.cpow, self.coeffs, self.order)
+        return FracSeries._make(self.scale, self.phase, self.qpow + Fraction(r),
+                                self.cpow, self.den, self.tail, self.order, clean=True)
 
     def cpow_shift(self, m: int) -> "FracSeries":
         """Multiply by (2*pi*i)^m."""
-        return FracSeries(self.scale, self.phase, self.qpow, self.cpow + m,
-                          self.coeffs, self.order)
+        return FracSeries._make(self.scale, self.phase, self.qpow, self.cpow + m,
+                                self.den, self.tail, self.order, clean=True)
 
     def __neg__(self) -> "FracSeries":
         return self.scalar_mul(-1)
@@ -233,16 +345,29 @@ class FracSeries:
         fa, ga = f._rescaled(scale), g._rescaled(scale)
         order = _min_order(fa.abs_order(), ga.abs_order())
         rel_order = None if order is None else order - f.qpow
-        coeffs = dict(fa.coeffs)
-        for k, v in ga.coeffs.items():
+        # both sides over the lcm of the denominators; g's side also times w
+        den = math.lcm(f.den, g.den)
+        tail = dict(_times(den // f.den, fa.tail))
+        sg = den // g.den
+        if w == _ONE:
+            gtail = _times(sg, ga.tail)
+        else:
+            ws = tuple(sg * x for x in w)
+            gtail = {k: _vmul(v, ws) for k, v in ga.tail.items()}
+        for k, v in gtail.items():
             kk = k + shift
-            coeffs[kk] = coeffs.get(kk, CycloQ5()) + v * w
-        return FracSeries(scale, f.phase, f.qpow, f.cpow, coeffs, rel_order)
+            cur = tail.get(kk)
+            tail[kk] = v if cur is None else (cur[0] + v[0], cur[1] + v[1],
+                                              cur[2] + v[2], cur[3] + v[3])
+        return FracSeries._make(scale, f.phase, f.qpow, f.cpow, den, tail, rel_order)
 
     def _clip_abs(self, abs_order: Optional[Fraction]) -> "FracSeries":
         rel = None if abs_order is None else abs_order - self.qpow
-        return FracSeries(self.scale, self.phase, self.qpow, self.cpow,
-                          self.coeffs, _min_order(rel, self.order))
+        order = _min_order(rel, self.order)
+        if order == self.order:
+            return self
+        return FracSeries._make(self.scale, self.phase, self.qpow, self.cpow,
+                                self.den, self.tail, order)
 
     def __sub__(self, other) -> "FracSeries":
         if isinstance(other, (int, Fraction, CycloQ5)):
@@ -271,44 +396,61 @@ class FracSeries:
         """
         if self.is_zero_tail():
             raise NonInvertibleSeries("cannot invert a series with zero tail")
-        v = min(self.coeffs)
-        tail = {k - v: c for k, c in self.coeffs.items()}
+        v = min(self.tail)
+        tail = {k - v: c for k, c in self.tail.items()}
         rel_order = None if self.order is None else self.order - Fraction(v, self.scale)
         if rel_order is None and order is not None:
             rel_order = Fraction(order)
-        c0inv = tail[0].inverse()
-        kb = self._key_bound(rel_order, self.scale)
+        qpow = -(self.qpow + Fraction(v, self.scale))
+        # the tail is A/den with A = sum a_j x^j; 1/a_0 = u/n is the one field inverse
+        n, (u,) = _to_ints([_cyclo(tail[0], 1).inverse()])
+        kb = _key_bound(rel_order, self.scale)
         if kb is None:
             if max(tail) == 0:
                 # monomial: the inverse is again a monomial, exact everywhere
-                return FracSeries(self.scale, self.phase.inverse(),
-                                  -(self.qpow + Fraction(v, self.scale)),
-                                  -self.cpow, {0: c0inv}, None)
+                return FracSeries._make(self.scale, self.phase.inverse(), qpow, -self.cpow,
+                                        n, _times(self.den, {0: u}), None)
             raise NonInvertibleSeries(
                 "inverting an untruncated polynomial requires an explicit order")
-        inv: dict[int, CycloQ5] = {0: c0inv}
+        # 1/A = sum b_k x^k with b_k = beta_k / n^(k+1), where beta_0 = u and
+        # beta_k = -u * sum_{j>=1} a_j n^(j-1) beta_(k-j), all in Z[zeta_5]
+        steps = sorted((j, a if n == 1 else tuple(n ** (j - 1) * x for x in a))
+                       for j, a in tail.items() if 0 < j <= kb)
+        beta: dict[int, Vec] = {0: u}
         for k in range(1, kb + 1):
-            acc = CycloQ5()
-            for j, cj in tail.items():
-                if 0 < j <= k and (k - j) in inv:
-                    acc = acc + cj * inv[k - j]
-            if not acc.is_zero():
-                inv[k] = -(c0inv * acc)
-        qpow = -(self.qpow + Fraction(v, self.scale))
-        return FracSeries(self.scale, self.phase.inverse(), qpow, -self.cpow,
-                          inv, rel_order)
+            s0 = s1 = s2 = s3 = 0
+            for j, (a0, a1, a2, a3) in steps:
+                if j > k:
+                    break
+                b = beta.get(k - j)
+                if b is None:
+                    continue
+                b0, b1, b2, b3 = b
+                d4 = a1 * b3 + a2 * b2 + a3 * b1
+                s0 += a0 * b0 + a2 * b3 + a3 * b2 - d4
+                s1 += a0 * b1 + a1 * b0 + a3 * b3 - d4
+                s2 += a0 * b2 + a1 * b1 + a2 * b0 - d4
+                s3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - d4
+            if s0 or s1 or s2 or s3:
+                beta[k] = _vmul(u, (-s0, -s1, -s2, -s3))
+        # den/A over the common denominator n^(kb+1)
+        out = {k: tuple(self.den * n ** (kb - k) * x for x in b)
+               for k, b in beta.items() if k <= kb}
+        return FracSeries._make(self.scale, self.phase.inverse(), qpow, -self.cpow,
+                                n ** max(kb + 1, 0), out, rel_order)
 
     # -- derivations -----------------------------------------------------
 
     def theta_op(self) -> "FracSeries":
         """q d/dq: multiply each coefficient by its total q-exponent."""
-        coeffs = {}
-        for k, v in self.coeffs.items():
-            r = self.qpow + Fraction(k, self.scale)
+        p, q, s = self.qpow.numerator, self.qpow.denominator, self.scale
+        tail = {}
+        for k, (a0, a1, a2, a3) in self.tail.items():
+            r = p * s + k * q  # the exponent of key k is r / (q*s)
             if r:
-                coeffs[k] = v * r
-        return FracSeries(self.scale, self.phase, self.qpow, self.cpow,
-                          coeffs, self.order)
+                tail[k] = (r * a0, r * a1, r * a2, r * a3)
+        return FracSeries._make(s, self.phase, self.qpow, self.cpow, self.den * q * s,
+                                tail, self.order)
 
     def tau_derivative(self) -> "FracSeries":
         """d/dtau = (2*pi*i) * (q d/dq); raises cpow by one."""
@@ -318,17 +460,18 @@ class FracSeries:
         """Substitute q -> q^m (i.e. tau -> m*tau), m a positive integer."""
         if m < 1:
             raise ValueError("m must be a positive integer")
-        return FracSeries(self.scale, self.phase, self.qpow * m, self.cpow,
-                          {k * m: v for k, v in self.coeffs.items()},
-                          None if self.order is None else self.order * m)
+        return FracSeries._make(self.scale, self.phase, self.qpow * m, self.cpow, self.den,
+                                {k * m: v for k, v in self.tail.items()},
+                                None if self.order is None else self.order * m, clean=True)
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
         """Canonical text rendering: (2*pi*i)^p * e(a) * q^(r) * [tail]."""
         parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
+        coeffs = self.coeffs
+        for k in sorted(coeffs):
+            c = coeffs[k]
             e = Fraction(k, self.scale)
             if e == 0:
                 term = render_cyclo(c)
@@ -356,11 +499,11 @@ class FracSeries:
     def __repr__(self) -> str:
         o = "inf" if self.order is None else str(self.order)
         return (f"FracSeries(scale={self.scale}, phase={self.phase}, "
-                f"qpow={self.qpow}, cpow={self.cpow}, terms={len(self.coeffs)}, "
+                f"qpow={self.qpow}, cpow={self.cpow}, terms={len(self.tail)}, "
                 f"order={o})")
 
 
-def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, CycloQ5]:
+def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, Vec]:
     """(scale, shift, w) folding g's prefactor into f's: on the common grid
     1/scale, g's tail key k lands at k + shift with its coefficient times w.
 
@@ -377,57 +520,56 @@ def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, CycloQ5]:
         w = (g.phase / f.phase).to_cyclo()
     except PhaseNotRepresentable as exc:
         raise UnabsorbablePrefactor(str(exc)) from None
-    return scale, int(shift), w
+    # a root of unity has integer coordinates
+    return scale, int(shift), tuple(x.numerator for x in w.coeffs())
 
 
-def _convolve(a: dict[int, CycloQ5], b: dict[int, CycloQ5],
-              key_bound: Optional[int]) -> dict[int, CycloQ5]:
-    """Tail convolution over integer 4-vectors with a common-denominator pullout."""
-    da, ia = _to_int_tail(a)
-    db, ib = _to_int_tail(b)
-    if len(ia) > len(ib):
-        ia, ib = ib, ia
-    bkeys = sorted(ib)
-    acc: dict[int, list[int]] = {}
-    for k1, (a0, a1, a2, a3) in ia.items():
-        for k2 in bkeys:
-            k = k1 + k2
-            if key_bound is not None and k > key_bound:
-                break
-            b0, b1, b2, b3 = ib[k2]
-            d0 = a0 * b0
-            d1 = a0 * b1 + a1 * b0
-            d2 = a0 * b2 + a1 * b1 + a2 * b0
-            d3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-            d4 = a1 * b3 + a2 * b2 + a3 * b1
-            d5 = a2 * b3 + a3 * b2
-            d6 = a3 * b3
-            cell = acc.get(k)
-            if cell is None:
-                acc[k] = [d0 + d5 - d4, d1 + d6 - d4, d2 - d4, d3 - d4]
-            else:
-                cell[0] += d0 + d5 - d4
-                cell[1] += d1 + d6 - d4
-                cell[2] += d2 - d4
-                cell[3] += d3 - d4
-    den = da * db
-    out: dict[int, CycloQ5] = {}
-    for k, (c0, c1, c2, c3) in acc.items():
-        if c0 or c1 or c2 or c3:
-            out[k] = CycloQ5(Fraction(c0, den), Fraction(c1, den),
-                             Fraction(c2, den), Fraction(c3, den))
-    return out
+def _outer_cost(a: dict[int, Vec], b: dict[int, Vec]) -> int:
+    """Multiplications of ``_convolve`` with ``a`` outside: an outer entry with
+    integer value costs 4 per inner entry, any other 16."""
+    return len(b) * (len(a) + 3 * sum(1 for v in a.values() if v[1] or v[2] or v[3]))
 
 
-def _to_int_tail(coeffs: dict[int, CycloQ5]) -> tuple[int, dict[int, tuple[int, int, int, int]]]:
-    den = 1
-    for c in coeffs.values():
-        for f in (c.c0, c.c1, c.c2, c.c3):
-            den = den * f.denominator // math.gcd(den, f.denominator)
-    out = {}
-    for k, c in coeffs.items():
-        out[k] = (int(c.c0 * den), int(c.c1 * den), int(c.c2 * den), int(c.c3 * den))
-    return den, out
+def _convolve(a: dict[int, Vec], b: dict[int, Vec],
+              key_bound: Optional[int]) -> dict[int, Vec]:
+    """Product of two integer tails, keys above ``key_bound`` dropped."""
+    if not a or not b:
+        return {}
+    if _outer_cost(a, b) > _outer_cost(b, a):
+        a, b = b, a
+    bitems = sorted(b.items())
+    top = max(a) + bitems[-1][0]
+    if key_bound is None or key_bound > top:
+        key_bound = top
+    n = key_bound + 1
+    c0, c1, c2, c3 = [0] * n, [0] * n, [0] * n, [0] * n
+    for k1, (a0, a1, a2, a3) in a.items():
+        lim = key_bound - k1
+        if a1 or a2 or a3:
+            # a * b as a linear map of b's coordinates (see _vmul)
+            m01, m02, m03 = -a3, a3 - a2, a2 - a1
+            m11, m12, m13 = a0 - a3, -a2, a3 - a1
+            m21, m22, m23 = a1 - a3, a0 - a2, -a1
+            m31, m32, m33 = a2 - a3, a1 - a2, a0 - a1
+            for k2, (b0, b1, b2, b3) in bitems:
+                if k2 > lim:
+                    break
+                k = k1 + k2
+                c0[k] += a0 * b0 + m01 * b1 + m02 * b2 + m03 * b3
+                c1[k] += a1 * b0 + m11 * b1 + m12 * b2 + m13 * b3
+                c2[k] += a2 * b0 + m21 * b1 + m22 * b2 + m23 * b3
+                c3[k] += a3 * b0 + m31 * b1 + m32 * b2 + m33 * b3
+        else:
+            for k2, (b0, b1, b2, b3) in bitems:
+                if k2 > lim:
+                    break
+                k = k1 + k2
+                c0[k] += a0 * b0
+                c1[k] += a0 * b1
+                c2[k] += a0 * b2
+                c3[k] += a0 * b3
+    return {k: (c0[k], c1[k], c2[k], c3[k]) for k in range(n)
+            if c0[k] or c1[k] or c2[k] or c3[k]}
 
 
 class EqualityResult:
@@ -462,7 +604,8 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
 
     An all-zero tail equals zero regardless of its prefactor.  Structural
     incompatibilities (constant-power mismatch, prefactors not absorbable)
-    are reported as failures, never raised.
+    are reported as failures, never raised.  Tails compare as a*den_g
+    against b*den_f; only a reported mismatch is turned into CycloQ5 values.
     """
     bound = _min_order(f.abs_order(), g.abs_order())
     zf, zg = f.is_zero_tail(), g.is_zero_tail()
@@ -473,30 +616,30 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
         v = nz.abs_val()
         if bound is not None and v >= bound:
             return EqualityResult(True, bound)
-        lead = nz.coeffs[min(nz.coeffs)]
+        lead = nz._lead()
         lhs, rhs = (CycloQ5(), lead) if zf else (lead, CycloQ5())
         return EqualityResult(False, bound, v, lhs, rhs)
     if f.cpow != g.cpow:
         v = _min_order(f.abs_val(), g.abs_val())
-        return EqualityResult(False, bound, v, f.coeffs[min(f.coeffs)],
-                              g.coeffs[min(g.coeffs)],
+        return EqualityResult(False, bound, v, f._lead(), g._lead(),
                               reason=f"constant powers differ: {f.cpow} vs {g.cpow}")
     try:
         scale, shift, w = _align(f, g)
     except UnabsorbablePrefactor:
         v = _min_order(f.abs_val(), g.abs_val())
-        return EqualityResult(False, bound, v, f.coeffs[min(f.coeffs)],
-                              g.coeffs[min(g.coeffs)],
+        return EqualityResult(False, bound, v, f._lead(), g._lead(),
                               reason="prefactors not absorbable")
     fa, ga = f._rescaled(scale), g._rescaled(scale)
-    gmap = {k + shift: v * w for k, v in ga.coeffs.items()}
-    keys = sorted(set(fa.coeffs) | set(gmap))
-    for k in keys:
-        e = fa.qpow + Fraction(k, scale)
-        if bound is not None and e >= bound:
+    ftail = fa.tail
+    gtail = {k + shift: v for k, v in ga.tail.items()} if w == _ONE \
+        else {k + shift: _vmul(v, w) for k, v in ga.tail.items()}
+    fd, gd = f.den, g.den
+    kb = _key_bound(None if bound is None else bound - f.qpow, scale)
+    for k in sorted(set(ftail) | set(gtail)):
+        if kb is not None and k > kb:
             break
-        cf = fa.coeffs.get(k, CycloQ5())
-        cg = gmap.get(k, CycloQ5())
-        if cf != cg:
-            return EqualityResult(False, bound, e, cf, cg)
+        a, b = ftail.get(k, _ZERO), gtail.get(k, _ZERO)
+        if a != b if fd == gd else any(x * gd != y * fd for x, y in zip(a, b)):
+            return EqualityResult(False, bound, f.qpow + Fraction(k, scale),
+                                  _cyclo(a, fd), _cyclo(b, gd))
     return EqualityResult(True, bound)

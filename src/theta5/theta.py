@@ -72,16 +72,18 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
     if order <= 0:
         raise ValueError("order must be positive")
     e, ep = ch.eps, ch.eps_prime
-    terms: list[tuple[Fraction, CycloQ5]] = []
+    # the coefficient (n + e/2)^m * e(n*e'/2) is (t*n + h)^m * w / t^m, w a root of unity
+    t, h = 2 * e.denominator, e.numerator
+    terms: list[tuple[Fraction, tuple[int, int, int, int]]] = []
     center = round(-e / 2)
 
     def emit(n: int) -> bool:
         r = Fraction(n) * (Fraction(n) + e) / 2
         if r >= order:
             return False
-        a = Fraction(n) + e / 2
-        c = CycloQ5(a ** deriv_order) * Phase(n * ep / 2).to_cyclo()
-        terms.append((r, c))
+        a = (t * n + h) ** deriv_order
+        w = Phase(n * ep / 2).to_cyclo()
+        terms.append((r, tuple(a * x.numerator for x in w.coeffs())))
         return True
 
     n = center
@@ -90,8 +92,8 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
     n = center - 1
     while emit(n):
         n -= 1
-    return FracSeries.from_terms(terms, order=order, cpow=deriv_order,
-                                 phase=Phase(e * ep / 4), qpow=e * e / 8)
+    return FracSeries._from_int_terms(terms, t ** deriv_order, order, deriv_order,
+                                      Phase(e * ep / 4), e * e / 8)
 
 
 def _binomial_product(order: Fraction,
@@ -126,9 +128,9 @@ def _binomial_product(order: Fraction,
                 t1[i] += b0 * c1 + b1 * c0 + b3 * c3 - d4
                 t2[i] += b0 * c2 + b1 * c1 + b2 * c0 - d4
                 t3[i] += b0 * c3 + b1 * c2 + b2 * c1 + b3 * c0 - d4
-    coeffs = {i: CycloQ5(t0[i], t1[i], t2[i], t3[i]) for i in range(size)
-              if t0[i] or t1[i] or t2[i] or t3[i]}
-    return FracSeries(scale, Phase(0), 0, 0, coeffs, order)
+    tail = {i: (t0[i], t1[i], t2[i], t3[i]) for i in range(size)
+            if t0[i] or t1[i] or t2[i] or t3[i]}
+    return FracSeries._make(scale, Phase(0), Fraction(0), 0, 1, tail, order, clean=True)
 
 
 def theta_const_product(ch: ThetaChar, order: Rat = 20) -> FracSeries:

@@ -18,6 +18,9 @@ MISPRINTED = {"T1d", "D3", "D4", "ME6", "W6"}
 
 #: as-stated reports at orders 10 and 20, recorded from the seed package
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+#: verify_all(order, CORRECTED) reports at orders 10 and 20, recorded from the
+#: package before its series tails moved to integer 4-vectors
+CORRECTED_REFERENCE = Path(__file__).resolve().parent / "data" / "corrected_reference.json"
 
 
 def test_catalog_shape():
@@ -104,6 +107,14 @@ def test_verify_all_pass_pattern():
 def test_verify_all_corrected_variant_all_green():
     reports = verify_all(20, variant=CORRECTED)
     assert all(r.passed for r in reports)
+
+
+def test_verify_all_corrected_reports_match_reference():
+    want = json.loads(CORRECTED_REFERENCE.read_text())
+    for order in (10, 20):
+        got = {r.id: report_to_dict(r) for r in verify_all(order, variant=CORRECTED)}
+        assert got == want[str(order)], order
+        assert {i for i, d in got.items() if d["variant"] == CORRECTED} == MISPRINTED
 
 
 def test_verify_all_order_monotonicity():

@@ -1,17 +1,24 @@
 """Ring operations, truncation contracts, and rendering of FracSeries."""
 
+import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
+from typing import NamedTuple, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta5.arith import divisor_sum, partition_p, pentagonal_numbers
-from theta5.cyclo import CycloQ5, Phase
+from theta5.cli import series_to_dict
+from theta5.cyclo import CycloQ5, Phase, PhaseNotRepresentable
 from theta5.numeric import eta_num, series_eval_num
 from theta5.series import (FracSeries, IncompatibleConstantPower,
                            NonInvertibleSeries, UnabsorbablePrefactor,
                            series_equal)
-from theta5.theta import eta_q, eta_quotient
+from theta5.theta import char, eta_q, eta_quotient, theta_const
 
 
 def geom(terms, **kw):
@@ -297,3 +304,337 @@ def test_render_canonical():
              phase=Phase(F(1, 4)), qpow=F(1, 8))
     assert f.render() == "(2*pi*i)^1 * e(1/4) * q^(1/8) * [1 - 3*q^(1) + 5*q^(3)]"
     assert FracSeries.zero().render() == "(2*pi*i)^0 * e(0) * q^(0) * [0]"
+
+
+# ---------------------------------------------------------------------------
+# the integer-tail representation against a CycloQ5-dict reference
+# ---------------------------------------------------------------------------
+#
+# Ref is a series stored the old way, as a dict of CycloQ5 coefficients; the
+# ref_* functions below are the operations on that representation, with the
+# schoolbook product (_ref_convolve over _ref_to_int_tail), kept here only as
+# a reference for the integer-tail FracSeries.
+
+class Ref(NamedTuple):
+    scale: int
+    phase: Phase
+    qpow: F
+    cpow: int
+    coeffs: dict
+    order: Optional[F]
+
+
+def shape(f: FracSeries) -> Ref:
+    return Ref(f.scale, f.phase, f.qpow, f.cpow, f.coeffs, f.order)
+
+
+def ref_make(scale, phase, qpow, cpow, coeffs, order) -> Ref:
+    qpow = F(qpow)
+    order = None if order is None else F(order)
+    clean = {k: v for k, v in coeffs.items() if not v.is_zero()}
+    if clean and order is not None:
+        clean = {k: v for k, v in clean.items() if F(k, scale) < order}
+    if not clean:
+        order = None if order is None else order + qpow
+        phase, qpow, scale = Phase(0), F(0), 1
+    return Ref(scale, phase, qpow, cpow, clean, order)
+
+
+def _ref_min(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _ref_plus(a, b):
+    return None if a is None or b is None else a + b
+
+
+def ref_val(f: Ref):
+    return f.order if not f.coeffs else F(min(f.coeffs), f.scale)
+
+
+def ref_abs_order(f: Ref):
+    return None if f.order is None else f.qpow + f.order
+
+
+def ref_rescaled(f: Ref, scale: int) -> Ref:
+    m = scale // f.scale
+    return f._replace(scale=scale, coeffs={k * m: v for k, v in f.coeffs.items()})
+
+
+def _ref_key_bound(order, scale):
+    return None if order is None else math.ceil(order * scale) - 1
+
+
+def _ref_to_int_tail(coeffs):
+    den = 1
+    for c in coeffs.values():
+        for x in (c.c0, c.c1, c.c2, c.c3):
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    out = {}
+    for k, c in coeffs.items():
+        out[k] = (int(c.c0 * den), int(c.c1 * den), int(c.c2 * den), int(c.c3 * den))
+    return den, out
+
+
+def _ref_convolve(a, b, key_bound):
+    da, ia = _ref_to_int_tail(a)
+    db, ib = _ref_to_int_tail(b)
+    if len(ia) > len(ib):
+        ia, ib = ib, ia
+    bkeys = sorted(ib)
+    acc = {}
+    for k1, (a0, a1, a2, a3) in ia.items():
+        for k2 in bkeys:
+            k = k1 + k2
+            if key_bound is not None and k > key_bound:
+                break
+            b0, b1, b2, b3 = ib[k2]
+            d0 = a0 * b0
+            d1 = a0 * b1 + a1 * b0
+            d2 = a0 * b2 + a1 * b1 + a2 * b0
+            d3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+            d4 = a1 * b3 + a2 * b2 + a3 * b1
+            d5 = a2 * b3 + a3 * b2
+            d6 = a3 * b3
+            cell = acc.setdefault(k, [0, 0, 0, 0])
+            cell[0] += d0 + d5 - d4
+            cell[1] += d1 + d6 - d4
+            cell[2] += d2 - d4
+            cell[3] += d3 - d4
+    den = da * db
+    return {k: CycloQ5(*(F(x, den) for x in c)) for k, c in acc.items() if any(c)}
+
+
+def ref_mul(f: Ref, g: Ref) -> Ref:
+    order = _ref_min(_ref_plus(f.order, ref_val(g)), _ref_plus(g.order, ref_val(f)))
+    scale = math.lcm(f.scale, g.scale)
+    fa, ga = ref_rescaled(f, scale), ref_rescaled(g, scale)
+    coeffs = _ref_convolve(fa.coeffs, ga.coeffs, _ref_key_bound(order, scale))
+    return ref_make(scale, f.phase * g.phase, f.qpow + g.qpow, f.cpow + g.cpow, coeffs, order)
+
+
+def ref_scalar(f: Ref, c: CycloQ5) -> Ref:
+    return ref_make(f.scale, f.phase, f.qpow, f.cpow,
+                    {k: v * c for k, v in f.coeffs.items()}, f.order)
+
+
+def ref_clip_abs(f: Ref, abs_order) -> Ref:
+    rel = None if abs_order is None else abs_order - f.qpow
+    return ref_make(f.scale, f.phase, f.qpow, f.cpow, f.coeffs, _ref_min(rel, f.order))
+
+
+def ref_align(f: Ref, g: Ref):
+    scale = math.lcm(f.scale, g.scale)
+    shift = (g.qpow - f.qpow) * scale
+    if shift.denominator != 1:
+        raise UnabsorbablePrefactor("off the grid")
+    try:
+        w = (g.phase / f.phase).to_cyclo()
+    except PhaseNotRepresentable:
+        raise UnabsorbablePrefactor("phase") from None
+    return scale, int(shift), w
+
+
+def ref_add(f: Ref, g: Ref) -> Ref:
+    if not f.coeffs:
+        return ref_clip_abs(g, _ref_min(ref_abs_order(f), ref_abs_order(g)))
+    if not g.coeffs:
+        return ref_clip_abs(f, _ref_min(ref_abs_order(f), ref_abs_order(g)))
+    if f.cpow != g.cpow:
+        raise IncompatibleConstantPower("cpow")
+    if g.qpow < f.qpow:
+        f, g = g, f
+    scale, shift, w = ref_align(f, g)
+    fa, ga = ref_rescaled(f, scale), ref_rescaled(g, scale)
+    order = _ref_min(ref_abs_order(fa), ref_abs_order(ga))
+    coeffs = dict(fa.coeffs)
+    for k, v in ga.coeffs.items():
+        coeffs[k + shift] = coeffs.get(k + shift, CycloQ5()) + v * w
+    return ref_make(scale, f.phase, f.qpow, f.cpow, coeffs,
+                    None if order is None else order - f.qpow)
+
+
+def ref_inverse(f: Ref, order=None) -> Ref:
+    if not f.coeffs:
+        raise NonInvertibleSeries("zero")
+    v = min(f.coeffs)
+    tail = {k - v: c for k, c in f.coeffs.items()}
+    rel_order = None if f.order is None else f.order - F(v, f.scale)
+    if rel_order is None and order is not None:
+        rel_order = F(order)
+    c0inv = tail[0].inverse()
+    qpow = -(f.qpow + F(v, f.scale))
+    kb = _ref_key_bound(rel_order, f.scale)
+    if kb is None:
+        if max(tail) == 0:
+            return ref_make(f.scale, f.phase.inverse(), qpow, -f.cpow, {0: c0inv}, None)
+        raise NonInvertibleSeries("needs an order")
+    inv = {0: c0inv}
+    for k in range(1, kb + 1):
+        acc = CycloQ5()
+        for j, cj in tail.items():
+            if 0 < j <= k and (k - j) in inv:
+                acc = acc + cj * inv[k - j]
+        if not acc.is_zero():
+            inv[k] = -(c0inv * acc)
+    return ref_make(f.scale, f.phase.inverse(), qpow, -f.cpow, inv, rel_order)
+
+
+def ref_theta_op(f: Ref) -> Ref:
+    coeffs = {k: v * (f.qpow + F(k, f.scale)) for k, v in f.coeffs.items()}
+    return ref_make(f.scale, f.phase, f.qpow, f.cpow, coeffs, f.order)
+
+
+def ref_rescale_exponent(f: Ref, m: int) -> Ref:
+    return ref_make(f.scale, f.phase, f.qpow * m, f.cpow,
+                    {k * m: v for k, v in f.coeffs.items()},
+                    None if f.order is None else f.order * m)
+
+
+def ref_equal(f: Ref, g: Ref) -> tuple:
+    """(passed, order_checked, first_mismatch, lhs, rhs) as series_equal reports them."""
+    bound = _ref_min(ref_abs_order(f), ref_abs_order(g))
+    if not f.coeffs or not g.coeffs or f.cpow != g.cpow:
+        return None  # the structural branches have their own example tests
+    try:
+        scale, shift, w = ref_align(f, g)
+    except UnabsorbablePrefactor:
+        return None
+    fa, ga = ref_rescaled(f, scale), ref_rescaled(g, scale)
+    gmap = {k + shift: v * w for k, v in ga.coeffs.items()}
+    for k in sorted(set(fa.coeffs) | set(gmap)):
+        e = fa.qpow + F(k, scale)
+        if bound is not None and e >= bound:
+            break
+        cf, cg = fa.coeffs.get(k, CycloQ5()), gmap.get(k, CycloQ5())
+        if cf != cg:
+            return False, bound, e, cf, cg
+    return True, bound, None, None, None
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the ring error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def assert_stored_form(h: FracSeries) -> None:
+    """h's (den, tail) is the one stored form of its coefficients."""
+    assert h.den > 0
+    assert all(any(v) for v in h.tail.values())
+    assert math.gcd(h.den, *(x for v in h.tail.values() for x in v)) == 1 or not h.tail
+    again = FracSeries(h.scale, h.phase, h.qpow, h.cpow, h.coeffs, h.order)
+    assert (again.den, again.tail) == (h.den, h.tail)
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_cyclos = st.one_of(
+    st.builds(CycloQ5, _rationals),
+    st.builds(CycloQ5, _rationals, _rationals, _rationals, _rationals),
+    st.builds(lambda k, c: CycloQ5.zeta(k) * c, st.integers(0, 4), _rationals))
+
+
+@st.composite
+def frac_series(draw, cpow=st.just(0)):
+    """Sparse or dense tails on grids 1/scale, truncated or exact, with prefactors."""
+    scale = draw(st.sampled_from([1, 2, 3, 5, 10]))
+    if draw(st.booleans()):
+        keys = range(draw(st.integers(1, 14)))
+    else:
+        keys = draw(st.sets(st.integers(0, 6 * scale), max_size=6))
+    coeffs = {k: draw(_cyclos) for k in keys}
+    order = draw(st.one_of(st.none(), st.fractions(min_value=F(1, 3), max_value=6,
+                                                   max_denominator=6)))
+    phase = Phase(F(draw(st.integers(0, 9)), 10))
+    qpow = draw(st.sampled_from([F(0), F(1, 2), F(-3, 10), F(1, 5), F(1, 3), F(7, 8)]))
+    return FracSeries(scale, phase, qpow, draw(cpow), coeffs, order)
+
+
+_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@_PROPERTY
+@given(frac_series(), frac_series(cpow=st.integers(0, 1)))
+def test_ring_operations_match_reference(f, g):
+    rf, rg = shape(f), shape(g)
+    for op, ref in ((FracSeries.__mul__, ref_mul), (FracSeries.__add__, ref_add),
+                    (FracSeries.__sub__, lambda a, b: ref_add(a, ref_scalar(b, CycloQ5(-1))))):
+        got = outcome(lambda: op(f, g))
+        want = outcome(ref, rf, rg)
+        if isinstance(got, FracSeries):
+            assert shape(got) == want
+            assert_stored_form(got)
+        else:
+            assert got == want
+    prod, swapped = f * g, g * f
+    assert (prod.den, prod.tail) == (swapped.den, swapped.tail)
+
+
+@_PROPERTY
+@given(frac_series(), _cyclos, st.integers(1, 5))
+def test_unary_operations_match_reference(f, c, m):
+    rf = shape(f)
+    for got, want in ((f.scalar_mul(c), ref_scalar(rf, c)),
+                      (-f, ref_scalar(rf, CycloQ5(-1))),
+                      (f.theta_op(), ref_theta_op(rf)),
+                      (f.rescale_exponent(m), ref_rescale_exponent(rf, m))):
+        assert shape(got) == want
+        assert_stored_form(got)
+
+
+@_PROPERTY
+@given(frac_series(), st.one_of(st.none(), st.integers(-1, 6)))
+def test_inverse_matches_reference(f, order):
+    got = outcome(f.inverse, order)
+    want = outcome(ref_inverse, shape(f), order)
+    if isinstance(got, FracSeries):
+        assert shape(got) == want
+        assert_stored_form(got)
+    else:
+        assert got == want
+
+
+@_PROPERTY
+@given(frac_series(), frac_series(), st.booleans())
+def test_series_equal_matches_reference(f, g, perturb):
+    if perturb:
+        # g agrees with f below f's second grid point, so passes and late mismatches occur
+        g = f + g.qpow_shift(f.qpow - g.qpow + F(1, f.scale))
+    want = ref_equal(shape(f), shape(g))
+    if want is None:
+        return
+    r = series_equal(f, g)
+    assert (r.passed, r.order_checked, r.first_mismatch, r.lhs_coeff, r.rhs_coeff) == want
+    assert series_equal(f, f).passed
+
+
+def test_coeffs_view_is_thread_safe():
+    # four threads build and read one series' lazy coeffs view at once
+    n_threads = 4
+    f = theta_const(char(F(1, 5), F(3, 5)), 2, 40) * eta_quotient([(5, 5), (1, -1)], 30)
+    want_coeffs = dict(FracSeries(f.scale, f.phase, f.qpow, f.cpow, f.coeffs, f.order).coeffs)
+    interval = sys.getswitchinterval()
+    start = threading.Barrier(n_threads)
+    got = [None] * n_threads
+    g = f * FracSeries.one()  # same values, view not built yet
+
+    def work(i):
+        start.wait()
+        got[i] = (g.coeffs, g.render(), series_to_dict(g))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+    try:
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(c == want_coeffs for c, _, _ in got)
+    assert len({r for _, r, _ in got}) == 1
+    assert all(d == got[0][2] for _, _, d in got)
+    assert got[0][1] == f.render() and got[0][2] == series_to_dict(f)
