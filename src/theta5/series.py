@@ -28,6 +28,7 @@ stored relative exponent.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional, Union
@@ -39,8 +40,9 @@ Coeff = Union[int, Fraction, CycloQ5]
 #: An element of Z[zeta_5] in the power basis 1, z, z^2, z^3.
 Vec = tuple[int, int, int, int]
 
-_ONE: Vec = (1, 0, 0, 0)
 _ZERO: Vec = (0, 0, 0, 0)
+#: ``_convolve`` accumulates in lists up to this many keys per term pair.
+_DENSE_SPAN = 4
 _PHASE0 = Phase(0)
 _setattr = object.__setattr__
 
@@ -303,10 +305,7 @@ class FracSeries:
 
     def scalar_mul(self, c: Coeff) -> "FracSeries":
         cden, (cv,) = _to_ints([_ccoeff(c)])
-        if cv[1] or cv[2] or cv[3]:
-            tail = {k: _vmul(v, cv) for k, v in self.tail.items()}
-        else:
-            tail = _times(cv[0], self.tail)
+        tail = {k: _vmul(v, cv) for k, v in self.tail.items()}
         return FracSeries._make(self.scale, self.phase, self.qpow, self.cpow,
                                 self.den * cden, tail, self.order)
 
@@ -348,13 +347,9 @@ class FracSeries:
         # both sides over the lcm of the denominators; g's side also times w
         den = math.lcm(f.den, g.den)
         tail = dict(_times(den // f.den, fa.tail))
-        sg = den // g.den
-        if w == _ONE:
-            gtail = _times(sg, ga.tail)
-        else:
-            ws = tuple(sg * x for x in w)
-            gtail = {k: _vmul(v, ws) for k, v in ga.tail.items()}
-        for k, v in gtail.items():
+        ws = tuple(den // g.den * x for x in w)
+        for k, v in ga.tail.items():
+            v = _vmul(v, ws)
             kk = k + shift
             cur = tail.get(kk)
             tail[kk] = v if cur is None else (cur[0] + v[0], cur[1] + v[1],
@@ -414,23 +409,18 @@ class FracSeries:
                 "inverting an untruncated polynomial requires an explicit order")
         # 1/A = sum b_k x^k with b_k = beta_k / n^(k+1), where beta_0 = u and
         # beta_k = -u * sum_{j>=1} a_j n^(j-1) beta_(k-j), all in Z[zeta_5]
-        steps = sorted((j, a if n == 1 else tuple(n ** (j - 1) * x for x in a))
+        steps = sorted((j, tuple(n ** (j - 1) * x for x in a))
                        for j, a in tail.items() if 0 < j <= kb)
         beta: dict[int, Vec] = {0: u}
         for k in range(1, kb + 1):
             s0 = s1 = s2 = s3 = 0
-            for j, (a0, a1, a2, a3) in steps:
+            for j, a in steps:
                 if j > k:
                     break
                 b = beta.get(k - j)
-                if b is None:
-                    continue
-                b0, b1, b2, b3 = b
-                d4 = a1 * b3 + a2 * b2 + a3 * b1
-                s0 += a0 * b0 + a2 * b3 + a3 * b2 - d4
-                s1 += a0 * b1 + a1 * b0 + a3 * b3 - d4
-                s2 += a0 * b2 + a1 * b1 + a2 * b0 - d4
-                s3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - d4
+                if b is not None:
+                    t0, t1, t2, t3 = _vmul(a, b)
+                    s0, s1, s2, s3 = s0 + t0, s1 + t1, s2 + t2, s3 + t3
             if s0 or s1 or s2 or s3:
                 beta[k] = _vmul(u, (-s0, -s1, -s2, -s3))
         # den/A over the common denominator n^(kb+1)
@@ -532,7 +522,12 @@ def _outer_cost(a: dict[int, Vec], b: dict[int, Vec]) -> int:
 
 def _convolve(a: dict[int, Vec], b: dict[int, Vec],
               key_bound: Optional[int]) -> dict[int, Vec]:
-    """Product of two integer tails, keys above ``key_bound`` dropped."""
+    """Product of two integer tails, keys above ``key_bound`` dropped.
+
+    Sums accumulate in lists indexed by key, or in dicts when the key range
+    exceeds ``_DENSE_SPAN`` times the number of term pairs (a sparse product),
+    so the cost follows the term pairs and not the span of the exponents.
+    """
     if not a or not b:
         return {}
     if _outer_cost(a, b) > _outer_cost(b, a):
@@ -542,7 +537,10 @@ def _convolve(a: dict[int, Vec], b: dict[int, Vec],
     if key_bound is None or key_bound > top:
         key_bound = top
     n = key_bound + 1
-    c0, c1, c2, c3 = [0] * n, [0] * n, [0] * n, [0] * n
+    if n <= _DENSE_SPAN * len(a) * len(b):
+        c0, c1, c2, c3 = [0] * n, [0] * n, [0] * n, [0] * n
+    else:
+        c0, c1, c2, c3 = (defaultdict(int) for _ in range(4))
     for k1, (a0, a1, a2, a3) in a.items():
         lim = key_bound - k1
         if a1 or a2 or a3:
@@ -568,7 +566,8 @@ def _convolve(a: dict[int, Vec], b: dict[int, Vec],
                 c1[k] += a0 * b1
                 c2[k] += a0 * b2
                 c3[k] += a0 * b3
-    return {k: (c0[k], c1[k], c2[k], c3[k]) for k in range(n)
+    keys = range(n) if isinstance(c0, list) else sorted(c0)
+    return {k: (c0[k], c1[k], c2[k], c3[k]) for k in keys
             if c0[k] or c1[k] or c2[k] or c3[k]}
 
 
@@ -631,15 +630,14 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
                               reason="prefactors not absorbable")
     fa, ga = f._rescaled(scale), g._rescaled(scale)
     ftail = fa.tail
-    gtail = {k + shift: v for k, v in ga.tail.items()} if w == _ONE \
-        else {k + shift: _vmul(v, w) for k, v in ga.tail.items()}
+    gtail = {k + shift: _vmul(v, w) for k, v in ga.tail.items()}
     fd, gd = f.den, g.den
     kb = _key_bound(None if bound is None else bound - f.qpow, scale)
     for k in sorted(set(ftail) | set(gtail)):
         if kb is not None and k > kb:
             break
         a, b = ftail.get(k, _ZERO), gtail.get(k, _ZERO)
-        if a != b if fd == gd else any(x * gd != y * fd for x, y in zip(a, b)):
+        if any(x * gd != y * fd for x, y in zip(a, b)):
             return EqualityResult(False, bound, f.qpow + Fraction(k, scale),
                                   _cyclo(a, fd), _cyclo(b, gd))
     return EqualityResult(True, bound)

@@ -37,6 +37,15 @@ def test_difference_of_squares_with_prefactors():
     assert series_equal(f * g, want).passed
 
 
+def test_sparse_high_degree_product():
+    # terms 10^8 apart: the product's cost follows its term pairs, not the key span
+    f = geom([(0, 1), (10 ** 8, CycloQ5.zeta(1))])
+    assert (f * f).terms() == [(0, CycloQ5(1)), (10 ** 8, CycloQ5(0, 2)),
+                               (2 * 10 ** 8, CycloQ5.zeta(2))]
+    g = geom([(F(1, 3), 3), (10 ** 7, -1)], order=10 ** 7 + 1)
+    assert (f * g).terms() == [(F(1, 3), CycloQ5(3)), (10 ** 7, CycloQ5(-1))]
+
+
 def test_eta_square_against_convolution_oracle():
     # brute force: convolve Euler-product coefficients as plain integer dicts
     N = 30
