@@ -9,7 +9,8 @@ default as-stated run reports their failures rather than hiding them.
 Run:  python demos/verify_catalog.py
 """
 
-from theta5 import catalog, verify
+from theta5 import verify
+from theta5.catalog import catalog
 
 print(f"catalog size: {len(catalog())} entries")
 print()

@@ -9,9 +9,8 @@ residue-theoretic statements.
 """
 
 from .arith import divisor_sum, legendre5, partition_p, sigma
-from .catalog import (IdentityEntry, IdentityReport, catalog, lookup,
-                      report_to_dict, report_to_text, reports_to_json, verify,
-                      verify_all)
+from .catalog import (IdentityEntry, IdentityReport, lookup, report_to_dict,
+                      report_to_text, reports_to_json, verify, verify_all)
 from .cyclo import CycloQ5, Phase, PhaseNotRepresentable, golden_ratio, sqrt5
 from .numeric import (NumericConfig, NumericCheckResult, check_bridge,
                       check_lemma32, check_prop31, check_quasi_periodicity,
@@ -30,13 +29,12 @@ __all__ = [
     "CATALOG_CHARS", "CycloQ5", "EqualityResult", "FracSeries",
     "IdentityEntry", "IdentityReport", "IncompatibleConstantPower",
     "NonInvertibleSeries", "NumericCheckResult", "NumericConfig", "Phase",
-    "PhaseNotRepresentable", "ThetaChar", "UnabsorbablePrefactor", "catalog",
-    "char", "char_shift_phase", "check_bridge", "check_lemma32",
-    "check_prop31", "check_quasi_periodicity", "check_residues",
-    "check_zero_location", "divisor_sum", "eta_num", "eta_q", "eta_quotient",
-    "golden_ratio", "legendre5", "lookup", "numeric_check_ids", "partition_p",
-    "reduce_char", "report_to_dict", "report_to_text", "reports_to_json",
-    "residue_num", "run_numeric_check", "series_equal", "series_eval_num",
-    "sigma", "sqrt5", "theta_const", "theta_const_product", "theta_num",
-    "verify", "verify_all",
+    "PhaseNotRepresentable", "ThetaChar", "UnabsorbablePrefactor", "char",
+    "char_shift_phase", "check_bridge", "check_lemma32", "check_prop31",
+    "check_quasi_periodicity", "check_residues", "check_zero_location",
+    "divisor_sum", "eta_num", "eta_q", "eta_quotient", "golden_ratio",
+    "legendre5", "lookup", "numeric_check_ids", "partition_p", "reduce_char",
+    "report_to_dict", "report_to_text", "reports_to_json", "residue_num",
+    "run_numeric_check", "series_equal", "series_eval_num", "sigma", "sqrt5",
+    "theta_const", "theta_const_product", "theta_num", "verify", "verify_all",
 ]

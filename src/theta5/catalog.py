@@ -18,7 +18,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from . import arith
@@ -62,25 +61,34 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# cached primitives
+# the theta store
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _th(e: Fraction, ep: Fraction, m: int, order: Fraction) -> FracSeries:
-    return theta_const(char(e, ep), m, order)
+#: (characteristic, derivative order, power) -> (order, series), the highest-order
+#: build so far.  Slots are read and replaced whole, and one is clipped only
+#: when its order is at least the request, so a race can only waste a build.
+_THETA: dict[tuple[ThetaChar, int, int], tuple[Fraction, FracSeries]] = {}
+
+#: theta[1,1], whose first derivative is the catalog's normaliser theta'[1,1]
+_TH11 = char(1, 1)
 
 
-@lru_cache(maxsize=None)
-def _th5(e: Fraction, ep: Fraction, order: Fraction) -> FracSeries:
-    return _th(e, ep, 0, order) ** 5
+def _th(ch: ThetaChar, m: int, order: Fraction, power: int = 1) -> FracSeries:
+    """theta_const(ch, m, order) ** power, clipped from the store's highest-order build."""
+    key = (ch, m, power)
+    slot = _THETA.get(key)
+    if slot is None or slot[0] < order:
+        built = theta_const(ch, m, order) if power == 1 else _th(ch, m, order) ** power
+        slot = _THETA[key] = (order, built)
+    # theta_const is exact below eps^2/8 + order, f^p below abs_order(f) + (p-1)*abs_val(f)
+    bound = ch.eps ** 2 / 8 + order
+    if power > 1:
+        bound += (power - 1) * _th(ch, m, order).abs_val()
+    return slot[1]._clip_abs(bound)
 
 
-def _z(k: int) -> CycloQ5:
-    return CycloQ5.zeta(k)
-
-
-def _f(num: Rat, den: int = 1) -> Fraction:
-    return Fraction(num, den)
+_z = CycloQ5.zeta
+_f = Fraction
 
 
 def _oracle_series(N: Fraction, coeff: Callable[[int], Rat | CycloQ5],
@@ -129,7 +137,7 @@ def _build_e3(N: Fraction, variant: str) -> Pairs:
 
 
 def _build_e4(N: Fraction, variant: str) -> Pairs:
-    lhs = _th(_f(1), _f(1), 1, N)
+    lhs = _th(_TH11, 1, N)
     rhs = (eta_q(1, N) ** 3).cpow_shift(1).phase_mul(Phase(Fraction(1, 4)))
     return [("theta'[1,1] = (2*pi*i) e(1/4) eta^3", lhs, rhs)]
 
@@ -137,35 +145,35 @@ def _build_e4(N: Fraction, variant: str) -> Pairs:
 # Thm 1.1 entries: theta'[1,1]^4 * (P^2 + cPQ*PQ + cQ2*Q^2) = (2*pi*i)^4 w * th_A th_B (PQ)^2
 # Each row: (location, char A, char B, {variant: coefficients}).
 _T1_DATA = {
-    "T1a": ("Thm 1.1, pair (1,1/5),(1,3/5)", (_f(1), _f(1, 5)), (_f(1), _f(3, 5)),
+    "T1a": ("Thm 1.1, pair (1,1/5),(1,3/5)", char(1, _f(1, 5)), char(1, _f(3, 5)),
             {AS_STATED: (CycloQ5(-11), CycloQ5(-1), CycloQ5(1))}),
-    "T1b": ("Thm 1.1, pair (3/5,1),(1/5,1)", (_f(3, 5), _f(1)), (_f(1, 5), _f(1)),
+    "T1b": ("Thm 1.1, pair (3/5,1),(1/5,1)", char(_f(3, 5), 1), char(_f(1, 5), 1),
             {AS_STATED: (CycloQ5(-11), CycloQ5(-1), _z(4))}),
-    "T1c": ("Thm 1.1, pair (1/5,1/5),(3/5,3/5)", (_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)),
+    "T1c": ("Thm 1.1, pair (1/5,1/5),(3/5,3/5)", char(_f(1, 5), _f(1, 5)), char(_f(3, 5), _f(3, 5)),
             {AS_STATED: (_z(4) * -11, -_z(3), CycloQ5(1))}),
-    "T1d": ("Thm 1.1, pair (1/5,3/5),(3/5,9/5)", (_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)),
+    "T1d": ("Thm 1.1, pair (1/5,3/5),(3/5,9/5)", char(_f(1, 5), _f(3, 5)), char(_f(3, 5), _f(9, 5)),
             {AS_STATED: (_z(1) * 11, -_z(2), CycloQ5(1)),
              CORRECTED: (_z(2) * -11, -_z(4), CycloQ5(1))}),
-    "T1e": ("Thm 1.1, pair (1/5,7/5),(3/5,1/5)", (_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)),
+    "T1e": ("Thm 1.1, pair (1/5,7/5),(3/5,1/5)", char(_f(1, 5), _f(7, 5)), char(_f(3, 5), _f(1, 5)),
             {AS_STATED: (_z(3) * -11, -_z(1), _z(3))}),
-    "T1f": ("Thm 1.1, pair (1/5,9/5),(3/5,7/5)", (_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)),
+    "T1f": ("Thm 1.1, pair (1/5,9/5),(3/5,7/5)", char(_f(1, 5), _f(9, 5)), char(_f(3, 5), _f(7, 5)),
             {AS_STATED: (_z(1) * -11, -_z(2), _z(3))}),
 }
 
 
 def _build_t1(entry_id: str) -> Callable[[Fraction, str], Pairs]:
-    _, (ea, epa), (eb, epb), table = _T1_DATA[entry_id]
+    _, A, B, table = _T1_DATA[entry_id]
 
     def build(N: Fraction, variant: str) -> Pairs:
         cpq, cq2, w = table[variant]
-        ta = _th(ea, epa, 0, N)
-        tb = _th(eb, epb, 0, N)
-        P = _th5(ea, epa, N)
-        Q = _th5(eb, epb, N)
+        ta = _th(A, 0, N)
+        tb = _th(B, 0, N)
+        P = _th(A, 0, N, 5)
+        Q = _th(B, 0, N, 5)
         PQ = P * Q
         den = P * P + PQ.scalar_mul(cpq) + (Q * Q).scalar_mul(cq2)
         _check_unit_denominator(den, entry_id)
-        tp4 = _th(_f(1), _f(1), 1, N) ** 4
+        tp4 = _th(_TH11, 1, N) ** 4
         lhs = tp4 * den
         rhs = ((PQ * PQ) * (ta * tb)).scalar_mul(w).cpow_shift(4)
         return [(f"{entry_id} cross-multiplied", lhs, rhs)]
@@ -176,31 +184,31 @@ def _build_t1(entry_id: str) -> Callable[[Fraction, str], Pairs]:
 # §4 derivative formulas: theta'_X * 10 th_A^3 th_B^3 = s * theta_X * theta'[1,1] * (cP*P + cQ*Q)
 # Each row: (location, char A, char B, X, {variant: coefficients}).
 _D_DATA = {
-    "D1": ("Thm 4.1", (_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)), "A",
+    "D1": ("Thm 4.1", char(_f(1, 5), _f(1, 5)), char(_f(3, 5), _f(3, 5)), "A",
            {AS_STATED: (CycloQ5(1), CycloQ5(1), _z(4) * -3)}),
-    "D2": ("Thm 4.1", (_f(1, 5), _f(1, 5)), (_f(3, 5), _f(3, 5)), "B",
+    "D2": ("Thm 4.1", char(_f(1, 5), _f(1, 5)), char(_f(3, 5), _f(3, 5)), "B",
            {AS_STATED: (CycloQ5(1), CycloQ5(3), _z(4))}),
-    "D3": ("Thm 4.2", (_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)), "A",
+    "D3": ("Thm 4.2", char(_f(1, 5), _f(3, 5)), char(_f(3, 5), _f(9, 5)), "A",
            {AS_STATED: (CycloQ5(-1), CycloQ5(1), _z(1) * 3),
             CORRECTED: (CycloQ5(-1), CycloQ5(1), _z(2) * -3)}),
-    "D4": ("Thm 4.2", (_f(1, 5), _f(3, 5)), (_f(3, 5), _f(9, 5)), "B",
+    "D4": ("Thm 4.2", char(_f(1, 5), _f(3, 5)), char(_f(3, 5), _f(9, 5)), "B",
            {AS_STATED: (CycloQ5(-1), CycloQ5(3), -_z(1)),
             CORRECTED: (CycloQ5(-1), CycloQ5(3), _z(2))}),
-    "D5": ("Thm 4.3", (_f(1, 5), _f(1)), (_f(3, 5), _f(1)), "A",
+    "D5": ("Thm 4.3", char(_f(1, 5), 1), char(_f(3, 5), 1), "A",
            {AS_STATED: (-_z(3), CycloQ5(1), CycloQ5(3))}),
-    "D6": ("Thm 4.3", (_f(1, 5), _f(1)), (_f(3, 5), _f(1)), "B",
+    "D6": ("Thm 4.3", char(_f(1, 5), 1), char(_f(3, 5), 1), "B",
            {AS_STATED: (-_z(3), CycloQ5(3), CycloQ5(-1))}),
-    "D7": ("Thm 4.4", (_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)), "A",
+    "D7": ("Thm 4.4", char(_f(1, 5), _f(7, 5)), char(_f(3, 5), _f(1, 5)), "A",
            {AS_STATED: (-_z(1), CycloQ5(1), _z(3) * -3)}),
-    "D8": ("Thm 4.4", (_f(1, 5), _f(7, 5)), (_f(3, 5), _f(1, 5)), "B",
+    "D8": ("Thm 4.4", char(_f(1, 5), _f(7, 5)), char(_f(3, 5), _f(1, 5)), "B",
            {AS_STATED: (-_z(1), CycloQ5(3), _z(3))}),
-    "D9": ("Thm 4.5", (_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)), "A",
+    "D9": ("Thm 4.5", char(_f(1, 5), _f(9, 5)), char(_f(3, 5), _f(7, 5)), "A",
            {AS_STATED: (_z(1), CycloQ5(1), _z(1) * -3)}),
-    "D10": ("Thm 4.5", (_f(1, 5), _f(9, 5)), (_f(3, 5), _f(7, 5)), "B",
+    "D10": ("Thm 4.5", char(_f(1, 5), _f(9, 5)), char(_f(3, 5), _f(7, 5)), "B",
             {AS_STATED: (_z(1), CycloQ5(3), _z(1))}),
-    "D11": ("Thm 4.6", (_f(1), _f(1, 5)), (_f(1), _f(3, 5)), "A",
+    "D11": ("Thm 4.6", char(1, _f(1, 5)), char(1, _f(3, 5)), "A",
             {AS_STATED: (CycloQ5(1), CycloQ5(1), CycloQ5(-3))}),
-    "D12": ("Thm 4.6", (_f(1), _f(1, 5)), (_f(1), _f(3, 5)), "B",
+    "D12": ("Thm 4.6", char(1, _f(1, 5)), char(1, _f(3, 5)), "B",
             {AS_STATED: (CycloQ5(1), CycloQ5(3), CycloQ5(1))}),
 }
 
@@ -210,16 +218,15 @@ def _build_d(entry_id: str) -> Callable[[Fraction, str], Pairs]:
 
     def build(N: Fraction, variant: str) -> Pairs:
         s, cp, cq = table[variant]
-        ta = _th(A[0], A[1], 0, N)
-        tb = _th(B[0], B[1], 0, N)
-        which = A if side == "A" else B
+        ta = _th(A, 0, N)
+        tb = _th(B, 0, N)
         X = ta if side == "A" else tb
-        dX = _th(which[0], which[1], 1, N)
+        dX = _th(A if side == "A" else B, 1, N)
         den = ((ta ** 3) * (tb ** 3)).scalar_mul(10)
         _check_unit_denominator(den, entry_id)
-        P = _th5(A[0], A[1], N)
-        Q = _th5(B[0], B[1], N)
-        tp = _th(_f(1), _f(1), 1, N)
+        P = _th(A, 0, N, 5)
+        Q = _th(B, 0, N, 5)
+        tp = _th(_TH11, 1, N)
         lhs = dX * den
         rhs = (X * tp * (P.scalar_mul(cp) + Q.scalar_mul(cq))).scalar_mul(s)
         return [(f"{entry_id} cross-multiplied", lhs, rhs)]
@@ -239,14 +246,14 @@ def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar],
     A, B = pair
 
     def build(N: Fraction, variant: str) -> Pairs:
-        ta = _th(A.eps, A.eps_prime, 0, N)
-        tb = _th(B.eps, B.eps_prime, 0, N)
-        da = _th(A.eps, A.eps_prime, 1, N)
-        db = _th(B.eps, B.eps_prime, 1, N)
-        d2a = _th(A.eps, A.eps_prime, 2, N)
-        d2b = _th(B.eps, B.eps_prime, 2, N)
-        tp = _th(_f(1), _f(1), 1, N)
-        t3p = _th(_f(1), _f(1), 3, N)
+        ta = _th(A, 0, N)
+        tb = _th(B, 0, N)
+        da = _th(A, 1, N)
+        db = _th(B, 1, N)
+        d2a = _th(A, 2, N)
+        d2b = _th(B, 2, N)
+        tp = _th(_TH11, 1, N)
+        t3p = _th(_TH11, 3, N)
         ta2, tb2 = ta * ta, tb * tb
         common = t3p * (ta2 * tb2)
         if which == "second":
@@ -264,12 +271,12 @@ def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Fraction,
                                swap: bool, bracket: tuple[CycloQ5, CycloQ5, CycloQ5],
                                scalar: CycloQ5) -> tuple[FracSeries, FracSeries]:
     """50*(th''_X th_X^5 th_Y^6 - th''_Y th_Y^5 th_X^6) = scalar * theta'[1,1]^2 * bracket(P,Q)."""
-    ta = _th(A.eps, A.eps_prime, 0, N)
-    tb = _th(B.eps, B.eps_prime, 0, N)
-    d2a = _th(A.eps, A.eps_prime, 2, N)
-    d2b = _th(B.eps, B.eps_prime, 2, N)
-    P = _th5(A.eps, A.eps_prime, N)
-    Q = _th5(B.eps, B.eps_prime, N)
+    ta = _th(A, 0, N)
+    tb = _th(B, 0, N)
+    d2a = _th(A, 2, N)
+    d2b = _th(B, 2, N)
+    P = _th(A, 0, N, 5)
+    Q = _th(B, 0, N, 5)
     ta6 = P * ta
     tb6 = Q * tb
     diff = d2a * P * tb6 - d2b * Q * ta6
@@ -277,7 +284,7 @@ def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Fraction,
         diff = -diff
     lhs = diff.scalar_mul(50)
     c2, c1, c0 = bracket
-    tp2 = _th(_f(1), _f(1), 1, N) ** 2
+    tp2 = _th(_TH11, 1, N) ** 2
     rhs = (tp2 * ((P * P).scalar_mul(c2) + (P * Q).scalar_mul(c1)
                   + (Q * Q).scalar_mul(c0))).scalar_mul(scalar)
     return lhs, rhs
@@ -291,14 +298,14 @@ def _eta_chain_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
     25 [Theta(th_B) th_A - Theta(th_A) th_B] * eta_bottom = k eta_top^5 * th_A th_B
     k eta_top^5 * theta'[1,1]^2 = sign * (2*pi*i)^2 * th_A^5 th_B^5 * eta_bottom
     """
-    ta = _th(A.eps, A.eps_prime, 0, N)
-    tb = _th(B.eps, B.eps_prime, 0, N)
+    ta = _th(A, 0, N)
+    tb = _th(B, 0, N)
     top5 = (eta_top ** 5).scalar_mul(top_scalar)
     chain_lhs = ((tb.theta_op() * ta - ta.theta_op() * tb) * eta_bottom).scalar_mul(25)
     chain_rhs = top5 * (ta * tb)
-    tp2 = _th(_f(1), _f(1), 1, N) ** 2
-    P = _th5(A.eps, A.eps_prime, N)
-    Q = _th5(B.eps, B.eps_prime, N)
+    tp2 = _th(_TH11, 1, N) ** 2
+    P = _th(A, 0, N, 5)
+    Q = _th(B, 0, N, 5)
     tf_lhs = top5 * tp2
     tf_rhs = ((P * Q) * eta_bottom).scalar_mul(theta_form_sign).cpow_shift(2)
     return [(f"{label} eta-chain", chain_lhs, chain_rhs),
@@ -344,10 +351,10 @@ def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
     """3 (2*pi*i)^2 [Theta(eta_top) eta - Theta(eta) eta_top] th_A^2 th_B^2
        + eta_top eta [th'_A^2 th_B^2 + th'_B^2 th_A^2] = 0."""
     eta1 = eta_q(1, N)
-    ta = _th(A.eps, A.eps_prime, 0, N)
-    tb = _th(B.eps, B.eps_prime, 0, N)
-    da = _th(A.eps, A.eps_prime, 1, N)
-    db = _th(B.eps, B.eps_prime, 1, N)
+    ta = _th(A, 0, N)
+    tb = _th(B, 0, N)
+    da = _th(A, 1, N)
+    db = _th(B, 1, N)
     ta2, tb2 = ta * ta, tb * tb
     log_part = ((eta_top.theta_op() * eta1 - eta1.theta_op() * eta_top)
                 * (ta2 * tb2)).scalar_mul(3).cpow_shift(2)
@@ -459,8 +466,7 @@ def _build_ps2(which: int) -> Callable[[Fraction, str], Pairs]:
 
 def _xyz_level5(N: Fraction) -> tuple[FracSeries, ...]:
     """(X, Y, Z, XY, F) with F = X^2 - 11XY - Y^2."""
-    X = _th5(_f(1), _f(1, 5), N)
-    Y = _th5(_f(1), _f(3, 5), N)
+    X, Y = (_th(ch, 0, N, 5) for ch in _PAIR5)
     Z = eta_quotient([(1, 5), (5, -1)], N)
     XY = X * Y
     return X, Y, Z, XY, X * X - XY.scalar_mul(11) - Y * Y
@@ -469,8 +475,7 @@ def _xyz_level5(N: Fraction) -> tuple[FracSeries, ...]:
 def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, ...]:
     """(X, Y, Z, XY, F) with F = X^2 + 11XY - Y^2."""
     Npre = Fraction(math.ceil(N / 5) + 2)
-    X = _th5(_f(1, 5), _f(1), Npre).rescale_exponent(5)
-    Y = _th5(_f(3, 5), _f(1), Npre).rescale_exponent(5)
+    X, Y = (_th(ch, 0, Npre, 5).rescale_exponent(5) for ch in _PAIR6)
     Z = eta_quotient([(5, 5), (1, -1)], N)
     XY = X * Y
     return X, Y, Z, XY, X * X + XY.scalar_mul(11) - Y * Y
@@ -535,8 +540,8 @@ def _build_w6(N: Fraction, variant: str) -> Pairs:
 def _build_heat(N: Fraction, variant: str) -> Pairs:
     pairs: Pairs = []
     for ch in CATALOG_CHARS:
-        lhs = _th(ch.eps, ch.eps_prime, 2, N)
-        rhs = _th(ch.eps, ch.eps_prime, 0, N).tau_derivative().scalar_mul(2).cpow_shift(1)
+        lhs = _th(ch, 2, N)
+        rhs = _th(ch, 0, N).tau_derivative().scalar_mul(2).cpow_shift(1)
         pairs.append((f"heat {ch}", lhs, rhs))
     return pairs
 
@@ -548,15 +553,15 @@ def _build_shift(N: Fraction, variant: str) -> Pairs:
                        (char(1, _f(1, 5)), 0, 1),
                        (char(_f(1, 5), _f(3, 5)), -1, 2)]:
         p, shifted = char_shift_phase(base, m, n)
-        lhs = theta_const(shifted, 0, N)
-        rhs = theta_const(base, 0, N).phase_mul(p)
+        lhs = _th(shifted, 0, N)
+        rhs = _th(base, 0, N).phase_mul(p)
         pairs.append((f"theta{shifted} = e({p.a}) theta{base}", lhs, rhs))
     for ch in (char(_f(1, 5), _f(3, 5)), char(_f(3, 5), 1)):
-        lhs = theta_const(ch.negated(), 0, N)
-        rhs = theta_const(ch, 0, N)
+        lhs = _th(ch.negated(), 0, N)
+        rhs = _th(ch, 0, N)
         pairs.append((f"theta{ch.negated()} = theta{ch}", lhs, rhs))
-        lhs1 = theta_const(ch.negated(), 1, N)
-        rhs1 = -theta_const(ch, 1, N)
+        lhs1 = _th(ch.negated(), 1, N)
+        rhs1 = -_th(ch, 1, N)
         pairs.append((f"theta'{ch.negated()} = -theta'{ch}", lhs1, rhs1))
     return pairs
 
@@ -565,7 +570,7 @@ def _build_tp_eq(N: Fraction, variant: str) -> Pairs:
     pairs: Pairs = []
     for ch in CATALOG_CHARS:
         pairs.append((f"sum = product {ch}",
-                      _th(ch.eps, ch.eps_prime, 0, N),
+                      _th(ch, 0, N),
                       theta_const_product(ch, N)))
     return pairs
 
@@ -670,19 +675,21 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
     return report
 
 
-def verify_all(order: Rat = 20, variant: str = AS_STATED) -> list[IdentityReport]:
-    """Verify every catalog entry in catalog order, one after another, clamping
-    the order up to each entry's minimum.
+def verify_clamped(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> IdentityReport:
+    """``verify`` under the suite's rule: the order is clamped up to the entry's
+    minimum, and an entry lacking ``variant`` runs as-stated."""
+    entry = lookup(entry_id)
+    return verify(entry_id, max(Fraction(order), Fraction(entry.min_meaningful_order)),
+                  variant if variant in entry.variants else AS_STATED)
 
-    ``variant`` selects which variant to run where an entry has several;
-    entries lacking the requested variant fall back to as-stated.  The
-    exact lane is pure Python and holds the interpreter lock, so threads
+
+def verify_all(order: Rat = 20, variant: str = AS_STATED) -> list[IdentityReport]:
+    """``verify_clamped`` on every catalog entry in catalog order, one after another.
+
+    The exact lane is pure Python and holds the interpreter lock, so threads
     would not speed it up.
     """
-    order = Fraction(order)
-    return [verify(e.id, max(order, Fraction(e.min_meaningful_order)),
-                   variant if variant in e.variants else AS_STATED)
-            for e in _CATALOG]
+    return [verify_clamped(e.id, order, variant) for e in _CATALOG]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from typing import Optional
 
 from . import numeric
 from .arith import KERNELS, divisor_sum, partition_p
-from .catalog import (AS_STATED, catalog as catalog_entries, lookup,
-                      report_to_dict, report_to_text, verify)
+from .catalog import (AS_STATED, catalog as catalog_entries, report_to_dict,
+                      report_to_text, verify_clamped)
 from .cyclo import render_rational
 from .series import FracSeries
 from .theta import char, eta_q, eta_quotient, theta_const, theta_const_product
@@ -141,15 +141,9 @@ def _cmd_verify(args, out) -> int:
     reports = []
     failed = False
     run_all = args.all or not args.id
-    if run_all:
-        ids = [e.id for e in catalog_entries()]
-    else:
-        ids = args.id
+    ids = [e.id for e in catalog_entries()] if run_all else args.id
     for entry_id in ids:
-        entry = lookup(entry_id)
-        variant = args.variant if args.variant in entry.variants else AS_STATED
-        order = max(Fraction(args.order), Fraction(entry.min_meaningful_order))
-        r = verify(entry_id, order, variant)
+        r = verify_clamped(entry_id, args.order, args.variant)
         reports.append(report_to_dict(r))
         failed |= not r.passed
         if args.format == "text":

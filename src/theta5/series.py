@@ -374,14 +374,13 @@ class FracSeries:
     def __pow__(self, n: int) -> "FracSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        out = FracSeries.one()
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if n > 1 else base
             n >>= 1
-        return out
+        return FracSeries.one() if out is None else out
 
     def inverse(self, order: Optional[Rat] = None) -> "FracSeries":
         """Multiplicative inverse; the tail must be a unit (nonzero lowest coefficient).

@@ -62,8 +62,8 @@ CATALOG_CHARS: tuple[ThetaChar, ...] = tuple(
 def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSeries:
     """The theta constant (deriv_order = 0) or its z-derivative coefficient.
 
-    The result has cpow = deriv_order and is exact for relative q-exponents
-    strictly below ``order``.  Characteristics are not reduced here; the
+    The result has cpow = deriv_order and is exact below the absolute
+    exponent eps^2/8 + ``order``.  Characteristics are not reduced here; the
     shift rules are exposed separately so they can be tested as identities.
     """
     if deriv_order < 0 or deriv_order > 3:

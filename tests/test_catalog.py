@@ -1,17 +1,24 @@
 """The identity catalog: entries, verification drivers, reports."""
 
+import importlib
 import json
+import sys
+import threading
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import theta5
+import theta5.catalog as catalog_module
 from theta5.arith import partition_p
-from theta5.catalog import (AS_STATED, CORRECTED, _homogeneous, catalog,
-                            lookup, report_to_dict, reports_to_json, verify,
-                            verify_all)
+from theta5.catalog import (_THETA, AS_STATED, CORRECTED, _homogeneous, _th,
+                            catalog, lookup, report_to_dict, reports_to_json,
+                            verify, verify_all)
+from theta5.cli import series_to_dict
 from theta5.cyclo import CycloQ5
 from theta5.series import FracSeries
+from theta5.theta import CATALOG_CHARS, char, theta_const
 
 #: entries whose printed form is misprinted; as-stated fails, corrected passes.
 MISPRINTED = {"T1d", "D3", "D4", "ME6", "W6"}
@@ -157,3 +164,119 @@ def test_min_orders_follow_identity_degree():
     assert lookup("E1").min_meaningful_order == 10
     for entry_id in ("ME5", "ME6", "W5", "W6"):
         assert lookup(entry_id).min_meaningful_order == 20
+
+
+def test_package_attribute_catalog_is_the_submodule():
+    assert theta5.catalog is importlib.import_module("theta5.catalog")
+    assert catalog_module.verify_all is verify_all
+    assert catalog_module.catalog() == catalog()
+    assert "catalog" not in theta5.__all__
+
+
+# ---------------------------------------------------------------------------
+# the theta store
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def empty_store():
+    _THETA.clear()
+    yield _THETA
+    _THETA.clear()
+
+
+def _shift_chars(store) -> set:
+    lookup("SHIFT").build(F(14), AS_STATED)
+    return {ch for ch, _, _ in store}
+
+
+@pytest.mark.parametrize("built, wanted", [(50, 12), (38, 20), (22, 22)])
+def test_store_clip_equals_fresh_build(empty_store, built, wanted):
+    # theta[1,1] at m = 0 is an exact zero, whose stored order is absolute
+    chars = set(CATALOG_CHARS) | {char(1, 1)} | _shift_chars(empty_store)
+    cases = [(ch, m, 1) for ch in chars for m in range(4)] + [(ch, 0, 5) for ch in chars]
+    for ch, m, power in cases:
+        empty_store.clear()
+        _th(ch, m, F(built), power)
+        got = _th(ch, m, F(wanted), power)
+        assert empty_store[ch, m, power][0] == built
+        want = theta_const(ch, m, wanted) ** power
+        assert series_to_dict(got) == series_to_dict(want), (ch, m, power)
+
+
+def test_store_builds_every_theta_constant(empty_store, monkeypatch):
+    callers = []
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return theta_const(*args)
+
+    monkeypatch.setattr(catalog_module, "theta_const", traced)
+    verify_all(10)
+    assert callers and set(callers) == {"_th"}
+
+
+def test_store_keeps_one_slot_per_key(empty_store):
+    verify_all(20)
+    after20 = dict(empty_store)
+    verify_all(40)
+    after40 = dict(empty_store)
+    assert after40.keys() == after20.keys()
+    assert all(after40[k][0] > after20[k][0] for k in after20)
+    verify_all(10)
+    # every request at order 10 is served by clipping the order-40 builds
+    assert empty_store.keys() == after40.keys()
+    assert all(empty_store[k] is after40[k] for k in after40)
+
+
+def test_store_under_threads_gives_the_serial_reports(empty_store):
+    want = json.loads(REFERENCE.read_text())["catalog"]
+    orders = [10, 20, 10, 20]
+    got = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def work(i):
+        start.wait()
+        got[i] = {r.id: report_to_dict(r) for r in verify_all(orders[i])}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+    assert not any(t.is_alive() for t in threads)
+    for order, reports in zip(orders, got):
+        assert reports == want[str(order)], order
+
+
+def test_store_races_return_the_requested_order(empty_store):
+    # threads asking for one key at different orders at once each get their own order
+    keys = [(char(F(1, 5), F(1, 5)), 0, 1), (char(F(1, 5), F(1, 5)), 0, 5),
+            (char(1, 1), 0, 1), (char(1, F(3, 5)), 1, 1)]
+    orders = [F(12), F(30), F(20), F(40)]
+    want = {(key, n): series_to_dict(theta_const(key[0], key[1], n) ** key[2])
+            for key in keys for n in orders}
+    start = threading.Barrier(len(orders))
+    bad = []
+
+    def work(n):
+        for _ in range(25):
+            start.wait()
+            if n == orders[0]:
+                empty_store.clear()
+            start.wait()
+            for key in keys:
+                if series_to_dict(_th(*key[:2], n, key[2])) != want[key, n]:
+                    bad.append((key, n))
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in orders]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []

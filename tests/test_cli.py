@@ -81,6 +81,13 @@ def test_verify_unknown_id_is_usage_error():
     assert code == 2
 
 
+def test_verify_streams_reports_before_an_unknown_id(capsys):
+    code, text = invoke("verify", "--id", "E1", "NOPE", "--order", "10")
+    assert code == 2
+    assert text == "E1     [as-stated] pass  order<12  (§1 Eq. (1))\n"
+    assert capsys.readouterr().err == "error: unknown identity id 'NOPE'; see catalog()\n"
+
+
 def test_verify_unknown_command_usage():
     code, _ = invoke("frobnicate")
     assert code == 2

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from theta5.cyclo import (CycloQ5, Phase, PhaseNotRepresentable, golden_ratio,
                           render_cyclo, sqrt5)
@@ -143,3 +145,32 @@ def test_render():
     assert render_cyclo(CycloQ5(Fraction(3, 2))) == "3/2"
     assert render_cyclo(CycloQ5(0, 1)) == "(z5)"
     assert render_cyclo(sqrt5()) == "(-1 - 2*z5^2 - 2*z5^3)"
+
+
+_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
+_cyclos = st.builds(CycloQ5, _rationals, _rationals, _rationals, _rationals)
+
+
+@given(_cyclos, _cyclos, _cyclos)
+def test_field_laws(x, y, z):
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    if not x.is_zero():
+        assert x * x.inverse() == CycloQ5(1)
+
+
+@given(st.one_of(_cyclos, st.builds(CycloQ5, _rationals),
+                 st.builds(lambda k, c: Z(k) * c, st.integers(-9, 9), _rationals)),
+       st.sampled_from([CycloQ5(1), Z(1), Z(4), CycloQ5(-1, -1, -1, -1), sqrt5()]))
+def test_hash_agrees_with_eq_property(x, unit):
+    # the same value reached through a different product has the same hash
+    y = (x * unit) * unit.inverse()
+    assert y == x and hash(y) == hash(x)
+    if x.is_rational():
+        assert x == x.c0 and hash(x) == hash(x.c0)
+
+
+@given(st.integers(-10**6, 10**6))
+def test_phase_to_cyclo_embeds_like_the_phase(k):
+    p = Phase(Fraction(k, 10))
+    assert abs(p.to_cyclo().embed() - p.embed()) < 1e-12

@@ -107,6 +107,20 @@ def test_pow():
     assert series_equal(f ** 5, want).passed
 
 
+@pytest.mark.parametrize("f", [
+    geom([(0, 2), (F(1, 2), F(-1, 3)), (2, CycloQ5(0, 1))], order=7, cpow=1,
+         phase=Phase(F(1, 10)), qpow=F(1, 5)),
+    geom([(1, 1), (3, -2)]),
+    geom([], order=3, qpow=F(1, 2)),
+    FracSeries.zero(cpow=2),
+], ids=["truncated", "exact", "zero-tail", "exact-zero"])
+def test_pow_equals_repeated_product(f):
+    want = FracSeries.one()
+    for n in range(11):
+        assert series_to_dict(f ** n) == series_to_dict(want), n
+        want = want * f
+
+
 def test_inverse_geometric():
     one = FracSeries.one()
     assert series_equal(one.inverse(order=5), one).passed

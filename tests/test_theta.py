@@ -62,6 +62,15 @@ def test_prefactor_extraction():
     assert t2.qpow == F(9, 200)
 
 
+@pytest.mark.parametrize("ch", [char(1, 1), char(F(11, 5), F(1, 5)), char(F(-9, 5), F(23, 5)),
+                                *CATALOG_CHARS], ids=str)
+def test_exact_below_prefactor_power_plus_order(ch):
+    # also when the tail is an exact zero or its lowest exponent moved into qpow
+    for m in range(4):
+        for order in (F(1, 2), F(7), F(52, 5)):
+            assert theta_const(ch, m, order).abs_order() == ch.eps ** 2 / 8 + order
+
+
 def test_derivative_order_contract():
     with pytest.raises(ValueError):
         theta_const(char(1, 1), 4, 10)
