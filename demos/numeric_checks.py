@@ -2,8 +2,10 @@
 
 The z-dependent statements (three-term relations among theta functions, the
 logarithmic-derivative lemma) and the residue-theorem setups are checked
-numerically: theta(z, tau) by direct summation, residues by seeded contour
-integration, all derivatives analytic.
+numerically: theta(z, tau) by one truncated-sum kernel that computes the
+z-free weights once per (tau, characteristic) and walks each z by Horner's
+rule, residues by seeded contour integration over a contour whose theta
+values are summed once per characteristic, all derivatives analytic.
 
 Run:  python demos/numeric_checks.py
 """

@@ -152,6 +152,14 @@ def test_numeric_check_command():
     assert code == 2
 
 
+def test_numeric_check_empty_sample_count_is_an_error():
+    for check_id in ("N3", "N4"):
+        for n in ("0", "-3"):
+            code, text = invoke("numeric-check", "--id", check_id, "--samples", n)
+            assert code == 2
+            assert "pass" not in text
+
+
 def test_numeric_check_custom_tolerance_failure_path():
     # an absurdly small tolerance forces a reported failure and exit 1
     code, text = invoke("numeric-check", "--id", "N4", "--tol", "1e-30")

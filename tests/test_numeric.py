@@ -7,7 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from theta5.numeric import (DEFAULT_CONFIG, NumericConfig, check_bridge,
+from theta5 import numeric
+from theta5.numeric import (DEFAULT_CONFIG, RESIDUE_SETUPS, NumericConfig, check_bridge,
                             check_lemma32, check_prop31,
                             check_quasi_periodicity, check_residues,
                             check_tail_bound, check_zero_location,
@@ -24,6 +25,8 @@ def test_config_validation():
         NumericConfig(contour_samples=32)
     with pytest.raises(ValueError):
         NumericConfig(im_tau=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        NumericConfig(im_tau=(1.0, -1.0))
 
 
 def test_theta_num_domain():
@@ -140,6 +143,39 @@ def test_all_residue_setups_vanish():
     assert max(worst.values()) < 1e-8
 
 
+def test_residue_integrands_match_pointwise_theta_num():
+    # the shared contour path against each integrand written out point by point:
+    # a phi/psi or squared/linear mix-up could hide behind a residue near 0
+    rng = random.Random(12)
+    odd = char(1, 1)
+    for _ in range(2):
+        tau = DEFAULT_CONFIG.sample_tau(rng)
+        r = contour_radius(tau)
+        zs = [r * cmath.exp(2j * math.pi * j / 192) for j in range(192)]
+        got = numeric._residue_integrands(tau, zs, DEFAULT_CONFIG)
+        assert len(got) == 12
+        for label, phi, psi in RESIDUE_SETUPS:
+            for name, (sq, lin) in (("phi", phi), ("psi", psi)):
+                for z, v in zip(zs, got[f"{label}.{name}"], strict=True):
+                    want = (theta_num(z, tau, sq) ** 2 * theta_num(z, tau, lin)
+                            / theta_num(z, tau, odd) ** 3)
+                    assert abs(v - want) <= 1e-12 * abs(want), (label, name, z)
+
+
+def test_check_residues_rejects_nonfinite_samples(monkeypatch):
+    exact = numeric._theta_sum
+
+    def poisoned(zs, tau, ch, m, cfg, N=None):
+        out = exact(zs, tau, ch, m, cfg, N)
+        if ch == char(1, F(3, 5)):
+            out[7] = complex("nan")
+        return out
+
+    monkeypatch.setattr(numeric, "_theta_sum", poisoned)
+    with pytest.raises(ArithmeticError, match="sample 7"):
+        check_residues(taus=1)
+
+
 def test_zero_location():
     assert check_zero_location(24) < 1e-9
 
@@ -169,6 +205,14 @@ def test_named_checks():
         assert res.seed == DEFAULT_CONFIG.rng_seed
     with pytest.raises(KeyError):
         run_numeric_check("N99")
+
+
+def test_named_checks_reject_empty_sample_counts():
+    # a check that ran nothing must not report a pass
+    for check_id in numeric_check_ids():
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                run_numeric_check(check_id, samples=n)
 
 
 def test_seed_reproducibility():
