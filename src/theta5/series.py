@@ -20,6 +20,10 @@ works on these integers.  Rationals appear only at the boundary: the
 constructor takes CycloQ5 coefficients in, and ``coeffs``, the CycloQ5 view
 that rendering and callers read, is built from the integers on first use.
 
+Products multiply the denominators and convolve the integer tails, with each
+4-vector packed into one integer so that a pair of terms costs one integer
+product (a Kronecker substitution in zeta only; see ``_convolve``).
+
 Truncation propagates soundly: if f is exact below A and g below B, their
 product is exact below min(A + val(g), B + val(f)), val being the smallest
 stored relative exponent.
@@ -513,61 +517,56 @@ def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, Vec]:
     return scale, int(shift), tuple(x.numerator for x in w.coeffs())
 
 
-def _outer_cost(a: dict[int, Vec], b: dict[int, Vec]) -> int:
-    """Multiplications of ``_convolve`` with ``a`` outside: an outer entry with
-    integer value costs 4 per inner entry, any other 16."""
-    return len(b) * (len(a) + 3 * sum(1 for v in a.values() if v[1] or v[2] or v[3]))
-
-
 def _convolve(a: dict[int, Vec], b: dict[int, Vec],
               key_bound: Optional[int]) -> dict[int, Vec]:
     """Product of two integer tails, keys above ``key_bound`` dropped.
 
-    Sums accumulate in lists indexed by key, or in dicts when the key range
-    exceeds ``_DENSE_SPAN`` times the number of term pairs (a sparse product),
-    so the cost follows the term pairs and not the span of the exponents.
+    Each vector v is packed once as v0 + v1*X + v2*X^2 + v3*X^3 with X = 2^s,
+    so a term pair costs one integer product, and the sum at a key is
+    sum_m u_m X^m (m = 0..6), the product in z before z^5 = 1.  A slot u_m
+    sums at most 4 coordinate products per term pair over at most
+    L = min(len a, len b) pairs, so |u_m| < 4 * 2^(bits a + bits b) * L
+    <= 2^(s-1), bits being the bit length of the largest |coordinate|.  With
+    2^(s-1) added to every slot each digit is in [0, 2^s) and reads back
+    exactly; z^5 = 1 and z^4 = -(1+z+z^2+z^3) then fold 7 slots to 4.
+    Sums accumulate in a list indexed by key, or in a dict when the key range
+    exceeds ``_DENSE_SPAN`` times the number of term pairs (a sparse product).
     """
     if not a or not b:
         return {}
-    if _outer_cost(a, b) > _outer_cost(b, a):
+    if len(a) > len(b):
         a, b = b, a
-    bitems = sorted(b.items())
-    top = max(a) + bitems[-1][0]
-    if key_bound is None or key_bound > top:
-        key_bound = top
-    n = key_bound + 1
-    if n <= _DENSE_SPAN * len(a) * len(b):
-        c0, c1, c2, c3 = [0] * n, [0] * n, [0] * n, [0] * n
-    else:
-        c0, c1, c2, c3 = (defaultdict(int) for _ in range(4))
-    for k1, (a0, a1, a2, a3) in a.items():
+    s = (max(map(abs, chain.from_iterable(a.values()))).bit_length()
+         + max(map(abs, chain.from_iterable(b.values()))).bit_length()
+         + len(a).bit_length() + 3)
+    s2, s3, s4, s5, s6 = 2 * s, 3 * s, 4 * s, 5 * s, 6 * s
+    pa = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3)) for k, (v0, v1, v2, v3) in a.items()]
+    pb = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3))
+          for k, (v0, v1, v2, v3) in sorted(b.items())]
+    top = max(a) + pb[-1][0]
+    key_bound = top if key_bound is None else min(key_bound, top)
+    c = [0] * (key_bound + 1) if key_bound < _DENSE_SPAN * len(a) * len(b) else defaultdict(int)
+    for k1, x in pa:
         lim = key_bound - k1
-        if a1 or a2 or a3:
-            # a * b as a linear map of b's coordinates (see _vmul)
-            m01, m02, m03 = -a3, a3 - a2, a2 - a1
-            m11, m12, m13 = a0 - a3, -a2, a3 - a1
-            m21, m22, m23 = a1 - a3, a0 - a2, -a1
-            m31, m32, m33 = a2 - a3, a1 - a2, a0 - a1
-            for k2, (b0, b1, b2, b3) in bitems:
-                if k2 > lim:
-                    break
-                k = k1 + k2
-                c0[k] += a0 * b0 + m01 * b1 + m02 * b2 + m03 * b3
-                c1[k] += a1 * b0 + m11 * b1 + m12 * b2 + m13 * b3
-                c2[k] += a2 * b0 + m21 * b1 + m22 * b2 + m23 * b3
-                c3[k] += a3 * b0 + m31 * b1 + m32 * b2 + m33 * b3
-        else:
-            for k2, (b0, b1, b2, b3) in bitems:
-                if k2 > lim:
-                    break
-                k = k1 + k2
-                c0[k] += a0 * b0
-                c1[k] += a0 * b1
-                c2[k] += a0 * b2
-                c3[k] += a0 * b3
-    keys = range(n) if isinstance(c0, list) else sorted(c0)
-    return {k: (c0[k], c1[k], c2[k], c3[k]) for k in keys
-            if c0[k] or c1[k] or c2[k] or c3[k]}
+        for k2, y in pb:
+            if k2 > lim:
+                break
+            c[k1 + k2] += x * y
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    bias = half * (((1 << (7 * s)) - 1) // mask)  # 2^(s-1) in each of the 7 slots
+    out = {}
+    for k, t in (enumerate(c) if isinstance(c, list) else sorted(c.items())):
+        if not t:
+            continue
+        t += bias
+        u4 = t >> s4 & mask
+        r0 = (t & mask) + (t >> s5 & mask) - u4 - half
+        r1 = (t >> s & mask) + (t >> s6) - u4 - half
+        r2 = (t >> s2 & mask) - u4
+        r3 = (t >> s3 & mask) - u4
+        if r0 or r1 or r2 or r3:
+            out[k] = (r0, r1, r2, r3)
+    return out
 
 
 class EqualityResult:

@@ -165,3 +165,16 @@ def test_numeric_check_custom_tolerance_failure_path():
     code, text = invoke("numeric-check", "--id", "N4", "--tol", "1e-30")
     assert code == 1
     assert "FAIL" in text
+
+
+def test_numeric_check_n6_reports_the_cases_it_checked():
+    # N6 checks a fixed set of 13 characteristics, whatever --samples asks for
+    code, text = invoke("numeric-check", "--id", "N6", "--samples", "5")
+    assert code == 0
+    assert "samples=13 " in text and "samples=5" not in text
+    code, text = invoke("numeric-check", "--id", "N6", "--samples", "5",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(text)[0]["samples"] == 13
+    assert invoke("numeric-check", "--id", "N6")[1] == invoke(
+        "numeric-check", "--id", "N6", "--samples", "13")[1]

@@ -17,7 +17,7 @@ from theta5.cyclo import CycloQ5, Phase, PhaseNotRepresentable
 from theta5.numeric import eta_num, series_eval_num
 from theta5.series import (FracSeries, IncompatibleConstantPower,
                            NonInvertibleSeries, UnabsorbablePrefactor,
-                           series_equal)
+                           _convolve, series_equal)
 from theta5.theta import char, eta_q, eta_quotient, theta_const
 
 
@@ -661,3 +661,85 @@ def test_coeffs_view_is_thread_safe():
     assert len({r for _, r, _ in got}) == 1
     assert all(d == got[0][2] for _, _, d in got)
     assert got[0][1] == f.render() and got[0][2] == series_to_dict(f)
+
+
+# ---------------------------------------------------------------------------
+# the zeta-packed product at its slot bound
+# ---------------------------------------------------------------------------
+#
+# _convolve packs each 4-vector into one integer with slots of
+# s = bits(a) + bits(b) + bit_length(min(len a, len b)) + 3 bits.  The inputs
+# below make one slot sum as much as it can: equal or sign-alternating
+# coordinates of the largest size a bit length allows, on dense runs of keys,
+# so one key sums min(len a, len b) term pairs of 4 coordinate products each.
+
+
+def _vmul(a, b):
+    """Schoolbook product in Z[zeta_5], with z^5 = 1 and z^4 = -(1+z+z^2+z^3)."""
+    d = [0] * 7
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            d[i + j] += x * y
+    return (d[0] + d[5] - d[4], d[1] + d[6] - d[4], d[2] - d[4], d[3] - d[4])
+
+
+def _schoolbook(a, b, key_bound):
+    products = {}  # the slot cases repeat a few vectors; multiply each pair once
+    out = {}
+    for k1, x in a.items():
+        for k2, y in b.items():
+            k = k1 + k2
+            if key_bound is None or k <= key_bound:
+                p = products.get((x, y))
+                if p is None:
+                    p = products[x, y] = _vmul(x, y)
+                c = out.get(k, (0, 0, 0, 0))
+                out[k] = (c[0] + p[0], c[1] + p[1], c[2] + p[2], c[3] + p[3])
+    return {k: v for k, v in out.items() if any(v)}
+
+
+def _slot_cases(b):
+    """(a, b) tail pairs at bit length b: for each run length n in 1..64, a
+    dense run against itself, against another vector, and against a run of 64;
+    the vectors cycle through equal and alternating signs of 2^b - 1 and -2^b,
+    and every eighth n also alternates the sign along the keys."""
+    vecs = []
+    for m in (2 ** b - 1, -2 ** b):
+        vecs += [(m, m, m, m), (-m, -m, -m, -m), (m, -m, m, -m), (-m, m, -m, m)]
+    for n in range(1, 65):
+        x, y = vecs[n % 8], vecs[(3 * n + 1) % 8]
+        run = {k: x for k in range(n)}
+        yield run, run
+        yield run, {k: y for k in range(n)}
+        yield run, {k: y for k in range(64)}
+        if n % 8 == 3:
+            yield {k: tuple(-c for c in x) if k % 2 else x for k in range(n)}, run
+
+
+@pytest.mark.parametrize("b", [1, 7, 64, 200])
+def test_convolve_matches_schoolbook_at_the_slot_bound(b):
+    for i, (a, c) in enumerate(_slot_cases(b)):
+        full = _schoolbook(a, c, None)
+        assert _convolve(a, c, None) == full
+        # a bound at the key that sums the most term pairs, or one above it
+        kb = len(a) - 1 if i % 2 else (max(a) + max(c) + len(a)) // 2
+        assert _convolve(c, a, kb) == {k: v for k, v in full.items() if k <= kb}
+
+
+_big = st.integers(-2 ** 200, 2 ** 200)
+_vecs = st.tuples(_big, _big, _big, _big).filter(any)
+
+
+@st.composite
+def int_tails(draw):
+    if draw(st.booleans()):
+        keys = range(draw(st.integers(1, 40)))
+    else:
+        keys = draw(st.sets(st.integers(0, 200), min_size=1, max_size=12))
+    return {k: draw(_vecs) for k in keys}
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_tails(), int_tails(), st.one_of(st.none(), st.integers(0, 250)))
+def test_convolve_matches_schoolbook_property(a, b, key_bound):
+    assert _convolve(a, b, key_bound) == _schoolbook(a, b, key_bound)
