@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import arith
-from .cyclo import CycloQ5, Phase, Rat, render_rational, sqrt5
+from .cyclo import UNITS, CycloQ5, Phase, Rat, render_rational, sqrt5
 from .series import FracSeries, series_equal
-from .theta import (CATALOG_CHARS, ThetaChar, _binomial_product, char,
+from .theta import (CATALOG_CHARS, MINUS_ONE, ThetaChar, _binomial_product, char,
                     char_shift_phase, eta_q, eta_quotient, theta_const,
                     theta_const_product)
 
@@ -131,7 +131,7 @@ def _build_e3(N: Fraction, variant: str) -> Pairs:
     lhs = _oracle_series(N, lambda n: arith.partition_p(5 * n + 4),
                          constant=arith.partition_p(4))
     factors = [f for n in range(1, math.ceil(N) + 1)
-               for f in ((5 * n, CycloQ5(-1), 5), (n, CycloQ5(-1), -6))]
+               for f in ((5 * n, MINUS_ONE, 5), (n, MINUS_ONE, -6))]
     rhs = _binomial_product(N, factors).scalar_mul(5)
     return [("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", lhs, rhs)]
 
@@ -378,10 +378,9 @@ def _g_product(sign: int, N: Fraction) -> FracSeries:
     The trinomials split over Q(zeta_5): 1 + (1+sqrt5)/2 x + x^2 =
     (1 - z^2 x)(1 - z^3 x) and 1 + (1-sqrt5)/2 x + x^2 = (1 - z x)(1 - z^4 x).
     """
-    r1, r2 = (2, 3) if sign > 0 else (1, 4)
+    u1, u2 = (UNITS.index((-1, r)) for r in ((2, 3) if sign > 0 else (1, 4)))  # -z^r
     factors = [f for n in range(1, math.ceil(N) + 1)
-               for f in ((n, CycloQ5(-1), 5), (n, -_z(r1), 5), (n, -_z(r2), 5),
-                         (5 * n, CycloQ5(-1), -3))]
+               for f in ((n, MINUS_ONE, 5), (n, u1, 5), (n, u2, 5), (5 * n, MINUS_ONE, -3))]
     return _binomial_product(N, factors)
 
 
@@ -390,8 +389,8 @@ def _h_product(which: int, N: Fraction) -> FracSeries:
        H2 = q * prod (1-q^n)^2 / ((1-q^(5n-2))(1-q^(5n-3)))^5."""
     r1, r2 = (1, 4) if which == 1 else (2, 3)
     factors = [f for n in range(1, math.ceil(N) + 1)
-               for f in ((n, CycloQ5(-1), 2), (5 * n - r1, CycloQ5(-1), -5),
-                         (5 * n - r2, CycloQ5(-1), -5))]
+               for f in ((n, MINUS_ONE, 2), (5 * n - r1, MINUS_ONE, -5),
+                         (5 * n - r2, MINUS_ONE, -5))]
     out = _binomial_product(N, factors)
     return out.qpow_shift(1) if which == 2 else out
 

@@ -214,6 +214,31 @@ class PhaseNotRepresentable(ValueError):
     """Raised when e(a) is requested in Q(zeta_5) but denominator(a) does not divide 10."""
 
 
+#: The ten roots of unity of Q(zeta_5): e(t/10) = s * z^r for (s, r) = UNITS[t]
+#: (zeta_10 = -z^3, so s = (-1)^t and r = 3t mod 5).
+UNITS: tuple[tuple[int, int], ...] = (
+    (1, 0), (-1, 3), (1, 1), (-1, 4), (1, 2), (-1, 0), (1, 3), (-1, 1), (1, 4), (-1, 2))
+
+
+def unit_index(a: Rat) -> int:
+    """The t in 0..9 with e(a) = e(t/10), the index of e(a) in ``UNITS``.
+
+    Raises PhaseNotRepresentable unless the reduced denominator of a divides 10.
+    """
+    t = a * 10
+    if t.denominator != 1:
+        raise PhaseNotRepresentable(
+            f"e({a % 1}) is not in Q(zeta_5): denominator {a.denominator} does not divide 10")
+    return int(t) % 10
+
+
+def unit_vec(t: int, a: int = 1) -> tuple[int, int, int, int]:
+    """a * e(t/10) in the power basis, as an integer 4-vector."""
+    s, r = UNITS[t]
+    a *= s
+    return (-a, -a, -a, -a) if r == 4 else tuple(a if j == r else 0 for j in range(4))
+
+
 class Phase:
     """The exact root of unity e(a) = exp(2*pi*i*a), a rational, reduced mod 1."""
 
@@ -252,16 +277,8 @@ class Phase:
         return 10 % self.a.denominator == 0
 
     def to_cyclo(self) -> CycloQ5:
-        """e(a) as a CycloQ5 element; requires denominator(a) | 10.
-
-        Uses zeta_10 = -zeta_5^3: e(k/10) = (-1)^k * zeta_5^(3k).
-        """
-        if not self.is_representable():
-            raise PhaseNotRepresentable(
-                f"e({self.a}) is not in Q(zeta_5): denominator {self.a.denominator} does not divide 10")
-        k = int(self.a * 10)
-        c = CycloQ5.zeta(3 * k)
-        return c if k % 2 == 0 else -c
+        """e(a) as a CycloQ5 element; requires denominator(a) | 10 (see ``UNITS``)."""
+        return CycloQ5(*unit_vec(unit_index(self.a)))
 
     def embed(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.a))

@@ -9,19 +9,30 @@ its first three z-derivative coefficients at z = 0 are Fourier series
 whose n-independent parts (the phase e(eps*eps'/4) and the q-power eps^2/8)
 are extracted into the series prefactor, leaving tail coefficients
 (n + eps/2)^m * e(n*eps'/2) in Q(zeta_5) whenever the denominator of eps'
-divides 5.  Every product form comes from one kernel, ``_binomial_product``;
-the triple product shares no code with the direct sum, so
-``theta_const_product`` stays an independent check of ``theta_const``.
+divides 5; each e(n*eps'/2) is read from the ten roots of unity in
+``cyclo.UNITS``.
+
+Every product form (the triple product, eta, eta quotients and the catalog's
+own products) comes from one kernel, ``_binomial_product``.  It packs the dense
+tail of each of five zeta-coordinates into one integer, so that a unit power
+(1 + c*q^d) costs one shift-and-add of big integers per coordinate (a
+Kronecker substitution along q), with a slot width proved large enough from a
+majorant of the product (``_slot_bits``).  The triple product shares no code
+with the direct sum beyond the unit table, so ``theta_const_product`` stays an
+independent check of ``theta_const``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, neg
 from typing import Iterable
 
-from .cyclo import CycloQ5, Phase, Rat
+from .cyclo import UNITS, Phase, Rat, unit_index, unit_vec
 from .series import FracSeries
 
 
@@ -81,9 +92,7 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
         r = Fraction(n) * (Fraction(n) + e) / 2
         if r >= order:
             return False
-        a = (t * n + h) ** deriv_order
-        w = Phase(n * ep / 2).to_cyclo()
-        terms.append((r, tuple(a * x.numerator for x in w.coeffs())))
+        terms.append((r, unit_vec(unit_index(n * ep / 2), (t * n + h) ** deriv_order)))
         return True
 
     n = center
@@ -96,40 +105,156 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
                                       Phase(e * ep / 4), e * e / 8)
 
 
-def _binomial_product(order: Fraction,
-                      factors: Iterable[tuple[Fraction, CycloQ5, int]]) -> FracSeries:
-    """prod (1 + c*q^e)^k over factors (e, c, k), exact for exponents below ``order``.
+#: The index of -1 = e(5/10) in ``UNITS``: the unit of every factor (1 - q^e).
+MINUS_ONE = 5
 
-    e >= 0 is rational, k a nonzero integer (positive when e = 0) and c has
-    integer coordinates (all callers pass roots of unity).  The tail is dense
-    on the grid 1/lcm(denominators of the exponents below order), each
-    coefficient an integer 4-vector with z^4 = -(1+z+z^2+z^3).  Each unit power
-    is one in-place pass t[i] += c*t[i-d]: descending i multiplies by
-    (1 + c*x^d); ascending i with -c divides by it, exactly, as d > 0.
+
+def _slot_bits(size: int, ups: dict[int, int], downs: dict[int, int]) -> int:
+    """Width w in bits, a multiple of 8, of a slot that holds every coefficient
+    ``_binomial_product`` meets while it builds a tail of ``size`` keys.
+
+    ``ups`` maps each shift d (in grid steps) to the total multiplicity k of its
+    factors (1 + u*x^d)^k with k > 0, ``downs`` to that of its divisions.
+
+    Proof.  Give a coefficient in Z[z]/(z^5 - 1) the l1 norm of its five
+    z-coordinates.  That norm is submultiplicative and every unit +-z^r has
+    norm 1, so a product of series is majorised, coefficient by coefficient,
+    by the product of their series of norms.  Hence every state of the build
+    is majorised by
+
+        M(x) = prod_ups (1 + x^d)^k  *  prod_downs (1 - x^d)^-k.
+
+    This holds after each prefix of the factors, because every factor of M is
+    at least 1 coefficient by coefficient, and inside a division, because the
+    partial product (1 - u*x^d)(1 + u^2*x^(2d))...(1 + u^(2^j)*x^(2^j*d)) of
+    1/(1 + u*x^d) is majorised by 1 + x^d + ... + x^((2^(j+1) - 1)*d), which is
+    at most 1/(1 - x^d).  M has nonnegative coefficients, so for every
+    0 < rho < 1 its coefficient at x^i, i < size, is at most
+    M(rho)/rho^i <= M(rho)/rho^(size-1).  That bound is convex in log(rho).  A
+    golden-section search over rho = 1/(1 + e^-s) picks a good rho, and every
+    rho it tries gives a valid bound.  The width adds a sign bit, since a slot
+    holds |a| < 2^(w-1), and two bits for float rounding, which is far below
+    one bit.
     """
-    live = [(Fraction(e), c, k) for e, c, k in factors if e < order]
-    if any(e == 0 and k > 0 and c == -1 for e, c, k in live):
+    n = size - 1
+    span = math.log(4 * (size + sum(ups.values()) + sum(downs.values())))
+    ud, uk, dd, dk = list(ups), list(ups.values()), list(downs), list(downs.values())
+
+    def log_bound(s: float) -> float:
+        lr = -math.log1p(math.exp(-s))  # log(rho)
+        # k*log(1 + rho^d) over ups, k*log(1 - rho^d) over downs
+        up = sum(map(mul, uk, map(math.log1p, map(math.exp, map(mul, ud, repeat(lr))))))
+        down = sum(map(mul, dk, map(math.log, map(neg, map(math.expm1,
+                                                            map(mul, dd, repeat(lr)))))))
+        return up - down - n * lr
+
+    g = (math.sqrt(5) - 1) / 2
+    a, b = -span, span
+    c, e = b - g * (b - a), a + g * (b - a)
+    fc, fe = log_bound(c), log_bound(e)
+    best = min(fc, fe)
+    for _ in range(10):
+        if fc < fe:
+            b, e, fe = e, c, fc
+            c = b - g * (b - a)
+            fc = log_bound(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + g * (b - a)
+            fe = log_bound(e)
+        best = min(best, fc, fe)
+    return -(-(math.ceil(best / math.log(2)) + 3) // 8) * 8
+
+
+def _binomial_product(order: Rat, factors: Iterable[tuple[Rat, int, int]]) -> FracSeries:
+    """prod (1 + c*q^e)^k over factors (e, t, k), c = e(t/10), exact below ``order``.
+
+    e >= 0 is rational, t in 0..9 indexes ``UNITS`` and k is an integer,
+    positive when e = 0; anything else raises ValueError.  The tail is dense on
+    the grid x = q^(1/scale), scale the lcm of the denominators of the
+    exponents below order, and is built in Z[z][x] with z^5 = 1 as five
+    coordinates U[0..4], the coefficients of z^0..z^4, so that a unit
+    s*z^r (s = +-1) only moves coordinate m to m + r mod 5 and signs it.
+
+    Each U[m] packs its ``size`` coefficients into one integer, w bits a slot
+    (``_slot_bits``), every slot biased by 2^(w-1) so that it is never
+    negative; ``zero`` is the packed 0.  Multiplying by (1 + s*z^r*x^d) is, for
+    each live coordinate m at once,
+
+        U[m + r] += s * (((U[m] & low) - (zero >> d*w)) << d*w),
+
+    low the mask of the slots below size - d: one mask, one bias correction,
+    one shift and one add or subtract.  Dividing by (1 + u*x^d), d > 0,
+    multiplies by (1 - u*x^d)(1 + u^2*x^(2d))(1 + u^4*x^(4d))..., which is
+    1/(1 + u*x^d) below x^size once 2^K*d >= size, so K = ceil(log2(size/d))
+    passes.  Coordinates still zero are skipped, so a real product packs one
+    integer.  The slots are read back through ``to_bytes``, and z^4 =
+    -(1+z+z^2+z^3) folds the five coordinates a_m into the power basis as
+    a_j - a_4.
+    """
+    order = Fraction(order)
+    if order <= 0:
+        raise ValueError("order must be positive")
+    on, od = order.numerator, order.denominator
+    live = []  # (numerator, denominator, t, k) of the factors with e < order
+    for e, t, k in factors:
+        p, q = e.numerator, e.denominator
+        if p < 0:
+            raise ValueError(f"binomial exponent {e} is negative")
+        if type(t) is not int or not 0 <= t < 10:
+            raise ValueError(f"binomial unit {t!r} is not an index 0..9 of a root of unity e(t/10)")
+        if p == 0 and k < 0:
+            raise ValueError("cannot divide by a constant binomial (exponent 0)")
+        if k and p * od < on * q:
+            live.append((p, q, t, k))
+    if any(p == 0 and t == MINUS_ONE and k > 0 for p, _, t, k in live):
         return FracSeries.zero()  # a factor (1 - q^0): exactly zero at every order
-    scale = math.lcm(*(e.denominator for e, _, _ in live))
-    size = math.ceil(order * scale)
-    t0, t1, t2, t3 = [1] + [0] * (size - 1), [0] * size, [0] * size, [0] * size
-    for e, c, k in live:
-        d = int(e * scale)
-        steps = range(size - 1, d - 1, -1) if k > 0 else range(d, size)
-        c0, c1, c2, c3 = (int(x) if k > 0 else -int(x) for x in c.coeffs())
+    scale = math.lcm(*(q for _, q, _, _ in live))
+    size = -(-on * scale // od)
+    steps = [(p * (scale // q), *UNITS[t], k) for p, q, t, k in live]
+    ups: dict[int, int] = defaultdict(int)
+    downs: dict[int, int] = defaultdict(int)
+    for d, _, _, k in steps:
+        (ups if k > 0 else downs)[d] += abs(k)
+    w = _slot_bits(size, ups, downs)
+    bias = 1 << (w - 1)
+    zero = ((1 << size * w) - 1) // ((1 << w) - 1) * bias  # every slot at the bias
+    U = [zero + 1, None, None, None, None]  # None: a coordinate that is still 0
+
+    def unit_pass(d: int, s: int, r: int) -> None:
+        dw = d * w
+        low = (1 << (size * w - dw)) - 1  # slots 0 .. size-d-1
+        zlow = zero >> dw
+        new = U[:]
+        for m, src in enumerate(U):
+            if src is not None:
+                j = (m + r) % 5
+                tgt = U[j] if U[j] is not None else zero
+                v = ((src & low) - zlow) << dw
+                new[j] = tgt + v if s > 0 else tgt - v
+        U[:] = new
+
+    for d, s, r, k in steps:
         for _ in range(abs(k)):
-            for i in steps:
-                j = i - d
-                b0, b1, b2, b3 = t0[j], t1[j], t2[j], t3[j]
-                if not (b0 or b1 or b2 or b3):
-                    continue
-                d4 = b1 * c3 + b2 * c2 + b3 * c1
-                t0[i] += b0 * c0 + b2 * c3 + b3 * c2 - d4
-                t1[i] += b0 * c1 + b1 * c0 + b3 * c3 - d4
-                t2[i] += b0 * c2 + b1 * c1 + b2 * c0 - d4
-                t3[i] += b0 * c3 + b1 * c2 + b2 * c1 + b3 * c0 - d4
-    tail = {i: (t0[i], t1[i], t2[i], t3[i]) for i in range(size)
-            if t0[i] or t1[i] or t2[i] or t3[i]}
+            if k > 0:
+                unit_pass(d, s, r)
+                continue
+            unit_pass(d, -s, r)
+            dd, rr = 2 * d, 2 * r % 5
+            while dd < size:
+                unit_pass(dd, 1, rr)
+                dd, rr = 2 * dd, 2 * rr % 5
+    wb = w // 8
+    nb = size * wb
+
+    def slots(u: int) -> list[int]:
+        b = u.to_bytes(nb, "little")
+        return [int.from_bytes(b[i:i + wb], "little") - bias for i in range(0, nb, wb)]
+
+    a = [[0] * size if u is None else slots(u) for u in U]
+    if U[4] is not None:
+        a = [[x - y for x, y in zip(c, a[4])] for c in a[:4]]
+    tail = {i: v for i, v in enumerate(zip(*a[:4])) if v != (0, 0, 0, 0)}
     return FracSeries._make(scale, Phase(0), Fraction(0), 0, 1, tail, order, clean=True)
 
 
@@ -148,11 +273,10 @@ def theta_const_product(ch: ThetaChar, order: Rat = 20) -> FracSeries:
     e, ep = ch.eps, ch.eps_prime
     if abs(e) > 1:
         raise ValueError("product form requires |eps| <= 1")
-    w = Phase(ep / 2).to_cyclo()
-    wbar = Phase(-ep / 2).to_cyclo()
+    w, wbar = unit_index(ep / 2), unit_index(-ep / 2)
     # every exponent of the n-th triple is at least n - 1
     factors = [f for n in range(1, math.floor(order) + 2)
-               for f in ((Fraction(n), CycloQ5(-1), 1), (n - Fraction(1, 2) + e / 2, w, 1),
+               for f in ((n, MINUS_ONE, 1), (n - Fraction(1, 2) + e / 2, w, 1),
                          (n - Fraction(1, 2) - e / 2, wbar, 1))]
     return (_binomial_product(order, factors)
             .phase_mul(Phase(e * ep / 4)).qpow_shift(e * e / 8))
@@ -164,8 +288,10 @@ def _eta_factors(mult: Fraction, order: Fraction, offset: Fraction, power: int) 
         raise ValueError("mult must be positive")
     if order <= 0:
         raise ValueError("order must be positive")
-    return [(n * mult, -Phase(n * offset).to_cyclo(), power)
-            for n in range(1, math.ceil(order / mult))]
+    ns = range(1, math.ceil(order / mult))
+    # -e(n*offset) = e(n*t/10 + 1/2); e(offset) itself is the n = 1 unit
+    t = unit_index(offset) if ns else 0
+    return [(n * mult, (n * t + 5) % 10, power) for n in ns]
 
 
 def eta_q(mult: Rat, order: Rat = 20, offset: Rat = 0) -> FracSeries:

@@ -69,6 +69,17 @@ def test_expand_requires_arguments():
     assert code == 2
 
 
+def test_expand_eta_offset_outside_the_field(capsys):
+    code, text = invoke("expand", "--object", "eta", "--offset", "1/3", "--order", "5")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "error: e(1/3) is not in Q(zeta_5): denominator 3 does not divide 10\n"
+    # below order 1 there is no factor e(n/3), only the prefactor e(1/72)
+    code, text = invoke("expand", "--object", "eta", "--offset", "1/3", "--order", "1")
+    assert code == 0
+    assert text == "(2*pi*i)^0 * e(1/72) * q^(1/24) * [1]\n"
+
+
 def test_verify_single_id():
     code, text = invoke("verify", "--id", "E1", "--order", "20", "--format", "json")
     assert code == 0

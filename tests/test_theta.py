@@ -1,13 +1,17 @@
 """Theta constants, the triple product, eta series, and the shift rules."""
 
+import cmath
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from theta5.arith import divisor_sum, pentagonal_numbers
+from theta5.arith import divisor_sum, pentagonal_numbers, sigma
 from theta5.cli import series_to_dict
-from theta5.cyclo import CycloQ5, Phase
+from theta5.cyclo import UNITS, CycloQ5, Phase, PhaseNotRepresentable, unit_vec
 from theta5.numeric import series_eval_num, theta_num
 from theta5.series import FracSeries, series_equal
 from theta5.theta import (CATALOG_CHARS, _binomial_product, char,
@@ -244,19 +248,111 @@ def _ref_eta_quotient(spec, order):
     return num * den.inverse() if any_neg else num
 
 
+#: e(t/10) for t = 0..9, found among the +-zeta^j by the complex embedding alone
+_UNIT_OF = {t: c for t in range(10) for c in (CycloQ5.zeta(j) * s for j in range(5)
+                                               for s in (1, -1))
+            if abs(c.embed() - cmath.exp(2j * cmath.pi * t / 10)) < 1e-12}
+
+
+def _check_product(order, factors):
+    """The kernel on unit indices against ``_ref_product`` on the same units as CycloQ5."""
+    want = series_to_dict(_ref_product(order, [(e, _UNIT_OF[t], k) for e, t, k in factors]))
+    assert series_to_dict(_binomial_product(order, factors)) == want, (order, factors)
+
+
+def test_unit_table():
+    assert len(_UNIT_OF) == 10
+    for t, (s, r) in enumerate(UNITS):
+        assert CycloQ5(*unit_vec(t)) == _UNIT_OF[t] == CycloQ5.zeta(r) * s
+        assert CycloQ5(*unit_vec(t, -7)) == _UNIT_OF[t] * -7
+        assert Phase(F(t, 10)).to_cyclo() == _UNIT_OF[t]
+
+
 def test_binomial_product_random_factors():
     rng = random.Random(5)
-    units = [CycloQ5.zeta(j) * s for j in range(5) for s in (1, -1)]
     exponents = [F(1, 2), F(1, 5), F(3, 10), F(7, 10), F(1), F(2), F(6, 5), F(5, 2), F(9)]
     for _ in range(25):
         order = rng.choice([F(1, 3), F(3), F(7, 2), F(19, 5), F(5)])
-        factors = [(rng.choice(exponents), rng.choice(units),
+        factors = [(rng.choice(exponents), rng.randrange(10),
                     rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(0, 6))]
         if rng.random() < 0.3:
             # a nonzero constant binomial, as in the triple product at eps = +-1
-            factors.append((F(0), rng.choice([CycloQ5.zeta(j) for j in range(1, 5)]), 1))
-        want = series_to_dict(_ref_product(order, factors))
-        assert series_to_dict(_binomial_product(order, factors)) == want, (order, factors)
+            factors.append((F(0), rng.choice([2, 4, 6, 8]), 1))
+        _check_product(order, factors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([2, 5, 10]), st.integers(0, 40), st.integers(0, 9),
+                          st.integers(-12, 12)), max_size=5),
+       st.sampled_from([2, 5, 10]), st.integers(1, 40))
+def test_binomial_product_matches_reference_property(raw, order_den, order_num):
+    # exponents on mixed 1/2, 1/5 and 1/10 grids, constant factors (k > 0 only), and
+    # orders anywhere from below every exponent to above all of them
+    factors = [(F(p, q), t, k if p or k > 0 else -k) for q, p, t, k in raw]
+    _check_product(F(order_num, order_den), factors)
+
+
+def _euler_power(c, n):
+    """The first n coefficients of prod_{m>=1} (1 - q^m)^-c, by a(m) = c/m sum sigma(j) a(m-j)."""
+    a = [1]
+    for m in range(1, n):
+        a.append(c * sum(sigma(j) * a[m - j] for j in range(1, m + 1)) // m)
+    return a
+
+
+def _int_coeffs(f, n):
+    return [f.coefficient(i) for i in range(n)]
+
+
+@pytest.mark.parametrize("k", range(192, 209))
+def test_binomial_product_width_binomial_powers(k):
+    # the slots peak near C(k, k/2), a few bits under the majorant 2^k
+    got = _binomial_product(k + 1, [(1, 0, k)])
+    assert _int_coeffs(got, k + 1) == [CycloQ5(math.comb(k, i)) for i in range(k + 1)]
+    z = _binomial_product(k + 1, [(1, 2, k)])  # (1 + zeta*q)^k
+    assert _int_coeffs(z, k + 1) == [CycloQ5.zeta(i) * math.comb(k, i) for i in range(k + 1)]
+
+
+@pytest.mark.parametrize("order", [F(25), F(61, 2), F(80)])
+def test_binomial_product_width_divisions(order):
+    # 1/(1 - q)^40 equals its majorant: every coefficient is as large as the bound allows
+    n = math.ceil(order)
+    got = _binomial_product(order, [(1, 5, -40)])
+    assert _int_coeffs(got, n) == [CycloQ5(math.comb(i + 39, 39)) for i in range(n)]
+    # eta(tau)^-24 and eta(tau)^24 without the q^(+-1) prefactor, and (1 - q^n)^-24 on q^(1/2)
+    for c in (24, -24):
+        got = _binomial_product(order, [(m, 5, -c) for m in range(1, n)])
+        assert _int_coeffs(got, n) == [CycloQ5(a) for a in _euler_power(c, n)]
+    half = _binomial_product(order / 2, [(F(m, 2), 5, -24) for m in range(1, n)])
+    assert [half.coefficient(F(i, 2)) for i in range(n)] == \
+        [CycloQ5(a) for a in _euler_power(24, n)]
+
+
+@pytest.mark.parametrize("factors", [
+    [(F(-1, 2), 0, 1)], [(F(1), 0, 1), (-1, 5, 1)],
+    [(0, 2, -1)], [(0, 5, -3)],
+    [(1, 10, 1)], [(1, -1, 1)], [(1, CycloQ5(2), 1)], [(1, CycloQ5(-1), 1)], [(1, F(5), 1)],
+])
+def test_binomial_product_rejects_bad_factors(factors):
+    # a negative exponent, division by a constant binomial, or c not one of the ten units
+    with pytest.raises(ValueError):
+        _binomial_product(F(3), factors)
+
+
+def test_binomial_product_rejects_bad_order():
+    for order in (0, F(-1, 2)):
+        with pytest.raises(ValueError):
+            _binomial_product(order, [(1, 5, 1)])
+
+
+def test_eta_offset_errors():
+    with pytest.raises(PhaseNotRepresentable,
+                       match=r"^e\(1/3\) is not in Q\(zeta_5\): denominator 3 does not divide 10$"):
+        eta_q(1, 5, F(1, 3))
+    # below order 1 eta(tau + 1/3) has no factor, so its offset is only the prefactor
+    f = eta_q(1, 1, F(1, 3))
+    assert f.phase == Phase(F(1, 72))
+    assert f.render() == "(2*pi*i)^0 * e(1/72) * q^(1/24) * [1]"
 
 
 @pytest.mark.parametrize("ch", list(CATALOG_CHARS) + [char(1, 1), char(0, 0), char(-1, 1)],
