@@ -3,8 +3,10 @@ the z-dependent three-term relations, the logarithmic-derivative lemma, vanishin
 residues of the catalog's elliptic functions, quasi-periodicity, zero location,
 and the bridge between exact series and direct evaluation.
 
-Every theta value comes from one batch kernel, ``_theta_sum``: ``theta_num`` is a
-batch of one, and the residue check sums each characteristic once per contour.
+Every theta value comes from one batch kernel, ``_theta_sum``, which sums a list of
+characteristics over a batch of z, sharing the per-z exponentials between them, and
+stops at a proven cutoff (``_cutoff``).  ``theta_num`` is a batch of one point and one
+characteristic; the residue check sums all 20 characteristics of a contour in one call.
 All randomness is seeded; every check reports its seed through the config so
 runs reproduce exactly.  Derivatives in z are analytic term differentiations
 of the theta sum; one finite-difference cross-check of theta' is kept as an
@@ -52,43 +54,66 @@ class NumericConfig:
 
 DEFAULT_CONFIG = NumericConfig()
 
+#: theta[1, 1], the odd theta function; its zero at z = 0 is the residue setups' pole.
+_ODD_CHAR = char(1, 1)
+#: theta[0, 0]; N5 measures each zero against its value at z = 0, which never vanishes.
+_ZERO_CHAR = char(0, 0)
 
-def _theta_sum(zs: list[complex], tau: complex, ch: ThetaChar, m: int,
-               cfg: NumericConfig, N: Optional[int] = None) -> list[complex]:
-    """theta[eps,eps'] (its m-th z-derivative) at every z of a batch, for one (tau, ch, m).
+
+def _cutoff(y: float, t: float, e: float, cfg: NumericConfig) -> int:
+    """Summation range N (n = -N..N) of theta[eps, .] at Im tau = t for |Im z| <= y.
+
+    With a = n + eps/2, |term n| <= (2*pi*|a|)^m exp(-pi*t*a^2 + 2*pi*y*|a|) for every z of
+    the batch (eps'/2 only turns the phase).  The exponent stays below -L once
+    pi*t*a^2 - 2*pi*y*|a| >= L, that is for |a| >= (y + sqrt(y^2 + t*L/pi))/t, and
+    |a| >= |n| - |eps|/2.  L = -ln(tail_tolerance) + 40: the margin e^40 covers the
+    factor (2*pi*|a|)^m for m <= 3 and the geometric tail on both sides, so the dropped
+    terms sum to less than the tolerance (for Im tau >= 1e-5, wherever theta is finite).
+    """
+    L = -math.log(cfg.tail_tolerance) + 40.0
+    return int(math.ceil((y + math.sqrt(y * y + t * L / math.pi)) / t + abs(e) / 2)) + 1
+
+
+def _theta_sum(zs: list[complex], tau: complex, chars: list[ThetaChar], m: int,
+               cfg: NumericConfig, N: Optional[int] = None) -> list[list[complex]]:
+    """theta[eps,eps'] (its m-th z-derivative) at every z of a batch, for each characteristic.
 
     With a = n + eps/2, u = z - i*y0 and X = e(u), term n is i^m w_n e(eps*u/2) X^n, where
-    w_n = (2*pi*a)^m e(a^2 tau/2 + a(eps'/2 + i*y0)) is computed once per batch; each
-    z costs two exponentials and Horner's rule in X and 1/X.  y0, the midpoint of the
-    batch's Im z range, keeps |X| near 1: e(z) itself leaves the float range once
-    |Im z| passes about 113, where theta can still be finite.
-    N defaults to the cutoff of the batch's largest |Im z|, which bounds every z's tail.
+    w_n = (2*pi*a)^m e(a^2 tau/2 + a(eps'/2 + i*y0)) is computed once per characteristic.
+    X, 1/X and, for each distinct eps, i^m e(eps*u/2) are computed once per z and shared
+    by every characteristic; each value then costs Horner's rule in X and 1/X.  y0, the
+    midpoint of the batch's Im z range, keeps |X| near 1: e(z) itself leaves the float
+    range once |Im z| passes about 113, where theta can still be finite.
+    N defaults to each characteristic's ``_cutoff`` at the batch's largest |Im z|.
     """
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    e, ep = float(ch.eps), float(ch.eps_prime)
     lo, hi = min(z.imag for z in zs), max(z.imag for z in zs)
     y0 = (lo + hi) / 2
-    if N is None:
-        # |term| = (2 pi |a|)^m * exp(-2 pi [a^2 Im(tau)/2 + a Im(z)]); solve for the
-        # |a| beyond which terms stay under tolerance (eps'/2 does not affect the decay)
-        L, t, y = -math.log(cfg.tail_tolerance) + 40.0, tau.imag, max(-lo, hi)
-        N = int(math.ceil((y + math.sqrt(y * y + t * L)) / t + abs(e) / 2 + 3)) + 1
-    half_tau, shift, two_pi = tau / 2, ep / 2 + 1j * y0, 2 * math.pi
-    w = [(two_pi * a) ** m * cmath.exp(TWO_PI_I * (a * a * half_tau + a * shift))
-         for a in [n + e / 2 for n in range(-N, N + 1)]]
-    pos, neg = w[N:][::-1], w[:N]  # n = N, ..., 0 and n = -N, ..., -1
+    us = [z - 1j * y0 for z in zs]
+    Xs = [cmath.exp(TWO_PI_I * u) for u in us]
+    Xis = [1 / X for X in Xs]
+    phases: dict[float, list[complex]] = {}
+    half_tau, two_pi = tau / 2, 2 * math.pi
     out = []
-    for z in zs:
-        u = z - 1j * y0
-        X = cmath.exp(TWO_PI_I * u)
-        Xi = 1 / X
-        s = r = 0j
-        for c in pos:
-            s = s * X + c
-        for c in neg:
-            r = r * Xi + c
-        out.append(1j ** m * (s + r * Xi) * cmath.exp(TWO_PI_I * (e / 2) * u))
+    for ch in chars:
+        e, ep = float(ch.eps), float(ch.eps_prime)
+        if e not in phases:
+            phases[e] = [1j ** m * cmath.exp(TWO_PI_I * (e / 2) * u) for u in us]
+        n_cut = _cutoff(max(-lo, hi), tau.imag, e, cfg) if N is None else N
+        shift = ep / 2 + 1j * y0
+        w = [(two_pi * a) ** m * cmath.exp(TWO_PI_I * (a * a * half_tau + a * shift))
+             for a in [n + e / 2 for n in range(-n_cut, n_cut + 1)]]
+        pos, neg = w[n_cut:][::-1], w[:n_cut]  # n = N, ..., 0 and n = -N, ..., -1
+        values = []
+        for X, Xi, phase in zip(Xs, Xis, phases[e]):
+            s = r = 0j
+            for c in pos:
+                s = s * X + c
+            for c in neg:
+                r = r * Xi + c
+            values.append((s + r * Xi) * phase)
+        out.append(values)
     return out
 
 
@@ -97,19 +122,30 @@ def theta_num(z: complex, tau: complex, ch: ThetaChar, m: int = 0,
     """Truncated sum of (2*pi*i(n+e/2))^m exp(2*pi*i[ (n+e/2)^2 tau/2 + (n+e/2)(z+e'/2) ]).
 
     The cutoff is driven by the Gaussian decay of the summand; the dropped
-    tail is below cfg.tail_tolerance.  This is ``_theta_sum`` on a batch of one.
+    tail is below cfg.tail_tolerance.  This is ``_theta_sum`` on a batch of one point
+    and one characteristic.
     """
-    return _theta_sum([complex(z)], tau, ch, m, cfg)[0]
+    return _theta_sum([complex(z)], tau, [ch], m, cfg)[0][0]
+
+
+#: eta_num multiplies at most this many factors: at the default tolerance, enough
+#: down to Im tau of about 6.2e-4.
+_ETA_MAX_FACTORS = 9999
 
 
 def eta_num(tau: complex, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """eta(tau) = q^(1/24) prod (1-q^n), truncated once factors are within tolerance."""
+    """eta(tau) = q^(1/24) prod (1-q^n), truncated once factors are within tolerance.
+
+    Raises ValueError where that takes more than ``_ETA_MAX_FACTORS`` factors."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     q = cmath.exp(TWO_PI_I * tau)
     p = cmath.exp(TWO_PI_I * tau / 24)
     n = 1
-    while abs(q) ** n > cfg.tail_tolerance * 1e-3 and n < 10000:
+    while abs(q) ** n > cfg.tail_tolerance * 1e-3:
+        if n > _ETA_MAX_FACTORS:
+            raise ValueError(f"eta_num needs more than {_ETA_MAX_FACTORS} factors at "
+                             f"Im tau = {tau.imag:g}")
         p *= 1 - q ** n
         n += 1
     return p
@@ -190,14 +226,14 @@ def check_prop31(which: str = "first", samples: int = 20,
         k1, k2, chars = 1, -1, [char(1, Fraction(k, 5)) for k in (1, 3, 9, 7)]
     else:
         k1, k2, chars = -z5 ** 2, z5 ** 3, [char(Fraction(k, 5), 1) for k in (1, 3, 9, 7)]
-    A, B, C, D = chars
+    A, B = chars[:2]
     worst = 0.0
     for _, tau, z in _sample_points(cfg, samples, cfg.rng()):
-        a0 = theta_num(0, tau, A, 0, cfg)
-        b0 = theta_num(0, tau, B, 0, cfg)
-        t1 = k1 * b0 ** 2 * theta_num(z, tau, A, 0, cfg) * theta_num(z, tau, C, 0, cfg)
-        t2 = k2 * a0 ** 2 * theta_num(z, tau, B, 0, cfg) * theta_num(z, tau, D, 0, cfg)
-        t3 = a0 * b0 * theta_num(z, tau, char(1, 1), 0, cfg) ** 2
+        (a0,), (b0,) = _theta_sum([0j], tau, [A, B], 0, cfg)
+        (a,), (b,), (c,), (d,), (odd,) = _theta_sum([z], tau, chars + [_ODD_CHAR], 0, cfg)
+        t1 = k1 * b0 ** 2 * a * c
+        t2 = k2 * a0 ** 2 * b * d
+        t3 = a0 * b0 * odd ** 2
         scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
         worst = max(worst, abs(t1 + t2 + t3) / scale)
     return worst
@@ -207,7 +243,7 @@ def check_lemma32(samples: int = 20, cfg: NumericConfig = DEFAULT_CONFIG) -> flo
     """Residual of (th'/th)^2 = th''/th - (d^2/dz^2) log th at random points,
     with every z-derivative taken term-by-term in the theta sum."""
     chars = [char(Fraction(1, 5), Fraction(1, 5)), char(1, Fraction(3, 5)),
-             char(Fraction(3, 5), 1), char(0, 0)]
+             char(Fraction(3, 5), 1), _ZERO_CHAR]
     worst = 0.0
     for i, tau, z in _sample_points(cfg, samples, cfg.rng()):
         ch = chars[i % len(chars)]
@@ -240,10 +276,6 @@ def theta_prime_fd_residual(cfg: NumericConfig = DEFAULT_CONFIG, points: int = 3
 # residue setups: the elliptic functions phi, psi with pole only at z = 0
 # ---------------------------------------------------------------------------
 
-#: theta[1, 1], the odd theta function; its zero at z = 0 is the residue setups' pole.
-_ODD_CHAR = char(1, 1)
-
-
 #: (section label, phi characteristics, psi characteristics); each entry is
 #: ((squared char, linear char) for phi, (squared char, linear char) for psi).
 RESIDUE_SETUPS: list[tuple[str, tuple[ThetaChar, ThetaChar], tuple[ThetaChar, ThetaChar]]] = [
@@ -268,7 +300,7 @@ def _residue_integrands(tau: complex, zs: list[complex],
     from one theta sum per distinct characteristic, theta[1,1] included."""
     chars = dict.fromkeys([_ODD_CHAR] + [ch for _, *pairs in RESIDUE_SETUPS
                                          for pair in pairs for ch in pair])
-    th = {ch: _theta_sum(zs, tau, ch, 0, cfg) for ch in chars}
+    th = dict(zip(chars, _theta_sum(zs, tau, list(chars), 0, cfg)))
     odd_cubed = [t ** 3 for t in th[_ODD_CHAR]]
     return {f"{label}.{name}": [a ** 2 * b / c for a, b, c in zip(th[sq], th[lin], odd_cubed)]
             for label, *pairs in RESIDUE_SETUPS
@@ -323,7 +355,7 @@ def check_zero_location(samples: int = 24, cfg: NumericConfig = DEFAULT_CONFIG) 
         ch = CATALOG_CHARS[i % len(CATALOG_CHARS)]
         z0 = (1 - float(ch.eps)) / 2 * tau + (1 - float(ch.eps_prime)) / 2
         val = theta_num(z0, tau, ch, 0, cfg)
-        ref = abs(theta_num(0, tau, char(0, 0), 0, cfg))
+        ref = abs(theta_num(0, tau, _ZERO_CHAR, 0, cfg))
         worst = max(worst, abs(val) / ref)
     return worst
 
@@ -346,12 +378,14 @@ def check_bridge(tau: complex = 0.2 + 1.4j, order: int = 24,
 
 
 def check_tail_bound(cfg: NumericConfig = DEFAULT_CONFIG, samples: int = 8) -> float:
-    """Doubling the summation range changes theta_num by less than the tail tolerance."""
+    """Largest change of theta_num when its summation range is widened to n = -160..160,
+    far past the cutoff (at most 8 on the sampled strip); it must stay below the tail
+    tolerance."""
     worst = 0.0
     for i, tau, z in _sample_points(cfg, samples, cfg.rng()):
         ch = CATALOG_CHARS[i % len(CATALOG_CHARS)]
         base = theta_num(z, tau, ch, 0, cfg)
-        wide = _theta_sum([z], tau, ch, 0, cfg, N=160)[0]
+        wide = _theta_sum([z], tau, [ch], 0, cfg, N=160)[0][0]
         worst = max(worst, abs(base - wide))
     return worst
 

@@ -2,8 +2,14 @@
 
 import io
 import json
+from pathlib import Path
 
 from theta5.cli import run
+
+#: ``theta5 numeric-check`` text and JSON over every id, at the default seed and at
+#: ``--seed 7``, recorded before the theta-sum kernel's cutoff was tightened: a kernel
+#: change that moves a residual digit fails here, not only one that fails a check.
+NUMERIC_REFERENCE = Path(__file__).resolve().parent / "data" / "numeric_reference.json"
 
 
 def invoke(*argv):
@@ -189,3 +195,20 @@ def test_numeric_check_n6_reports_the_cases_it_checked():
     assert json.loads(text)[0]["samples"] == 13
     assert invoke("numeric-check", "--id", "N6")[1] == invoke(
         "numeric-check", "--id", "N6", "--samples", "13")[1]
+
+
+def test_numeric_check_output_matches_reference():
+    # byte for byte: the residual digits pin the float kernel, not just pass/fail
+    ref = json.loads(NUMERIC_REFERENCE.read_text())
+    assert set(ref) == {"20250810", "7"}
+    for seed, want in ref.items():
+        assert invoke("numeric-check", "--seed", seed) == (0, want["text"])
+        assert invoke("numeric-check", "--seed", seed, "--format", "json") == (0, want["json"])
+        # one id at a time reproduces that id's line and record
+        lines, records = want["text"].splitlines(keepends=True), json.loads(want["json"])
+        for line, record in zip(lines, records, strict=True):
+            code, text = invoke("numeric-check", "--id", record["id"], "--seed", seed)
+            assert (code, text) == (0, line)
+            code, text = invoke("numeric-check", "--id", record["id"], "--seed", seed,
+                                "--format", "json")
+            assert code == 0 and json.loads(text) == [record]
