@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -34,30 +33,81 @@ CORRECTED = "corrected"
 Pairs = list[tuple[str, FracSeries, FracSeries]]
 
 
-@dataclass(frozen=True)
 class IdentityEntry:
-    id: str
-    title: str
-    location: str
-    min_meaningful_order: int
-    margin: int
-    build: Callable[[Fraction, str], Pairs]
-    variants: tuple[str, ...] = (AS_STATED,)
+    """One catalog identity: where the paper states it, the lowest order at which
+    checking it means anything, the extra order its builder needs, and the builder.
+
+    Immutable; equality and hash go by the tuple of its fields.
+    """
+
+    __slots__ = ("id", "title", "location", "min_meaningful_order", "margin", "build",
+                 "variants")
+
+    def __init__(self, id: str, title: str, location: str, min_meaningful_order: int,
+                 margin: int, build: Callable[[Fraction, str], Pairs],
+                 variants: tuple[str, ...] = (AS_STATED,)):
+        for name, value in zip(self.__slots__, (id, title, location, min_meaningful_order,
+                                                margin, build, variants)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not IdentityEntry:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityEntry({args})"
 
 
-@dataclass
 class IdentityReport:
-    id: str
-    variant: str
-    order_checked: Optional[Fraction]
-    passed: bool
-    first_mismatch_exponent: Optional[Fraction] = None
-    lhs_coeff: Optional[CycloQ5] = None
-    rhs_coeff: Optional[CycloQ5] = None
-    label: Optional[str] = None
-    reason: str = ""
-    elapsed: float = 0.0
-    location: str = ""
+    """The outcome of verifying one entry; ``verify`` fills it in as it compares.
+
+    Mutable, so unhashable; equality goes by the tuple of its fields.
+    """
+
+    __slots__ = ("id", "variant", "order_checked", "passed", "first_mismatch_exponent",
+                 "lhs_coeff", "rhs_coeff", "label", "reason", "elapsed", "location")
+
+    def __init__(self, id: str, variant: str, order_checked: Optional[Fraction],
+                 passed: bool, first_mismatch_exponent: Optional[Fraction] = None,
+                 lhs_coeff: Optional[CycloQ5] = None, rhs_coeff: Optional[CycloQ5] = None,
+                 label: Optional[str] = None, reason: str = "", elapsed: float = 0.0,
+                 location: str = ""):
+        self.id = id
+        self.variant = variant
+        self.order_checked = order_checked
+        self.passed = passed
+        self.first_mismatch_exponent = first_mismatch_exponent
+        self.lhs_coeff = lhs_coeff
+        self.rhs_coeff = rhs_coeff
+        self.label = label
+        self.reason = reason
+        self.elapsed = elapsed
+        self.location = location
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not IdentityReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityReport({args})"
 
 
 # ---------------------------------------------------------------------------

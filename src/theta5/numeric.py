@@ -18,9 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from functools import reduce
+from operator import add, mul
+from typing import Callable, Optional
 
 from .cyclo import embed_coords
 from .series import FracSeries
@@ -29,21 +30,43 @@ from .theta import CATALOG_CHARS, ThetaChar, char
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass
 class NumericConfig:
-    tail_tolerance: float = 1e-14
-    contour_samples: int = 192
-    rng_seed: int = 20250810
-    re_tau: tuple[float, float] = (-0.5, 0.5)
-    im_tau: tuple[float, float] = (0.8, 2.0)
+    """Tolerance, contour sample count, seed and sampling strip of the numeric checks.
 
-    def __post_init__(self):
-        if self.tail_tolerance <= 0:
+    Validated on construction.  Mutable, so unhashable; equality goes by the tuple of
+    its fields.
+    """
+
+    __slots__ = ("tail_tolerance", "contour_samples", "rng_seed", "re_tau", "im_tau")
+
+    def __init__(self, tail_tolerance: float = 1e-14, contour_samples: int = 192,
+                 rng_seed: int = 20250810, re_tau: tuple[float, float] = (-0.5, 0.5),
+                 im_tau: tuple[float, float] = (0.8, 2.0)):
+        if tail_tolerance <= 0:
             raise ValueError("tail_tolerance must be positive")
-        if self.contour_samples < 64:
+        if contour_samples < 64:
             raise ValueError("contour_samples must be at least 64")
-        if min(self.im_tau) <= 0:
+        if min(im_tau) <= 0:
             raise ValueError("the sampling region must stay off the real axis")
+        self.tail_tolerance = tail_tolerance
+        self.contour_samples = contour_samples
+        self.rng_seed = rng_seed
+        self.re_tau = re_tau
+        self.im_tau = im_tau
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not NumericConfig:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"NumericConfig({args})"
 
     def rng(self) -> random.Random:
         return random.Random(self.rng_seed)
@@ -171,13 +194,19 @@ def _unit_circle(K: int) -> list[complex]:
     return [cmath.exp(1j * (2 * math.pi * j / K)) for j in range(K)]
 
 
-def _trapezoid(values: Iterable[complex], ws: list[complex], radius: float) -> complex:
-    """Trapezoidal (1/2*pi*i) contour integral from the samples f(center + radius*w), w in ws."""
-    s = 0j
-    for j, (v, w) in enumerate(zip(values, ws)):
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ArithmeticError(f"integrand not finite at sample {j}")
-        s += v * w
+def _trapezoid(values: list[complex], ws: list[complex], radius: float) -> complex:
+    """Trapezoidal (1/2*pi*i) contour integral from the samples f(center + radius*w), w in ws.
+
+    A non-finite sample makes the weighted sum non-finite (every weight is a nonzero
+    point of the unit circle), so the samples are scanned only when the sum is.  The
+    sum is a plain left-to-right fold: ``sum`` of complex numbers is compensated on
+    newer Pythons, which would move the last bits of the residuals.
+    """
+    s = reduce(add, map(mul, values, ws), 0j)
+    if not cmath.isfinite(s):
+        for j, v in enumerate(values):
+            if not cmath.isfinite(v):
+                raise ArithmeticError(f"integrand not finite at sample {j}")
     return s * radius / len(ws)
 
 
@@ -189,7 +218,7 @@ def residue_num(f: Callable[[complex], complex], center: complex, radius: float,
     exponentially in the sample count.
     """
     ws = _unit_circle(cfg.contour_samples)
-    return _trapezoid((f(center + radius * w) for w in ws), ws, radius)
+    return _trapezoid([f(center + radius * w) for w in ws], ws, radius)
 
 
 def contour_radius(tau: complex) -> float:
@@ -394,15 +423,37 @@ def check_tail_bound(cfg: NumericConfig = DEFAULT_CONFIG, samples: int = 8) -> f
 # named numeric checks (CLI surface)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class NumericCheckResult:
-    id: str
-    description: str
-    value: float
-    tolerance: float
-    passed: bool
-    seed: int
-    samples: int
+    """The outcome of one named numeric check.
+
+    Mutable, so unhashable; equality goes by the tuple of its fields.
+    """
+
+    __slots__ = ("id", "description", "value", "tolerance", "passed", "seed", "samples")
+
+    def __init__(self, id: str, description: str, value: float, tolerance: float,
+                 passed: bool, seed: int, samples: int):
+        self.id = id
+        self.description = description
+        self.value = value
+        self.tolerance = tolerance
+        self.passed = passed
+        self.seed = seed
+        self.samples = samples
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not NumericCheckResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"NumericCheckResult({args})"
 
 
 def run_numeric_check(check_id: str, samples: Optional[int] = None,

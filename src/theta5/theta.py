@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, neg
@@ -36,15 +35,34 @@ from .cyclo import UNITS, Phase, Rat, unit_index, unit_vec
 from .series import FracSeries
 
 
-@dataclass(frozen=True)
 class ThetaChar:
-    """A characteristic pair (eps, eps'); denominators divide 5 for catalog use."""
-    eps: Fraction
-    eps_prime: Fraction
+    """A characteristic pair (eps, eps'); denominators divide 5 for catalog use.
+
+    Immutable.  It hashes like the tuple (eps, eps'), computed once: it keys the
+    catalog's theta store and the numeric lane's per-characteristic tables.
+    """
+
+    __slots__ = ("eps", "eps_prime", "_hash")
 
     def __init__(self, eps: Rat, eps_prime: Rat):
-        object.__setattr__(self, "eps", Fraction(eps))
-        object.__setattr__(self, "eps_prime", Fraction(eps_prime))
+        eps, eps_prime = Fraction(eps), Fraction(eps_prime)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eps_prime", eps_prime)
+        object.__setattr__(self, "_hash", hash((eps, eps_prime)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ThetaChar:
+            return NotImplemented
+        return (self.eps, self.eps_prime) == (other.eps, other.eps_prime)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ThetaChar(eps={self.eps!r}, eps_prime={self.eps_prime!r})"
 
     def negated(self) -> "ThetaChar":
         return ThetaChar(-self.eps, -self.eps_prime)

@@ -12,8 +12,8 @@ import pytest
 import theta5
 import theta5.catalog as catalog_module
 from theta5.arith import partition_p
-from theta5.catalog import (_THETA, AS_STATED, CORRECTED, _homogeneous, _th,
-                            catalog, lookup, report_to_dict, reports_to_json,
+from theta5.catalog import (_THETA, AS_STATED, CORRECTED, IdentityEntry,
+                            IdentityReport, _homogeneous, _th, catalog, lookup, report_to_dict, reports_to_json,
                             verify, verify_all)
 from theta5.cli import series_to_dict
 from theta5.cyclo import CycloQ5
@@ -159,6 +159,50 @@ def test_report_serialization_schema():
     # round trip is the identity on the schema
     assert json.loads(json.dumps(doc)) == doc
 
+
+
+def test_identity_entry_record():
+    e = IdentityEntry("X", "t", "loc", 5, 2, None)
+    assert (e.id, e.title, e.location, e.min_meaningful_order, e.margin, e.build,
+            e.variants) == ("X", "t", "loc", 5, 2, None, (AS_STATED,))
+    kw = IdentityEntry(id="X", title="t", location="loc", min_meaningful_order=5, margin=2,
+                       build=None, variants=(AS_STATED,))
+    assert kw == e and hash(kw) == hash(e) == hash(("X", "t", "loc", 5, 2, None, (AS_STATED,)))
+    assert e != IdentityEntry("X", "t", "loc", 5, 3, None)
+    assert e != ("X", "t", "loc", 5, 2, None, (AS_STATED,))
+    assert lookup("E1") == lookup("E1") and lookup("E1") != lookup("E2")
+    assert {lookup("E1"): 1}[lookup("E1")] == 1
+    with pytest.raises(AttributeError):
+        e.margin = 4
+    assert repr(e) == ("IdentityEntry(id='X', title='t', location='loc', "
+                       "min_meaningful_order=5, margin=2, build=None, variants=('as-stated',))")
+
+
+def test_identity_report_record():
+    r = IdentityReport("X", AS_STATED, F(20), True)
+    assert (r.first_mismatch_exponent, r.lhs_coeff, r.rhs_coeff, r.label, r.reason,
+            r.elapsed, r.location) == (None, None, None, None, "", 0.0, "")
+    assert repr(r) == (
+        "IdentityReport(id='X', variant='as-stated', order_checked=Fraction(20, 1), "
+        "passed=True, first_mismatch_exponent=None, lhs_coeff=None, rhs_coeff=None, "
+        "label=None, reason='', elapsed=0.0, location='')")
+    full = IdentityReport("X", CORRECTED, None, False, F(3, 5), CycloQ5(1, 2),
+                          CycloQ5(0, -1), "lbl", "why", 1.5, "Eq. 1")
+    assert full == IdentityReport(
+        id="X", variant=CORRECTED, order_checked=None, passed=False,
+        first_mismatch_exponent=F(3, 5), lhs_coeff=CycloQ5(1, 2), rhs_coeff=CycloQ5(0, -1),
+        label="lbl", reason="why", elapsed=1.5, location="Eq. 1")
+    assert repr(full) == (
+        "IdentityReport(id='X', variant='corrected', order_checked=None, passed=False, "
+        "first_mismatch_exponent=Fraction(3, 5), lhs_coeff=CycloQ5(1, 2, 0, 0), "
+        "rhs_coeff=CycloQ5(0, -1, 0, 0), label='lbl', reason='why', elapsed=1.5, "
+        "location='Eq. 1')")
+    assert r == IdentityReport("X", AS_STATED, F(20), True) and r != full
+    assert r != IdentityEntry("X", "t", "loc", 5, 2, None)
+    with pytest.raises(TypeError):
+        hash(r)
+    r.passed = False  # verify fills a report in place
+    assert r != IdentityReport("X", AS_STATED, F(20), True)
 
 def test_min_orders_follow_identity_degree():
     assert lookup("E1").min_meaningful_order == 10

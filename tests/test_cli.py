@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from theta5.cli import run
@@ -212,3 +215,19 @@ def test_numeric_check_output_matches_reference():
             code, text = invoke("numeric-check", "--id", record["id"], "--seed", seed,
                                 "--format", "json")
             assert code == 0 and json.loads(text) == [record]
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # cold start: both modules cost milliseconds per process; compare sys.modules
+    # before and after, so whatever the interpreter's site already loaded does not count
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import theta5, theta5.cli\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    new = done.stdout.split()
+    assert "theta5.cli" in new
+    assert "dataclasses" not in new and "inspect" not in new

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from theta5 import numeric
-from theta5.numeric import (DEFAULT_CONFIG, RESIDUE_SETUPS, NumericConfig, check_bridge,
+from theta5.numeric import (DEFAULT_CONFIG, RESIDUE_SETUPS, NumericCheckResult,
+                            NumericConfig, check_bridge,
                             check_lemma32, check_prop31,
                             check_quasi_periodicity, check_residues,
                             check_tail_bound, check_zero_location,
@@ -19,14 +20,49 @@ from theta5.theta import CATALOG_CHARS, char, theta_const
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tail_tolerance must be positive"):
         NumericConfig(tail_tolerance=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="contour_samples must be at least 64"):
         NumericConfig(contour_samples=32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="off the real axis"):
         NumericConfig(im_tau=(0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="off the real axis"):
         NumericConfig(im_tau=(1.0, -1.0))
+    with pytest.raises(ValueError, match="off the real axis"):
+        NumericConfig(1e-10, 256, 7, (0.0, 1.0), (-1.0, 3.0))
+
+
+def test_config_record():
+    cfg = NumericConfig()
+    assert (cfg.tail_tolerance, cfg.contour_samples, cfg.rng_seed, cfg.re_tau,
+            cfg.im_tau) == (1e-14, 192, 20250810, (-0.5, 0.5), (0.8, 2.0))
+    assert repr(cfg) == ("NumericConfig(tail_tolerance=1e-14, contour_samples=192, "
+                         "rng_seed=20250810, re_tau=(-0.5, 0.5), im_tau=(0.8, 2.0))")
+    other = NumericConfig(1e-10, 256, 7, (0.0, 1.0), (1.0, 3.0))
+    assert other == NumericConfig(tail_tolerance=1e-10, contour_samples=256, rng_seed=7,
+                                  re_tau=(0.0, 1.0), im_tau=(1.0, 3.0))
+    assert repr(other) == ("NumericConfig(tail_tolerance=1e-10, contour_samples=256, "
+                           "rng_seed=7, re_tau=(0.0, 1.0), im_tau=(1.0, 3.0))")
+    assert cfg == DEFAULT_CONFIG and cfg != other and cfg != NumericConfig(rng_seed=7)
+    assert cfg != (1e-14, 192, 20250810, (-0.5, 0.5), (0.8, 2.0))
+    with pytest.raises(TypeError):
+        hash(cfg)
+    other.rng_seed = 8
+    assert other.rng().random() == random.Random(8).random()
+
+
+def test_check_result_record():
+    res = NumericCheckResult("N1", "desc", 1e-12, 1e-9, True, 7, 20)
+    assert res == NumericCheckResult(id="N1", description="desc", value=1e-12,
+                                     tolerance=1e-9, passed=True, seed=7, samples=20)
+    assert res != NumericCheckResult("N1", "desc", 1e-12, 1e-9, False, 7, 20)
+    assert res != NumericConfig()
+    assert repr(res) == ("NumericCheckResult(id='N1', description='desc', value=1e-12, "
+                         "tolerance=1e-09, passed=True, seed=7, samples=20)")
+    with pytest.raises(TypeError):
+        hash(res)
+    with pytest.raises(TypeError):
+        NumericCheckResult("N1", "desc", 1e-12, 1e-9, True, 7)
 
 
 def test_theta_num_domain():
@@ -71,6 +107,22 @@ def test_residue_of_simple_pole():
 def test_residue_rejects_nonfinite_samples():
     with pytest.raises(ArithmeticError):
         residue_num(lambda z: complex("nan"), 0j, 0.1)
+
+
+def test_residue_names_the_first_nonfinite_sample():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return complex("nan") if len(calls) > 5 else 1 / z
+
+    with pytest.raises(ArithmeticError, match="sample 5"):
+        residue_num(f, 0j, 0.1)
+
+
+def test_trapezoid_overflowing_sum_of_finite_samples_is_returned():
+    # every sample is finite, so nothing is rejected, though the weighted sum overflows
+    assert not cmath.isfinite(numeric._trapezoid([1e308 + 0j] * 64, [1 + 0j] * 64, 1.0))
 
 
 def test_contour_radius():

@@ -22,7 +22,7 @@ STRIP_POINTS = [(complex(_rng.uniform(-2, 2), _rng.uniform(0.8, 2.0)),
                  complex(_rng.uniform(-0.45, 0.45), _rng.uniform(-0.45, 0.45)))
                 for _ in range(4)]
 
-#: Im tau = 0.05 with |Im z| up to 2.45: about 230 terms are summed and the
+#: Im tau = 0.05 with |Im z| up to 2.45: 209 terms are summed (n = -104..104) and the
 #: summand peaks near |a| = 49 at about e^377.
 HARD_POINTS = [(0.3 + 0.05j, 0.4 + 2.45j), (0.3 + 0.05j, 0.4 - 2.45j),
                (0.3 + 0.05j, 0.4 - 1.7j)]

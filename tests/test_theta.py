@@ -14,7 +14,7 @@ from theta5.cli import series_to_dict
 from theta5.cyclo import UNITS, CycloQ5, Phase, PhaseNotRepresentable, unit_vec
 from theta5.numeric import series_eval_num, theta_num
 from theta5.series import FracSeries, series_equal
-from theta5.theta import (CATALOG_CHARS, _binomial_product, char,
+from theta5.theta import (CATALOG_CHARS, ThetaChar, _binomial_product, char,
                           char_shift_phase, eta_q, eta_quotient, reduce_char,
                           theta_const, theta_const_product)
 
@@ -387,3 +387,21 @@ def test_eta_quotient_matches_reference(spec, order):
     spec = [(F(m), e) for m, e in spec]
     got = series_to_dict(eta_quotient(spec, order))
     assert got == series_to_dict(_ref_eta_quotient(spec, order))
+
+
+def test_theta_char_record():
+    ch = ThetaChar(F(1, 5), F(3, 5))
+    assert ch.eps == F(1, 5) and ch.eps_prime == F(3, 5)
+    assert ThetaChar(eps=F(2, 10), eps_prime=F(6, 10)) == ch == char(F(1, 5), F(3, 5))
+    assert ThetaChar(1, 1).eps.__class__ is F
+    assert ch != ThetaChar(F(1, 5), F(1, 5))
+    assert ch != (F(1, 5), F(3, 5)) and ch.__eq__((F(1, 5), F(3, 5))) is NotImplemented
+    assert hash(ch) == hash((F(1, 5), F(3, 5)))
+    assert {ch: 1}[ThetaChar(F(1, 5), F(3, 5))] == 1
+    with pytest.raises(AttributeError):
+        ch.eps = F(0)
+    with pytest.raises(AttributeError):
+        ch.other = 1
+    assert repr(ch) == "ThetaChar(eps=Fraction(1, 5), eps_prime=Fraction(3, 5))"
+    assert repr(ThetaChar(1, 1)) == "ThetaChar(eps=Fraction(1, 1), eps_prime=Fraction(1, 1))"
+    assert str(ch) == "[1/5, 3/5]"
