@@ -5,10 +5,14 @@ Every entry is verified in cross-multiplied polynomial form, so no theta
 series is ever inverted; both sides of a pair always carry the same power
 of (2*pi*i).  Each entry builds only the pairs it compares, and oracle
 series take their coefficients from ``arith`` alone, never from a series
-constructor.  Entries whose printed source carries a misprint ship two
-variants: "as-stated" (the printed form, which fails and is reported as
-failing) and "corrected" (the repaired form, which passes).  The default
-suite runs as-stated variants and reports; it never silently corrects.
+constructor.  Theta constants, and the products of them that several
+entries share, come from one store of monomials (``_th``, ``_thp``);
+``verify_ids`` runs entries highest store order first, so each is built
+once per run and every later request is a clip.  Entries whose printed
+source carries a misprint ship two variants: "as-stated" (the printed form,
+which fails and is reported as failing) and "corrected" (the repaired form,
+which passes).  The default suite runs as-stated variants and reports; it
+never silently corrects.
 """
 
 from __future__ import annotations
@@ -114,27 +118,96 @@ class IdentityReport:
 # the theta store
 # ---------------------------------------------------------------------------
 
-#: (characteristic, derivative order, power) -> (order, series), the highest-order
-#: build so far.  Slots are read and replaced whole, and one is clipped only
-#: when its order is at least the request, so a race can only waste a build.
-_THETA: dict[tuple[ThetaChar, int, int], tuple[Fraction, FracSeries]] = {}
+#: Monomial in theta constants -> (order, series), the highest-order build so far.
+#: A key is one factor (characteristic, derivative order, power), or a sorted tuple
+#: of two or more such factors with distinct (characteristic, derivative order).
+#: Slots are read and replaced whole, and one is clipped only when its order is
+#: at least the request, so a race can only waste a build.
+_THETA: dict[tuple, tuple[Fraction, FracSeries]] = {}
 
 #: theta[1,1], whose first derivative is the catalog's normaliser theta'[1,1]
 _TH11 = char(1, 1)
 
 
 def _th(ch: ThetaChar, m: int, order: Fraction, power: int = 1) -> FracSeries:
-    """theta_const(ch, m, order) ** power, clipped from the store's highest-order build."""
-    key = (ch, m, power)
+    """theta_const(ch, m, order) ** power, clipped from the store's highest-order build.
+
+    Power p > 1 is built from the slots of powers p//2 and p - p//2, so the
+    powers on the way are slots too.
+    """
+    return _slot((ch, m, power), order)
+
+
+def _thp(order: Fraction, a: tuple, b: tuple) -> FracSeries:
+    """The product of the routes a and b, clipped from the store's highest-order build.
+
+    A route is a factor (characteristic, derivative order, power) or a pair of
+    routes.  Every route is a slot, keyed by the monomial it multiplies out
+    to, so a product asked for along two routes is built once, along the
+    first.  A pair of equal routes is a square.
+    """
+    return _slot((a, b), order)
+
+
+def _key(route: tuple) -> tuple:
+    """The store key of a route: its monomial, factors sorted, powers of one factor summed."""
+    if route[0].__class__ is ThetaChar:
+        return route
+    powers: dict[tuple[ThetaChar, int], int] = {}
+    todo = [route]
+    while todo:
+        r = todo.pop()
+        if r[0].__class__ is ThetaChar:
+            powers[r[0], r[1]] = powers.get((r[0], r[1]), 0) + r[2]
+        else:
+            todo += r
+    factors = sorted(((ch, m, p) for (ch, m), p in powers.items()),
+                     key=lambda f: (f[0].eps, f[0].eps_prime, f[1]))
+    return factors[0] if len(factors) == 1 else tuple(factors)
+
+
+def _bound(key: tuple, order: Fraction) -> Fraction:
+    """Where a fresh product of the key's factors at ``order`` stops being exact.
+
+    theta_const(ch, m, order) is exact below A = eps^2/8 + order, with lowest
+    exponent v (v = A for a zero series), and a product of such factors to the
+    powers p_i is exact below min_i(A_i - v_i) + sum_i p_i v_i.
+    """
+    if key[0].__class__ is ThetaChar and key[2] == 1:
+        return key[0].eps ** 2 / 8 + order
+    gap, low = None, 0
+    for ch, m, p in (key,) if key[0].__class__ is ThetaChar else key:
+        a = ch.eps ** 2 / 8 + order
+        v = min(_stored((ch, m, 1), (ch, m, 1), order).abs_val(), a)
+        gap = a - v if gap is None else min(gap, a - v)
+        low += p * v
+    return gap + low
+
+
+def _stored(key: tuple, route: tuple, order: Fraction) -> FracSeries:
+    """The slot's series, built along ``route`` unless it is stored at ``order`` or higher."""
     slot = _THETA.get(key)
     if slot is None or slot[0] < order:
-        built = theta_const(ch, m, order) if power == 1 else _th(ch, m, order) ** power
-        slot = _THETA[key] = (order, built)
-    # theta_const is exact below eps^2/8 + order, f^p below abs_order(f) + (p-1)*abs_val(f)
-    bound = ch.eps ** 2 / 8 + order
-    if power > 1:
-        bound += (power - 1) * _th(ch, m, order).abs_val()
-    return slot[1]._clip_abs(bound)
+        slot = _THETA[key] = (order, _build(route, order))
+    return slot[1]
+
+
+def _slot(route: tuple, order: Fraction) -> FracSeries:
+    key = _key(route)
+    return _stored(key, route, order)._clip_abs(_bound(key, order))
+
+
+def _build(route: tuple, order: Fraction) -> FracSeries:
+    """The route's product at ``order``, from operands clipped to ``order``."""
+    if route[0].__class__ is ThetaChar:
+        ch, m, p = route
+        if p == 1:
+            return theta_const(ch, m, order)
+        low = _th(ch, m, order, p // 2)
+        return low * low if p % 2 == 0 else _th(ch, m, order, p - p // 2) * low
+    a, b = route
+    fa = _slot(a, order)
+    return fa * fa if a == b else fa * _slot(b, order)
 
 
 _z = CycloQ5.zeta
@@ -216,16 +289,11 @@ def _build_t1(entry_id: str) -> Callable[[Fraction, str], Pairs]:
 
     def build(N: Fraction, variant: str) -> Pairs:
         cpq, cq2, w = table[variant]
-        ta = _th(A, 0, N)
-        tb = _th(B, 0, N)
-        P = _th(A, 0, N, 5)
-        Q = _th(B, 0, N, 5)
-        PQ = P * Q
-        den = P * P + PQ.scalar_mul(cpq) + (Q * Q).scalar_mul(cq2)
+        PQ = _thp(N, (A, 0, 5), (B, 0, 5))
+        den = _th(A, 0, N, 10) + PQ.scalar_mul(cpq) + _th(B, 0, N, 10).scalar_mul(cq2)
         _check_unit_denominator(den, entry_id)
-        tp4 = _th(_TH11, 1, N) ** 4
-        lhs = tp4 * den
-        rhs = ((PQ * PQ) * (ta * tb)).scalar_mul(w).cpow_shift(4)
+        lhs = _th(_TH11, 1, N, 4) * den
+        rhs = ((PQ * PQ) * _thp(N, (A, 0, 1), (B, 0, 1))).scalar_mul(w).cpow_shift(4)
         return [(f"{entry_id} cross-multiplied", lhs, rhs)]
 
     return build
@@ -272,7 +340,7 @@ def _build_d(entry_id: str) -> Callable[[Fraction, str], Pairs]:
         tb = _th(B, 0, N)
         X = ta if side == "A" else tb
         dX = _th(A if side == "A" else B, 1, N)
-        den = ((ta ** 3) * (tb ** 3)).scalar_mul(10)
+        den = _thp(N, (A, 0, 3), (B, 0, 3)).scalar_mul(10)
         _check_unit_denominator(den, entry_id)
         P = _th(A, 0, N, 5)
         Q = _th(B, 0, N, 5)
@@ -296,23 +364,20 @@ def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar],
     A, B = pair
 
     def build(N: Fraction, variant: str) -> Pairs:
-        ta = _th(A, 0, N)
-        tb = _th(B, 0, N)
-        da = _th(A, 1, N)
-        db = _th(B, 1, N)
-        d2a = _th(A, 2, N)
-        d2b = _th(B, 2, N)
-        tp = _th(_TH11, 1, N)
-        t3p = _th(_TH11, 3, N)
-        ta2, tb2 = ta * ta, tb * tb
-        common = t3p * (ta2 * tb2)
+        ab = (A, 0, 1), (B, 0, 1)
+        common = _thp(N, (_TH11, 3, 1), (ab, ab))
+        # t1, t2, t3 appear in both combinations of a pair, the last term also in FK
+        t1 = _thp(N, ((A, 2, 1), (A, 0, 1)), (B, 0, 2))
+        t2 = _thp(N, ((B, 2, 1), (A, 0, 2)), (B, 0, 1))
+        t3 = _thp(N, ((A, 1, 1), (B, 1, 1)), ab)
         if which == "second":
-            combo = (d2a * ta * tb2 + (d2b * ta2 * tb).scalar_mul(2)
-                     - (da * db * ta * tb).scalar_mul(4) + (db * db * ta2).scalar_mul(2))
+            combo = (t1 + t2.scalar_mul(2) - t3.scalar_mul(4)
+                     + _thp(N, (B, 1, 2), (A, 0, 2)).scalar_mul(2))
         else:
-            combo = ((d2a * ta * tb2).scalar_mul(2) + d2b * ta2 * tb
-                     + (da * db * ta * tb).scalar_mul(4) + (da * da * tb2).scalar_mul(2))
-        return [(f"{label} {which} combination", combo * tp - common, FracSeries.zero())]
+            combo = (t1.scalar_mul(2) + t2 + t3.scalar_mul(4)
+                     + _thp(N, (A, 1, 2), (B, 0, 2)).scalar_mul(2))
+        return [(f"{label} {which} combination", combo * _th(_TH11, 1, N) - common,
+                 FracSeries.zero())]
 
     return build
 
@@ -321,22 +386,16 @@ def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Fraction,
                                swap: bool, bracket: tuple[CycloQ5, CycloQ5, CycloQ5],
                                scalar: CycloQ5) -> tuple[FracSeries, FracSeries]:
     """50*(th''_X th_X^5 th_Y^6 - th''_Y th_Y^5 th_X^6) = scalar * theta'[1,1]^2 * bracket(P,Q)."""
-    ta = _th(A, 0, N)
-    tb = _th(B, 0, N)
-    d2a = _th(A, 2, N)
-    d2b = _th(B, 2, N)
     P = _th(A, 0, N, 5)
     Q = _th(B, 0, N, 5)
-    ta6 = P * ta
-    tb6 = Q * tb
-    diff = d2a * P * tb6 - d2b * Q * ta6
+    diff = _th(A, 2, N) * P * (Q * _th(B, 0, N)) - _th(B, 2, N) * Q * (P * _th(A, 0, N))
     if swap:
         diff = -diff
     lhs = diff.scalar_mul(50)
     c2, c1, c0 = bracket
-    tp2 = _th(_TH11, 1, N) ** 2
-    rhs = (tp2 * ((P * P).scalar_mul(c2) + (P * Q).scalar_mul(c1)
-                  + (Q * Q).scalar_mul(c0))).scalar_mul(scalar)
+    rhs = (_th(_TH11, 1, N, 2) * (_th(A, 0, N, 10).scalar_mul(c2)
+                                  + _thp(N, (A, 0, 5), (B, 0, 5)).scalar_mul(c1)
+                                  + _th(B, 0, N, 10).scalar_mul(c0))).scalar_mul(scalar)
     return lhs, rhs
 
 
@@ -352,12 +411,10 @@ def _eta_chain_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
     tb = _th(B, 0, N)
     top5 = (eta_top ** 5).scalar_mul(top_scalar)
     chain_lhs = ((tb.theta_op() * ta - ta.theta_op() * tb) * eta_bottom).scalar_mul(25)
-    chain_rhs = top5 * (ta * tb)
-    tp2 = _th(_TH11, 1, N) ** 2
-    P = _th(A, 0, N, 5)
-    Q = _th(B, 0, N, 5)
-    tf_lhs = top5 * tp2
-    tf_rhs = ((P * Q) * eta_bottom).scalar_mul(theta_form_sign).cpow_shift(2)
+    chain_rhs = top5 * _thp(N, (A, 0, 1), (B, 0, 1))
+    tf_lhs = top5 * _th(_TH11, 1, N, 2)
+    tf_rhs = (_thp(N, (A, 0, 5), (B, 0, 5)) * eta_bottom).scalar_mul(
+        theta_form_sign).cpow_shift(2)
     return [(f"{label} eta-chain", chain_lhs, chain_rhs),
             (f"{label} theta-form", tf_lhs, tf_rhs)]
 
@@ -401,14 +458,11 @@ def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
     """3 (2*pi*i)^2 [Theta(eta_top) eta - Theta(eta) eta_top] th_A^2 th_B^2
        + eta_top eta [th'_A^2 th_B^2 + th'_B^2 th_A^2] = 0."""
     eta1 = eta_q(1, N)
-    ta = _th(A, 0, N)
-    tb = _th(B, 0, N)
-    da = _th(A, 1, N)
-    db = _th(B, 1, N)
-    ta2, tb2 = ta * ta, tb * tb
+    ab = (A, 0, 1), (B, 0, 1)
     log_part = ((eta_top.theta_op() * eta1 - eta1.theta_op() * eta_top)
-                * (ta2 * tb2)).scalar_mul(3).cpow_shift(2)
-    sq_part = (eta_top * eta1) * (da * da * tb2 + db * db * ta2)
+                * _thp(N, ab, ab)).scalar_mul(3).cpow_shift(2)
+    sq_part = (eta_top * eta1) * (_thp(N, (A, 1, 2), (B, 0, 2))
+                                  + _thp(N, (B, 1, 2), (A, 0, 2)))
     return [(label, log_part + sq_part, FracSeries.zero())]
 
 
@@ -515,19 +569,28 @@ def _build_ps2(which: int) -> Callable[[Fraction, str], Pairs]:
 
 def _xyz_level5(N: Fraction) -> tuple[FracSeries, ...]:
     """(X, Y, Z, XY, F) with F = X^2 - 11XY - Y^2."""
-    X, Y = (_th(ch, 0, N, 5) for ch in _PAIR5)
+    A, B = _PAIR5
+    X, Y = _th(A, 0, N, 5), _th(B, 0, N, 5)
     Z = eta_quotient([(1, 5), (5, -1)], N)
-    XY = X * Y
-    return X, Y, Z, XY, X * X - XY.scalar_mul(11) - Y * Y
+    XY = _thp(N, (A, 0, 5), (B, 0, 5))
+    return X, Y, Z, XY, _th(A, 0, N, 10) - XY.scalar_mul(11) - _th(B, 0, N, 10)
+
+
+def _fifth_order(N: Fraction) -> Fraction:
+    """The order of the theta slots whose q -> q^5 substitutions are needed below N."""
+    return Fraction(math.ceil(N / 5) + 2)
 
 
 def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, ...]:
     """(X, Y, Z, XY, F) with F = X^2 + 11XY - Y^2."""
-    Npre = Fraction(math.ceil(N / 5) + 2)
-    X, Y = (_th(ch, 0, Npre, 5).rescale_exponent(5) for ch in _PAIR6)
+    # products of q -> q^5 substitutions are the substitutions of the stored products
+    Npre = _fifth_order(N)
+    A, B = _PAIR6
+    X, Y = _th(A, 0, Npre, 5).rescale_exponent(5), _th(B, 0, Npre, 5).rescale_exponent(5)
     Z = eta_quotient([(5, 5), (1, -1)], N)
-    XY = X * Y
-    return X, Y, Z, XY, X * X + XY.scalar_mul(11) - Y * Y
+    XY = _thp(Npre, (A, 0, 5), (B, 0, 5)).rescale_exponent(5)
+    return X, Y, Z, XY, (_th(A, 0, Npre, 10).rescale_exponent(5) + XY.scalar_mul(11)
+                         - _th(B, 0, Npre, 10).rescale_exponent(5))
 
 
 def _build_me5(N: Fraction, variant: str) -> Pairs:
@@ -584,6 +647,10 @@ def _build_w6(N: Fraction, variant: str) -> Pairs:
         lhs = W ** 10
         label = "repeated-column determinant^10 = (2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5"
     return [(label, lhs, rhs)]
+
+
+#: builders that ask the theta store for order _fifth_order(N), not N
+_FIFTH_BUILDERS = (_build_me6, _build_ode6, _build_w6)
 
 
 def _build_heat(N: Fraction, variant: str) -> Pairs:
@@ -732,13 +799,34 @@ def verify_clamped(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> 
                   variant if variant in entry.variants else AS_STATED)
 
 
-def verify_all(order: Rat = 20, variant: str = AS_STATED) -> list[IdentityReport]:
-    """``verify_clamped`` on every catalog entry in catalog order, one after another.
+def verify_ids(entry_ids: list[str], order: Rat = 20,
+               variant: str = AS_STATED) -> list[IdentityReport]:
+    """``verify_clamped`` on each id, reports in the order of ``entry_ids``.
 
-    The exact lane is pure Python and holds the interpreter lock, so threads
-    would not speed it up.
+    The entries run one after another, highest store order first, ties in the
+    given order, so each theta-store slot is built once, at the highest order
+    any of them asks for, and every later request is only a clip.  An entry's
+    store order is its build order N (clamped order plus margin), or
+    ``_fifth_order(N)`` for the builders in ``_FIFTH_BUILDERS``.  The exact
+    lane is pure Python and holds the interpreter lock, so threads would not
+    speed it up.  An unknown id raises KeyError before anything is verified.
     """
-    return [verify_clamped(e.id, order, variant) for e in _CATALOG]
+    order = Fraction(order)
+    entries = [lookup(i) for i in entry_ids]
+
+    def store_order(e: IdentityEntry) -> Fraction:
+        n = max(order, e.min_meaningful_order) + e.margin
+        return _fifth_order(n) if e.build in _FIFTH_BUILDERS else n
+
+    reports: list[Optional[IdentityReport]] = [None] * len(entries)
+    for i in sorted(range(len(entries)), key=lambda i: store_order(entries[i]), reverse=True):
+        reports[i] = verify_clamped(entries[i].id, order, variant)
+    return reports
+
+
+def verify_all(order: Rat = 20, variant: str = AS_STATED) -> list[IdentityReport]:
+    """``verify_ids`` on every catalog entry; the reports are in catalog order."""
+    return verify_ids([e.id for e in _CATALOG], order, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from typing import Optional
 
 from . import numeric
 from .arith import KERNELS, divisor_sum, partition_p
-from .catalog import (AS_STATED, catalog as catalog_entries, report_to_dict,
-                      report_to_text, verify_clamped)
+from .catalog import (AS_STATED, catalog as catalog_entries, lookup, report_to_dict,
+                      report_to_text, verify_ids)
 from .cyclo import render_rational
 from .series import FracSeries
 from .theta import char, eta_q, eta_quotient, theta_const, theta_const_product
@@ -141,13 +141,17 @@ def _cmd_verify(args, out) -> int:
     reports = []
     failed = False
     run_all = args.all or not args.id
-    ids = [e.id for e in catalog_entries()] if run_all else args.id
-    for entry_id in ids:
-        r = verify_clamped(entry_id, args.order, args.variant)
+    known = [e.id for e in catalog_entries()]
+    ids = known if run_all else args.id
+    # an unknown id ends the run: the ids before it are verified and reported
+    n = next((i for i, entry_id in enumerate(ids) if entry_id not in known), len(ids))
+    for r in verify_ids(ids[:n], args.order, args.variant):
         reports.append(report_to_dict(r))
         failed |= not r.passed
         if args.format == "text":
             print(report_to_text(r), file=out)
+    if n < len(ids):
+        lookup(ids[n])  # raises the usage error
     if run_all and not args.exact_only:
         cfg = numeric.NumericConfig(rng_seed=args.seed)
         for check_id in numeric.numeric_check_ids():

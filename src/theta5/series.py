@@ -22,7 +22,9 @@ that rendering and callers read, is built from the integers on first use.
 
 Products multiply the denominators and convolve the integer tails, with each
 4-vector packed into one integer so that a pair of terms costs one integer
-product (a Kronecker substitution in zeta only; see ``_convolve``).
+product (a Kronecker substitution in zeta only; see ``_convolve``).  A square
+(both operands one object, as in ``f * f`` and inside ``**``) multiplies each
+unordered pair of terms once.
 
 Truncation propagates soundly: if f is exact below A and g below B, their
 product is exact below min(A + val(g), B + val(f)), val being the smallest
@@ -32,6 +34,7 @@ stored relative exponent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
@@ -93,6 +96,16 @@ def _times(n: int, tail: dict[int, Vec]) -> dict[int, Vec]:
     if n == 1:
         return tail
     return {k: (n * a0, n * a1, n * a2, n * a3) for k, (a0, a1, a2, a3) in tail.items()}
+
+
+def _reduced(den: int, tail: dict[int, Vec]) -> tuple[int, dict[int, Vec]]:
+    """(den, tail) divided by the gcd of den and every coordinate."""
+    if den != 1 and tail:
+        g = math.gcd(den, *chain.from_iterable(tail.values()))
+        if g != 1:
+            return den // g, {k: (a0 // g, a1 // g, a2 // g, a3 // g)
+                              for k, (a0, a1, a2, a3) in tail.items()}
+    return den, tail
 
 
 def _key_bound(order: Optional[Fraction], scale: int) -> Optional[int]:
@@ -159,14 +172,9 @@ class FracSeries:
         """
         if not clean:
             kb = _key_bound(order, scale)
-            tail = {k: v for k, v in tail.items()
-                    if (v[0] or v[1] or v[2] or v[3]) and (kb is None or k <= kb)}
-            if den != 1 and tail:
-                g = math.gcd(den, *chain.from_iterable(tail.values()))
-                if g != 1:
-                    den //= g
-                    tail = {k: (a0 // g, a1 // g, a2 // g, a3 // g)
-                            for k, (a0, a1, a2, a3) in tail.items()}
+            den, tail = _reduced(den, {k: v for k, v in tail.items()
+                                       if (v[0] or v[1] or v[2] or v[3])
+                                       and (kb is None or k <= kb)})
         self = object.__new__(cls)
         self._set(scale, phase, qpow, cpow, den, tail, order)
         return self
@@ -301,9 +309,10 @@ class FracSeries:
         order = _min_order(_add_order(f.order, g.val()), _add_order(g.order, f.val()))
         scale = math.lcm(f.scale, g.scale)
         fa, ga = f._rescaled(scale), g._rescaled(scale)
-        tail = _convolve(fa.tail, ga.tail, _key_bound(order, scale))
+        # _convolve already drops zero vectors and keys above the bound
+        den, tail = _reduced(f.den * g.den, _convolve(fa.tail, ga.tail, _key_bound(order, scale)))
         return FracSeries._make(scale, f.phase * g.phase, f.qpow + g.qpow,
-                                f.cpow + g.cpow, f.den * g.den, tail, order)
+                                f.cpow + g.cpow, den, tail, order, clean=True)
 
     __rmul__ = __mul__
 
@@ -531,27 +540,44 @@ def _convolve(a: dict[int, Vec], b: dict[int, Vec],
     exactly; z^5 = 1 and z^4 = -(1+z+z^2+z^3) then fold 7 slots to 4.
     Sums accumulate in a list indexed by key, or in a dict when the key range
     exceeds ``_DENSE_SPAN`` times the number of term pairs (a sparse product).
+
+    A square (``a is b``) multiplies each unordered pair of terms once: x*x on
+    the diagonal and 2*x*y off it.  The sums, and so s, are those of the full
+    product.
     """
     if not a or not b:
         return {}
+    square = a is b
     if len(a) > len(b):
         a, b = b, a
     s = (max(map(abs, chain.from_iterable(a.values()))).bit_length()
          + max(map(abs, chain.from_iterable(b.values()))).bit_length()
          + len(a).bit_length() + 3)
     s2, s3, s4, s5, s6 = 2 * s, 3 * s, 4 * s, 5 * s, 6 * s
-    pa = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3)) for k, (v0, v1, v2, v3) in a.items()]
     pb = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3))
           for k, (v0, v1, v2, v3) in sorted(b.items())]
     top = max(a) + pb[-1][0]
     key_bound = top if key_bound is None else min(key_bound, top)
     c = [0] * (key_bound + 1) if key_bound < _DENSE_SPAN * len(a) * len(b) else defaultdict(int)
-    for k1, x in pa:
-        lim = key_bound - k1
-        for k2, y in pb:
-            if k2 > lim:
+    if square:
+        keys = [k for k, _ in pb]
+        for i, (k1, x) in enumerate(pb):
+            j = bisect_right(keys, key_bound - k1)
+            if j <= i:
                 break
-            c[k1 + k2] += x * y
+            c[k1 + k1] += x * x
+            x2 = x << 1
+            for k2, y in pb[i + 1:j]:
+                c[k1 + k2] += x2 * y
+    else:
+        pa = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3))
+              for k, (v0, v1, v2, v3) in a.items()]
+        for k1, x in pa:
+            lim = key_bound - k1
+            for k2, y in pb:
+                if k2 > lim:
+                    break
+                c[k1 + k2] += x * y
     mask, half = (1 << s) - 1, 1 << (s - 1)
     bias = half * (((1 << (7 * s)) - 1) // mask)  # 2^(s-1) in each of the 7 slots
     out = {}

@@ -2,23 +2,27 @@
 
 import importlib
 import json
+import random
 import sys
 import threading
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 import theta5
 import theta5.catalog as catalog_module
+import theta5.series as series_module
 from theta5.arith import partition_p
-from theta5.catalog import (_THETA, AS_STATED, CORRECTED, IdentityEntry,
-                            IdentityReport, _homogeneous, _th, catalog, lookup, report_to_dict, reports_to_json,
-                            verify, verify_all)
+from theta5.catalog import (_THETA, _TH11, AS_STATED, CORRECTED, IdentityEntry,
+                            IdentityReport, _homogeneous, _key, _slot, _th, catalog, lookup,
+                            report_to_dict, reports_to_json, verify, verify_all, verify_ids)
 from theta5.cli import series_to_dict
 from theta5.cyclo import CycloQ5
 from theta5.series import FracSeries
-from theta5.theta import CATALOG_CHARS, char, theta_const
+from theta5.theta import CATALOG_CHARS, ThetaChar, char, theta_const
 
 #: entries whose printed form is misprinted; as-stated fails, corrected passes.
 MISPRINTED = {"T1d", "D3", "D4", "ME6", "W6"}
@@ -233,18 +237,123 @@ def _shift_chars(store) -> set:
     return {ch for ch, _, _ in store}
 
 
+def _catalog_routes() -> list:
+    """Every route the catalog asks the store for, plus products with the
+    exact-zero theta[1,1]."""
+    routes = []
+    real = catalog_module._slot
+
+    def record(route, order):
+        routes.append(route)
+        return real(route, order)
+
+    catalog_module._slot = record
+    try:
+        verify_all(10)
+    finally:
+        catalog_module._slot = real
+    zero, a = (_TH11, 0, 1), (char(1, F(1, 5)), 0, 1)
+    return routes + [(zero, zero), (zero, a), ((zero, a), (_TH11, 1, 2)), (_TH11, 0, 5)]
+
+
 @pytest.mark.parametrize("built, wanted", [(50, 12), (38, 20), (22, 22)])
 def test_store_clip_equals_fresh_build(empty_store, built, wanted):
-    # theta[1,1] at m = 0 is an exact zero, whose stored order is absolute
+    # every slot, clipped from a build at a higher order, equals the product of
+    # fresh theta constants; theta[1,1] at m = 0 is an exact zero, whose stored
+    # order is absolute
     chars = set(CATALOG_CHARS) | {char(1, 1)} | _shift_chars(empty_store)
-    cases = [(ch, m, 1) for ch in chars for m in range(4)] + [(ch, 0, 5) for ch in chars]
-    for ch, m, power in cases:
+    routes = list(dict.fromkeys([(ch, m, 1) for ch in chars for m in range(4)]
+                                + [(ch, 0, 5) for ch in chars] + _catalog_routes()))
+    assert sum(not isinstance(r[0], ThetaChar) for r in routes) > 30
+    empty_store.clear()
+    for route in routes:
+        _slot(route, F(built))
+    for route in routes:
+        key = _key(route)
+        got = _slot(route, F(wanted))
+        assert empty_store[key][0] == built, key
+        factors = (key,) if isinstance(key[0], ThetaChar) else key
+        want = reduce(mul, [theta_const(ch, m, wanted) ** p for ch, m, p in factors])
+        assert series_to_dict(got) == series_to_dict(want), key
+
+
+def test_product_slot_keys_are_monomials():
+    a, b = char(1, F(1, 5)), char(1, F(3, 5))
+    assert _key((a, 0, 5)) == (a, 0, 5)
+    assert _key(((a, 0, 5), (a, 0, 5))) == (a, 0, 10)
+    assert _key(((b, 0, 1), (a, 0, 1))) == _key(((a, 0, 1), (b, 0, 1))) == ((a, 0, 1), (b, 0, 1))
+    ab = (a, 0, 1), (b, 0, 1)
+    assert _key((ab, ab)) == ((a, 0, 2), (b, 0, 2))
+    assert _key(((a, 2, 1), ((a, 0, 1), (b, 1, 2)))) == ((a, 0, 1), (a, 2, 1), (b, 1, 2))
+
+
+def test_verify_order_does_not_change_the_reports(empty_store):
+    as_stated = json.loads(REFERENCE.read_text())["catalog"]["20"]
+    corrected = json.loads(CORRECTED_REFERENCE.read_text())["20"]
+    ids = [e.id for e in catalog()]
+    shuffled = list(ids)
+    random.Random(7).shuffle(shuffled)
+    for variant, want in ((AS_STATED, as_stated), (CORRECTED, corrected)):
         empty_store.clear()
-        _th(ch, m, F(built), power)
-        got = _th(ch, m, F(wanted), power)
-        assert empty_store[ch, m, power][0] == built
-        want = theta_const(ch, m, wanted) ** power
-        assert series_to_dict(got) == series_to_dict(want), (ch, m, power)
+        got = verify_ids(shuffled, 20, variant)
+        assert [r.id for r in got] == shuffled
+        assert {r.id: report_to_dict(r) for r in got} == want, variant
+        empty_store.clear()
+        in_order = verify_all(20, variant)
+        assert [r.id for r in in_order] == ids
+        assert {r.id: report_to_dict(r) for r in in_order} == want, variant
+
+
+def test_verify_ids_rejects_an_unknown_id_before_verifying(empty_store):
+    with pytest.raises(KeyError, match="BOGUS"):
+        verify_ids(["E4", "BOGUS"], 10)
+    assert not empty_store
+
+
+def test_store_work_count(empty_store, monkeypatch):
+    # one theta_const build per (char, m, 1) slot, and no product of two store
+    # values that repeats an earlier product; the repeats left are pinned
+    builds = []
+    real_theta = catalog_module.theta_const
+
+    def traced_theta(*args):
+        builds.append(args[:2])
+        return real_theta(*args)
+
+    served = []  # keeps every served series alive, so tail ids stay unique
+    real_slot = catalog_module._slot
+
+    def traced_slot(route, order):
+        f = real_slot(route, order)
+        served.append(f)
+        return f
+
+    calls = []
+    real_convolve = series_module._convolve
+
+    def traced_convolve(a, b, key_bound):
+        calls.append((a, b, key_bound))
+        return real_convolve(a, b, key_bound)
+
+    monkeypatch.setattr(catalog_module, "theta_const", traced_theta)
+    monkeypatch.setattr(catalog_module, "_slot", traced_slot)
+    monkeypatch.setattr(series_module, "_convolve", traced_convolve)
+    verify_all(20)
+    singles = [(k[0], k[1]) for k in empty_store if isinstance(k[0], ThetaChar) and k[2] == 1]
+    assert sorted(builds, key=repr) == sorted(singles, key=repr)
+    from_store = {id(f.tail) for f in served}
+    seen, repeats, store_repeats = set(), 0, []
+    for a, b, kb in calls:
+        operands = frozenset((tuple(sorted(a.items())), tuple(sorted(b.items()))))
+        if (operands, kb) in seen:
+            repeats += 1
+            if id(a) in from_store and id(b) in from_store:
+                store_repeats.append(kb)
+        seen.add((operands, kb))
+    assert store_repeats == []
+    # G+-^2 and H1^2, H2^2 in three entries each, and the residue pairs'
+    # combination times theta'[1,1]
+    assert (len(calls), repeats) == (279, 10)
 
 
 def test_store_builds_every_theta_constant(empty_store, monkeypatch):
@@ -256,7 +365,7 @@ def test_store_builds_every_theta_constant(empty_store, monkeypatch):
 
     monkeypatch.setattr(catalog_module, "theta_const", traced)
     verify_all(10)
-    assert callers and set(callers) == {"_th"}
+    assert callers and set(callers) == {"_build"}
 
 
 def test_store_keeps_one_slot_per_key(empty_store):

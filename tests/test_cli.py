@@ -108,6 +108,27 @@ def test_verify_streams_reports_before_an_unknown_id(capsys):
     assert capsys.readouterr().err == "error: unknown identity id 'NOPE'; see catalog()\n"
 
 
+def test_verify_stops_at_the_first_unknown_id(capsys):
+    # the ids before the unknown one are verified and reported; none after it
+    code, text = invoke("verify", "--id", "E1", "BOGUS", "E2", "--order", "10", "--exact-only")
+    assert code == 2
+    assert text == "E1     [as-stated] pass  order<12  (§1 Eq. (1))\n"
+    assert capsys.readouterr().err == "error: unknown identity id 'BOGUS'; see catalog()\n"
+    code, text = invoke("verify", "--id", "E1", "BOGUS", "E2", "--order", "10", "--exact-only",
+                        "--format", "json")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: unknown identity id 'BOGUS'; see catalog()\n"
+
+
+def test_verify_reports_in_the_requested_order():
+    ids = ["E4", "W5", "E1", "T1d", "E1"]
+    code, text = invoke("verify", "--id", *ids, "--order", "10", "--format", "json")
+    assert code == 1
+    assert [item["id"] for item in json.loads(text)] == ids
+    code, text = invoke("verify", "--id", *ids, "--order", "10")
+    assert [line.split()[0] for line in text.splitlines() if not line.startswith(" ")] == ids
+
+
 def test_verify_unknown_command_usage():
     code, _ = invoke("frobnicate")
     assert code == 2

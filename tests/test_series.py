@@ -113,8 +113,10 @@ def test_pow():
     geom([(1, 1), (3, -2)]),
     geom([], order=3, qpow=F(1, 2)),
     FracSeries.zero(cpow=2),
-], ids=["truncated", "exact", "zero-tail", "exact-zero"])
+    theta_const(char(F(1, 5), F(3, 5)), 1, 15),
+], ids=["truncated", "exact", "zero-tail", "exact-zero", "theta"])
 def test_pow_equals_repeated_product(f):
+    # f ** n squares (the square path of _convolve); want * f never does
     want = FracSeries.one()
     for n in range(11):
         assert series_to_dict(f ** n) == series_to_dict(want), n
@@ -672,6 +674,8 @@ def test_coeffs_view_is_thread_safe():
 # below make one slot sum as much as it can: equal or sign-alternating
 # coordinates of the largest size a bit length allows, on dense runs of keys,
 # so one key sums min(len a, len b) term pairs of 4 coordinate products each.
+# A run against itself (``run, run``) takes the square path, which sums each
+# unordered pair once and doubles it: the same sums under the same s.
 
 
 def _vmul(a, b):
@@ -743,3 +747,11 @@ def int_tails(draw):
 @given(int_tails(), int_tails(), st.one_of(st.none(), st.integers(0, 250)))
 def test_convolve_matches_schoolbook_property(a, b, key_bound):
     assert _convolve(a, b, key_bound) == _schoolbook(a, b, key_bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_tails(), st.one_of(st.none(), st.integers(0, 450)))
+def test_convolve_square_matches_schoolbook_property(a, key_bound):
+    # the square path: both operands are one object; bounds inside and past the product
+    assert _convolve(a, a, key_bound) == _schoolbook(a, a, key_bound)
+    assert _convolve(a, a, key_bound) == _convolve(a, dict(a), key_bound)
