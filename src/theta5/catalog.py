@@ -118,12 +118,13 @@ class IdentityReport:
 # the theta store
 # ---------------------------------------------------------------------------
 
-#: Monomial in theta constants -> (order, series), the highest-order build so far.
-#: A key is one factor (characteristic, derivative order, power), or a sorted tuple
-#: of two or more such factors with distinct (characteristic, derivative order).
+#: Monomial in theta constants -> (order, series, lowest absolute exponent of the
+#: series), the highest-order build so far.  A key is one factor (characteristic,
+#: derivative order, power), or a sorted tuple of two or more such factors with
+#: distinct (characteristic, derivative order).
 #: Slots are read and replaced whole, and one is clipped only when its order is
 #: at least the request, so a race can only waste a build.
-_THETA: dict[tuple, tuple[Fraction, FracSeries]] = {}
+_THETA: dict[tuple, tuple[Fraction, FracSeries, Fraction]] = {}
 
 #: theta[1,1], whose first derivative is the catalog's normaliser theta'[1,1]
 _TH11 = char(1, 1)
@@ -178,23 +179,24 @@ def _bound(key: tuple, order: Fraction) -> Fraction:
     gap, low = None, 0
     for ch, m, p in (key,) if key[0].__class__ is ThetaChar else key:
         a = ch.eps ** 2 / 8 + order
-        v = min(_stored((ch, m, 1), (ch, m, 1), order).abs_val(), a)
+        v = min(_stored((ch, m, 1), (ch, m, 1), order)[2], a)
         gap = a - v if gap is None else min(gap, a - v)
         low += p * v
     return gap + low
 
 
-def _stored(key: tuple, route: tuple, order: Fraction) -> FracSeries:
-    """The slot's series, built along ``route`` unless it is stored at ``order`` or higher."""
+def _stored(key: tuple, route: tuple, order: Fraction) -> tuple[Fraction, FracSeries, Fraction]:
+    """The slot, built along ``route`` unless it is stored at ``order`` or higher."""
     slot = _THETA.get(key)
     if slot is None or slot[0] < order:
-        slot = _THETA[key] = (order, _build(route, order))
-    return slot[1]
+        f = _build(route, order)
+        slot = _THETA[key] = (order, f, f.abs_val())
+    return slot
 
 
 def _slot(route: tuple, order: Fraction) -> FracSeries:
     key = _key(route)
-    return _stored(key, route, order)._clip_abs(_bound(key, order))
+    return _stored(key, route, order)[1]._clip_abs(_bound(key, order))
 
 
 def _build(route: tuple, order: Fraction) -> FracSeries:

@@ -227,21 +227,27 @@ class FracSeries:
         """
         pairs = [(Fraction(e), _ccoeff(c)) for e, c in terms]
         den, vecs = _to_ints(c for _, c in pairs)
-        return cls._from_int_terms([(e, v) for (e, _), v in zip(pairs, vecs)], den,
-                                   order, cpow, phase, qpow)
+        grid = math.lcm(*(e.denominator for e, _ in pairs))
+        return cls._from_int_terms(
+            grid, [(e.numerator * (grid // e.denominator), v) for (e, _), v in zip(pairs, vecs)],
+            den, order, cpow, phase, qpow)
 
     @classmethod
-    def _from_int_terms(cls, terms: list[tuple[Fraction, Vec]], den: int,
+    def _from_int_terms(cls, grid: int, terms: Iterable[tuple[int, Vec]], den: int,
                         order: Optional[Rat], cpow: int, phase: Phase,
                         qpow: Rat) -> "FracSeries":
-        """``from_terms`` for (exponent, integer 4-vector) pairs over one ``den``."""
-        scale = math.lcm(*(e.denominator for e, _ in terms))
+        """``from_terms`` for (key, integer 4-vector) pairs over one ``den``, the
+        exponent of a key k being k/grid.  Terms with equal keys are summed; the
+        scale is grid over the gcd of grid and every key."""
         tail: dict[int, Vec] = {}
-        for e, v in terms:
-            k = int(e * scale)
+        for k, v in terms:
             cur = tail.get(k)
             tail[k] = v if cur is None else (cur[0] + v[0], cur[1] + v[1],
                                              cur[2] + v[2], cur[3] + v[3])
+        g = math.gcd(grid, *tail)
+        scale = grid // g
+        if g != 1:
+            tail = {k // g: v for k, v in tail.items()}
         qpow = Fraction(qpow)
         order = None if order is None else Fraction(order)
         low = min((k for k, v in tail.items() if v != _ZERO), default=0)

@@ -10,16 +10,20 @@ whose n-independent parts (the phase e(eps*eps'/4) and the q-power eps^2/8)
 are extracted into the series prefactor, leaving tail coefficients
 (n + eps/2)^m * e(n*eps'/2) in Q(zeta_5) whenever the denominator of eps'
 divides 5; each e(n*eps'/2) is read from the ten roots of unity in
-``cyclo.UNITS``.
+``cyclo.UNITS``.  The terms are emitted on integers: with eps = p/q, term n
+is the key n*(q*n + p) on the grid 1/(2q).
 
 Every product form (the triple product, eta, eta quotients and the catalog's
-own products) comes from one kernel, ``_binomial_product``.  It packs the dense
-tail of each of five zeta-coordinates into one integer, so that a unit power
-(1 + c*q^d) costs one shift-and-add of big integers per coordinate (a
+own products) comes from one kernel, ``_binomial_product``, which takes its
+exponents as integers on one grid.  It packs the dense tail of each
+zeta-coordinate into one integer, so that a unit power (1 + c*q^d) costs one
+shift-and-add of big integers per coordinate that is not still zero (a
 Kronecker substitution along q), with a slot width proved large enough from a
-majorant of the product (``_slot_bits``).  The triple product shares no code
-with the direct sum beyond the unit table, so ``theta_const_product`` stays an
-independent check of ``theta_const``.
+majorant of the product (``_slot_bits``).  A real product packs a single
+integer; eta at an offset is such a product, twisted afterwards
+(``eta_q``).  The triple product shares no code with the direct sum beyond
+the unit table, so ``theta_const_product`` stays an independent check of
+``theta_const``.
 """
 
 from __future__ import annotations
@@ -101,16 +105,22 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
     if order <= 0:
         raise ValueError("order must be positive")
     e, ep = ch.eps, ch.eps_prime
-    # the coefficient (n + e/2)^m * e(n*e'/2) is (t*n + h)^m * w / t^m, w a root of unity
-    t, h = 2 * e.denominator, e.numerator
-    terms: list[tuple[Fraction, tuple[int, int, int, int]]] = []
+    p, q, a, b = e.numerator, e.denominator, ep.numerator, ep.denominator
+    # term n sits at key n*(q*n + p) on the grid 1/(2q), the exponent n*(n + e)/2;
+    # its coefficient (n + e/2)^m * e(n*e'/2) is (2q*n + p)^m * e(5*n*a/b / 10) / (2q)^m
+    grid = 2 * q
+    lim, od = grid * order.numerator, order.denominator  # key/grid < order iff key*od < lim
+    terms: list[tuple[int, tuple[int, int, int, int]]] = []
     center = round(-e / 2)
 
     def emit(n: int) -> bool:
-        r = Fraction(n) * (Fraction(n) + e) / 2
-        if r >= order:
+        k = n * (q * n + p)
+        if k * od >= lim:
             return False
-        terms.append((r, unit_vec(unit_index(n * ep / 2), (t * n + h) ** deriv_order)))
+        t, r = divmod(5 * n * a, b)
+        if r:
+            unit_index(n * ep / 2)  # e(n*e'/2) is not in Q(zeta_5): raises PhaseNotRepresentable
+        terms.append((k, unit_vec(t % 10, (grid * n + p) ** deriv_order)))
         return True
 
     n = center
@@ -119,7 +129,7 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
     n = center - 1
     while emit(n):
         n -= 1
-    return FracSeries._from_int_terms(terms, t ** deriv_order, order, deriv_order,
+    return FracSeries._from_int_terms(grid, terms, grid ** deriv_order, order, deriv_order,
                                       Phase(e * ep / 4), e * e / 8)
 
 
@@ -171,7 +181,7 @@ def _slot_bits(size: int, ups: dict[int, int], downs: dict[int, int]) -> int:
     c, e = b - g * (b - a), a + g * (b - a)
     fc, fe = log_bound(c), log_bound(e)
     best = min(fc, fe)
-    for _ in range(10):
+    for _ in range(5):
         if fc < fe:
             b, e, fe = e, c, fc
             c = b - g * (b - a)
@@ -184,15 +194,17 @@ def _slot_bits(size: int, ups: dict[int, int], downs: dict[int, int]) -> int:
     return -(-(math.ceil(best / math.log(2)) + 3) // 8) * 8
 
 
-def _binomial_product(order: Rat, factors: Iterable[tuple[Rat, int, int]]) -> FracSeries:
-    """prod (1 + c*q^e)^k over factors (e, t, k), c = e(t/10), exact below ``order``.
+def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
+                      grid: int = 1) -> FracSeries:
+    """prod (1 + c*q^(e/grid))^k over factors (e, t, k), c = e(t/10), exact below ``order``.
 
-    e >= 0 is rational, t in 0..9 indexes ``UNITS`` and k is an integer,
+    e >= 0 is an integer, t in 0..9 indexes ``UNITS`` and k is an integer,
     positive when e = 0; anything else raises ValueError.  The tail is dense on
-    the grid x = q^(1/scale), scale the lcm of the denominators of the
-    exponents below order, and is built in Z[z][x] with z^5 = 1 as five
-    coordinates U[0..4], the coefficients of z^0..z^4, so that a unit
-    s*z^r (s = +-1) only moves coordinate m to m + r mod 5 and signs it.
+    the grid x = q^(1/scale), scale = grid / gcd(grid, every e below order),
+    the lcm of the reduced denominators of those exponents, and is built in
+    Z[z][x] with z^5 = 1 as five coordinates U[0..4], the coefficients of
+    z^0..z^4, so that a unit s*z^r (s = +-1) only moves coordinate m to
+    m + r mod 5 and signs it.
 
     Each U[m] packs its ``size`` coefficients into one integer, w bits a slot
     (``_slot_bits``), every slot biased by 2^(w-1) so that it is never
@@ -213,23 +225,24 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[Rat, int, int]]) -> Fr
     order = Fraction(order)
     if order <= 0:
         raise ValueError("order must be positive")
-    on, od = order.numerator, order.denominator
-    live = []  # (numerator, denominator, t, k) of the factors with e < order
-    for e, t, k in factors:
-        p, q = e.numerator, e.denominator
-        if p < 0:
-            raise ValueError(f"binomial exponent {e} is negative")
+    lim, od = order.numerator * grid, order.denominator  # e/grid < order iff e*od < lim
+    live = []  # the factors with e/grid < order
+    for f in factors:
+        e, t, k = f
+        if e < 0:
+            raise ValueError(f"binomial exponent {Fraction(e, grid)} is negative")
         if type(t) is not int or not 0 <= t < 10:
             raise ValueError(f"binomial unit {t!r} is not an index 0..9 of a root of unity e(t/10)")
-        if p == 0 and k < 0:
+        if e == 0 and k < 0:
             raise ValueError("cannot divide by a constant binomial (exponent 0)")
-        if k and p * od < on * q:
-            live.append((p, q, t, k))
-    if any(p == 0 and t == MINUS_ONE and k > 0 for p, _, t, k in live):
+        if k and e * od < lim:
+            live.append(f)
+    if any(e == 0 and t == MINUS_ONE and k > 0 for e, t, k in live):
         return FracSeries.zero()  # a factor (1 - q^0): exactly zero at every order
-    scale = math.lcm(*(q for _, q, _, _ in live))
-    size = -(-on * scale // od)
-    steps = [(p * (scale // q), *UNITS[t], k) for p, q, t, k in live]
+    g = math.gcd(grid, *(e for e, _, _ in live))
+    scale = grid // g
+    size = -(-order.numerator * scale // od)
+    steps = [(e // g, *UNITS[t], k) for e, t, k in live]
     ups: dict[int, int] = defaultdict(int)
     downs: dict[int, int] = defaultdict(int)
     for d, _, _, k in steps:
@@ -292,37 +305,50 @@ def theta_const_product(ch: ThetaChar, order: Rat = 20) -> FracSeries:
     if abs(e) > 1:
         raise ValueError("product form requires |eps| <= 1")
     w, wbar = unit_index(ep / 2), unit_index(-ep / 2)
-    # every exponent of the n-th triple is at least n - 1
-    factors = [f for n in range(1, math.floor(order) + 2)
-               for f in ((n, MINUS_ONE, 1), (n - Fraction(1, 2) + e / 2, w, 1),
-                         (n - Fraction(1, 2) - e / 2, wbar, 1))]
-    return (_binomial_product(order, factors)
+    # on the grid 1/(2q), e = p/q: the n-th triple's exponents n and n - 1/2 +- e/2,
+    # each at least n - 1, are the keys 2q*n and 2q*n - q +- p
+    p, q = e.numerator, e.denominator
+    grid = 2 * q
+    factors = [f for k in range(grid, grid * (math.floor(order) + 2), grid)
+               for f in ((k, MINUS_ONE, 1), (k - q + p, w, 1), (k - q - p, wbar, 1))]
+    return (_binomial_product(order, factors, grid)
             .phase_mul(Phase(e * ep / 4)).qpow_shift(e * e / 8))
 
 
-def _eta_factors(mult: Fraction, order: Fraction, offset: Fraction, power: int) -> list:
-    """The factors (1 - e(n*offset) q^(n*mult))^power of eta(mult*tau + offset)^power."""
+def _eta_factors(mult: Fraction, order: Fraction, power: int, grid: int) -> list:
+    """The factors (1 - q^(n*mult))^power of eta(mult*tau)^power below ``order``,
+    exponents on the grid 1/grid (a multiple of the denominator of mult)."""
     if mult <= 0:
         raise ValueError("mult must be positive")
     if order <= 0:
         raise ValueError("order must be positive")
-    ns = range(1, math.ceil(order / mult))
-    # -e(n*offset) = e(n*t/10 + 1/2); e(offset) itself is the n = 1 unit
-    t = unit_index(offset) if ns else 0
-    return [(n * mult, (n * t + 5) % 10, power) for n in ns]
+    step = mult.numerator * (grid // mult.denominator)  # n*mult is the key n*step
+    return [(k, MINUS_ONE, power)
+            for k in range(step, -(-order.numerator * grid // order.denominator), step)]
 
 
 def eta_q(mult: Rat, order: Rat = 20, offset: Rat = 0) -> FracSeries:
     """Dedekind eta at mult*tau + offset:  e(offset/24) q^(mult/24) prod (1 - e(n*offset) q^(n*mult)).
 
-    ``offset`` must make every e(n*offset) land in Q(zeta_5) (denominator
-    of offset dividing 5, or an integer); offset 1/5 realizes the
-    (tau+1)/5 arguments needed by the catalog.
+    ``offset`` must make every e(n*offset) land in Q(zeta_5): its denominator
+    must divide 10 (offset 1/5 realizes the (tau+1)/5 arguments of the
+    catalog).  Only the real product P(y) = prod (1 - y^n), y = q^mult, is
+    built; since prod (1 - (e(offset)*y)^n) = P(e(offset)*y), the offset then
+    twists it: the coefficient of y^n is multiplied by e(n*offset) =
+    ``UNITS[n*t mod 10]``, where e(offset) = e(t/10).  Below order mult there
+    is no factor, and offset enters only the phase e(offset/24).
     """
     mult, order, offset = Fraction(mult), Fraction(order), Fraction(offset)
-    factors = _eta_factors(mult, order, offset, 1)
-    return (_binomial_product(order, factors)
-            .phase_mul(Phase(offset / 24)).qpow_shift(mult / 24))
+    a, b = mult.numerator, mult.denominator
+    factors = _eta_factors(mult, order, 1, b)
+    t = unit_index(offset) if factors else 0
+    f = _binomial_product(order, factors, b)
+    tail = f.tail
+    if t:
+        # with a factor below order the grid is 1/b, so y^n = q^(n*a/b) is the key n*a
+        tail = {k: unit_vec(k // a * t % 10, v[0]) for k, v in tail.items()}
+    return FracSeries._make(f.scale, Phase(offset / 24), mult / 24, 0, f.den, tail, f.order,
+                            clean=True)
 
 
 EtaQuotientSpec = Iterable[tuple[Rat, int]]
@@ -342,8 +368,9 @@ def eta_quotient(spec: EtaQuotientSpec, order: Rat = 20) -> FracSeries:
     live = [(m, e) for m, e in entries if e]
     if not live:
         return FracSeries.one()
-    factors = [f for m, e in live for f in _eta_factors(m, order, Fraction(0), e)]
-    return _binomial_product(order, factors).qpow_shift(sum(m * e for m, e in live) / 24)
+    grid = math.lcm(*(m.denominator for m, _ in live))
+    factors = [f for m, e in live for f in _eta_factors(m, order, e, grid)]
+    return _binomial_product(order, factors, grid).qpow_shift(sum(m * e for m, e in live) / 24)
 
 
 def char_shift_phase(ch: ThetaChar, m: int, n: int) -> tuple[Phase, ThetaChar]:

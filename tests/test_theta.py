@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from theta5 import theta as theta_module
 from theta5.arith import divisor_sum, pentagonal_numbers, sigma
 from theta5.cli import series_to_dict
 from theta5.cyclo import UNITS, CycloQ5, Phase, PhaseNotRepresentable, unit_vec
@@ -73,6 +74,55 @@ def test_exact_below_prefactor_power_plus_order(ch):
     for m in range(4):
         for order in (F(1, 2), F(7), F(52, 5)):
             assert theta_const(ch, m, order).abs_order() == ch.eps ** 2 / 8 + order
+
+
+def _ref_theta_const(ch, m, order):
+    """theta_const with one Fraction exponent and one CycloQ5 coefficient per term."""
+    e, ep = ch.eps, ch.eps_prime
+    order = F(order)
+    terms = []
+    center = round(-e / 2)
+
+    def emit(n):
+        r = F(n) * (F(n) + e) / 2
+        if r >= order:
+            return False
+        terms.append((r, (n + e / 2) ** m * Phase(n * ep / 2).to_cyclo()))
+        return True
+
+    n = center
+    while emit(n):
+        n += 1
+    n = center - 1
+    while emit(n):
+        n -= 1
+    return FracSeries.from_terms(terms, order, m, Phase(e * ep / 4), e * e / 8)
+
+
+def _outcome(build):
+    try:
+        return series_to_dict(build())
+    except Exception as exc:  # the error, type and message, is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1), F(-1), F(1, 5), F(-3, 5), F(11, 5), F(-9, 5),
+                                 F(3), F(-7, 2), F(5, 3)], ids=str)
+def test_theta_const_matches_fraction_emission(eps):
+    # |eps| > 1 and eps < 0 put the lowest term below the prefactor, so keys shift into
+    # qpow; e' with denominator 2 raises PhaseNotRepresentable once an odd n is emitted
+    for ep in (F(0), F(1), F(-3), F(1, 2), F(-3, 2), F(1, 5), F(9, 5), F(-7, 5)):
+        for m in range(4):
+            for order in (F(1, 20), F(1, 2), F(7), F(52, 5), F(61, 3)):
+                ch = char(eps, ep)
+                want = _outcome(lambda: _ref_theta_const(ch, m, order))
+                assert _outcome(lambda: theta_const(ch, m, order)) == want, (ch, m, order)
+
+
+def test_theta_const_phase_not_representable():
+    with pytest.raises(PhaseNotRepresentable,
+                       match=r"^e\(1/6\) is not in Q\(zeta_5\): denominator 6 does not divide 10$"):
+        theta_const(char(1, F(1, 3)), 0, 5)
 
 
 def test_derivative_order_contract():
@@ -255,9 +305,12 @@ _UNIT_OF = {t: c for t in range(10) for c in (CycloQ5.zeta(j) * s for j in range
 
 
 def _check_product(order, factors):
-    """The kernel on unit indices against ``_ref_product`` on the same units as CycloQ5."""
+    """The kernel on unit indices against ``_ref_product`` on the same units as CycloQ5;
+    the rational exponents go to the kernel as integers on the lcm of their denominators."""
     want = series_to_dict(_ref_product(order, [(e, _UNIT_OF[t], k) for e, t, k in factors]))
-    assert series_to_dict(_binomial_product(order, factors)) == want, (order, factors)
+    grid = math.lcm(*(F(e).denominator for e, _, _ in factors))
+    on_grid = [(int(e * grid), t, k) for e, t, k in factors]
+    assert series_to_dict(_binomial_product(order, on_grid, grid)) == want, (order, factors)
 
 
 def test_unit_table():
@@ -323,26 +376,51 @@ def test_binomial_product_width_divisions(order):
     for c in (24, -24):
         got = _binomial_product(order, [(m, 5, -c) for m in range(1, n)])
         assert _int_coeffs(got, n) == [CycloQ5(a) for a in _euler_power(c, n)]
-    half = _binomial_product(order / 2, [(F(m, 2), 5, -24) for m in range(1, n)])
+    half = _binomial_product(order / 2, [(m, 5, -24) for m in range(1, n)], 2)
     assert [half.coefficient(F(i, 2)) for i in range(n)] == \
         [CycloQ5(a) for a in _euler_power(24, n)]
 
 
 @pytest.mark.parametrize("factors", [
-    [(F(-1, 2), 0, 1)], [(F(1), 0, 1), (-1, 5, 1)],
+    [(-1, 0, 1)], [(2, 0, 1), (-2, 5, 1)],
     [(0, 2, -1)], [(0, 5, -3)],
     [(1, 10, 1)], [(1, -1, 1)], [(1, CycloQ5(2), 1)], [(1, CycloQ5(-1), 1)], [(1, F(5), 1)],
 ])
 def test_binomial_product_rejects_bad_factors(factors):
-    # a negative exponent, division by a constant binomial, or c not one of the ten units
+    # a negative exponent, division by a constant binomial, or c not one of the ten units;
+    # exponents on the grid 1/2
     with pytest.raises(ValueError):
-        _binomial_product(F(3), factors)
+        _binomial_product(F(3), factors, 2)
 
 
 def test_binomial_product_rejects_bad_order():
     for order in (0, F(-1, 2)):
         with pytest.raises(ValueError):
             _binomial_product(order, [(1, 5, 1)])
+
+
+@pytest.mark.parametrize("build, width", [
+    (lambda: eta_q(F(1, 5), 100), 64),
+    (lambda: eta_q(F(1, 5), 100, F(2, 5)), 64),
+    (lambda: eta_q(1, 200), 40),
+    (lambda: eta_q(1, 200, F(3, 5)), 40),
+    *((lambda ch=ch: theta_const_product(ch, 80), 48)
+      for ch in CATALOG_CHARS if ch.eps.denominator == 5),
+    (lambda: eta_quotient([(1, 5), (5, -1)], 120), 72),
+    (lambda: eta_quotient([(5, 5), (1, -1)], 120), 48),
+])
+def test_slot_width_of_the_deep_builds(monkeypatch, build, width):
+    # the widths of the benchmark's deep builds; a cheaper search must not widen them
+    widths = []
+    real = theta_module._slot_bits
+
+    def record(*args):
+        widths.append(real(*args))
+        return widths[-1]
+
+    monkeypatch.setattr(theta_module, "_slot_bits", record)
+    build()
+    assert widths == [width]
 
 
 def test_eta_offset_errors():
@@ -369,11 +447,20 @@ def test_theta_product_exact_zero():
     assert d["coeffs"] == {} and d["order"] is None
 
 
+#: a fractional order for each multiplier, and another one for odd offsets
+_ETA_ORDERS = {F(1, 5): (F(7, 3), F(27, 10)), F(2, 5): (F(9, 2), F(11, 3)),
+               F(1): (F(17, 2), F(22, 3)), F(5): (F(61, 3), F(33, 2))}
+
+
 @pytest.mark.parametrize("mult,order,offset", [
     (F(1), F(10), F(0)), (F(1, 5), F(1, 10), F(0)), (F(5), F(3), F(0)),
     (F(1), F(8), F(1, 10)), (F(1, 5), F(3), F(-3, 5)), (F(2, 5), F(4), F(1, 5)),
+    # every offset k/10 with k in -10..20: every twist, and offsets outside [0, 1)
+    *((mult, orders[k % 2], F(k, 10)) for mult, orders in _ETA_ORDERS.items()
+      for k in range(-10, 21)),
 ])
 def test_eta_matches_reference(mult, order, offset):
+    # _ref_eta_q puts the unit e(n*offset) on each factor, with no twist
     got = series_to_dict(eta_q(mult, order, offset))
     assert got == series_to_dict(_ref_eta_q(mult, order, offset))
 
