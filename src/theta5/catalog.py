@@ -118,10 +118,11 @@ class IdentityReport:
 # the theta store
 # ---------------------------------------------------------------------------
 
-#: Monomial in theta constants -> (order, series, lowest absolute exponent of the
-#: series), the highest-order build so far.  A key is one factor (characteristic,
-#: derivative order, power), or a sorted tuple of two or more such factors with
-#: distinct (characteristic, derivative order).
+#: Monomial in theta constants, or product form -> (order, series, lowest
+#: absolute exponent of the series), the highest-order build so far.  A monomial
+#: key is one factor (characteristic, derivative order, power), or a sorted tuple
+#: of two or more such factors with distinct (characteristic, derivative order).
+#: A product form's key is its name and arguments, such as ("eta_q", 1, 0).
 #: Slots are read and replaced whole, and one is clipped only when its order is
 #: at least the request, so a race can only waste a build.
 _THETA: dict[tuple, tuple[Fraction, FracSeries, Fraction]] = {}
@@ -179,24 +180,54 @@ def _bound(key: tuple, order: Fraction) -> Fraction:
     gap, low = None, 0
     for ch, m, p in (key,) if key[0].__class__ is ThetaChar else key:
         a = ch.eps ** 2 / 8 + order
-        v = min(_stored((ch, m, 1), (ch, m, 1), order)[2], a)
+        single = (ch, m, 1)
+        v = min(_stored(single, order, lambda n: _build(single, n))[2], a)
         gap = a - v if gap is None else min(gap, a - v)
         low += p * v
     return gap + low
 
 
-def _stored(key: tuple, route: tuple, order: Fraction) -> tuple[Fraction, FracSeries, Fraction]:
-    """The slot, built along ``route`` unless it is stored at ``order`` or higher."""
+def _stored(key: tuple, order: Fraction,
+            build: Callable[[Fraction], FracSeries]) -> tuple[Fraction, FracSeries, Fraction]:
+    """The slot of ``key``, built by ``build(order)`` unless it is stored at ``order`` or higher."""
     slot = _THETA.get(key)
     if slot is None or slot[0] < order:
-        f = _build(route, order)
+        f = build(order)
         slot = _THETA[key] = (order, f, f.abs_val())
     return slot
 
 
 def _slot(route: tuple, order: Fraction) -> FracSeries:
     key = _key(route)
-    return _stored(key, route, order)[1]._clip_abs(_bound(key, order))
+    return _stored(key, order, lambda n: _build(route, n))[1]._clip_abs(_bound(key, order))
+
+
+def _form(key: tuple, order: Fraction, build: Callable[[Fraction], FracSeries]) -> FracSeries:
+    """The product form ``build(order)``, clipped from the store's highest-order
+    build of ``key``, the form's name and arguments.
+
+    A form is exact below the relative order it was built at, so a build at a
+    higher order clips to a fresh build's tail and order.  Its scale does not
+    depend on the order either: the G and H products are on the grid 1, and
+    eta and eta quotients have a factor of each multiplier below every order
+    the catalog asks for (at least 12; every multiplier is at most 5).
+    """
+    f = _stored(key, order, build)[1]
+    return f._clip_abs(f.qpow + order)
+
+
+def _eta(mult: Rat, N: Fraction, offset: Rat = 0) -> FracSeries:
+    """eta_q(mult, N, offset), from the store."""
+    return _form(("eta_q", mult, offset), N, lambda n: eta_q(mult, n, offset))
+
+
+def _eta_quotient(spec: tuple, N: Fraction) -> FracSeries:
+    """eta_quotient(spec, N), from the store; ``spec`` is a tuple of (m, e) pairs."""
+    return _form(("eta_quotient", spec), N, lambda n: eta_quotient(spec, n))
+
+
+#: eta^5(t)/eta(5t) and eta^5(5t)/eta(t)
+_Z1, _Z2 = ((1, 5), (5, -1)), ((5, 5), (1, -1))
 
 
 def _build(route: tuple, order: Fraction) -> FracSeries:
@@ -241,13 +272,13 @@ def _homogeneous(pairs: Pairs) -> Pairs:
 # ---------------------------------------------------------------------------
 
 def _build_e1(N: Fraction, variant: str) -> Pairs:
-    lhs = eta_quotient([(1, 5), (5, -1)], N)
+    lhs = _eta_quotient(_Z1, N)
     rhs = _oracle_series(N, lambda n: -5 * arith.divisor_sum("A", n), constant=1)
     return [("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n", lhs, rhs)]
 
 
 def _build_e2(N: Fraction, variant: str) -> Pairs:
-    lhs = eta_quotient([(5, 5), (1, -1)], N)
+    lhs = _eta_quotient(_Z2, N)
     rhs = _oracle_series(N, lambda n: arith.divisor_sum("B", n))
     return [("eta^5(5t)/eta(t) = sum B(n) q^n", lhs, rhs)]
 
@@ -263,7 +294,7 @@ def _build_e3(N: Fraction, variant: str) -> Pairs:
 
 def _build_e4(N: Fraction, variant: str) -> Pairs:
     lhs = _th(_TH11, 1, N)
-    rhs = (eta_q(1, N) ** 3).cpow_shift(1).phase_mul(Phase(Fraction(1, 4)))
+    rhs = (_eta(1, N) ** 3).cpow_shift(1).phase_mul(Phase(Fraction(1, 4)))
     return [("theta'[1,1] = (2*pi*i) e(1/4) eta^3", lhs, rhs)]
 
 
@@ -428,7 +459,7 @@ def _build_r3(N: Fraction, variant: str) -> Pairs:
         bracket=(CycloQ5(-4), CycloQ5(44), CycloQ5(4)), scalar=CycloQ5(1))
     pairs = [("R3 bracket", lhs, rhs)]
     # the chain runs through Theta log(th_A/th_B) = sqrt(5) eta^5(5t)/eta(t)
-    pairs += _eta_chain_pairs(A, B, N, "R3", eta_top=eta_q(5, N), eta_bottom=eta_q(1, N),
+    pairs += _eta_chain_pairs(A, B, N, "R3", eta_top=_eta(5, N), eta_bottom=_eta(1, N),
                               top_scalar=sqrt5() * -25, theta_form_sign=+1)
     return pairs
 
@@ -439,7 +470,7 @@ def _build_r6(N: Fraction, variant: str) -> Pairs:
         A, B, N, swap=True,
         bracket=(CycloQ5(4), CycloQ5(44), CycloQ5(-4)), scalar=_z(1))
     pairs = [("R6 bracket", lhs, rhs)]
-    pairs += _eta_chain_pairs(A, B, N, "R6", eta_top=eta_q(_f(1, 5), N), eta_bottom=eta_q(1, N),
+    pairs += _eta_chain_pairs(A, B, N, "R6", eta_top=_eta(_f(1, 5), N), eta_bottom=_eta(1, N),
                               top_scalar=CycloQ5(1), theta_form_sign=-1)
     return pairs
 
@@ -450,8 +481,8 @@ def _build_r7a(N: Fraction, variant: str) -> Pairs:
         A, B, N, swap=True,
         bracket=(CycloQ5(4), _z(4) * -44, _z(3) * -4), scalar=CycloQ5(1))
     pairs = [("R7a bracket", lhs, rhs)]
-    pairs += _eta_chain_pairs(A, B, N, "R7a", eta_top=eta_q(_f(1, 5), N, _f(1, 5)),
-                              eta_bottom=eta_q(1, N, 1), top_scalar=CycloQ5(1), theta_form_sign=+1)
+    pairs += _eta_chain_pairs(A, B, N, "R7a", eta_top=_eta(_f(1, 5), N, _f(1, 5)),
+                              eta_bottom=_eta(1, N, 1), top_scalar=CycloQ5(1), theta_form_sign=+1)
     return pairs
 
 
@@ -459,7 +490,7 @@ def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
                       eta_top: FracSeries) -> Pairs:
     """3 (2*pi*i)^2 [Theta(eta_top) eta - Theta(eta) eta_top] th_A^2 th_B^2
        + eta_top eta [th'_A^2 th_B^2 + th'_B^2 th_A^2] = 0."""
-    eta1 = eta_q(1, N)
+    eta1 = _eta(1, N)
     ab = (A, 0, 1), (B, 0, 1)
     log_part = ((eta_top.theta_op() * eta1 - eta1.theta_op() * eta_top)
                 * _thp(N, ab, ab)).scalar_mul(3).cpow_shift(2)
@@ -470,12 +501,12 @@ def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
 
 def _build_fk5(N: Fraction, variant: str) -> Pairs:
     return _farkas_kra_pairs(*_PAIR5, N,
-                             "FK5 log-derivative relation", eta_q(5, N))
+                             "FK5 log-derivative relation", _eta(5, N))
 
 
 def _build_fk6(N: Fraction, variant: str) -> Pairs:
     return _farkas_kra_pairs(*_PAIR6, N,
-                             "FK6 log-derivative relation", eta_q(_f(1, 5), N))
+                             "FK6 log-derivative relation", _eta(_f(1, 5), N))
 
 
 def _g_product(sign: int, N: Fraction) -> FracSeries:
@@ -485,20 +516,23 @@ def _g_product(sign: int, N: Fraction) -> FracSeries:
     (1 - z^2 x)(1 - z^3 x) and 1 + (1-sqrt5)/2 x + x^2 = (1 - z x)(1 - z^4 x).
     """
     u1, u2 = (UNITS.index((-1, r)) for r in ((2, 3) if sign > 0 else (1, 4)))  # -z^r
-    factors = [f for n in range(1, math.ceil(N) + 1)
-               for f in ((n, MINUS_ONE, 5), (n, u1, 5), (n, u2, 5), (5 * n, MINUS_ONE, -3))]
-    return _binomial_product(N, factors)
+    return _form(("G", sign), N, lambda n: _binomial_product(n, [
+        f for k in range(1, math.ceil(n) + 1)
+        for f in ((k, MINUS_ONE, 5), (k, u1, 5), (k, u2, 5), (5 * k, MINUS_ONE, -3))]))
 
 
 def _h_product(which: int, N: Fraction) -> FracSeries:
     """H1 = prod (1-q^n)^2 / ((1-q^(5n-1))(1-q^(5n-4)))^5,
        H2 = q * prod (1-q^n)^2 / ((1-q^(5n-2))(1-q^(5n-3)))^5."""
     r1, r2 = (1, 4) if which == 1 else (2, 3)
-    factors = [f for n in range(1, math.ceil(N) + 1)
-               for f in ((n, MINUS_ONE, 2), (5 * n - r1, MINUS_ONE, -5),
-                         (5 * n - r2, MINUS_ONE, -5))]
-    out = _binomial_product(N, factors)
-    return out.qpow_shift(1) if which == 2 else out
+
+    def build(n: Fraction) -> FracSeries:
+        out = _binomial_product(n, [f for k in range(1, math.ceil(n) + 1)
+                                    for f in ((k, MINUS_ONE, 2), (5 * k - r1, MINUS_ONE, -5),
+                                              (5 * k - r2, MINUS_ONE, -5))])
+        return out.qpow_shift(1) if which == 2 else out
+
+    return _form(("H", which), N, build)
 
 
 def _c_plus_minus() -> tuple[CycloQ5, CycloQ5]:
@@ -510,8 +544,8 @@ def _c_plus_minus() -> tuple[CycloQ5, CycloQ5]:
 
 def _build_c511(N: Fraction, variant: str) -> Pairs:
     s5 = sqrt5()
-    lhs = (eta_quotient([(1, 5), (5, -1)], N).scalar_mul(s5 * Fraction(22, 50))
-           + eta_quotient([(5, 5), (1, -1)], N).scalar_mul(s5 * 5))
+    lhs = (_eta_quotient(_Z1, N).scalar_mul(s5 * Fraction(22, 50))
+           + _eta_quotient(_Z2, N).scalar_mul(s5 * 5))
     cp, cm = _c_plus_minus()
     gp, gm = _g_product(+1, N), _g_product(-1, N)
     rhs = (gp * gp).scalar_mul(cp) - (gm * gm).scalar_mul(cm)
@@ -544,8 +578,8 @@ def _build_ps1(sign: int) -> Callable[[Fraction, str], Pairs]:
 def _build_c611(N: Fraction, variant: str) -> Pairs:
     h1, h2 = _h_product(1, N), _h_product(2, N)
     lhs = h1 * h1 - h2 * h2
-    rhs = (eta_quotient([(5, 5), (1, -1)], N).scalar_mul(11)
-           + eta_quotient([(1, 5), (5, -1)], N))
+    rhs = (_eta_quotient(_Z2, N).scalar_mul(11)
+           + _eta_quotient(_Z1, N))
     return [("H1^2 - H2^2 = 11 Z2 + Z1", lhs, rhs)]
 
 
@@ -573,7 +607,7 @@ def _xyz_level5(N: Fraction) -> tuple[FracSeries, ...]:
     """(X, Y, Z, XY, F) with F = X^2 - 11XY - Y^2."""
     A, B = _PAIR5
     X, Y = _th(A, 0, N, 5), _th(B, 0, N, 5)
-    Z = eta_quotient([(1, 5), (5, -1)], N)
+    Z = _eta_quotient(_Z1, N)
     XY = _thp(N, (A, 0, 5), (B, 0, 5))
     return X, Y, Z, XY, _th(A, 0, N, 10) - XY.scalar_mul(11) - _th(B, 0, N, 10)
 
@@ -589,7 +623,7 @@ def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, ...]:
     Npre = _fifth_order(N)
     A, B = _PAIR6
     X, Y = _th(A, 0, Npre, 5).rescale_exponent(5), _th(B, 0, Npre, 5).rescale_exponent(5)
-    Z = eta_quotient([(5, 5), (1, -1)], N)
+    Z = _eta_quotient(_Z2, N)
     XY = _thp(Npre, (A, 0, 5), (B, 0, 5)).rescale_exponent(5)
     return X, Y, Z, XY, (_th(A, 0, Npre, 10).rescale_exponent(5) + XY.scalar_mul(11)
                          - _th(B, 0, Npre, 10).rescale_exponent(5))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -28,6 +29,26 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _parse_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (tol > 0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return tol
 
 
 def _parse_char(text: str) -> tuple[Fraction, Fraction]:
@@ -253,12 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("coeffs", help="divisor-sum kernel tables")
     sp.add_argument("--kernel", required=True, choices=KERNELS)
-    sp.add_argument("--upto", type=int, required=True)
+    sp.add_argument("--upto", type=_parse_count, required=True)
     add_format(sp)
     sp.set_defaults(fn=_cmd_coeffs)
 
     sp = sub.add_parser("partitions", help="partition numbers p(0..N)")
-    sp.add_argument("--upto", type=int, required=True)
+    sp.add_argument("--upto", type=_parse_count, required=True)
     add_format(sp)
     sp.set_defaults(fn=_cmd_partitions)
 
@@ -266,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--id", nargs="+", help="check ids (N1..N6; default all)")
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--seed", type=int, default=numeric.DEFAULT_CONFIG.rng_seed)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_parse_tolerance, default=None)
     add_format(sp)
     sp.set_defaults(fn=_cmd_numeric_check)
 

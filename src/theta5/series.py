@@ -20,11 +20,18 @@ works on these integers.  Rationals appear only at the boundary: the
 constructor takes CycloQ5 coefficients in, and ``coeffs``, the CycloQ5 view
 that rendering and callers read, is built from the integers on first use.
 
-Products multiply the denominators and convolve the integer tails, with each
-4-vector packed into one integer so that a pair of terms costs one integer
-product (a Kronecker substitution in zeta only; see ``_convolve``).  A square
-(both operands one object, as in ``f * f`` and inside ``**``) multiplies each
-unordered pair of terms once.
+Products multiply the denominators and convolve the integer tails
+(``_convolve``), along one of two paths that return the same dict.  A product
+with at least 24 term pairs per output key (48 for a square) packs each
+zeta-coordinate of each tail into one integer, a w-bit slot per key, and
+multiplies the coordinates as 16 big-integer products, then folds z^5 = 1 on
+the packed results (a Kronecker substitution in q; ``_kronecker``).  The slot
+width w = bits(a) + bits(b) + bit_length(min(len a, len b)) + 5, bits being the
+bit length of the largest |coordinate|, holds every folded coefficient.  Any
+other product packs each 4-vector into one integer, so that a pair of terms
+costs one integer product (a Kronecker substitution in zeta only;
+``_term_pairs``).  A square (both operands one object, as in ``f * f`` and
+inside ``**``) multiplies each unordered pair of terms, or of coordinates, once.
 
 Truncation propagates soundly: if f is exact below A and g below B, their
 product is exact below min(A + val(g), B + val(f)), val being the smallest
@@ -38,6 +45,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
+from sys import byteorder
 from typing import Iterable, Optional, Union
 
 from .cyclo import (CycloQ5, Phase, PhaseNotRepresentable, Rat,
@@ -48,8 +56,13 @@ Coeff = Union[int, Fraction, CycloQ5]
 Vec = tuple[int, int, int, int]
 
 _ZERO: Vec = (0, 0, 0, 0)
-#: ``_convolve`` accumulates in lists up to this many keys per term pair.
+#: ``_term_pairs`` accumulates in lists up to this many keys per term pair.
 _DENSE_SPAN = 4
+#: ``_convolve`` multiplies by ``_kronecker`` from this many term pairs per output slot.
+_KRONECKER_GATE = 24
+#: memoryview formats of the signed slots of 2, 4 and 8 bytes; they read the
+#: little-endian slots in native byte order, so a big-endian host has none.
+_SLOT_FORMATS = {2: "h", 4: "i", 8: "q"} if byteorder == "little" else {}
 _PHASE0 = Phase(0)
 _setattr = object.__setattr__
 
@@ -534,7 +547,29 @@ def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, Vec]:
 
 def _convolve(a: dict[int, Vec], b: dict[int, Vec],
               key_bound: Optional[int]) -> dict[int, Vec]:
-    """Product of two integer tails, keys above ``key_bound`` dropped.
+    """Product of two integer tails, keys above ``key_bound`` dropped, zero
+    vectors left out, keys ascending.
+
+    Two paths give the same dict.  A dense product, one with at least
+    ``_KRONECKER_GATE`` term pairs per output slot (twice that for a square,
+    which multiplies only half of its pairs), goes to ``_kronecker``; the
+    output slots are the keys from min(a) + min(b) up to the bound.  Every
+    other product goes to ``_term_pairs``.  The gate reads only the operands'
+    sizes and key ranges.
+    """
+    if not a or not b:
+        return {}
+    top = max(a) + max(b)
+    key_bound = top if key_bound is None else min(key_bound, top)
+    slots = key_bound + 1 - min(a) - min(b)
+    if len(a) * len(b) >= _KRONECKER_GATE * (2 if a is b else 1) * slots:
+        return _kronecker(a, b, key_bound)
+    return _term_pairs(a, b, key_bound)
+
+
+def _term_pairs(a: dict[int, Vec], b: dict[int, Vec],
+                key_bound: Optional[int]) -> dict[int, Vec]:
+    """``_convolve`` one term pair at a time.
 
     Each vector v is packed once as v0 + v1*X + v2*X^2 + v3*X^3 with X = 2^s,
     so a term pair costs one integer product, and the sum at a key is
@@ -599,6 +634,103 @@ def _convolve(a: dict[int, Vec], b: dict[int, Vec],
         if r0 or r1 or r2 or r3:
             out[k] = (r0, r1, r2, r3)
     return out
+
+
+def _kronecker(a: dict[int, Vec], b: dict[int, Vec],
+               key_bound: Optional[int]) -> dict[int, Vec]:
+    """``_convolve`` as 16 big-integer products (10 for a square, ``a is b``).
+
+    Each operand becomes four integers, one per z-coordinate j:
+    A_j = sum_k a[k][j] * X^(k - min a) with X = 2^w, one w-bit slot per key
+    and keys past the output range left out.  The products A_i*B_j, summed by
+    i + j, are the seven z-degree polynomials U_0..U_6 along q; zero operand
+    integers (the coordinates a real series lacks) are skipped.  z^5 = 1 and
+    z^4 = -(1+z+z^2+z^3) fold them on the packed integers, R_j = U_j - U_4
+    plus U_5 and U_6 into R_0 and R_1, and only the slots below the key bound
+    are read back.
+
+    Slot width.  At one key, at most L = min(len a, len b) term pairs meet,
+    and each U_m sums at most 4 coordinate products of each, so
+    |U_m| < 4 * L * 2^(bits a + bits b), bits being the bit length of the
+    largest |coordinate|.  A folded slot sums at most three such U_m, and
+    12 < 2^4, so |R_j| < 2^(bits a + bits b + bit_length(L) + 4) and
+    w = bits a + bits b + bit_length(L) + 5 holds it with a sign bit.  Only the
+    folded slots need to fit: the packed operands and products are exact
+    signed integers, whatever their slots carry into each other.  w is rounded
+    up to 2, 4 or 8 bytes, which memoryview packs and unpacks in C as signed
+    slots, or else to whole bytes.
+
+    Signed slots.  Write each coordinate as a w-bit two's complement slot c
+    mod 2^w; setting each slot's top bit with XOR turns it into c + 2^(w-1),
+    never negative, so the packed integer minus 2^(w-1) in every slot is
+    A_j.  Reading back, R + 2^(w-1) in every slot has digits in [0, 2^w) below
+    the bound, whatever lies above it, so its low slots are exact; XOR with
+    the top bits gives each slot r as two's complement again.
+    """
+    if not a or not b:
+        return {}
+    square = a is b
+    la, lb = min(a), min(b)
+    top = max(a) + max(b)
+    key_bound = top if key_bound is None else min(key_bound, top)
+    n = key_bound - la - lb + 1  # the output slots
+    if n <= 0:
+        return {}
+    w = (max(map(abs, chain.from_iterable(a.values()))).bit_length()
+         + max(map(abs, chain.from_iterable(b.values()))).bit_length()
+         + min(len(a), len(b)).bit_length() + 5)
+    nbytes = 2 if w <= 16 else 4 if w <= 32 else 8 if w <= 64 else -(-w // 8)
+    w = 8 * nbytes
+    fmt = _SLOT_FORMATS.get(nbytes)
+    ones = (1 << w) - 1
+
+    def pack(t: dict[int, Vec], low: int, high: int) -> list[int]:
+        """A_0..A_3 of the keys low..high of t."""
+        size = min(max(t), high) - low + 1
+        signs = ((1 << size * w) - 1) // ones << (w - 1)  # the top bit of every slot
+        if fmt:
+            raw = [bytearray(size * nbytes) for _ in range(4)]
+            c0, c1, c2, c3 = (memoryview(r).cast(fmt) for r in raw)
+        else:
+            c0, c1, c2, c3 = raw = [[0] * size for _ in range(4)]
+        for k, (v0, v1, v2, v3) in t.items():
+            if k <= high:
+                i = k - low
+                c0[i] = v0
+                c1[i] = v1
+                c2[i] = v2
+                c3[i] = v3
+        if not fmt:
+            raw = [b"".join([x.to_bytes(nbytes, "little", signed=True) for x in c]) for c in raw]
+        return [(int.from_bytes(r, "little") ^ signs) - signs for r in raw]
+
+    A = pack(a, la, key_bound - lb)
+    u = [0] * 7
+    if square:
+        for i, x in enumerate(A):
+            if x:
+                u[2 * i] += x * x
+                for j in range(i + 1, 4):
+                    if A[j]:
+                        u[i + j] += x * A[j] << 1
+    else:
+        B = pack(b, lb, key_bound - la)
+        for i, x in enumerate(A):
+            if x:
+                for j, y in enumerate(B):
+                    if y:
+                        u[i + j] += x * y
+    u4 = u[4]
+    mask = (1 << n * w) - 1
+    signs = mask // ones << (w - 1)
+    size = n * nbytes
+    cols = []
+    for r in (u[0] + u[5] - u4, u[1] + u[6] - u4, u[2] - u4, u[3] - u4):
+        raw = (((r + signs) & mask) ^ signs).to_bytes(size, "little")
+        cols.append(memoryview(raw).cast(fmt).tolist() if fmt else
+                    [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                     for i in range(0, size, nbytes)])
+    return {k: v for k, v in enumerate(zip(*cols), la + lb) if v != _ZERO}
 
 
 class EqualityResult:

@@ -433,3 +433,60 @@ def test_store_races_return_the_requested_order(empty_store):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+_FIELDS = ("scale", "phase", "qpow", "cpow", "den", "order")
+
+
+def _served_forms(monkeypatch, order):
+    """(key, order, order of the slot it came from, fresh build, served series)
+    for each product form that verify_all(order) asks the store for."""
+    served = []
+    real = catalog_module._form
+
+    def record(key, n, build):
+        f = real(key, n, build)
+        served.append((key, n, _THETA[key][0], build(n), f))
+        return f
+
+    monkeypatch.setattr(catalog_module, "_form", record)
+    verify_all(order)
+    monkeypatch.setattr(catalog_module, "_form", real)
+    return served
+
+
+@pytest.mark.parametrize("prefill", [None, 40])
+def test_store_product_forms_equal_fresh_builds(empty_store, monkeypatch, prefill):
+    # a form served from the store, built at this order or clipped from a build
+    # at a higher one, is field for field the form built afresh
+    if prefill:
+        verify_all(prefill)
+    served = _served_forms(monkeypatch, 20)
+    assert {key[0] for key, _, _, _, _ in served} == {"eta_q", "eta_quotient", "G", "H"}
+    for key, n, _, fresh, got in served:
+        assert [getattr(got, a) for a in _FIELDS] == [getattr(fresh, a) for a in _FIELDS], key
+        assert list(got.tail.items()) == list(fresh.tail.items()), key
+    clipped = sum(built > n for _, n, built, _, _ in served)
+    assert (len(served), clipped) == (35, 35 if prefill else 13)
+
+
+def test_store_builds_each_product_form_once(empty_store, monkeypatch):
+    # verify_all(20) made 48 binomial products, 14 of them repeats; the two
+    # left share a real product between eta at offsets 0 and 1/5, and 0 and 1
+    import theta5.theta as theta_module
+    calls = []
+    real = theta_module._binomial_product
+
+    def traced(order, factors, grid=1):
+        factors = tuple(factors)
+        calls.append((order, factors, grid))
+        return real(order, factors, grid)
+
+    monkeypatch.setattr(theta_module, "_binomial_product", traced)
+    monkeypatch.setattr(catalog_module, "_binomial_product", traced)
+    verify_all(20)
+    repeats = [c for i, c in enumerate(calls) if c in calls[:i]]
+    assert (len(calls), len(repeats)) == (25, 2)
+    assert {(order, grid) for order, _, grid in repeats} == {(30, 1), (30, 5)}
+    forms = [k for k in empty_store if isinstance(k[0], str)]
+    assert len(forms) == 11

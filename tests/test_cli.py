@@ -201,6 +201,24 @@ def test_numeric_check_empty_sample_count_is_an_error():
             assert "pass" not in text
 
 
+def test_negative_upto_is_a_usage_error(capsys):
+    for argv in (("coeffs", "--kernel", "A", "--upto", "-3"), ("partitions", "--upto", "-1")):
+        code, text = invoke(*argv)
+        assert (code, text) == (2, "")
+        assert "--upto: must not be negative" in capsys.readouterr().err
+    # zero is still a valid, empty or one-row, table
+    assert invoke("coeffs", "--kernel", "A", "--upto", "0") == (0, "")
+    assert invoke("partitions", "--upto", "0") == (0, "0 1\n")
+
+
+def test_tolerance_must_be_positive_and_finite(capsys):
+    # a bad tolerance is a usage error, not a failed check
+    for tol in ("-1", "0", "nan", "inf", "-inf", "x"):
+        code, text = invoke("numeric-check", "--id", "N1", "--tol", tol)
+        assert (code, text) == (2, ""), tol
+        assert "argument --tol" in capsys.readouterr().err
+
+
 def test_numeric_check_custom_tolerance_failure_path():
     # an absurdly small tolerance forces a reported failure and exit 1
     code, text = invoke("numeric-check", "--id", "N4", "--tol", "1e-30")

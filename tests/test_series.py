@@ -1,5 +1,6 @@
 """Ring operations, truncation contracts, and rendering of FracSeries."""
 
+import functools
 import math
 import random
 import sys
@@ -17,7 +18,7 @@ from theta5.cyclo import CycloQ5, Phase, PhaseNotRepresentable
 from theta5.numeric import eta_num, series_eval_num
 from theta5.series import (FracSeries, IncompatibleConstantPower,
                            NonInvertibleSeries, UnabsorbablePrefactor,
-                           _convolve, series_equal)
+                           _convolve, _kronecker, _term_pairs, series_equal)
 from theta5.theta import char, eta_q, eta_quotient, theta_const
 
 
@@ -666,16 +667,19 @@ def test_coeffs_view_is_thread_safe():
 
 
 # ---------------------------------------------------------------------------
-# the zeta-packed product at its slot bound
+# the two product paths at their slot bounds
 # ---------------------------------------------------------------------------
 #
-# _convolve packs each 4-vector into one integer with slots of
-# s = bits(a) + bits(b) + bit_length(min(len a, len b)) + 3 bits.  The inputs
-# below make one slot sum as much as it can: equal or sign-alternating
-# coordinates of the largest size a bit length allows, on dense runs of keys,
-# so one key sums min(len a, len b) term pairs of 4 coordinate products each.
-# A run against itself (``run, run``) takes the square path, which sums each
-# unordered pair once and doubles it: the same sums under the same s.
+# _term_pairs packs each 4-vector into one integer with slots of
+# s = bits(a) + bits(b) + bit_length(min(len a, len b)) + 3 bits; _kronecker
+# packs each z-coordinate of a tail into one integer with a slot per key of
+# w = bits(a) + bits(b) + bit_length(min(len a, len b)) + 5 bits, rounded up
+# to 2, 4, 8 or whole bytes.  The inputs below make one slot sum as much as it
+# can: equal or sign-alternating coordinates of the largest size a bit length
+# allows, on dense runs of keys, so one key sums min(len a, len b) term pairs
+# of 4 coordinate products each.  A run against itself (``run, run``) takes
+# the square path, which sums each unordered pair once and doubles it: the
+# same sums under the same width.
 
 
 def _vmul(a, b):
@@ -720,14 +724,50 @@ def _slot_cases(b):
             yield {k: tuple(-c for c in x) if k % 2 else x for k in range(n)}, run
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_products(b):
+    """(a, c, full product) for each slot case at bit length b, shared by the
+    tests of each product path."""
+    return [(a, c, _schoolbook(a, c, None)) for a, c in _slot_cases(b)]
+
+
 @pytest.mark.parametrize("b", [1, 7, 64, 200])
 def test_convolve_matches_schoolbook_at_the_slot_bound(b):
-    for i, (a, c) in enumerate(_slot_cases(b)):
-        full = _schoolbook(a, c, None)
+    for i, (a, c, full) in enumerate(_slot_products(b)):
         assert _convolve(a, c, None) == full
         # a bound at the key that sums the most term pairs, or one above it
         kb = len(a) - 1 if i % 2 else (max(a) + max(c) + len(a)) // 2
         assert _convolve(c, a, kb) == {k: v for k, v in full.items() if k <= kb}
+
+
+def _slot_bounds(i, a, c):
+    """Key bounds for the i-th slot case: none, at the key that sums the most
+    term pairs or one above it, past the product, and below its lowest key."""
+    inside = len(a) - 1 if i % 2 else (max(a) + max(c) + len(a)) // 2
+    return None, inside, max(a) + max(c) + 3, min(a) + min(c) - 1
+
+
+@pytest.mark.parametrize("path", [_kronecker, _term_pairs])
+@pytest.mark.parametrize("b", [1, 7, 64, 200])
+def test_each_path_matches_schoolbook_at_the_slot_bound(path, b):
+    for i, (a, c, full) in enumerate(_slot_products(b)):
+        for j, kb in enumerate(_slot_bounds(i, a, c)):
+            want = {k: v for k, v in sorted(full.items()) if kb is None or k <= kb}
+            got = path(a, c, kb) if j % 2 else path(c, a, kb)
+            assert got == want and list(got) == list(want), (i, kb)
+
+
+@pytest.mark.parametrize("b", [1, 7])
+def test_kronecker_bytes_path_at_the_slot_bound(monkeypatch, b):
+    # slots of 2, 4 and 8 bytes read back through int.from_bytes, as on a
+    # host without the little-endian memoryview formats
+    import theta5.series as series_module
+    monkeypatch.setattr(series_module, "_SLOT_FORMATS", {})
+    for i, (a, c, full) in enumerate(_slot_products(b)):
+        for kb in _slot_bounds(i, a, c):
+            want = {k: v for k, v in sorted(full.items()) if kb is None or k <= kb}
+            got = _kronecker(a, c, kb)
+            assert got == want and list(got) == list(want), (i, kb)
 
 
 _big = st.integers(-2 ** 200, 2 ** 200)
@@ -755,3 +795,89 @@ def test_convolve_square_matches_schoolbook_property(a, key_bound):
     # the square path: both operands are one object; bounds inside and past the product
     assert _convolve(a, a, key_bound) == _schoolbook(a, a, key_bound)
     assert _convolve(a, a, key_bound) == _convolve(a, dict(a), key_bound)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker gate
+# ---------------------------------------------------------------------------
+
+#: the coordinates a tail's vectors use: all four, the real ones, and others
+_COLUMNS = [(0, 1, 2, 3), (0,), (1, 3), (2,), (0, 1, 2)]
+
+
+@st.composite
+def dense_tails(draw, min_len):
+    """A run of at least ``min_len`` consecutive keys, up to three of them
+    missing, with coordinates of either sign up to 2^bits on the drawn columns.
+    Two runs of 56 keys, or one of 106 squared, cross the Kronecker gate."""
+    n = draw(st.integers(min_len, min_len + 24))
+    start = draw(st.integers(0, 6))
+    bits = draw(st.sampled_from([1, 8, 31, 32, 33, 63, 64, 65, 120, 200]))
+    columns = draw(st.sampled_from(_COLUMNS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    keys = list(range(start, start + n))
+    for _ in range(draw(st.integers(0, 3))):
+        keys.remove(rng.choice(keys))
+    tail = {}
+    for k in keys:
+        v = [0, 0, 0, 0]
+        while not any(v):
+            for j in columns:
+                v[j] = rng.randint(-2 ** bits, 2 ** bits)
+        tail[k] = tuple(v)
+    return tail
+
+
+def _crosses_the_gate(a, b, key_bound):
+    top = max(a) + max(b)
+    slots = (top if key_bound is None else min(key_bound, top)) + 1 - min(a) - min(b)
+    return len(a) * len(b) >= 24 * (2 if a is b else 1) * slots
+
+
+def _check_paths(a, b, key_bound):
+    want = _schoolbook(a, b, key_bound)
+    for got in (_kronecker(a, b, key_bound), _convolve(a, b, key_bound)):
+        assert got == want
+        assert list(got) == sorted(got)
+    assert _term_pairs(a, b, key_bound) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_tails(56), dense_tails(56), st.one_of(st.none(), st.integers(-1, 170)))
+def test_kronecker_matches_schoolbook_and_the_loop_property(a, b, key_bound):
+    if key_bound is None:
+        assert _crosses_the_gate(a, b, None)
+    _check_paths(a, b, key_bound)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dense_tails(106), st.one_of(st.none(), st.integers(-1, 270)))
+def test_kronecker_square_matches_schoolbook_and_the_loop_property(a, key_bound):
+    # the square path: both operands are one object
+    if key_bound is None:
+        assert _crosses_the_gate(a, a, None)
+    _check_paths(a, a, key_bound)
+    assert _kronecker(a, a, key_bound) == _kronecker(a, dict(a), key_bound)
+
+
+def test_convolve_gate(monkeypatch):
+    # 24 term pairs per output slot, or 48 for a square, take the Kronecker path
+    import theta5.series as series_module
+    taken = []
+    for name in ("_kronecker", "_term_pairs"):
+        path = getattr(series_module, name)
+        monkeypatch.setattr(series_module, name,
+                            lambda a, b, kb, name=name, path=path: taken.append(name) or path(a, b, kb))
+    run = {k: (1, -2, 3, -4) for k in range(48)}
+    short = {k: (1, -2, 3, -4) for k in range(46)}
+    cases = [(run, dict(run), None, "_kronecker"),  # 48*48 >= 24*95
+             (run, run, None, "_term_pairs"),  # a square: 48*48 < 48*95
+             (run, run, 47, "_kronecker"),  # 48 slots: 48*48 >= 48*48
+             (run, run, 48, "_term_pairs"),
+             (run, short, None, "_term_pairs"),  # 48*46 < 24*93
+             (run, short, -1, "_kronecker")]  # no output slot
+    for a, b, kb, path in cases:
+        taken.clear()
+        assert _convolve(a, b, kb) == _schoolbook(a, b, kb)
+        assert taken == [path], (len(a), len(b), kb)
+        assert _crosses_the_gate(a, b, kb) == (path == "_kronecker")
