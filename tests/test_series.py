@@ -7,11 +7,13 @@ import sys
 import threading
 from fractions import Fraction as F
 from typing import NamedTuple, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import theta5.series as series_module
 from theta5.arith import divisor_sum, partition_p, pentagonal_numbers
 from theta5.cli import series_to_dict
 from theta5.cyclo import CycloQ5, Phase, PhaseNotRepresentable
@@ -761,7 +763,6 @@ def test_each_path_matches_schoolbook_at_the_slot_bound(path, b):
 def test_kronecker_bytes_path_at_the_slot_bound(monkeypatch, b):
     # slots of 2, 4 and 8 bytes read back through int.from_bytes, as on a
     # host without the little-endian memoryview formats
-    import theta5.series as series_module
     monkeypatch.setattr(series_module, "_SLOT_FORMATS", {})
     for i, (a, c, full) in enumerate(_slot_products(b)):
         for kb in _slot_bounds(i, a, c):
@@ -828,41 +829,37 @@ def dense_tails(draw, min_len):
     return tail
 
 
-def _crosses_the_gate(a, b, key_bound):
-    top = max(a) + max(b)
-    slots = (top if key_bound is None else min(key_bound, top)) + 1 - min(a) - min(b)
-    return len(a) * len(b) >= 24 * (2 if a is b else 1) * slots
-
-
 def _check_paths(a, b, key_bound):
+    """Checks each product path against ``_schoolbook``; returns whether
+    ``_convolve`` took the Kronecker path."""
     want = _schoolbook(a, b, key_bound)
-    for got in (_kronecker(a, b, key_bound), _convolve(a, b, key_bound)):
+    with mock.patch.object(series_module, "_kronecker", wraps=_kronecker) as spy:
+        via_convolve = _convolve(a, b, key_bound)
+    for got in (via_convolve, _kronecker(a, b, key_bound)):
         assert got == want
         assert list(got) == sorted(got)
     assert _term_pairs(a, b, key_bound) == want
+    return spy.called
 
 
 @settings(max_examples=40, deadline=None)
 @given(dense_tails(56), dense_tails(56), st.one_of(st.none(), st.integers(-1, 170)))
 def test_kronecker_matches_schoolbook_and_the_loop_property(a, b, key_bound):
-    if key_bound is None:
-        assert _crosses_the_gate(a, b, None)
-    _check_paths(a, b, key_bound)
+    took_kronecker = _check_paths(a, b, key_bound)
+    assert took_kronecker or key_bound is not None
 
 
 @settings(max_examples=20, deadline=None)
 @given(dense_tails(106), st.one_of(st.none(), st.integers(-1, 270)))
 def test_kronecker_square_matches_schoolbook_and_the_loop_property(a, key_bound):
     # the square path: both operands are one object
-    if key_bound is None:
-        assert _crosses_the_gate(a, a, None)
-    _check_paths(a, a, key_bound)
+    took_kronecker = _check_paths(a, a, key_bound)
+    assert took_kronecker or key_bound is not None
     assert _kronecker(a, a, key_bound) == _kronecker(a, dict(a), key_bound)
 
 
 def test_convolve_gate(monkeypatch):
     # 24 term pairs per output slot, or 48 for a square, take the Kronecker path
-    import theta5.series as series_module
     taken = []
     for name in ("_kronecker", "_term_pairs"):
         path = getattr(series_module, name)
@@ -880,4 +877,3 @@ def test_convolve_gate(monkeypatch):
         taken.clear()
         assert _convolve(a, b, kb) == _schoolbook(a, b, kb)
         assert taken == [path], (len(a), len(b), kb)
-        assert _crosses_the_gate(a, b, kb) == (path == "_kronecker")
