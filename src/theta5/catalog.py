@@ -5,10 +5,12 @@ Every entry is verified in cross-multiplied polynomial form, so no theta
 series is ever inverted; both sides of a pair always carry the same power
 of (2*pi*i).  Each entry builds only the pairs it compares, and oracle
 series take their coefficients from ``arith`` alone, never from a series
-constructor.  Theta constants, and the products of them that several
-entries share, come from one store of monomials (``_th``, ``_thp``);
-``verify_ids`` runs entries highest store order first, so each is built
-once per run and every later request is a clip.  Entries whose printed
+constructor.  Theta constants, the products of them that several entries
+share, and the shared product forms come from one store (``_th``, ``_thp``);
+each slot holds its highest-order build, and a request at a lower order
+clips it by the difference of the orders (``_stored``).  ``verify_ids``
+runs entries highest store order first, so each is built once per run and
+every later request is a clip.  Entries whose printed
 source carries a misprint ship two variants: "as-stated" (the printed form,
 which fails and is reported as failing) and "corrected" (the repaired form,
 which passes).  The default suite runs as-stated variants and reports; it
@@ -118,14 +120,14 @@ class IdentityReport:
 # the theta store
 # ---------------------------------------------------------------------------
 
-#: Monomial in theta constants, or product form -> (order, series, lowest
-#: absolute exponent of the series), the highest-order build so far.  A monomial
-#: key is one factor (characteristic, derivative order, power), or a sorted tuple
-#: of two or more such factors with distinct (characteristic, derivative order).
-#: A product form's key is its name and arguments, such as ("eta_q", 1, 0).
-#: Slots are read and replaced whole, and one is clipped only when its order is
-#: at least the request, so a race can only waste a build.
-_THETA: dict[tuple, tuple[Fraction, FracSeries, Fraction]] = {}
+#: Monomial in theta constants, or product form -> (order, series), the
+#: highest-order build so far.  A monomial key is one factor (characteristic,
+#: derivative order, power), or a sorted tuple of two or more such factors with
+#: distinct (characteristic, derivative order).  A product form's key is its
+#: name and arguments, such as ("eta_q", 1, 0).  Slots are read and replaced
+#: whole, and one is clipped only when its order is at least the request, so a
+#: race can only waste a build.
+_THETA: dict[tuple, tuple[Fraction, FracSeries]] = {}
 
 #: theta[1,1], whose first derivative is the catalog's normaliser theta'[1,1]
 _TH11 = char(1, 1)
@@ -168,62 +170,42 @@ def _key(route: tuple) -> tuple:
     return factors[0] if len(factors) == 1 else tuple(factors)
 
 
-def _bound(key: tuple, order: Fraction) -> Fraction:
-    """Where a fresh product of the key's factors at ``order`` stops being exact.
+def _stored(key: tuple, order: Fraction, build: Callable[[Fraction], FracSeries]) -> FracSeries:
+    """``build(order)``, from the slot of ``key``: built and stored if the slot
+    is missing or below ``order``, else clipped at its absolute order less the
+    difference of the orders, where a fresh build stops being exact.
 
-    theta_const(ch, m, order) is exact below A = eps^2/8 + order, with lowest
-    exponent v (v = A for a zero series), and a product of such factors to the
-    powers p_i is exact below min_i(A_i - v_i) + sum_i p_i v_i.
+    A product of theta constants is exact below min_i(A_i - v_i) + sum_i p_i v_i,
+    A_i = eps_i^2/8 + order and v_i the lowest exponent of factor i, and only
+    the A_i move with the order.  A product form is exact below the relative
+    order it was built at, and its scale does not depend on the order: the G
+    and H products are on the grid 1, and eta and eta quotients have a factor
+    of each multiplier (at most 5) below every order the catalog asks for (at
+    least 12).  An empty tail, a product with the exact-zero theta[1,1] at
+    m = 0, has v_i = A_i, so its bound moves by a multiple of the difference;
+    it is built again.
     """
-    if key[0].__class__ is ThetaChar and key[2] == 1:
-        return key[0].eps ** 2 / 8 + order
-    gap, low = None, 0
-    for ch, m, p in (key,) if key[0].__class__ is ThetaChar else key:
-        a = ch.eps ** 2 / 8 + order
-        single = (ch, m, 1)
-        v = min(_stored(single, order, lambda n: _build(single, n))[2], a)
-        gap = a - v if gap is None else min(gap, a - v)
-        low += p * v
-    return gap + low
-
-
-def _stored(key: tuple, order: Fraction,
-            build: Callable[[Fraction], FracSeries]) -> tuple[Fraction, FracSeries, Fraction]:
-    """The slot of ``key``, built by ``build(order)`` unless it is stored at ``order`` or higher."""
     slot = _THETA.get(key)
     if slot is None or slot[0] < order:
-        f = build(order)
-        slot = _THETA[key] = (order, f, f.abs_val())
-    return slot
+        slot = _THETA[key] = (order, build(order))
+    built, f = slot
+    if built == order:
+        return f
+    return build(order) if f.is_zero_tail() else f._clip_abs(f.abs_order() - (built - order))
 
 
 def _slot(route: tuple, order: Fraction) -> FracSeries:
-    key = _key(route)
-    return _stored(key, order, lambda n: _build(route, n))[1]._clip_abs(_bound(key, order))
-
-
-def _form(key: tuple, order: Fraction, build: Callable[[Fraction], FracSeries]) -> FracSeries:
-    """The product form ``build(order)``, clipped from the store's highest-order
-    build of ``key``, the form's name and arguments.
-
-    A form is exact below the relative order it was built at, so a build at a
-    higher order clips to a fresh build's tail and order.  Its scale does not
-    depend on the order either: the G and H products are on the grid 1, and
-    eta and eta quotients have a factor of each multiplier below every order
-    the catalog asks for (at least 12; every multiplier is at most 5).
-    """
-    f = _stored(key, order, build)[1]
-    return f._clip_abs(f.qpow + order)
+    return _stored(_key(route), order, lambda n: _build(route, n))
 
 
 def _eta(mult: Rat, N: Fraction, offset: Rat = 0) -> FracSeries:
     """eta_q(mult, N, offset), from the store."""
-    return _form(("eta_q", mult, offset), N, lambda n: eta_q(mult, n, offset))
+    return _stored(("eta_q", mult, offset), N, lambda n: eta_q(mult, n, offset))
 
 
 def _eta_quotient(spec: tuple, N: Fraction) -> FracSeries:
     """eta_quotient(spec, N), from the store; ``spec`` is a tuple of (m, e) pairs."""
-    return _form(("eta_quotient", spec), N, lambda n: eta_quotient(spec, n))
+    return _stored(("eta_quotient", spec), N, lambda n: eta_quotient(spec, n))
 
 
 #: eta^5(t)/eta(5t) and eta^5(5t)/eta(t)
@@ -516,7 +498,7 @@ def _g_product(sign: int, N: Fraction) -> FracSeries:
     (1 - z^2 x)(1 - z^3 x) and 1 + (1-sqrt5)/2 x + x^2 = (1 - z x)(1 - z^4 x).
     """
     u1, u2 = (UNITS.index((-1, r)) for r in ((2, 3) if sign > 0 else (1, 4)))  # -z^r
-    return _form(("G", sign), N, lambda n: _binomial_product(n, [
+    return _stored(("G", sign), N, lambda n: _binomial_product(n, [
         f for k in range(1, math.ceil(n) + 1)
         for f in ((k, MINUS_ONE, 5), (k, u1, 5), (k, u2, 5), (5 * k, MINUS_ONE, -3))]))
 
@@ -532,7 +514,7 @@ def _h_product(which: int, N: Fraction) -> FracSeries:
                                               (5 * k - r2, MINUS_ONE, -5))])
         return out.qpow_shift(1) if which == 2 else out
 
-    return _form(("H", which), N, build)
+    return _stored(("H", which), N, build)
 
 
 def _c_plus_minus() -> tuple[CycloQ5, CycloQ5]:

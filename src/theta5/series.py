@@ -562,14 +562,16 @@ def _convolve(a: dict[int, Vec], b: dict[int, Vec],
     top = max(a) + max(b)
     key_bound = top if key_bound is None else min(key_bound, top)
     slots = key_bound + 1 - min(a) - min(b)
+    if slots <= 0:
+        return {}
     if len(a) * len(b) >= _KRONECKER_GATE * (2 if a is b else 1) * slots:
         return _kronecker(a, b, key_bound)
     return _term_pairs(a, b, key_bound)
 
 
-def _term_pairs(a: dict[int, Vec], b: dict[int, Vec],
-                key_bound: Optional[int]) -> dict[int, Vec]:
-    """``_convolve`` one term pair at a time.
+def _term_pairs(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int, Vec]:
+    """``_convolve`` one term pair at a time, ``key_bound`` at least
+    min(a) + min(b) and at most max(a) + max(b).
 
     Each vector v is packed once as v0 + v1*X + v2*X^2 + v3*X^3 with X = 2^s,
     so a term pair costs one integer product, and the sum at a key is
@@ -586,8 +588,6 @@ def _term_pairs(a: dict[int, Vec], b: dict[int, Vec],
     the diagonal and 2*x*y off it.  The sums, and so s, are those of the full
     product.
     """
-    if not a or not b:
-        return {}
     square = a is b
     if len(a) > len(b):
         a, b = b, a
@@ -597,8 +597,6 @@ def _term_pairs(a: dict[int, Vec], b: dict[int, Vec],
     s2, s3, s4, s5, s6 = 2 * s, 3 * s, 4 * s, 5 * s, 6 * s
     pb = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3))
           for k, (v0, v1, v2, v3) in sorted(b.items())]
-    top = max(a) + pb[-1][0]
-    key_bound = top if key_bound is None else min(key_bound, top)
     c = [0] * (key_bound + 1) if key_bound < _DENSE_SPAN * len(a) * len(b) else defaultdict(int)
     if square:
         keys = [k for k, _ in pb]
@@ -636,9 +634,9 @@ def _term_pairs(a: dict[int, Vec], b: dict[int, Vec],
     return out
 
 
-def _kronecker(a: dict[int, Vec], b: dict[int, Vec],
-               key_bound: Optional[int]) -> dict[int, Vec]:
-    """``_convolve`` as 16 big-integer products (10 for a square, ``a is b``).
+def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int, Vec]:
+    """``_convolve`` as 16 big-integer products (10 for a square, ``a is b``),
+    ``key_bound`` at least min(a) + min(b) and at most max(a) + max(b).
 
     Each operand becomes four integers, one per z-coordinate j:
     A_j = sum_k a[k][j] * X^(k - min a) with X = 2^w, one w-bit slot per key
@@ -664,18 +662,12 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec],
     mod 2^w; setting each slot's top bit with XOR turns it into c + 2^(w-1),
     never negative, so the packed integer minus 2^(w-1) in every slot is
     A_j.  Reading back, R + 2^(w-1) in every slot has digits in [0, 2^w) below
-    the bound, whatever lies above it, so its low slots are exact; XOR with
-    the top bits gives each slot r as two's complement again.
+    the bound, whatever lies above it, so its low slots are exact, and
+    ``_unpack`` reads them back.
     """
-    if not a or not b:
-        return {}
     square = a is b
     la, lb = min(a), min(b)
-    top = max(a) + max(b)
-    key_bound = top if key_bound is None else min(key_bound, top)
     n = key_bound - la - lb + 1  # the output slots
-    if n <= 0:
-        return {}
     w = (max(map(abs, chain.from_iterable(a.values()))).bit_length()
          + max(map(abs, chain.from_iterable(b.values()))).bit_length()
          + min(len(a), len(b)).bit_length() + 5)
@@ -721,16 +713,24 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec],
                     if y:
                         u[i + j] += x * y
     u4 = u[4]
-    mask = (1 << n * w) - 1
-    signs = mask // ones << (w - 1)
-    size = n * nbytes
-    cols = []
-    for r in (u[0] + u[5] - u4, u[1] + u[6] - u4, u[2] - u4, u[3] - u4):
-        raw = (((r + signs) & mask) ^ signs).to_bytes(size, "little")
-        cols.append(memoryview(raw).cast(fmt).tolist() if fmt else
-                    [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-                     for i in range(0, size, nbytes)])
+    signs = ((1 << n * w) - 1) // ones << (w - 1)
+    cols = [_unpack(r + signs, n, nbytes)
+            for r in (u[0] + u[5] - u4, u[1] + u[6] - u4, u[2] - u4, u[3] - u4)]
     return {k: v for k, v in enumerate(zip(*cols), la + lb) if v != _ZERO}
+
+
+def _unpack(packed: int, n: int, nbytes: int) -> list[int]:
+    """The n lowest slots of ``packed``, w = 8 * nbytes bits each, as the v in
+    [-2^(w-1), 2^(w-1)) of slots that hold v + 2^(w-1).  XOR with the top bit
+    of every slot gives v in two's complement, read back through ``memoryview``
+    for 2, 4 or 8 bytes and signed ``from_bytes`` otherwise."""
+    w, size = 8 * nbytes, n * nbytes
+    mask = (1 << n * w) - 1
+    raw = ((packed & mask) ^ (mask // ((1 << w) - 1) << (w - 1))).to_bytes(size, "little")
+    fmt = _SLOT_FORMATS.get(nbytes)
+    if fmt:
+        return memoryview(raw).cast(fmt).tolist()
+    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True) for i in range(0, size, nbytes)]
 
 
 class EqualityResult:

@@ -36,7 +36,7 @@ from operator import mul, neg
 from typing import Iterable
 
 from .cyclo import UNITS, Phase, Rat, unit_index, unit_vec
-from .series import FracSeries
+from .series import FracSeries, _unpack
 
 
 class ThetaChar:
@@ -218,7 +218,7 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
     multiplies by (1 - u*x^d)(1 + u^2*x^(2d))(1 + u^4*x^(4d))..., which is
     1/(1 + u*x^d) below x^size once 2^K*d >= size, so K = ceil(log2(size/d))
     passes.  Coordinates still zero are skipped, so a real product packs one
-    integer.  The slots are read back through ``to_bytes``, and z^4 =
+    integer.  The slots are read back by ``series._unpack``, and z^4 =
     -(1+z+z^2+z^3) folds the five coordinates a_m into the power basis as
     a_j - a_4.
     """
@@ -248,8 +248,7 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
     for d, _, _, k in steps:
         (ups if k > 0 else downs)[d] += abs(k)
     w = _slot_bits(size, ups, downs)
-    bias = 1 << (w - 1)
-    zero = ((1 << size * w) - 1) // ((1 << w) - 1) * bias  # every slot at the bias
+    zero = ((1 << size * w) - 1) // ((1 << w) - 1) << (w - 1)  # every slot at the bias
     U = [zero + 1, None, None, None, None]  # None: a coordinate that is still 0
 
     def unit_pass(d: int, s: int, r: int) -> None:
@@ -275,14 +274,7 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
             while dd < size:
                 unit_pass(dd, 1, rr)
                 dd, rr = 2 * dd, 2 * rr % 5
-    wb = w // 8
-    nb = size * wb
-
-    def slots(u: int) -> list[int]:
-        b = u.to_bytes(nb, "little")
-        return [int.from_bytes(b[i:i + wb], "little") - bias for i in range(0, nb, wb)]
-
-    a = [[0] * size if u is None else slots(u) for u in U]
+    a = [[0] * size if u is None else _unpack(u, size, w // 8) for u in U]
     if U[4] is not None:
         a = [[x - y for x, y in zip(c, a[4])] for c in a[:4]]
     tail = {i: v for i, v in enumerate(zip(*a[:4])) if v != (0, 0, 0, 0)}
