@@ -112,6 +112,8 @@ def _cmd_list(args, out) -> int:
 
 def _cmd_expand(args, out) -> int:
     order = args.order
+    if args.deriv and args.object != "theta":
+        raise ValueError("expand --deriv applies only to --object theta")
     if args.object == "theta":
         if args.char is None:
             raise ValueError("expand --object theta requires --char eps,eps'")

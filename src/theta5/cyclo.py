@@ -1,20 +1,26 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_5) and exact roots of unity.
 
-Every series coefficient in this package lives in Q(zeta_5), represented
-uniquely in the power basis 1, z, z^2, z^3 with z = zeta_5 = exp(2*pi*i/5)
-and the reduction z^4 = -1 - z - z^2 - z^3.  Roots of unity e(a) =
-exp(2*pi*i*a) with arbitrary rational a are carried separately as Phase
-objects; a Phase converts to a CycloQ5 element exactly when the reduced
-denominator of a divides 10 (via zeta_10 = -zeta_5^3).
+Every series coefficient in this package lives in Q(zeta_5), in the power basis
+1, z, z^2, z^3 with z = zeta_5 = exp(2*pi*i/5) and z^4 = -1 - z - z^2 - z^3.  A
+CycloQ5 element stores what a series tail entry stores, an integer 4-vector over
+one positive denominator in a unique reduced form, and multiplies through
+``_vmul``, the product in Z[zeta_5].  Roots of unity e(a) = exp(2*pi*i*a), a
+rational, are Phase objects; a Phase converts to a CycloQ5 element exactly when
+the reduced denominator of a divides 10 (via zeta_10 = -zeta_5^3).
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
+#: An element of Z[zeta_5] in the power basis 1, z, z^2, z^3.  Vectors are built
+#: from lists, not generators: tuple(generator) shrinks a larger tuple, and freeing
+#: it parks it on the 4-tuple free list, so bulk frees would raise peak memory.
+Vec = tuple[int, int, int, int]
 
 #: zeta_5 as a double-precision complex number, for the numeric embedding.
 ZETA5_NUMERIC = cmath.exp(2j * cmath.pi / 5)
@@ -24,20 +30,31 @@ def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class CycloQ5:
-    """An element c0 + c1*z + c2*z^2 + c3*z^3 of Q(zeta_5), z = zeta_5.
+def _vmul(a: Vec, b: Vec) -> Vec:
+    """Product in Z[zeta_5]: convolve to degree 6, then z^5 = 1 and z^4 = -(1+z+z^2+z^3)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    d4 = a1 * b3 + a2 * b2 + a3 * b1
+    return (a0 * b0 + a2 * b3 + a3 * b2 - d4, a0 * b1 + a1 * b0 + a3 * b3 - d4,
+            a0 * b2 + a1 * b1 + a2 * b0 - d4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - d4)
 
-    Immutable and hashable; the power-basis representation is unique, so
-    ``==`` is exact equality in the field.
+
+class CycloQ5:
+    """An element (v0 + v1*z + v2*z^2 + v3*z^3)/den of Q(zeta_5), z = zeta_5.
+
+    ``den`` > 0 and ``vec`` = (v0, v1, v2, v3) are integers with gcd 1, so ``==``
+    is exact equality in the field.  Immutable and hashable.  The constructor
+    takes ints and Fractions; ``c0..c3`` and ``coeffs()`` are Fractions.
     """
 
-    __slots__ = ("c0", "c1", "c2", "c3")
+    __slots__ = ("den", "vec")
 
     def __init__(self, c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, c3: Rat = 0):
-        object.__setattr__(self, "c0", _frac(c0))
-        object.__setattr__(self, "c1", _frac(c1))
-        object.__setattr__(self, "c2", _frac(c2))
-        object.__setattr__(self, "c3", _frac(c3))
+        # reduced Fractions over the lcm of their denominators share no factor with it
+        qs = [c if isinstance(c, int) else _frac(c) for c in (c0, c1, c2, c3)]
+        den = lcm(*[q.denominator for q in qs])
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "vec", tuple([q.numerator * (den // q.denominator) for q in qs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloQ5 is immutable")
@@ -45,27 +62,36 @@ class CycloQ5:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rational(cls, r: Rat) -> "CycloQ5":
-        return cls(_frac(r))
+    def from_ints(cls, vec: Vec, den: int = 1) -> "CycloQ5":
+        """vec/den, an integer 4-vector over a positive integer, in stored form."""
+        if den < 1:
+            raise ValueError("den must be a positive integer")
+        g = gcd(den, *vec)
+        self = object.__new__(cls)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "vec", vec if g == 1 else tuple([x // g for x in vec]))
+        return self
 
     @classmethod
     def zeta(cls, k: int = 1) -> "CycloQ5":
-        """zeta_5^k, reduced to the power basis."""
-        k %= 5
-        if k < 4:
-            return cls(*[1 if j == k else 0 for j in range(4)])
-        return cls(-1, -1, -1, -1)
+        """zeta_5^k = e(2k/10), reduced to the power basis."""
+        return cls.from_ints(unit_vec(2 * k % 10))
 
     # -- basic structure ----------------------------------------------
 
+    c0 = property(lambda self: Fraction(self.vec[0], self.den))
+    c1 = property(lambda self: Fraction(self.vec[1], self.den))
+    c2 = property(lambda self: Fraction(self.vec[2], self.den))
+    c3 = property(lambda self: Fraction(self.vec[3], self.den))
+
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.c0, self.c1, self.c2, self.c3)
+        return tuple([Fraction(x, self.den) for x in self.vec])
 
     def is_zero(self) -> bool:
-        return not (self.c0 or self.c1 or self.c2 or self.c3)
+        return self.vec == (0, 0, 0, 0)
 
     def is_rational(self) -> bool:
-        return not (self.c1 or self.c2 or self.c3)
+        return self.vec[1:] == (0, 0, 0)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -76,15 +102,14 @@ class CycloQ5:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloQ5(other)
-        if not isinstance(other, CycloQ5):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.coeffs() == other.coeffs()
+        return self.den == other.den and self.vec == other.vec
 
     def __hash__(self) -> int:
         # a rational element equals its int/Fraction value, so it must hash like it
-        return hash(self.c0) if self.is_rational() else hash(self.coeffs())
+        return hash(self.c0) if self.is_rational() else hash((self.den, self.vec))
 
     # -- ring operations ----------------------------------------------
 
@@ -92,13 +117,14 @@ class CycloQ5:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloQ5(self.c0 + other.c0, self.c1 + other.c1,
-                       self.c2 + other.c2, self.c3 + other.c3)
+        den = lcm(self.den, other.den)
+        m, n = den // self.den, den // other.den
+        return CycloQ5.from_ints(tuple([m * x + n * y for x, y in zip(self.vec, other.vec)]), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloQ5":
-        return CycloQ5(-self.c0, -self.c1, -self.c2, -self.c3)
+        return CycloQ5.from_ints(tuple([-x for x in self.vec]), self.den)
 
     def __sub__(self, other) -> "CycloQ5":
         other = _coerce(other)
@@ -113,42 +139,28 @@ class CycloQ5:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a0, a1, a2, a3 = self.coeffs()
-        b0, b1, b2, b3 = other.coeffs()
-        # convolution to degree 6, then z^5 = 1 and z^4 = -(1+z+z^2+z^3)
-        d0 = a0 * b0
-        d1 = a0 * b1 + a1 * b0
-        d2 = a0 * b2 + a1 * b1 + a2 * b0
-        d3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-        d4 = a1 * b3 + a2 * b2 + a3 * b1
-        d5 = a2 * b3 + a3 * b2
-        d6 = a3 * b3
-        d0 += d5
-        d1 += d6
-        return CycloQ5(d0 - d4, d1 - d4, d2 - d4, d3 - d4)
+        return CycloQ5.from_ints(_vmul(self.vec, other.vec), self.den * other.den)
 
     __rmul__ = __mul__
 
     def conjugate_map(self, k: int) -> "CycloQ5":
-        """The Galois conjugate sending z to z^k (k = 1, 2, 3, 4)."""
+        """The Galois conjugate sending z to z^k (k = 1, 2, 3, 4); z^j moves to z^(jk mod 5)."""
         if k % 5 == 0:
             raise ValueError("k must be a unit mod 5")
-        out = CycloQ5(self.c0)
-        for j, c in ((1, self.c1), (2, self.c2), (3, self.c3)):
-            if c:
-                out = out + CycloQ5.zeta(j * k) * c
-        return out
+        u = [self.vec[0], 0, 0, 0, 0]
+        u[k % 5], u[2 * k % 5], u[3 * k % 5] = self.vec[1:]
+        return CycloQ5.from_ints(tuple([x - u[4] for x in u[:4]]), self.den)
 
     def inverse(self) -> "CycloQ5":
-        """Multiplicative inverse via the product of Galois conjugates."""
+        """Multiplicative inverse via the product of Galois conjugates: v * adj
+        is the field norm n of the integer vector v, so 1/(v/den) = den*adj/n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in Q(zeta_5)")
-        adj = self.conjugate_map(2) * self.conjugate_map(3) * self.conjugate_map(4)
-        norm = self * adj
-        # the field norm is rational
-        assert norm.is_rational()
-        n = norm.c0
-        return CycloQ5(adj.c0 / n, adj.c1 / n, adj.c2 / n, adj.c3 / n)
+        v, c = self.vec, self.conjugate_map
+        adj = _vmul(_vmul(c(2).vec, c(3).vec), c(4).vec)
+        n, r1, r2, r3 = _vmul(v, adj)
+        assert not (r1 or r2 or r3) and n > 0  # the norm of a CM field is positive
+        return CycloQ5.from_ints(tuple([self.den * x for x in adj]), n)
 
     def __truediv__(self, other) -> "CycloQ5":
         other = _coerce(other)
@@ -171,10 +183,10 @@ class CycloQ5:
 
     def embed(self) -> complex:
         """Evaluate with z = exp(2*pi*i/5) in double precision."""
-        return embed_coords(self.c0, self.c1, self.c2, self.c3)
+        return embed_coords(*[x / self.den for x in self.vec])
 
     def __repr__(self) -> str:
-        return f"CycloQ5({self.c0}, {self.c1}, {self.c2}, {self.c3})"
+        return f"CycloQ5({', '.join(map(render_rational, self.coeffs()))})"
 
     def __str__(self) -> str:
         return render_cyclo(self)
@@ -232,11 +244,11 @@ def unit_index(a: Rat) -> int:
     return int(t) % 10
 
 
-def unit_vec(t: int, a: int = 1) -> tuple[int, int, int, int]:
+def unit_vec(t: int, a: int = 1) -> Vec:
     """a * e(t/10) in the power basis, as an integer 4-vector."""
     s, r = UNITS[t]
     a *= s
-    return (-a, -a, -a, -a) if r == 4 else tuple(a if j == r else 0 for j in range(4))
+    return (-a, -a, -a, -a) if r == 4 else tuple([a if j == r else 0 for j in range(4)])
 
 
 class Phase:
@@ -278,7 +290,7 @@ class Phase:
 
     def to_cyclo(self) -> CycloQ5:
         """e(a) as a CycloQ5 element; requires denominator(a) | 10 (see ``UNITS``)."""
-        return CycloQ5(*unit_vec(unit_index(self.a)))
+        return CycloQ5.from_ints(unit_vec(unit_index(self.a)))
 
     def embed(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.a))
@@ -291,8 +303,7 @@ class Phase:
 
 
 def render_rational(r: Fraction) -> str:
-    """num/den string; bare integer when the denominator is 1."""
-    r = _frac(r)
+    """num/den string of an int or Fraction; bare integer when the denominator is 1."""
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 

@@ -16,9 +16,9 @@ from each key to an integer 4-vector (a0, a1, a2, a3): the coefficient at k
 is (a0 + a1*z + a2*z^2 + a3*z^3)/den with z = zeta_5 and z^4 = -(1+z+z^2+z^3).
 Zero vectors are never stored and den is reduced by the gcd of all entries,
 so a tail on a given grid has exactly one stored form.  Every ring operation
-works on these integers.  Rationals appear only at the boundary: the
-constructor takes CycloQ5 coefficients in, and ``coeffs``, the CycloQ5 view
-that rendering and callers read, is built from the integers on first use.
+works on these integers, and a CycloQ5 value holds the same form for one
+coefficient: the constructor reads each one's ``den`` and ``vec``, and
+``coeffs``, the CycloQ5 view that rendering and callers read, is built on first use.
 
 Products multiply the denominators and convolve the integer tails
 (``_convolve``), along one of two paths that return the same dict.  A product
@@ -46,14 +46,12 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from sys import byteorder
-from typing import Iterable, Optional, Union
+from typing import Collection, Iterable, Optional, Union
 
-from .cyclo import (CycloQ5, Phase, PhaseNotRepresentable, Rat,
+from .cyclo import (CycloQ5, Phase, PhaseNotRepresentable, Rat, Vec, _vmul,
                     render_cyclo, render_rational)
 
 Coeff = Union[int, Fraction, CycloQ5]
-#: An element of Z[zeta_5] in the power basis 1, z, z^2, z^3.
-Vec = tuple[int, int, int, int]
 
 _ZERO: Vec = (0, 0, 0, 0)
 #: ``_term_pairs`` accumulates in lists up to this many keys per term pair.
@@ -83,29 +81,20 @@ def _ccoeff(c: Coeff) -> CycloQ5:
     return c if isinstance(c, CycloQ5) else CycloQ5(c)
 
 
-def _to_ints(values: Iterable[CycloQ5]) -> tuple[int, list[Vec]]:
+def _to_ints(values: Collection[CycloQ5]) -> tuple[int, list[Vec]]:
     """(den, vectors): the values over their least common denominator, which
-    shares no factor with every entry."""
-    values = list(values)
-    den = math.lcm(*(x.denominator for c in values for x in c.coeffs()))
-    return den, [tuple(x.numerator * (den // x.denominator) for x in c.coeffs())
+    shares no factor with every entry.  A value already over it keeps its vec."""
+    den = math.lcm(*[c.den for c in values])
+    return den, [c.vec if c.den == den else tuple([den // c.den * x for x in c.vec])
                  for c in values]
 
 
-def _cyclo(v: Vec, den: int) -> CycloQ5:
-    return CycloQ5(*(Fraction(x, den) for x in v))
-
-
-def _vmul(a: Vec, b: Vec) -> Vec:
-    """Product in Z[zeta_5]: convolve to degree 6, then z^5 = 1 and z^4 = -(1+z+z^2+z^3)."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    d4 = a1 * b3 + a2 * b2 + a3 * b1
-    return (a0 * b0 + a2 * b3 + a3 * b2 - d4, a0 * b1 + a1 * b0 + a3 * b3 - d4,
-            a0 * b2 + a1 * b1 + a2 * b0 - d4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - d4)
-
-
-def _times(n: int, tail: dict[int, Vec]) -> dict[int, Vec]:
+def _times(c: Vec, tail: dict[int, Vec]) -> dict[int, Vec]:
+    """tail times c in Z[zeta_5]; 4 multiplications per key when c is an
+    integer, and the tail itself when c is 1."""
+    n, c1, c2, c3 = c
+    if c1 or c2 or c3:
+        return {k: _vmul(v, c) for k, v in tail.items()}
     if n == 1:
         return tail
     return {k: (n * a0, n * a1, n * a2, n * a3) for k, (a0, a1, a2, a3) in tail.items()}
@@ -205,7 +194,7 @@ class FracSeries:
         view = self._coeffs
         if view is None:
             den = self.den
-            view = {k: _cyclo(v, den) for k, v in self.tail.items()}
+            view = {k: CycloQ5.from_ints(v, den) for k, v in self.tail.items()}
             _setattr(self, "_coeffs", view)
         return view
 
@@ -239,7 +228,7 @@ class FracSeries:
         so the tail always starts at a nonnegative offset.
         """
         pairs = [(Fraction(e), _ccoeff(c)) for e, c in terms]
-        den, vecs = _to_ints(c for _, c in pairs)
+        den, vecs = _to_ints([c for _, c in pairs])
         grid = math.lcm(*(e.denominator for e, _ in pairs))
         return cls._from_int_terms(
             grid, [(e.numerator * (grid // e.denominator), v) for (e, _), v in zip(pairs, vecs)],
@@ -297,10 +286,10 @@ class FracSeries:
         if r < 0 or k.denominator != 1:
             return CycloQ5()
         v = self.tail.get(int(k))
-        return CycloQ5() if v is None else _cyclo(v, self.den)
+        return CycloQ5() if v is None else CycloQ5.from_ints(v, self.den)
 
     def _lead(self) -> CycloQ5:
-        return _cyclo(self.tail[min(self.tail)], self.den)
+        return CycloQ5.from_ints(self.tail[min(self.tail)], self.den)
 
     def terms(self) -> list[tuple[Fraction, CycloQ5]]:
         """Sorted (relative exponent, coefficient) pairs."""
@@ -336,10 +325,9 @@ class FracSeries:
     __rmul__ = __mul__
 
     def scalar_mul(self, c: Coeff) -> "FracSeries":
-        cden, (cv,) = _to_ints([_ccoeff(c)])
-        tail = {k: _vmul(v, cv) for k, v in self.tail.items()}
+        c = _ccoeff(c)
         return FracSeries._make(self.scale, self.phase, self.qpow, self.cpow,
-                                self.den * cden, tail, self.order)
+                                self.den * c.den, _times(c.vec, self.tail), self.order)
 
     def phase_mul(self, p: Phase) -> "FracSeries":
         return FracSeries._make(self.scale, self.phase * p, self.qpow, self.cpow,
@@ -378,10 +366,9 @@ class FracSeries:
         rel_order = None if order is None else order - f.qpow
         # both sides over the lcm of the denominators; g's side also times w
         den = math.lcm(f.den, g.den)
-        tail = dict(_times(den // f.den, fa.tail))
-        ws = tuple(den // g.den * x for x in w)
-        for k, v in ga.tail.items():
-            v = _vmul(v, ws)
+        tail = dict(_times((den // f.den, 0, 0, 0), fa.tail))
+        m = den // g.den
+        for k, v in _times(tuple([m * x for x in w]), ga.tail).items():
             kk = k + shift
             cur = tail.get(kk)
             tail[kk] = v if cur is None else (cur[0] + v[0], cur[1] + v[1],
@@ -429,13 +416,14 @@ class FracSeries:
             rel_order = Fraction(order)
         qpow = -(self.qpow + Fraction(v, self.scale))
         # the tail is A/den with A = sum a_j x^j; 1/a_0 = u/n is the one field inverse
-        n, (u,) = _to_ints([_cyclo(tail[0], 1).inverse()])
+        lead = CycloQ5.from_ints(tail[0]).inverse()
+        n, u = lead.den, lead.vec
         kb = _key_bound(rel_order, self.scale)
         if kb is None:
             if max(tail) == 0:
                 # monomial: the inverse is again a monomial, exact everywhere
                 return FracSeries._make(self.scale, self.phase.inverse(), qpow, -self.cpow,
-                                        n, _times(self.den, {0: u}), None)
+                                        n, _times((self.den, 0, 0, 0), {0: u}), None)
             raise NonInvertibleSeries(
                 "inverting an untruncated polynomial requires an explicit order")
         # 1/A = sum b_k x^k with b_k = beta_k / n^(k+1), where beta_0 = u and
@@ -542,7 +530,7 @@ def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, Vec]:
     except PhaseNotRepresentable as exc:
         raise UnabsorbablePrefactor(str(exc)) from None
     # a root of unity has integer coordinates
-    return scale, int(shift), tuple(x.numerator for x in w.coeffs())
+    return scale, int(shift), w.vec
 
 
 def _convolve(a: dict[int, Vec], b: dict[int, Vec],
@@ -792,7 +780,7 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
                               reason="prefactors not absorbable")
     fa, ga = f._rescaled(scale), g._rescaled(scale)
     ftail = fa.tail
-    gtail = {k + shift: _vmul(v, w) for k, v in ga.tail.items()}
+    gtail = {k + shift: v for k, v in _times(w, ga.tail).items()}
     fd, gd = f.den, g.den
     kb = _key_bound(None if bound is None else bound - f.qpow, scale)
     for k in sorted(set(ftail) | set(gtail)):
@@ -801,5 +789,5 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
         a, b = ftail.get(k, _ZERO), gtail.get(k, _ZERO)
         if any(x * gd != y * fd for x, y in zip(a, b)):
             return EqualityResult(False, bound, f.qpow + Fraction(k, scale),
-                                  _cyclo(a, fd), _cyclo(b, gd))
+                                  CycloQ5.from_ints(a, fd), CycloQ5.from_ints(b, gd))
     return EqualityResult(True, bound)

@@ -315,8 +315,8 @@ def _eta_factors(mult: Fraction, order: Fraction, power: int, grid: int) -> list
     if order <= 0:
         raise ValueError("order must be positive")
     step = mult.numerator * (grid // mult.denominator)  # n*mult is the key n*step
-    return [(k, MINUS_ONE, power)
-            for k in range(step, -(-order.numerator * grid // order.denominator), step)]
+    stop = -(-order.numerator * grid // order.denominator) if power else 0  # power 0: no factor
+    return [(k, MINUS_ONE, power) for k in range(step, stop, step)]
 
 
 def eta_q(mult: Rat, order: Rat = 20, offset: Rat = 0) -> FracSeries:
@@ -349,7 +349,7 @@ EtaQuotientSpec = Iterable[tuple[Rat, int]]
 def eta_quotient(spec: EtaQuotientSpec, order: Rat = 20) -> FracSeries:
     """prod_i eta(m_i * tau)^(e_i) for a nonempty list of (m_i, e_i), m_i distinct.
 
-    Negative exponents are division passes; an all-zero spec is the exact 1.
+    Negative exponents are division passes; a zero one is checked, then dropped.
     """
     entries = [(Fraction(m), int(e)) for m, e in spec]
     if not entries:
@@ -357,12 +357,11 @@ def eta_quotient(spec: EtaQuotientSpec, order: Rat = 20) -> FracSeries:
     if len({m for m, _ in entries}) != len(entries):
         raise ValueError("eta quotient multipliers must be distinct")
     order = Fraction(order)
-    live = [(m, e) for m, e in entries if e]
-    if not live:
+    grid = math.lcm(*(m.denominator for m, _ in entries))
+    factors = [f for m, e in entries for f in _eta_factors(m, order, e, grid)]
+    if not any(e for _, e in entries):
         return FracSeries.one()
-    grid = math.lcm(*(m.denominator for m, _ in live))
-    factors = [f for m, e in live for f in _eta_factors(m, order, e, grid)]
-    return _binomial_product(order, factors, grid).qpow_shift(sum(m * e for m, e in live) / 24)
+    return _binomial_product(order, factors, grid).qpow_shift(sum(m * e for m, e in entries) / 24)
 
 
 def char_shift_phase(ch: ThetaChar, m: int, n: int) -> tuple[Phase, ThetaChar]:

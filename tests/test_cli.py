@@ -78,6 +78,26 @@ def test_expand_requires_arguments():
     assert code == 2
 
 
+def test_expand_deriv_only_for_theta(capsys):
+    for obj in (["theta-product", "--char", "1/5,1/5"], ["eta"],
+                ["eta-quotient", "--spec", "5:5,1:-1"]):
+        code, text = invoke("expand", "--object", *obj, "--deriv", "2", "--order", "5")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: expand --deriv applies only to --object theta\n"
+    code, text = invoke("expand", "--object", "theta-product", "--char", "1/5,1/5",
+                        "--deriv", "0", "--order", "5")
+    assert code == 0 and text.startswith("(2*pi*i)^0 ")
+
+
+def test_expand_eta_quotient_checks_zero_exponents(capsys):
+    for spec, order in (("5:0", "-3"), ("0:0", "10"), ("5:1", "-3")):
+        code, text = invoke("expand", "--object", "eta-quotient", "--spec", spec, "--order", order)
+        assert code == 2 and text == ""
+    assert capsys.readouterr().err == ("error: order must be positive\n"
+                                       "error: mult must be positive\n"
+                                       "error: order must be positive\n")
+
+
 def test_expand_eta_offset_outside_the_field(capsys):
     code, text = invoke("expand", "--object", "eta", "--offset", "1/3", "--order", "5")
     assert code == 2 and text == ""

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(zeta_5) and exact phases."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -174,3 +175,72 @@ def test_hash_agrees_with_eq_property(x, unit):
 def test_phase_to_cyclo_embeds_like_the_phase(k):
     p = Phase(Fraction(k, 10))
     assert abs(p.to_cyclo().embed() - p.embed()) < 1e-12
+
+
+# -- the Fraction formulas CycloQ5 used before it stored integers, kept as the reference --
+
+def _ref_mul(a, b):
+    """Product of two Fraction 4-vectors: convolution to degree 6, then z^5 = 1
+    and z^4 = -(1+z+z^2+z^3)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    d0 = a0 * b0
+    d1 = a0 * b1 + a1 * b0
+    d2 = a0 * b2 + a1 * b1 + a2 * b0
+    d3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+    d4 = a1 * b3 + a2 * b2 + a3 * b1
+    d5 = a2 * b3 + a3 * b2
+    d6 = a3 * b3
+    d0 += d5
+    d1 += d6
+    return (d0 - d4, d1 - d4, d2 - d4, d3 - d4)
+
+
+_REF_ZETA = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
+
+
+def _ref_conjugate(a, k):
+    out = (a[0], 0, 0, 0)
+    for j in (1, 2, 3):
+        out = tuple(x + a[j] * y for x, y in zip(out, _REF_ZETA[j * k % 5]))
+    return out
+
+
+def _ref_inverse(a):
+    adj = _ref_mul(_ref_mul(_ref_conjugate(a, 2), _ref_conjugate(a, 3)), _ref_conjugate(a, 4))
+    n = _ref_mul(a, adj)[0]  # the field norm is rational
+    return tuple(Fraction(x) / n for x in adj)
+
+
+def _assert_stored_form(c, coeffs):
+    assert c.den > 0 and math.gcd(c.den, *c.vec) == 1
+    assert c.coeffs() == tuple(Fraction(x) for x in coeffs)
+    assert (c.c0, c.c1, c.c2, c.c3) == c.coeffs()
+    assert repr(c) == "CycloQ5({}, {}, {}, {})".format(*c.coeffs())
+
+
+_entries = st.one_of(st.integers(-10**12, 10**12), _rationals,
+                     st.fractions(max_denominator=10**9))
+
+
+@given(st.tuples(_entries, _entries, _entries, _entries),
+       st.tuples(_entries, _entries, _entries, _entries), st.integers(1, 4))
+def test_arithmetic_matches_the_fraction_reference(a, b, k):
+    x, y = CycloQ5(*a), CycloQ5(*b)
+    _assert_stored_form(x, a)
+    _assert_stored_form(y, b)
+    _assert_stored_form(x + y, [p + q for p, q in zip(a, b)])
+    _assert_stored_form(x - y, [p - q for p, q in zip(a, b)])
+    _assert_stored_form(-x, [-p for p in a])
+    _assert_stored_form(x * y, _ref_mul(a, b))
+    _assert_stored_form(x * b[0], [p * b[0] for p in a])
+    _assert_stored_form(x.conjugate_map(k), _ref_conjugate(a, k))
+    if not y.is_zero():
+        _assert_stored_form(y.inverse(), _ref_inverse(b))
+        assert _ref_mul(b, y.inverse().coeffs()) == (1, 0, 0, 0)
+        _assert_stored_form(x / y, _ref_mul(a, _ref_inverse(b)))
+    same = CycloQ5(*(Fraction(p) for p in a))
+    assert same == x and hash(same) == hash(x)
+    assert (x == y) == (tuple(map(Fraction, a)) == tuple(map(Fraction, b)))
+    if x.is_rational():
+        assert x == a[0] and hash(x) == hash(Fraction(a[0]))

@@ -191,6 +191,10 @@ def test_eta_quotient_contract():
         eta_quotient([], 10)
     with pytest.raises(ValueError):
         eta_quotient([(1, 2), (1, 3)], 10)
+    # a zero exponent drops its factor only after its multiplier and the order are checked
+    for spec, order in (([(5, 0)], -3), ([(0, 0)], 10), ([(1, 1), (-2, 0)], 10), ([(1, 0)], 0)):
+        with pytest.raises(ValueError):
+            eta_quotient(spec, order)
 
 
 def test_char_shift_phase():
