@@ -8,7 +8,6 @@ series engine rather than being derived from it.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 
 #: Kernel tags accepted by divisor_sum.
 KERNELS = ("A", "B", "C", "D25", "E11", "S")
@@ -45,7 +44,7 @@ def sigma_over_5(n: int) -> int:
     return sigma(n // 5) if n % 5 == 0 else 0
 
 
-def divisor_sum(kernel: str, n: int) -> Fraction:
+def divisor_sum(kernel: str, n: int) -> int:
     """Exact divisor sum for one of the tags in KERNELS.
 
     A(n)   = sum_{d|n} d*(d/5)
@@ -58,17 +57,17 @@ def divisor_sum(kernel: str, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     if kernel == "A":
-        return Fraction(sum(d * legendre5(d) for d in divisors(n)))
+        return sum(d * legendre5(d) for d in divisors(n))
     if kernel == "B":
-        return Fraction(sum((n // d) * legendre5(d) for d in divisors(n)))
+        return sum((n // d) * legendre5(d) for d in divisors(n))
     if kernel == "C":
-        return Fraction(sum(d for d in divisors(n) if d % 5))
+        return sum(d for d in divisors(n) if d % 5)
     if kernel == "D25":
-        return Fraction(sum(legendre5(d) * (25 * (n // d) - 11 * d) for d in divisors(n)))
+        return sum(legendre5(d) * (25 * (n // d) - 11 * d) for d in divisors(n))
     if kernel == "E11":
-        return Fraction(sum(legendre5(d) * (11 * (n // d) - 5 * d) for d in divisors(n)))
+        return sum(legendre5(d) * (11 * (n // d) - 5 * d) for d in divisors(n))
     if kernel == "S":
-        return Fraction(sigma(n) - 5 * sigma_over_5(n))
+        return sigma(n) - 5 * sigma_over_5(n)
     raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
 

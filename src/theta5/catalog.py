@@ -22,14 +22,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import arith
-from .cyclo import UNITS, CycloQ5, Phase, Rat, render_rational, sqrt5
-from .series import FracSeries, series_equal
-from .theta import (CATALOG_CHARS, MINUS_ONE, ThetaChar, _binomial_product, char,
-                    char_shift_phase, eta_q, eta_quotient, theta_const,
+from .cyclo import (UNITS, CycloQ5, Phase, Rat, Ratio, as_ratio, render_rational, rsub, sqrt5,
+                    to_fraction)
+from .series import FracSeries, _min_order, series_equal
+from .theta import (CATALOG_CHARS, MINUS_ONE, ThetaChar, _binomial_product, _eta_product,
+                    _eta_twist, char, char_shift_phase, eta_quotient, theta_const,
                     theta_const_product)
 
 AS_STATED = "as-stated"
@@ -50,7 +50,7 @@ class IdentityEntry:
                  "variants")
 
     def __init__(self, id: str, title: str, location: str, min_meaningful_order: int,
-                 margin: int, build: Callable[[Fraction, str], Pairs],
+                 margin: int, build: Callable[[Rat, str], Pairs],
                  variants: tuple[str, ...] = (AS_STATED,)):
         for name, value in zip(self.__slots__, (id, title, location, min_meaningful_order,
                                                 margin, build, variants)):
@@ -75,31 +75,36 @@ class IdentityEntry:
         return f"IdentityEntry({args})"
 
 
+def _ratio_field(slot: str) -> property:
+    """An exponent field stored as a Ratio in ``slot``, read and set as a Fraction."""
+    return property(lambda self: to_fraction(getattr(self, slot)),
+                    lambda self, x: setattr(self, slot, None if x is None else as_ratio(x)))
+
+
 class IdentityReport:
     """The outcome of verifying one entry; ``verify`` fills it in as it compares.
 
-    Mutable, so unhashable; equality goes by the tuple of its fields.
+    Mutable, so unhashable; equality goes by the tuple of its fields.  The exponents
+    are stored as Ratios (``_order``, ``_mismatch``) and read as Fractions.
     """
 
-    __slots__ = ("id", "variant", "order_checked", "passed", "first_mismatch_exponent",
+    __slots__ = ("id", "variant", "_order", "passed", "_mismatch",
                  "lhs_coeff", "rhs_coeff", "label", "reason", "elapsed", "location")
+    _FIELDS = ("id", "variant", "order_checked", "passed", "first_mismatch_exponent",
+               "lhs_coeff", "rhs_coeff", "label", "reason", "elapsed", "location")
 
-    def __init__(self, id: str, variant: str, order_checked: Optional[Fraction],
-                 passed: bool, first_mismatch_exponent: Optional[Fraction] = None,
+    order_checked = _ratio_field("_order")
+    first_mismatch_exponent = _ratio_field("_mismatch")
+
+    def __init__(self, id: str, variant: str, order_checked: Optional[Rat],
+                 passed: bool, first_mismatch_exponent: Optional[Rat] = None,
                  lhs_coeff: Optional[CycloQ5] = None, rhs_coeff: Optional[CycloQ5] = None,
                  label: Optional[str] = None, reason: str = "", elapsed: float = 0.0,
                  location: str = ""):
-        self.id = id
-        self.variant = variant
-        self.order_checked = order_checked
-        self.passed = passed
-        self.first_mismatch_exponent = first_mismatch_exponent
-        self.lhs_coeff = lhs_coeff
-        self.rhs_coeff = rhs_coeff
-        self.label = label
-        self.reason = reason
-        self.elapsed = elapsed
-        self.location = location
+        for name, value in zip(self._FIELDS, (id, variant, order_checked, passed,
+                                              first_mismatch_exponent, lhs_coeff, rhs_coeff,
+                                              label, reason, elapsed, location)):
+            setattr(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -112,7 +117,7 @@ class IdentityReport:
     __hash__ = None
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"IdentityReport({args})"
 
 
@@ -121,19 +126,20 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 
 #: Monomial in theta constants, or product form -> (order, series), the
-#: highest-order build so far.  A monomial key is one factor (characteristic,
-#: derivative order, power), or a sorted tuple of two or more such factors with
-#: distinct (characteristic, derivative order).  A product form's key is its
-#: name and arguments, such as ("eta_q", 1, 0).  Slots are read and replaced
+#: highest-order build so far, at an int or Fraction order.  A monomial key is one
+#: factor (characteristic, derivative order, power), or a sorted tuple of two or
+#: more such factors with distinct (characteristic, derivative order).  A product
+#: form's key is its name and arguments, such as ("eta_q", (1, 5)), the real
+#: product of eta(tau/5) that every offset twists.  Slots are read and replaced
 #: whole, and one is clipped only when its order is at least the request, so a
 #: race can only waste a build.
-_THETA: dict[tuple, tuple[Fraction, FracSeries]] = {}
+_THETA: dict[tuple, tuple[Rat, FracSeries]] = {}
 
 #: theta[1,1], whose first derivative is the catalog's normaliser theta'[1,1]
 _TH11 = char(1, 1)
 
 
-def _th(ch: ThetaChar, m: int, order: Fraction, power: int = 1) -> FracSeries:
+def _th(ch: ThetaChar, m: int, order: Rat, power: int = 1) -> FracSeries:
     """theta_const(ch, m, order) ** power, clipped from the store's highest-order build.
 
     Power p > 1 is built from the slots of powers p//2 and p - p//2, so the
@@ -142,7 +148,7 @@ def _th(ch: ThetaChar, m: int, order: Fraction, power: int = 1) -> FracSeries:
     return _slot((ch, m, power), order)
 
 
-def _thp(order: Fraction, a: tuple, b: tuple) -> FracSeries:
+def _thp(order: Rat, a: tuple, b: tuple) -> FracSeries:
     """The product of the routes a and b, clipped from the store's highest-order build.
 
     A route is a factor (characteristic, derivative order, power) or a pair of
@@ -166,11 +172,11 @@ def _key(route: tuple) -> tuple:
         else:
             todo += r
     factors = sorted(((ch, m, p) for (ch, m), p in powers.items()),
-                     key=lambda f: (f[0].eps, f[0].eps_prime, f[1]))
+                     key=lambda f: (f[0].e, f[0].ep, f[1]))
     return factors[0] if len(factors) == 1 else tuple(factors)
 
 
-def _stored(key: tuple, order: Fraction, build: Callable[[Fraction], FracSeries]) -> FracSeries:
+def _stored(key: tuple, order: Rat, build: Callable[[Rat], FracSeries]) -> FracSeries:
     """``build(order)``, from the slot of ``key``: built and stored if the slot
     is missing or below ``order``, else clipped at its absolute order less the
     difference of the orders, where a fresh build stops being exact.
@@ -191,19 +197,21 @@ def _stored(key: tuple, order: Fraction, build: Callable[[Fraction], FracSeries]
     built, f = slot
     if built == order:
         return f
-    return build(order) if f.is_zero_tail() else f._clip_abs(f.abs_order() - (built - order))
+    return (build(order) if f.is_zero_tail()
+            else f._clip_abs(rsub(f._abs_order(), as_ratio(built - order))))
 
 
-def _slot(route: tuple, order: Fraction) -> FracSeries:
+def _slot(route: tuple, order: Rat) -> FracSeries:
     return _stored(_key(route), order, lambda n: _build(route, n))
 
 
-def _eta(mult: Rat, N: Fraction, offset: Rat = 0) -> FracSeries:
-    """eta_q(mult, N, offset), from the store."""
-    return _stored(("eta_q", mult, offset), N, lambda n: eta_q(mult, n, offset))
+def _eta(mult: Ratio, N: Rat, offset: Ratio = (0, 1)) -> FracSeries:
+    """eta_q(mult, N, offset), the offset twisting the real product from the store."""
+    return _eta_twist(_stored(("eta_q", mult), N, lambda n: _eta_product(mult, n)),
+                      mult, offset)
 
 
-def _eta_quotient(spec: tuple, N: Fraction) -> FracSeries:
+def _eta_quotient(spec: tuple, N: Rat) -> FracSeries:
     """eta_quotient(spec, N), from the store; ``spec`` is a tuple of (m, e) pairs."""
     return _stored(("eta_quotient", spec), N, lambda n: eta_quotient(spec, n))
 
@@ -212,7 +220,7 @@ def _eta_quotient(spec: tuple, N: Fraction) -> FracSeries:
 _Z1, _Z2 = ((1, 5), (5, -1)), ((5, 5), (1, -1))
 
 
-def _build(route: tuple, order: Fraction) -> FracSeries:
+def _build(route: tuple, order: Rat) -> FracSeries:
     """The route's product at ``order``, from operands clipped to ``order``."""
     if route[0].__class__ is ThetaChar:
         ch, m, p = route
@@ -226,10 +234,9 @@ def _build(route: tuple, order: Fraction) -> FracSeries:
 
 
 _z = CycloQ5.zeta
-_f = Fraction
 
 
-def _oracle_series(N: Fraction, coeff: Callable[[int], Rat | CycloQ5],
+def _oracle_series(N: Rat, coeff: Callable[[int], Rat | CycloQ5],
                    constant: Rat = 0) -> FracSeries:
     """constant + sum_{1<=n<N} coeff(n) q^n; coeff must draw only on ``arith``."""
     terms = [(0, constant)] + [(n, coeff(n)) for n in range(1, math.ceil(N))]
@@ -253,19 +260,19 @@ def _homogeneous(pairs: Pairs) -> Pairs:
 # builders
 # ---------------------------------------------------------------------------
 
-def _build_e1(N: Fraction, variant: str) -> Pairs:
+def _build_e1(N: Rat, variant: str) -> Pairs:
     lhs = _eta_quotient(_Z1, N)
     rhs = _oracle_series(N, lambda n: -5 * arith.divisor_sum("A", n), constant=1)
     return [("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n", lhs, rhs)]
 
 
-def _build_e2(N: Fraction, variant: str) -> Pairs:
+def _build_e2(N: Rat, variant: str) -> Pairs:
     lhs = _eta_quotient(_Z2, N)
     rhs = _oracle_series(N, lambda n: arith.divisor_sum("B", n))
     return [("eta^5(5t)/eta(t) = sum B(n) q^n", lhs, rhs)]
 
 
-def _build_e3(N: Fraction, variant: str) -> Pairs:
+def _build_e3(N: Rat, variant: str) -> Pairs:
     lhs = _oracle_series(N, lambda n: arith.partition_p(5 * n + 4),
                          constant=arith.partition_p(4))
     factors = [f for n in range(1, math.ceil(N) + 1)
@@ -274,35 +281,35 @@ def _build_e3(N: Fraction, variant: str) -> Pairs:
     return [("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", lhs, rhs)]
 
 
-def _build_e4(N: Fraction, variant: str) -> Pairs:
+def _build_e4(N: Rat, variant: str) -> Pairs:
     lhs = _th(_TH11, 1, N)
-    rhs = (_eta(1, N) ** 3).cpow_shift(1).phase_mul(Phase(Fraction(1, 4)))
+    rhs = (_eta((1, 1), N) ** 3).cpow_shift(1).phase_mul(Phase(1, 4))
     return [("theta'[1,1] = (2*pi*i) e(1/4) eta^3", lhs, rhs)]
 
 
 # Thm 1.1 entries: theta'[1,1]^4 * (P^2 + cPQ*PQ + cQ2*Q^2) = (2*pi*i)^4 w * th_A th_B (PQ)^2
 # Each row: (location, char A, char B, {variant: coefficients}).
 _T1_DATA = {
-    "T1a": ("Thm 1.1, pair (1,1/5),(1,3/5)", char(1, _f(1, 5)), char(1, _f(3, 5)),
+    "T1a": ("Thm 1.1, pair (1,1/5),(1,3/5)", char(5, 1, 5), char(5, 3, 5),
             {AS_STATED: (CycloQ5(-11), CycloQ5(-1), CycloQ5(1))}),
-    "T1b": ("Thm 1.1, pair (3/5,1),(1/5,1)", char(_f(3, 5), 1), char(_f(1, 5), 1),
+    "T1b": ("Thm 1.1, pair (3/5,1),(1/5,1)", char(3, 5, 5), char(1, 5, 5),
             {AS_STATED: (CycloQ5(-11), CycloQ5(-1), _z(4))}),
-    "T1c": ("Thm 1.1, pair (1/5,1/5),(3/5,3/5)", char(_f(1, 5), _f(1, 5)), char(_f(3, 5), _f(3, 5)),
+    "T1c": ("Thm 1.1, pair (1/5,1/5),(3/5,3/5)", char(1, 1, 5), char(3, 3, 5),
             {AS_STATED: (_z(4) * -11, -_z(3), CycloQ5(1))}),
-    "T1d": ("Thm 1.1, pair (1/5,3/5),(3/5,9/5)", char(_f(1, 5), _f(3, 5)), char(_f(3, 5), _f(9, 5)),
+    "T1d": ("Thm 1.1, pair (1/5,3/5),(3/5,9/5)", char(1, 3, 5), char(3, 9, 5),
             {AS_STATED: (_z(1) * 11, -_z(2), CycloQ5(1)),
              CORRECTED: (_z(2) * -11, -_z(4), CycloQ5(1))}),
-    "T1e": ("Thm 1.1, pair (1/5,7/5),(3/5,1/5)", char(_f(1, 5), _f(7, 5)), char(_f(3, 5), _f(1, 5)),
+    "T1e": ("Thm 1.1, pair (1/5,7/5),(3/5,1/5)", char(1, 7, 5), char(3, 1, 5),
             {AS_STATED: (_z(3) * -11, -_z(1), _z(3))}),
-    "T1f": ("Thm 1.1, pair (1/5,9/5),(3/5,7/5)", char(_f(1, 5), _f(9, 5)), char(_f(3, 5), _f(7, 5)),
+    "T1f": ("Thm 1.1, pair (1/5,9/5),(3/5,7/5)", char(1, 9, 5), char(3, 7, 5),
             {AS_STATED: (_z(1) * -11, -_z(2), _z(3))}),
 }
 
 
-def _build_t1(entry_id: str) -> Callable[[Fraction, str], Pairs]:
+def _build_t1(entry_id: str) -> Callable[[Rat, str], Pairs]:
     _, A, B, table = _T1_DATA[entry_id]
 
-    def build(N: Fraction, variant: str) -> Pairs:
+    def build(N: Rat, variant: str) -> Pairs:
         cpq, cq2, w = table[variant]
         PQ = _thp(N, (A, 0, 5), (B, 0, 5))
         den = _th(A, 0, N, 10) + PQ.scalar_mul(cpq) + _th(B, 0, N, 10).scalar_mul(cq2)
@@ -317,39 +324,29 @@ def _build_t1(entry_id: str) -> Callable[[Fraction, str], Pairs]:
 # §4 derivative formulas: theta'_X * 10 th_A^3 th_B^3 = s * theta_X * theta'[1,1] * (cP*P + cQ*Q)
 # Each row: (location, char A, char B, X, {variant: coefficients}).
 _D_DATA = {
-    "D1": ("Thm 4.1", char(_f(1, 5), _f(1, 5)), char(_f(3, 5), _f(3, 5)), "A",
-           {AS_STATED: (CycloQ5(1), CycloQ5(1), _z(4) * -3)}),
-    "D2": ("Thm 4.1", char(_f(1, 5), _f(1, 5)), char(_f(3, 5), _f(3, 5)), "B",
-           {AS_STATED: (CycloQ5(1), CycloQ5(3), _z(4))}),
-    "D3": ("Thm 4.2", char(_f(1, 5), _f(3, 5)), char(_f(3, 5), _f(9, 5)), "A",
+    "D1": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "A", {AS_STATED: (CycloQ5(1), CycloQ5(1), _z(4) * -3)}),
+    "D2": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "B", {AS_STATED: (CycloQ5(1), CycloQ5(3), _z(4))}),
+    "D3": ("Thm 4.2", char(1, 3, 5), char(3, 9, 5), "A",
            {AS_STATED: (CycloQ5(-1), CycloQ5(1), _z(1) * 3),
             CORRECTED: (CycloQ5(-1), CycloQ5(1), _z(2) * -3)}),
-    "D4": ("Thm 4.2", char(_f(1, 5), _f(3, 5)), char(_f(3, 5), _f(9, 5)), "B",
+    "D4": ("Thm 4.2", char(1, 3, 5), char(3, 9, 5), "B",
            {AS_STATED: (CycloQ5(-1), CycloQ5(3), -_z(1)),
             CORRECTED: (CycloQ5(-1), CycloQ5(3), _z(2))}),
-    "D5": ("Thm 4.3", char(_f(1, 5), 1), char(_f(3, 5), 1), "A",
-           {AS_STATED: (-_z(3), CycloQ5(1), CycloQ5(3))}),
-    "D6": ("Thm 4.3", char(_f(1, 5), 1), char(_f(3, 5), 1), "B",
-           {AS_STATED: (-_z(3), CycloQ5(3), CycloQ5(-1))}),
-    "D7": ("Thm 4.4", char(_f(1, 5), _f(7, 5)), char(_f(3, 5), _f(1, 5)), "A",
-           {AS_STATED: (-_z(1), CycloQ5(1), _z(3) * -3)}),
-    "D8": ("Thm 4.4", char(_f(1, 5), _f(7, 5)), char(_f(3, 5), _f(1, 5)), "B",
-           {AS_STATED: (-_z(1), CycloQ5(3), _z(3))}),
-    "D9": ("Thm 4.5", char(_f(1, 5), _f(9, 5)), char(_f(3, 5), _f(7, 5)), "A",
-           {AS_STATED: (_z(1), CycloQ5(1), _z(1) * -3)}),
-    "D10": ("Thm 4.5", char(_f(1, 5), _f(9, 5)), char(_f(3, 5), _f(7, 5)), "B",
-            {AS_STATED: (_z(1), CycloQ5(3), _z(1))}),
-    "D11": ("Thm 4.6", char(1, _f(1, 5)), char(1, _f(3, 5)), "A",
-            {AS_STATED: (CycloQ5(1), CycloQ5(1), CycloQ5(-3))}),
-    "D12": ("Thm 4.6", char(1, _f(1, 5)), char(1, _f(3, 5)), "B",
-            {AS_STATED: (CycloQ5(1), CycloQ5(3), CycloQ5(1))}),
+    "D5": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "A", {AS_STATED: (-_z(3), CycloQ5(1), CycloQ5(3))}),
+    "D6": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "B", {AS_STATED: (-_z(3), CycloQ5(3), CycloQ5(-1))}),
+    "D7": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "A", {AS_STATED: (-_z(1), CycloQ5(1), _z(3) * -3)}),
+    "D8": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "B", {AS_STATED: (-_z(1), CycloQ5(3), _z(3))}),
+    "D9": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "A", {AS_STATED: (_z(1), CycloQ5(1), _z(1) * -3)}),
+    "D10": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "B", {AS_STATED: (_z(1), CycloQ5(3), _z(1))}),
+    "D11": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "A", {AS_STATED: (CycloQ5(1), CycloQ5(1), CycloQ5(-3))}),
+    "D12": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "B", {AS_STATED: (CycloQ5(1), CycloQ5(3), CycloQ5(1))}),
 }
 
 
-def _build_d(entry_id: str) -> Callable[[Fraction, str], Pairs]:
+def _build_d(entry_id: str) -> Callable[[Rat, str], Pairs]:
     _, A, B, side, table = _D_DATA[entry_id]
 
-    def build(N: Fraction, variant: str) -> Pairs:
+    def build(N: Rat, variant: str) -> Pairs:
         s, cp, cq = table[variant]
         ta = _th(A, 0, N)
         tb = _th(B, 0, N)
@@ -368,17 +365,17 @@ def _build_d(entry_id: str) -> Callable[[Fraction, str], Pairs]:
 
 
 #: the characteristic pairs (A, B) of §5 and §6
-_PAIR5 = (char(1, _f(1, 5)), char(1, _f(3, 5)))
-_PAIR6 = (char(_f(1, 5), 1), char(_f(3, 5), 1))
+_PAIR5 = (char(5, 1, 5), char(5, 3, 5))
+_PAIR6 = (char(1, 5, 5), char(3, 5, 5))
 
 
 def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar],
-                   which: str) -> Callable[[Fraction, str], Pairs]:
+                   which: str) -> Callable[[Rat, str], Pairs]:
     """One of the two vanishing combinations forced by Res(phi,0) = Res(psi,0) = 0,
     cross-multiplied by theta_A^2 theta_B^2 theta'[1,1]."""
     A, B = pair
 
-    def build(N: Fraction, variant: str) -> Pairs:
+    def build(N: Rat, variant: str) -> Pairs:
         ab = (A, 0, 1), (B, 0, 1)
         common = _thp(N, (_TH11, 3, 1), (ab, ab))
         # t1, t2, t3 appear in both combinations of a pair, the last term also in FK
@@ -397,7 +394,7 @@ def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar],
     return build
 
 
-def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Fraction,
+def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Rat,
                                swap: bool, bracket: tuple[CycloQ5, CycloQ5, CycloQ5],
                                scalar: CycloQ5) -> tuple[FracSeries, FracSeries]:
     """50*(th''_X th_X^5 th_Y^6 - th''_Y th_Y^5 th_X^6) = scalar * theta'[1,1]^2 * bracket(P,Q)."""
@@ -414,7 +411,7 @@ def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Fraction,
     return lhs, rhs
 
 
-def _eta_chain_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
+def _eta_chain_pairs(A: ThetaChar, B: ThetaChar, N: Rat, label: str,
                      eta_top: FracSeries, eta_bottom: FracSeries,
                      top_scalar: CycloQ5, theta_form_sign: int) -> Pairs:
     """The heat-equation chain shared by R3/R6/R7a, with k = top_scalar:
@@ -434,45 +431,46 @@ def _eta_chain_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
             (f"{label} theta-form", tf_lhs, tf_rhs)]
 
 
-def _build_r3(N: Fraction, variant: str) -> Pairs:
+def _build_r3(N: Rat, variant: str) -> Pairs:
     A, B = _PAIR5
     lhs, rhs = _second_derivative_bracket(
         A, B, N, swap=False,
         bracket=(CycloQ5(-4), CycloQ5(44), CycloQ5(4)), scalar=CycloQ5(1))
     pairs = [("R3 bracket", lhs, rhs)]
     # the chain runs through Theta log(th_A/th_B) = sqrt(5) eta^5(5t)/eta(t)
-    pairs += _eta_chain_pairs(A, B, N, "R3", eta_top=_eta(5, N), eta_bottom=_eta(1, N),
+    pairs += _eta_chain_pairs(A, B, N, "R3", eta_top=_eta((5, 1), N), eta_bottom=_eta((1, 1), N),
                               top_scalar=sqrt5() * -25, theta_form_sign=+1)
     return pairs
 
 
-def _build_r6(N: Fraction, variant: str) -> Pairs:
+def _build_r6(N: Rat, variant: str) -> Pairs:
     A, B = _PAIR6
     lhs, rhs = _second_derivative_bracket(
         A, B, N, swap=True,
         bracket=(CycloQ5(4), CycloQ5(44), CycloQ5(-4)), scalar=_z(1))
     pairs = [("R6 bracket", lhs, rhs)]
-    pairs += _eta_chain_pairs(A, B, N, "R6", eta_top=_eta(_f(1, 5), N), eta_bottom=_eta(1, N),
+    pairs += _eta_chain_pairs(A, B, N, "R6", eta_top=_eta((1, 5), N), eta_bottom=_eta((1, 1), N),
                               top_scalar=CycloQ5(1), theta_form_sign=-1)
     return pairs
 
 
-def _build_r7a(N: Fraction, variant: str) -> Pairs:
-    A, B = char(_f(1, 5), _f(1, 5)), char(_f(3, 5), _f(3, 5))
+def _build_r7a(N: Rat, variant: str) -> Pairs:
+    A, B = char(1, 1, 5), char(3, 3, 5)
     lhs, rhs = _second_derivative_bracket(
         A, B, N, swap=True,
         bracket=(CycloQ5(4), _z(4) * -44, _z(3) * -4), scalar=CycloQ5(1))
     pairs = [("R7a bracket", lhs, rhs)]
-    pairs += _eta_chain_pairs(A, B, N, "R7a", eta_top=_eta(_f(1, 5), N, _f(1, 5)),
-                              eta_bottom=_eta(1, N, 1), top_scalar=CycloQ5(1), theta_form_sign=+1)
+    pairs += _eta_chain_pairs(A, B, N, "R7a", eta_top=_eta((1, 5), N, (1, 5)),
+                              eta_bottom=_eta((1, 1), N, (1, 1)), top_scalar=CycloQ5(1),
+                              theta_form_sign=+1)
     return pairs
 
 
-def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
+def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Rat, label: str,
                       eta_top: FracSeries) -> Pairs:
     """3 (2*pi*i)^2 [Theta(eta_top) eta - Theta(eta) eta_top] th_A^2 th_B^2
        + eta_top eta [th'_A^2 th_B^2 + th'_B^2 th_A^2] = 0."""
-    eta1 = _eta(1, N)
+    eta1 = _eta((1, 1), N)
     ab = (A, 0, 1), (B, 0, 1)
     log_part = ((eta_top.theta_op() * eta1 - eta1.theta_op() * eta_top)
                 * _thp(N, ab, ab)).scalar_mul(3).cpow_shift(2)
@@ -481,17 +479,17 @@ def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Fraction, label: str,
     return [(label, log_part + sq_part, FracSeries.zero())]
 
 
-def _build_fk5(N: Fraction, variant: str) -> Pairs:
+def _build_fk5(N: Rat, variant: str) -> Pairs:
     return _farkas_kra_pairs(*_PAIR5, N,
-                             "FK5 log-derivative relation", _eta(5, N))
+                             "FK5 log-derivative relation", _eta((5, 1), N))
 
 
-def _build_fk6(N: Fraction, variant: str) -> Pairs:
+def _build_fk6(N: Rat, variant: str) -> Pairs:
     return _farkas_kra_pairs(*_PAIR6, N,
-                             "FK6 log-derivative relation", _eta(_f(1, 5), N))
+                             "FK6 log-derivative relation", _eta((1, 5), N))
 
 
-def _g_product(sign: int, N: Fraction) -> FracSeries:
+def _g_product(sign: int, N: Rat) -> FracSeries:
     """prod (1-q^n)^5 (1 + (1 +- sqrt5)/2 q^n + q^(2n))^5 / (1-q^(5n))^3.
 
     The trinomials split over Q(zeta_5): 1 + (1+sqrt5)/2 x + x^2 =
@@ -503,12 +501,12 @@ def _g_product(sign: int, N: Fraction) -> FracSeries:
         for f in ((k, MINUS_ONE, 5), (k, u1, 5), (k, u2, 5), (5 * k, MINUS_ONE, -3))]))
 
 
-def _h_product(which: int, N: Fraction) -> FracSeries:
+def _h_product(which: int, N: Rat) -> FracSeries:
     """H1 = prod (1-q^n)^2 / ((1-q^(5n-1))(1-q^(5n-4)))^5,
        H2 = q * prod (1-q^n)^2 / ((1-q^(5n-2))(1-q^(5n-3)))^5."""
     r1, r2 = (1, 4) if which == 1 else (2, 3)
 
-    def build(n: Fraction) -> FracSeries:
+    def build(n: Rat) -> FracSeries:
         out = _binomial_product(n, [f for k in range(1, math.ceil(n) + 1)
                                     for f in ((k, MINUS_ONE, 2), (5 * k - r1, MINUS_ONE, -5),
                                               (5 * k - r2, MINUS_ONE, -5))])
@@ -519,14 +517,14 @@ def _h_product(which: int, N: Fraction) -> FracSeries:
 
 def _c_plus_minus() -> tuple[CycloQ5, CycloQ5]:
     s5 = sqrt5()
-    cp = (CycloQ5(25) + s5 * 11) * Fraction(1, 50)
-    cm = (CycloQ5(25) - s5 * 11) * Fraction(1, 50)
+    cp = (CycloQ5(25) + s5 * 11) * CycloQ5(1, den=50)
+    cm = (CycloQ5(25) - s5 * 11) * CycloQ5(1, den=50)
     return cp, cm
 
 
-def _build_c511(N: Fraction, variant: str) -> Pairs:
+def _build_c511(N: Rat, variant: str) -> Pairs:
     s5 = sqrt5()
-    lhs = (_eta_quotient(_Z1, N).scalar_mul(s5 * Fraction(22, 50))
+    lhs = (_eta_quotient(_Z1, N).scalar_mul(s5 * CycloQ5(22, den=50))
            + _eta_quotient(_Z2, N).scalar_mul(s5 * 5))
     cp, cm = _c_plus_minus()
     gp, gm = _g_product(+1, N), _g_product(-1, N)
@@ -534,7 +532,7 @@ def _build_c511(N: Fraction, variant: str) -> Pairs:
     return [("22*sqrt5/50 Z1 + 5*sqrt5 Z2 = c+ G+^2 - c- G-^2", lhs, rhs)]
 
 
-def _build_c521(N: Fraction, variant: str) -> Pairs:
+def _build_c521(N: Rat, variant: str) -> Pairs:
     lhs = _oracle_series(N, lambda n: 6 * arith.divisor_sum("S", n), constant=1)
     cp, cm = _c_plus_minus()
     gp, gm = _g_product(+1, N), _g_product(-1, N)
@@ -542,12 +540,12 @@ def _build_c521(N: Fraction, variant: str) -> Pairs:
     return [("1 + 6 sum (sigma(n)-5 sigma(n/5)) q^n = c+ G+^2 + c- G-^2", lhs, rhs)]
 
 
-def _build_ps1(sign: int) -> Callable[[Fraction, str], Pairs]:
-    def build(N: Fraction, variant: str) -> Pairs:
+def _build_ps1(sign: int) -> Callable[[Rat, str], Pairs]:
+    def build(N: Rat, variant: str) -> Pairs:
         g = _g_product(sign, N)
         lhs = g * g
         s5 = sqrt5() * sign
-        outer = (CycloQ5(25) - s5 * 11) * Fraction(1, 4)
+        outer = (CycloQ5(25) - s5 * 11) * CycloQ5(1, den=4)
         rhs = _oracle_series(N, lambda n: outer * (CycloQ5(30 * arith.divisor_sum("C", n))
                                                    + s5 * arith.divisor_sum("D25", n)),
                              constant=1)
@@ -557,7 +555,7 @@ def _build_ps1(sign: int) -> Callable[[Fraction, str], Pairs]:
     return build
 
 
-def _build_c611(N: Fraction, variant: str) -> Pairs:
+def _build_c611(N: Rat, variant: str) -> Pairs:
     h1, h2 = _h_product(1, N), _h_product(2, N)
     lhs = h1 * h1 - h2 * h2
     rhs = (_eta_quotient(_Z2, N).scalar_mul(11)
@@ -565,27 +563,27 @@ def _build_c611(N: Fraction, variant: str) -> Pairs:
     return [("H1^2 - H2^2 = 11 Z2 + Z1", lhs, rhs)]
 
 
-def _build_c621(N: Fraction, variant: str) -> Pairs:
+def _build_c621(N: Rat, variant: str) -> Pairs:
     h1, h2 = _h_product(1, N), _h_product(2, N)
     lhs = h1 * h1 + h2 * h2
     rhs = _oracle_series(N, lambda n: 6 * arith.divisor_sum("S", n), constant=1)
     return [("H1^2 + H2^2 = 1 + 6 sum S(n) q^n", lhs, rhs)]
 
 
-def _build_ps2(which: int) -> Callable[[Fraction, str], Pairs]:
-    def build(N: Fraction, variant: str) -> Pairs:
+def _build_ps2(which: int) -> Callable[[Rat, str], Pairs]:
+    def build(N: Rat, variant: str) -> Pairs:
         h = _h_product(which, N)
         lhs = h * h
         sign = 1 if which == 1 else -1
-        rhs = _oracle_series(N, lambda n: 3 * arith.divisor_sum("C", n)
-                             + sign * arith.divisor_sum("E11", n) / 2,
+        rhs = _oracle_series(N, lambda n: CycloQ5(6 * arith.divisor_sum("C", n)
+                                                  + sign * arith.divisor_sum("E11", n), den=2),
                              constant=1 if which == 1 else 0)
         return [(f"H{which}^2 divisor-sum expansion", lhs, rhs)]
 
     return build
 
 
-def _xyz_level5(N: Fraction) -> tuple[FracSeries, ...]:
+def _xyz_level5(N: Rat) -> tuple[FracSeries, ...]:
     """(X, Y, Z, XY, F) with F = X^2 - 11XY - Y^2."""
     A, B = _PAIR5
     X, Y = _th(A, 0, N, 5), _th(B, 0, N, 5)
@@ -594,12 +592,12 @@ def _xyz_level5(N: Fraction) -> tuple[FracSeries, ...]:
     return X, Y, Z, XY, _th(A, 0, N, 10) - XY.scalar_mul(11) - _th(B, 0, N, 10)
 
 
-def _fifth_order(N: Fraction) -> Fraction:
+def _fifth_order(N: Rat) -> int:
     """The order of the theta slots whose q -> q^5 substitutions are needed below N."""
-    return Fraction(math.ceil(N / 5) + 2)
+    return -(-N // 5) + 2
 
 
-def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, ...]:
+def _xyz_level5_shifted(N: Rat) -> tuple[FracSeries, ...]:
     """(X, Y, Z, XY, F) with F = X^2 + 11XY - Y^2."""
     # products of q -> q^5 substitutions are the substitutions of the stored products
     Npre = _fifth_order(N)
@@ -611,29 +609,29 @@ def _xyz_level5_shifted(N: Fraction) -> tuple[FracSeries, ...]:
                          - _th(B, 0, Npre, 10).rescale_exponent(5))
 
 
-def _build_me5(N: Fraction, variant: str) -> Pairs:
+def _build_me5(N: Rat, variant: str) -> Pairs:
     X, Y, Z, XY, F = _xyz_level5(N)
     lhs = (XY ** 9).scalar_mul(5 ** 5)
     rhs = (Z ** 10) * (F ** 5)
     return [("5^5 X^9 Y^9 = Z^10 (X^2-11XY-Y^2)^5", lhs, rhs)]
 
 
-def _build_ode5(N: Fraction, variant: str) -> Pairs:
+def _build_ode5(N: Rat, variant: str) -> Pairs:
     X, Y, Z, XY, F = _xyz_level5(N)
     lhs = X.tau_derivative() * Y - X * Y.tau_derivative()
-    rhs = (Z * F).scalar_mul(sqrt5() * Fraction(1, 25)).cpow_shift(1)
+    rhs = (Z * F).scalar_mul(sqrt5() * CycloQ5(1, den=25)).cpow_shift(1)
     return [("X'Y - XY' = (2*pi*i)/5^(3/2) Z (X^2-11XY-Y^2)", lhs, rhs)]
 
 
-def _build_w5(N: Fraction, variant: str) -> Pairs:
+def _build_w5(N: Rat, variant: str) -> Pairs:
     X, Y, Z, XY, F = _xyz_level5(N)
     W = X * Y.tau_derivative() - Y * X.tau_derivative()
     lhs = W ** 10
-    rhs = ((XY ** 9) * (F ** 5)).scalar_mul(Fraction(1, 5 ** 10)).cpow_shift(10)
+    rhs = ((XY ** 9) * (F ** 5)).scalar_mul(CycloQ5(1, den=5 ** 10)).cpow_shift(10)
     return [("W(X,Y)^10 = (2*pi*i/5)^10 X^9 Y^9 (X^2-11XY-Y^2)^5", lhs, rhs)]
 
 
-def _build_me6(N: Fraction, variant: str) -> Pairs:
+def _build_me6(N: Rat, variant: str) -> Pairs:
     X, Y, Z, XY, F = _xyz_level5_shifted(N)
     lhs = XY ** 9
     rhs = (Z ** 10) * (F ** 5)
@@ -645,14 +643,14 @@ def _build_me6(N: Fraction, variant: str) -> Pairs:
     return [(label, lhs, rhs)]
 
 
-def _build_ode6(N: Fraction, variant: str) -> Pairs:
+def _build_ode6(N: Rat, variant: str) -> Pairs:
     X, Y, Z, XY, F = _xyz_level5_shifted(N)
     lhs = X.tau_derivative() * Y - X * Y.tau_derivative()
     rhs = (Z * F).cpow_shift(1)
     return [("X'Y - XY' = 2*pi*i Z (X^2+11XY-Y^2)", lhs, rhs)]
 
 
-def _build_w6(N: Fraction, variant: str) -> Pairs:
+def _build_w6(N: Rat, variant: str) -> Pairs:
     X, Y, Z, XY, F = _xyz_level5_shifted(N)
     rhs = ((XY ** 9) * (F ** 5)).cpow_shift(10)
     if variant == CORRECTED:
@@ -671,7 +669,7 @@ def _build_w6(N: Fraction, variant: str) -> Pairs:
 _FIFTH_BUILDERS = (_build_me6, _build_ode6, _build_w6)
 
 
-def _build_heat(N: Fraction, variant: str) -> Pairs:
+def _build_heat(N: Rat, variant: str) -> Pairs:
     pairs: Pairs = []
     for ch in CATALOG_CHARS:
         lhs = _th(ch, 2, N)
@@ -680,17 +678,17 @@ def _build_heat(N: Fraction, variant: str) -> Pairs:
     return pairs
 
 
-def _build_shift(N: Fraction, variant: str) -> Pairs:
+def _build_shift(N: Rat, variant: str) -> Pairs:
     pairs: Pairs = []
-    for base, m, n in [(char(_f(1, 5), _f(1, 5)), 1, 0),
-                       (char(_f(3, 5), -_f(1, 5)), 0, 1),
-                       (char(1, _f(1, 5)), 0, 1),
-                       (char(_f(1, 5), _f(3, 5)), -1, 2)]:
+    for base, m, n in [(char(1, 1, 5), 1, 0),
+                       (char(3, -1, 5), 0, 1),
+                       (char(5, 1, 5), 0, 1),
+                       (char(1, 3, 5), -1, 2)]:
         p, shifted = char_shift_phase(base, m, n)
         lhs = _th(shifted, 0, N)
         rhs = _th(base, 0, N).phase_mul(p)
-        pairs.append((f"theta{shifted} = e({p.a}) theta{base}", lhs, rhs))
-    for ch in (char(_f(1, 5), _f(3, 5)), char(_f(3, 5), 1)):
+        pairs.append((f"theta{shifted} = {p} theta{base}", lhs, rhs))
+    for ch in (char(1, 3, 5), char(3, 5, 5)):
         lhs = _th(ch.negated(), 0, N)
         rhs = _th(ch, 0, N)
         pairs.append((f"theta{ch.negated()} = theta{ch}", lhs, rhs))
@@ -700,7 +698,7 @@ def _build_shift(N: Fraction, variant: str) -> Pairs:
     return pairs
 
 
-def _build_tp_eq(N: Fraction, variant: str) -> Pairs:
+def _build_tp_eq(N: Rat, variant: str) -> Pairs:
     pairs: Pairs = []
     for ch in CATALOG_CHARS:
         pairs.append((f"sum = product {ch}",
@@ -780,9 +778,10 @@ def lookup(entry_id: str) -> IdentityEntry:
 
 
 def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> IdentityReport:
-    """Build both sides of one catalog entry and compare them exactly."""
+    """Build both sides of one catalog entry and compare them exactly; the
+    builders get ``order`` (an int or a Fraction) plus the entry's margin."""
     entry = lookup(entry_id)
-    order = Fraction(order)
+    as_ratio(order)  # a float raises TypeError
     if order < entry.min_meaningful_order:
         raise ValueError(
             f"{entry_id}: order {order} is below the minimum meaningful order "
@@ -792,19 +791,18 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
     t0 = time.perf_counter()
     pairs = _homogeneous(entry.build(order + entry.margin, variant))
     report = IdentityReport(entry_id, variant, None, True, location=entry.location)
-    checked: Optional[Fraction] = None
+    checked: Optional[Ratio] = None
     for label, lhs, rhs in pairs:
         res = series_equal(lhs, rhs)
-        if res.order_checked is not None:
-            checked = res.order_checked if checked is None else min(checked, res.order_checked)
+        checked = _min_order(checked, res._order)
         if not res.passed and report.passed:
             report.passed = False
-            report.first_mismatch_exponent = res.first_mismatch
+            report._mismatch = res._mismatch
             report.lhs_coeff = res.lhs_coeff
             report.rhs_coeff = res.rhs_coeff
             report.label = label
             report.reason = res.reason
-    report.order_checked = checked
+    report._order = checked
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -813,7 +811,7 @@ def verify_clamped(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> 
     """``verify`` under the suite's rule: the order is clamped up to the entry's
     minimum, and an entry lacking ``variant`` runs as-stated."""
     entry = lookup(entry_id)
-    return verify(entry_id, max(Fraction(order), Fraction(entry.min_meaningful_order)),
+    return verify(entry_id, max(order, entry.min_meaningful_order),
                   variant if variant in entry.variants else AS_STATED)
 
 
@@ -829,10 +827,9 @@ def verify_ids(entry_ids: list[str], order: Rat = 20,
     lane is pure Python and holds the interpreter lock, so threads would not
     speed it up.  An unknown id raises KeyError before anything is verified.
     """
-    order = Fraction(order)
     entries = [lookup(i) for i in entry_ids]
 
-    def store_order(e: IdentityEntry) -> Fraction:
+    def store_order(e: IdentityEntry) -> Rat:
         n = max(order, e.min_meaningful_order) + e.margin
         return _fifth_order(n) if e.build in _FIFTH_BUILDERS else n
 
@@ -854,7 +851,7 @@ def verify_all(order: Rat = 20, variant: str = AS_STATED) -> list[IdentityReport
 def _coeff_json(c: Optional[CycloQ5]):
     if c is None:
         return None
-    return [render_rational(x) for x in c.coeffs()]
+    return [render_rational(x, c.den) for x in c.vec]
 
 
 def report_to_dict(r: IdentityReport) -> dict:
@@ -862,8 +859,7 @@ def report_to_dict(r: IdentityReport) -> dict:
     mismatch = None
     if not r.passed:
         mismatch = {
-            "exponent": None if r.first_mismatch_exponent is None
-            else render_rational(r.first_mismatch_exponent),
+            "exponent": None if r._mismatch is None else render_rational(*r._mismatch),
             "lhs": _coeff_json(r.lhs_coeff),
             "rhs": _coeff_json(r.rhs_coeff),
             "label": r.label,
@@ -874,7 +870,7 @@ def report_to_dict(r: IdentityReport) -> dict:
         "location": r.location,
         "variant": r.variant,
         "passed": r.passed,
-        "order": None if r.order_checked is None else render_rational(r.order_checked),
+        "order": None if r._order is None else render_rational(*r._order),
         "first_mismatch": mismatch,
     }
 
@@ -885,11 +881,10 @@ def reports_to_json(reports: list[IdentityReport]) -> str:
 
 def report_to_text(r: IdentityReport) -> str:
     status = "pass" if r.passed else "FAIL"
-    order = "inf" if r.order_checked is None else render_rational(r.order_checked)
+    order = "inf" if r._order is None else render_rational(*r._order)
     line = f"{r.id:6s} [{r.variant:9s}] {status}  order<{order}  ({r.location})"
     if not r.passed:
-        where = ("" if r.first_mismatch_exponent is None
-                 else f" at q^{render_rational(r.first_mismatch_exponent)}")
+        where = "" if r._mismatch is None else f" at q^{render_rational(*r._mismatch)}"
         detail = r.reason or (f"lhs={r.lhs_coeff} rhs={r.rhs_coeff}")
         line += f"\n       mismatch{where} in {r.label!r}: {detail}"
     return line

@@ -12,19 +12,23 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import numeric
 from .arith import KERNELS, divisor_sum, partition_p
 from .catalog import (AS_STATED, catalog as catalog_entries, lookup, report_to_dict,
                       report_to_text, verify_ids)
-from .cyclo import render_rational
+from .cyclo import Rat, render_rational
 from .series import FracSeries
 from .theta import char, eta_q, eta_quotient, theta_const, theta_const_product
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> Rat:
+    """An int, or a Fraction (importing ``fractions`` only then) for "1/5" or "0.2"."""
+    try:
+        return int(text)
+    except ValueError:
+        from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -51,7 +55,7 @@ def _parse_tolerance(text: str) -> float:
     return tol
 
 
-def _parse_char(text: str) -> tuple[Fraction, Fraction]:
+def _parse_char(text: str) -> tuple[Rat, Rat]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(
@@ -59,7 +63,7 @@ def _parse_char(text: str) -> tuple[Fraction, Fraction]:
     return _parse_rational(parts[0]), _parse_rational(parts[1])
 
 
-def _parse_eta_spec(text: str) -> list[tuple[Fraction, int]]:
+def _parse_eta_spec(text: str) -> list[tuple[Rat, int]]:
     # pairs "mult:exp" separated by "," (always valid) or "/" (integer multipliers)
     sep = "," if "," in text else "/"
     out = []
@@ -80,11 +84,11 @@ def _parse_eta_spec(text: str) -> list[tuple[Fraction, int]]:
 def series_to_dict(f: FracSeries) -> dict:
     return {
         "cpow": f.cpow,
-        "phase": str(f.phase.a),
-        "qpow": render_rational(f.qpow),
+        "phase": render_rational(f.phase.num, f.phase.den),
+        "qpow": render_rational(*f._qpow),
         "scale": f.scale,
-        "order": None if f.order is None else render_rational(f.order),
-        "coeffs": {str(k): [render_rational(Fraction(x, f.den)) for x in f.tail[k]]
+        "order": None if f._order is None else render_rational(*f._order),
+        "coeffs": {str(k): [render_rational(x, f.den) for x in f.tail[k]]
                    for k in sorted(f.tail)},
     }
 
@@ -252,20 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("theta", "theta-product", "eta", "eta-quotient"))
     sp.add_argument("--char", type=_parse_char, help="characteristic 'eps,eps_prime'")
     sp.add_argument("--deriv", type=int, default=0, help="z-derivative order (theta only)")
-    sp.add_argument("--mult", type=_parse_rational, default=Fraction(1),
+    sp.add_argument("--mult", type=_parse_rational, default=1,
                     help="eta multiplier m in eta(m*tau)")
-    sp.add_argument("--offset", type=_parse_rational, default=Fraction(0),
+    sp.add_argument("--offset", type=_parse_rational, default=0,
                     help="eta offset s in eta(m*tau + s)")
     sp.add_argument("--spec", type=_parse_eta_spec,
                     help="eta-quotient spec 'mult:exp,mult:exp' (e.g. '5:5,1:-1')")
-    sp.add_argument("--order", type=_parse_rational, default=Fraction(20))
+    sp.add_argument("--order", type=_parse_rational, default=20)
     add_format(sp)
     sp.set_defaults(fn=_cmd_expand)
 
     sp = sub.add_parser("verify", help="verify catalog identities")
     sp.add_argument("--id", nargs="+", help="identity ids (default: --all)")
     sp.add_argument("--all", action="store_true", help="verify the whole catalog")
-    sp.add_argument("--order", type=_parse_rational, default=Fraction(20),
+    sp.add_argument("--order", type=_parse_rational, default=20,
                     help="q-orders to compare (clamped up to each entry's minimum)")
     sp.add_argument("--variant", choices=(AS_STATED, "corrected"), default=AS_STATED)
     sp.add_argument("--exact-only", action="store_true",

@@ -6,17 +6,26 @@ CycloQ5 element stores what a series tail entry stores, an integer 4-vector over
 one positive denominator in a unique reduced form, and multiplies through
 ``_vmul``, the product in Z[zeta_5].  Roots of unity e(a) = exp(2*pi*i*a), a
 rational, are Phase objects; a Phase converts to a CycloQ5 element exactly when
-the reduced denominator of a divides 10 (via zeta_10 = -zeta_5^3).
+the reduced denominator of a divides 10 (via zeta_10 = -zeta_5^3).  Every other
+rational (exponent, order, phase, characteristic) is a ``Ratio``, a reduced
+integer pair, read from an int or Fraction input by ``as_ratio``; ``fractions``
+is imported only by the accessors that hand a Fraction back to a caller.
 """
 
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
+import sys
 from math import gcd, lcm
-from typing import Union
+from operator import index
+from typing import TYPE_CHECKING, Optional, Union
 
-Rat = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Rat = Union[int, "Fraction"]
+#: A rational n/d as the integer pair (n, d), d > 0 and gcd(n, d) = 1.
+Ratio = tuple[int, int]
 #: An element of Z[zeta_5] in the power basis 1, z, z^2, z^3.  Vectors are built
 #: from lists, not generators: tuple(generator) shrinks a larger tuple, and freeing
 #: it parks it on the 4-tuple free list, so bulk frees would raise peak memory.
@@ -26,8 +35,46 @@ Vec = tuple[int, int, int, int]
 ZETA5_NUMERIC = cmath.exp(2j * cmath.pi / 5)
 
 
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def ratio(n: int, d: int = 1) -> Ratio:
+    """n/d in lowest terms over a positive denominator; d must be nonzero."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+def as_ratio(x: Rat, den: int = 1) -> Ratio:
+    """x/den as a Ratio, x having integer ``numerator`` and ``denominator`` (an int
+    or a Fraction); a float or any other value raises TypeError."""
+    try:
+        n, d = index(x.numerator), index(x.denominator)
+    except (AttributeError, TypeError):
+        raise TypeError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}") from None
+    return ratio(n, d * den)
+
+
+def radd(a: Ratio, b: Ratio, sign: int = 1) -> Ratio:
+    """a + sign*b, reduced; the operands need only positive denominators."""
+    return ratio(a[0] * b[1] + sign * b[0] * a[1], a[1] * b[1])
+
+
+def rsub(a: Ratio, b: Ratio) -> Ratio:
+    return radd(a, b, -1)
+
+
+def rational_hash(r: Ratio) -> int:
+    """hash(Fraction(*r)), computed on the integers by the language reference's rule."""
+    n, d = r
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
+    except ValueError:  # the modulus divides d
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def to_fraction(r: Optional[Ratio]) -> Optional["Fraction"]:
+    """The Fraction of a Ratio (None stays None), for accessors that return one."""
+    from fractions import Fraction
+    return None if r is None else Fraction(*r)
 
 
 def _vmul(a: Vec, b: Vec) -> Vec:
@@ -43,18 +90,19 @@ class CycloQ5:
     """An element (v0 + v1*z + v2*z^2 + v3*z^3)/den of Q(zeta_5), z = zeta_5.
 
     ``den`` > 0 and ``vec`` = (v0, v1, v2, v3) are integers with gcd 1, so ``==``
-    is exact equality in the field.  Immutable and hashable.  The constructor
-    takes ints and Fractions; ``c0..c3`` and ``coeffs()`` are Fractions.
+    is exact equality in the field.  Immutable and hashable.  CycloQ5(c0, .., c3,
+    den=d) is (c0 + c1*z + c2*z^2 + c3*z^3)/d for ints or Fractions c0..c3, not
+    floats; the accessors ``c0..c3`` and ``coeffs()`` return Fractions.
     """
 
     __slots__ = ("den", "vec")
 
-    def __init__(self, c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, c3: Rat = 0):
-        # reduced Fractions over the lcm of their denominators share no factor with it
-        qs = [c if isinstance(c, int) else _frac(c) for c in (c0, c1, c2, c3)]
-        den = lcm(*[q.denominator for q in qs])
+    def __init__(self, c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, c3: Rat = 0, *, den: int = 1):
+        # reduced ratios over the lcm of their denominators share no factor with it
+        qs = [as_ratio(c, den) for c in (c0, c1, c2, c3)]
+        den = lcm(*[d for _, d in qs])
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "vec", tuple([q.numerator * (den // q.denominator) for q in qs]))
+        object.__setattr__(self, "vec", tuple([n * (den // d) for n, d in qs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloQ5 is immutable")
@@ -79,13 +127,11 @@ class CycloQ5:
 
     # -- basic structure ----------------------------------------------
 
-    c0 = property(lambda self: Fraction(self.vec[0], self.den))
-    c1 = property(lambda self: Fraction(self.vec[1], self.den))
-    c2 = property(lambda self: Fraction(self.vec[2], self.den))
-    c3 = property(lambda self: Fraction(self.vec[3], self.den))
+    c0, c1, c2, c3 = [property(lambda self, j=j: to_fraction((self.vec[j], self.den)))
+                      for j in range(4)]
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple([Fraction(x, self.den) for x in self.vec])
+        return tuple([to_fraction((x, self.den)) for x in self.vec])
 
     def is_zero(self) -> bool:
         return self.vec == (0, 0, 0, 0)
@@ -109,7 +155,8 @@ class CycloQ5:
 
     def __hash__(self) -> int:
         # a rational element equals its int/Fraction value, so it must hash like it
-        return hash(self.c0) if self.is_rational() else hash((self.den, self.vec))
+        v = self.vec
+        return rational_hash((v[0], self.den)) if self.is_rational() else hash((self.den, v))
 
     # -- ring operations ----------------------------------------------
 
@@ -127,9 +174,6 @@ class CycloQ5:
         return CycloQ5.from_ints(tuple([-x for x in self.vec]), self.den)
 
     def __sub__(self, other) -> "CycloQ5":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "CycloQ5":
@@ -186,7 +230,7 @@ class CycloQ5:
         return embed_coords(*[x / self.den for x in self.vec])
 
     def __repr__(self) -> str:
-        return f"CycloQ5({', '.join(map(render_rational, self.coeffs()))})"
+        return f"CycloQ5({', '.join([render_rational(x, self.den) for x in self.vec])})"
 
     def __str__(self) -> str:
         return render_cyclo(self)
@@ -201,11 +245,11 @@ def embed_coords(c0: Union[Rat, float], c1: Union[Rat, float],
 
 
 def _coerce(x) -> "CycloQ5":
-    if isinstance(x, CycloQ5):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CycloQ5(x)
-    return NotImplemented
+    """x as a CycloQ5, or NotImplemented for a value that is not exact (a float)."""
+    try:
+        return x if isinstance(x, CycloQ5) else CycloQ5(x)
+    except TypeError:
+        return NotImplemented
 
 
 ZERO = CycloQ5()
@@ -219,7 +263,7 @@ def sqrt5() -> CycloQ5:
 
 def golden_ratio() -> CycloQ5:
     """(1 + sqrt(5))/2."""
-    return (ONE + sqrt5()) * Fraction(1, 2)
+    return (ONE + sqrt5()) * CycloQ5(1, den=2)
 
 
 class PhaseNotRepresentable(ValueError):
@@ -232,16 +276,15 @@ UNITS: tuple[tuple[int, int], ...] = (
     (1, 0), (-1, 3), (1, 1), (-1, 4), (1, 2), (-1, 0), (1, 3), (-1, 1), (1, 4), (-1, 2))
 
 
-def unit_index(a: Rat) -> int:
-    """The t in 0..9 with e(a) = e(t/10), the index of e(a) in ``UNITS``.
-
-    Raises PhaseNotRepresentable unless the reduced denominator of a divides 10.
-    """
-    t = a * 10
-    if t.denominator != 1:
-        raise PhaseNotRepresentable(
-            f"e({a % 1}) is not in Q(zeta_5): denominator {a.denominator} does not divide 10")
-    return int(t) % 10
+def unit_index(num: int, den: int = 1) -> int:
+    """The index t in ``UNITS`` of e(num/den) = e(t/10), den > 0; raises
+    PhaseNotRepresentable unless the reduced denominator of num/den divides 10."""
+    t, r = divmod(10 * num, den)
+    if r:
+        n, d = ratio(num, den)
+        raise PhaseNotRepresentable(f"e({render_rational(n % d, d)}) is not in Q(zeta_5): "
+                                    f"denominator {d} does not divide 10")
+    return t % 10
 
 
 def unit_vec(t: int, a: int = 1) -> Vec:
@@ -252,78 +295,79 @@ def unit_vec(t: int, a: int = 1) -> Vec:
 
 
 class Phase:
-    """The exact root of unity e(a) = exp(2*pi*i*a), a rational, reduced mod 1."""
+    """The exact root of unity e(a) = exp(2*pi*i*a), a = x/den rational, stored reduced
+    mod 1 as integers a = num/den, 0 <= num < den; the accessor ``a`` is a Fraction."""
 
-    __slots__ = ("a",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, a: Rat = 0):
-        object.__setattr__(self, "a", _frac(a) % 1)
+    def __init__(self, x: Rat = 0, den: int = 1):
+        n, d = as_ratio(x, den)
+        object.__setattr__(self, "num", n % d)
+        object.__setattr__(self, "den", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
 
+    a = property(lambda self: to_fraction((self.num, self.den)))
+
     def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.a + other.a)
+        return Phase(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __truediv__(self, other: "Phase") -> "Phase":
-        return Phase(self.a - other.a)
+        return Phase(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def inverse(self) -> "Phase":
-        return Phase(-self.a)
-
-    def __pow__(self, n: int) -> "Phase":
-        return Phase(self.a * n)
+        return Phase(-self.num, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Phase):
             return NotImplemented
-        return self.a == other.a
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("Phase", self.a))
+        return hash(("Phase", self.num, self.den))
 
     def is_one(self) -> bool:
-        return self.a == 0
-
-    def is_representable(self) -> bool:
-        return 10 % self.a.denominator == 0
+        return self.num == 0
 
     def to_cyclo(self) -> CycloQ5:
         """e(a) as a CycloQ5 element; requires denominator(a) | 10 (see ``UNITS``)."""
-        return CycloQ5.from_ints(unit_vec(unit_index(self.a)))
+        return CycloQ5.from_ints(unit_vec(unit_index(self.num, self.den)))
 
     def embed(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.a))
+        # int / int rounds correctly, as float() of the Fraction does
+        return cmath.exp(2j * cmath.pi * (self.num / self.den))
 
     def __repr__(self) -> str:
-        return f"Phase({self.a})"
+        return f"Phase({render_rational(self.num, self.den)})"
 
     def __str__(self) -> str:
-        return f"e({self.a})"
+        return f"e({render_rational(self.num, self.den)})"
 
 
-def render_rational(r: Fraction) -> str:
-    """num/den string of an int or Fraction; bare integer when the denominator is 1."""
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+def render_rational(num: int, den: int = 1) -> str:
+    """num/den in lowest terms as a string; a bare integer when the denominator is 1."""
+    n, d = ratio(num, den)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def render_cyclo(c: CycloQ5) -> str:
     """Render as a rational, or as a parenthesized polynomial in z5 = zeta_5."""
     if c.is_rational():
-        return render_rational(c.c0)
+        return render_rational(c.vec[0], c.den)
     parts: list[str] = []
-    for j, v in enumerate(c.coeffs()):
-        if not v:
+    for j, x in enumerate(c.vec):
+        if not x:
             continue
         unit = "1" if j == 0 else ("z5" if j == 1 else f"z5^{j}")
         if j == 0:
-            term = render_rational(v)
-        elif v == 1:
+            term = render_rational(x, c.den)
+        elif x == c.den:
             term = unit
-        elif v == -1:
+        elif x == -c.den:
             term = f"-{unit}"
         else:
-            term = f"{render_rational(v)}*{unit}"
+            term = f"{render_rational(x, c.den)}*{unit}"
         if parts and not term.startswith("-"):
             parts.append("+ " + term)
         elif parts:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 from typing import Callable, Optional
@@ -77,6 +76,7 @@ class NumericConfig:
 
 DEFAULT_CONFIG = NumericConfig()
 
+
 #: theta[1, 1], the odd theta function; its zero at z = 0 is the residue setups' pole.
 _ODD_CHAR = char(1, 1)
 #: theta[0, 0]; N5 measures each zero against its value at z = 0, which never vanishes.
@@ -120,7 +120,7 @@ def _theta_sum(zs: list[complex], tau: complex, chars: list[ThetaChar], m: int,
     half_tau, two_pi = tau / 2, 2 * math.pi
     out = []
     for ch in chars:
-        e, ep = float(ch.eps), float(ch.eps_prime)
+        e, ep = ch.e[0] / ch.e[1], ch.ep[0] / ch.ep[1]  # as float() of the Fractions
         if e not in phases:
             phases[e] = [1j ** m * cmath.exp(TWO_PI_I * (e / 2) * u) for u in us]
         n_cut = _cutoff(max(-lo, hi), tau.imag, e, cfg) if N is None else N
@@ -182,11 +182,11 @@ def series_eval_num(f: FracSeries, tau: complex) -> complex:
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     s = 0j
-    d = f.den
+    d, (p, q), scale = f.den, f._qpow, f.scale
     for k, (a0, a1, a2, a3) in f.tail.items():
-        # int / int rounds correctly, as float() of the reduced Fraction does
+        # int / int rounds correctly, as float() of the Fraction p/q + k/scale does
         c = embed_coords(a0 / d, a1 / d, a2 / d, a3 / d)
-        s += c * cmath.exp(TWO_PI_I * (tau * float(f.qpow + Fraction(k, f.scale))))
+        s += c * cmath.exp(TWO_PI_I * (tau * ((p * scale + k * q) / (q * scale))))
     return s * f.phase.embed() * TWO_PI_I ** f.cpow
 
 
@@ -252,9 +252,9 @@ def check_prop31(which: str = "first", samples: int = 20,
     z5 = cmath.exp(TWO_PI_I / 5)
     # k1 th^2[B] th[A](z) th[C](z) + k2 th^2[A] th[B](z) th[D](z) + th[A] th[B] th^2[1,1](z)
     if which == "first":
-        k1, k2, chars = 1, -1, [char(1, Fraction(k, 5)) for k in (1, 3, 9, 7)]
+        k1, k2, chars = 1, -1, [char(5, k, 5) for k in (1, 3, 9, 7)]
     else:
-        k1, k2, chars = -z5 ** 2, z5 ** 3, [char(Fraction(k, 5), 1) for k in (1, 3, 9, 7)]
+        k1, k2, chars = -z5 ** 2, z5 ** 3, [char(k, 5, 5) for k in (1, 3, 9, 7)]
     A, B = chars[:2]
     worst = 0.0
     for _, tau, z in _sample_points(cfg, samples, cfg.rng()):
@@ -271,8 +271,7 @@ def check_prop31(which: str = "first", samples: int = 20,
 def check_lemma32(samples: int = 20, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Residual of (th'/th)^2 = th''/th - (d^2/dz^2) log th at random points,
     with every z-derivative taken term-by-term in the theta sum."""
-    chars = [char(Fraction(1, 5), Fraction(1, 5)), char(1, Fraction(3, 5)),
-             char(Fraction(3, 5), 1), _ZERO_CHAR]
+    chars = [char(1, 1, 5), char(5, 3, 5), char(3, 5, 5), _ZERO_CHAR]
     worst = 0.0
     for i, tau, z in _sample_points(cfg, samples, cfg.rng()):
         ch = chars[i % len(chars)]
@@ -308,18 +307,12 @@ def theta_prime_fd_residual(cfg: NumericConfig = DEFAULT_CONFIG, points: int = 3
 #: (section label, phi characteristics, psi characteristics); each entry is
 #: ((squared char, linear char) for phi, (squared char, linear char) for psi).
 RESIDUE_SETUPS: list[tuple[str, tuple[ThetaChar, ThetaChar], tuple[ThetaChar, ThetaChar]]] = [
-    ("5.1", (char(1, Fraction(1, 5)), char(1, Fraction(3, 5))),
-            (char(1, Fraction(3, 5)), char(1, Fraction(-1, 5)))),
-    ("6.1", (char(Fraction(1, 5), 1), char(Fraction(3, 5), 1)),
-            (char(Fraction(3, 5), 1), char(Fraction(-1, 5), 1))),
-    ("7.1", (char(Fraction(1, 5), Fraction(1, 5)), char(Fraction(3, 5), Fraction(3, 5))),
-            (char(Fraction(3, 5), Fraction(3, 5)), char(Fraction(-1, 5), Fraction(-1, 5)))),
-    ("7.2", (char(Fraction(1, 5), Fraction(3, 5)), char(Fraction(3, 5), Fraction(9, 5))),
-            (char(Fraction(3, 5), Fraction(9, 5)), char(Fraction(-1, 5), Fraction(-3, 5)))),
-    ("7.3", (char(Fraction(1, 5), Fraction(7, 5)), char(Fraction(3, 5), Fraction(1, 5))),
-            (char(Fraction(3, 5), Fraction(1, 5)), char(Fraction(-1, 5), Fraction(3, 5)))),
-    ("7.4", (char(Fraction(1, 5), Fraction(9, 5)), char(Fraction(3, 5), Fraction(-3, 5))),
-            (char(Fraction(3, 5), Fraction(7, 5)), char(Fraction(-1, 5), Fraction(1, 5)))),
+    ("5.1", (char(5, 1, 5), char(5, 3, 5)), (char(5, 3, 5), char(5, -1, 5))),
+    ("6.1", (char(1, 5, 5), char(3, 5, 5)), (char(3, 5, 5), char(-1, 5, 5))),
+    ("7.1", (char(1, 1, 5), char(3, 3, 5)), (char(3, 3, 5), char(-1, -1, 5))),
+    ("7.2", (char(1, 3, 5), char(3, 9, 5)), (char(3, 9, 5), char(-1, -3, 5))),
+    ("7.3", (char(1, 7, 5), char(3, 1, 5)), (char(3, 1, 5), char(-1, 3, 5))),
+    ("7.4", (char(1, 9, 5), char(3, -3, 5)), (char(3, 7, 5), char(-1, 1, 5))),
 ]
 
 
@@ -367,7 +360,7 @@ def check_quasi_periodicity(samples: int = 50,
         m = rng.choice([-1, 0, 1, 1])
         n = rng.choice([-1, 0, 1, 2])
         lhs = theta_num(z + n + m * tau, tau, ch, 0, cfg)
-        mult = cmath.exp(TWO_PI_I * ((n * float(ch.eps) - m * float(ch.eps_prime)) / 2
+        mult = cmath.exp(TWO_PI_I * ((n * (ch.e[0] / ch.e[1]) - m * (ch.ep[0] / ch.ep[1])) / 2
                                      - m * z - m * m * tau / 2))
         rhs = mult * theta_num(z, tau, ch, 0, cfg)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
@@ -382,7 +375,7 @@ def check_zero_location(samples: int = 24, cfg: NumericConfig = DEFAULT_CONFIG) 
     for i in range(samples):
         tau = cfg.sample_tau(rng)
         ch = CATALOG_CHARS[i % len(CATALOG_CHARS)]
-        z0 = (1 - float(ch.eps)) / 2 * tau + (1 - float(ch.eps_prime)) / 2
+        z0 = (1 - ch.e[0] / ch.e[1]) / 2 * tau + (1 - ch.ep[0] / ch.ep[1]) / 2
         val = theta_num(z0, tau, ch, 0, cfg)
         ref = abs(theta_num(0, tau, _ZERO_CHAR, 0, cfg))
         worst = max(worst, abs(val) / ref)

@@ -9,7 +9,8 @@ grid 1/scale; the phase e(a) and the power of the transcendental constant
 2*pi*i are carried exactly in the prefactor.  The ``order`` attribute is the
 truncation contract: coefficients are exact for all relative exponents
 strictly below it (None means exact everywhere, as for constants and finite
-polynomials).
+polynomials).  Both are stored as Ratios, ``_qpow`` and ``_order``; the
+accessors ``qpow`` and ``order`` return Fractions, for callers outside the package.
 
 The tail is stored once, as a positive integer ``den`` and a dict ``tail``
 from each key to an integer 4-vector (a0, a1, a2, a3): the coefficient at k
@@ -43,15 +44,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from fractions import Fraction
 from itertools import chain
 from sys import byteorder
 from typing import Collection, Iterable, Optional, Union
 
-from .cyclo import (CycloQ5, Phase, PhaseNotRepresentable, Rat, Vec, _vmul,
-                    render_cyclo, render_rational)
+from .cyclo import (ONE, CycloQ5, Phase, PhaseNotRepresentable, Rat, Ratio, Vec, _coerce,
+                    _vmul, as_ratio, radd, ratio, render_cyclo, render_rational, rsub,
+                    to_fraction)
 
-Coeff = Union[int, Fraction, CycloQ5]
+Coeff = Union[Rat, CycloQ5]
 
 _ZERO: Vec = (0, 0, 0, 0)
 #: ``_term_pairs`` accumulates in lists up to this many keys per term pair.
@@ -110,63 +111,66 @@ def _reduced(den: int, tail: dict[int, Vec]) -> tuple[int, dict[int, Vec]]:
     return den, tail
 
 
-def _key_bound(order: Optional[Fraction], scale: int) -> Optional[int]:
+def _key_bound(order: Optional[Ratio], scale: int) -> Optional[int]:
     """Largest key k with k/scale < order (None: no bound)."""
     if order is None:
         return None
-    return math.ceil(order * scale) - 1
+    return -(-order[0] * scale // order[1]) - 1
 
 
-def _min_order(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
+def _min_order(a: Optional[Ratio], b: Optional[Ratio]) -> Optional[Ratio]:
     if a is None:
         return b
     if b is None:
         return a
-    return min(a, b)
+    return a if a[0] * b[1] <= b[0] * a[1] else b
 
 
-def _add_order(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
+def _add_order(a: Optional[Ratio], b: Optional[Ratio]) -> Optional[Ratio]:
     if a is None or b is None:
         return None
-    return a + b
+    return radd(a, b)
 
 
 class FracSeries:
-    __slots__ = ("scale", "phase", "qpow", "cpow", "den", "tail", "order", "_coeffs")
+    __slots__ = ("scale", "phase", "_qpow", "cpow", "den", "tail", "_order", "_coeffs")
 
     def __init__(self, scale: int, phase: Phase, qpow: Rat, cpow: int,
                  coeffs: dict[int, CycloQ5], order: Optional[Rat]):
         if scale < 1:
             raise ValueError("scale must be a positive integer")
-        qpow = Fraction(qpow)
-        order = None if order is None else Fraction(order)
+        qpow = as_ratio(qpow)
+        order = None if order is None else as_ratio(order)
         clean = {k: v for k, v in coeffs.items() if not v.is_zero()}
         if clean and min(clean) < 0:
             raise ValueError("tail exponents must be nonnegative")
         if clean and order is not None:
-            clean = {k: v for k, v in clean.items() if Fraction(k, scale) < order}
+            clean = {k: v for k, v in clean.items() if k * order[1] < order[0] * scale}
         den, vecs = _to_ints(clean.values())
         self._set(scale, phase, qpow, cpow, den, dict(zip(clean, vecs)), order)
 
     def _set(self, scale, phase, qpow, cpow, den, tail, order) -> None:
         if not tail:
             # canonical zero tail: fold the prefactor away, keep the absolute bound
-            order = None if order is None else order + qpow
-            phase, qpow, scale, den = _PHASE0, Fraction(0), 1, 1
+            order = None if order is None else radd(order, qpow)
+            phase, qpow, scale, den = _PHASE0, (0, 1), 1, 1
         _setattr(self, "scale", scale)
         _setattr(self, "phase", phase)
-        _setattr(self, "qpow", qpow)
+        _setattr(self, "_qpow", qpow)
         _setattr(self, "cpow", cpow)
         _setattr(self, "den", den)
         _setattr(self, "tail", tail)
-        _setattr(self, "order", order)
+        _setattr(self, "_order", order)
         _setattr(self, "_coeffs", None)
 
+    qpow = property(lambda self: to_fraction(self._qpow))
+    order = property(lambda self: to_fraction(self._order))
+
     @classmethod
-    def _make(cls, scale: int, phase: Phase, qpow: Fraction, cpow: int, den: int,
-              tail: dict[int, Vec], order: Optional[Fraction],
+    def _make(cls, scale: int, phase: Phase, qpow: Ratio, cpow: int, den: int,
+              tail: dict[int, Vec], order: Optional[Ratio],
               clean: bool = False) -> "FracSeries":
-        """Build from an integer tail over ``den``; qpow and order are Fractions.
+        """Build from an integer tail over ``den``; qpow and order are Ratios.
 
         Unless ``clean`` says the tail already is in stored form (keys below
         the order, no zero vectors, den reduced), keys at or above the order
@@ -213,12 +217,6 @@ class FracSeries:
         return cls(1, Phase(0), 0, cpow, {0: _ccoeff(c)}, None)
 
     @classmethod
-    def monomial(cls, qpow: Rat, c: Coeff = 1, phase: Phase = Phase(0),
-                 cpow: int = 0) -> "FracSeries":
-        """c * e(a) * q^qpow, exact everywhere."""
-        return cls(1, phase, qpow, cpow, {0: _ccoeff(c)}, None)
-
-    @classmethod
     def from_terms(cls, terms: Iterable[tuple[Rat, Coeff]],
                    order: Optional[Rat] = None, cpow: int = 0,
                    phase: Phase = Phase(0), qpow: Rat = 0) -> "FracSeries":
@@ -227,17 +225,17 @@ class FracSeries:
         A negative minimum exponent is absorbed into the prefactor q-power,
         so the tail always starts at a nonnegative offset.
         """
-        pairs = [(Fraction(e), _ccoeff(c)) for e, c in terms]
+        pairs = [(as_ratio(e), _ccoeff(c)) for e, c in terms]
         den, vecs = _to_ints([c for _, c in pairs])
-        grid = math.lcm(*(e.denominator for e, _ in pairs))
+        grid = math.lcm(*[d for (_, d), _ in pairs])
         return cls._from_int_terms(
-            grid, [(e.numerator * (grid // e.denominator), v) for (e, _), v in zip(pairs, vecs)],
-            den, order, cpow, phase, qpow)
+            grid, [(n * (grid // d), v) for ((n, d), _), v in zip(pairs, vecs)],
+            den, None if order is None else as_ratio(order), cpow, phase, as_ratio(qpow))
 
     @classmethod
     def _from_int_terms(cls, grid: int, terms: Iterable[tuple[int, Vec]], den: int,
-                        order: Optional[Rat], cpow: int, phase: Phase,
-                        qpow: Rat) -> "FracSeries":
+                        order: Optional[Ratio], cpow: int, phase: Phase,
+                        qpow: Ratio) -> "FracSeries":
         """``from_terms`` for (key, integer 4-vector) pairs over one ``den``, the
         exponent of a key k being k/grid.  Terms with equal keys are summed; the
         scale is grid over the gcd of grid and every key."""
@@ -250,14 +248,12 @@ class FracSeries:
         scale = grid // g
         if g != 1:
             tail = {k // g: v for k, v in tail.items()}
-        qpow = Fraction(qpow)
-        order = None if order is None else Fraction(order)
         low = min((k for k, v in tail.items() if v != _ZERO), default=0)
         if low < 0:
-            shift = Fraction(low, scale)
+            shift = (low, scale)
             tail = {k - low: v for k, v in tail.items()}
-            qpow += shift
-            order = None if order is None else order - shift
+            qpow = radd(qpow, shift)
+            order = None if order is None else rsub(order, shift)
         return cls._make(scale, phase, qpow, cpow, den, tail, order)
 
     # -- structure -----------------------------------------------------
@@ -265,34 +261,38 @@ class FracSeries:
     def is_zero_tail(self) -> bool:
         return not self.tail
 
-    def val(self) -> Optional[Fraction]:
+    def _val(self) -> Optional[Ratio]:
+        return ratio(min(self.tail), self.scale) if self.tail else self._order
+
+    def _abs_order(self) -> Optional[Ratio]:
+        return None if self._order is None else radd(self._qpow, self._order)
+
+    def _abs_val(self) -> Ratio:  # of a nonzero tail
+        return radd(self._qpow, (min(self.tail), self.scale))
+
+    def val(self) -> Optional[Rat]:
         """Smallest stored relative exponent (the truncation order if the tail is empty)."""
-        if not self.tail:
-            return self.order
-        return Fraction(min(self.tail), self.scale)
+        return to_fraction(self._val())
 
-    def abs_order(self) -> Optional[Fraction]:
+    def abs_order(self) -> Optional[Rat]:
         """Absolute exponent below which coefficients are exact (None = everywhere)."""
-        return None if self.order is None else self.qpow + self.order
-
-    def abs_val(self) -> Optional[Fraction]:
-        v = self.val()
-        return None if v is None else self.qpow + v
+        return to_fraction(self._abs_order())
 
     def coefficient(self, exponent: Rat) -> CycloQ5:
         """Coefficient of q^exponent (absolute), ignoring phase/cpow prefactors."""
-        r = Fraction(exponent) - self.qpow
-        k = r * self.scale
-        if r < 0 or k.denominator != 1:
+        n, d = rsub(as_ratio(exponent), self._qpow)
+        k, r = divmod(n * self.scale, d)
+        if n < 0 or r:
             return CycloQ5()
-        v = self.tail.get(int(k))
+        v = self.tail.get(k)
         return CycloQ5() if v is None else CycloQ5.from_ints(v, self.den)
 
     def _lead(self) -> CycloQ5:
         return CycloQ5.from_ints(self.tail[min(self.tail)], self.den)
 
-    def terms(self) -> list[tuple[Fraction, CycloQ5]]:
-        """Sorted (relative exponent, coefficient) pairs."""
+    def terms(self) -> list[tuple[Rat, CycloQ5]]:
+        """Sorted (relative exponent, coefficient) pairs, exponents as Fractions."""
+        from fractions import Fraction
         coeffs = self.coeffs
         return [(Fraction(k, self.scale), coeffs[k]) for k in sorted(coeffs)]
 
@@ -302,68 +302,68 @@ class FracSeries:
         if scale % self.scale:
             raise ValueError("can only refine to a multiple of the current scale")
         m = scale // self.scale
-        return FracSeries._make(scale, self.phase, self.qpow, self.cpow, self.den,
-                                {k * m: v for k, v in self.tail.items()}, self.order,
+        return FracSeries._make(scale, self.phase, self._qpow, self.cpow, self.den,
+                                {k * m: v for k, v in self.tail.items()}, self._order,
                                 clean=True)
 
     # -- ring operations -------------------------------------------------
 
     def __mul__(self, other) -> "FracSeries":
-        if isinstance(other, (int, Fraction, CycloQ5)):
-            return self.scalar_mul(other)
         if not isinstance(other, FracSeries):
-            return NotImplemented
+            scalar = _coerce(other)
+            return NotImplemented if scalar is NotImplemented else self.scalar_mul(scalar)
         f, g = self, other
-        order = _min_order(_add_order(f.order, g.val()), _add_order(g.order, f.val()))
+        order = _min_order(_add_order(f._order, g._val()), _add_order(g._order, f._val()))
         scale = math.lcm(f.scale, g.scale)
         fa, ga = f._rescaled(scale), g._rescaled(scale)
         # _convolve already drops zero vectors and keys above the bound
         den, tail = _reduced(f.den * g.den, _convolve(fa.tail, ga.tail, _key_bound(order, scale)))
-        return FracSeries._make(scale, f.phase * g.phase, f.qpow + g.qpow,
+        return FracSeries._make(scale, f.phase * g.phase, radd(f._qpow, g._qpow),
                                 f.cpow + g.cpow, den, tail, order, clean=True)
 
     __rmul__ = __mul__
 
     def scalar_mul(self, c: Coeff) -> "FracSeries":
         c = _ccoeff(c)
-        return FracSeries._make(self.scale, self.phase, self.qpow, self.cpow,
-                                self.den * c.den, _times(c.vec, self.tail), self.order)
+        return FracSeries._make(self.scale, self.phase, self._qpow, self.cpow,
+                                self.den * c.den, _times(c.vec, self.tail), self._order)
 
     def phase_mul(self, p: Phase) -> "FracSeries":
-        return FracSeries._make(self.scale, self.phase * p, self.qpow, self.cpow,
-                                self.den, self.tail, self.order, clean=True)
+        return FracSeries._make(self.scale, self.phase * p, self._qpow, self.cpow,
+                                self.den, self.tail, self._order, clean=True)
 
     def qpow_shift(self, r: Rat) -> "FracSeries":
-        return FracSeries._make(self.scale, self.phase, self.qpow + Fraction(r),
-                                self.cpow, self.den, self.tail, self.order, clean=True)
+        return FracSeries._make(self.scale, self.phase, radd(self._qpow, as_ratio(r)),
+                                self.cpow, self.den, self.tail, self._order, clean=True)
 
     def cpow_shift(self, m: int) -> "FracSeries":
         """Multiply by (2*pi*i)^m."""
-        return FracSeries._make(self.scale, self.phase, self.qpow, self.cpow + m,
-                                self.den, self.tail, self.order, clean=True)
+        return FracSeries._make(self.scale, self.phase, self._qpow, self.cpow + m,
+                                self.den, self.tail, self._order, clean=True)
 
     def __neg__(self) -> "FracSeries":
         return self.scalar_mul(-1)
 
     def __add__(self, other) -> "FracSeries":
-        if isinstance(other, (int, Fraction, CycloQ5)):
-            other = FracSeries.constant(other)
         if not isinstance(other, FracSeries):
-            return NotImplemented
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            other = FracSeries.constant(other)
         f, g = self, other
         if f.is_zero_tail():
-            return g._clip_abs(_min_order(f.abs_order(), g.abs_order()))
+            return g._clip_abs(_min_order(f._abs_order(), g._abs_order()))
         if g.is_zero_tail():
-            return f._clip_abs(_min_order(f.abs_order(), g.abs_order()))
+            return f._clip_abs(_min_order(f._abs_order(), g._abs_order()))
         if f.cpow != g.cpow:
             raise IncompatibleConstantPower(
                 f"cannot add series with constant powers {f.cpow} and {g.cpow}")
-        if g.qpow < f.qpow:
+        if g._qpow[0] * f._qpow[1] < f._qpow[0] * g._qpow[1]:
             f, g = g, f
         scale, shift, w = _align(f, g)
         fa, ga = f._rescaled(scale), g._rescaled(scale)
-        order = _min_order(fa.abs_order(), ga.abs_order())
-        rel_order = None if order is None else order - f.qpow
+        order = _min_order(fa._abs_order(), ga._abs_order())
+        rel_order = None if order is None else rsub(order, f._qpow)
         # both sides over the lcm of the denominators; g's side also times w
         den = math.lcm(f.den, g.den)
         tail = dict(_times((den // f.den, 0, 0, 0), fa.tail))
@@ -373,21 +373,17 @@ class FracSeries:
             cur = tail.get(kk)
             tail[kk] = v if cur is None else (cur[0] + v[0], cur[1] + v[1],
                                               cur[2] + v[2], cur[3] + v[3])
-        return FracSeries._make(scale, f.phase, f.qpow, f.cpow, den, tail, rel_order)
+        return FracSeries._make(scale, f.phase, f._qpow, f.cpow, den, tail, rel_order)
 
-    def _clip_abs(self, abs_order: Optional[Fraction]) -> "FracSeries":
-        rel = None if abs_order is None else abs_order - self.qpow
-        order = _min_order(rel, self.order)
-        if order == self.order:
+    def _clip_abs(self, abs_order: Optional[Ratio]) -> "FracSeries":
+        rel = None if abs_order is None else rsub(abs_order, self._qpow)
+        order = _min_order(rel, self._order)
+        if order == self._order:
             return self
-        return FracSeries._make(self.scale, self.phase, self.qpow, self.cpow,
+        return FracSeries._make(self.scale, self.phase, self._qpow, self.cpow,
                                 self.den, self.tail, order)
 
     def __sub__(self, other) -> "FracSeries":
-        if isinstance(other, (int, Fraction, CycloQ5)):
-            other = FracSeries.constant(other)
-        if not isinstance(other, FracSeries):
-            return NotImplemented
         return self + (-other)
 
     def __pow__(self, n: int) -> "FracSeries":
@@ -411,10 +407,10 @@ class FracSeries:
             raise NonInvertibleSeries("cannot invert a series with zero tail")
         v = min(self.tail)
         tail = {k - v: c for k, c in self.tail.items()}
-        rel_order = None if self.order is None else self.order - Fraction(v, self.scale)
+        rel_order = None if self._order is None else rsub(self._order, (v, self.scale))
         if rel_order is None and order is not None:
-            rel_order = Fraction(order)
-        qpow = -(self.qpow + Fraction(v, self.scale))
+            rel_order = as_ratio(order)
+        qpow = rsub((-v, self.scale), self._qpow)
         # the tail is A/den with A = sum a_j x^j; 1/a_0 = u/n is the one field inverse
         lead = CycloQ5.from_ints(tail[0]).inverse()
         n, u = lead.den, lead.vec
@@ -428,8 +424,8 @@ class FracSeries:
                 "inverting an untruncated polynomial requires an explicit order")
         # 1/A = sum b_k x^k with b_k = beta_k / n^(k+1), where beta_0 = u and
         # beta_k = -u * sum_{j>=1} a_j n^(j-1) beta_(k-j), all in Z[zeta_5]
-        steps = sorted((j, tuple(n ** (j - 1) * x for x in a))
-                       for j, a in tail.items() if 0 < j <= kb)
+        steps = sorted([(j, tuple([n ** (j - 1) * x for x in a]))
+                        for j, a in tail.items() if 0 < j <= kb])
         beta: dict[int, Vec] = {0: u}
         for k in range(1, kb + 1):
             s0 = s1 = s2 = s3 = 0
@@ -443,7 +439,7 @@ class FracSeries:
             if s0 or s1 or s2 or s3:
                 beta[k] = _vmul(u, (-s0, -s1, -s2, -s3))
         # den/A over the common denominator n^(kb+1)
-        out = {k: tuple(self.den * n ** (kb - k) * x for x in b)
+        out = {k: tuple([self.den * n ** (kb - k) * x for x in b])
                for k, b in beta.items() if k <= kb}
         return FracSeries._make(self.scale, self.phase.inverse(), qpow, -self.cpow,
                                 n ** max(kb + 1, 0), out, rel_order)
@@ -452,14 +448,14 @@ class FracSeries:
 
     def theta_op(self) -> "FracSeries":
         """q d/dq: multiply each coefficient by its total q-exponent."""
-        p, q, s = self.qpow.numerator, self.qpow.denominator, self.scale
+        (p, q), s = self._qpow, self.scale
         tail = {}
         for k, (a0, a1, a2, a3) in self.tail.items():
             r = p * s + k * q  # the exponent of key k is r / (q*s)
             if r:
                 tail[k] = (r * a0, r * a1, r * a2, r * a3)
-        return FracSeries._make(s, self.phase, self.qpow, self.cpow, self.den * q * s,
-                                tail, self.order)
+        return FracSeries._make(s, self.phase, self._qpow, self.cpow, self.den * q * s,
+                                tail, self._order)
 
     def tau_derivative(self) -> "FracSeries":
         """d/dtau = (2*pi*i) * (q d/dq); raises cpow by one."""
@@ -469,9 +465,10 @@ class FracSeries:
         """Substitute q -> q^m (i.e. tau -> m*tau), m a positive integer."""
         if m < 1:
             raise ValueError("m must be a positive integer")
-        return FracSeries._make(self.scale, self.phase, self.qpow * m, self.cpow, self.den,
+        (qn, qd), o = self._qpow, self._order
+        return FracSeries._make(self.scale, self.phase, ratio(qn * m, qd), self.cpow, self.den,
                                 {k * m: v for k, v in self.tail.items()},
-                                None if self.order is None else self.order * m, clean=True)
+                                o and ratio(o[0] * m, o[1]), clean=True)
 
     # -- rendering ----------------------------------------------------------
 
@@ -481,14 +478,13 @@ class FracSeries:
         coeffs = self.coeffs
         for k in sorted(coeffs):
             c = coeffs[k]
-            e = Fraction(k, self.scale)
-            if e == 0:
+            if k == 0:
                 term = render_cyclo(c)
             else:
-                qs = f"q^({render_rational(e)})"
-                if c == CycloQ5(1):
+                qs = f"q^({render_rational(k, self.scale)})"
+                if c == ONE:
                     term = qs
-                elif c == CycloQ5(-1):
+                elif c == -ONE:
                     term = f"-{qs}"
                 else:
                     term = f"{render_cyclo(c)}*{qs}"
@@ -499,17 +495,17 @@ class FracSeries:
             else:
                 parts.append(term)
         tail = " ".join(parts) if parts else "0"
-        return (f"(2*pi*i)^{self.cpow} * e({self.phase.a}) * "
-                f"q^({render_rational(self.qpow)}) * [{tail}]")
+        return (f"(2*pi*i)^{self.cpow} * {self.phase} * "
+                f"q^({render_rational(*self._qpow)}) * [{tail}]")
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
-        o = "inf" if self.order is None else str(self.order)
+        o = "inf" if self._order is None else render_rational(*self._order)
         return (f"FracSeries(scale={self.scale}, phase={self.phase}, "
-                f"qpow={self.qpow}, cpow={self.cpow}, terms={len(self.tail)}, "
-                f"order={o})")
+                f"qpow={render_rational(*self._qpow)}, cpow={self.cpow}, "
+                f"terms={len(self.tail)}, order={o})")
 
 
 def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, Vec]:
@@ -520,17 +516,17 @@ def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, Vec]:
     or the phase ratio is not in Q(zeta_5).
     """
     scale = math.lcm(f.scale, g.scale)
-    dq = g.qpow - f.qpow
-    shift = dq * scale
-    if shift.denominator != 1:
+    dn, dd = rsub(g._qpow, f._qpow)
+    shift, r = divmod(dn * scale, dd)
+    if r:
         raise UnabsorbablePrefactor(
-            f"prefactor q-power difference {dq} is not a multiple of 1/{scale}")
+            f"prefactor q-power difference {render_rational(dn, dd)} is not a multiple of 1/{scale}")
     try:
         w = (g.phase / f.phase).to_cyclo()
     except PhaseNotRepresentable as exc:
         raise UnabsorbablePrefactor(str(exc)) from None
     # a root of unity has integer coordinates
-    return scale, int(shift), w.vec
+    return scale, shift, w.vec
 
 
 def _convolve(a: dict[int, Vec], b: dict[int, Vec],
@@ -722,29 +718,30 @@ def _unpack(packed: int, n: int, nbytes: int) -> list[int]:
 
 
 class EqualityResult:
-    """Outcome of comparing two FracSeries up to the common valid order."""
+    """Outcome of comparing two FracSeries up to the common valid order; the Ratios
+    ``_order`` and ``_mismatch`` read as Fractions ``order_checked``, ``first_mismatch``."""
 
-    __slots__ = ("passed", "order_checked", "first_mismatch", "lhs_coeff",
-                 "rhs_coeff", "reason")
+    __slots__ = ("passed", "_order", "_mismatch", "lhs_coeff", "rhs_coeff", "reason")
 
-    def __init__(self, passed: bool, order_checked: Optional[Fraction],
-                 first_mismatch: Optional[Fraction] = None,
+    def __init__(self, passed: bool, order: Optional[Ratio], mismatch: Optional[Ratio] = None,
                  lhs_coeff: Optional[CycloQ5] = None,
                  rhs_coeff: Optional[CycloQ5] = None, reason: str = ""):
-        self.passed = passed
-        self.order_checked = order_checked
-        self.first_mismatch = first_mismatch
-        self.lhs_coeff = lhs_coeff
-        self.rhs_coeff = rhs_coeff
-        self.reason = reason
+        for name, value in zip(self.__slots__, (passed, order, mismatch, lhs_coeff, rhs_coeff,
+                                                reason)):
+            setattr(self, name, value)
+
+    order_checked = property(lambda self: to_fraction(self._order))
+    first_mismatch = property(lambda self: to_fraction(self._mismatch))
 
     def __bool__(self) -> bool:
         return self.passed
 
     def __repr__(self) -> str:
         if self.passed:
-            return f"EqualityResult(passed, order_checked={self.order_checked})"
-        return (f"EqualityResult(failed at {self.first_mismatch}: "
+            o = "None" if self._order is None else render_rational(*self._order)
+            return f"EqualityResult(passed, order_checked={o})"
+        at = "None" if self._mismatch is None else render_rational(*self._mismatch)
+        return (f"EqualityResult(failed at {at}: "
                 f"{self.lhs_coeff} != {self.rhs_coeff} {self.reason})")
 
 
@@ -756,38 +753,38 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
     are reported as failures, never raised.  Tails compare as a*den_g
     against b*den_f; only a reported mismatch is turned into CycloQ5 values.
     """
-    bound = _min_order(f.abs_order(), g.abs_order())
+    bound = _min_order(f._abs_order(), g._abs_order())
     zf, zg = f.is_zero_tail(), g.is_zero_tail()
     if zf and zg:
         return EqualityResult(True, bound)
     if zf or zg:
         nz = g if zf else f
-        v = nz.abs_val()
-        if bound is not None and v >= bound:
+        v = nz._abs_val()
+        if bound is not None and v[0] * bound[1] >= bound[0] * v[1]:
             return EqualityResult(True, bound)
         lead = nz._lead()
         lhs, rhs = (CycloQ5(), lead) if zf else (lead, CycloQ5())
         return EqualityResult(False, bound, v, lhs, rhs)
     if f.cpow != g.cpow:
-        v = _min_order(f.abs_val(), g.abs_val())
+        v = _min_order(f._abs_val(), g._abs_val())
         return EqualityResult(False, bound, v, f._lead(), g._lead(),
                               reason=f"constant powers differ: {f.cpow} vs {g.cpow}")
     try:
         scale, shift, w = _align(f, g)
     except UnabsorbablePrefactor:
-        v = _min_order(f.abs_val(), g.abs_val())
+        v = _min_order(f._abs_val(), g._abs_val())
         return EqualityResult(False, bound, v, f._lead(), g._lead(),
                               reason="prefactors not absorbable")
     fa, ga = f._rescaled(scale), g._rescaled(scale)
     ftail = fa.tail
     gtail = {k + shift: v for k, v in _times(w, ga.tail).items()}
     fd, gd = f.den, g.den
-    kb = _key_bound(None if bound is None else bound - f.qpow, scale)
+    kb = _key_bound(None if bound is None else rsub(bound, f._qpow), scale)
     for k in sorted(set(ftail) | set(gtail)):
         if kb is not None and k > kb:
             break
         a, b = ftail.get(k, _ZERO), gtail.get(k, _ZERO)
         if any(x * gd != y * fd for x, y in zip(a, b)):
-            return EqualityResult(False, bound, f.qpow + Fraction(k, scale),
+            return EqualityResult(False, bound, radd(f._qpow, (k, scale)),
                                   CycloQ5.from_ints(a, fd), CycloQ5.from_ints(b, gd))
     return EqualityResult(True, bound)

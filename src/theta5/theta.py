@@ -1,7 +1,8 @@
 """Theta constants with rational characteristics and Dedekind eta, as exact q-series.
 
-A characteristic is a pair (eps, eps') of rationals.  The theta constant and
-its first three z-derivative coefficients at z = 0 are Fourier series
+A characteristic is a pair (eps, eps') of rationals (``cyclo.Ratio`` pairs).
+The theta constant and its first three z-derivative coefficients at z = 0 are
+Fourier series
 
     theta[eps, eps']^(m) = sum_n (2*pi*i*(n + eps/2))^m
         * e((n + eps/2) * eps'/2) * q^((n + eps/2)^2 / 2)
@@ -30,37 +31,40 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from itertools import repeat
 from operator import mul, neg
 from typing import Iterable
 
-from .cyclo import UNITS, Phase, Rat, unit_index, unit_vec
-from .series import FracSeries, _unpack
+from .cyclo import (UNITS, Phase, Rat, Ratio, as_ratio, ratio, rational_hash, render_rational,
+                    to_fraction, unit_index, unit_vec)
+from .series import _PHASE0, FracSeries, _unpack
 
 
 class ThetaChar:
-    """A characteristic pair (eps, eps'); denominators divide 5 for catalog use.
+    """A characteristic pair [eps/den, eps'/den]; denominators divide 5 for catalog use.
 
-    Immutable.  It hashes like the tuple (eps, eps'), computed once: it keys the
-    catalog's theta store and the numeric lane's per-characteristic tables.
+    Immutable.  ``e`` and ``ep`` hold eps and eps' as Ratios; ``eps`` and ``eps_prime``
+    are Fractions.  It hashes like the tuple (eps, eps'), computed once on the
+    integers: it keys the catalog's theta store and the numeric lane's tables.
     """
 
-    __slots__ = ("eps", "eps_prime", "_hash")
+    __slots__ = ("e", "ep", "_hash")
 
-    def __init__(self, eps: Rat, eps_prime: Rat):
-        eps, eps_prime = Fraction(eps), Fraction(eps_prime)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "eps_prime", eps_prime)
-        object.__setattr__(self, "_hash", hash((eps, eps_prime)))
+    def __init__(self, eps: Rat, eps_prime: Rat, den: int = 1):
+        e, ep = as_ratio(eps, den), as_ratio(eps_prime, den)
+        for name, value in zip(self.__slots__, (e, ep, hash((rational_hash(e), rational_hash(ep))))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    eps = property(lambda self: to_fraction(self.e))
+    eps_prime = property(lambda self: to_fraction(self.ep))
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not ThetaChar:
             return NotImplemented
-        return (self.eps, self.eps_prime) == (other.eps, other.eps_prime)
+        return self.e == other.e and self.ep == other.ep
 
     def __hash__(self) -> int:
         return self._hash
@@ -69,27 +73,21 @@ class ThetaChar:
         return f"ThetaChar(eps={self.eps!r}, eps_prime={self.eps_prime!r})"
 
     def negated(self) -> "ThetaChar":
-        return ThetaChar(-self.eps, -self.eps_prime)
+        (p, q), (a, b) = self.e, self.ep
+        return ThetaChar(-p * b, -a * q, q * b)
 
     def __str__(self) -> str:
-        return f"[{self.eps}, {self.eps_prime}]"
+        return f"[{render_rational(*self.e)}, {render_rational(*self.ep)}]"
 
 
-def char(eps: Rat, eps_prime: Rat) -> ThetaChar:
-    return ThetaChar(eps, eps_prime)
+def char(eps: Rat, eps_prime: Rat, den: int = 1) -> ThetaChar:
+    return ThetaChar(eps, eps_prime, den)
 
 
-#: The twelve characteristics appearing in the level-five catalog.
+#: The twelve characteristics appearing in the level-five catalog, in fifths.
 CATALOG_CHARS: tuple[ThetaChar, ...] = tuple(
-    char(*pair) for pair in [
-        (1, Fraction(1, 5)), (1, Fraction(3, 5)),
-        (Fraction(1, 5), 1), (Fraction(3, 5), 1),
-        (Fraction(1, 5), Fraction(1, 5)), (Fraction(3, 5), Fraction(3, 5)),
-        (Fraction(1, 5), Fraction(3, 5)), (Fraction(3, 5), Fraction(9, 5)),
-        (Fraction(1, 5), Fraction(7, 5)), (Fraction(3, 5), Fraction(1, 5)),
-        (Fraction(1, 5), Fraction(9, 5)), (Fraction(3, 5), Fraction(7, 5)),
-    ]
-)
+    char(a, b, 5) for a, b in [(5, 1), (5, 3), (1, 5), (3, 5), (1, 1), (3, 3),
+                               (1, 3), (3, 9), (1, 7), (3, 1), (1, 9), (3, 7)])
 
 
 def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSeries:
@@ -101,17 +99,18 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
     """
     if deriv_order < 0 or deriv_order > 3:
         raise ValueError("derivative order must be between 0 and 3")
-    order = Fraction(order)
-    if order <= 0:
+    on, od = order = as_ratio(order)
+    if on <= 0:
         raise ValueError("order must be positive")
-    e, ep = ch.eps, ch.eps_prime
-    p, q, a, b = e.numerator, e.denominator, ep.numerator, ep.denominator
+    (p, q), (a, b) = ch.e, ch.ep
     # term n sits at key n*(q*n + p) on the grid 1/(2q), the exponent n*(n + e)/2;
     # its coefficient (n + e/2)^m * e(n*e'/2) is (2q*n + p)^m * e(5*n*a/b / 10) / (2q)^m
     grid = 2 * q
-    lim, od = grid * order.numerator, order.denominator  # key/grid < order iff key*od < lim
+    lim = grid * on  # key/grid < order iff key*od < lim
     terms: list[tuple[int, tuple[int, int, int, int]]] = []
-    center = round(-e / 2)
+    # the integer nearest -e/2 = -p/(2q), a tie going to the even one
+    center, r = divmod(-p, grid)
+    center += r > q or (r == q and center % 2 == 1)
 
     def emit(n: int) -> bool:
         k = n * (q * n + p)
@@ -119,7 +118,7 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
             return False
         t, r = divmod(5 * n * a, b)
         if r:
-            unit_index(n * ep / 2)  # e(n*e'/2) is not in Q(zeta_5): raises PhaseNotRepresentable
+            unit_index(n * a, 2 * b)  # e(n*e'/2) is not in Q(zeta_5): raises PhaseNotRepresentable
         terms.append((k, unit_vec(t % 10, (grid * n + p) ** deriv_order)))
         return True
 
@@ -130,7 +129,7 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
     while emit(n):
         n -= 1
     return FracSeries._from_int_terms(grid, terms, grid ** deriv_order, order, deriv_order,
-                                      Phase(e * ep / 4), e * e / 8)
+                                      Phase(p * a, 4 * q * b), ratio(p * p, 8 * q * q))
 
 
 #: The index of -1 = e(5/10) in ``UNITS``: the unit of every factor (1 - q^e).
@@ -222,15 +221,15 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
     -(1+z+z^2+z^3) folds the five coordinates a_m into the power basis as
     a_j - a_4.
     """
-    order = Fraction(order)
-    if order <= 0:
+    on, od = order = as_ratio(order)
+    if on <= 0:
         raise ValueError("order must be positive")
-    lim, od = order.numerator * grid, order.denominator  # e/grid < order iff e*od < lim
+    lim = on * grid  # e/grid < order iff e*od < lim
     live = []  # the factors with e/grid < order
     for f in factors:
         e, t, k = f
         if e < 0:
-            raise ValueError(f"binomial exponent {Fraction(e, grid)} is negative")
+            raise ValueError(f"binomial exponent {render_rational(e, grid)} is negative")
         if type(t) is not int or not 0 <= t < 10:
             raise ValueError(f"binomial unit {t!r} is not an index 0..9 of a root of unity e(t/10)")
         if e == 0 and k < 0:
@@ -241,7 +240,7 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
         return FracSeries.zero()  # a factor (1 - q^0): exactly zero at every order
     g = math.gcd(grid, *(e for e, _, _ in live))
     scale = grid // g
-    size = -(-order.numerator * scale // od)
+    size = -(-on * scale // od)
     steps = [(e // g, *UNITS[t], k) for e, t, k in live]
     ups: dict[int, int] = defaultdict(int)
     downs: dict[int, int] = defaultdict(int)
@@ -278,7 +277,7 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
     if U[4] is not None:
         a = [[x - y for x, y in zip(c, a[4])] for c in a[:4]]
     tail = {i: v for i, v in enumerate(zip(*a[:4])) if v != (0, 0, 0, 0)}
-    return FracSeries._make(scale, Phase(0), Fraction(0), 0, 1, tail, order, clean=True)
+    return FracSeries._make(scale, _PHASE0, (0, 1), 0, 1, tail, order, clean=True)
 
 
 def theta_const_product(ch: ThetaChar, order: Rat = 20) -> FracSeries:
@@ -290,33 +289,54 @@ def theta_const_product(ch: ThetaChar, order: Rat = 20) -> FracSeries:
     with x = q^(1/2).  Requires |eps| <= 1 so all factor exponents are
     nonnegative; this covers every catalog characteristic.
     """
-    order = Fraction(order)
-    if order <= 0:
+    on, od = as_ratio(order)
+    if on <= 0:
         raise ValueError("order must be positive")
-    e, ep = ch.eps, ch.eps_prime
-    if abs(e) > 1:
+    (p, q), (a, b) = ch.e, ch.ep
+    if abs(p) > q:
         raise ValueError("product form requires |eps| <= 1")
-    w, wbar = unit_index(ep / 2), unit_index(-ep / 2)
+    w, wbar = unit_index(a, 2 * b), unit_index(-a, 2 * b)
     # on the grid 1/(2q), e = p/q: the n-th triple's exponents n and n - 1/2 +- e/2,
     # each at least n - 1, are the keys 2q*n and 2q*n - q +- p
-    p, q = e.numerator, e.denominator
     grid = 2 * q
-    factors = [f for k in range(grid, grid * (math.floor(order) + 2), grid)
+    factors = [f for k in range(grid, grid * (on // od + 2), grid)
                for f in ((k, MINUS_ONE, 1), (k - q + p, w, 1), (k - q - p, wbar, 1))]
-    return (_binomial_product(order, factors, grid)
-            .phase_mul(Phase(e * ep / 4)).qpow_shift(e * e / 8))
+    f = _binomial_product(order, factors, grid)
+    return FracSeries._make(f.scale, Phase(p * a, 4 * q * b), ratio(p * p, 8 * q * q), 0,
+                            f.den, f.tail, f._order, clean=True)
 
 
-def _eta_factors(mult: Fraction, order: Fraction, power: int, grid: int) -> list:
+def _eta_factors(mult: Ratio, order: Ratio, power: int, grid: int) -> list:
     """The factors (1 - q^(n*mult))^power of eta(mult*tau)^power below ``order``,
     exponents on the grid 1/grid (a multiple of the denominator of mult)."""
-    if mult <= 0:
+    (mn, md), (on, od) = mult, order
+    if mn <= 0:
         raise ValueError("mult must be positive")
-    if order <= 0:
+    if on <= 0:
         raise ValueError("order must be positive")
-    step = mult.numerator * (grid // mult.denominator)  # n*mult is the key n*step
-    stop = -(-order.numerator * grid // order.denominator) if power else 0  # power 0: no factor
+    step = mn * (grid // md)  # n*mult is the key n*step
+    stop = -(-on * grid // od) if power else 0  # power 0: no factor
     return [(k, MINUS_ONE, power) for k in range(step, stop, step)]
+
+
+def _eta_product(mult: Ratio, order: Rat) -> FracSeries:
+    """P(q^mult) = prod (1 - q^(n*mult)), exact below ``order``: eta(mult*tau) at every offset."""
+    return _binomial_product(order, _eta_factors(mult, as_ratio(order), 1, mult[1]), mult[1])
+
+
+def _eta_twist(P: FracSeries, mult: Ratio, offset: Ratio) -> FracSeries:
+    """eta(mult*tau + offset) from P = ``_eta_product(mult, order)``: since
+    prod (1 - (e(offset)*y)^n) = P(e(offset)*y), y = q^mult, the coefficient of
+    y^n is multiplied by e(n*offset) = ``UNITS[n*t mod 10]``, e(offset) = e(t/10).
+    Without a factor below the order (a constant P), offset enters only the phase."""
+    (a, b), (s, d) = mult, offset
+    tail = P.tail
+    t = unit_index(s, d) if len(tail) > 1 else 0
+    if t:
+        # with a factor below order the grid is 1/b, so y^n = q^(n*a/b) is the key n*a
+        tail = {k: unit_vec(k // a * t % 10, v[0]) for k, v in tail.items()}
+    return FracSeries._make(P.scale, Phase(s, 24 * d), ratio(a, 24 * b), 0, P.den, tail,
+                            P._order, clean=True)
 
 
 def eta_q(mult: Rat, order: Rat = 20, offset: Rat = 0) -> FracSeries:
@@ -325,22 +345,10 @@ def eta_q(mult: Rat, order: Rat = 20, offset: Rat = 0) -> FracSeries:
     ``offset`` must make every e(n*offset) land in Q(zeta_5): its denominator
     must divide 10 (offset 1/5 realizes the (tau+1)/5 arguments of the
     catalog).  Only the real product P(y) = prod (1 - y^n), y = q^mult, is
-    built; since prod (1 - (e(offset)*y)^n) = P(e(offset)*y), the offset then
-    twists it: the coefficient of y^n is multiplied by e(n*offset) =
-    ``UNITS[n*t mod 10]``, where e(offset) = e(t/10).  Below order mult there
-    is no factor, and offset enters only the phase e(offset/24).
+    built, and the offset twists it.
     """
-    mult, order, offset = Fraction(mult), Fraction(order), Fraction(offset)
-    a, b = mult.numerator, mult.denominator
-    factors = _eta_factors(mult, order, 1, b)
-    t = unit_index(offset) if factors else 0
-    f = _binomial_product(order, factors, b)
-    tail = f.tail
-    if t:
-        # with a factor below order the grid is 1/b, so y^n = q^(n*a/b) is the key n*a
-        tail = {k: unit_vec(k // a * t % 10, v[0]) for k, v in tail.items()}
-    return FracSeries._make(f.scale, Phase(offset / 24), mult / 24, 0, f.den, tail, f.order,
-                            clean=True)
+    m, s = as_ratio(mult), as_ratio(offset)
+    return _eta_twist(_eta_product(m, order), m, s)
 
 
 EtaQuotientSpec = Iterable[tuple[Rat, int]]
@@ -351,17 +359,18 @@ def eta_quotient(spec: EtaQuotientSpec, order: Rat = 20) -> FracSeries:
 
     Negative exponents are division passes; a zero one is checked, then dropped.
     """
-    entries = [(Fraction(m), int(e)) for m, e in spec]
+    entries = [(as_ratio(m), int(e)) for m, e in spec]
     if not entries:
         raise ValueError("eta quotient spec must be nonempty")
     if len({m for m, _ in entries}) != len(entries):
         raise ValueError("eta quotient multipliers must be distinct")
-    order = Fraction(order)
-    grid = math.lcm(*(m.denominator for m, _ in entries))
-    factors = [f for m, e in entries for f in _eta_factors(m, order, e, grid)]
+    grid = math.lcm(*[d for (_, d), _ in entries])
+    factors = [f for m, e in entries for f in _eta_factors(m, as_ratio(order), e, grid)]
     if not any(e for _, e in entries):
         return FracSeries.one()
-    return _binomial_product(order, factors, grid).qpow_shift(sum(m * e for m, e in entries) / 24)
+    f = _binomial_product(order, factors, grid)
+    qpow = ratio(sum([n * (grid // d) * e for (n, d), e in entries]), 24 * grid)  # sum m*e / 24
+    return FracSeries._make(f.scale, f.phase, qpow, 0, f.den, f.tail, f._order, clean=True)
 
 
 def char_shift_phase(ch: ThetaChar, m: int, n: int) -> tuple[Phase, ThetaChar]:
@@ -370,21 +379,15 @@ def char_shift_phase(ch: ThetaChar, m: int, n: int) -> tuple[Phase, ThetaChar]:
     Returns the multiplier phase and the shifted characteristic
     (eps + 2m, eps' + 2n); the multiplier does not depend on m.
     """
-    shifted = ThetaChar(ch.eps + 2 * m, ch.eps_prime + 2 * n)
-    return Phase(ch.eps * n / 2), shifted
+    (p, q), (a, b) = ch.e, ch.ep
+    return Phase(p * n, 2 * q), ThetaChar((p + 2 * m * q) * b, (a + 2 * n * b) * q, q * b)
 
 
 def reduce_char(ch: ThetaChar) -> tuple[Phase, ThetaChar]:
     """Reduce eps' into (-1, 1] by 2-shifts; returns (p, base) with theta[ch] = p * theta[base]."""
-    n = 0
-    ep = ch.eps_prime
-    while ep > 1:
-        ep -= 2
-        n += 1
-    while ep <= -1:
-        ep += 2
-        n -= 1
-    base = ThetaChar(ch.eps, ep)
+    (p, q), (a, b) = ch.e, ch.ep
+    n = -((b - a) // (2 * b))  # the least n with a/b - 2n <= 1, so a/b - 2n > -1
+    base = ThetaChar(p * b, (a - 2 * n * b) * q, q * b)
     phase, back = char_shift_phase(base, 0, n)
     assert back == ch
     return phase, base

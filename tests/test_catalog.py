@@ -472,8 +472,8 @@ def test_store_product_forms_equal_fresh_builds(empty_store, monkeypatch, prefil
 
 
 def test_store_builds_each_product_form_once(empty_store, monkeypatch):
-    # verify_all(20) made 48 binomial products, 14 of them repeats; the two
-    # left share a real product between eta at offsets 0 and 1/5, and 0 and 1
+    # verify_all(20) made 48 binomial products, 14 of them repeats; eta at
+    # offsets 0 and 1/5, and 0 and 1, now twist one stored real product
     import theta5.theta as theta_module
     calls = []
     real = theta_module._binomial_product
@@ -487,7 +487,6 @@ def test_store_builds_each_product_form_once(empty_store, monkeypatch):
     monkeypatch.setattr(catalog_module, "_binomial_product", traced)
     verify_all(20)
     repeats = [c for i, c in enumerate(calls) if c in calls[:i]]
-    assert (len(calls), len(repeats)) == (25, 2)
-    assert {(order, grid) for order, _, grid in repeats} == {(30, 1), (30, 5)}
+    assert (len(calls), len(repeats)) == (23, 0)
     forms = [k for k in empty_store if isinstance(k[0], str)]
-    assert len(forms) == 11
+    assert len(forms) == 9

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from theta5.cli import run
 
 #: ``theta5 numeric-check`` text and JSON over every id, at the default seed and at
@@ -276,17 +278,41 @@ def test_numeric_check_output_matches_reference():
             assert code == 0 and json.loads(text) == [record]
 
 
-def test_import_does_not_load_dataclasses_or_inspect():
-    # cold start: both modules cost milliseconds per process; compare sys.modules
-    # before and after, so whatever the interpreter's site already loaded does not count
+#: Modules that cost milliseconds of cold start: ``fractions`` pulls in ``decimal``
+#: (and its C module) and ``numbers``.
+_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
+
+
+def _modules_loaded_by(code: str) -> set:
+    """The modules a fresh interpreter loads to run ``code``; comparing sys.modules
+    before and after, whatever the interpreter's site already loaded does not count."""
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
-             "import theta5, theta5.cli\n"
+             f"{code}\n"
              "print(' '.join(sorted(set(sys.modules) - before)))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    new = done.stdout.split()
+    return set(done.stdout.split())
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # cold start: the CLI process imports the package and builds its parser
+    new = _modules_loaded_by("import theta5, theta5.cli\ntheta5.cli.build_parser()")
     assert "theta5.cli" in new
-    assert "dataclasses" not in new and "inspect" not in new
+    assert not new & _HEAVY, new & _HEAVY
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exact_verify_does_not_load_fractions(fmt):
+    # orders, exponents, phases and reports stay on integers along the verify path;
+    # the five as-stated misprints are reported, so their exponents are rendered too
+    new = _modules_loaded_by(
+        "import io, theta5.cli\n"
+        "out = io.StringIO()\n"
+        f"rc = theta5.cli.run(['verify', '--all', '--exact-only', '--order', '10', "
+        f"'--format', '{fmt}'], out=out)\n"
+        "assert rc == 1 and 'T1d' in out.getvalue() and '3/4' in out.getvalue()")
+    assert "theta5.catalog" in new
+    assert not new & {"fractions", "decimal", "numbers"}

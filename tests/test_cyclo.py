@@ -6,11 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta5.cyclo import (CycloQ5, Phase, PhaseNotRepresentable, golden_ratio,
-                          render_cyclo, sqrt5)
+from theta5.cyclo import (CycloQ5, Phase, PhaseNotRepresentable, as_ratio, golden_ratio, radd,
+                          rational_hash, render_cyclo, render_rational, rsub, sqrt5,
+                          unit_index)
+from theta5.series import _add_order, _key_bound, _min_order
 
 Z = CycloQ5.zeta
 
@@ -244,3 +246,30 @@ def test_arithmetic_matches_the_fraction_reference(a, b, k):
     assert (x == y) == (tuple(map(Fraction, a)) == tuple(map(Fraction, b)))
     if x.is_rational():
         assert x == a[0] and hash(x) == hash(Fraction(a[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(max_denominator=40), st.fractions(), st.integers(1, 60), st.integers(1, 9))
+def test_ratio_arithmetic_matches_the_fraction_reference(x, y, scale, k):
+    # orders, q-powers and phases are reduced integer pairs; Fraction is the reference
+    a, b = as_ratio(x), as_ratio(y)
+    assert a == (x.numerator, x.denominator)
+    assert as_ratio(x.numerator * k, x.denominator * k) == a and as_ratio(x, k) == as_ratio(x / k)
+    assert radd(a, b) == as_ratio(x + y) and rsub(a, b) == as_ratio(x - y)
+    assert _add_order(a, b) == as_ratio(x + y) and _add_order(a, None) is None
+    assert _min_order(a, b) == as_ratio(min(x, y)) and _min_order(None, b) == b
+    assert _key_bound(a, scale) == math.ceil(x * scale) - 1 and _key_bound(None, scale) is None
+    assert rational_hash(a) == hash(x) and render_rational(*a) == str(x)
+    p, q = Phase(x), Phase(y)
+    assert (p.num, p.den) == as_ratio(x % 1) and p.a == x % 1 and str(p) == f"e({x % 1})"
+    assert p * q == Phase(x + y) and p / q == Phase(x - y) and p.inverse() == Phase(-x)
+    assert Phase(x.numerator, x.denominator * k) == Phase(x / k)
+    # unit_index reads e(a) = e(t/10) on the unreduced pair too
+    if (x * 10).denominator == 1:
+        assert unit_index(*a) == unit_index(a[0] * k, a[1] * k) == int(x * 10) % 10
+    else:
+        want = f"e({x % 1}) is not in Q(zeta_5): denominator {x.denominator} does not divide 10"
+        for n, d in (a, (a[0] * k, a[1] * k)):
+            with pytest.raises(PhaseNotRepresentable) as exc:
+                unit_index(n, d)
+            assert str(exc.value) == want

@@ -28,6 +28,26 @@ def geom(terms, **kw):
     return FracSeries.from_terms(terms, **kw)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CycloQ5(0.1), lambda: CycloQ5(1, 2, 3, 0.5), lambda: CycloQ5(1, den=2.0),
+    lambda: FracSeries.constant(0.1), lambda: Phase(0.1), lambda: char(0.2, 1),
+    lambda: char(1, 0.6), lambda: FracSeries.from_terms([(0, 1)], order=2.5),
+    lambda: FracSeries.from_terms([(0.5, 1)]),
+    lambda: FracSeries(1, Phase(0), 0, 0, {0: CycloQ5(1)}, 2.5),
+    lambda: theta_const(char(1, 1), 0, 20.0), lambda: eta_q(1, 20.0), lambda: eta_q(0.2, 20),
+    lambda: eta_quotient([(1, 5), (5, -1)], 20.0),
+    lambda: __import__("theta5").theta_const_product(char(1, 1), 12.0),
+    lambda: __import__("theta5").verify("E1", 20.0),
+    lambda: CycloQ5(1) * 0.5, lambda: CycloQ5(1) - 0.5, lambda: FracSeries.one() * 0.5,
+    lambda: FracSeries.one() + 0.5, lambda: FracSeries.one() - 0.5,
+])
+def test_float_inputs_raise_type_error(build):
+    # no floating point in the exact lane: a float where a rational belongs fails
+    # loudly, where it used to be stored as its binary value (0.1 as .../2^55)
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_mul_identity():
     f = geom([(0, 1), (F(1, 2), 3), (2, -1)], order=10)
     assert series_equal(f * FracSeries.one(), f).passed
