@@ -876,7 +876,9 @@ def report_to_dict(r: IdentityReport) -> dict:
 
 
 def reports_to_json(reports: list[IdentityReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2)
+    """The reports as ``theta5 verify --format json`` prints them, without the
+    final newline: non-ASCII text such as "§" unescaped."""
+    return json.dumps([report_to_dict(r) for r in reports], indent=2, ensure_ascii=False)
 
 
 def report_to_text(r: IdentityReport) -> str:

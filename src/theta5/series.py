@@ -25,8 +25,11 @@ Products multiply the denominators and convolve the integer tails
 (``_convolve``), along one of two paths that return the same dict.  A product
 with at least 24 term pairs per output key (48 for a square) packs each
 zeta-coordinate of each tail into one integer, a w-bit slot per key, and
-multiplies the coordinates as 16 big-integer products, then folds z^5 = 1 on
-the packed results (a Kronecker substitution in q; ``_kronecker``).  The slot
+folds z^5 = 1 on the packed products (a Kronecker substitution in q;
+``_kronecker``).  Operands whose nonzero coordinates need more than 7
+products A_i*B_j are evaluated at 7 points of z and make 7 big-integer
+products, read back by a fixed integer table and an exact division by 120;
+the others multiply their nonzero coordinates pairwise.  The slot
 width w = bits(a) + bits(b) + bit_length(min(len a, len b)) + 5, bits being the
 bit length of the largest |coordinate|, holds every folded coefficient.  Any
 other product packs each 4-vector into one integer, so that a pair of terms
@@ -62,6 +65,14 @@ _KRONECKER_GATE = 24
 #: memoryview formats of the signed slots of 2, 4 and 8 bytes; they read the
 #: little-endian slots in native byte order, so a big-endian host has none.
 _SLOT_FORMATS = {2: "h", 4: "i", 8: "q"} if byteorder == "little" else {}
+#: 120 * (R_0..R_3) from the products P(x) = A(x)*B(x) at x = 0, 1, -1, 2, -2,
+#: 3 and infinity (``_by_points``): 120 times the inverse of that 7-point
+#: Vandermonde matrix, with its rows U_0..U_6 folded by z^5 = 1 and
+#: z^4 = -(1+z+z^2+z^3) as R_j = U_j - U_4 plus U_5 and U_6 into R_0 and R_1.
+_POINT_ROWS = ((80, 30, 25, -10, -6, 1, 240),
+               (-70, 140, -40, -35, 1, 4, -720),
+               (-180, 100, 100, -10, -10, 0, 1080),
+               (20, -50, 15, 30, -10, -5, 2400))
 _PHASE0 = Phase(0)
 _setattr = object.__setattr__
 
@@ -619,17 +630,29 @@ def _term_pairs(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[in
 
 
 def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int, Vec]:
-    """``_convolve`` as 16 big-integer products (10 for a square, ``a is b``),
-    ``key_bound`` at least min(a) + min(b) and at most max(a) + max(b).
+    """``_convolve`` as at most 7 big-integer products, ``key_bound`` at least
+    min(a) + min(b) and at most max(a) + max(b).
 
     Each operand becomes four integers, one per z-coordinate j:
     A_j = sum_k a[k][j] * X^(k - min a) with X = 2^w, one w-bit slot per key
     and keys past the output range left out.  The products A_i*B_j, summed by
-    i + j, are the seven z-degree polynomials U_0..U_6 along q; zero operand
-    integers (the coordinates a real series lacks) are skipped.  z^5 = 1 and
+    i + j, are the seven z-degree polynomials U_0..U_6 along q.  z^5 = 1 and
     z^4 = -(1+z+z^2+z^3) fold them on the packed integers, R_j = U_j - U_4
     plus U_5 and U_6 into R_0 and R_1, and only the slots below the key bound
     are read back.
+
+    Two ways give the same R_j.  Operands whose nonzero ("live") integers
+    need at most 7 products A_i*B_j (each unordered pair once for a square,
+    ``a is b``) take them one by one (``_by_coordinates``); a real series has
+    one live coordinate.  Otherwise (4x4 = 16, 3x4 = 12, 3x3 = 9 or 2x4 = 8
+    products, or 10 for a square of 4) each operand A(z) = sum A_j z^j is
+    evaluated at z = 0, 1, -1, 2, -2, 3 and infinity with shifts and adds, and
+    the 7 products P(x) = A(x)*B(x) are the values of U(z) = sum U_m z^m, a
+    polynomial of degree 6, at 7 points (Toom-Cook evaluation;
+    ``_by_points``).  ``_POINT_ROWS`` is 120 times the inverse of that
+    Vandermonde matrix, folded as above, and has integer entries.  So
+    120 * R_j is an integer combination of the P(x), and the division by 120
+    is exact: R_j is an integer.
 
     Slot width.  At one key, at most L = min(len a, len b) term pairs meet,
     and each U_m sums at most 4 coordinate products of each, so
@@ -681,8 +704,20 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int
         return [(int.from_bytes(r, "little") ^ signs) - signs for r in raw]
 
     A = pack(a, la, key_bound - lb)
+    B = A if square else pack(b, lb, key_bound - la)
+    live_a = 4 - A.count(0)
+    pairs = live_a * (live_a + 1) // 2 if square else live_a * (4 - B.count(0))
+    R = (_by_points if pairs > 7 else _by_coordinates)(A, B)
+    signs = ((1 << n * w) - 1) // ones << (w - 1)
+    cols = [_unpack(r + signs, n, nbytes) for r in R]
+    return {k: v for k, v in enumerate(zip(*cols), la + lb) if v != _ZERO}
+
+
+def _by_coordinates(A: list[int], B: list[int]) -> list[int]:
+    """R_0..R_3 of the packed operands from the products A_i*B_j of their
+    nonzero coordinates, each unordered pair once for a square (``A is B``)."""
     u = [0] * 7
-    if square:
+    if A is B:
         for i, x in enumerate(A):
             if x:
                 u[2 * i] += x * x
@@ -690,17 +725,31 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int
                     if A[j]:
                         u[i + j] += x * A[j] << 1
     else:
-        B = pack(b, lb, key_bound - la)
         for i, x in enumerate(A):
             if x:
                 for j, y in enumerate(B):
                     if y:
                         u[i + j] += x * y
     u4 = u[4]
-    signs = ((1 << n * w) - 1) // ones << (w - 1)
-    cols = [_unpack(r + signs, n, nbytes)
-            for r in (u[0] + u[5] - u4, u[1] + u[6] - u4, u[2] - u4, u[3] - u4)]
-    return {k: v for k, v in enumerate(zip(*cols), la + lb) if v != _ZERO}
+    return [u[0] + u[5] - u4, u[1] + u[6] - u4, u[2] - u4, u[3] - u4]
+
+
+def _at_points(A: list[int]) -> list[int]:
+    """A_0 + A_1*z + A_2*z^2 + A_3*z^3 at z = 0, 1, -1, 2, -2, 3 and infinity."""
+    a0, a1, a2, a3 = A
+    even, odd = a0 + a2, a1 + a3
+    even2, odd2 = a0 + (a2 << 2), (a1 << 1) + (a3 << 3)
+    return [a0, even + odd, even - odd, even2 + odd2, even2 - odd2,
+            a0 + 3 * (a1 + 3 * (a2 + 3 * a3)), a3]
+
+
+def _by_points(A: list[int], B: list[int]) -> list[int]:
+    """R_0..R_3 of the packed operands from 7 products (7 squares when
+    ``A is B``): the operands at the points of ``_at_points``, multiplied point
+    by point, then ``_POINT_ROWS`` applied and divided by 120."""
+    pa = _at_points(A)
+    p = [x * x for x in pa] if A is B else [x * y for x, y in zip(pa, _at_points(B))]
+    return [sum([t * x for t, x in zip(row, p)]) // 120 for row in _POINT_ROWS]
 
 
 def _unpack(packed: int, n: int, nbytes: int) -> list[int]:
@@ -750,8 +799,10 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
 
     An all-zero tail equals zero regardless of its prefactor.  Structural
     incompatibilities (constant-power mismatch, prefactors not absorbable)
-    are reported as failures, never raised.  Tails compare as a*den_g
-    against b*den_f; only a reported mismatch is turned into CycloQ5 values.
+    are reported as failures, never raised.  Tails, clipped at the bound,
+    compare as a*den_g against b*den_f in one dict comparison; only when they
+    differ are the keys scanned in order for the first mismatch, and only that
+    one is turned into CycloQ5 values.
     """
     bound = _min_order(f._abs_order(), g._abs_order())
     zf, zg = f.is_zero_tail(), g.is_zero_tail()
@@ -780,11 +831,15 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
     gtail = {k + shift: v for k, v in _times(w, ga.tail).items()}
     fd, gd = f.den, g.den
     kb = _key_bound(None if bound is None else rsub(bound, f._qpow), scale)
-    for k in sorted(set(ftail) | set(gtail)):
-        if kb is not None and k > kb:
-            break
-        a, b = ftail.get(k, _ZERO), gtail.get(k, _ZERO)
-        if any(x * gd != y * fd for x, y in zip(a, b)):
-            return EqualityResult(False, bound, radd(f._qpow, (k, scale)),
-                                  CycloQ5.from_ints(a, fd), CycloQ5.from_ints(b, gd))
-    return EqualityResult(True, bound)
+    if kb is not None:
+        ftail = {k: v for k, v in ftail.items() if k <= kb}
+        gtail = {k: v for k, v in gtail.items() if k <= kb}
+    # neither side stores a zero vector, so the scaled tails are equal as dicts
+    # exactly when every coefficient agrees below the bound
+    fs, gs = _times((gd, 0, 0, 0), ftail), _times((fd, 0, 0, 0), gtail)
+    if fs == gs:
+        return EqualityResult(True, bound)
+    k = next(k for k in sorted(fs.keys() | gs.keys()) if fs.get(k) != gs.get(k))
+    return EqualityResult(False, bound, radd(f._qpow, (k, scale)),
+                          CycloQ5.from_ints(ftail.get(k, _ZERO), fd),
+                          CycloQ5.from_ints(gtail.get(k, _ZERO), gd))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import repeat
-from operator import mul, neg
+from operator import index, mul, neg
 from typing import Iterable
 
 from .cyclo import (UNITS, Phase, Rat, Ratio, as_ratio, ratio, rational_hash, render_rational,
@@ -97,6 +97,7 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
     exponent eps^2/8 + ``order``.  Characteristics are not reduced here; the
     shift rules are exposed separately so they can be tested as identities.
     """
+    deriv_order = index(deriv_order)
     if deriv_order < 0 or deriv_order > 3:
         raise ValueError("derivative order must be between 0 and 3")
     on, od = order = as_ratio(order)
@@ -359,7 +360,7 @@ def eta_quotient(spec: EtaQuotientSpec, order: Rat = 20) -> FracSeries:
 
     Negative exponents are division passes; a zero one is checked, then dropped.
     """
-    entries = [(as_ratio(m), int(e)) for m, e in spec]
+    entries = [(as_ratio(m), index(e)) for m, e in spec]
     if not entries:
         raise ValueError("eta quotient spec must be nonempty")
     if len({m for m, _ in entries}) != len(entries):

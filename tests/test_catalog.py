@@ -1,6 +1,7 @@
 """The identity catalog: entries, verification drivers, reports."""
 
 import importlib
+import io
 import json
 import random
 import sys
@@ -19,7 +20,7 @@ from theta5.arith import partition_p
 from theta5.catalog import (_THETA, _TH11, AS_STATED, CORRECTED, IdentityEntry,
                             IdentityReport, _homogeneous, _key, _slot, _th, catalog, lookup,
                             report_to_dict, reports_to_json, verify, verify_all, verify_ids)
-from theta5.cli import series_to_dict
+from theta5.cli import run, series_to_dict
 from theta5.cyclo import CycloQ5
 from theta5.series import FracSeries
 from theta5.theta import CATALOG_CHARS, ThetaChar, char, theta_const
@@ -162,6 +163,16 @@ def test_report_serialization_schema():
     assert len(mm["lhs"]) == 4
     # round trip is the identity on the schema
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_reports_to_json_is_the_cli_json():
+    # one text for one report list: "§" unescaped, as ``verify --format json`` prints it
+    ids = ["E1", "T1d", "W6"]
+    out = io.StringIO()
+    assert run(["verify", "--id", *ids, "--order", "20", "--format", "json"], out=out) == 1
+    text = reports_to_json(verify_ids(ids, 20))
+    assert text + "\n" == out.getvalue()
+    assert "§" in text and "\\u00a7" not in text
 
 
 

@@ -830,8 +830,9 @@ def test_convolve_square_matches_schoolbook_property(a, key_bound):
 # the Kronecker gate
 # ---------------------------------------------------------------------------
 
-#: the coordinates a tail's vectors use: all four, the real ones, and others
-_COLUMNS = [(0, 1, 2, 3), (0,), (1, 3), (2,), (0, 1, 2)]
+#: the coordinates a tail's vectors use: all four, the real ones, and others;
+#: pairs of them draw products of 1 to 16 coordinate pairs, squares of 1 to 10
+_COLUMNS = [(0, 1, 2, 3), (0,), (1, 3), (2,), (0, 1, 2), (0, 1), (1, 2, 3)]
 
 
 @st.composite
@@ -857,16 +858,31 @@ def dense_tails(draw, min_len):
     return tail
 
 
+def _live(t, high):
+    """The number of z-coordinates nonzero at some key of t up to ``high``."""
+    return sum(any(v[j] for k, v in t.items() if k <= high) for j in range(4))
+
+
 def _check_paths(a, b, key_bound):
-    """Checks each product path against ``_schoolbook``; returns whether
-    ``_convolve`` took the Kronecker path."""
+    """Checks each product path against ``_schoolbook``, and that ``_kronecker``
+    evaluates at seven points exactly when the live coordinates of the packed
+    operands need more than 7 products; returns whether ``_convolve`` took the
+    Kronecker path."""
     want = _schoolbook(a, b, key_bound)
     with mock.patch.object(series_module, "_kronecker", wraps=_kronecker) as spy:
         via_convolve = _convolve(a, b, key_bound)
-    for got in (via_convolve, _clamped(_kronecker, a, b, key_bound)):
+    with mock.patch.object(series_module, "_by_points",
+                           wraps=series_module._by_points) as points:
+        direct = _clamped(_kronecker, a, b, key_bound)
+    for got in (via_convolve, direct):
         assert got == want
         assert list(got) == sorted(got)
     assert _clamped(_term_pairs, a, b, key_bound) == want
+    kb = max(a) + max(b) if key_bound is None else min(key_bound, max(a) + max(b))
+    if kb >= min(a) + min(b):
+        la, lb = _live(a, kb - min(b)), _live(b, kb - min(a))
+        pairs = la * (la + 1) // 2 if a is b else la * lb
+        assert points.call_count == (pairs > 7)
     return spy.called
 
 
@@ -906,3 +922,88 @@ def test_convolve_gate(monkeypatch):
         taken.clear()
         assert _convolve(a, b, kb) == _schoolbook(a, b, kb)
         assert taken == ([path] if path else []), (len(a), len(b), kb)
+
+
+# ---------------------------------------------------------------------------
+# the seven-point evaluation inside _kronecker
+# ---------------------------------------------------------------------------
+
+
+def _rational_inverse(m):
+    """The inverse of a square matrix of Fractions, by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [list(r) + [F(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [r[n:] for r in rows]
+
+
+def test_point_rows_are_the_folded_interpolation():
+    # U_0..U_6 from the values at 0, 1, -1, 2, -2, 3 and infinity (the leading
+    # coefficient): the inverse of that Vandermonde matrix; R_j = U_j - U_4,
+    # plus U_5 into R_0 and U_6 into R_1 (z^5 = 1, z^4 = -(1+z+z^2+z^3))
+    points = [0, 1, -1, 2, -2, 3, None]
+    vandermonde = [[F(int(m == 6)) if x is None else F(x) ** m for m in range(7)]
+                   for x in points]
+    inv = _rational_inverse(vandermonde)
+    fold = [[1, 0, 0, 0, -1, 1, 0], [0, 1, 0, 0, -1, 0, 1],
+            [0, 0, 1, 0, -1, 0, 0], [0, 0, 0, 1, -1, 0, 0]]
+    table = [[120 * sum(f * inv[m][i] for m, f in enumerate(row)) for i in range(7)]
+             for row in fold]
+    assert all(x.denominator == 1 for row in table for x in row)
+    assert series_module._POINT_ROWS == tuple(tuple(int(x) for x in row) for row in table)
+    assert all(type(x) is int for row in series_module._POINT_ROWS for x in row)
+
+
+_packed = st.lists(st.one_of(st.just(0), st.integers(-2 ** 300, 2 ** 300)),
+                   min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packed, _packed)
+def test_seven_points_equal_the_coordinate_products_property(A, B):
+    # any four integers are packed coordinates: the two ways agree on all of them
+    assert series_module._by_points(A, B) == series_module._by_coordinates(A, B)
+    assert series_module._by_points(A, A) == series_module._by_coordinates(A, A)
+    assert series_module._by_points(A, A) == series_module._by_coordinates(A, list(A))
+
+
+@pytest.mark.parametrize("cols_a, cols_b, square, points", [
+    ((0, 1, 2, 3), (0, 1, 2, 3), False, True),  # 16 products
+    ((0, 1, 2), (0, 1, 2, 3), False, True),  # 12
+    ((0, 1, 2), (1, 2, 3), False, True),  # 9
+    ((1, 3), (0, 1, 2, 3), False, True),  # 8
+    ((0, 1), (1, 2, 3), False, False),  # 6
+    ((0,), (0, 1, 2, 3), False, False),  # 4
+    ((0,), (0,), False, False),  # 1: a real product
+    ((0, 1, 2, 3), None, True, True),  # a square of 4: 10 products
+    ((0, 1, 2), None, True, False),  # a square of 3: 6
+    ((2,), None, True, False),
+])
+def test_kronecker_branch_follows_the_live_coordinates(cols_a, cols_b, square, points):
+    def run(cols, n, sign):
+        return {k: tuple(sign * (k + j + 1) if j in cols else 0 for j in range(4))
+                for k in range(n)}
+    a = run(cols_a, 60, 1)
+    b = a if square else run(cols_b, 50, -1)
+    with mock.patch.object(series_module, "_by_points", wraps=series_module._by_points) as p, \
+            mock.patch.object(series_module, "_by_coordinates",
+                              wraps=series_module._by_coordinates) as c:
+        got = _kronecker(a, b, max(a) + max(b))
+    assert got == _schoolbook(a, b, None)
+    assert (p.call_count, c.call_count) == ((1, 0) if points else (0, 1))
+    # a key bound that leaves out every key where b's coordinate 0 is live
+    if not square and cols_b == (0, 1, 2, 3):
+        b_high = {k: v if k >= 40 else (0,) + v[1:] for k, v in b.items()}
+        with mock.patch.object(series_module, "_by_points",
+                               wraps=series_module._by_points) as p:
+            got = _kronecker(a, b_high, 39)
+        assert got == _schoolbook(a, b_high, 39)
+        la = len(cols_a)
+        assert p.call_count == (la * 3 > 7)

@@ -197,6 +197,20 @@ def test_eta_quotient_contract():
             eta_quotient(spec, order)
 
 
+def test_integer_arguments_take_no_other_number():
+    # an exponent or derivative order is an integer: 2.5 is not silently
+    # truncated to 2, a string is not parsed, and True counts as 1
+    for spec in ([(1, 2.5)], [(1, "5")], [(1, 5), (5, -1.0)]):
+        with pytest.raises(TypeError):
+            eta_quotient(spec, 10)
+    for m in (1.0, "1", 0.5):
+        with pytest.raises(TypeError):
+            theta_const(char(1, 1), m, 5)
+    f = theta_const(char(1, 1), True, 5)
+    assert f.cpow == 1 and type(f.cpow) is int
+    assert series_to_dict(f) == series_to_dict(theta_const(char(1, 1), 1, 5))
+
+
 def test_char_shift_phase():
     p, shifted = char_shift_phase(char(F(3, 5), F(9, 5)), 0, -1)
     assert shifted == char(F(3, 5), F(-1, 5))
