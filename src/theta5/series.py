@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, repeat
 from sys import byteorder
 from typing import Collection, Iterable, Optional, Union
 
@@ -65,6 +65,8 @@ _KRONECKER_GATE = 24
 #: memoryview formats of the signed slots of 2, 4 and 8 bytes; they read the
 #: little-endian slots in native byte order, so a big-endian host has none.
 _SLOT_FORMATS = {2: "h", 4: "i", 8: "q"} if byteorder == "little" else {}
+#: each byte's sign fill: 0xff for a top byte of a negative slot, else 0
+_SIGN_FILL = bytes(128) + b"\xff" * 128
 #: 120 * (R_0..R_3) from the products P(x) = A(x)*B(x) at x = 0, 1, -1, 2, -2,
 #: 3 and infinity (``_by_points``): 120 times the inverse of that 7-point
 #: Vandermonde matrix, with its rows U_0..U_6 folded by z^5 = 1 and
@@ -665,6 +667,11 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int
     up to 2, 4 or 8 bytes, which memoryview packs and unpacks in C as signed
     slots, or else to whole bytes.
 
+    Dead coordinates.  A coordinate that is 0 at every packed key is not
+    turned into an integer: its A_j is 0.  An R_j that is exactly 0 is not
+    read back, and when R_1 = R_2 = R_3 = 0, as in every product of two real
+    series, the entries are (x, 0, 0, 0) from R_0 alone.
+
     Signed slots.  Write each coordinate as a w-bit two's complement slot c
     mod 2^w; setting each slot's top bit with XOR turns it into c + 2^(w-1),
     never negative, so the packed integer minus 2^(w-1) in every slot is
@@ -684,7 +691,7 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int
     ones = (1 << w) - 1
 
     def pack(t: dict[int, Vec], low: int, high: int) -> list[int]:
-        """A_0..A_3 of the keys low..high of t."""
+        """A_0..A_3 of the keys low..high of t; 0 for a coordinate that is 0 there."""
         size = min(max(t), high) - low + 1
         signs = ((1 << size * w) - 1) // ones << (w - 1)  # the top bit of every slot
         if fmt:
@@ -699,9 +706,16 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int
                 c1[i] = v1
                 c2[i] = v2
                 c3[i] = v3
-        if not fmt:
-            raw = [b"".join([x.to_bytes(nbytes, "little", signed=True) for x in c]) for c in raw]
-        return [(int.from_bytes(r, "little") ^ signs) - signs for r in raw]
+        out = []
+        for c in raw:
+            if not fmt:
+                if not any(c):
+                    out.append(0)
+                    continue
+                c = b"".join([x.to_bytes(nbytes, "little", signed=True) for x in c])
+            x = int.from_bytes(c, "little")
+            out.append((x ^ signs) - signs if x else 0)
+        return out
 
     A = pack(a, la, key_bound - lb)
     B = A if square else pack(b, lb, key_bound - la)
@@ -709,7 +723,9 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int
     pairs = live_a * (live_a + 1) // 2 if square else live_a * (4 - B.count(0))
     R = (_by_points if pairs > 7 else _by_coordinates)(A, B)
     signs = ((1 << n * w) - 1) // ones << (w - 1)
-    cols = [_unpack(r + signs, n, nbytes) for r in R]
+    cols = [_unpack(r + signs, n, nbytes) if r else repeat(0, n) for r in R]
+    if not any(R[1:]):
+        return {k: (x, 0, 0, 0) for k, x in enumerate(cols[0], la + lb) if x}
     return {k: v for k, v in enumerate(zip(*cols), la + lb) if v != _ZERO}
 
 
@@ -756,13 +772,26 @@ def _unpack(packed: int, n: int, nbytes: int) -> list[int]:
     """The n lowest slots of ``packed``, w = 8 * nbytes bits each, as the v in
     [-2^(w-1), 2^(w-1)) of slots that hold v + 2^(w-1).  XOR with the top bit
     of every slot gives v in two's complement, read back through ``memoryview``
-    for 2, 4 or 8 bytes and signed ``from_bytes`` otherwise."""
+    for 2, 4 and 8 bytes.  Slots of 1 to 7 bytes are widened to 8 bytes first:
+    strided byte copies move byte i of every slot to byte i of its 8-byte slot
+    and fill the bytes above with its sign, 0x00 or 0xff read off its top
+    byte.  Without the memoryview formats (a big-endian host) each slot is
+    read by signed ``from_bytes``."""
     w, size = 8 * nbytes, n * nbytes
     mask = (1 << n * w) - 1
     raw = ((packed & mask) ^ (mask // ((1 << w) - 1) << (w - 1))).to_bytes(size, "little")
     fmt = _SLOT_FORMATS.get(nbytes)
     if fmt:
         return memoryview(raw).cast(fmt).tolist()
+    wide = _SLOT_FORMATS.get(8)
+    if wide and nbytes < 8:
+        out = bytearray(8 * n)
+        for i in range(nbytes):
+            out[i::8] = raw[i::nbytes]
+        sign = raw[nbytes - 1::nbytes].translate(_SIGN_FILL)
+        for i in range(nbytes, 8):
+            out[i::8] = sign
+        return memoryview(out).cast(wide).tolist()
     return [int.from_bytes(raw[i:i + nbytes], "little", signed=True) for i in range(0, size, nbytes)]
 
 

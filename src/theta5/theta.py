@@ -20,11 +20,14 @@ exponents as integers on one grid.  It packs the dense tail of each
 zeta-coordinate into one integer, so that a unit power (1 + c*q^d) costs one
 shift-and-add of big integers per coordinate that is not still zero (a
 Kronecker substitution along q), with a slot width proved large enough from a
-majorant of the product (``_slot_bits``).  A real product packs a single
-integer; eta at an offset is such a product, twisted afterwards
-(``eta_q``).  The triple product shares no code with the direct sum beyond
-the unit table, so ``theta_const_product`` stays an independent check of
-``theta_const``.
+majorant of the product (``_slot_bits``).  Only the factors with 2d below the
+tail's size take such passes: below it the others multiply to
+1 + sum k*c*q^d, which starts the build in closed form, so the triple
+product, eta and the eta quotients take half the passes.  A real product
+packs a single integer and updates it in place; eta at an offset is such a
+product, twisted afterwards (``eta_q``).  The triple product shares no code
+with the direct sum beyond the unit table, so ``theta_const_product`` stays
+an independent check of ``theta_const``.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ def _slot_bits(size: int, ups: dict[int, int], downs: dict[int, int]) -> int:
 
         M(x) = prod_ups (1 + x^d)^k  *  prod_downs (1 - x^d)^-k.
 
-    This holds after each prefix of the factors, because every factor of M is
+    This holds for any subset of the factors, because every factor of M is
     at least 1 coefficient by coefficient, and inside a division, because the
     partial product (1 - u*x^d)(1 + u^2*x^(2d))...(1 + u^(2^j)*x^(2^j*d)) of
     1/(1 + u*x^d) is majorised by 1 + x^d + ... + x^((2^(j+1) - 1)*d), which is
@@ -214,10 +217,23 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
         U[m + r] += s * (((U[m] & low) - (zero >> d*w)) << d*w),
 
     low the mask of the slots below size - d: one mask, one bias correction,
-    one shift and one add or subtract.  Dividing by (1 + u*x^d), d > 0,
-    multiplies by (1 - u*x^d)(1 + u^2*x^(2d))(1 + u^4*x^(4d))..., which is
-    1/(1 + u*x^d) below x^size once 2^K*d >= size, so K = ceil(log2(size/d))
-    passes.  Coordinates still zero are skipped, so a real product packs one
+    one shift and one add or subtract.  With r = 0 each coordinate updates
+    itself, in place.  Dividing by (1 + u*x^d), d > 0, multiplies by
+    (1 - u*x^d)(1 + u^2*x^(2d))(1 + u^4*x^(4d))..., which is 1/(1 + u*x^d)
+    below x^size once 2^K*d >= size, so K = ceil(log2(size/d)) passes.
+
+    Only the factors with 2d < size take passes.  A product of two factors
+    with 2d >= size lies at or above x^size, so below it (1 + u*x^d)^k is
+    1 + k*u*x^d, and so is 1/(1 + u*x^d)^|k| for k < 0, and the product of all
+    of them is 1 + sum k*s*z^r*x^d.  The build starts from that state: slot d
+    of U[r] holds the sum x of k*s over the factors (d, s*z^r, k).  The x of
+    one coordinate are summed as one signed integer, x shifted by (d - h)*w
+    for h = ceil(size/2), the least d with 2d >= size, and that sum, shifted
+    by h*w, is added to ``zero``.  Every state is still the truncated product
+    of a subset of the factors, so ``_slot_bits`` bounds it: |x| < 2^(w-1),
+    and the add borrows across no slot.
+
+    Coordinates still zero are skipped, so a real product packs one
     integer.  The slots are read back by ``series._unpack``, and z^4 =
     -(1+z+z^2+z^3) folds the five coordinates a_m into the power basis as
     a_j - a_4.
@@ -249,22 +265,31 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
         (ups if k > 0 else downs)[d] += abs(k)
     w = _slot_bits(size, ups, downs)
     zero = ((1 << size * w) - 1) // ((1 << w) - 1) << (w - 1)  # every slot at the bias
+    h = (size + 1) // 2  # the factors with d >= h start the build in closed form
+    high = [0] * 5
+    for d, s, r, k in steps:
+        if d >= h:
+            high[r] += k * s << (d - h) * w
     U = [zero + 1, None, None, None, None]  # None: a coordinate that is still 0
+    for r, x in enumerate(high):
+        if x:
+            U[r] = (U[r] or zero) + (x << h * w)
 
     def unit_pass(d: int, s: int, r: int) -> None:
         dw = d * w
         low = (1 << (size * w - dw)) - 1  # slots 0 .. size-d-1
         zlow = zero >> dw
-        new = U[:]
-        for m, src in enumerate(U):
+        old = U[:] if r else U  # with r = 0 each coordinate only updates itself
+        for m, src in enumerate(old):
             if src is not None:
                 j = (m + r) % 5
-                tgt = U[j] if U[j] is not None else zero
+                tgt = zero if old[j] is None else old[j]
                 v = ((src & low) - zlow) << dw
-                new[j] = tgt + v if s > 0 else tgt - v
-        U[:] = new
+                U[j] = tgt + v if s > 0 else tgt - v
 
     for d, s, r, k in steps:
+        if d >= h:
+            continue
         for _ in range(abs(k)):
             if k > 0:
                 unit_pass(d, s, r)

@@ -20,7 +20,7 @@ from theta5.cyclo import CycloQ5, Phase, PhaseNotRepresentable
 from theta5.numeric import eta_num, series_eval_num
 from theta5.series import (FracSeries, IncompatibleConstantPower,
                            NonInvertibleSeries, UnabsorbablePrefactor,
-                           _convolve, _kronecker, _term_pairs, series_equal)
+                           _convolve, _kronecker, _term_pairs, _unpack, series_equal)
 from theta5.theta import char, eta_q, eta_quotient, theta_const
 
 
@@ -799,6 +799,29 @@ def test_kronecker_bytes_path_at_the_slot_bound(monkeypatch, b):
             assert got == want and list(got) == list(want), (i, kb)
 
 
+@pytest.mark.parametrize("readback", ["memoryview", "from_bytes"])
+@pytest.mark.parametrize("nbytes", range(1, 10))
+def test_unpack_reads_every_slot_width(monkeypatch, nbytes, readback):
+    # random signed slots and both extremes, under junk slots above n, read back
+    # as signed from_bytes reads each slot; "from_bytes" is a host without the
+    # little-endian memoryview formats
+    if readback == "from_bytes":
+        monkeypatch.setattr(series_module, "_SLOT_FORMATS", {})
+    w = 8 * nbytes
+    lo, hi = -2 ** (w - 1), 2 ** (w - 1) - 1
+    rng = random.Random(nbytes)
+    for n in (1, 2, 3, 7, 8, 9, 64, 299, 300):
+        vals = [rng.choice([lo, hi, 0, -1, 1, rng.randint(lo, hi)]) for _ in range(n)]
+        vals[0], vals[-1] = lo, hi
+        packed = sum((v - lo) << i * w for i, v in enumerate(vals)) + (rng.getrandbits(99) << n * w)
+        twos = (packed % 2 ** (n * w) ^ sum(1 << i * w + w - 1 for i in range(n))).to_bytes(
+            n * nbytes, "little")
+        want = [int.from_bytes(twos[i:i + nbytes], "little", signed=True)
+                for i in range(0, n * nbytes, nbytes)]
+        assert want == vals
+        assert _unpack(packed, n, nbytes) == want, n
+
+
 _big = st.integers(-2 ** 200, 2 ** 200)
 _vecs = st.tuples(_big, _big, _big, _big).filter(any)
 
@@ -985,6 +1008,7 @@ def test_seven_points_equal_the_coordinate_products_property(A, B):
     ((0, 1, 2, 3), None, True, True),  # a square of 4: 10 products
     ((0, 1, 2), None, True, False),  # a square of 3: 6
     ((2,), None, True, False),
+    ((1,), (1,), False, False),  # 1: z*z, so R_0 = R_1 = R_3 = 0
 ])
 def test_kronecker_branch_follows_the_live_coordinates(cols_a, cols_b, square, points):
     def run(cols, n, sign):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta5 import theta as theta_module
@@ -361,6 +361,39 @@ def test_binomial_product_matches_reference_property(raw, order_den, order_num):
     # orders anywhere from below every exponent to above all of them
     factors = [(F(p, q), t, k if p or k > 0 else -k) for q, p, t, k in raw]
     _check_product(F(order_num, order_den), factors)
+
+
+@st.composite
+def _high_factors(draw):
+    """(order, factors) on the grid 1 with ``size`` = ceil(order) keys: most exponents
+    in size//2 - 1 .. size - 1, around the least d with 2d >= size, powers up to 40,
+    and sometimes a pair (1 + u*q^d)(1 - u*q^d) whose q^d terms cancel."""
+    size = draw(st.integers(1, 24))
+    order = F(size) - draw(st.sampled_from([0, F(1, 2)]))
+    near = st.integers(max(0, size // 2 - 1), size - 1)
+    factors = []
+    for _ in range(draw(st.integers(0, 5))):
+        d = draw(st.one_of(near, st.integers(0, size + 2)) if draw(st.booleans()) else near)
+        k = draw(st.integers(-40, 40))
+        factors.append((d, draw(st.integers(0, 9)), abs(k) if d == 0 else k))
+    if draw(st.booleans()):
+        d, t = draw(near), draw(st.integers(0, 9))
+        factors += [(d, t, 1), (d, (t + 5) % 10, 1)]
+    return order, factors
+
+
+@settings(max_examples=80, deadline=None)
+@given(_high_factors())
+@example((F(9), [(5, 0, 40)]))  # a high power: 1 + 40*q^5 below q^9
+@example((F(9), [(4, 3, 40), (5, 0, 2), (6, 9, -3)]))  # odd size: d = 4 still takes passes
+@example((F(9), [(5, 2, -3), (7, 7, -1), (4, 5, -2)]))  # divisions, high and low
+@example((F(9), [(5, 0, 1), (5, 5, 1), (6, 2, 1), (6, 7, 1)]))  # q^5 and zeta*q^6 cancel
+@example((F(10), [(5, 1, 2), (6, 3, -1), (9, 8, 7), (5, 6, -2)]))  # every factor high: no pass
+@example((F(1), [(0, 2, 3), (0, 9, 1), (1, 0, 1)]))  # size 1: only constant factors live
+@example((F(2), [(1, 3, -5), (0, 4, 2), (1, 8, 5)]))  # size 2
+def test_binomial_product_high_factors_property(case):
+    # the factors with 2d >= size start the build in closed form
+    _check_product(*case)
 
 
 def _euler_power(c, n):
