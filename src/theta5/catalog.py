@@ -275,9 +275,7 @@ def _build_e2(N: Rat, variant: str) -> Pairs:
 def _build_e3(N: Rat, variant: str) -> Pairs:
     lhs = _oracle_series(N, lambda n: arith.partition_p(5 * n + 4),
                          constant=arith.partition_p(4))
-    factors = [f for n in range(1, math.ceil(N) + 1)
-               for f in ((5 * n, MINUS_ONE, 5), (n, MINUS_ONE, -6))]
-    rhs = _binomial_product(N, factors).scalar_mul(5)
+    rhs = _binomial_product(N, [(5, 5, MINUS_ONE, 5), (1, 1, MINUS_ONE, -6)]).scalar_mul(5)
     return [("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", lhs, rhs)]
 
 
@@ -497,8 +495,7 @@ def _g_product(sign: int, N: Rat) -> FracSeries:
     """
     u1, u2 = (UNITS.index((-1, r)) for r in ((2, 3) if sign > 0 else (1, 4)))  # -z^r
     return _stored(("G", sign), N, lambda n: _binomial_product(n, [
-        f for k in range(1, math.ceil(n) + 1)
-        for f in ((k, MINUS_ONE, 5), (k, u1, 5), (k, u2, 5), (5 * k, MINUS_ONE, -3))]))
+        (1, 1, MINUS_ONE, 5), (5, 5, MINUS_ONE, -3), (1, 1, u1, 5), (1, 1, u2, 5)]))
 
 
 def _h_product(which: int, N: Rat) -> FracSeries:
@@ -507,9 +504,8 @@ def _h_product(which: int, N: Rat) -> FracSeries:
     r1, r2 = (1, 4) if which == 1 else (2, 3)
 
     def build(n: Rat) -> FracSeries:
-        out = _binomial_product(n, [f for k in range(1, math.ceil(n) + 1)
-                                    for f in ((k, MINUS_ONE, 2), (5 * k - r1, MINUS_ONE, -5),
-                                              (5 * k - r2, MINUS_ONE, -5))])
+        out = _binomial_product(n, [(1, 1, MINUS_ONE, 2), (5 - r1, 5, MINUS_ONE, -5),
+                                    (5 - r2, 5, MINUS_ONE, -5)])
         return out.qpow_shift(1) if which == 2 else out
 
     return _stored(("H", which), N, build)

@@ -16,7 +16,10 @@ is the key n*(q*n + p) on the grid 1/(2q).
 
 Every product form (the triple product, eta, eta quotients and the catalog's
 own products) comes from one kernel, ``_binomial_product``, which takes its
-exponents as integers on one grid.  It packs the dense tail of each
+factors as a few arithmetic progressions of exponents, integers on one grid:
+one per eta multiplier, three for the triple product, at most four for a
+catalog form.  Its checks, grid, closed-form start and width bound cost
+per progression, not per factor.  It packs the dense tail of each
 zeta-coordinate into one integer, so that a unit power (1 + c*q^d) costs one
 shift-and-add of big integers per coordinate that is not still zero (a
 Kronecker substitution along q), with a slot width proved large enough from a
@@ -33,8 +36,7 @@ an independent check of ``theta_const``.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import index, mul, neg
 from typing import Iterable
 
@@ -140,12 +142,17 @@ def theta_const(ch: ThetaChar, deriv_order: int = 0, order: Rat = 20) -> FracSer
 MINUS_ONE = 5
 
 
-def _slot_bits(size: int, ups: dict[int, int], downs: dict[int, int]) -> int:
+def _repunit(n: int, nbytes: int) -> int:
+    """sum 2^(8*nbytes*i) over i < n: a 1 in each of n slots of ``nbytes`` bytes."""
+    return int.from_bytes(b"\1".ljust(nbytes, b"\0") * n, "little")
+
+
+def _slot_bits(size: int, progressions: Iterable[tuple[int, int, int, int]]) -> int:
     """Width w in bits, a multiple of 8, of a slot that holds every coefficient
     ``_binomial_product`` meets while it builds a tail of ``size`` keys.
 
-    ``ups`` maps each shift d (in grid steps) to the total multiplicity k of its
-    factors (1 + u*x^d)^k with k > 0, ``downs`` to that of its divisions.
+    Each progression (d, step, n, k) stands for the n factors
+    (1 + u*x^(d + i*step))^k, i < n, with k != 0 (a division for k < 0).
 
     Proof.  Give a coefficient in Z[z]/(z^5 - 1) the l1 norm of its five
     z-coordinates.  That norm is submultiplicative and every unit +-z^r has
@@ -153,31 +160,54 @@ def _slot_bits(size: int, ups: dict[int, int], downs: dict[int, int]) -> int:
     by the product of their series of norms.  Hence every state of the build
     is majorised by
 
-        M(x) = prod_ups (1 + x^d)^k  *  prod_downs (1 - x^d)^-k.
+        M(x) = prod_{k > 0} (1 + x^d)^k  *  prod_{k < 0} (1 - x^d)^k
 
-    This holds for any subset of the factors, because every factor of M is
-    at least 1 coefficient by coefficient, and inside a division, because the
-    partial product (1 - u*x^d)(1 + u^2*x^(2d))...(1 + u^(2^j)*x^(2^j*d)) of
-    1/(1 + u*x^d) is majorised by 1 + x^d + ... + x^((2^(j+1) - 1)*d), which is
-    at most 1/(1 - x^d).  M has nonnegative coefficients, so for every
-    0 < rho < 1 its coefficient at x^i, i < size, is at most
-    M(rho)/rho^i <= M(rho)/rho^(size-1).  That bound is convex in log(rho).  A
-    golden-section search over rho = 1/(1 + e^-s) picks a good rho, and every
-    rho it tries gives a valid bound.  The width adds a sign bit, since a slot
-    holds |a| < 2^(w-1), and two bits for float rounding, which is far below
-    one bit.
+    over all the factors.  This holds for any subset of the factors, because
+    every factor of M is at least 1 coefficient by coefficient, and inside a
+    division, because the partial product
+    (1 - u*x^d)(1 + u^2*x^(2d))...(1 + u^(2^j)*x^(2^j*d)) of 1/(1 + u*x^d) is
+    majorised by 1 + x^d + ... + x^((2^(j+1) - 1)*d), which is at most
+    1/(1 - x^d).  M has nonnegative coefficients, so for every 0 < rho < 1 its
+    coefficient at x^i, i < size, is at most M(rho)/rho^i <= M(rho)/rho^(size-1).
+    That bound is convex in log(rho).  A golden-section search over
+    rho = 1/(1 + e^-s) picks a good rho from seven, and every rho it tries
+    gives a valid bound.  log M(rho) is a sum over the progressions of k times
+    the sum of log(1 +- rho^(d + i*step)), i < n, the powers taken by repeated
+    multiplication by rho^step.
+
+    The width adds a sign bit, since a slot holds |a| < 2^(w-1), and two bits,
+    a factor 4 on the bound, for float rounding.  Let u = 2^-52 bound the
+    relative error of each exp, log1p and product.  The i-th power of a
+    progression, x = rho^m with m = d + i*step, comes out of two exps and i
+    products, so its relative error is under m*|log rho|*3u (the rounding of
+    log rho and of m*log rho) plus (2i + 1)*u.  A term log(1 +- x) moves by
+    x/(1 -+ x) times that.  The first part gives at most 3u, since
+    y*e^-y/(1 - e^-y) <= 1 for y = m*|log rho|.  For the second, a division
+    has m >= i + 1 (d >= 1, step >= 1), and x/(1 - x) <= 1/(m*(1 - rho)), with
+    1/(1 - rho) = 1 + e^s <= 5c, c = size + sum n*|k|, because
+    s <= span = log(4*c); so it moves by under 2u*5c.  A product has
+    x/(1 + x) <= 1 and i < c.  Each of the sum n*|k| <= c factors thus moves
+    log M(rho) by under (10c + 3)*u, all of them by under 11*c^2*u, and the
+    log1p calls and the sums, all of nonnegative terms, add under
+    (c + 2)*u*log M(rho).  For c up to 10^7 (eta(tau/5) at order 10^6) that
+    is under 0.25 + 3*10^-9*log M(rho), inside log 4 = 1.39 for the two bits
+    at any width below 10^8.  Past c = 10^7 the bound adds it explicitly.
     """
     n = size - 1
-    span = math.log(4 * (size + sum(ups.values()) + sum(downs.values())))
-    ud, uk, dd, dk = list(ups), list(ups.values()), list(downs), list(downs.values())
+    terms = [(d, step, c - 1, k) for d, step, c, k in progressions]
+    count = size + sum([(c + 1) * abs(k) for _, _, c, k in terms])
+    span = math.log(4 * count)
 
     def log_bound(s: float) -> float:
         lr = -math.log1p(math.exp(-s))  # log(rho)
-        # k*log(1 + rho^d) over ups, k*log(1 - rho^d) over downs
-        up = sum(map(mul, uk, map(math.log1p, map(math.exp, map(mul, ud, repeat(lr))))))
-        down = sum(map(mul, dk, map(math.log, map(neg, map(math.expm1,
-                                                            map(mul, dd, repeat(lr)))))))
-        return up - down - n * lr
+        total = -n * lr
+        for d, step, c, k in terms:
+            # rho^d, rho^(d + step), ...; k*log(1 + rho^e) for k > 0, k*log(1 - rho^e) below
+            powers = accumulate(repeat(math.exp(step * lr), c), mul, initial=math.exp(d * lr))
+            total += k * sum(map(math.log1p, powers if k > 0 else map(neg, powers)))
+        if count > 10 ** 7:  # past the reach of the two margin bits: add the rounding
+            total += total * count * 2.0 ** -51 + 11 * count * count * 2.0 ** -52
+        return total
 
     g = (math.sqrt(5) - 1) / 2
     a, b = -span, span
@@ -197,17 +227,20 @@ def _slot_bits(size: int, ups: dict[int, int], downs: dict[int, int]) -> int:
     return -(-(math.ceil(best / math.log(2)) + 3) // 8) * 8
 
 
-def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
+def _binomial_product(order: Rat, progressions: Iterable[tuple[int, int, int, int]],
                       grid: int = 1) -> FracSeries:
-    """prod (1 + c*q^(e/grid))^k over factors (e, t, k), c = e(t/10), exact below ``order``.
+    """prod (1 + c*q^(e/grid))^k, exact below ``order``, over the factors of
+    the progressions (first, step, t, k): e = first + i*step for i = 0, 1, ...
+    while e/grid < order, one factor i = 0 when step = 0, and c = e(t/10).
 
-    e >= 0 is an integer, t in 0..9 indexes ``UNITS`` and k is an integer,
-    positive when e = 0; anything else raises ValueError.  The tail is dense on
-    the grid x = q^(1/scale), scale = grid / gcd(grid, every e below order),
-    the lcm of the reduced denominators of those exponents, and is built in
-    Z[z][x] with z^5 = 1 as five coordinates U[0..4], the coefficients of
-    z^0..z^4, so that a unit s*z^r (s = +-1) only moves coordinate m to
-    m + r mod 5 and signs it.
+    first >= 0 and step >= 0 are integers, t in 0..9 indexes ``UNITS`` and k
+    is an integer, positive when first = 0; anything else raises ValueError.
+    The tail is dense on the grid x = q^(1/scale), scale = grid / gcd(grid,
+    every e below order), the lcm of the reduced denominators of those
+    exponents, and is built in Z[z][x] with z^5 = 1 as five coordinates
+    U[0..4], the coefficients of z^0..z^4, so that a unit s*z^r (s = +-1) only
+    moves coordinate m to m + r mod 5 and signs it.  The checks, the gcd, the
+    closed-form start and the width bound are worked out once per progression.
 
     Each U[m] packs its ``size`` coefficients into one integer, w bits a slot
     (``_slot_bits``), every slot biased by 2^(w-1) so that it is never
@@ -226,12 +259,14 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
     with 2d >= size lies at or above x^size, so below it (1 + u*x^d)^k is
     1 + k*u*x^d, and so is 1/(1 + u*x^d)^|k| for k < 0, and the product of all
     of them is 1 + sum k*s*z^r*x^d.  The build starts from that state: slot d
-    of U[r] holds the sum x of k*s over the factors (d, s*z^r, k).  The x of
-    one coordinate are summed as one signed integer, x shifted by (d - h)*w
-    for h = ceil(size/2), the least d with 2d >= size, and that sum, shifted
-    by h*w, is added to ``zero``.  Every state is still the truncated product
-    of a subset of the factors, so ``_slot_bits`` bounds it: |x| < 2^(w-1),
-    and the add borrows across no slot.
+    of U[r] holds the sum of k*s over the factors (d, s*z^r, k).  The factors
+    of one progression from the least d >= h = ceil(size/2) on, d + i*step for
+    i < m, add k*s times the repunit of m slots spaced step*w bits apart,
+    shifted by (d - h)*w; w is a multiple of 8, so the repunit is built from
+    bytes.  The sum of one coordinate, shifted by h*w, is added to ``zero``.
+    Every state is still the truncated product of a subset of the factors, so
+    ``_slot_bits`` bounds each slot: |x| < 2^(w-1), and the add borrows across
+    no slot.
 
     Coordinates still zero are skipped, so a real product packs one
     integer.  The slots are read back by ``series._unpack``, and z^4 =
@@ -242,34 +277,38 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
     if on <= 0:
         raise ValueError("order must be positive")
     lim = on * grid  # e/grid < order iff e*od < lim
-    live = []  # the factors with e/grid < order
-    for f in factors:
-        e, t, k = f
-        if e < 0:
+    live = []  # the progressions with a factor below order
+    for p in progressions:
+        e, step, t, k = p
+        if e < 0 or step < 0:
+            # the first negative exponent of the progression
+            e = e if e < 0 else e + (e // -step + 1) * step
             raise ValueError(f"binomial exponent {render_rational(e, grid)} is negative")
         if type(t) is not int or not 0 <= t < 10:
             raise ValueError(f"binomial unit {t!r} is not an index 0..9 of a root of unity e(t/10)")
         if e == 0 and k < 0:
             raise ValueError("cannot divide by a constant binomial (exponent 0)")
         if k and e * od < lim:
-            live.append(f)
-    if any(e == 0 and t == MINUS_ONE and k > 0 for e, t, k in live):
+            # a progression whose second factor is at or past order is its first factor
+            live.append((e, step if (e + step) * od < lim else 0, t, k))
+    if any(e == 0 and t == MINUS_ONE and k > 0 for e, _, t, k in live):
         return FracSeries.zero()  # a factor (1 - q^0): exactly zero at every order
-    g = math.gcd(grid, *(e for e, _, _ in live))
+    g = math.gcd(grid, *(math.gcd(e, step) for e, step, _, _ in live))  # every e below order
     scale = grid // g
     size = -(-on * scale // od)
-    steps = [(e // g, *UNITS[t], k) for e, t, k in live]
-    ups: dict[int, int] = defaultdict(int)
-    downs: dict[int, int] = defaultdict(int)
-    for d, _, _, k in steps:
-        (ups if k > 0 else downs)[d] += abs(k)
-    w = _slot_bits(size, ups, downs)
-    zero = ((1 << size * w) - 1) // ((1 << w) - 1) << (w - 1)  # every slot at the bias
     h = (size + 1) // 2  # the factors with d >= h start the build in closed form
+    steps = []  # (d, step, n, k, s, r, below): n factors, the first ``below`` of them below h
+    for e, step, t, k in live:
+        d, step = e // g, step // g
+        n = (size - 1 - d) // step + 1 if step else 1  # d + i*step < size
+        below = min(n, max(0, -(-(h - d) // step))) if step else int(d < h)
+        steps.append((d, step, n, k, *UNITS[t], below))
+    w = _slot_bits(size, [p[:4] for p in steps])
+    zero = _repunit(size, w // 8) << (w - 1)  # every slot at the bias
     high = [0] * 5
-    for d, s, r, k in steps:
-        if d >= h:
-            high[r] += k * s << (d - h) * w
+    for d, step, n, k, s, r, below in steps:
+        if below < n:
+            high[r] += k * s * _repunit(n - below, step * w // 8) << (d + below * step - h) * w
     U = [zero + 1, None, None, None, None]  # None: a coordinate that is still 0
     for r, x in enumerate(high):
         if x:
@@ -287,18 +326,17 @@ def _binomial_product(order: Rat, factors: Iterable[tuple[int, int, int]],
                 v = ((src & low) - zlow) << dw
                 U[j] = tgt + v if s > 0 else tgt - v
 
-    for d, s, r, k in steps:
-        if d >= h:
-            continue
-        for _ in range(abs(k)):
-            if k > 0:
-                unit_pass(d, s, r)
-                continue
-            unit_pass(d, -s, r)
-            dd, rr = 2 * d, 2 * r % 5
-            while dd < size:
-                unit_pass(dd, 1, rr)
-                dd, rr = 2 * dd, 2 * rr % 5
+    for d0, step, _, k, s, r, below in steps:
+        for d in range(d0, d0 + below * step, step) if step else [d0] * below:
+            for _ in range(abs(k)):
+                if k > 0:
+                    unit_pass(d, s, r)
+                    continue
+                unit_pass(d, -s, r)
+                dd, rr = 2 * d, 2 * r % 5
+                while dd < size:
+                    unit_pass(dd, 1, rr)
+                    dd, rr = 2 * dd, 2 * rr % 5
     a = [[0] * size if u is None else _unpack(u, size, w // 8) for u in U]
     if U[4] is not None:
         a = [[x - y for x, y in zip(c, a[4])] for c in a[:4]]
@@ -315,39 +353,38 @@ def theta_const_product(ch: ThetaChar, order: Rat = 20) -> FracSeries:
     with x = q^(1/2).  Requires |eps| <= 1 so all factor exponents are
     nonnegative; this covers every catalog characteristic.
     """
-    on, od = as_ratio(order)
-    if on <= 0:
+    if as_ratio(order)[0] <= 0:
         raise ValueError("order must be positive")
     (p, q), (a, b) = ch.e, ch.ep
     if abs(p) > q:
         raise ValueError("product form requires |eps| <= 1")
     w, wbar = unit_index(a, 2 * b), unit_index(-a, 2 * b)
-    # on the grid 1/(2q), e = p/q: the n-th triple's exponents n and n - 1/2 +- e/2,
-    # each at least n - 1, are the keys 2q*n and 2q*n - q +- p
+    # on the grid 1/(2q), e = p/q: the n-th triple's exponents n and n - 1/2 +- e/2
+    # are the keys 2q*n and 2q*n - q +- p, three progressions of step 2q
     grid = 2 * q
-    factors = [f for k in range(grid, grid * (on // od + 2), grid)
-               for f in ((k, MINUS_ONE, 1), (k - q + p, w, 1), (k - q - p, wbar, 1))]
-    f = _binomial_product(order, factors, grid)
+    f = _binomial_product(order, [(grid, grid, MINUS_ONE, 1), (q + p, grid, w, 1),
+                                  (q - p, grid, wbar, 1)], grid)
     return FracSeries._make(f.scale, Phase(p * a, 4 * q * b), ratio(p * p, 8 * q * q), 0,
                             f.den, f.tail, f._order, clean=True)
 
 
-def _eta_factors(mult: Ratio, order: Ratio, power: int, grid: int) -> list:
-    """The factors (1 - q^(n*mult))^power of eta(mult*tau)^power below ``order``,
-    exponents on the grid 1/grid (a multiple of the denominator of mult)."""
-    (mn, md), (on, od) = mult, order
+def _eta_progression(mult: Ratio, order: Ratio, power: int,
+                     grid: int) -> tuple[int, int, int, int]:
+    """The factors (1 - q^(n*mult))^power of eta(mult*tau)^power as one
+    progression, exponents on the grid 1/grid (a multiple of the denominator of mult)."""
+    (mn, md), (on, _) = mult, order
     if mn <= 0:
         raise ValueError("mult must be positive")
     if on <= 0:
         raise ValueError("order must be positive")
     step = mn * (grid // md)  # n*mult is the key n*step
-    stop = -(-on * grid // od) if power else 0  # power 0: no factor
-    return [(k, MINUS_ONE, power) for k in range(step, stop, step)]
+    return step, step, MINUS_ONE, power
 
 
 def _eta_product(mult: Ratio, order: Rat) -> FracSeries:
     """P(q^mult) = prod (1 - q^(n*mult)), exact below ``order``: eta(mult*tau) at every offset."""
-    return _binomial_product(order, _eta_factors(mult, as_ratio(order), 1, mult[1]), mult[1])
+    return _binomial_product(order, [_eta_progression(mult, as_ratio(order), 1, mult[1])],
+                             mult[1])
 
 
 def _eta_twist(P: FracSeries, mult: Ratio, offset: Ratio) -> FracSeries:
@@ -391,10 +428,10 @@ def eta_quotient(spec: EtaQuotientSpec, order: Rat = 20) -> FracSeries:
     if len({m for m, _ in entries}) != len(entries):
         raise ValueError("eta quotient multipliers must be distinct")
     grid = math.lcm(*[d for (_, d), _ in entries])
-    factors = [f for m, e in entries for f in _eta_factors(m, as_ratio(order), e, grid)]
+    progressions = [_eta_progression(m, as_ratio(order), e, grid) for m, e in entries]
     if not any(e for _, e in entries):
         return FracSeries.one()
-    f = _binomial_product(order, factors, grid)
+    f = _binomial_product(order, progressions, grid)
     qpow = ratio(sum([n * (grid // d) * e for (n, d), e in entries]), 24 * grid)  # sum m*e / 24
     return FracSeries._make(f.scale, f.phase, qpow, 0, f.den, f.tail, f._order, clean=True)
 

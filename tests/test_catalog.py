@@ -501,3 +501,28 @@ def test_store_builds_each_product_form_once(empty_store, monkeypatch):
     assert (len(calls), len(repeats)) == (23, 0)
     forms = [k for k in empty_store if isinstance(k[0], str)]
     assert len(forms) == 9
+
+
+def test_product_forms_pass_few_progressions(empty_store, monkeypatch):
+    # every product form reaches the kernel as a few progressions of exponents,
+    # one per multiplier or factor family, never as a list of its factors
+    import theta5.theta as theta_module
+    counts = []
+    real = theta_module._binomial_product
+
+    def traced(order, progressions, grid=1):
+        progressions = list(progressions)
+        counts.append(len(progressions))
+        return real(order, progressions, grid)
+
+    monkeypatch.setattr(theta_module, "_binomial_product", traced)
+    monkeypatch.setattr(catalog_module, "_binomial_product", traced)
+    for ch in CATALOG_CHARS:
+        theta_module.theta_const_product(ch, 40)
+    for mult, offset in ((1, 0), (F(1, 5), F(2, 5)), (5, 0), (F(1, 3), 0)):
+        theta_module.eta_q(mult, 40, offset)
+    for spec in (((1, 5), (5, -1)), ((5, 5), (1, -1)), ((F(1, 5), 3), (1, -2), (F(1, 2), 1))):
+        theta_module.eta_quotient(spec, 40)
+    verify_all(20)
+    assert len(counts) == 12 + 4 + 3 + 23
+    assert max(counts) <= 4, counts

@@ -3,12 +3,14 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from theta5 import catalog as catalog_module
 from theta5 import theta as theta_module
 from theta5.arith import divisor_sum, pentagonal_numbers, sigma
 from theta5.cli import series_to_dict
@@ -322,13 +324,24 @@ _UNIT_OF = {t: c for t in range(10) for c in (CycloQ5.zeta(j) * s for j in range
             if abs(c.embed() - cmath.exp(2j * cmath.pi * t / 10)) < 1e-12}
 
 
-def _check_product(order, factors):
-    """The kernel on unit indices against ``_ref_product`` on the same units as CycloQ5;
-    the rational exponents go to the kernel as integers on the lcm of their denominators."""
-    want = series_to_dict(_ref_product(order, [(e, _UNIT_OF[t], k) for e, t, k in factors]))
-    grid = math.lcm(*(F(e).denominator for e, _, _ in factors))
-    on_grid = [(int(e * grid), t, k) for e, t, k in factors]
-    assert series_to_dict(_binomial_product(order, on_grid, grid)) == want, (order, factors)
+def _check_product(order, factors, progressions=()):
+    """The kernel on unit indices against ``_ref_product`` on the same units as CycloQ5.
+
+    Each factor (e, t, k) goes to the kernel as the one-factor progression
+    (e, 0, t, k), and each progression (first, step, t, k) to the reference as
+    its factors first + i*step below ``order``.  The rational exponents go to
+    the kernel as integers on the lcm of their denominators.
+    """
+    progressions = [(e, 0, t, k) for e, t, k in factors] + list(progressions)
+    expanded = []
+    for first, step, t, k in progressions:
+        n = max(1, math.ceil((order - first) / step)) if step else 1  # first + i*step < order
+        expanded += [(first + i * step, _UNIT_OF[t], k) for i in range(n)]
+    want = series_to_dict(_ref_product(order, expanded))
+    grid = math.lcm(*(F(x).denominator for p in progressions for x in p[:2]))
+    on_grid = [(int(first * grid), int(step * grid), t, k) for first, step, t, k in progressions]
+    got = series_to_dict(_binomial_product(order, on_grid, grid))
+    assert got == want, (order, factors, progressions)
 
 
 def test_unit_table():
@@ -355,19 +368,29 @@ def test_binomial_product_random_factors():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([2, 5, 10]), st.integers(0, 40), st.integers(0, 9),
                           st.integers(-12, 12)), max_size=5),
-       st.sampled_from([2, 5, 10]), st.integers(1, 40))
-def test_binomial_product_matches_reference_property(raw, order_den, order_num):
+       st.sampled_from([2, 5, 10]), st.integers(1, 40),
+       st.lists(st.tuples(st.sampled_from([2, 5, 10]), st.integers(0, 40), st.integers(0, 8),
+                          st.integers(0, 9), st.integers(-6, 6)), max_size=3))
+# q^1, q^(3/2), ...: the grid is 1/2 from the second factor on, which order 3/2 cuts off
+@example([], 2, 3, [(2, 2, 1, 3, 2)])
+@example([], 2, 4, [(2, 2, 1, 3, 2), (5, 0, 3, 6, 1)])  # and a constant, then q^(3/2), ...
+@example([], 2, 5, [(2, 2, 3, 0, 1)])  # q^1, q^(5/2): order 5/2 leaves q^1 on the grid 1
+def test_binomial_product_matches_reference_property(raw, order_den, order_num, raw_progs):
     # exponents on mixed 1/2, 1/5 and 1/10 grids, constant factors (k > 0 only), and
-    # orders anywhere from below every exponent to above all of them
+    # orders anywhere from below every exponent to above all of them; progressions
+    # of steps 0, 1/2, ..., 4 from first exponents on the same grids
     factors = [(F(p, q), t, k if p or k > 0 else -k) for q, p, t, k in raw]
-    _check_product(F(order_num, order_den), factors)
+    progressions = [(F(p, q), F(n, 2), t, k if p or k > 0 else -k)
+                    for q, p, n, t, k in raw_progs]
+    _check_product(F(order_num, order_den), factors, progressions)
 
 
 @st.composite
 def _high_factors(draw):
-    """(order, factors) on the grid 1 with ``size`` = ceil(order) keys: most exponents
-    in size//2 - 1 .. size - 1, around the least d with 2d >= size, powers up to 40,
-    and sometimes a pair (1 + u*q^d)(1 - u*q^d) whose q^d terms cancel."""
+    """(order, factors, progressions) on the grid 1 with ``size`` = ceil(order) keys:
+    most exponents in size//2 - 1 .. size - 1, around the least d with 2d >= size,
+    powers up to 40, sometimes a pair (1 + u*q^d)(1 - u*q^d) whose q^d terms
+    cancel, and progressions whose first exponents are drawn the same way."""
     size = draw(st.integers(1, 24))
     order = F(size) - draw(st.sampled_from([0, F(1, 2)]))
     near = st.integers(max(0, size // 2 - 1), size - 1)
@@ -379,18 +402,32 @@ def _high_factors(draw):
     if draw(st.booleans()):
         d, t = draw(near), draw(st.integers(0, 9))
         factors += [(d, t, 1), (d, (t + 5) % 10, 1)]
-    return order, factors
+    progressions = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.one_of(near, st.integers(0, size + 2)))
+        k = draw(st.integers(-12, 12))
+        progressions.append((d, draw(st.integers(0, size)), draw(st.integers(0, 9)),
+                             abs(k) if d == 0 else k))
+    return order, factors, progressions
 
 
 @settings(max_examples=80, deadline=None)
 @given(_high_factors())
-@example((F(9), [(5, 0, 40)]))  # a high power: 1 + 40*q^5 below q^9
-@example((F(9), [(4, 3, 40), (5, 0, 2), (6, 9, -3)]))  # odd size: d = 4 still takes passes
-@example((F(9), [(5, 2, -3), (7, 7, -1), (4, 5, -2)]))  # divisions, high and low
-@example((F(9), [(5, 0, 1), (5, 5, 1), (6, 2, 1), (6, 7, 1)]))  # q^5 and zeta*q^6 cancel
-@example((F(10), [(5, 1, 2), (6, 3, -1), (9, 8, 7), (5, 6, -2)]))  # every factor high: no pass
-@example((F(1), [(0, 2, 3), (0, 9, 1), (1, 0, 1)]))  # size 1: only constant factors live
-@example((F(2), [(1, 3, -5), (0, 4, 2), (1, 8, 5)]))  # size 2
+@example((F(9), [(5, 0, 40)], []))  # a high power: 1 + 40*q^5 below q^9
+@example((F(9), [(4, 3, 40), (5, 0, 2), (6, 9, -3)], []))  # odd size: d = 4 still takes passes
+@example((F(9), [(5, 2, -3), (7, 7, -1), (4, 5, -2)], []))  # divisions, high and low
+@example((F(9), [(5, 0, 1), (5, 5, 1), (6, 2, 1), (6, 7, 1)], []))  # q^5 and zeta*q^6 cancel
+@example((F(10), [(5, 1, 2), (6, 3, -1), (9, 8, 7), (5, 6, -2)], []))  # every factor high
+@example((F(1), [(0, 2, 3), (0, 9, 1), (1, 0, 1)], []))  # size 1: only constant factors live
+@example((F(2), [(1, 3, -5), (0, 4, 2), (1, 8, 5)], []))  # size 2
+# two progressions on the same exponents, twice over: q^3, q^5, ... and q^2, q^4, ...
+@example((F(15), [], [(1, 2, 3, 2), (3, 2, 8, -1), (2, 2, 0, 3), (2, 2, 5, -3)]))
+# a constant binomial first, then q^3, q^6, ...; and a division starting at q^1
+@example((F(31, 2), [], [(0, 3, 4, 2), (1, 1, 7, -2)]))
+# early factors take passes, later ones start in closed form: q^2, q^5, q^8 | q^11, ...
+@example((F(20), [], [(2, 3, 7, 5), (4, 7, 5, -3)]))
+# progressions at or past the order contribute nothing
+@example((F(20), [(3, 1, 1)], [(20, 1, 2, 3), (25, 0, 5, -1), (21, 4, 6, 2)]))
 def test_binomial_product_high_factors_property(case):
     # the factors with 2d >= size start the build in closed form
     _check_product(*case)
@@ -411,9 +448,9 @@ def _int_coeffs(f, n):
 @pytest.mark.parametrize("k", range(192, 209))
 def test_binomial_product_width_binomial_powers(k):
     # the slots peak near C(k, k/2), a few bits under the majorant 2^k
-    got = _binomial_product(k + 1, [(1, 0, k)])
+    got = _binomial_product(k + 1, [(1, 0, 0, k)])
     assert _int_coeffs(got, k + 1) == [CycloQ5(math.comb(k, i)) for i in range(k + 1)]
-    z = _binomial_product(k + 1, [(1, 2, k)])  # (1 + zeta*q)^k
+    z = _binomial_product(k + 1, [(1, 0, 2, k)])  # (1 + zeta*q)^k
     assert _int_coeffs(z, k + 1) == [CycloQ5.zeta(i) * math.comb(k, i) for i in range(k + 1)]
 
 
@@ -421,33 +458,65 @@ def test_binomial_product_width_binomial_powers(k):
 def test_binomial_product_width_divisions(order):
     # 1/(1 - q)^40 equals its majorant: every coefficient is as large as the bound allows
     n = math.ceil(order)
-    got = _binomial_product(order, [(1, 5, -40)])
+    got = _binomial_product(order, [(1, 0, 5, -40)])
     assert _int_coeffs(got, n) == [CycloQ5(math.comb(i + 39, 39)) for i in range(n)]
-    # eta(tau)^-24 and eta(tau)^24 without the q^(+-1) prefactor, and (1 - q^n)^-24 on q^(1/2)
+    # eta(tau)^-24 and eta(tau)^24 without the q^(+-1) prefactor, and (1 - q^n)^-24 on
+    # q^(1/2), from one factor per exponent and from the single progression (1, 1)
     for c in (24, -24):
-        got = _binomial_product(order, [(m, 5, -c) for m in range(1, n)])
-        assert _int_coeffs(got, n) == [CycloQ5(a) for a in _euler_power(c, n)]
-    half = _binomial_product(order / 2, [(m, 5, -24) for m in range(1, n)], 2)
-    assert [half.coefficient(F(i, 2)) for i in range(n)] == \
-        [CycloQ5(a) for a in _euler_power(24, n)]
+        for progressions in ([(m, 0, 5, -c) for m in range(1, n)], [(1, 1, 5, -c)]):
+            got = _binomial_product(order, progressions)
+            assert _int_coeffs(got, n) == [CycloQ5(a) for a in _euler_power(c, n)]
+    for progressions in ([(m, 0, 5, -24) for m in range(1, n)], [(1, 1, 5, -24)]):
+        half = _binomial_product(order / 2, progressions, 2)
+        assert [half.coefficient(F(i, 2)) for i in range(n)] == \
+            [CycloQ5(a) for a in _euler_power(24, n)]
 
 
-@pytest.mark.parametrize("factors", [
-    [(-1, 0, 1)], [(2, 0, 1), (-2, 5, 1)],
-    [(0, 2, -1)], [(0, 5, -3)],
-    [(1, 10, 1)], [(1, -1, 1)], [(1, CycloQ5(2), 1)], [(1, CycloQ5(-1), 1)], [(1, F(5), 1)],
-])
-def test_binomial_product_rejects_bad_factors(factors):
-    # a negative exponent, division by a constant binomial, or c not one of the ten units;
-    # exponents on the grid 1/2
-    with pytest.raises(ValueError):
+_NEGATIVE, _NEGATIVE_ONE = (rf"^binomial exponent {e} is negative$" for e in ("-1/2", "-1"))
+_CONSTANT = r"^cannot divide by a constant binomial \(exponent 0\)$"
+_BAD_PROGRESSIONS = [
+    ([(-1, 0, 0, 1)], _NEGATIVE), ([(2, 0, 0, 1), (-2, 0, 5, 1)], _NEGATIVE_ONE),
+    ([(0, 0, 2, -1)], _CONSTANT), ([(0, 0, 5, -3)], _CONSTANT),
+    *(([(1, 0, t, 1)], rf"^binomial unit {re.escape(repr(t))} is not an index 0\.\.9 of a "
+                       r"root of unity e\(t/10\)$")
+      for t in (10, -1, CycloQ5(2), CycloQ5(-1), F(5))),
+    # a negative step: the first negative exponents are 3/2 - 4/2 and 1/2 - 3/2
+    ([(3, -1, 0, 1)], _NEGATIVE), ([(1, -3, 2, -1)], _NEGATIVE_ONE),
+    ([(0, 1, 5, -3)], _CONSTANT), ([(1, 1, 0, 1), (0, 4, 3, -1)], _CONSTANT),
+]
+
+
+@pytest.mark.parametrize("factors, message", _BAD_PROGRESSIONS,
+                         ids=[f"factors{i}" for i in range(len(_BAD_PROGRESSIONS))])
+def test_binomial_product_rejects_bad_factors(factors, message):
+    # a negative exponent or step, division by a constant binomial, or c not one of
+    # the ten units; exponents on the grid 1/2
+    with pytest.raises(ValueError, match=message):
         _binomial_product(F(3), factors, 2)
+
+
+def test_binomial_product_exact_zero():
+    # a first factor (1 - q^0) makes the product zero, whatever follows it
+    for progressions in ([(0, 1, 5, 2)], [(1, 2, 3, -1), (0, 3, 5, 1)]):
+        d = series_to_dict(_binomial_product(F(7, 2), progressions, 2))
+        assert d["coeffs"] == {} and d["order"] is None
 
 
 def test_binomial_product_rejects_bad_order():
     for order in (0, F(-1, 2)):
         with pytest.raises(ValueError):
-            _binomial_product(order, [(1, 5, 1)])
+            _binomial_product(order, [(1, 0, 5, 1)])
+
+
+def _unstored(build):
+    """``build()`` on an empty theta store, which is then put back as it was."""
+    saved = dict(catalog_module._THETA)
+    catalog_module._THETA.clear()
+    try:
+        return build()
+    finally:
+        catalog_module._THETA.clear()
+        catalog_module._THETA.update(saved)
 
 
 # the default readback keeps the ids of the widths alone
@@ -462,11 +531,22 @@ def test_binomial_product_rejects_bad_order():
       for ch in CATALOG_CHARS if ch.eps.denominator == 5),
     (lambda: eta_quotient([(1, 5), (5, -1)], 120), 72),
     (lambda: eta_quotient([(5, 5), (1, -1)], 120), 48),
+    # the catalog's own forms at the orders verify_all(20) builds them
+    (lambda: catalog_module._build_e3(22, catalog_module.AS_STATED)[0][2], 40),
+    *((lambda s=s: _unstored(lambda: catalog_module._g_product(s, 24)), 48) for s in (1, -1)),
+    *((lambda h=h: _unstored(lambda: catalog_module._h_product(h, 24)), 32) for h in (1, 2)),
+    (lambda: theta_module._eta_product((1, 1), 30), 24),
+    (lambda: theta_module._eta_product((5, 1), 30), 8),
+    (lambda: theta_module._eta_product((1, 5), 30), 40),
+    (lambda: eta_quotient([(1, 5), (5, -1)], 50), 48),
+    (lambda: eta_quotient([(5, 5), (1, -1)], 24), 24),
+    (lambda: eta_quotient([(5, 5), (1, -1)], 50), 32),
 ])
 def test_slot_width_of_the_deep_builds(monkeypatch, build, width, readback):
-    # the widths of the benchmark's deep builds; a cheaper search must not widen
-    # them.  Read back through int.from_bytes, as on a host without the
-    # little-endian memoryview formats, the slots give the same series.
+    # the widths of the benchmark's deep builds and of the catalog's forms; a
+    # cheaper bound must not widen them.  Read back through int.from_bytes, as
+    # on a host without the little-endian memoryview formats, the slots give
+    # the same series.
     want = series_to_dict(build())
     widths = []
     real = theta_module._slot_bits
