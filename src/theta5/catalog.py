@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from typing import Callable, Optional
 
 from . import arith
-from .cyclo import (UNITS, CycloQ5, Phase, Rat, Ratio, as_ratio, render_rational, rsub, sqrt5,
-                    to_fraction)
+from .cyclo import (UNITS, CycloQ5, Phase, Rat, Ratio, Record, as_ratio, render_rational, rsub,
+                    sqrt5, to_fraction)
 from .series import FracSeries, _min_order, series_equal
 from .theta import (CATALOG_CHARS, MINUS_ONE, ThetaChar, _binomial_product, _eta_product,
                     _eta_twist, char, char_shift_phase, eta_quotient, theta_const,
@@ -39,7 +38,7 @@ CORRECTED = "corrected"
 Pairs = list[tuple[str, FracSeries, FracSeries]]
 
 
-class IdentityEntry:
+class IdentityEntry(Record):
     """One catalog identity: where the paper states it, the lowest order at which
     checking it means anything, the extra order its builder needs, and the builder.
 
@@ -48,6 +47,7 @@ class IdentityEntry:
 
     __slots__ = ("id", "title", "location", "min_meaningful_order", "margin", "build",
                  "variants")
+    _FIELDS = __slots__
 
     def __init__(self, id: str, title: str, location: str, min_meaningful_order: int,
                  margin: int, build: Callable[[Rat, str], Pairs],
@@ -59,20 +59,8 @@ class IdentityEntry:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not IdentityEntry:
-            return NotImplemented
-        return self._fields() == other._fields()
-
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"IdentityEntry({args})"
 
 
 def _ratio_field(slot: str) -> property:
@@ -81,7 +69,7 @@ def _ratio_field(slot: str) -> property:
                     lambda self, x: setattr(self, slot, None if x is None else as_ratio(x)))
 
 
-class IdentityReport:
+class IdentityReport(Record):
     """The outcome of verifying one entry; ``verify`` fills it in as it compares.
 
     Mutable, so unhashable; equality goes by the tuple of its fields.  The exponents
@@ -89,9 +77,9 @@ class IdentityReport:
     """
 
     __slots__ = ("id", "variant", "_order", "passed", "_mismatch",
-                 "lhs_coeff", "rhs_coeff", "label", "reason", "elapsed", "location")
+                 "lhs_coeff", "rhs_coeff", "label", "reason", "location")
     _FIELDS = ("id", "variant", "order_checked", "passed", "first_mismatch_exponent",
-               "lhs_coeff", "rhs_coeff", "label", "reason", "elapsed", "location")
+               "lhs_coeff", "rhs_coeff", "label", "reason", "location")
 
     order_checked = _ratio_field("_order")
     first_mismatch_exponent = _ratio_field("_mismatch")
@@ -99,26 +87,11 @@ class IdentityReport:
     def __init__(self, id: str, variant: str, order_checked: Optional[Rat],
                  passed: bool, first_mismatch_exponent: Optional[Rat] = None,
                  lhs_coeff: Optional[CycloQ5] = None, rhs_coeff: Optional[CycloQ5] = None,
-                 label: Optional[str] = None, reason: str = "", elapsed: float = 0.0,
-                 location: str = ""):
+                 label: Optional[str] = None, reason: str = "", location: str = ""):
         for name, value in zip(self._FIELDS, (id, variant, order_checked, passed,
                                               first_mismatch_exponent, lhs_coeff, rhs_coeff,
-                                              label, reason, elapsed, location)):
+                                              label, reason, location)):
             setattr(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not IdentityReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"IdentityReport({args})"
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +461,27 @@ def _build_fk6(N: Rat, variant: str) -> Pairs:
 
 
 def _g_product(sign: int, N: Rat) -> FracSeries:
-    """prod (1-q^n)^5 (1 + (1 +- sqrt5)/2 q^n + q^(2n))^5 / (1-q^(5n))^3.
+    """G+-^2, G+- = prod (1-q^n)^5 (1 + (1 +- sqrt5)/2 q^n + q^(2n))^5 / (1-q^(5n))^3.
 
-    The trinomials split over Q(zeta_5): 1 + (1+sqrt5)/2 x + x^2 =
+    The entries use G+- only squared; squaring the build is faster than
+    doubling the exponents.  The trinomials split over Q(zeta_5): 1 + (1+sqrt5)/2 x + x^2 =
     (1 - z^2 x)(1 - z^3 x) and 1 + (1-sqrt5)/2 x + x^2 = (1 - z x)(1 - z^4 x).
     """
     u1, u2 = (UNITS.index((-1, r)) for r in ((2, 3) if sign > 0 else (1, 4)))  # -z^r
     return _stored(("G", sign), N, lambda n: _binomial_product(n, [
-        (1, 1, MINUS_ONE, 5), (5, 5, MINUS_ONE, -3), (1, 1, u1, 5), (1, 1, u2, 5)]))
+        (1, 1, MINUS_ONE, 5), (5, 5, MINUS_ONE, -3), (1, 1, u1, 5), (1, 1, u2, 5)]) ** 2)
 
 
 def _h_product(which: int, N: Rat) -> FracSeries:
-    """H1 = prod (1-q^n)^2 / ((1-q^(5n-1))(1-q^(5n-4)))^5,
+    """H1^2 or H2^2, the only powers the entries use:
+       H1 = prod (1-q^n)^2 / ((1-q^(5n-1))(1-q^(5n-4)))^5,
        H2 = q * prod (1-q^n)^2 / ((1-q^(5n-2))(1-q^(5n-3)))^5."""
     r1, r2 = (1, 4) if which == 1 else (2, 3)
 
     def build(n: Rat) -> FracSeries:
         out = _binomial_product(n, [(1, 1, MINUS_ONE, 2), (5 - r1, 5, MINUS_ONE, -5),
                                     (5 - r2, 5, MINUS_ONE, -5)])
-        return out.qpow_shift(1) if which == 2 else out
+        return (out.qpow_shift(1) if which == 2 else out) ** 2
 
     return _stored(("H", which), N, build)
 
@@ -523,23 +498,20 @@ def _build_c511(N: Rat, variant: str) -> Pairs:
     lhs = (_eta_quotient(_Z1, N).scalar_mul(s5 * CycloQ5(22, den=50))
            + _eta_quotient(_Z2, N).scalar_mul(s5 * 5))
     cp, cm = _c_plus_minus()
-    gp, gm = _g_product(+1, N), _g_product(-1, N)
-    rhs = (gp * gp).scalar_mul(cp) - (gm * gm).scalar_mul(cm)
+    rhs = _g_product(+1, N).scalar_mul(cp) - _g_product(-1, N).scalar_mul(cm)
     return [("22*sqrt5/50 Z1 + 5*sqrt5 Z2 = c+ G+^2 - c- G-^2", lhs, rhs)]
 
 
 def _build_c521(N: Rat, variant: str) -> Pairs:
     lhs = _oracle_series(N, lambda n: 6 * arith.divisor_sum("S", n), constant=1)
     cp, cm = _c_plus_minus()
-    gp, gm = _g_product(+1, N), _g_product(-1, N)
-    rhs = (gp * gp).scalar_mul(cp) + (gm * gm).scalar_mul(cm)
+    rhs = _g_product(+1, N).scalar_mul(cp) + _g_product(-1, N).scalar_mul(cm)
     return [("1 + 6 sum (sigma(n)-5 sigma(n/5)) q^n = c+ G+^2 + c- G-^2", lhs, rhs)]
 
 
 def _build_ps1(sign: int) -> Callable[[Rat, str], Pairs]:
     def build(N: Rat, variant: str) -> Pairs:
-        g = _g_product(sign, N)
-        lhs = g * g
+        lhs = _g_product(sign, N)
         s5 = sqrt5() * sign
         outer = (CycloQ5(25) - s5 * 11) * CycloQ5(1, den=4)
         rhs = _oracle_series(N, lambda n: outer * (CycloQ5(30 * arith.divisor_sum("C", n))
@@ -552,24 +524,21 @@ def _build_ps1(sign: int) -> Callable[[Rat, str], Pairs]:
 
 
 def _build_c611(N: Rat, variant: str) -> Pairs:
-    h1, h2 = _h_product(1, N), _h_product(2, N)
-    lhs = h1 * h1 - h2 * h2
+    lhs = _h_product(1, N) - _h_product(2, N)
     rhs = (_eta_quotient(_Z2, N).scalar_mul(11)
            + _eta_quotient(_Z1, N))
     return [("H1^2 - H2^2 = 11 Z2 + Z1", lhs, rhs)]
 
 
 def _build_c621(N: Rat, variant: str) -> Pairs:
-    h1, h2 = _h_product(1, N), _h_product(2, N)
-    lhs = h1 * h1 + h2 * h2
+    lhs = _h_product(1, N) + _h_product(2, N)
     rhs = _oracle_series(N, lambda n: 6 * arith.divisor_sum("S", n), constant=1)
     return [("H1^2 + H2^2 = 1 + 6 sum S(n) q^n", lhs, rhs)]
 
 
 def _build_ps2(which: int) -> Callable[[Rat, str], Pairs]:
     def build(N: Rat, variant: str) -> Pairs:
-        h = _h_product(which, N)
-        lhs = h * h
+        lhs = _h_product(which, N)
         sign = 1 if which == 1 else -1
         rhs = _oracle_series(N, lambda n: CycloQ5(6 * arith.divisor_sum("C", n)
                                                   + sign * arith.divisor_sum("E11", n), den=2),
@@ -784,7 +753,6 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
             f"{entry.min_meaningful_order}")
     if variant not in entry.variants:
         raise ValueError(f"{entry_id}: unknown variant {variant!r}; have {entry.variants}")
-    t0 = time.perf_counter()
     pairs = _homogeneous(entry.build(order + entry.margin, variant))
     report = IdentityReport(entry_id, variant, None, True, location=entry.location)
     checked: Optional[Ratio] = None
@@ -799,21 +767,14 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
             report.label = label
             report.reason = res.reason
     report._order = checked
-    report.elapsed = time.perf_counter() - t0
     return report
-
-
-def verify_clamped(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> IdentityReport:
-    """``verify`` under the suite's rule: the order is clamped up to the entry's
-    minimum, and an entry lacking ``variant`` runs as-stated."""
-    entry = lookup(entry_id)
-    return verify(entry_id, max(order, entry.min_meaningful_order),
-                  variant if variant in entry.variants else AS_STATED)
 
 
 def verify_ids(entry_ids: list[str], order: Rat = 20,
                variant: str = AS_STATED) -> list[IdentityReport]:
-    """``verify_clamped`` on each id, reports in the order of ``entry_ids``.
+    """``verify`` on each id under the suite's rule, reports in the order of
+    ``entry_ids``: the order is clamped up to the entry's minimum, and an entry
+    lacking ``variant`` runs as-stated.
 
     The entries run one after another, highest store order first, ties in the
     given order, so each theta-store slot is built once, at the highest order
@@ -823,15 +784,15 @@ def verify_ids(entry_ids: list[str], order: Rat = 20,
     lane is pure Python and holds the interpreter lock, so threads would not
     speed it up.  An unknown id raises KeyError before anything is verified.
     """
-    entries = [lookup(i) for i in entry_ids]
-
-    def store_order(e: IdentityEntry) -> Rat:
-        n = max(order, e.min_meaningful_order) + e.margin
-        return _fifth_order(n) if e.build in _FIFTH_BUILDERS else n
-
-    reports: list[Optional[IdentityReport]] = [None] * len(entries)
-    for i in sorted(range(len(entries)), key=lambda i: store_order(entries[i]), reverse=True):
-        reports[i] = verify_clamped(entries[i].id, order, variant)
+    runs = []  # (store order, id, clamped order, variant) per entry
+    for e in map(lookup, entry_ids):
+        clamped = max(order, e.min_meaningful_order)
+        n = clamped + e.margin
+        runs.append((_fifth_order(n) if e.build in _FIFTH_BUILDERS else n, e.id, clamped,
+                     variant if variant in e.variants else AS_STATED))
+    reports: list[Optional[IdentityReport]] = [None] * len(runs)
+    for i in sorted(range(len(runs)), key=lambda i: runs[i][0], reverse=True):
+        reports[i] = verify(*runs[i][1:])
     return reports
 
 

@@ -64,10 +64,9 @@ def _parse_char(text: str) -> tuple[Rat, Rat]:
 
 
 def _parse_eta_spec(text: str) -> list[tuple[Rat, int]]:
-    # pairs "mult:exp" separated by "," (always valid) or "/" (integer multipliers)
-    sep = "," if "," in text else "/"
+    # pairs "mult:exp" separated by ","; a multiplier may be a fraction such as 1/5
     out = []
-    for item in text.split(sep):
+    for item in text.split(","):
         if not item:
             continue
         try:

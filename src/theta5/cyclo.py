@@ -10,6 +10,7 @@ the reduced denominator of a divides 10 (via zeta_10 = -zeta_5^3).  Every other
 rational (exponent, order, phase, characteristic) is a ``Ratio``, a reduced
 integer pair, read from an int or Fraction input by ``as_ratio``; ``fractions``
 is imported only by the accessors that hand a Fraction back to a caller.
+``Record`` gives the package's record classes one field-tuple equality and repr.
 """
 
 from __future__ import annotations
@@ -75,6 +76,33 @@ def to_fraction(r: Optional[Ratio]) -> Optional["Fraction"]:
     """The Fraction of a Ratio (None stays None), for accessors that return one."""
     from fractions import Fraction
     return None if r is None else Fraction(*r)
+
+
+class Record:
+    """Field-tuple equality and repr for the package's record classes.
+
+    A subclass stores its fields in ``__slots__`` and names in ``_FIELDS`` what
+    its repr shows, an accessor standing in for a stored Ratio.  Two records are
+    equal when their classes match and every stored field matches; a record is
+    unhashable unless its class defines ``__hash__``.
+    """
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._FIELDS])
+        return f"{self.__class__.__name__}({args})"
 
 
 def _vmul(a: Vec, b: Vec) -> Vec:

@@ -22,14 +22,14 @@ from functools import reduce
 from operator import add, mul
 from typing import Callable, Optional
 
-from .cyclo import embed_coords
+from .cyclo import Record, embed_coords
 from .series import FracSeries
-from .theta import CATALOG_CHARS, ThetaChar, char
+from .theta import CATALOG_CHARS, ThetaChar, char, theta_const
 
 TWO_PI_I = 2j * math.pi
 
 
-class NumericConfig:
+class NumericConfig(Record):
     """Tolerance, contour sample count, seed and sampling strip of the numeric checks.
 
     Validated on construction.  Mutable, so unhashable; equality goes by the tuple of
@@ -37,6 +37,7 @@ class NumericConfig:
     """
 
     __slots__ = ("tail_tolerance", "contour_samples", "rng_seed", "re_tau", "im_tau")
+    _FIELDS = __slots__
 
     def __init__(self, tail_tolerance: float = 1e-14, contour_samples: int = 192,
                  rng_seed: int = 20250810, re_tau: tuple[float, float] = (-0.5, 0.5),
@@ -52,20 +53,6 @@ class NumericConfig:
         self.rng_seed = rng_seed
         self.re_tau = re_tau
         self.im_tau = im_tau
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not NumericConfig:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"NumericConfig({args})"
 
     def rng(self) -> random.Random:
         return random.Random(self.rng_seed)
@@ -389,7 +376,6 @@ _BRIDGE_CHARS = CATALOG_CHARS + (_ODD_CHAR,)
 def check_bridge(tau: complex = 0.2 + 1.4j, order: int = 24,
                  cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Relative gap between series_eval_num of every catalog theta constant and theta_num."""
-    from .theta import theta_const  # local import to keep the float lane importable alone
     worst = 0.0
     for ch in _BRIDGE_CHARS:
         m = 1 if ch == _ODD_CHAR else 0
@@ -416,13 +402,14 @@ def check_tail_bound(cfg: NumericConfig = DEFAULT_CONFIG, samples: int = 8) -> f
 # named numeric checks (CLI surface)
 # ---------------------------------------------------------------------------
 
-class NumericCheckResult:
+class NumericCheckResult(Record):
     """The outcome of one named numeric check.
 
     Mutable, so unhashable; equality goes by the tuple of its fields.
     """
 
     __slots__ = ("id", "description", "value", "tolerance", "passed", "seed", "samples")
+    _FIELDS = __slots__
 
     def __init__(self, id: str, description: str, value: float, tolerance: float,
                  passed: bool, seed: int, samples: int):
@@ -433,20 +420,6 @@ class NumericCheckResult:
         self.passed = passed
         self.seed = seed
         self.samples = samples
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not NumericCheckResult:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"NumericCheckResult({args})"
 
 
 def run_numeric_check(check_id: str, samples: Optional[int] = None,

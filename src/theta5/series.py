@@ -19,7 +19,7 @@ Zero vectors are never stored and den is reduced by the gcd of all entries,
 so a tail on a given grid has exactly one stored form.  Every ring operation
 works on these integers, and a CycloQ5 value holds the same form for one
 coefficient: the constructor reads each one's ``den`` and ``vec``, and
-``coeffs``, the CycloQ5 view that rendering and callers read, is built on first use.
+``coeffs``, the CycloQ5 view that rendering and callers read, is built on each access.
 
 Products multiply the denominators and convolve the integer tails
 (``_convolve``), along one of two paths that return the same dict.  A product
@@ -146,7 +146,7 @@ def _add_order(a: Optional[Ratio], b: Optional[Ratio]) -> Optional[Ratio]:
 
 
 class FracSeries:
-    __slots__ = ("scale", "phase", "_qpow", "cpow", "den", "tail", "_order", "_coeffs")
+    __slots__ = ("scale", "phase", "_qpow", "cpow", "den", "tail", "_order")
 
     def __init__(self, scale: int, phase: Phase, qpow: Rat, cpow: int,
                  coeffs: dict[int, CycloQ5], order: Optional[Rat]):
@@ -174,7 +174,6 @@ class FracSeries:
         _setattr(self, "den", den)
         _setattr(self, "tail", tail)
         _setattr(self, "_order", order)
-        _setattr(self, "_coeffs", None)
 
     qpow = property(lambda self: to_fraction(self._qpow))
     order = property(lambda self: to_fraction(self._order))
@@ -203,17 +202,9 @@ class FracSeries:
 
     @property
     def coeffs(self) -> dict[int, CycloQ5]:
-        """The tail as CycloQ5 values, built on first use.
-
-        The finished dict is published by one attribute store, so threads
-        racing here each get a complete view, and all views are equal.
-        """
-        view = self._coeffs
-        if view is None:
-            den = self.den
-            view = {k: CycloQ5.from_ints(v, den) for k, v in self.tail.items()}
-            _setattr(self, "_coeffs", view)
-        return view
+        """The tail as CycloQ5 values, a new dict on each access."""
+        den = self.den
+        return {k: CycloQ5.from_ints(v, den) for k, v in self.tail.items()}
 
     # -- constructors --------------------------------------------------
 

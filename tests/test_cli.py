@@ -40,15 +40,19 @@ def test_list_json():
 
 def test_expand_eta_quotient():
     code, text = invoke("expand", "--object", "eta-quotient",
-                        "--spec", "5:5/1:-1", "--order", "10")
+                        "--spec", "5:5,1:-1", "--order", "10")
     assert code == 0
     assert text.strip() == ("(2*pi*i)^0 * e(0) * q^(1) * [1 + q^(1) + 2*q^(2) "
                             "+ 3*q^(3) + 5*q^(4) + 2*q^(5) + 6*q^(6) + 5*q^(7) "
                             "+ 7*q^(8) + 5*q^(9)]")
-    # comma form accepts rational multipliers
+    # multipliers may be fractions, in a list or alone
     code2, _ = invoke("expand", "--object", "eta-quotient",
                       "--spec", "1/5:1,1:-1", "--order", "6")
     assert code2 == 0
+    code3, text3 = invoke("expand", "--object", "eta-quotient", "--spec", "1/5:3", "--order", "3")
+    assert code3 == 0
+    assert text3.strip() == ("(2*pi*i)^0 * e(0) * q^(1/40) * [1 - 3*q^(1/5) + 5*q^(3/5) "
+                             "- 7*q^(6/5) + 9*q^(2)]")
 
 
 def test_expand_theta_json_roundtrip():
