@@ -275,18 +275,6 @@ def check_lemma32(samples: int = 20, cfg: NumericConfig = DEFAULT_CONFIG) -> flo
     return worst
 
 
-def theta_prime_fd_residual(cfg: NumericConfig = DEFAULT_CONFIG, points: int = 3,
-                            h: float = 1e-6) -> float:
-    """Independent finite-difference probe of the analytic theta' (central difference)."""
-    worst = 0.0
-    for i, tau, z in _sample_points(cfg, points, cfg.rng()):
-        ch = CATALOG_CHARS[i % len(CATALOG_CHARS)]
-        fd = (theta_num(z + h, tau, ch, 0, cfg) - theta_num(z - h, tau, ch, 0, cfg)) / (2 * h)
-        an = theta_num(z, tau, ch, 1, cfg)
-        worst = max(worst, abs(fd - an) / max(abs(an), 1.0))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # residue setups: the elliptic functions phi, psi with pole only at z = 0
 # ---------------------------------------------------------------------------
@@ -382,19 +370,6 @@ def check_bridge(tau: complex = 0.2 + 1.4j, order: int = 24,
         exact = series_eval_num(theta_const(ch, m, order), tau)
         direct = theta_num(0, tau, ch, m, cfg)
         worst = max(worst, abs(exact - direct) / max(abs(direct), 1e-300))
-    return worst
-
-
-def check_tail_bound(cfg: NumericConfig = DEFAULT_CONFIG, samples: int = 8) -> float:
-    """Largest change of theta_num when its summation range is widened to n = -160..160,
-    far past the cutoff (at most 8 on the sampled strip); it must stay below the tail
-    tolerance."""
-    worst = 0.0
-    for i, tau, z in _sample_points(cfg, samples, cfg.rng()):
-        ch = CATALOG_CHARS[i % len(CATALOG_CHARS)]
-        base = theta_num(z, tau, ch, 0, cfg)
-        wide = _theta_sum([z], tau, [ch], 0, cfg, N=160)[0][0]
-        worst = max(worst, abs(base - wide))
     return worst
 
 

@@ -23,14 +23,16 @@ per progression, not per factor.  It packs the dense tail of each
 zeta-coordinate into one integer, so that a unit power (1 + c*q^d) costs one
 shift-and-add of big integers per coordinate that is not still zero (a
 Kronecker substitution along q), with a slot width proved large enough from a
-majorant of the product (``_slot_bits``).  Only the factors with 2d below the
-tail's size take such passes: below it the others multiply to
-1 + sum k*c*q^d, which starts the build in closed form, so the triple
-product, eta and the eta quotients take half the passes.  A real product
-packs a single integer and updates it in place; eta at an offset is such a
-product, twisted afterwards (``eta_q``).  The triple product shares no code
-with the direct sum beyond the unit table, so ``theta_const_product`` stays
-an independent check of ``theta_const``.
+majorant of the product (``_slot_bits``).  Only the factors with 3d below the
+tail's size take such passes: any three of the others multiply past the tail,
+so their product is its exp-log expansion to second order,
+1 + p1 + (p1^2 - p2)/2 with p1 = sum k*c*q^d and p2 = sum k*c^2*q^(2d), which
+starts the build in closed form.  The triple product, eta and the eta
+quotients take about a third of the passes of a build factor by factor.  A
+real product packs a single integer and updates it in place; eta at an
+offset is such a product, twisted afterwards (``eta_q``).  The triple
+product shares no code with the direct sum beyond the unit table, so
+``theta_const_product`` stays an independent check of ``theta_const``.
 """
 
 from __future__ import annotations
@@ -147,6 +149,14 @@ def _repunit(n: int, nbytes: int) -> int:
     return int.from_bytes(b"\1".ljust(nbytes, b"\0") * n, "little")
 
 
+def _count_below(bound: int, d: int, step: int, n: int) -> int:
+    """How many of the n exponents d + i*step, i < n, lie below ``bound``."""
+    return min(n, max(0, -(-(bound - d) // step))) if step else int(d < bound)
+
+
+_CUT = -60 * math.log(2)  # log 2^-60: the powers below it are bounded by a geometric sum
+
+
 def _slot_bits(size: int, progressions: Iterable[tuple[int, int, int, int]]) -> int:
     """Width w in bits, a multiple of 8, of a slot that holds every coefficient
     ``_binomial_product`` meets while it builds a tail of ``size`` keys.
@@ -173,7 +183,12 @@ def _slot_bits(size: int, progressions: Iterable[tuple[int, int, int, int]]) -> 
     rho = 1/(1 + e^-s) picks a good rho from seven, and every rho it tries
     gives a valid bound.  log M(rho) is a sum over the progressions of k times
     the sum of log(1 +- rho^(d + i*step)), i < n, the powers taken by repeated
-    multiplication by rho^step.
+    multiplication by rho^step while they exceed 2^-60.  The rest of a
+    progression, from its first power x left out, is replaced by an upper
+    bound, the geometric sum |k|*x/(1 - rho^step) for a product, since
+    log(1 + x) <= x, and |k|*x/((1 - x)(1 - rho^step)) for a division, since
+    -log(1 - x) <= x/(1 - x).  A bound with fewer powers is as valid, so the
+    cut needs no exact threshold.
 
     The width adds a sign bit, since a slot holds |a| < 2^(w-1), and two bits,
     a factor 4 on the bound, for float rounding.  Let u = 2^-52 bound the
@@ -189,9 +204,13 @@ def _slot_bits(size: int, progressions: Iterable[tuple[int, int, int, int]]) -> 
     x/(1 + x) <= 1 and i < c.  Each of the sum n*|k| <= c factors thus moves
     log M(rho) by under (10c + 3)*u, all of them by under 11*c^2*u, and the
     log1p calls and the sums, all of nonnegative terms, add under
-    (c + 2)*u*log M(rho).  For c up to 10^7 (eta(tau/5) at order 10^6) that
-    is under 0.25 + 3*10^-9*log M(rho), inside log 4 = 1.39 for the two bits
-    at any width below 10^8.  Past c = 10^7 the bound adds it explicitly.
+    (c + 2)*u*log M(rho).  Each remainder is under |k|*5c*2^-59, since
+    1/(1 - rho^step) <= 1/(1 - rho) <= 5c, so their sum and its rounding are
+    under (5/128)*c^2*u, which 11*c^2*u also covers: the factors need only
+    (10c^2 + 3c)*u, and c >= 4 wherever a progression is cut.  For c up to
+    10^7 (eta(tau/5) at order 10^6) that is under 0.25 + 3*10^-9*log M(rho),
+    inside log 4 = 1.39 for the two bits at any width below 10^8.  Past
+    c = 10^7 the bound adds it explicitly.
     """
     n = size - 1
     terms = [(d, step, c - 1, k) for d, step, c, k in progressions]
@@ -202,9 +221,14 @@ def _slot_bits(size: int, progressions: Iterable[tuple[int, int, int, int]]) -> 
         lr = -math.log1p(math.exp(-s))  # log(rho)
         total = -n * lr
         for d, step, c, k in terms:
-            # rho^d, rho^(d + step), ...; k*log(1 + rho^e) for k > 0, k*log(1 - rho^e) below
-            powers = accumulate(repeat(math.exp(step * lr), c), mul, initial=math.exp(d * lr))
+            # rho^d, rho^(d + step), ..., the powers above 2^-60; k*log(1 + rho^e) for
+            # k > 0, k*log(1 - rho^e) below
+            j = min(c, max(0, int((_CUT / lr - d) / step))) if step else 0
+            powers = accumulate(repeat(math.exp(step * lr), j), mul, initial=math.exp(d * lr))
             total += k * sum(map(math.log1p, powers if k > 0 else map(neg, powers)))
+            if j < c:  # the rest, at most |k|*x/(1 - rho^step), and /(1 - x) for k < 0
+                x = math.exp((d + (j + 1) * step) * lr)
+                total += abs(k) * x / -math.expm1(step * lr) / (1 if k > 0 else 1 - x)
         if count > 10 ** 7:  # past the reach of the two margin bits: add the rounding
             total += total * count * 2.0 ** -51 + 11 * count * count * 2.0 ** -52
         return total
@@ -244,29 +268,52 @@ def _binomial_product(order: Rat, progressions: Iterable[tuple[int, int, int, in
 
     Each U[m] packs its ``size`` coefficients into one integer, w bits a slot
     (``_slot_bits``), every slot biased by 2^(w-1) so that it is never
-    negative; ``zero`` is the packed 0.  Multiplying by (1 + s*z^r*x^d) is, for
-    each live coordinate m at once,
+    negative; ``zero`` is the packed 0 and ``full`` the mask of the ``size``
+    slots.  Multiplying by (1 + s*z^r*x^d) is, for each live coordinate m at
+    once,
 
-        U[m + r] += s * (((U[m] & low) - (zero >> d*w)) << d*w),
+        U[m + r] += s * (((U[m] & (full >> d*w)) - (zero >> d*w)) << d*w),
 
-    low the mask of the slots below size - d: one mask, one bias correction,
-    one shift and one add or subtract.  With r = 0 each coordinate updates
-    itself, in place.  Dividing by (1 + u*x^d), d > 0, multiplies by
+    full >> d*w the mask of the slots below size - d: one mask, one bias
+    correction, one shift and one add or subtract.  With r = 0 each coordinate
+    updates itself, in place.  Dividing by (1 + u*x^d), d > 0, multiplies by
     (1 - u*x^d)(1 + u^2*x^(2d))(1 + u^4*x^(4d))..., which is 1/(1 + u*x^d)
     below x^size once 2^K*d >= size, so K = ceil(log2(size/d)) passes.
 
-    Only the factors with 2d < size take passes.  A product of two factors
-    with 2d >= size lies at or above x^size, so below it (1 + u*x^d)^k is
-    1 + k*u*x^d, and so is 1/(1 + u*x^d)^|k| for k < 0, and the product of all
-    of them is 1 + sum k*s*z^r*x^d.  The build starts from that state: slot d
-    of U[r] holds the sum of k*s over the factors (d, s*z^r, k).  The factors
-    of one progression from the least d >= h = ceil(size/2) on, d + i*step for
-    i < m, add k*s times the repunit of m slots spaced step*w bits apart,
-    shifted by (d - h)*w; w is a multiple of 8, so the repunit is built from
-    bytes.  The sum of one coordinate, shifted by h*w, is added to ``zero``.
-    Every state is still the truncated product of a subset of the factors, so
-    ``_slot_bits`` bounds each slot: |x| < 2^(w-1), and the add borrows across
-    no slot.
+    Only the factors with d < third = ceil(size/3) take passes.  Any three
+    factors with d >= third multiply to x^(d1 + d2 + d3), at or past
+    x^(3*third), so below x^size their product keeps only the terms of degree
+    two or less in their monomials y = u*x^d, u = s*z^r.  For every integer k,
+    (1 + y)^k = 1 + k*y + C(k, 2)*y^2 + ..., C(k, 2) = k(k - 1)/2, also for a
+    division: 1/(1 + y) = 1 - y + y^2 - ..., C(-1, 2) = 1.  So below x^size
+    the product of all of them is the exp-log (Newton identity) expansion of
+    exp(sum k*log(1 + y)) to second order,
+
+        1 + p1 + (p1^2 - p2)/2,    p1 = sum k*y,  p2 = sum k*y^2,
+
+    whose terms are k_i*k_j*y_i*y_j for each pair of factors i < j and
+    (k^2 - k)/2*y^2 = C(k, 2)*y^2 for each factor.  The build starts from that
+    state.  p1 is a sum of repunits: the factors of one progression from the
+    least d >= third on, d + i*step for i < m, add k*s to coordinate r times
+    the repunit of m slots spaced step*w bits apart, shifted into place; w is
+    a multiple of 8, so the repunit is built from bytes.  A factor with
+    d >= size - third multiplies any other to x^size or past, so the square
+    needs only p1lo, the part of p1 below x^(size - third): one big-integer
+    product per pair of live coordinates a <= b, which lands in a + b mod 5
+    (twice for a != b).  p2 is taken over the same factors,
+    p2lo = sum k*z^(2r)*x^(2d) (s^2 = 1).  Subtracting it leaves every
+    coefficient of p1lo^2 - p2lo even, at and above x^size too: the
+    y_i*y_j, i != j, come in pairs and the diagonal k^2*y^2 becomes
+    (k^2 - k)*y^2.  So >> 1 halves the packed integer exactly, slot by slot;
+    an odd slot would move its low bit into the top bit of the slot below.
+    p1lo and p2lo are held divided by x^third and x^(2*third), so the squared
+    integers are short.  The signed sum p1 + (p1lo^2 - p2lo)/2 of each
+    coordinate is added to ``zero`` (to zero + 1 in U[0]), and ``& full``
+    cuts it to the tail exactly: the sum over slots of a_j*2^(j*w) is, mod
+    2^(size*w), the biased tail, whatever the slots above it hold.  Every
+    state is still the truncated product of a subset of the factors, so
+    ``_slot_bits`` bounds each slot: |a_j| < 2^(w-1), and no add borrows
+    across a slot.
 
     Coordinates still zero are skipped, so a real product packs one
     integer.  The slots are read back by ``series._unpack``, and z^4 =
@@ -296,27 +343,40 @@ def _binomial_product(order: Rat, progressions: Iterable[tuple[int, int, int, in
     g = math.gcd(grid, *(math.gcd(e, step) for e, step, _, _ in live))  # every e below order
     scale = grid // g
     size = -(-on * scale // od)
-    h = (size + 1) // 2  # the factors with d >= h start the build in closed form
-    steps = []  # (d, step, n, k, s, r, below): n factors, the first ``below`` of them below h
+    third = (size + 2) // 3  # the factors with d >= third start the build in closed form
+    steps = []  # (d, step, n, k, s, r, below): n factors, the first ``below`` below third
     for e, step, t, k in live:
         d, step = e // g, step // g
         n = (size - 1 - d) // step + 1 if step else 1  # d + i*step < size
-        below = min(n, max(0, -(-(h - d) // step))) if step else int(d < h)
-        steps.append((d, step, n, k, *UNITS[t], below))
+        steps.append((d, step, n, k, *UNITS[t], _count_below(third, d, step, n)))
     w = _slot_bits(size, [p[:4] for p in steps])
+    full = (1 << size * w) - 1  # slots 0 .. size-1
     zero = _repunit(size, w // 8) << (w - 1)  # every slot at the bias
-    high = [0] * 5
+    # per coordinate, signed and unbiased: p1 over the factors with d >= third, its
+    # part p1lo below size - third, and p1lo^2 - p2lo, p2lo = sum k*u^2*x^(2d) over
+    # p1lo's factors; p1 and p1lo held divided by x^third, p1lo^2 - p2lo by x^(2*third)
+    p1, p1lo, sq = [0] * 5, [0] * 5, [0] * 5
     for d, step, n, k, s, r, below in steps:
         if below < n:
-            high[r] += k * s * _repunit(n - below, step * w // 8) << (d + below * step - h) * w
+            d, n = d + below * step - third, n - below
+            m = _count_below(size - 2 * third, d, step, n)
+            x = k * s * _repunit(m, step * w // 8) << d * w
+            p1lo[r] += x
+            p1[r] += x + (k * s * _repunit(n - m, step * w // 8) << (d + m * step) * w)
+            sq[2 * r % 5] -= k * _repunit(m, 2 * step * w // 8) << 2 * d * w
+    lo = [(r, x) for r, x in enumerate(p1lo) if x]
+    for i, (a, x) in enumerate(lo):
+        for b, y in lo[i:]:
+            sq[(a + b) % 5] += x * y * (2 if a != b else 1)
     U = [zero + 1, None, None, None, None]  # None: a coordinate that is still 0
-    for r, x in enumerate(high):
+    for r in range(5):
+        x = (p1[r] << third * w) + (sq[r] >> 1 << 2 * third * w)
         if x:
-            U[r] = (U[r] or zero) + (x << h * w)
+            U[r] = ((U[r] or zero) + x) & full
 
     def unit_pass(d: int, s: int, r: int) -> None:
         dw = d * w
-        low = (1 << (size * w - dw)) - 1  # slots 0 .. size-d-1
+        low = full >> dw  # slots 0 .. size-d-1
         zlow = zero >> dw
         old = U[:] if r else U  # with r = 0 each coordinate only updates itself
         for m, src in enumerate(old):

@@ -12,10 +12,9 @@ from theta5.numeric import (DEFAULT_CONFIG, RESIDUE_SETUPS, NumericCheckResult,
                             NumericConfig, check_bridge,
                             check_lemma32, check_prop31,
                             check_quasi_periodicity, check_residues,
-                            check_tail_bound, check_zero_location,
+                            check_zero_location,
                             contour_radius, eta_num, numeric_check_ids,
-                            residue_num, run_numeric_check, series_eval_num,
-                            theta_num, theta_prime_fd_residual)
+                            residue_num, run_numeric_check, series_eval_num, theta_num)
 from theta5.theta import CATALOG_CHARS, char, theta_const
 
 
@@ -184,6 +183,18 @@ def test_lemma32_single_point():
     assert abs((t1 / t0) ** 2 - (t2 / t0 - d2log)) < 1e-8
 
 
+def theta_prime_fd_residual(cfg: NumericConfig = DEFAULT_CONFIG, points: int = 3,
+                            h: float = 1e-6) -> float:
+    """Independent finite-difference probe of the analytic theta' (central difference)."""
+    worst = 0.0
+    for i, tau, z in numeric._sample_points(cfg, points, cfg.rng()):
+        ch = CATALOG_CHARS[i % len(CATALOG_CHARS)]
+        fd = (theta_num(z + h, tau, ch, 0, cfg) - theta_num(z - h, tau, ch, 0, cfg)) / (2 * h)
+        an = theta_num(z, tau, ch, 1, cfg)
+        worst = max(worst, abs(fd - an) / max(abs(an), 1.0))
+    return worst
+
+
 def test_finite_difference_probe_of_theta_prime():
     assert theta_prime_fd_residual(points=3) < 1e-6
 
@@ -294,6 +305,19 @@ def test_zero_location():
 
 def test_quasi_periodicity_sweep():
     assert check_quasi_periodicity(50) < 1e-9
+
+
+def check_tail_bound(cfg: NumericConfig = DEFAULT_CONFIG, samples: int = 8) -> float:
+    """Largest change of theta_num when its summation range is widened to n = -160..160,
+    far past the cutoff (at most 8 on the sampled strip); it must stay below the tail
+    tolerance."""
+    worst = 0.0
+    for i, tau, z in numeric._sample_points(cfg, samples, cfg.rng()):
+        ch = CATALOG_CHARS[i % len(CATALOG_CHARS)]
+        base = theta_num(z, tau, ch, 0, cfg)
+        wide = numeric._theta_sum([z], tau, [ch], 0, cfg, N=160)[0][0]
+        worst = max(worst, abs(base - wide))
+    return worst
 
 
 def test_tail_bound():

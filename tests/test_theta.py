@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -388,12 +389,15 @@ def test_binomial_product_matches_reference_property(raw, order_den, order_num, 
 @st.composite
 def _high_factors(draw):
     """(order, factors, progressions) on the grid 1 with ``size`` = ceil(order) keys:
-    most exponents in size//2 - 1 .. size - 1, around the least d with 2d >= size,
-    powers up to 40, sometimes a pair (1 + u*q^d)(1 - u*q^d) whose q^d terms
-    cancel, and progressions whose first exponents are drawn the same way."""
+    most exponents in ceil(size/3) - 1 .. size - 1, around the least d with 3d >= size
+    and the least with 2d >= size, powers up to 40, sometimes a pair
+    (1 + u*q^d)(1 - u*q^d) whose q^d terms cancel, and progressions whose first
+    exponents are drawn the same way."""
     size = draw(st.integers(1, 24))
     order = F(size) - draw(st.sampled_from([0, F(1, 2)]))
-    near = st.integers(max(0, size // 2 - 1), size - 1)
+    third, half = -(-size // 3), -(-size // 2)
+    near = st.one_of(st.integers(max(0, size // 2 - 1), size - 1),
+                     st.integers(max(0, third - 1), min(half, size - 1)))
     factors = []
     for _ in range(draw(st.integers(0, 5))):
         d = draw(st.one_of(near, st.integers(0, size + 2)) if draw(st.booleans()) else near)
@@ -428,8 +432,16 @@ def _high_factors(draw):
 @example((F(20), [], [(2, 3, 7, 5), (4, 7, 5, -3)]))
 # progressions at or past the order contribute nothing
 @example((F(20), [(3, 1, 1)], [(20, 1, 2, 3), (25, 0, 5, -1), (21, 4, 6, 2)]))
+# (1 + q^3)(1 - q^3) = 1 - q^6: the q^3 terms cancel, the q^6 term does not
+@example((F(7), [(3, 0, 1), (3, 5, 1)], []))
+# prod_{d=7}^{19} (1 - q^d): the squares of q^13 .. q^19 lie past the tail
+@example((F(20), [], [(7, 1, 5, 1)]))
+# a division and powers +-40 with 3d >= size > 2d
+@example((F(12), [(4, 3, -1), (5, 0, 40), (4, 6, -40)], []))
+# two progressions on the same exponents in the coordinates of zeta and zeta^3
+@example((F(21), [], [(7, 1, 2, 3), (7, 1, 1, -2)]))
 def test_binomial_product_high_factors_property(case):
-    # the factors with 2d >= size start the build in closed form
+    # the factors with 3d >= size start the build in closed form, to second order
     _check_product(*case)
 
 
@@ -560,6 +572,37 @@ def test_slot_width_of_the_deep_builds(monkeypatch, build, width, readback):
         monkeypatch.setattr("theta5.series._SLOT_FORMATS", {})
     assert series_to_dict(build()) == want
     assert widths == [width]
+
+
+def _passes(build):
+    """How many passes ``build()`` makes: calls of the kernel's ``unit_pass``, counted
+    by a profile hook, so that the kernel keeps no counter."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_name == "unit_pass" and \
+                code.co_filename == theta_module.__file__:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_pass_counts():
+    # only the factors with 3d < size take passes (1476 and 1019 with 2d < size);
+    # byte-identical output cannot show that the closed form is used
+    assert _passes(lambda: _unstored(lambda: catalog_module.verify_all(20))) == 1006
+    deep = [lambda: eta_q(F(1, 5), 100), lambda: eta_q(1, 200),
+            lambda: theta_const_product(char(1, 1, 5), 80),
+            lambda: eta_quotient([(1, 5), (5, -1)], 120),
+            lambda: eta_quotient([(5, 5), (1, -1)], 120)]
+    assert [_passes(build) for build in deep] == [166, 66, 80, 217, 167]
 
 
 def test_eta_offset_errors():
