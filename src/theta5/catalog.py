@@ -5,15 +5,26 @@ Every entry is verified in cross-multiplied polynomial form, so no theta
 series is ever inverted; both sides of a pair always carry the same power
 of (2*pi*i).  Each entry builds only the pairs it compares, and oracle
 series take their coefficients from ``arith`` alone, never from a series
-constructor.  Theta constants, the products of them that several entries
-share, and the shared product forms come from one store (``_th``, ``_thp``);
-each slot holds its highest-order build, and a request at a lower order
-clips it by the difference of the orders (``_stored``).  ``verify_ids``
-runs entries highest store order first, so each is built once per run and
+constructor.  The catalog is a list of rows, one ``IdentityEntry`` each, and
+every row's builder comes from one builder per statement family, fed the
+row's constants: ``_linear`` (sums of c * product form against sums of c *
+product form or a divisor-sum oracle: E1, E2, C511, C521, PS1a/b, C611, C621,
+PS2a/b), ``_build_t1`` and ``_build_d`` (over ``_T1_DATA`` and ``_D_DATA``),
+``_build_residue`` (R1, R2, R4, R5), ``_bracket_chain`` (R3, R6, R7a),
+``_farkas_kra`` (FK5, FK6), and ``_modular_equation``, ``_ode`` and
+``_wronskian`` over ``_xyz(level, N)`` (ME, ODE and W at levels 5 and 6); E3,
+E4, HEAT, SHIFT and TP-EQ have a builder each.  Theta constants, the
+products of them that several entries share, and the shared product forms
+come from one store (``_th``, ``_thp``); each slot holds its highest-order
+build, and a request at a lower order clips it by the difference of the
+orders (``_stored``).  ``verify_ids`` runs the entries that ask for theta
+slots first, highest theta order first, and then the entries that ask for
+none, highest build order first, so each slot is built once per run and
 every later request is a clip.  Entries whose printed
 source carries a misprint ship two variants: "as-stated" (the printed form,
 which fails and is reported as failing) and "corrected" (the repaired form,
-which passes).  The default suite runs as-stated variants and reports; it
+which passes); a variant is a row of data, such as ME6's sign and W6's
+determinant.  The default suite runs as-stated variants and reports; it
 never silently corrects.
 """
 
@@ -230,19 +241,48 @@ def _homogeneous(pairs: Pairs) -> Pairs:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders, one per statement family
 # ---------------------------------------------------------------------------
 
-def _build_e1(N: Rat, variant: str) -> Pairs:
-    lhs = _eta_quotient(_Z1, N)
-    rhs = _oracle_series(N, lambda n: -5 * arith.divisor_sum("A", n), constant=1)
-    return [("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n", lhs, rhs)]
+def _scaled(f: FracSeries, c: Rat | CycloQ5) -> FracSeries:
+    """f times the constant c; f itself when c is 1."""
+    return f if c == 1 else f.scalar_mul(c)
 
 
-def _build_e2(N: Rat, variant: str) -> Pairs:
-    lhs = _eta_quotient(_Z2, N)
-    rhs = _oracle_series(N, lambda n: arith.divisor_sum("B", n))
-    return [("eta^5(5t)/eta(t) = sum B(n) q^n", lhs, rhs)]
+#: The product forms a linear row names, each from the store.
+_FORMS: dict[str, Callable[[Rat], FracSeries]] = {
+    "Z1": lambda N: _eta_quotient(_Z1, N),
+    "Z2": lambda N: _eta_quotient(_Z2, N),
+    "G+^2": lambda N: _g_product(+1, N),
+    "G-^2": lambda N: _g_product(-1, N),
+    "H1^2": lambda N: _h_product(1, N),
+    "H2^2": lambda N: _h_product(2, N),
+}
+
+
+def _side(side: tuple, N: Rat) -> FracSeries:
+    """One side of a linear row at N.  It is either a sum of (c, form) terms
+    over ``_FORMS``, or a divisor-sum oracle (constant, ((c, kernel), ...)),
+    constant + sum_n (sum of c * arith.divisor_sum(kernel, n)) q^n."""
+    if side[0].__class__ is int:
+        constant, terms = side
+        return _oracle_series(N, lambda n: sum([c * arith.divisor_sum(k, n) for c, k in terms]),
+                              constant)
+    out = None
+    for c, form in side:
+        f = _scaled(_FORMS[form](N), c)
+        out = f if out is None else out + f
+    return out
+
+
+def _linear(label: str, lhs: tuple, rhs: tuple) -> Callable[[Rat, str], Pairs]:
+    """An entry lhs = rhs between linear combinations of the stored product
+    forms and the divisor-sum oracles (see ``_side``); it asks for no theta slot."""
+    def build(N: Rat, variant: str) -> Pairs:
+        return [(label, _side(lhs, N), _side(rhs, N))]
+
+    build.theta_level = None
+    return build
 
 
 def _build_e3(N: Rat, variant: str) -> Pairs:
@@ -250,6 +290,9 @@ def _build_e3(N: Rat, variant: str) -> Pairs:
                          constant=arith.partition_p(4))
     rhs = _binomial_product(N, [(5, 5, MINUS_ONE, 5), (1, 1, MINUS_ONE, -6)]).scalar_mul(5)
     return [("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", lhs, rhs)]
+
+
+_build_e3.theta_level = None
 
 
 def _build_e4(N: Rat, variant: str) -> Pairs:
@@ -262,14 +305,14 @@ def _build_e4(N: Rat, variant: str) -> Pairs:
 # Each row: (location, char A, char B, {variant: coefficients}).
 _T1_DATA = {
     "T1a": ("Thm 1.1, pair (1,1/5),(1,3/5)", char(5, 1, 5), char(5, 3, 5),
-            {AS_STATED: (CycloQ5(-11), CycloQ5(-1), CycloQ5(1))}),
+            {AS_STATED: (-11, -1, 1)}),
     "T1b": ("Thm 1.1, pair (3/5,1),(1/5,1)", char(3, 5, 5), char(1, 5, 5),
-            {AS_STATED: (CycloQ5(-11), CycloQ5(-1), _z(4))}),
+            {AS_STATED: (-11, -1, _z(4))}),
     "T1c": ("Thm 1.1, pair (1/5,1/5),(3/5,3/5)", char(1, 1, 5), char(3, 3, 5),
-            {AS_STATED: (_z(4) * -11, -_z(3), CycloQ5(1))}),
+            {AS_STATED: (_z(4) * -11, -_z(3), 1)}),
     "T1d": ("Thm 1.1, pair (1/5,3/5),(3/5,9/5)", char(1, 3, 5), char(3, 9, 5),
-            {AS_STATED: (_z(1) * 11, -_z(2), CycloQ5(1)),
-             CORRECTED: (_z(2) * -11, -_z(4), CycloQ5(1))}),
+            {AS_STATED: (_z(1) * 11, -_z(2), 1),
+             CORRECTED: (_z(2) * -11, -_z(4), 1)}),
     "T1e": ("Thm 1.1, pair (1/5,7/5),(3/5,1/5)", char(1, 7, 5), char(3, 1, 5),
             {AS_STATED: (_z(3) * -11, -_z(1), _z(3))}),
     "T1f": ("Thm 1.1, pair (1/5,9/5),(3/5,7/5)", char(1, 9, 5), char(3, 7, 5),
@@ -295,22 +338,22 @@ def _build_t1(entry_id: str) -> Callable[[Rat, str], Pairs]:
 # §4 derivative formulas: theta'_X * 10 th_A^3 th_B^3 = s * theta_X * theta'[1,1] * (cP*P + cQ*Q)
 # Each row: (location, char A, char B, X, {variant: coefficients}).
 _D_DATA = {
-    "D1": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "A", {AS_STATED: (CycloQ5(1), CycloQ5(1), _z(4) * -3)}),
-    "D2": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "B", {AS_STATED: (CycloQ5(1), CycloQ5(3), _z(4))}),
+    "D1": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "A", {AS_STATED: (1, 1, _z(4) * -3)}),
+    "D2": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "B", {AS_STATED: (1, 3, _z(4))}),
     "D3": ("Thm 4.2", char(1, 3, 5), char(3, 9, 5), "A",
-           {AS_STATED: (CycloQ5(-1), CycloQ5(1), _z(1) * 3),
-            CORRECTED: (CycloQ5(-1), CycloQ5(1), _z(2) * -3)}),
+           {AS_STATED: (-1, 1, _z(1) * 3),
+            CORRECTED: (-1, 1, _z(2) * -3)}),
     "D4": ("Thm 4.2", char(1, 3, 5), char(3, 9, 5), "B",
-           {AS_STATED: (CycloQ5(-1), CycloQ5(3), -_z(1)),
-            CORRECTED: (CycloQ5(-1), CycloQ5(3), _z(2))}),
-    "D5": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "A", {AS_STATED: (-_z(3), CycloQ5(1), CycloQ5(3))}),
-    "D6": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "B", {AS_STATED: (-_z(3), CycloQ5(3), CycloQ5(-1))}),
-    "D7": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "A", {AS_STATED: (-_z(1), CycloQ5(1), _z(3) * -3)}),
-    "D8": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "B", {AS_STATED: (-_z(1), CycloQ5(3), _z(3))}),
-    "D9": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "A", {AS_STATED: (_z(1), CycloQ5(1), _z(1) * -3)}),
-    "D10": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "B", {AS_STATED: (_z(1), CycloQ5(3), _z(1))}),
-    "D11": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "A", {AS_STATED: (CycloQ5(1), CycloQ5(1), CycloQ5(-3))}),
-    "D12": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "B", {AS_STATED: (CycloQ5(1), CycloQ5(3), CycloQ5(1))}),
+           {AS_STATED: (-1, 3, -_z(1)),
+            CORRECTED: (-1, 3, _z(2))}),
+    "D5": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "A", {AS_STATED: (-_z(3), 1, 3)}),
+    "D6": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "B", {AS_STATED: (-_z(3), 3, -1)}),
+    "D7": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "A", {AS_STATED: (-_z(1), 1, _z(3) * -3)}),
+    "D8": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "B", {AS_STATED: (-_z(1), 3, _z(3))}),
+    "D9": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "A", {AS_STATED: (_z(1), 1, _z(1) * -3)}),
+    "D10": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "B", {AS_STATED: (_z(1), 3, _z(1))}),
+    "D11": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "A", {AS_STATED: (1, 1, -3)}),
+    "D12": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "B", {AS_STATED: (1, 3, 1)}),
 }
 
 
@@ -365,99 +408,64 @@ def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar],
     return build
 
 
-def _second_derivative_bracket(A: ThetaChar, B: ThetaChar, N: Rat,
-                               swap: bool, bracket: tuple[CycloQ5, CycloQ5, CycloQ5],
-                               scalar: CycloQ5) -> tuple[FracSeries, FracSeries]:
-    """50*(th''_X th_X^5 th_Y^6 - th''_Y th_Y^5 th_X^6) = scalar * theta'[1,1]^2 * bracket(P,Q)."""
-    P = _th(A, 0, N, 5)
-    Q = _th(B, 0, N, 5)
-    diff = _th(A, 2, N) * P * (Q * _th(B, 0, N)) - _th(B, 2, N) * Q * (P * _th(A, 0, N))
-    if swap:
-        diff = -diff
-    lhs = diff.scalar_mul(50)
-    c2, c1, c0 = bracket
-    rhs = (_th(_TH11, 1, N, 2) * (_th(A, 0, N, 10).scalar_mul(c2)
-                                  + _thp(N, (A, 0, 5), (B, 0, 5)).scalar_mul(c1)
-                                  + _th(B, 0, N, 10).scalar_mul(c0))).scalar_mul(scalar)
-    return lhs, rhs
+def _bracket_chain(entry_id: str, pair: tuple[ThetaChar, ThetaChar], c_l: int,
+                   bracket: tuple, top: tuple[Ratio, Ratio], bottom: tuple[Ratio, Ratio],
+                   k: Rat | CycloQ5, sign: int) -> Callable[[Rat, str], Pairs]:
+    """R3, R6 and R7a: a second-derivative bracket and a heat-equation chain,
+    with eta_top and eta_bottom the eta forms at (multiplier, offset) ``top``
+    and ``bottom``:
 
-
-def _eta_chain_pairs(A: ThetaChar, B: ThetaChar, N: Rat, label: str,
-                     eta_top: FracSeries, eta_bottom: FracSeries,
-                     top_scalar: CycloQ5, theta_form_sign: int) -> Pairs:
-    """The heat-equation chain shared by R3/R6/R7a, with k = top_scalar:
-
+    c_l (th''_A th_A^5 th_B^6 - th''_B th_B^5 th_A^6) = theta'[1,1]^2 (c2 P^2 + c1 PQ + c0 Q^2)
     25 [Theta(th_B) th_A - Theta(th_A) th_B] * eta_bottom = k eta_top^5 * th_A th_B
     k eta_top^5 * theta'[1,1]^2 = sign * (2*pi*i)^2 * th_A^5 th_B^5 * eta_bottom
+
+    with P, Q = th_A^5, th_B^5, (c2, c1, c0) = ``bracket`` and c_l = +-50.
     """
-    ta = _th(A, 0, N)
-    tb = _th(B, 0, N)
-    top5 = (eta_top ** 5).scalar_mul(top_scalar)
-    chain_lhs = ((tb.theta_op() * ta - ta.theta_op() * tb) * eta_bottom).scalar_mul(25)
-    chain_rhs = top5 * _thp(N, (A, 0, 1), (B, 0, 1))
-    tf_lhs = top5 * _th(_TH11, 1, N, 2)
-    tf_rhs = (_thp(N, (A, 0, 5), (B, 0, 5)) * eta_bottom).scalar_mul(
-        theta_form_sign).cpow_shift(2)
-    return [(f"{label} eta-chain", chain_lhs, chain_rhs),
-            (f"{label} theta-form", tf_lhs, tf_rhs)]
+    A, B = pair
+    c2, c1, c0 = bracket
+
+    def build(N: Rat, variant: str) -> Pairs:
+        P = _th(A, 0, N, 5)
+        Q = _th(B, 0, N, 5)
+        diff = _th(A, 2, N) * P * (Q * _th(B, 0, N)) - _th(B, 2, N) * Q * (P * _th(A, 0, N))
+        bracket_rhs = _th(_TH11, 1, N, 2) * (_th(A, 0, N, 10).scalar_mul(c2)
+                                             + _thp(N, (A, 0, 5), (B, 0, 5)).scalar_mul(c1)
+                                             + _th(B, 0, N, 10).scalar_mul(c0))
+        eta_top, eta_bottom = _eta(top[0], N, top[1]), _eta(bottom[0], N, bottom[1])
+        ta = _th(A, 0, N)
+        tb = _th(B, 0, N)
+        top5 = _scaled(eta_top ** 5, k)
+        chain_lhs = ((tb.theta_op() * ta - ta.theta_op() * tb) * eta_bottom).scalar_mul(25)
+        chain_rhs = top5 * _thp(N, (A, 0, 1), (B, 0, 1))
+        tf_lhs = top5 * _th(_TH11, 1, N, 2)
+        tf_rhs = (_thp(N, (A, 0, 5), (B, 0, 5)) * eta_bottom).scalar_mul(sign).cpow_shift(2)
+        return [(f"{entry_id} bracket", diff.scalar_mul(c_l), bracket_rhs),
+                (f"{entry_id} eta-chain", chain_lhs, chain_rhs),
+                (f"{entry_id} theta-form", tf_lhs, tf_rhs)]
+
+    return build
 
 
-def _build_r3(N: Rat, variant: str) -> Pairs:
-    A, B = _PAIR5
-    lhs, rhs = _second_derivative_bracket(
-        A, B, N, swap=False,
-        bracket=(CycloQ5(-4), CycloQ5(44), CycloQ5(4)), scalar=CycloQ5(1))
-    pairs = [("R3 bracket", lhs, rhs)]
-    # the chain runs through Theta log(th_A/th_B) = sqrt(5) eta^5(5t)/eta(t)
-    pairs += _eta_chain_pairs(A, B, N, "R3", eta_top=_eta((5, 1), N), eta_bottom=_eta((1, 1), N),
-                              top_scalar=sqrt5() * -25, theta_form_sign=+1)
-    return pairs
+def _farkas_kra(label: str, pair: tuple[ThetaChar, ThetaChar],
+                top: Ratio) -> Callable[[Rat, str], Pairs]:
+    """FK5 and FK6, with eta_top the eta form at multiplier ``top``:
 
+    3 (2*pi*i)^2 [Theta(eta_top) eta - Theta(eta) eta_top] th_A^2 th_B^2
+       + eta_top eta [th'_A^2 th_B^2 + th'_B^2 th_A^2] = 0.
+    """
+    A, B = pair
 
-def _build_r6(N: Rat, variant: str) -> Pairs:
-    A, B = _PAIR6
-    lhs, rhs = _second_derivative_bracket(
-        A, B, N, swap=True,
-        bracket=(CycloQ5(4), CycloQ5(44), CycloQ5(-4)), scalar=_z(1))
-    pairs = [("R6 bracket", lhs, rhs)]
-    pairs += _eta_chain_pairs(A, B, N, "R6", eta_top=_eta((1, 5), N), eta_bottom=_eta((1, 1), N),
-                              top_scalar=CycloQ5(1), theta_form_sign=-1)
-    return pairs
+    def build(N: Rat, variant: str) -> Pairs:
+        eta_top = _eta(top, N)
+        eta1 = _eta((1, 1), N)
+        ab = (A, 0, 1), (B, 0, 1)
+        log_part = ((eta_top.theta_op() * eta1 - eta1.theta_op() * eta_top)
+                    * _thp(N, ab, ab)).scalar_mul(3).cpow_shift(2)
+        sq_part = (eta_top * eta1) * (_thp(N, (A, 1, 2), (B, 0, 2))
+                                      + _thp(N, (B, 1, 2), (A, 0, 2)))
+        return [(label, log_part + sq_part, FracSeries.zero())]
 
-
-def _build_r7a(N: Rat, variant: str) -> Pairs:
-    A, B = char(1, 1, 5), char(3, 3, 5)
-    lhs, rhs = _second_derivative_bracket(
-        A, B, N, swap=True,
-        bracket=(CycloQ5(4), _z(4) * -44, _z(3) * -4), scalar=CycloQ5(1))
-    pairs = [("R7a bracket", lhs, rhs)]
-    pairs += _eta_chain_pairs(A, B, N, "R7a", eta_top=_eta((1, 5), N, (1, 5)),
-                              eta_bottom=_eta((1, 1), N, (1, 1)), top_scalar=CycloQ5(1),
-                              theta_form_sign=+1)
-    return pairs
-
-
-def _farkas_kra_pairs(A: ThetaChar, B: ThetaChar, N: Rat, label: str,
-                      eta_top: FracSeries) -> Pairs:
-    """3 (2*pi*i)^2 [Theta(eta_top) eta - Theta(eta) eta_top] th_A^2 th_B^2
-       + eta_top eta [th'_A^2 th_B^2 + th'_B^2 th_A^2] = 0."""
-    eta1 = _eta((1, 1), N)
-    ab = (A, 0, 1), (B, 0, 1)
-    log_part = ((eta_top.theta_op() * eta1 - eta1.theta_op() * eta_top)
-                * _thp(N, ab, ab)).scalar_mul(3).cpow_shift(2)
-    sq_part = (eta_top * eta1) * (_thp(N, (A, 1, 2), (B, 0, 2))
-                                  + _thp(N, (B, 1, 2), (A, 0, 2)))
-    return [(label, log_part + sq_part, FracSeries.zero())]
-
-
-def _build_fk5(N: Rat, variant: str) -> Pairs:
-    return _farkas_kra_pairs(*_PAIR5, N,
-                             "FK5 log-derivative relation", _eta((5, 1), N))
-
-
-def _build_fk6(N: Rat, variant: str) -> Pairs:
-    return _farkas_kra_pairs(*_PAIR6, N,
-                             "FK6 log-derivative relation", _eta((1, 5), N))
+    return build
 
 
 def _g_product(sign: int, N: Rat) -> FracSeries:
@@ -486,152 +494,81 @@ def _h_product(which: int, N: Rat) -> FracSeries:
     return _stored(("H", which), N, build)
 
 
-def _c_plus_minus() -> tuple[CycloQ5, CycloQ5]:
-    s5 = sqrt5()
-    cp = (CycloQ5(25) + s5 * 11) * CycloQ5(1, den=50)
-    cm = (CycloQ5(25) - s5 * 11) * CycloQ5(1, den=50)
-    return cp, cm
-
-
-def _build_c511(N: Rat, variant: str) -> Pairs:
-    s5 = sqrt5()
-    lhs = (_eta_quotient(_Z1, N).scalar_mul(s5 * CycloQ5(22, den=50))
-           + _eta_quotient(_Z2, N).scalar_mul(s5 * 5))
-    cp, cm = _c_plus_minus()
-    rhs = _g_product(+1, N).scalar_mul(cp) - _g_product(-1, N).scalar_mul(cm)
-    return [("22*sqrt5/50 Z1 + 5*sqrt5 Z2 = c+ G+^2 - c- G-^2", lhs, rhs)]
-
-
-def _build_c521(N: Rat, variant: str) -> Pairs:
-    lhs = _oracle_series(N, lambda n: 6 * arith.divisor_sum("S", n), constant=1)
-    cp, cm = _c_plus_minus()
-    rhs = _g_product(+1, N).scalar_mul(cp) + _g_product(-1, N).scalar_mul(cm)
-    return [("1 + 6 sum (sigma(n)-5 sigma(n/5)) q^n = c+ G+^2 + c- G-^2", lhs, rhs)]
-
-
-def _build_ps1(sign: int) -> Callable[[Rat, str], Pairs]:
-    def build(N: Rat, variant: str) -> Pairs:
-        lhs = _g_product(sign, N)
-        s5 = sqrt5() * sign
-        outer = (CycloQ5(25) - s5 * 11) * CycloQ5(1, den=4)
-        rhs = _oracle_series(N, lambda n: outer * (CycloQ5(30 * arith.divisor_sum("C", n))
-                                                   + s5 * arith.divisor_sum("D25", n)),
-                             constant=1)
-        name = "+" if sign > 0 else "-"
-        return [(f"G{name}^2 divisor-sum expansion", lhs, rhs)]
-
-    return build
-
-
-def _build_c611(N: Rat, variant: str) -> Pairs:
-    lhs = _h_product(1, N) - _h_product(2, N)
-    rhs = (_eta_quotient(_Z2, N).scalar_mul(11)
-           + _eta_quotient(_Z1, N))
-    return [("H1^2 - H2^2 = 11 Z2 + Z1", lhs, rhs)]
-
-
-def _build_c621(N: Rat, variant: str) -> Pairs:
-    lhs = _h_product(1, N) + _h_product(2, N)
-    rhs = _oracle_series(N, lambda n: 6 * arith.divisor_sum("S", n), constant=1)
-    return [("H1^2 + H2^2 = 1 + 6 sum S(n) q^n", lhs, rhs)]
-
-
-def _build_ps2(which: int) -> Callable[[Rat, str], Pairs]:
-    def build(N: Rat, variant: str) -> Pairs:
-        lhs = _h_product(which, N)
-        sign = 1 if which == 1 else -1
-        rhs = _oracle_series(N, lambda n: CycloQ5(6 * arith.divisor_sum("C", n)
-                                                  + sign * arith.divisor_sum("E11", n), den=2),
-                             constant=1 if which == 1 else 0)
-        return [(f"H{which}^2 divisor-sum expansion", lhs, rhs)]
-
-    return build
-
-
-def _xyz_level5(N: Rat) -> tuple[FracSeries, ...]:
-    """(X, Y, Z, XY, F) with F = X^2 - 11XY - Y^2."""
-    A, B = _PAIR5
-    X, Y = _th(A, 0, N, 5), _th(B, 0, N, 5)
-    Z = _eta_quotient(_Z1, N)
-    XY = _thp(N, (A, 0, 5), (B, 0, 5))
-    return X, Y, Z, XY, _th(A, 0, N, 10) - XY.scalar_mul(11) - _th(B, 0, N, 10)
-
-
 def _fifth_order(N: Rat) -> int:
     """The order of the theta slots whose q -> q^5 substitutions are needed below N."""
     return -(-N // 5) + 2
 
 
-def _xyz_level5_shifted(N: Rat) -> tuple[FracSeries, ...]:
-    """(X, Y, Z, XY, F) with F = X^2 + 11XY - Y^2."""
-    # products of q -> q^5 substitutions are the substitutions of the stored products
-    Npre = _fifth_order(N)
-    A, B = _PAIR6
-    X, Y = _th(A, 0, Npre, 5).rescale_exponent(5), _th(B, 0, Npre, 5).rescale_exponent(5)
-    Z = _eta_quotient(_Z2, N)
-    XY = _thp(Npre, (A, 0, 5), (B, 0, 5)).rescale_exponent(5)
-    return X, Y, Z, XY, (_th(A, 0, Npre, 10).rescale_exponent(5) + XY.scalar_mul(11)
-                         - _th(B, 0, Npre, 10).rescale_exponent(5))
+#: level -> (characteristic pair, eta quotient Z, coefficient of XY in F)
+_LEVELS = {5: (_PAIR5, _Z1, -11), 6: (_PAIR6, _Z2, 11)}
 
 
-def _build_me5(N: Rat, variant: str) -> Pairs:
-    X, Y, Z, XY, F = _xyz_level5(N)
-    lhs = (XY ** 9).scalar_mul(5 ** 5)
-    rhs = (Z ** 10) * (F ** 5)
-    return [("5^5 X^9 Y^9 = Z^10 (X^2-11XY-Y^2)^5", lhs, rhs)]
+def _xyz(level: int, N: Rat) -> tuple[FracSeries, ...]:
+    """(X, Y, Z, XY, F) of §5 or §6, F = X^2 -+ 11XY - Y^2.
+
+    At level 5, X, Y = th_A^5, th_B^5 over ``_PAIR5`` and Z = eta^5(t)/eta(5t).
+    At level 6, X, Y = th_A^5, th_B^5 over ``_PAIR6`` at 5t and Z = eta^5(5t)/eta(t);
+    products of q -> q^5 substitutions are the substitutions of the stored
+    products, taken from the slots at ``_fifth_order(N)``.
+    """
+    (A, B), spec, c = _LEVELS[level]
+    n = N if level == 5 else _fifth_order(N)
+
+    def at(f: FracSeries) -> FracSeries:
+        return f if level == 5 else f.rescale_exponent(5)
+
+    X, Y = at(_th(A, 0, n, 5)), at(_th(B, 0, n, 5))
+    Z = _eta_quotient(spec, N)
+    XY = at(_thp(n, (A, 0, 5), (B, 0, 5)))
+    return X, Y, Z, XY, at(_th(A, 0, n, 10)) + XY.scalar_mul(c) - at(_th(B, 0, n, 10))
 
 
-def _build_ode5(N: Rat, variant: str) -> Pairs:
-    X, Y, Z, XY, F = _xyz_level5(N)
-    lhs = X.tau_derivative() * Y - X * Y.tau_derivative()
-    rhs = (Z * F).scalar_mul(sqrt5() * CycloQ5(1, den=25)).cpow_shift(1)
-    return [("X'Y - XY' = (2*pi*i)/5^(3/2) Z (X^2-11XY-Y^2)", lhs, rhs)]
+def _modular_equation(level: int, table: dict) -> Callable[[Rat, str], Pairs]:
+    """ME5 and ME6: c_l X^9 Y^9 = c_r Z^10 F^5, ``table`` giving (c_l, c_r, label) per variant."""
+    def build(N: Rat, variant: str) -> Pairs:
+        c_l, c_r, label = table[variant]
+        X, Y, Z, XY, F = _xyz(level, N)
+        return [(label, _scaled(XY ** 9, c_l), _scaled((Z ** 10) * (F ** 5), c_r))]
+
+    build.theta_level = level
+    return build
 
 
-def _build_w5(N: Rat, variant: str) -> Pairs:
-    X, Y, Z, XY, F = _xyz_level5(N)
-    W = X * Y.tau_derivative() - Y * X.tau_derivative()
-    lhs = W ** 10
-    rhs = ((XY ** 9) * (F ** 5)).scalar_mul(CycloQ5(1, den=5 ** 10)).cpow_shift(10)
-    return [("W(X,Y)^10 = (2*pi*i/5)^10 X^9 Y^9 (X^2-11XY-Y^2)^5", lhs, rhs)]
+def _ode(level: int, label: str, c: Rat | CycloQ5) -> Callable[[Rat, str], Pairs]:
+    """ODE5 and ODE6: X'Y - XY' = c (2*pi*i) Z F."""
+    def build(N: Rat, variant: str) -> Pairs:
+        X, Y, Z, XY, F = _xyz(level, N)
+        lhs = X.tau_derivative() * Y - X * Y.tau_derivative()
+        return [(label, lhs, _scaled(Z * F, c).cpow_shift(1))]
+
+    build.theta_level = level
+    return build
 
 
-def _build_me6(N: Rat, variant: str) -> Pairs:
-    X, Y, Z, XY, F = _xyz_level5_shifted(N)
-    lhs = XY ** 9
-    rhs = (Z ** 10) * (F ** 5)
-    if variant == CORRECTED:
-        rhs = -rhs
-        label = "X^9 Y^9 = -Z^10 (X^2+11XY-Y^2)^5 (sign corrected)"
-    else:
-        label = "X^9 Y^9 = Z^10 (X^2+11XY-Y^2)^5"
-    return [(label, lhs, rhs)]
+def _wronskian(level: int, table: dict) -> Callable[[Rat, str], Pairs]:
+    """W5 and W6: det^10 = c (2*pi*i)^10 X^9 Y^9 F^5, ``table`` giving (det, c,
+    label) per variant.  det "W" is the Wronskian X Y' - Y X'; "XX" is the
+    printed determinant |X Y; X' X'| = (X - Y) X', which repeats X'."""
+    def build(N: Rat, variant: str) -> Pairs:
+        det, c, label = table[variant]
+        X, Y, Z, XY, F = _xyz(level, N)
+        if det == "W":
+            W = X * Y.tau_derivative() - Y * X.tau_derivative()
+        else:
+            W = (X - Y) * X.tau_derivative()
+        return [(label, W ** 10, _scaled((XY ** 9) * (F ** 5), c).cpow_shift(10))]
+
+    build.theta_level = level
+    return build
 
 
-def _build_ode6(N: Rat, variant: str) -> Pairs:
-    X, Y, Z, XY, F = _xyz_level5_shifted(N)
-    lhs = X.tau_derivative() * Y - X * Y.tau_derivative()
-    rhs = (Z * F).cpow_shift(1)
-    return [("X'Y - XY' = 2*pi*i Z (X^2+11XY-Y^2)", lhs, rhs)]
-
-
-def _build_w6(N: Rat, variant: str) -> Pairs:
-    X, Y, Z, XY, F = _xyz_level5_shifted(N)
-    rhs = ((XY ** 9) * (F ** 5)).cpow_shift(10)
-    if variant == CORRECTED:
-        W = X * Y.tau_derivative() - Y * X.tau_derivative()
-        lhs = W ** 10
-        rhs = -rhs
-        label = "W(X,Y)^10 = -(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5 (matrix and sign corrected)"
-    else:
-        W = (X - Y) * X.tau_derivative()
-        lhs = W ** 10
-        label = "repeated-column determinant^10 = (2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5"
-    return [(label, lhs, rhs)]
-
-
-#: builders that ask the theta store for order _fifth_order(N), not N
-_FIFTH_BUILDERS = (_build_me6, _build_ode6, _build_w6)
+#: ME6 and W6 per variant: the sign of the right side, and W6's determinant
+_ME6 = {AS_STATED: (1, 1, "X^9 Y^9 = Z^10 (X^2+11XY-Y^2)^5"),
+        CORRECTED: (1, -1, "X^9 Y^9 = -Z^10 (X^2+11XY-Y^2)^5 (sign corrected)")}
+_W6 = {AS_STATED: ("XX", 1, "repeated-column determinant^10 = "
+                              "(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5"),
+       CORRECTED: ("W", -1, "W(X,Y)^10 = -(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5 "
+                            "(matrix and sign corrected)")}
 
 
 def _build_heat(N: Rat, variant: str) -> Pairs:
@@ -676,57 +613,96 @@ def _build_tp_eq(N: Rat, variant: str) -> Pairs:
 # the catalog
 # ---------------------------------------------------------------------------
 
-def _entries() -> list[IdentityEntry]:
-    es: list[IdentityEntry] = [
-        IdentityEntry("E1", "eta^5(t)/eta(5t) divisor-sum expansion", "§1 Eq. (1)", 10, 2, _build_e1),
-        IdentityEntry("E2", "eta^5(5t)/eta(t) divisor-sum expansion", "§1 Eq. (2)", 10, 2, _build_e2),
-        IdentityEntry("E3", "partition congruence generating function", "§1 Ramanujan identity", 10, 2, _build_e3),
-        IdentityEntry("E4", "first derivative theta constant as eta cube", "§2.3", 10, 2, _build_e4),
-    ]
-    for tid, (loc, _, _, table) in _T1_DATA.items():
-        es.append(IdentityEntry(tid, "quartic derivative-formula analogue", loc,
-                                10, 10, _build_t1(tid), tuple(table)))
-    for did, (loc, _, _, _, table) in _D_DATA.items():
-        es.append(IdentityEntry(did, "first-derivative formula, fifth powers", loc,
-                                10, 8, _build_d(did), tuple(table)))
-    es += [
-        IdentityEntry("R1", "vanishing residue combination", "§5.1 Eq. (11)", 10, 8,
-                      _build_residue("R1", _PAIR5, "first")),
-        IdentityEntry("R2", "vanishing residue combination", "§5.1 Eq. (12)", 10, 8,
-                      _build_residue("R2", _PAIR5, "second")),
-        IdentityEntry("R3", "second-derivative difference, degree ten", "§5.1 Eq. (13)", 10, 10, _build_r3),
-        IdentityEntry("R4", "vanishing residue combination", "§6.1 first relation", 10, 8,
-                      _build_residue("R4", _PAIR6, "first")),
-        IdentityEntry("R5", "vanishing residue combination", "§6.1 second relation", 10, 8,
-                      _build_residue("R5", _PAIR6, "second")),
-        IdentityEntry("R6", "second-derivative difference with eta chain", "§6.1", 10, 10, _build_r6),
-        IdentityEntry("R7a", "second-derivative difference with shifted eta chain", "§7.1", 10, 10, _build_r7a),
-        IdentityEntry("FK5", "log-derivative relation for eta(5t)/eta(t)", "Thm 5.2", 10, 8, _build_fk5),
-        IdentityEntry("C511", "weighted eta-quotient combination", "Cor. 5.1.1", 10, 4, _build_c511),
-        IdentityEntry("C521", "sigma-series as product combination", "Cor. 5.2.1", 10, 4, _build_c521),
-        IdentityEntry("PS1a", "tenth-power product-series expansion", "Thm 5.3", 10, 4, _build_ps1(+1)),
-        IdentityEntry("PS1b", "tenth-power product-series expansion", "Thm 5.3", 10, 4, _build_ps1(-1)),
-        IdentityEntry("ME5", "modular equation of level five", "Thm 5.4", 20, 18, _build_me5),
-        IdentityEntry("ODE5", "first-order differential relation", "Thm 5.5", 10, 10, _build_ode5),
-        IdentityEntry("W5", "Wronskian tenth power", "Thm 5.6", 20, 30, _build_w5),
-        IdentityEntry("FK6", "log-derivative relation for eta(t/5)/eta(t)", "Thm 6.2", 10, 8, _build_fk6),
-        IdentityEntry("C611", "quintuple-product combination", "Cor. 6.1.1", 10, 4, _build_c611),
-        IdentityEntry("C621", "sigma-series as quintuple-product combination", "Cor. 6.2.1", 10, 4, _build_c621),
-        IdentityEntry("PS2a", "product-series expansion", "Thm 6.3", 10, 4, _build_ps2(1)),
-        IdentityEntry("PS2b", "product-series expansion", "Thm 6.3", 10, 4, _build_ps2(2)),
-        IdentityEntry("ME6", "modular equation of level five, mirror", "Thm 6.4", 20, 18,
-                      _build_me6, (AS_STATED, CORRECTED)),
-        IdentityEntry("ODE6", "first-order differential relation, mirror", "Thm 6.5", 10, 10, _build_ode6),
-        IdentityEntry("W6", "Wronskian tenth power, mirror", "Thm 6.6", 20, 30,
-                      _build_w6, (AS_STATED, CORRECTED)),
-        IdentityEntry("HEAT", "heat equation across the twelve characteristics", "§2.4", 10, 4, _build_heat),
-        IdentityEntry("SHIFT", "characteristic shift and negation rules", "§2.2", 10, 4, _build_shift),
-        IdentityEntry("TP-EQ", "direct sum equals triple product", "§2.3", 10, 4, _build_tp_eq),
-    ]
-    return es
+_R5 = sqrt5()
+#: (25 +- 11 sqrt5)/50, the weights of G+^2 and G-^2 in C511 and C521
+_CP, _CM = (25 + _R5 * 11) * CycloQ5(1, den=50), (25 - _R5 * 11) * CycloQ5(1, den=50)
+#: (25 -+ 11 sqrt5)/4, G+-^2 = 1 + sum o+- (30 C(n) +- sqrt5 D25(n)) q^n
+_OP, _OM = (25 - _R5 * 11) * CycloQ5(1, den=4), (25 + _R5 * 11) * CycloQ5(1, den=4)
+_HALF = CycloQ5(1, den=2)
 
-
-_CATALOG: list[IdentityEntry] = _entries()
+_CATALOG: list[IdentityEntry] = [
+    IdentityEntry("E1", "eta^5(t)/eta(5t) divisor-sum expansion", "§1 Eq. (1)", 10, 2,
+                  _linear("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n",
+                          ((1, "Z1"),), (1, ((-5, "A"),)))),
+    IdentityEntry("E2", "eta^5(5t)/eta(t) divisor-sum expansion", "§1 Eq. (2)", 10, 2,
+                  _linear("eta^5(5t)/eta(t) = sum B(n) q^n", ((1, "Z2"),), (0, ((1, "B"),)))),
+    IdentityEntry("E3", "partition congruence generating function", "§1 Ramanujan identity",
+                  10, 2, _build_e3),
+    IdentityEntry("E4", "first derivative theta constant as eta cube", "§2.3", 10, 2, _build_e4),
+    *[IdentityEntry(tid, "quartic derivative-formula analogue", loc, 10, 10, _build_t1(tid),
+                    tuple(table)) for tid, (loc, _, _, table) in _T1_DATA.items()],
+    *[IdentityEntry(did, "first-derivative formula, fifth powers", loc, 10, 8, _build_d(did),
+                    tuple(table)) for did, (loc, _, _, _, table) in _D_DATA.items()],
+    IdentityEntry("R1", "vanishing residue combination", "§5.1 Eq. (11)", 10, 8,
+                  _build_residue("R1", _PAIR5, "first")),
+    IdentityEntry("R2", "vanishing residue combination", "§5.1 Eq. (12)", 10, 8,
+                  _build_residue("R2", _PAIR5, "second")),
+    # the chain runs through Theta log(th_A/th_B) = sqrt(5) eta^5(5t)/eta(t)
+    IdentityEntry("R3", "second-derivative difference, degree ten", "§5.1 Eq. (13)", 10, 10,
+                  _bracket_chain("R3", _PAIR5, 50, (-4, 44, 4), ((5, 1), (0, 1)),
+                                 ((1, 1), (0, 1)), _R5 * -25, 1)),
+    IdentityEntry("R4", "vanishing residue combination", "§6.1 first relation", 10, 8,
+                  _build_residue("R4", _PAIR6, "first")),
+    IdentityEntry("R5", "vanishing residue combination", "§6.1 second relation", 10, 8,
+                  _build_residue("R5", _PAIR6, "second")),
+    IdentityEntry("R6", "second-derivative difference with eta chain", "§6.1", 10, 10,
+                  _bracket_chain("R6", _PAIR6, -50, (_z(1) * 4, _z(1) * 44, _z(1) * -4),
+                                 ((1, 5), (0, 1)), ((1, 1), (0, 1)), 1, -1)),
+    IdentityEntry("R7a", "second-derivative difference with shifted eta chain", "§7.1", 10, 10,
+                  _bracket_chain("R7a", (char(1, 1, 5), char(3, 3, 5)), -50,
+                                 (4, _z(4) * -44, _z(3) * -4), ((1, 5), (1, 5)),
+                                 ((1, 1), (1, 1)), 1, 1)),
+    IdentityEntry("FK5", "log-derivative relation for eta(5t)/eta(t)", "Thm 5.2", 10, 8,
+                  _farkas_kra("FK5 log-derivative relation", _PAIR5, (5, 1))),
+    IdentityEntry("C511", "weighted eta-quotient combination", "Cor. 5.1.1", 10, 4,
+                  _linear("22*sqrt5/50 Z1 + 5*sqrt5 Z2 = c+ G+^2 - c- G-^2",
+                          ((_R5 * CycloQ5(11, den=25), "Z1"), (_R5 * 5, "Z2")),
+                          ((_CP, "G+^2"), (-_CM, "G-^2")))),
+    IdentityEntry("C521", "sigma-series as product combination", "Cor. 5.2.1", 10, 4,
+                  _linear("1 + 6 sum (sigma(n)-5 sigma(n/5)) q^n = c+ G+^2 + c- G-^2",
+                          (1, ((6, "S"),)), ((_CP, "G+^2"), (_CM, "G-^2")))),
+    IdentityEntry("PS1a", "tenth-power product-series expansion", "Thm 5.3", 10, 4,
+                  _linear("G+^2 divisor-sum expansion", ((1, "G+^2"),),
+                          (1, ((_OP * 30, "C"), (_OP * _R5, "D25"))))),
+    IdentityEntry("PS1b", "tenth-power product-series expansion", "Thm 5.3", 10, 4,
+                  _linear("G-^2 divisor-sum expansion", ((1, "G-^2"),),
+                          (1, ((_OM * 30, "C"), (_OM * -_R5, "D25"))))),
+    IdentityEntry("ME5", "modular equation of level five", "Thm 5.4", 20, 18,
+                  _modular_equation(5, {AS_STATED: (5 ** 5, 1,
+                                                    "5^5 X^9 Y^9 = Z^10 (X^2-11XY-Y^2)^5")})),
+    IdentityEntry("ODE5", "first-order differential relation", "Thm 5.5", 10, 10,
+                  _ode(5, "X'Y - XY' = (2*pi*i)/5^(3/2) Z (X^2-11XY-Y^2)",
+                       _R5 * CycloQ5(1, den=25))),
+    IdentityEntry("W5", "Wronskian tenth power", "Thm 5.6", 20, 30,
+                  _wronskian(5, {AS_STATED: ("W", CycloQ5(1, den=5 ** 10),
+                                             "W(X,Y)^10 = (2*pi*i/5)^10 X^9 Y^9 "
+                                             "(X^2-11XY-Y^2)^5")})),
+    IdentityEntry("FK6", "log-derivative relation for eta(t/5)/eta(t)", "Thm 6.2", 10, 8,
+                  _farkas_kra("FK6 log-derivative relation", _PAIR6, (1, 5))),
+    IdentityEntry("C611", "quintuple-product combination", "Cor. 6.1.1", 10, 4,
+                  _linear("H1^2 - H2^2 = 11 Z2 + Z1", ((1, "H1^2"), (-1, "H2^2")),
+                          ((11, "Z2"), (1, "Z1")))),
+    IdentityEntry("C621", "sigma-series as quintuple-product combination", "Cor. 6.2.1", 10, 4,
+                  _linear("H1^2 + H2^2 = 1 + 6 sum S(n) q^n", ((1, "H1^2"), (1, "H2^2")),
+                          (1, ((6, "S"),)))),
+    IdentityEntry("PS2a", "product-series expansion", "Thm 6.3", 10, 4,
+                  _linear("H1^2 divisor-sum expansion", ((1, "H1^2"),),
+                          (1, ((3, "C"), (_HALF, "E11"))))),
+    IdentityEntry("PS2b", "product-series expansion", "Thm 6.3", 10, 4,
+                  _linear("H2^2 divisor-sum expansion", ((1, "H2^2"),),
+                          (0, ((3, "C"), (-_HALF, "E11"))))),
+    IdentityEntry("ME6", "modular equation of level five, mirror", "Thm 6.4", 20, 18,
+                  _modular_equation(6, _ME6), tuple(_ME6)),
+    IdentityEntry("ODE6", "first-order differential relation, mirror", "Thm 6.5", 10, 10,
+                  _ode(6, "X'Y - XY' = 2*pi*i Z (X^2+11XY-Y^2)", 1)),
+    IdentityEntry("W6", "Wronskian tenth power, mirror", "Thm 6.6", 20, 30,
+                  _wronskian(6, _W6), tuple(_W6)),
+    IdentityEntry("HEAT", "heat equation across the twelve characteristics", "§2.4", 10, 4,
+                  _build_heat),
+    IdentityEntry("SHIFT", "characteristic shift and negation rules", "§2.2", 10, 4,
+                  _build_shift),
+    IdentityEntry("TP-EQ", "direct sum equals triple product", "§2.3", 10, 4, _build_tp_eq),
+]
 _BY_ID: dict[str, IdentityEntry] = {e.id: e for e in _CATALOG}
 
 
@@ -770,25 +746,37 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
     return report
 
 
+def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
+    """The highest order of the theta slots that entry ``e``, built at ``n``,
+    asks the store for: n, or ``_fifth_order(n)`` for a builder of level 6,
+    whose theta slots are q -> q^5 substitutions; None for a builder that asks
+    for no theta slot (the linear rows and E3)."""
+    level = getattr(e.build, "theta_level", 5)
+    return None if level is None else n if level == 5 else _fifth_order(n)
+
+
 def verify_ids(entry_ids: list[str], order: Rat = 20,
                variant: str = AS_STATED) -> list[IdentityReport]:
     """``verify`` on each id under the suite's rule, reports in the order of
     ``entry_ids``: the order is clamped up to the entry's minimum, and an entry
     lacking ``variant`` runs as-stated.
 
-    The entries run one after another, highest store order first, ties in the
-    given order, so each theta-store slot is built once, at the highest order
-    any of them asks for, and every later request is only a clip.  An entry's
-    store order is its build order N (clamped order plus margin), or
-    ``_fifth_order(N)`` for the builders in ``_FIFTH_BUILDERS``.  The exact
+    The entries run one after another so that each store slot is built once,
+    at the highest order any of them asks for, and every later request is
+    only a clip.  The entries that ask for theta slots run first, highest
+    theta order (``_theta_order``) first.  Every product form an entry asks
+    for is at its build order N (clamped order plus margin), and a level-6
+    entry's theta order is about N/5, so the entries that ask for no theta
+    slot run last, highest N first.  Ties keep the given order.  The exact
     lane is pure Python and holds the interpreter lock, so threads would not
     speed it up.  An unknown id raises KeyError before anything is verified.
     """
-    runs = []  # (store order, id, clamped order, variant) per entry
+    runs = []  # (sort key, id, clamped order, variant) per entry
     for e in map(lookup, entry_ids):
         clamped = max(order, e.min_meaningful_order)
         n = clamped + e.margin
-        runs.append((_fifth_order(n) if e.build in _FIFTH_BUILDERS else n, e.id, clamped,
+        at = _theta_order(e, n)
+        runs.append(((False, n) if at is None else (True, at), e.id, clamped,
                      variant if variant in e.variants else AS_STATED))
     reports: list[Optional[IdentityReport]] = [None] * len(runs)
     for i in sorted(range(len(runs)), key=lambda i: runs[i][0], reverse=True):

@@ -126,6 +126,12 @@ class CycloQ5:
     __slots__ = ("den", "vec")
 
     def __init__(self, c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, c3: Rat = 0, *, den: int = 1):
+        if c0.__class__ is c1.__class__ is c2.__class__ is c3.__class__ is den.__class__ is int \
+                and den == 1:
+            # integers over 1, such as a coerced int, are already in stored form
+            object.__setattr__(self, "den", 1)
+            object.__setattr__(self, "vec", (c0, c1, c2, c3))
+            return
         # reduced ratios over the lcm of their denominators share no factor with it
         qs = [as_ratio(c, den) for c in (c0, c1, c2, c3)]
         den = lcm(*[d for _, d in qs])
@@ -354,9 +360,6 @@ class Phase:
 
     def __hash__(self) -> int:
         return hash(("Phase", self.num, self.den))
-
-    def is_one(self) -> bool:
-        return self.num == 0
 
     def to_cyclo(self) -> CycloQ5:
         """e(a) as a CycloQ5 element; requires denominator(a) | 10 (see ``UNITS``)."""

@@ -18,8 +18,9 @@ import theta5.catalog as catalog_module
 import theta5.series as series_module
 from theta5.arith import partition_p
 from theta5.catalog import (_THETA, _TH11, AS_STATED, CORRECTED, IdentityEntry,
-                            IdentityReport, _homogeneous, _key, _slot, _th, catalog, lookup,
-                            report_to_dict, reports_to_json, verify, verify_all, verify_ids)
+                            IdentityReport, _homogeneous, _key, _slot, _th, _theta_order,
+                            catalog, lookup, report_to_dict, reports_to_json, verify,
+                            verify_all, verify_ids)
 from theta5.cli import run, series_to_dict
 from theta5.cyclo import CycloQ5
 from theta5.series import FracSeries
@@ -217,6 +218,46 @@ def test_identity_report_record():
     r.passed = False  # verify fills a report in place
     assert r != IdentityReport("X", AS_STATED, F(20), True)
 
+
+#: The labels of the pairs of every entry built by a family builder, per
+#: variant.  Only a failing pair's label reaches a report, so nothing else pins them.
+PAIR_LABELS = {
+    ("E1", AS_STATED): ["eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n"],
+    ("E2", AS_STATED): ["eta^5(5t)/eta(t) = sum B(n) q^n"],
+    ("R3", AS_STATED): ["R3 bracket", "R3 eta-chain", "R3 theta-form"],
+    ("R6", AS_STATED): ["R6 bracket", "R6 eta-chain", "R6 theta-form"],
+    ("R7a", AS_STATED): ["R7a bracket", "R7a eta-chain", "R7a theta-form"],
+    ("FK5", AS_STATED): ["FK5 log-derivative relation"],
+    ("C511", AS_STATED): ["22*sqrt5/50 Z1 + 5*sqrt5 Z2 = c+ G+^2 - c- G-^2"],
+    ("C521", AS_STATED): ["1 + 6 sum (sigma(n)-5 sigma(n/5)) q^n = c+ G+^2 + c- G-^2"],
+    ("PS1a", AS_STATED): ["G+^2 divisor-sum expansion"],
+    ("PS1b", AS_STATED): ["G-^2 divisor-sum expansion"],
+    ("ME5", AS_STATED): ["5^5 X^9 Y^9 = Z^10 (X^2-11XY-Y^2)^5"],
+    ("ODE5", AS_STATED): ["X'Y - XY' = (2*pi*i)/5^(3/2) Z (X^2-11XY-Y^2)"],
+    ("W5", AS_STATED): ["W(X,Y)^10 = (2*pi*i/5)^10 X^9 Y^9 (X^2-11XY-Y^2)^5"],
+    ("FK6", AS_STATED): ["FK6 log-derivative relation"],
+    ("C611", AS_STATED): ["H1^2 - H2^2 = 11 Z2 + Z1"],
+    ("C621", AS_STATED): ["H1^2 + H2^2 = 1 + 6 sum S(n) q^n"],
+    ("PS2a", AS_STATED): ["H1^2 divisor-sum expansion"],
+    ("PS2b", AS_STATED): ["H2^2 divisor-sum expansion"],
+    ("ME6", AS_STATED): ["X^9 Y^9 = Z^10 (X^2+11XY-Y^2)^5"],
+    ("ME6", CORRECTED): ["X^9 Y^9 = -Z^10 (X^2+11XY-Y^2)^5 (sign corrected)"],
+    ("ODE6", AS_STATED): ["X'Y - XY' = 2*pi*i Z (X^2+11XY-Y^2)"],
+    ("W6", AS_STATED): ["repeated-column determinant^10 = "
+                        "(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5"],
+    ("W6", CORRECTED): ["W(X,Y)^10 = -(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5 "
+                        "(matrix and sign corrected)"],
+}
+
+
+def test_pair_labels():
+    assert set(PAIR_LABELS) == {(i, v) for i, _ in PAIR_LABELS for v in lookup(i).variants}
+    for (entry_id, variant), want in PAIR_LABELS.items():
+        e = lookup(entry_id)
+        pairs = e.build(e.min_meaningful_order + e.margin, variant)
+        assert [label for label, _, _ in pairs] == want, (entry_id, variant)
+
+
 def test_min_orders_follow_identity_degree():
     assert lookup("E1").min_meaningful_order == 10
     for entry_id in ("ME5", "ME6", "W5", "W6"):
@@ -311,6 +352,28 @@ def test_verify_order_does_not_change_the_reports(empty_store):
         in_order = verify_all(20, variant)
         assert [r.id for r in in_order] == ids
         assert {r.id: report_to_dict(r) for r in in_order} == want, variant
+
+
+@pytest.mark.parametrize("order", [10, 20, 33])
+def test_store_order_rule(empty_store, order):
+    # verify_ids runs an entry by _theta_order; on an empty store the entry's
+    # highest theta slot is at that order, and every product form it asks for
+    # is at its build order N, so running the entries with no theta order
+    # last, highest N first, builds every slot once
+    for e in catalog():
+        clamped = max(order, e.min_meaningful_order)
+        n = clamped + e.margin
+        for variant in e.variants:
+            empty_store.clear()
+            verify(e.id, clamped, variant)
+            theta = [built for key, (built, _) in empty_store.items()
+                     if not isinstance(key[0], str)]
+            forms = {built for key, (built, _) in empty_store.items() if isinstance(key[0], str)}
+            assert max(theta, default=None) == _theta_order(e, n), (e.id, variant)
+            assert forms <= {n}, (e.id, variant)
+    # exactly the linear rows and E3 ask for no theta slot
+    assert {e.id for e in catalog() if _theta_order(e, 20) is None} == {
+        "E1", "E2", "E3", "C511", "C521", "PS1a", "PS1b", "C611", "C621", "PS2a", "PS2b"}
 
 
 def test_verify_ids_rejects_an_unknown_id_before_verifying(empty_store):
@@ -477,12 +540,13 @@ def test_store_product_forms_equal_fresh_builds(empty_store, monkeypatch, prefil
         assert [getattr(got, a) for a in _FIELDS] == [getattr(fresh, a) for a in _FIELDS], key
         assert list(got.tail.items()) == list(fresh.tail.items()), key
     clipped = sum(built > n for _, n, built, _, _ in served)
-    assert (len(served), clipped) == (35, 35 if prefill else 13)
+    assert (len(served), clipped) == (35, 35 if prefill else 15)
 
 
 def test_store_builds_each_product_form_once(empty_store, monkeypatch):
     # verify_all(20) made 48 binomial products, 14 of them repeats; eta at
-    # offsets 0 and 1/5, and 0 and 1, now twist one stored real product
+    # offsets 0 and 1/5, and 0 and 1, now twist one stored real product; and
+    # no form is built twice, even at two orders
     import theta5.theta as theta_module
     calls = []
     real = theta_module._binomial_product
@@ -496,7 +560,8 @@ def test_store_builds_each_product_form_once(empty_store, monkeypatch):
     monkeypatch.setattr(catalog_module, "_binomial_product", traced)
     verify_all(20)
     repeats = [c for i, c in enumerate(calls) if c in calls[:i]]
-    assert (len(calls), len(repeats)) == (23, 0)
+    assert (len(calls), len(repeats)) == (22, 0)
+    assert len({c[1:] for c in calls}) == len(calls)
     forms = [k for k in empty_store if isinstance(k[0], str)]
     assert len(forms) == 9
 
@@ -522,5 +587,5 @@ def test_product_forms_pass_few_progressions(empty_store, monkeypatch):
     for spec in (((1, 5), (5, -1)), ((5, 5), (1, -1)), ((F(1, 5), 3), (1, -2), (F(1, 2), 1))):
         theta_module.eta_quotient(spec, 40)
     verify_all(20)
-    assert len(counts) == 12 + 4 + 3 + 23
+    assert len(counts) == 12 + 4 + 3 + 22
     assert max(counts) <= 4, counts

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta5.cyclo import (CycloQ5, Phase, PhaseNotRepresentable, as_ratio, golden_ratio, radd,
@@ -227,6 +227,7 @@ _entries = st.one_of(st.integers(-10**12, 10**12), _rationals,
 
 @given(st.tuples(_entries, _entries, _entries, _entries),
        st.tuples(_entries, _entries, _entries, _entries), st.integers(1, 4))
+@example((6, -4, 0, 2), (-3, 0, 0, 0), 2)  # all integers: the constructor's short path
 def test_arithmetic_matches_the_fraction_reference(a, b, k):
     x, y = CycloQ5(*a), CycloQ5(*b)
     _assert_stored_form(x, a)

@@ -40,6 +40,7 @@ def geom(terms, **kw):
     lambda: __import__("theta5").verify("E1", 20.0),
     lambda: CycloQ5(1) * 0.5, lambda: CycloQ5(1) - 0.5, lambda: FracSeries.one() * 0.5,
     lambda: FracSeries.one() + 0.5, lambda: FracSeries.one() - 0.5,
+    lambda: CycloQ5(1, 0.0), lambda: CycloQ5(1, den=1.0),
 ])
 def test_float_inputs_raise_type_error(build):
     # no floating point in the exact lane: a float where a rational belongs fails
