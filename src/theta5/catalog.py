@@ -20,18 +20,32 @@ build, and a request at a lower order clips it by the difference of the
 orders (``_stored``).  ``verify_ids`` runs the entries that ask for theta
 slots first, highest theta order first, and then the entries that ask for
 none, highest build order first, so each slot is built once per run and
-every later request is a clip.  Entries whose printed
-source carries a misprint ship two variants: "as-stated" (the printed form,
-which fails and is reported as failing) and "corrected" (the repaired form,
-which passes); a variant is a row of data, such as ME6's sign and W6's
-determinant.  The default suite runs as-stated variants and reports; it
-never silently corrects.
+every later request is a clip.
+
+The T1 and D rows state each side as a combination of monomial slots.
+Scaling eps' by j in {3, 7, 9} maps T1c to T1d, T1e and T1f, and D1/D2 to
+D3/D4, D7/D8 and D9/D10.  These image rows name their representative and j
+as data, and take every monomial as sigma_j of the representative's slot
+(``FracSeries.conjugate``) divided by the phase of the 2-shift from
+(eps, j*eps') to the printed characteristic (``char_shift_phase``), so they
+make no series product of their own.  Their printed and corrected rows stay
+data, and each still checks that its denominator is a unit.  sigma_j checks
+no constructor: the direct sum against the triple product (TP-EQ) does, so
+TP-EQ's twelve triple products are built directly, and a test compares every
+conjugated monomial with the direct build of the image route.
+
+Entries whose printed source carries a misprint ship two variants:
+"as-stated" (the printed form, which fails and is reported as failing) and
+"corrected" (the repaired form, which passes); a variant is a row of data,
+such as ME6's sign and W6's determinant.  The default suite runs as-stated
+variants and reports; it never silently corrects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from typing import Callable, Optional
 
 from . import arith
@@ -217,6 +231,61 @@ def _build(route: tuple, order: Rat) -> FracSeries:
     return fa * fa if a == b else fa * _slot(b, order)
 
 
+def _conjugated(route: tuple, order: Rat, back: dict, j: int) -> FracSeries:
+    """The slot of ``route``, a route over an image row's characteristics, as
+    sigma_j of the slot of the representative's route; no series product.
+
+    ``back`` (``_orbit``) maps each image characteristic c to (r, p): the
+    representative's characteristic r = [eps, eps'] and the phase p of the
+    2-shift theta[eps, j*eps'] = p * theta[c] (``char_shift_phase``).
+    sigma_j takes theta[r] to theta[eps, j*eps'] term by term
+    (``FracSeries.conjugate``) and every product along, so the monomial
+    prod theta[c]^(m) ** k is sigma_j of the representative's monomial
+    divided by prod p ** k.
+    """
+    rep = _substituted(route, back)
+    key = _key(route)
+    phase = Phase(0)
+    for c, _, k in (key,) if key[0].__class__ is ThetaChar else key:
+        p = back[c][1]
+        phase = phase / Phase(p.num * k, p.den)
+    return _slot(rep, order).conjugate(j).phase_mul(phase)
+
+
+def _substituted(route: tuple, back: dict) -> tuple:
+    if route[0].__class__ is ThetaChar:
+        c, m, k = route
+        return back[c][0], m, k
+    return tuple([_substituted(r, back) for r in route])
+
+
+@cache
+def _orbit(chars: tuple[ThetaChar, ...], rep_chars: tuple[ThetaChar, ...], j: int) -> dict:
+    """Each of ``chars``, and theta[1,1], mapped to (r, p): its representative
+    r in ``rep_chars`` and the phase p of the 2-shift from r's image
+    [eps, j*eps'] to it (``char_shift_phase``).  Raises ValueError unless
+    each is its representative with eps' times j, up to a 2-shift of eps'.
+    Built at the first request, so importing the catalog pays nothing."""
+    back = {}
+    for c, r in zip(chars + (_TH11,), rep_chars + (_TH11,)):
+        n, d = rsub((j * r.ep[0], r.ep[1]), c.ep)  # j*eps'_r = eps'_c + n
+        if d != 1 or n % 2 or c.e != r.e:
+            raise ValueError(f"{c} is not the image of {r} under eps' -> {j} eps'")
+        back[c] = r, char_shift_phase(c, 0, n // 2)[0]
+    return back
+
+
+def _served(chars: tuple[ThetaChar, ...], rep_chars: tuple[ThetaChar, ...],
+            j: int) -> Callable[[tuple, Rat], FracSeries]:
+    """How a T1 or D row with characteristics ``chars``, the image under
+    eps' -> j*eps' of a row with ``rep_chars``, gets the slot of a route at an
+    order: from the store when j is 1 (a representative), else by
+    ``_conjugated`` over ``_orbit``."""
+    if j == 1:
+        return lambda route, order: _slot(route, order)
+    return lambda route, order: _conjugated(route, order, _orbit(chars, rep_chars, j), j)
+
+
 _z = CycloQ5.zeta
 
 
@@ -249,6 +318,15 @@ def _scaled(f: FracSeries, c: Rat | CycloQ5) -> FracSeries:
     return f if c == 1 else f.scalar_mul(c)
 
 
+def _combination(terms) -> FracSeries:
+    """The sum of c * f over the (c, f) pairs of ``terms``."""
+    out = None
+    for c, f in terms:
+        f = _scaled(f, c)
+        out = f if out is None else out + f
+    return out
+
+
 #: The product forms a linear row names, each from the store.
 _FORMS: dict[str, Callable[[Rat], FracSeries]] = {
     "Z1": lambda N: _eta_quotient(_Z1, N),
@@ -268,11 +346,7 @@ def _side(side: tuple, N: Rat) -> FracSeries:
         constant, terms = side
         return _oracle_series(N, lambda n: sum([c * arith.divisor_sum(k, n) for c, k in terms]),
                               constant)
-    out = None
-    for c, form in side:
-        f = _scaled(_FORMS[form](N), c)
-        out = f if out is None else out + f
-    return out
+    return _combination([(c, _FORMS[form](N)) for c, form in side])
 
 
 def _linear(label: str, lhs: tuple, rhs: tuple) -> Callable[[Rat, str], Pairs]:
@@ -302,77 +376,91 @@ def _build_e4(N: Rat, variant: str) -> Pairs:
 
 
 # Thm 1.1 entries: theta'[1,1]^4 * (P^2 + cPQ*PQ + cQ2*Q^2) = (2*pi*i)^4 w * th_A th_B (PQ)^2
-# Each row: (location, char A, char B, {variant: coefficients}).
+# Each row: (location, char A, char B, {variant: coefficients}, orbit).  The orbit is
+# None for a representative, or (representative, j) for its image under eps' -> j*eps'.
 _T1_DATA = {
     "T1a": ("Thm 1.1, pair (1,1/5),(1,3/5)", char(5, 1, 5), char(5, 3, 5),
-            {AS_STATED: (-11, -1, 1)}),
+            {AS_STATED: (-11, -1, 1)}, None),
     "T1b": ("Thm 1.1, pair (3/5,1),(1/5,1)", char(3, 5, 5), char(1, 5, 5),
-            {AS_STATED: (-11, -1, _z(4))}),
+            {AS_STATED: (-11, -1, _z(4))}, None),
     "T1c": ("Thm 1.1, pair (1/5,1/5),(3/5,3/5)", char(1, 1, 5), char(3, 3, 5),
-            {AS_STATED: (_z(4) * -11, -_z(3), 1)}),
+            {AS_STATED: (_z(4) * -11, -_z(3), 1)}, None),
     "T1d": ("Thm 1.1, pair (1/5,3/5),(3/5,9/5)", char(1, 3, 5), char(3, 9, 5),
             {AS_STATED: (_z(1) * 11, -_z(2), 1),
-             CORRECTED: (_z(2) * -11, -_z(4), 1)}),
+             CORRECTED: (_z(2) * -11, -_z(4), 1)}, ("T1c", 3)),
     "T1e": ("Thm 1.1, pair (1/5,7/5),(3/5,1/5)", char(1, 7, 5), char(3, 1, 5),
-            {AS_STATED: (_z(3) * -11, -_z(1), _z(3))}),
+            {AS_STATED: (_z(3) * -11, -_z(1), _z(3))}, ("T1c", 7)),
     "T1f": ("Thm 1.1, pair (1/5,9/5),(3/5,7/5)", char(1, 9, 5), char(3, 7, 5),
-            {AS_STATED: (_z(1) * -11, -_z(2), _z(3))}),
+            {AS_STATED: (_z(1) * -11, -_z(2), _z(3))}, ("T1c", 9)),
 }
 
 
 def _build_t1(entry_id: str) -> Callable[[Rat, str], Pairs]:
-    _, A, B, table = _T1_DATA[entry_id]
+    """Each side a combination of monomial slots: theta'[1,1]^4 times th_A^10,
+    th_A^5 th_B^5 and th_B^10 on the left, and (th_A^5 th_B^5)^2 th_A th_B on
+    the right; the denominator P^2 + cPQ*PQ + cQ2*Q^2 is checked to be a unit."""
+    _, A, B, table, orbit = _T1_DATA[entry_id]
+    rep, j = orbit or (entry_id, 1)
+    slot = _served((A, B), _T1_DATA[rep][1:3], j)
+    tp4, PQ = (_TH11, 1, 4), ((A, 0, 5), (B, 0, 5))
+    den_routes = (A, 0, 10), PQ, (B, 0, 10)
+    rhs_route = ((PQ, PQ), ((A, 0, 1), (B, 0, 1)))
 
     def build(N: Rat, variant: str) -> Pairs:
         cpq, cq2, w = table[variant]
-        PQ = _thp(N, (A, 0, 5), (B, 0, 5))
-        den = _th(A, 0, N, 10) + PQ.scalar_mul(cpq) + _th(B, 0, N, 10).scalar_mul(cq2)
-        _check_unit_denominator(den, entry_id)
-        lhs = _th(_TH11, 1, N, 4) * den
-        rhs = ((PQ * PQ) * _thp(N, (A, 0, 1), (B, 0, 1))).scalar_mul(w).cpow_shift(4)
+        cs = 1, cpq, cq2
+        _check_unit_denominator(_combination(zip(cs, [slot(r, N) for r in den_routes])),
+                                entry_id)
+        lhs = _combination(zip(cs, [slot((tp4, r), N) for r in den_routes]))
+        rhs = slot(rhs_route, N).scalar_mul(w).cpow_shift(4)
         return [(f"{entry_id} cross-multiplied", lhs, rhs)]
 
     return build
 
 
 # §4 derivative formulas: theta'_X * 10 th_A^3 th_B^3 = s * theta_X * theta'[1,1] * (cP*P + cQ*Q)
-# Each row: (location, char A, char B, X, {variant: coefficients}).
+# Each row: (location, char A, char B, X, {variant: coefficients}, orbit), the orbit as in T1.
 _D_DATA = {
-    "D1": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "A", {AS_STATED: (1, 1, _z(4) * -3)}),
-    "D2": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "B", {AS_STATED: (1, 3, _z(4))}),
+    "D1": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "A", {AS_STATED: (1, 1, _z(4) * -3)}, None),
+    "D2": ("Thm 4.1", char(1, 1, 5), char(3, 3, 5), "B", {AS_STATED: (1, 3, _z(4))}, None),
     "D3": ("Thm 4.2", char(1, 3, 5), char(3, 9, 5), "A",
            {AS_STATED: (-1, 1, _z(1) * 3),
-            CORRECTED: (-1, 1, _z(2) * -3)}),
+            CORRECTED: (-1, 1, _z(2) * -3)}, ("D1", 3)),
     "D4": ("Thm 4.2", char(1, 3, 5), char(3, 9, 5), "B",
            {AS_STATED: (-1, 3, -_z(1)),
-            CORRECTED: (-1, 3, _z(2))}),
-    "D5": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "A", {AS_STATED: (-_z(3), 1, 3)}),
-    "D6": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "B", {AS_STATED: (-_z(3), 3, -1)}),
-    "D7": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "A", {AS_STATED: (-_z(1), 1, _z(3) * -3)}),
-    "D8": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "B", {AS_STATED: (-_z(1), 3, _z(3))}),
-    "D9": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "A", {AS_STATED: (_z(1), 1, _z(1) * -3)}),
-    "D10": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "B", {AS_STATED: (_z(1), 3, _z(1))}),
-    "D11": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "A", {AS_STATED: (1, 1, -3)}),
-    "D12": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "B", {AS_STATED: (1, 3, 1)}),
+            CORRECTED: (-1, 3, _z(2))}, ("D2", 3)),
+    "D5": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "A", {AS_STATED: (-_z(3), 1, 3)}, None),
+    "D6": ("Thm 4.3", char(1, 5, 5), char(3, 5, 5), "B", {AS_STATED: (-_z(3), 3, -1)}, None),
+    "D7": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "A", {AS_STATED: (-_z(1), 1, _z(3) * -3)},
+           ("D1", 7)),
+    "D8": ("Thm 4.4", char(1, 7, 5), char(3, 1, 5), "B", {AS_STATED: (-_z(1), 3, _z(3))},
+           ("D2", 7)),
+    "D9": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "A", {AS_STATED: (_z(1), 1, _z(1) * -3)},
+           ("D1", 9)),
+    "D10": ("Thm 4.5", char(1, 9, 5), char(3, 7, 5), "B", {AS_STATED: (_z(1), 3, _z(1))},
+            ("D2", 9)),
+    "D11": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "A", {AS_STATED: (1, 1, -3)}, None),
+    "D12": ("Thm 4.6", char(5, 1, 5), char(5, 3, 5), "B", {AS_STATED: (1, 3, 1)}, None),
 }
 
 
 def _build_d(entry_id: str) -> Callable[[Rat, str], Pairs]:
-    _, A, B, side, table = _D_DATA[entry_id]
+    """Each side a combination of monomial slots: theta'_X th_A^3 th_B^3 on the
+    left, and theta_X theta'[1,1] times th_A^5 and th_B^5 on the right; the
+    denominator th_A^3 th_B^3 is checked to be a unit."""
+    _, A, B, side, table, orbit = _D_DATA[entry_id]
+    rep, j = orbit or (entry_id, 1)
+    slot = _served((A, B), _D_DATA[rep][1:3], j)
+    X = A if side == "A" else B
+    den = (A, 0, 3), (B, 0, 3)
+    xt = (X, 0, 1), (_TH11, 1, 1)
 
     def build(N: Rat, variant: str) -> Pairs:
         s, cp, cq = table[variant]
-        ta = _th(A, 0, N)
-        tb = _th(B, 0, N)
-        X = ta if side == "A" else tb
-        dX = _th(A if side == "A" else B, 1, N)
-        den = _thp(N, (A, 0, 3), (B, 0, 3)).scalar_mul(10)
-        _check_unit_denominator(den, entry_id)
-        P = _th(A, 0, N, 5)
-        Q = _th(B, 0, N, 5)
-        tp = _th(_TH11, 1, N)
-        lhs = dX * den
-        rhs = (X * tp * (P.scalar_mul(cp) + Q.scalar_mul(cq))).scalar_mul(s)
+        _check_unit_denominator(slot(den, N), entry_id)
+        lhs = slot(((X, 1, 1), den), N).scalar_mul(10)
+        rhs = _combination(((cp, slot((xt, (A, 0, 5)), N)),
+                            (cq, slot((xt, (B, 0, 5)), N)))).scalar_mul(s)
         return [(f"{entry_id} cross-multiplied", lhs, rhs)]
 
     return build
@@ -630,9 +718,9 @@ _CATALOG: list[IdentityEntry] = [
                   10, 2, _build_e3),
     IdentityEntry("E4", "first derivative theta constant as eta cube", "§2.3", 10, 2, _build_e4),
     *[IdentityEntry(tid, "quartic derivative-formula analogue", loc, 10, 10, _build_t1(tid),
-                    tuple(table)) for tid, (loc, _, _, table) in _T1_DATA.items()],
+                    tuple(table)) for tid, (loc, _, _, table, _) in _T1_DATA.items()],
     *[IdentityEntry(did, "first-derivative formula, fifth powers", loc, 10, 8, _build_d(did),
-                    tuple(table)) for did, (loc, _, _, _, table) in _D_DATA.items()],
+                    tuple(table)) for did, (loc, _, _, _, table, _) in _D_DATA.items()],
     IdentityEntry("R1", "vanishing residue combination", "§5.1 Eq. (11)", 10, 8,
                   _build_residue("R1", _PAIR5, "first")),
     IdentityEntry("R2", "vanishing residue combination", "§5.1 Eq. (12)", 10, 8,

@@ -114,6 +114,15 @@ def _vmul(a: Vec, b: Vec) -> Vec:
             a0 * b2 + a1 * b1 + a2 * b0 - d4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - d4)
 
 
+def _conjugate_vec(v: Vec, k: int) -> Vec:
+    """z -> z^k on an integer 4-vector, k a unit mod 5: z^j moves to z^(jk mod 5),
+    then z^4 = -(1+z+z^2+z^3).  An automorphism of Z[zeta_5], so it keeps the
+    gcd of the coordinates."""
+    u = [v[0], 0, 0, 0, 0]
+    u[k % 5], u[2 * k % 5], u[3 * k % 5] = v[1:]
+    return (u[0] - u[4], u[1] - u[4], u[2] - u[4], u[3] - u[4])
+
+
 class CycloQ5:
     """An element (v0 + v1*z + v2*z^2 + v3*z^3)/den of Q(zeta_5), z = zeta_5.
 
@@ -225,9 +234,7 @@ class CycloQ5:
         """The Galois conjugate sending z to z^k (k = 1, 2, 3, 4); z^j moves to z^(jk mod 5)."""
         if k % 5 == 0:
             raise ValueError("k must be a unit mod 5")
-        u = [self.vec[0], 0, 0, 0, 0]
-        u[k % 5], u[2 * k % 5], u[3 * k % 5] = self.vec[1:]
-        return CycloQ5.from_ints(tuple([x - u[4] for x in u[:4]]), self.den)
+        return CycloQ5.from_ints(_conjugate_vec(self.vec, k), self.den)
 
     def inverse(self) -> "CycloQ5":
         """Multiplicative inverse via the product of Galois conjugates: v * adj

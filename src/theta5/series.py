@@ -52,8 +52,8 @@ from sys import byteorder
 from typing import Collection, Iterable, Optional, Union
 
 from .cyclo import (ONE, CycloQ5, Phase, PhaseNotRepresentable, Rat, Ratio, Vec, _coerce,
-                    _vmul, as_ratio, radd, ratio, render_cyclo, render_rational, rsub,
-                    to_fraction)
+                    _conjugate_vec, _vmul, as_ratio, radd, ratio, render_cyclo,
+                    render_rational, rsub, to_fraction)
 
 Coeff = Union[Rat, CycloQ5]
 
@@ -473,6 +473,22 @@ class FracSeries:
         return FracSeries._make(self.scale, self.phase, ratio(qn * m, qd), self.cpow, self.den,
                                 {k * m: v for k, v in self.tail.items()},
                                 o and ratio(o[0] * m, o[1]), clean=True)
+
+    def conjugate(self, j: int) -> "FracSeries":
+        """sigma_j, j prime to 10: each tail coefficient through z -> z^(j mod 5)
+        (``CycloQ5.conjugate_map``) and the phase e(a) to e(j*a); scale, qpow,
+        cpow, den and order are kept.
+
+        For odd j the coordinate map sends each unit e(t/10) to e(j*t/10), as
+        the phase rule does, so sigma_j commutes with sums and products.  It
+        takes theta[eps, eps'] to theta[eps, j*eps'], term by term.
+        """
+        if j % 2 == 0 or j % 5 == 0:
+            raise ValueError("j must be prime to 10")
+        return FracSeries._make(self.scale, Phase(self.phase.num * j, self.phase.den),
+                                self._qpow, self.cpow, self.den,
+                                {k: _conjugate_vec(v, j) for k, v in self.tail.items()},
+                                self._order, clean=True)
 
     # -- rendering ----------------------------------------------------------
 

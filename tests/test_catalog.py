@@ -1,5 +1,6 @@
 """The identity catalog: entries, verification drivers, reports."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -17,12 +18,12 @@ import theta5
 import theta5.catalog as catalog_module
 import theta5.series as series_module
 from theta5.arith import partition_p
-from theta5.catalog import (_THETA, _TH11, AS_STATED, CORRECTED, IdentityEntry,
-                            IdentityReport, _homogeneous, _key, _slot, _th, _theta_order,
-                            catalog, lookup, report_to_dict, reports_to_json, verify,
-                            verify_all, verify_ids)
+from theta5.catalog import (_D_DATA, _T1_DATA, _THETA, _TH11, AS_STATED, CORRECTED,
+                            IdentityEntry, IdentityReport, _homogeneous, _key, _orbit, _slot,
+                            _th, _theta_order, catalog, lookup, report_to_dict,
+                            reports_to_json, verify, verify_all, verify_ids)
 from theta5.cli import run, series_to_dict
-from theta5.cyclo import CycloQ5
+from theta5.cyclo import CycloQ5, rsub
 from theta5.series import FracSeries
 from theta5.theta import CATALOG_CHARS, ThetaChar, char, theta_const
 
@@ -424,8 +425,10 @@ def test_store_work_count(empty_store, monkeypatch):
         seen.add((operands, kb))
     assert store_repeats == []
     # the residue pairs' combination times theta'[1,1]; G+-^2 and H1^2, H2^2
-    # are stored squared, so no entry squares them again
-    assert (len(calls), repeats) == (271, 2)
+    # are stored squared, so no entry squares them again; the Galois-image T1
+    # and D entries take every monomial by sigma_j of their representative's
+    # slot, so they make none of these products (271 when they built their own)
+    assert (len(calls), repeats) == (223, 2)
 
 
 def test_store_builds_every_theta_constant(empty_store, monkeypatch):
@@ -589,3 +592,132 @@ def test_product_forms_pass_few_progressions(empty_store, monkeypatch):
     verify_all(20)
     assert len(counts) == 12 + 4 + 3 + 22
     assert max(counts) <= 4, counts
+
+
+# ---------------------------------------------------------------------------
+# the Galois orbits of the T1 and D rows
+# ---------------------------------------------------------------------------
+
+#: sha256 of reports_to_json(verify_all(order, variant)), recorded from the
+#: package before the Galois-image entries took their monomials by sigma_j.
+#: The reports of the entries verified one by one, each from an empty store,
+#: had the same digests.
+_GOLDEN = {
+    (40, AS_STATED): "0b80c4fadbcd076a707f1133ab8e78dc1c0772256b0f5fca3a075a5d7619de51",
+    (40, CORRECTED): "a7c7e81331861d48f91ea96c4a15edc4ab7911190550b5b7670e6a779195e740",
+    (60, AS_STATED): "bcb98926f8db2aba64efb888b656596af9d018aea9f5e3b17a892ff0fe586ef4",
+    (60, CORRECTED): "4684fd1badcce390ac33ff1a6bcd8528c6a9977e13db67518b9a6aff0874355c",
+}
+
+
+@pytest.mark.parametrize("order, variant", sorted(_GOLDEN))
+def test_reports_match_the_recorded_digests(empty_store, order, variant):
+    def digest(reports):
+        return hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+
+    assert digest(verify_all(order, variant)) == _GOLDEN[order, variant]
+    alone = []
+    for e in catalog():
+        empty_store.clear()
+        alone += verify_ids([e.id], order, variant)
+    assert digest(alone) == _GOLDEN[order, variant]
+
+
+def _char_class(ch: ThetaChar) -> tuple:
+    """ch up to 2-shifts of eps and eps' and negation, which move theta at
+    m = 0 by a phase only."""
+    (p, q), (a, b) = ch.e, ch.ep
+    return min((p % (2 * q), a % (2 * b)), (-p % (2 * q), -a % (2 * b))), q, b
+
+
+#: what eps' -> j*eps' does to a row's pair (A, B) for j = 3, 7 and 9: the
+#: image row, or the pair itself ("AB") or swapped ("BA") up to phases
+_ORBITS = {
+    "T1a": ("BA", "BA", "AB"), "T1b": ("AB", "AB", "AB"), "T1c": ("T1d", "T1e", "T1f"),
+    "D1": ("D3", "D7", "D9"), "D2": ("D4", "D8", "D10"),
+    "D5": ("AB", "AB", "AB"), "D6": ("AB", "AB", "AB"),
+    "D11": ("BA", "BA", "AB"), "D12": ("BA", "BA", "AB"),
+}
+
+
+def test_galois_orbits_of_the_t1_and_d_rows():
+    rows = {**_T1_DATA, **_D_DATA}
+    images = {eid for eid, row in rows.items() if row[-1] is not None}
+    assert set(_ORBITS) | images == set(rows)
+    assert images == {img for row in _ORBITS.values() for img in row if img in rows}
+    for eid, targets in _ORBITS.items():
+        A, B = rows[eid][1:3]
+        for j, target in zip((3, 7, 9), targets):
+            image = [ThetaChar(ch.e[0] * ch.ep[1], j * ch.ep[0] * ch.e[1], ch.e[1] * ch.ep[1])
+                     for ch in (A, B)]
+            if target in rows:
+                # the image row is the representative's, eps' times j up to a
+                # 2-shift of eps', and names its representative and j
+                assert rows[target][-1] == (eid, j)
+                for got, want in zip(rows[target][1:3], image):
+                    n, d = rsub(want.ep, got.ep)
+                    assert got.e == want.e and d == 1 and n % 2 == 0, (target, got)
+            else:
+                pair = [_char_class(ch) for ch in image]
+                want = [_char_class(A), _char_class(B)]
+                assert pair == (want if target == "AB" else want[::-1]), (eid, j)
+
+
+def test_orbit_rejects_a_row_off_its_orbit():
+    rep = char(F(1, 5), F(1, 5)), char(F(3, 5), F(3, 5))
+    assert set(_orbit((char(F(1, 5), F(3, 5)), char(F(3, 5), F(9, 5))), rep, 3)) == {
+        char(F(1, 5), F(3, 5)), char(F(3, 5), F(9, 5)), _TH11}
+    for chars in [(char(F(1, 5), F(3, 5)), char(F(3, 5), F(1, 5))),
+                  (char(F(1, 5), F(7, 5)), char(F(3, 5), F(9, 5))),
+                  (char(F(3, 5), F(3, 5)), char(F(3, 5), F(9, 5)))]:
+        with pytest.raises(ValueError, match="not the image"):
+            _orbit(chars, rep, 3)
+
+
+@pytest.mark.parametrize("order", [20, 60])
+def test_conjugated_monomials_equal_direct_builds(empty_store, monkeypatch, order):
+    # every monomial that an image entry takes as sigma_j of its
+    # representative's slot is, field for field, the store's direct build of
+    # the image route from theta constants at the image's characteristics
+    served = []
+    real = catalog_module._conjugated
+
+    def record(route, n, back, j):
+        f = real(route, n, back, j)
+        served.append((route, n, f))
+        return f
+
+    monkeypatch.setattr(catalog_module, "_conjugated", record)
+    verify_all(order)
+    monkeypatch.undo()
+    # seven slots for each of T1d-f and four for each of D3/D4, D7-D10
+    assert len(served) == 3 * 7 + 6 * 4
+    empty_store.clear()
+    for route, n, got in served:
+        want = _slot(route, n)
+        assert [getattr(got, a) for a in _FIELDS] == [getattr(want, a) for a in _FIELDS], route
+        assert got.tail == want.tail, route
+
+
+def test_galois_images_make_no_series_product(empty_store, monkeypatch):
+    products = {}
+    count = [0]
+    real_convolve, real_verify = series_module._convolve, catalog_module.verify
+
+    def traced_convolve(a, b, key_bound):
+        count[0] += 1
+        return real_convolve(a, b, key_bound)
+
+    def traced_verify(entry_id, *args):
+        before = count[0]
+        report = real_verify(entry_id, *args)
+        products[entry_id] = count[0] - before
+        return report
+
+    monkeypatch.setattr(series_module, "_convolve", traced_convolve)
+    monkeypatch.setattr(catalog_module, "verify", traced_verify)
+    verify_all(20)
+    images = {eid for eid, row in {**_T1_DATA, **_D_DATA}.items() if row[-1] is not None}
+    assert len(images) == 9
+    assert {eid: products[eid] for eid in images} == dict.fromkeys(images, 0)
+    assert all(products[eid] for eid in ("T1c", "D1", "D2"))

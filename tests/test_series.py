@@ -229,6 +229,40 @@ def test_series_equal_structured_failures():
     assert not r3.passed and r3.reason == "prefactors not absorbable"
 
 
+def _stored_fields(f: FracSeries) -> tuple:
+    return f.scale, f.phase, f._qpow, f.cpow, f.den, f.tail, f._order
+
+
+@pytest.mark.parametrize("j", [3, 7, 9, 11, 13])
+def test_conjugate_is_sigma_j_on_the_tail_and_the_phase(j):
+    z = CycloQ5.zeta
+    f = geom([(0, CycloQ5(1, 2, 0, -3, den=6)), (F(1, 2), z(1) * 5), (3, z(4) - 1)],
+             order=F(13, 2), cpow=2, phase=Phase(F(3, 40)), qpow=F(1, 8))
+    g = geom([(0, 1), (F(1, 3), z(2)), (2, CycloQ5(0, 1, 1, den=4))], order=7,
+             phase=Phase(F(1, 10)))
+    s = f.conjugate(j)
+    # sigma_j moves each coefficient by z -> z^(j mod 5) and e(a) to e(j*a);
+    # everything else is kept, den too, since the map keeps the gcd
+    assert (s.scale, s._qpow, s.cpow, s.den, s._order) == (f.scale, f._qpow, f.cpow, f.den,
+                                                           f._order)
+    assert s.phase == Phase(F(3 * j, 40))
+    for e, c in f.terms():
+        assert s.coefficient(e + f.qpow) == c.conjugate_map(j % 5)
+    # a ring homomorphism: products, and sums whose phases fold into the tail
+    assert _stored_fields((f * g).conjugate(j)) == _stored_fields(s * g.conjugate(j))
+    h = g.phase_mul(Phase(F(7, 10))).qpow_shift(F(1, 3))
+    assert _stored_fields((g + h).conjugate(j)) == _stored_fields(g.conjugate(j)
+                                                                  + h.conjugate(j))
+    assert _stored_fields(FracSeries.zero(1).conjugate(j)) == _stored_fields(
+        FracSeries.zero(1))
+
+
+@pytest.mark.parametrize("j", [0, 2, 5, 10, -4])
+def test_conjugate_needs_j_prime_to_10(j):
+    with pytest.raises(ValueError):
+        FracSeries.one().conjugate(j)
+
+
 def test_add_unabsorbable_prefactor_raises():
     f = geom([(0, 1)], order=10, phase=Phase(F(1, 200)))
     g = geom([(0, 1)], order=10)

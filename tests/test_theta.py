@@ -222,6 +222,20 @@ def test_char_shift_phase():
     assert p0 == Phase(0) and same == char(1, 1)
 
 
+@pytest.mark.parametrize("j", [3, 7, 9])
+@pytest.mark.parametrize("m", range(4))
+def test_sigma_j_takes_theta_to_theta_at_j_eps_prime(m, j):
+    # sigma_j of theta[eps, eps'] with its phase, z -> z^(j mod 5) on the tail
+    # and e(a) -> e(j*a), is theta[eps, j*eps'] term for term: the coefficient
+    # e(n*eps'/2) goes to e(n*j*eps'/2) and the phase e(eps*eps'/4) to its j-th power
+    fields = ("scale", "phase", "_qpow", "cpow", "den", "tail", "_order")
+    for ch in CATALOG_CHARS + (char(1, 1),):
+        (p, q), (a, b) = ch.e, ch.ep
+        got = theta_const(ch, m, 24).conjugate(j)
+        want = theta_const(ThetaChar(p * b, j * a * q, q * b), m, 24)
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], (ch, j)
+
+
 def test_shift_rule_as_series():
     # theta[eps+2, eps'] = theta[eps, eps'] (n = 0, so the multiplier is 1)
     base = char(F(1, 5), F(1, 5))
