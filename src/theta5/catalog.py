@@ -15,12 +15,14 @@ PS2a/b), ``_build_t1`` and ``_build_d`` (over ``_T1_DATA`` and ``_D_DATA``),
 ``_wronskian`` over ``_xyz(level, N)`` (ME, ODE and W at levels 5 and 6); E3,
 E4, HEAT, SHIFT and TP-EQ have a builder each.  Theta constants, the
 products of them that several entries share, and the shared product forms
-come from one store (``_th``, ``_thp``); each slot holds its highest-order
-build, and a request at a lower order clips it by the difference of the
-orders (``_stored``).  ``verify_ids`` runs the entries that ask for theta
-slots first, highest theta order first, and then the entries that ask for
-none, highest build order first, so each slot is built once per run and
-every later request is a clip.
+come from one store, whose one accessor ``_slot(route, order)`` takes a
+theta product by its route; every c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5,
+th_B^5 (T1's sides, the brackets' right side, F of ME, ODE and W) is one
+``_quadratic``.  Each slot holds its highest-order build, and a request at a
+lower order clips it by the difference of the orders (``_stored``).
+``verify_ids`` runs the entries that ask for theta slots first, highest theta
+order first, and then the entries that ask for none, highest build order
+first, so each slot is built once per run and every later request is a clip.
 
 The T1 and D rows state each side as a combination of monomial slots.
 Scaling eps' by j in {3, 7, 9} maps T1c to T1d, T1e and T1f, and D1/D2 to
@@ -137,26 +139,6 @@ _THETA: dict[tuple, tuple[Rat, FracSeries]] = {}
 _TH11 = char(1, 1)
 
 
-def _th(ch: ThetaChar, m: int, order: Rat, power: int = 1) -> FracSeries:
-    """theta_const(ch, m, order) ** power, clipped from the store's highest-order build.
-
-    Power p > 1 is built from the slots of powers p//2 and p - p//2, so the
-    powers on the way are slots too.
-    """
-    return _slot((ch, m, power), order)
-
-
-def _thp(order: Rat, a: tuple, b: tuple) -> FracSeries:
-    """The product of the routes a and b, clipped from the store's highest-order build.
-
-    A route is a factor (characteristic, derivative order, power) or a pair of
-    routes.  Every route is a slot, keyed by the monomial it multiplies out
-    to, so a product asked for along two routes is built once, along the
-    first.  A pair of equal routes is a square.
-    """
-    return _slot((a, b), order)
-
-
 def _key(route: tuple) -> tuple:
     """The store key of a route: its monomial, factors sorted, powers of one factor summed."""
     if route[0].__class__ is ThetaChar:
@@ -200,6 +182,14 @@ def _stored(key: tuple, order: Rat, build: Callable[[Rat], FracSeries]) -> FracS
 
 
 def _slot(route: tuple, order: Rat) -> FracSeries:
+    """The product of ``route`` at ``order``, clipped from the store's highest-order build.
+
+    A route is a factor (characteristic, derivative order, power) or a pair of
+    routes.  Every route is a slot, keyed by the monomial it multiplies out to
+    (``_key``), so a product asked for along two routes is built once, along
+    the first.  A pair of equal routes is a square, and a power p > 1 of one
+    factor is built from the slots of powers p//2 and p - p//2.
+    """
     return _stored(_key(route), order, lambda n: _build(route, n))
 
 
@@ -224,8 +214,8 @@ def _build(route: tuple, order: Rat) -> FracSeries:
         ch, m, p = route
         if p == 1:
             return theta_const(ch, m, order)
-        low = _th(ch, m, order, p // 2)
-        return low * low if p % 2 == 0 else _th(ch, m, order, p - p // 2) * low
+        low = _slot((ch, m, p // 2), order)
+        return low * low if p % 2 == 0 else _slot((ch, m, p - p // 2), order) * low
     a, b = route
     fa = _slot(a, order)
     return fa * fa if a == b else fa * _slot(b, order)
@@ -282,7 +272,7 @@ def _served(chars: tuple[ThetaChar, ...], rep_chars: tuple[ThetaChar, ...],
     order: from the store when j is 1 (a representative), else by
     ``_conjugated`` over ``_orbit``."""
     if j == 1:
-        return lambda route, order: _slot(route, order)
+        return _slot
     return lambda route, order: _conjugated(route, order, _orbit(chars, rep_chars, j), j)
 
 
@@ -325,6 +315,16 @@ def _combination(terms) -> FracSeries:
         f = _scaled(f, c)
         out = f if out is None else out + f
     return out
+
+
+def _quadratic(slot: Callable[[tuple, Rat], FracSeries], A: ThetaChar, B: ThetaChar,
+               cs: tuple, N: Rat, factor: Optional[tuple] = None) -> FracSeries:
+    """c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5, th_B^5, with (c2, c1, c0) = ``cs``,
+    each monomial taken as ``slot(route, N)``; with a ``factor`` route, each
+    monomial is its product with the factor, a slot of its own."""
+    routes = (A, 0, 10), ((A, 0, 5), (B, 0, 5)), (B, 0, 10)
+    return _combination(zip(cs, [slot(r if factor is None else (factor, r), N)
+                                 for r in routes]))
 
 
 #: The product forms a linear row names, each from the store.
@@ -370,7 +370,7 @@ _build_e3.theta_level = None
 
 
 def _build_e4(N: Rat, variant: str) -> Pairs:
-    lhs = _th(_TH11, 1, N)
+    lhs = _slot((_TH11, 1, 1), N)
     rhs = (_eta((1, 1), N) ** 3).cpow_shift(1).phase_mul(Phase(1, 4))
     return [("theta'[1,1] = (2*pi*i) e(1/4) eta^3", lhs, rhs)]
 
@@ -398,20 +398,19 @@ _T1_DATA = {
 def _build_t1(entry_id: str) -> Callable[[Rat, str], Pairs]:
     """Each side a combination of monomial slots: theta'[1,1]^4 times th_A^10,
     th_A^5 th_B^5 and th_B^10 on the left, and (th_A^5 th_B^5)^2 th_A th_B on
-    the right; the denominator P^2 + cPQ*PQ + cQ2*Q^2 is checked to be a unit."""
+    the right; the denominator P^2 + cPQ*PQ + cQ2*Q^2 (``_quadratic``) is
+    checked to be a unit."""
     _, A, B, table, orbit = _T1_DATA[entry_id]
     rep, j = orbit or (entry_id, 1)
     slot = _served((A, B), _T1_DATA[rep][1:3], j)
-    tp4, PQ = (_TH11, 1, 4), ((A, 0, 5), (B, 0, 5))
-    den_routes = (A, 0, 10), PQ, (B, 0, 10)
+    PQ = (A, 0, 5), (B, 0, 5)
     rhs_route = ((PQ, PQ), ((A, 0, 1), (B, 0, 1)))
 
     def build(N: Rat, variant: str) -> Pairs:
         cpq, cq2, w = table[variant]
         cs = 1, cpq, cq2
-        _check_unit_denominator(_combination(zip(cs, [slot(r, N) for r in den_routes])),
-                                entry_id)
-        lhs = _combination(zip(cs, [slot((tp4, r), N) for r in den_routes]))
+        _check_unit_denominator(_quadratic(slot, A, B, cs, N), entry_id)
+        lhs = _quadratic(slot, A, B, cs, N, factor=(_TH11, 1, 4))
         rhs = slot(rhs_route, N).scalar_mul(w).cpow_shift(4)
         return [(f"{entry_id} cross-multiplied", lhs, rhs)]
 
@@ -467,31 +466,26 @@ def _build_d(entry_id: str) -> Callable[[Rat, str], Pairs]:
 
 
 #: the characteristic pairs (A, B) of §5 and §6
-_PAIR5 = (char(5, 1, 5), char(5, 3, 5))
-_PAIR6 = (char(1, 5, 5), char(3, 5, 5))
+_PAIR5 = _A5, _B5 = char(5, 1, 5), char(5, 3, 5)
+_PAIR6 = _A6, _B6 = char(1, 5, 5), char(3, 5, 5)
 
 
-def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar],
-                   which: str) -> Callable[[Rat, str], Pairs]:
+def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar], cs: tuple,
+                   square: tuple) -> Callable[[Rat, str], Pairs]:
     """One of the two vanishing combinations forced by Res(phi,0) = Res(psi,0) = 0,
-    cross-multiplied by theta_A^2 theta_B^2 theta'[1,1]."""
+    cross-multiplied by theta_A^2 theta_B^2 theta'[1,1]: (c1 t1 + c2 t2 + c3 t3 +
+    c4 S) theta'[1,1] = theta'''[1,1] th_A^2 th_B^2, (c1, .., c4) = ``cs``, with t1 =
+    th''_A th_A th_B^2, t2 = th''_B th_A^2 th_B, t3 = th'_A th'_B th_A th_B and S the
+    route ``square`` (th'_A^2 th_B^2 or th'_B^2 th_A^2, FK's last term too)."""
     A, B = pair
+    ab = (A, 0, 1), (B, 0, 1)
+    routes = ((((A, 2, 1), (A, 0, 1)), (B, 0, 2)), (((B, 2, 1), (A, 0, 2)), (B, 0, 1)),
+              (((A, 1, 1), (B, 1, 1)), ab), square)
 
     def build(N: Rat, variant: str) -> Pairs:
-        ab = (A, 0, 1), (B, 0, 1)
-        common = _thp(N, (_TH11, 3, 1), (ab, ab))
-        # t1, t2, t3 appear in both combinations of a pair, the last term also in FK
-        t1 = _thp(N, ((A, 2, 1), (A, 0, 1)), (B, 0, 2))
-        t2 = _thp(N, ((B, 2, 1), (A, 0, 2)), (B, 0, 1))
-        t3 = _thp(N, ((A, 1, 1), (B, 1, 1)), ab)
-        if which == "second":
-            combo = (t1 + t2.scalar_mul(2) - t3.scalar_mul(4)
-                     + _thp(N, (B, 1, 2), (A, 0, 2)).scalar_mul(2))
-        else:
-            combo = (t1.scalar_mul(2) + t2 + t3.scalar_mul(4)
-                     + _thp(N, (A, 1, 2), (B, 0, 2)).scalar_mul(2))
-        return [(f"{label} {which} combination", combo * _th(_TH11, 1, N) - common,
-                 FracSeries.zero())]
+        common = _slot(((_TH11, 3, 1), (ab, ab)), N)
+        combo = _combination(zip(cs, [_slot(r, N) for r in routes]))
+        return [(label, combo * _slot((_TH11, 1, 1), N) - common, FracSeries.zero())]
 
     return build
 
@@ -510,23 +504,19 @@ def _bracket_chain(entry_id: str, pair: tuple[ThetaChar, ThetaChar], c_l: int,
     with P, Q = th_A^5, th_B^5, (c2, c1, c0) = ``bracket`` and c_l = +-50.
     """
     A, B = pair
-    c2, c1, c0 = bracket
 
     def build(N: Rat, variant: str) -> Pairs:
-        P = _th(A, 0, N, 5)
-        Q = _th(B, 0, N, 5)
-        diff = _th(A, 2, N) * P * (Q * _th(B, 0, N)) - _th(B, 2, N) * Q * (P * _th(A, 0, N))
-        bracket_rhs = _th(_TH11, 1, N, 2) * (_th(A, 0, N, 10).scalar_mul(c2)
-                                             + _thp(N, (A, 0, 5), (B, 0, 5)).scalar_mul(c1)
-                                             + _th(B, 0, N, 10).scalar_mul(c0))
+        P, Q = _slot((A, 0, 5), N), _slot((B, 0, 5), N)
+        ta, tb = _slot((A, 0, 1), N), _slot((B, 0, 1), N)
+        diff = _slot((A, 2, 1), N) * P * (Q * tb) - _slot((B, 2, 1), N) * Q * (P * ta)
+        tp2 = _slot((_TH11, 1, 2), N)
+        bracket_rhs = tp2 * _quadratic(_slot, A, B, bracket, N)
         eta_top, eta_bottom = _eta(top[0], N, top[1]), _eta(bottom[0], N, bottom[1])
-        ta = _th(A, 0, N)
-        tb = _th(B, 0, N)
         top5 = _scaled(eta_top ** 5, k)
         chain_lhs = ((tb.theta_op() * ta - ta.theta_op() * tb) * eta_bottom).scalar_mul(25)
-        chain_rhs = top5 * _thp(N, (A, 0, 1), (B, 0, 1))
-        tf_lhs = top5 * _th(_TH11, 1, N, 2)
-        tf_rhs = (_thp(N, (A, 0, 5), (B, 0, 5)) * eta_bottom).scalar_mul(sign).cpow_shift(2)
+        chain_rhs = top5 * _slot(((A, 0, 1), (B, 0, 1)), N)
+        tf_lhs = top5 * tp2
+        tf_rhs = (_slot(((A, 0, 5), (B, 0, 5)), N) * eta_bottom).scalar_mul(sign).cpow_shift(2)
         return [(f"{entry_id} bracket", diff.scalar_mul(c_l), bracket_rhs),
                 (f"{entry_id} eta-chain", chain_lhs, chain_rhs),
                 (f"{entry_id} theta-form", tf_lhs, tf_rhs)]
@@ -548,9 +538,9 @@ def _farkas_kra(label: str, pair: tuple[ThetaChar, ThetaChar],
         eta1 = _eta((1, 1), N)
         ab = (A, 0, 1), (B, 0, 1)
         log_part = ((eta_top.theta_op() * eta1 - eta1.theta_op() * eta_top)
-                    * _thp(N, ab, ab)).scalar_mul(3).cpow_shift(2)
-        sq_part = (eta_top * eta1) * (_thp(N, (A, 1, 2), (B, 0, 2))
-                                      + _thp(N, (B, 1, 2), (A, 0, 2)))
+                    * _slot((ab, ab), N)).scalar_mul(3).cpow_shift(2)
+        sq_part = (eta_top * eta1) * (_slot(((A, 1, 2), (B, 0, 2)), N)
+                                      + _slot(((B, 1, 2), (A, 0, 2)), N))
         return [(label, log_part + sq_part, FracSeries.zero())]
 
     return build
@@ -592,7 +582,7 @@ _LEVELS = {5: (_PAIR5, _Z1, -11), 6: (_PAIR6, _Z2, 11)}
 
 
 def _xyz(level: int, N: Rat) -> tuple[FracSeries, ...]:
-    """(X, Y, Z, XY, F) of §5 or §6, F = X^2 -+ 11XY - Y^2.
+    """(X, Y, Z, XY, F) of §5 or §6, F = X^2 -+ 11XY - Y^2 (``_quadratic``).
 
     At level 5, X, Y = th_A^5, th_B^5 over ``_PAIR5`` and Z = eta^5(t)/eta(5t).
     At level 6, X, Y = th_A^5, th_B^5 over ``_PAIR6`` at 5t and Z = eta^5(5t)/eta(t);
@@ -602,13 +592,15 @@ def _xyz(level: int, N: Rat) -> tuple[FracSeries, ...]:
     (A, B), spec, c = _LEVELS[level]
     n = N if level == 5 else _fifth_order(N)
 
-    def at(f: FracSeries) -> FracSeries:
+    def at(route: tuple, order: Rat) -> FracSeries:
+        """The slot of ``route`` at the level's argument: t, or 5t at level 6."""
+        f = _slot(route, order)
         return f if level == 5 else f.rescale_exponent(5)
 
-    X, Y = at(_th(A, 0, n, 5)), at(_th(B, 0, n, 5))
+    X, Y = at((A, 0, 5), n), at((B, 0, 5), n)
     Z = _eta_quotient(spec, N)
-    XY = at(_thp(n, (A, 0, 5), (B, 0, 5)))
-    return X, Y, Z, XY, at(_th(A, 0, n, 10)) + XY.scalar_mul(c) - at(_th(B, 0, n, 10))
+    XY = at(((A, 0, 5), (B, 0, 5)), n)
+    return X, Y, Z, XY, _quadratic(at, A, B, (1, c, -1), n)
 
 
 def _modular_equation(level: int, table: dict) -> Callable[[Rat, str], Pairs]:
@@ -662,8 +654,8 @@ _W6 = {AS_STATED: ("XX", 1, "repeated-column determinant^10 = "
 def _build_heat(N: Rat, variant: str) -> Pairs:
     pairs: Pairs = []
     for ch in CATALOG_CHARS:
-        lhs = _th(ch, 2, N)
-        rhs = _th(ch, 0, N).tau_derivative().scalar_mul(2).cpow_shift(1)
+        lhs = _slot((ch, 2, 1), N)
+        rhs = _slot((ch, 0, 1), N).tau_derivative().scalar_mul(2).cpow_shift(1)
         pairs.append((f"heat {ch}", lhs, rhs))
     return pairs
 
@@ -675,15 +667,15 @@ def _build_shift(N: Rat, variant: str) -> Pairs:
                        (char(5, 1, 5), 0, 1),
                        (char(1, 3, 5), -1, 2)]:
         p, shifted = char_shift_phase(base, m, n)
-        lhs = _th(shifted, 0, N)
-        rhs = _th(base, 0, N).phase_mul(p)
+        lhs = _slot((shifted, 0, 1), N)
+        rhs = _slot((base, 0, 1), N).phase_mul(p)
         pairs.append((f"theta{shifted} = {p} theta{base}", lhs, rhs))
     for ch in (char(1, 3, 5), char(3, 5, 5)):
-        lhs = _th(ch.negated(), 0, N)
-        rhs = _th(ch, 0, N)
+        lhs = _slot((ch.negated(), 0, 1), N)
+        rhs = _slot((ch, 0, 1), N)
         pairs.append((f"theta{ch.negated()} = theta{ch}", lhs, rhs))
-        lhs1 = _th(ch.negated(), 1, N)
-        rhs1 = -_th(ch, 1, N)
+        lhs1 = _slot((ch.negated(), 1, 1), N)
+        rhs1 = -_slot((ch, 1, 1), N)
         pairs.append((f"theta'{ch.negated()} = -theta'{ch}", lhs1, rhs1))
     return pairs
 
@@ -692,7 +684,7 @@ def _build_tp_eq(N: Rat, variant: str) -> Pairs:
     pairs: Pairs = []
     for ch in CATALOG_CHARS:
         pairs.append((f"sum = product {ch}",
-                      _th(ch, 0, N),
+                      _slot((ch, 0, 1), N),
                       theta_const_product(ch, N)))
     return pairs
 
@@ -722,17 +714,21 @@ _CATALOG: list[IdentityEntry] = [
     *[IdentityEntry(did, "first-derivative formula, fifth powers", loc, 10, 8, _build_d(did),
                     tuple(table)) for did, (loc, _, _, _, table, _) in _D_DATA.items()],
     IdentityEntry("R1", "vanishing residue combination", "§5.1 Eq. (11)", 10, 8,
-                  _build_residue("R1", _PAIR5, "first")),
+                  _build_residue("R1 first combination", _PAIR5, (2, 1, 4, 2),
+                                 ((_A5, 1, 2), (_B5, 0, 2)))),
     IdentityEntry("R2", "vanishing residue combination", "§5.1 Eq. (12)", 10, 8,
-                  _build_residue("R2", _PAIR5, "second")),
+                  _build_residue("R2 second combination", _PAIR5, (1, 2, -4, 2),
+                                 ((_B5, 1, 2), (_A5, 0, 2)))),
     # the chain runs through Theta log(th_A/th_B) = sqrt(5) eta^5(5t)/eta(t)
     IdentityEntry("R3", "second-derivative difference, degree ten", "§5.1 Eq. (13)", 10, 10,
                   _bracket_chain("R3", _PAIR5, 50, (-4, 44, 4), ((5, 1), (0, 1)),
                                  ((1, 1), (0, 1)), _R5 * -25, 1)),
     IdentityEntry("R4", "vanishing residue combination", "§6.1 first relation", 10, 8,
-                  _build_residue("R4", _PAIR6, "first")),
+                  _build_residue("R4 first combination", _PAIR6, (2, 1, 4, 2),
+                                 ((_A6, 1, 2), (_B6, 0, 2)))),
     IdentityEntry("R5", "vanishing residue combination", "§6.1 second relation", 10, 8,
-                  _build_residue("R5", _PAIR6, "second")),
+                  _build_residue("R5 second combination", _PAIR6, (1, 2, -4, 2),
+                                 ((_B6, 1, 2), (_A6, 0, 2)))),
     IdentityEntry("R6", "second-derivative difference with eta chain", "§6.1", 10, 10,
                   _bracket_chain("R6", _PAIR6, -50, (_z(1) * 4, _z(1) * 44, _z(1) * -4),
                                  ((1, 5), (0, 1)), ((1, 1), (0, 1)), 1, -1)),

@@ -389,27 +389,29 @@ def render_rational(num: int, den: int = 1) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def _join_signed(terms: list[str]) -> str:
+    """The terms written as a sum, "a + b - c" for ["a", "b", "-c"]; "" for none."""
+    out = terms[:1]
+    for term in terms[1:]:
+        out.append("- " + term[1:] if term.startswith("-") else "+ " + term)
+    return " ".join(out)
+
+
 def render_cyclo(c: CycloQ5) -> str:
     """Render as a rational, or as a parenthesized polynomial in z5 = zeta_5."""
     if c.is_rational():
         return render_rational(c.vec[0], c.den)
-    parts: list[str] = []
+    terms: list[str] = []
     for j, x in enumerate(c.vec):
         if not x:
             continue
         unit = "1" if j == 0 else ("z5" if j == 1 else f"z5^{j}")
         if j == 0:
-            term = render_rational(x, c.den)
+            terms.append(render_rational(x, c.den))
         elif x == c.den:
-            term = unit
+            terms.append(unit)
         elif x == -c.den:
-            term = f"-{unit}"
+            terms.append(f"-{unit}")
         else:
-            term = f"{render_rational(x, c.den)}*{unit}"
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
-    return "(" + " ".join(parts) + ")"
+            terms.append(f"{render_rational(x, c.den)}*{unit}")
+    return "(" + _join_signed(terms) + ")"

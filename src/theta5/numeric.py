@@ -257,7 +257,14 @@ def check_prop31(which: str = "first", samples: int = 20,
 
 def check_lemma32(samples: int = 20, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Residual of (th'/th)^2 = th''/th - (d^2/dz^2) log th at random points,
-    with every z-derivative taken term-by-term in the theta sum."""
+    with every z-derivative taken term-by-term in the theta sum.
+
+    With t0, t1, t2 = th, th', th'', the two sides are (t1/t0)^2 and
+    t2/t0 - (t2*t0 - t1^2)/t0^2, equal for any t0 != 0, t1 and t2.  So the
+    residual measures float rounding only, not theta: it would pass for any
+    three numbers.  A real check of the paper's Lemma 3.2 needs its
+    statement, which this package does not have.
+    """
     chars = [char(1, 1, 5), char(5, 3, 5), char(3, 5, 5), _ZERO_CHAR]
     worst = 0.0
     for i, tau, z in _sample_points(cfg, samples, cfg.rng()):

@@ -51,9 +51,9 @@ from itertools import chain, repeat
 from sys import byteorder
 from typing import Collection, Iterable, Optional, Union
 
-from .cyclo import (ONE, CycloQ5, Phase, PhaseNotRepresentable, Rat, Ratio, Vec, _coerce,
-                    _conjugate_vec, _vmul, as_ratio, radd, ratio, render_cyclo,
-                    render_rational, rsub, to_fraction)
+from .cyclo import (ONE, CycloQ5, Phase, PhaseNotRepresentable, Rat, Ratio, Record, Vec,
+                    _coerce, _conjugate_vec, _join_signed, _vmul, as_ratio, radd, ratio,
+                    render_cyclo, render_rational, rsub, to_fraction)
 
 Coeff = Union[Rat, CycloQ5]
 
@@ -494,27 +494,21 @@ class FracSeries:
 
     def render(self) -> str:
         """Canonical text rendering: (2*pi*i)^p * e(a) * q^(r) * [tail]."""
-        parts = []
+        terms = []
         coeffs = self.coeffs
         for k in sorted(coeffs):
             c = coeffs[k]
             if k == 0:
-                term = render_cyclo(c)
+                terms.append(render_cyclo(c))
             else:
                 qs = f"q^({render_rational(k, self.scale)})"
                 if c == ONE:
-                    term = qs
+                    terms.append(qs)
                 elif c == -ONE:
-                    term = f"-{qs}"
+                    terms.append(f"-{qs}")
                 else:
-                    term = f"{render_cyclo(c)}*{qs}"
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        tail = " ".join(parts) if parts else "0"
+                    terms.append(f"{render_cyclo(c)}*{qs}")
+        tail = _join_signed(terms) or "0"
         return (f"(2*pi*i)^{self.cpow} * {self.phase} * "
                 f"q^({render_rational(*self._qpow)}) * [{tail}]")
 
@@ -802,11 +796,15 @@ def _unpack(packed: int, n: int, nbytes: int) -> list[int]:
     return [int.from_bytes(raw[i:i + nbytes], "little", signed=True) for i in range(0, size, nbytes)]
 
 
-class EqualityResult:
+class EqualityResult(Record):
     """Outcome of comparing two FracSeries up to the common valid order; the Ratios
-    ``_order`` and ``_mismatch`` read as Fractions ``order_checked``, ``first_mismatch``."""
+    ``_order`` and ``_mismatch`` read as Fractions ``order_checked``, ``first_mismatch``.
+
+    Unhashable; equality goes by the tuple of its fields.
+    """
 
     __slots__ = ("passed", "_order", "_mismatch", "lhs_coeff", "rhs_coeff", "reason")
+    _FIELDS = ("passed", "order_checked", "first_mismatch", "lhs_coeff", "rhs_coeff", "reason")
 
     def __init__(self, passed: bool, order: Optional[Ratio], mismatch: Optional[Ratio] = None,
                  lhs_coeff: Optional[CycloQ5] = None,
@@ -820,14 +818,6 @@ class EqualityResult:
 
     def __bool__(self) -> bool:
         return self.passed
-
-    def __repr__(self) -> str:
-        if self.passed:
-            o = "None" if self._order is None else render_rational(*self._order)
-            return f"EqualityResult(passed, order_checked={o})"
-        at = "None" if self._mismatch is None else render_rational(*self._mismatch)
-        return (f"EqualityResult(failed at {at}: "
-                f"{self.lhs_coeff} != {self.rhs_coeff} {self.reason})")
 
 
 def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:

@@ -20,8 +20,8 @@ import theta5.series as series_module
 from theta5.arith import partition_p
 from theta5.catalog import (_D_DATA, _T1_DATA, _THETA, _TH11, AS_STATED, CORRECTED,
                             IdentityEntry, IdentityReport, _homogeneous, _key, _orbit, _slot,
-                            _th, _theta_order, catalog, lookup, report_to_dict,
-                            reports_to_json, verify, verify_all, verify_ids)
+                            _theta_order, catalog, lookup, report_to_dict, reports_to_json,
+                            verify, verify_all, verify_ids)
 from theta5.cli import run, series_to_dict
 from theta5.cyclo import CycloQ5, rsub
 from theta5.series import FracSeries
@@ -220,12 +220,40 @@ def test_identity_report_record():
     assert r != IdentityReport("X", AS_STATED, F(20), True)
 
 
-#: The labels of the pairs of every entry built by a family builder, per
-#: variant.  Only a failing pair's label reaches a report, so nothing else pins them.
+#: The labels of the pairs of every entry, per variant, recorded from the
+#: builders before the residue rows became data.  Only a failing pair's label
+#: reaches a report, so nothing else pins them.
 PAIR_LABELS = {
     ("E1", AS_STATED): ["eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n"],
     ("E2", AS_STATED): ["eta^5(5t)/eta(t) = sum B(n) q^n"],
+    ("E3", AS_STATED): ["sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6"],
+    ("E4", AS_STATED): ["theta'[1,1] = (2*pi*i) e(1/4) eta^3"],
+    ("T1a", AS_STATED): ["T1a cross-multiplied"],
+    ("T1b", AS_STATED): ["T1b cross-multiplied"],
+    ("T1c", AS_STATED): ["T1c cross-multiplied"],
+    ("T1d", AS_STATED): ["T1d cross-multiplied"],
+    ("T1d", CORRECTED): ["T1d cross-multiplied"],
+    ("T1e", AS_STATED): ["T1e cross-multiplied"],
+    ("T1f", AS_STATED): ["T1f cross-multiplied"],
+    ("D1", AS_STATED): ["D1 cross-multiplied"],
+    ("D2", AS_STATED): ["D2 cross-multiplied"],
+    ("D3", AS_STATED): ["D3 cross-multiplied"],
+    ("D3", CORRECTED): ["D3 cross-multiplied"],
+    ("D4", AS_STATED): ["D4 cross-multiplied"],
+    ("D4", CORRECTED): ["D4 cross-multiplied"],
+    ("D5", AS_STATED): ["D5 cross-multiplied"],
+    ("D6", AS_STATED): ["D6 cross-multiplied"],
+    ("D7", AS_STATED): ["D7 cross-multiplied"],
+    ("D8", AS_STATED): ["D8 cross-multiplied"],
+    ("D9", AS_STATED): ["D9 cross-multiplied"],
+    ("D10", AS_STATED): ["D10 cross-multiplied"],
+    ("D11", AS_STATED): ["D11 cross-multiplied"],
+    ("D12", AS_STATED): ["D12 cross-multiplied"],
+    ("R1", AS_STATED): ["R1 first combination"],
+    ("R2", AS_STATED): ["R2 second combination"],
     ("R3", AS_STATED): ["R3 bracket", "R3 eta-chain", "R3 theta-form"],
+    ("R4", AS_STATED): ["R4 first combination"],
+    ("R5", AS_STATED): ["R5 second combination"],
     ("R6", AS_STATED): ["R6 bracket", "R6 eta-chain", "R6 theta-form"],
     ("R7a", AS_STATED): ["R7a bracket", "R7a eta-chain", "R7a theta-form"],
     ("FK5", AS_STATED): ["FK5 log-derivative relation"],
@@ -248,11 +276,29 @@ PAIR_LABELS = {
                         "(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5"],
     ("W6", CORRECTED): ["W(X,Y)^10 = -(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5 "
                         "(matrix and sign corrected)"],
+    ("HEAT", AS_STATED): ["heat [1, 1/5]", "heat [1, 3/5]", "heat [1/5, 1]", "heat [3/5, 1]",
+                          "heat [1/5, 1/5]", "heat [3/5, 3/5]", "heat [1/5, 3/5]",
+                          "heat [3/5, 9/5]", "heat [1/5, 7/5]", "heat [3/5, 1/5]",
+                          "heat [1/5, 9/5]", "heat [3/5, 7/5]"],
+    ("SHIFT", AS_STATED): ["theta[11/5, 1/5] = e(0) theta[1/5, 1/5]",
+                           "theta[3/5, 9/5] = e(3/10) theta[3/5, -1/5]",
+                           "theta[1, 11/5] = e(1/2) theta[1, 1/5]",
+                           "theta[-9/5, 23/5] = e(1/5) theta[1/5, 3/5]",
+                           "theta[-1/5, -3/5] = theta[1/5, 3/5]",
+                           "theta'[-1/5, -3/5] = -theta'[1/5, 3/5]",
+                           "theta[-3/5, -1] = theta[3/5, 1]",
+                           "theta'[-3/5, -1] = -theta'[3/5, 1]"],
+    ("TP-EQ", AS_STATED): ["sum = product [1, 1/5]", "sum = product [1, 3/5]",
+                           "sum = product [1/5, 1]", "sum = product [3/5, 1]",
+                           "sum = product [1/5, 1/5]", "sum = product [3/5, 3/5]",
+                           "sum = product [1/5, 3/5]", "sum = product [3/5, 9/5]",
+                           "sum = product [1/5, 7/5]", "sum = product [3/5, 1/5]",
+                           "sum = product [1/5, 9/5]", "sum = product [3/5, 7/5]"],
 }
 
 
 def test_pair_labels():
-    assert set(PAIR_LABELS) == {(i, v) for i, _ in PAIR_LABELS for v in lookup(i).variants}
+    assert set(PAIR_LABELS) == {(e.id, v) for e in catalog() for v in e.variants}
     for (entry_id, variant), want in PAIR_LABELS.items():
         e = lookup(entry_id)
         pairs = e.build(e.min_meaningful_order + e.margin, variant)
@@ -493,7 +539,7 @@ def test_store_races_return_the_requested_order(empty_store):
                 empty_store.clear()
             start.wait()
             for key in keys:
-                if series_to_dict(_th(*key[:2], n, key[2])) != want[key, n]:
+                if series_to_dict(_slot(key, n)) != want[key, n]:
                     bad.append((key, n))
 
     threads = [threading.Thread(target=work, args=(n,)) for n in orders]
