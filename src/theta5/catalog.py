@@ -12,17 +12,23 @@ product form or a divisor-sum oracle: E1, E2, C511, C521, PS1a/b, C611, C621,
 PS2a/b), ``_build_t1`` and ``_build_d`` (over ``_T1_DATA`` and ``_D_DATA``),
 ``_build_residue`` (R1, R2, R4, R5), ``_bracket_chain`` (R3, R6, R7a),
 ``_farkas_kra`` (FK5, FK6), and ``_modular_equation``, ``_ode`` and
-``_wronskian`` over ``_xyz(level, N)`` (ME, ODE and W at levels 5 and 6); E3,
-E4, HEAT, SHIFT and TP-EQ have a builder each.  Theta constants, the
-products of them that several entries share, and the shared product forms
-come from one store, whose one accessor ``_slot(route, order)`` takes a
-theta product by its route; every c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5,
-th_B^5 (T1's sides, the brackets' right side, F of ME, ODE and W) is one
+``_wronskian`` over ``_level(level, name, N)`` (ME, ODE and W at levels 5 and
+6); E3, E4, HEAT, SHIFT and TP-EQ have a builder each.  Theta constants, the
+products of them that several entries share, the shared product forms, and
+the X^9 Y^9, F^5 and Wronskian that ME, ODE and W share at each level come
+from one store, whose one accessor ``_slot(route, order)`` takes a theta
+product by its route; every c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5, th_B^5
+(T1's denominator, the brackets' right side, F of ME, ODE and W) is one
 ``_quadratic``.  Each slot holds its highest-order build, and a request at a
 lower order clips it by the difference of the orders (``_stored``).
 ``verify_ids`` runs the entries that ask for theta slots first, highest theta
 order first, and then the entries that ask for none, highest build order
 first, so each slot is built once per run and every later request is a clip.
+A difference or sum with a common factor multiplies the factor in once: the
+brackets' left side is th_A^5 th_B^5 times th''_A th_B - th''_B th_A, and
+the T1 and D rows that no Galois image reads multiply their shared factor
+into the combination of their terms.  On an empty store, ``verify_all(20)``
+makes 190 series products and leaves 146 store slots.
 
 The T1 and D rows state each side as a combination of monomial slots.
 Scaling eps' by j in {3, 7, 9} maps T1c to T1d, T1e and T1f, and D1/D2 to
@@ -125,14 +131,17 @@ class IdentityReport(Record):
 # the theta store
 # ---------------------------------------------------------------------------
 
-#: Monomial in theta constants, or product form -> (order, series), the
-#: highest-order build so far, at an int or Fraction order.  A monomial key is one
-#: factor (characteristic, derivative order, power), or a sorted tuple of two or
-#: more such factors with distinct (characteristic, derivative order).  A product
-#: form's key is its name and arguments, such as ("eta_q", (1, 5)), the real
-#: product of eta(tau/5) that every offset twists.  Slots are read and replaced
-#: whole, and one is clipped only when its order is at least the request, so a
-#: race can only waste a build.
+#: Monomial in theta constants, series shared at a level, or product form ->
+#: (order, series), the highest-order build so far, at an int or Fraction order.
+#: A monomial key is one factor (characteristic, derivative order, power), or a
+#: sorted tuple of two or more such factors with distinct (characteristic,
+#: derivative order).  A shared level series' key is its level and name, such as
+#: (5, "F^5") (``_level``).  A product form's key is its name and arguments, such
+#: as ("eta_q", (1, 5)), the real product of eta(tau/5) that every offset twists;
+#: so a key's first element is a str exactly when the slot is a product form,
+#: built at an entry's build order rather than its theta order.  Slots are read
+#: and replaced whole, and one is clipped only when its order is at least the
+#: request, so a race can only waste a build.
 _THETA: dict[tuple, tuple[Rat, FracSeries]] = {}
 
 #: theta[1,1], whose first derivative is the catalog's normaliser theta'[1,1]
@@ -163,7 +172,10 @@ def _stored(key: tuple, order: Rat, build: Callable[[Rat], FracSeries]) -> FracS
 
     A product of theta constants is exact below min_i(A_i - v_i) + sum_i p_i v_i,
     A_i = eps_i^2/8 + order and v_i the lowest exponent of factor i, and only
-    the A_i move with the order.  A product form is exact below the relative
+    the A_i move with the order.  Each of the shared level series F^5 and the
+    Wronskian is a sum of theta monomials of one degree, or of their
+    tau-derivatives, which keep the bound, so its bound moves one for one with
+    the theta order too, as X^9 Y^9's does.  A product form is exact below the relative
     order it was built at, and its scale does not depend on the order: the G
     and H products are on the grid 1, and eta and eta quotients have a factor
     of each multiplier (at most 5) below every order the catalog asks for (at
@@ -395,22 +407,36 @@ _T1_DATA = {
 }
 
 
+def _combines(data: dict, entry_id: str) -> bool:
+    """Whether a T1 or D row multiplies its shared factor into the combination
+    of its terms once: true unless it is a Galois image or an image reads its
+    monomial slots, as sigma_j of them."""
+    return data[entry_id][-1] is None and all(
+        row[-1] is None or row[-1][0] != entry_id for row in data.values())
+
+
 def _build_t1(entry_id: str) -> Callable[[Rat, str], Pairs]:
-    """Each side a combination of monomial slots: theta'[1,1]^4 times th_A^10,
-    th_A^5 th_B^5 and th_B^10 on the left, and (th_A^5 th_B^5)^2 th_A th_B on
-    the right; the denominator P^2 + cPQ*PQ + cQ2*Q^2 (``_quadratic``) is
-    checked to be a unit."""
+    """theta'[1,1]^4 times the denominator P^2 + cPQ*PQ + cQ2*Q^2
+    (``_quadratic``) on the left, checked to be a unit, and (th_A^5 th_B^5)^2
+    th_A th_B on the right.  The left side is one product of theta'[1,1]^4 with
+    the denominator (``_combines``), or else the combination of the monomial
+    slots theta'[1,1]^4 th_A^10, theta'[1,1]^4 th_A^5 th_B^5 and theta'[1,1]^4
+    th_B^10."""
     _, A, B, table, orbit = _T1_DATA[entry_id]
     rep, j = orbit or (entry_id, 1)
     slot = _served((A, B), _T1_DATA[rep][1:3], j)
     PQ = (A, 0, 5), (B, 0, 5)
     rhs_route = ((PQ, PQ), ((A, 0, 1), (B, 0, 1)))
+    tp4 = _TH11, 1, 4
+    combined = _combines(_T1_DATA, entry_id)
 
     def build(N: Rat, variant: str) -> Pairs:
         cpq, cq2, w = table[variant]
         cs = 1, cpq, cq2
-        _check_unit_denominator(_quadratic(slot, A, B, cs, N), entry_id)
-        lhs = _quadratic(slot, A, B, cs, N, factor=(_TH11, 1, 4))
+        den = _quadratic(slot, A, B, cs, N)
+        _check_unit_denominator(den, entry_id)
+        lhs = (slot(tp4, N) * den if combined
+               else _quadratic(slot, A, B, cs, N, factor=tp4))
         rhs = slot(rhs_route, N).scalar_mul(w).cpow_shift(4)
         return [(f"{entry_id} cross-multiplied", lhs, rhs)]
 
@@ -444,22 +470,30 @@ _D_DATA = {
 
 
 def _build_d(entry_id: str) -> Callable[[Rat, str], Pairs]:
-    """Each side a combination of monomial slots: theta'_X th_A^3 th_B^3 on the
-    left, and theta_X theta'[1,1] times th_A^5 and th_B^5 on the right; the
-    denominator th_A^3 th_B^3 is checked to be a unit."""
+    """The monomial slot theta'_X th_A^3 th_B^3 on the left, its denominator
+    th_A^3 th_B^3 checked to be a unit, and s theta_X theta'[1,1] (cP*P + cQ*Q)
+    on the right: one product of the slot theta_X theta'[1,1] with cP*P + cQ*Q
+    (``_combines``), or else the combination of the monomial slots theta_X
+    theta'[1,1] th_A^5 and theta_X theta'[1,1] th_B^5."""
     _, A, B, side, table, orbit = _D_DATA[entry_id]
     rep, j = orbit or (entry_id, 1)
     slot = _served((A, B), _D_DATA[rep][1:3], j)
     X = A if side == "A" else B
     den = (A, 0, 3), (B, 0, 3)
     xt = (X, 0, 1), (_TH11, 1, 1)
+    combined = _combines(_D_DATA, entry_id)
 
     def build(N: Rat, variant: str) -> Pairs:
         s, cp, cq = table[variant]
         _check_unit_denominator(slot(den, N), entry_id)
         lhs = slot(((X, 1, 1), den), N).scalar_mul(10)
-        rhs = _combination(((cp, slot((xt, (A, 0, 5)), N)),
-                            (cq, slot((xt, (B, 0, 5)), N)))).scalar_mul(s)
+        if combined:
+            rhs = slot(xt, N) * _combination(((cp, slot((A, 0, 5), N)),
+                                              (cq, slot((B, 0, 5), N))))
+        else:
+            rhs = _combination(((cp, slot((xt, (A, 0, 5)), N)),
+                                (cq, slot((xt, (B, 0, 5)), N))))
+        rhs = rhs.scalar_mul(s)
         return [(f"{entry_id} cross-multiplied", lhs, rhs)]
 
     return build
@@ -501,14 +535,17 @@ def _bracket_chain(entry_id: str, pair: tuple[ThetaChar, ThetaChar], c_l: int,
     25 [Theta(th_B) th_A - Theta(th_A) th_B] * eta_bottom = k eta_top^5 * th_A th_B
     k eta_top^5 * theta'[1,1]^2 = sign * (2*pi*i)^2 * th_A^5 th_B^5 * eta_bottom
 
-    with P, Q = th_A^5, th_B^5, (c2, c1, c0) = ``bracket`` and c_l = +-50.
+    with P, Q = th_A^5, th_B^5, (c2, c1, c0) = ``bracket`` and c_l = +-50.  The
+    bracket difference is the slot PQ times th''_A th_B - th''_B th_A, a
+    difference of two-factor slots.
     """
     A, B = pair
+    PQ = (A, 0, 5), (B, 0, 5)
 
     def build(N: Rat, variant: str) -> Pairs:
-        P, Q = _slot((A, 0, 5), N), _slot((B, 0, 5), N)
         ta, tb = _slot((A, 0, 1), N), _slot((B, 0, 1), N)
-        diff = _slot((A, 2, 1), N) * P * (Q * tb) - _slot((B, 2, 1), N) * Q * (P * ta)
+        pq = _slot(PQ, N)
+        diff = pq * (_slot(((A, 2, 1), (B, 0, 1)), N) - _slot(((B, 2, 1), (A, 0, 1)), N))
         tp2 = _slot((_TH11, 1, 2), N)
         bracket_rhs = tp2 * _quadratic(_slot, A, B, bracket, N)
         eta_top, eta_bottom = _eta(top[0], N, top[1]), _eta(bottom[0], N, bottom[1])
@@ -516,7 +553,7 @@ def _bracket_chain(entry_id: str, pair: tuple[ThetaChar, ThetaChar], c_l: int,
         chain_lhs = ((tb.theta_op() * ta - ta.theta_op() * tb) * eta_bottom).scalar_mul(25)
         chain_rhs = top5 * _slot(((A, 0, 1), (B, 0, 1)), N)
         tf_lhs = top5 * tp2
-        tf_rhs = (_slot(((A, 0, 5), (B, 0, 5)), N) * eta_bottom).scalar_mul(sign).cpow_shift(2)
+        tf_rhs = (pq * eta_bottom).scalar_mul(sign).cpow_shift(2)
         return [(f"{entry_id} bracket", diff.scalar_mul(c_l), bracket_rhs),
                 (f"{entry_id} eta-chain", chain_lhs, chain_rhs),
                 (f"{entry_id} theta-form", tf_lhs, tf_rhs)]
@@ -581,45 +618,60 @@ def _fifth_order(N: Rat) -> int:
 _LEVELS = {5: (_PAIR5, _Z1, -11), 6: (_PAIR6, _Z2, 11)}
 
 
-def _xyz(level: int, N: Rat) -> tuple[FracSeries, ...]:
-    """(X, Y, Z, XY, F) of §5 or §6, F = X^2 -+ 11XY - Y^2 (``_quadratic``).
+def _level(level: int, name: str, N: Rat) -> FracSeries:
+    """The series ``name`` of §5 or §6 at N.
 
-    At level 5, X, Y = th_A^5, th_B^5 over ``_PAIR5`` and Z = eta^5(t)/eta(5t).
-    At level 6, X, Y = th_A^5, th_B^5 over ``_PAIR6`` at 5t and Z = eta^5(5t)/eta(t);
-    products of q -> q^5 substitutions are the substitutions of the stored
-    products, taken from the slots at ``_fifth_order(N)``.
+    X, Y = th_A^5, th_B^5 over the level's pair, at t at level 5 and at 5t at
+    level 6; Z = eta^5(t)/eta(5t) at level 5 and eta^5(5t)/eta(t) at level 6;
+    F = X^2 -+ 11XY - Y^2 (``_quadratic``); and the series that ME, ODE and W
+    share: X^9 Y^9, F^5 and the Wronskian W = X Y' - Y X'.  All but Z are built
+    at the level's theta order, ``_fifth_order(N)`` at level 6, and then
+    substituted q -> q^5, under which a tau-derivative takes a factor 5.  The
+    shared series are store slots keyed (level, name), built once per level,
+    so ME and ODE clip what W builds.
     """
     (A, B), spec, c = _LEVELS[level]
+    if name == "Z":
+        return _eta_quotient(spec, N)
+
+    def base(name: str, n: Rat) -> FracSeries:
+        """``name`` at theta order n, before level 6's q -> q^5."""
+        if name in ("X", "Y"):
+            return _slot((A if name == "X" else B, 0, 5), n)
+        if name == "F":
+            return _quadratic(_slot, A, B, (1, c, -1), n)
+        if name == "X^9 Y^9":
+            return _slot(((A, 0, 5), (B, 0, 5)), n) ** 9
+        if name == "F^5":
+            return base("F", n) ** 5
+        X, Y = base("X", n), base("Y", n)
+        return X * Y.tau_derivative() - Y * X.tau_derivative()
+
     n = N if level == 5 else _fifth_order(N)
-
-    def at(route: tuple, order: Rat) -> FracSeries:
-        """The slot of ``route`` at the level's argument: t, or 5t at level 6."""
-        f = _slot(route, order)
-        return f if level == 5 else f.rescale_exponent(5)
-
-    X, Y = at((A, 0, 5), n), at((B, 0, 5), n)
-    Z = _eta_quotient(spec, N)
-    XY = at(((A, 0, 5), (B, 0, 5)), n)
-    return X, Y, Z, XY, _quadratic(at, A, B, (1, c, -1), n)
+    f = (base(name, n) if name in ("X", "Y", "F")
+         else _stored((level, name), n, lambda n: base(name, n)))
+    if level == 5:
+        return f
+    f = f.rescale_exponent(5)
+    return f.scalar_mul(5) if name == "W" else f
 
 
 def _modular_equation(level: int, table: dict) -> Callable[[Rat, str], Pairs]:
     """ME5 and ME6: c_l X^9 Y^9 = c_r Z^10 F^5, ``table`` giving (c_l, c_r, label) per variant."""
     def build(N: Rat, variant: str) -> Pairs:
         c_l, c_r, label = table[variant]
-        X, Y, Z, XY, F = _xyz(level, N)
-        return [(label, _scaled(XY ** 9, c_l), _scaled((Z ** 10) * (F ** 5), c_r))]
+        rhs = (_level(level, "Z", N) ** 10) * _level(level, "F^5", N)
+        return [(label, _scaled(_level(level, "X^9 Y^9", N), c_l), _scaled(rhs, c_r))]
 
     build.theta_level = level
     return build
 
 
 def _ode(level: int, label: str, c: Rat | CycloQ5) -> Callable[[Rat, str], Pairs]:
-    """ODE5 and ODE6: X'Y - XY' = c (2*pi*i) Z F."""
+    """ODE5 and ODE6: X'Y - XY' = -W = c (2*pi*i) Z F."""
     def build(N: Rat, variant: str) -> Pairs:
-        X, Y, Z, XY, F = _xyz(level, N)
-        lhs = X.tau_derivative() * Y - X * Y.tau_derivative()
-        return [(label, lhs, _scaled(Z * F, c).cpow_shift(1))]
+        rhs = _scaled(_level(level, "Z", N) * _level(level, "F", N), c).cpow_shift(1)
+        return [(label, -_level(level, "W", N), rhs)]
 
     build.theta_level = level
     return build
@@ -631,12 +683,13 @@ def _wronskian(level: int, table: dict) -> Callable[[Rat, str], Pairs]:
     printed determinant |X Y; X' X'| = (X - Y) X', which repeats X'."""
     def build(N: Rat, variant: str) -> Pairs:
         det, c, label = table[variant]
-        X, Y, Z, XY, F = _xyz(level, N)
         if det == "W":
-            W = X * Y.tau_derivative() - Y * X.tau_derivative()
+            W = _level(level, "W", N)
         else:
+            X, Y = _level(level, "X", N), _level(level, "Y", N)
             W = (X - Y) * X.tau_derivative()
-        return [(label, W ** 10, _scaled((XY ** 9) * (F ** 5), c).cpow_shift(10))]
+        rhs = _level(level, "X^9 Y^9", N) * _level(level, "F^5", N)
+        return [(label, W ** 10, _scaled(rhs, c).cpow_shift(10))]
 
     build.theta_level = level
     return build

@@ -283,8 +283,17 @@ class FracSeries:
         return to_fraction(self._abs_order())
 
     def coefficient(self, exponent: Rat) -> CycloQ5:
-        """Coefficient of q^exponent (absolute), ignoring phase/cpow prefactors."""
-        n, d = rsub(as_ratio(exponent), self._qpow)
+        """Coefficient of q^exponent (absolute), ignoring phase/cpow prefactors.
+
+        0 below qpow and off the grid; raises ValueError at or above
+        ``abs_order()``, where the coefficient is unknown.
+        """
+        exponent = as_ratio(exponent)
+        bound = self._abs_order()
+        if bound is not None and exponent[0] * bound[1] >= bound[0] * exponent[1]:
+            raise ValueError(f"q^{render_rational(*exponent)} is at or above the truncation "
+                             f"order {render_rational(*bound)}, where the coefficient is unknown")
+        n, d = rsub(exponent, self._qpow)
         k, r = divmod(n * self.scale, d)
         if n < 0 or r:
             return CycloQ5()

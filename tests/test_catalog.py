@@ -470,11 +470,15 @@ def test_store_work_count(empty_store, monkeypatch):
                 store_repeats.append(kb)
         seen.add((operands, kb))
     assert store_repeats == []
-    # the residue pairs' combination times theta'[1,1]; G+-^2 and H1^2, H2^2
-    # are stored squared, so no entry squares them again; the Galois-image T1
-    # and D entries take every monomial by sigma_j of their representative's
-    # slot, so they make none of these products (271 when they built their own)
-    assert (len(calls), repeats) == (223, 2)
+    # the residue pairs' combination times theta'[1,1], and the brackets'
+    # th''_A th_B and th''_B th_A, whose operand tails the eta chains'
+    # Theta(th_A) th_B and Theta(th_B) th_A repeat; G+-^2 and H1^2, H2^2 are
+    # stored squared, so no entry squares them again; the Galois-image T1 and
+    # D entries take every monomial by sigma_j of their representative's slot,
+    # so they make none of these products (271 when they built their own, 223
+    # before the brackets were factored, X^9 Y^9, F^5 and W shared, and the
+    # T1/D rows no image reads combined before they multiply)
+    assert (len(calls), repeats) == (190, 8)
 
 
 def test_store_builds_every_theta_constant(empty_store, monkeypatch):
@@ -589,7 +593,8 @@ def test_store_product_forms_equal_fresh_builds(empty_store, monkeypatch, prefil
         assert [getattr(got, a) for a in _FIELDS] == [getattr(fresh, a) for a in _FIELDS], key
         assert list(got.tail.items()) == list(fresh.tail.items()), key
     clipped = sum(built > n for _, n, built, _, _ in served)
-    assert (len(served), clipped) == (35, 35 if prefill else 15)
+    # ME and ODE ask for Z, and W does not (35 and 15 while W asked for it too)
+    assert (len(served), clipped) == (33, 33 if prefill else 13)
 
 
 def test_store_builds_each_product_form_once(empty_store, monkeypatch):
@@ -645,10 +650,16 @@ def test_product_forms_pass_few_progressions(empty_store, monkeypatch):
 # ---------------------------------------------------------------------------
 
 #: sha256 of reports_to_json(verify_all(order, variant)), recorded from the
-#: package before the Galois-image entries took their monomials by sigma_j.
-#: The reports of the entries verified one by one, each from an empty store,
-#: had the same digests.
+#: package before the Galois-image entries took their monomials by sigma_j
+#: (orders 40 and 60) and before the bracket differences were factored and
+#: X^9 Y^9, F^5 and the Wronskian were shared (orders 10 and 20).  The reports
+#: of the entries verified one by one, each from an empty store, had the same
+#: digests.
 _GOLDEN = {
+    (10, AS_STATED): "61dab8f098b257c22b855def17402b52325958286b0184388d0e178960d328cc",
+    (10, CORRECTED): "2da0bbc9508103a6cde312c5e117038daf6ad988e5231ddd178f29ffbc4ae8e8",
+    (20, AS_STATED): "b57b9f0fe9c043d19a6bbaf4510aa45037614b37899f3b17d6a39d6b2a0eea34",
+    (20, CORRECTED): "39f6212a68c20493f28f54ddb8f2cdd02c9eb8ac3fa960067b1a7c50d71ae17f",
     (40, AS_STATED): "0b80c4fadbcd076a707f1133ab8e78dc1c0772256b0f5fca3a075a5d7619de51",
     (40, CORRECTED): "a7c7e81331861d48f91ea96c4a15edc4ab7911190550b5b7670e6a779195e740",
     (60, AS_STATED): "bcb98926f8db2aba64efb888b656596af9d018aea9f5e3b17a892ff0fe586ef4",
@@ -667,6 +678,53 @@ def test_reports_match_the_recorded_digests(empty_store, order, variant):
         empty_store.clear()
         alone += verify_ids([e.id], order, variant)
     assert digest(alone) == _GOLDEN[order, variant]
+
+
+def _side_fields(f: FracSeries) -> tuple:
+    return (f.scale, f.phase.num, f.phase.den, f._qpow, f.cpow, f.den, f._order,
+            tuple(sorted(f.tail.items())))
+
+
+def _compared_pairs(monkeypatch, order, variant) -> list:
+    """(entry id, label, lhs, rhs) of every pair verify_all(order, variant)
+    compares, in catalog order and, within an entry, in build order."""
+    pairs, current = [], [None]
+    real_homogeneous, real_verify = catalog_module._homogeneous, catalog_module.verify
+
+    def homogeneous(built):
+        pairs.extend((current[0], label, lhs, rhs) for label, lhs, rhs in built)
+        return real_homogeneous(built)
+
+    def traced_verify(entry_id, *args):
+        current[0] = entry_id
+        return real_verify(entry_id, *args)
+
+    monkeypatch.setattr(catalog_module, "_homogeneous", homogeneous)
+    monkeypatch.setattr(catalog_module, "verify", traced_verify)
+    verify_all(order, variant)
+    monkeypatch.undo()
+    ids = [e.id for e in catalog()]
+    return sorted(pairs, key=lambda p: ids.index(p[0]))
+
+
+#: sha256 over every compared pair's entry id, label, and both sides' scale,
+#: phase, qpow, cpow, den, order and tail, recorded from the package before
+#: the bracket differences were factored and X^9 Y^9, F^5 and the Wronskian
+#: were shared
+_PAIR_GOLDEN = {
+    (20, AS_STATED): "89339c8390a898a0b0fb68a33282c8ccea5ca55c1768ed9399b881e0c581daa0",
+    (20, CORRECTED): "1a69cd208681ed5f235a1645d9e12ba0b7fa55f7173eb7e3341798cb6d432b67",
+    (40, AS_STATED): "6ed7b1c146198e07e0ae839086983373703071d4242e5d49f12b6aa100c337d3",
+    (40, CORRECTED): "7c7b413b4475926bd1974185a59bdd1acaab469a23f13cd0a64fc915c531a001",
+}
+
+
+@pytest.mark.parametrize("order, variant", sorted(_PAIR_GOLDEN))
+def test_pair_sides_match_the_recorded_digests(empty_store, monkeypatch, order, variant):
+    pairs = _compared_pairs(monkeypatch, order, variant)
+    assert len(pairs) == 83
+    rows = [(eid, label, _side_fields(lhs), _side_fields(rhs)) for eid, label, lhs, rhs in pairs]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PAIR_GOLDEN[order, variant]
 
 
 def _char_class(ch: ThetaChar) -> tuple:
@@ -745,7 +803,9 @@ def test_conjugated_monomials_equal_direct_builds(empty_store, monkeypatch, orde
         assert got.tail == want.tail, route
 
 
-def test_galois_images_make_no_series_product(empty_store, monkeypatch):
+def _products_per_entry(monkeypatch, order) -> dict:
+    """Entry id -> the series products (``_convolve`` calls) that its
+    verification makes in verify_all(order)."""
     products = {}
     count = [0]
     real_convolve, real_verify = series_module._convolve, catalog_module.verify
@@ -762,8 +822,133 @@ def test_galois_images_make_no_series_product(empty_store, monkeypatch):
 
     monkeypatch.setattr(series_module, "_convolve", traced_convolve)
     monkeypatch.setattr(catalog_module, "verify", traced_verify)
-    verify_all(20)
+    verify_all(order)
+    monkeypatch.undo()
+    return products
+
+
+def test_galois_images_make_no_series_product(empty_store, monkeypatch):
+    products = _products_per_entry(monkeypatch, 20)
     images = {eid for eid, row in {**_T1_DATA, **_D_DATA}.items() if row[-1] is not None}
     assert len(images) == 9
     assert {eid: products[eid] for eid in images} == dict.fromkeys(images, 0)
     assert all(products[eid] for eid in ("T1c", "D1", "D2"))
+
+
+# ---------------------------------------------------------------------------
+# shared level series, factored brackets and combined rows
+# ---------------------------------------------------------------------------
+
+#: the series products each entry makes in verify_all(20), on an empty store.
+#: An entry that asks first for a shared slot pays for its build: W5 builds the
+#: level-5 theta slots and X^9 Y^9, F^5 and W, which ME5 and ODE5 then clip.
+PRODUCTS_AT_20 = {
+    "E1": 0, "E2": 0, "E3": 0, "E4": 2,
+    "T1a": 6, "T1b": 13, "T1c": 15, "T1d": 0, "T1e": 0, "T1f": 0,
+    "D1": 5, "D2": 4, "D3": 0, "D4": 0, "D5": 4, "D6": 3, "D7": 0, "D8": 0, "D9": 0,
+    "D10": 0, "D11": 4, "D12": 3,
+    "R1": 11, "R2": 3, "R3": 13, "R4": 11, "R5": 3, "R6": 13, "R7a": 13,
+    "FK5": 5, "C511": 2, "C521": 0, "PS1a": 0, "PS1b": 0,
+    "ME5": 5, "ODE5": 1, "W5": 23,
+    "FK6": 5, "C611": 2, "C621": 0, "PS2a": 0, "PS2b": 0,
+    "ME6": 5, "ODE6": 3, "W6": 13,
+    "HEAT": 0, "SHIFT": 0, "TP-EQ": 0,
+}
+
+
+def test_series_products_per_entry(empty_store, monkeypatch):
+    assert _products_per_entry(monkeypatch, 20) == PRODUCTS_AT_20
+    assert sum(PRODUCTS_AT_20.values()) == 190
+
+
+def _fresh_level_series(level: int, name: str, n) -> FracSeries:
+    """X^9 Y^9, F^5 or X Y' - Y X' of ``level`` at theta order n, before
+    q -> q^5, from theta constants built afresh."""
+    (A, B), _, c = catalog_module._LEVELS[level]
+    X, Y = theta_const(A, 0, n) ** 5, theta_const(B, 0, n) ** 5
+    if name == "X^9 Y^9":
+        return (X * Y) ** 9
+    if name == "F^5":
+        return (X * X + (X * Y).scalar_mul(c) - Y * Y) ** 5
+    return X * Y.tau_derivative() - Y * X.tau_derivative()
+
+
+@pytest.mark.parametrize("prefill", [None, 60])
+@pytest.mark.parametrize("order", [10, 20, 40, 60])
+def test_shared_level_series_equal_fresh_builds(empty_store, monkeypatch, order, prefill):
+    # X^9 Y^9, F^5 and the Wronskian of each level, served from the store
+    # (built at the level's theta order or clipped from a higher build), are
+    # field for field the series built afresh from theta constants
+    if prefill:
+        verify_all(prefill)
+    served = {}
+    real = catalog_module._stored
+
+    def record(key, n, build):
+        f = real(key, n, build)
+        if isinstance(key[0], int):
+            served.setdefault((key, n), f)
+        return f
+
+    monkeypatch.setattr(catalog_module, "_stored", record)
+    verify_all(order)
+    monkeypatch.undo()
+    assert {key for key, _ in served} == {(level, name) for level in (5, 6)
+                                          for name in ("X^9 Y^9", "F^5", "W")}
+    for ((level, name), n), got in served.items():
+        want = _fresh_level_series(level, name, n)
+        assert _side_fields(got) == _side_fields(want), (level, name, n)
+
+
+#: R3, R6 and R7a: the characteristic pair and c_l of the bracket
+_BRACKETS = {"R3": (catalog_module._PAIR5, 50), "R6": (catalog_module._PAIR6, -50),
+             "R7a": ((char(F(1, 5), F(1, 5)), char(F(3, 5), F(3, 5))), -50)}
+
+
+@pytest.mark.parametrize("order", [20, 60])
+@pytest.mark.parametrize("entry_id", sorted(_BRACKETS))
+def test_factored_bracket_equals_the_expanded_difference(empty_store, entry_id, order):
+    # th_A^5 th_B^5 (th''_A th_B - th''_B th_A) is, field for field,
+    # th''_A th_A^5 th_B^6 - th''_B th_B^5 th_A^6 multiplied out term by term
+    (A, B), c_l = _BRACKETS[entry_id]
+    e = lookup(entry_id)
+    n = order + e.margin
+    label, lhs, _ = e.build(n, AS_STATED)[0]
+    assert label == f"{entry_id} bracket"
+    ta, tb = theta_const(A, 0, n), theta_const(B, 0, n)
+    P, Q = ta ** 5, tb ** 5
+    want = theta_const(A, 2, n) * P * (Q * tb) - theta_const(B, 2, n) * Q * (P * ta)
+    assert _side_fields(lhs) == _side_fields(want.scalar_mul(c_l))
+
+
+_COMBINED = ("T1a", "T1b", "D5", "D6", "D11", "D12")
+
+
+def test_only_rows_no_image_reads_combine():
+    for data in (_T1_DATA, _D_DATA):
+        assert {eid for eid in data if catalog_module._combines(data, eid)} == \
+            set(_COMBINED) & set(data)
+
+
+@pytest.mark.parametrize("order", [20, 60])
+@pytest.mark.parametrize("entry_id", _COMBINED)
+def test_combined_rows_equal_their_monomial_forms(empty_store, entry_id, order):
+    # theta'[1,1]^4 times T1's denominator, and D's theta_X theta'[1,1] times
+    # cP*P + cQ*Q, are field for field the combinations of monomial slots
+    e = lookup(entry_id)
+    n = order + e.margin
+    [(_, lhs, rhs)] = e.build(n, AS_STATED)
+    if entry_id in _T1_DATA:
+        _, A, B, table, _ = _T1_DATA[entry_id]
+        cpq, cq2, _ = table[AS_STATED]
+        tp4 = _TH11, 1, 4
+        routes = (A, 0, 10), ((A, 0, 5), (B, 0, 5)), (B, 0, 10)
+        want = [_slot((tp4, r), n).scalar_mul(c) for c, r in zip((1, cpq, cq2), routes)]
+        assert _side_fields(lhs) == _side_fields(want[0] + want[1] + want[2])
+    else:
+        _, A, B, side, table, _ = _D_DATA[entry_id]
+        s, cp, cq = table[AS_STATED]
+        xt = (A if side == "A" else B, 0, 1), (_TH11, 1, 1)
+        want = (_slot((xt, (A, 0, 5)), n).scalar_mul(cp)
+                + _slot((xt, (B, 0, 5)), n).scalar_mul(cq)).scalar_mul(s)
+        assert _side_fields(rhs) == _side_fields(want)

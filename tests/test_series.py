@@ -382,6 +382,28 @@ def test_from_terms_normalizes_negative_exponents():
     assert f.coefficient(0) == CycloQ5(1)
 
 
+def test_coefficient_at_or_past_the_order_is_unknown():
+    # q^(1/24) prod (1 - q^n) to relative order 5: its q^5 coefficient is 1, not 0
+    f = eta_q(1, 5)
+    assert f.abs_order() == F(121, 24)
+    assert f.coefficient(F(49, 24)) == CycloQ5(-1)  # q^2
+    assert f.coefficient(F(97, 24)) == CycloQ5(0)  # q^4, known and zero
+    for e in (F(121, 24), F(145, 24), F(243, 48)):
+        with pytest.raises(ValueError, match="truncation order 121/24"):
+            f.coefficient(e)
+    # below qpow and off the grid the coefficient is 0
+    assert f.coefficient(0) == f.coefficient(F(1, 48)) == f.coefficient(F(2, 3)) == CycloQ5(0)
+    # a series with no order is exact everywhere
+    p = FracSeries.from_terms([(0, 1), (3, 2)])
+    assert p.abs_order() is None and p.coefficient(1000) == CycloQ5(0)
+    assert p.coefficient(3) == CycloQ5(2)
+    # an empty tail keeps its absolute bound
+    z = FracSeries.from_terms([], order=4).qpow_shift(1)
+    assert z.coefficient(F(9, 2)) == CycloQ5(0)
+    with pytest.raises(ValueError):
+        z.coefficient(5)
+
+
 def test_render_canonical():
     f = geom([(0, 1), (1, -3), (3, 5)], order=None, cpow=1,
              phase=Phase(F(1, 4)), qpow=F(1, 8))
