@@ -1,46 +1,46 @@
-"""The level-five identity catalog: builders producing exact left/right series pairs,
-plus the verification drivers and report serialization.
+"""The level-five identity catalog: every entry a declared relation over named
+atoms, one evaluator that turns it into exact series pairs, the verification
+drivers and report serialization.
 
 Every entry is verified in cross-multiplied polynomial form, so no theta
 series is ever inverted; both sides of a pair always carry the same power
-of (2*pi*i).  Each entry builds only the pairs it compares, and oracle
-series take their coefficients from ``arith`` alone, never from a series
-constructor.  The catalog is a list of rows, one ``IdentityEntry`` each, and
-every row's builder comes from one builder per statement family, fed the
-row's constants: ``_linear`` (sums of c * product form against sums of c *
-product form or a divisor-sum oracle: E1, E2, C511, C521, PS1a/b, C611, C621,
-PS2a/b), ``_build_t1`` and ``_build_d`` (over ``_T1_DATA`` and ``_D_DATA``),
-``_build_residue`` (R1, R2, R4, R5), ``_bracket_chain`` (R3, R6, R7a),
-``_farkas_kra`` (FK5, FK6), and ``_modular_equation``, ``_ode`` and
-``_wronskian`` over ``_level(level, name, N)`` (ME, ODE and W at levels 5 and
-6); E3, E4, HEAT, SHIFT and TP-EQ have a builder each.  Theta constants, the
-products of them that several entries share, the shared product forms, and
-the X^9 Y^9, F^5 and Wronskian that ME, ODE and W share at each level come
-from one store, whose one accessor ``_slot(route, order)`` takes a theta
-product by its route; every c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5, th_B^5
-(T1's denominator, the brackets' right side, F of ME, ODE and W) is one
-``_quadratic``.  Each slot holds its highest-order build, and a request at a
-lower order clips it by the difference of the orders (``_stored``).
-``verify_ids`` runs the entries that ask for theta slots first, highest theta
-order first, and then the entries that ask for none, highest build order
-first, so each slot is built once per run and every later request is a clip.
-A difference or sum with a common factor multiplies the factor in once: the
-brackets' left side is th_A^5 th_B^5 times th''_A th_B - th''_B th_A, and
-the T1 and D rows that no Galois image reads multiply their shared factor
-into the combination of their terms.  On an empty store, ``verify_all(20)``
-makes 190 series products and leaves 146 store slots.
+of (2*pi*i).  Oracle series take their coefficients from ``arith`` alone,
+never from a series constructor.
 
-The T1 and D rows state each side as a combination of monomial slots.
+An entry declares its pairs per variant as data: (label, lhs, rhs), and for
+T1 and D a fourth side, the denominator they cross-multiply by, which must be
+a unit.  A side is a tuple of groups (factor, terms), each an optional factor
+monomial times sum_i c_i M_i over its (c_i, M_i) terms; the empty side is
+zero.  A coefficient (c, k, p) is c in Q(zeta_5) times (2*pi*i)^k e(p).  A
+monomial is a tuple of (atom, power) pairs, () being 1.  An atom is ("theta",
+route), a theta product from the store; ("Theta", atom), q d/dq of an atom;
+or a kind of ``_ATOMS`` and its arguments, such as ("eta", mult, offset) or
+("level", 5, "F^5").  The family helpers (``_t1_entry``,
+``_bracket_entry``, ...) only write these tuples.  ``_evaluator`` turns a
+side into a series, and ``_theta_order`` reads an entry's theta order off the
+atoms it names.
+
+Theta constants, their shared products, the product forms, and the X^9 Y^9,
+F^5 and Wronskian that ME, ODE and W share at each level come from one store,
+whose accessor ``_slot(route, order)`` takes a theta product by its route.
+Each slot holds its highest-order build, and a request at a lower order clips
+it by the difference of the orders (``_stored``).  ``verify_ids`` runs the
+entries that ask for theta slots first, highest theta order first, then the
+others, highest build order first, so each slot is built once per run.  A
+group multiplies its factor into the combination of its terms once: the
+brackets' left side is th_A^5 th_B^5 times th''_A th_B - th''_B th_A, and
+the eta chains take the same two slots.  On an empty store, ``verify_all(20)``
+makes 184 series products and leaves 146 store slots.
+
 Scaling eps' by j in {3, 7, 9} maps T1c to T1d, T1e and T1f, and D1/D2 to
 D3/D4, D7/D8 and D9/D10.  These image rows name their representative and j
-as data, and take every monomial as sigma_j of the representative's slot
-(``FracSeries.conjugate``) divided by the phase of the 2-shift from
-(eps, j*eps') to the printed characteristic (``char_shift_phase``), so they
-make no series product of their own.  Their printed and corrected rows stay
-data, and each still checks that its denominator is a unit.  sigma_j checks
-no constructor: the direct sum against the triple product (TP-EQ) does, so
-TP-EQ's twelve triple products are built directly, and a test compares every
-conjugated monomial with the direct build of the image route.
+as their orbit, and take every theta route as sigma_j of the
+representative's slot (``FracSeries.conjugate``) divided by the phase of the
+2-shift from (eps, j*eps') to the printed characteristic
+(``char_shift_phase``), so they make no series product.  They and the rows
+they read multiply a group's factor into each term, each monomial one slot.
+sigma_j checks no constructor: the direct sum against the triple product
+(TP-EQ) does, so TP-EQ's twelve triple products are built directly.
 
 Entries whose printed source carries a misprint ship two variants:
 "as-stated" (the printed form, which fails and is reported as failing) and
@@ -67,26 +67,28 @@ from .theta import (CATALOG_CHARS, MINUS_ONE, ThetaChar, _binomial_product, _eta
 AS_STATED = "as-stated"
 CORRECTED = "corrected"
 
-#: (label, lhs, rhs) triples produced by a builder.
+#: the (label, lhs, rhs) triples that ``IdentityEntry.build`` returns
 Pairs = list[tuple[str, FracSeries, FracSeries]]
 
 
 class IdentityEntry(Record):
     """One catalog identity: where the paper states it, the lowest order at which
-    checking it means anything, the extra order its builder needs, and the builder.
+    checking it means anything, the extra order its build needs, its declared
+    pairs per variant (``relations``, (variant, pairs) tuples), and for a
+    Galois-image T1 or D row its ``orbit``: (representative id, j, its (A, B),
+    the representative's (A, B)).
 
     Immutable; equality and hash go by the tuple of its fields.
     """
 
-    __slots__ = ("id", "title", "location", "min_meaningful_order", "margin", "build",
-                 "variants")
+    __slots__ = ("id", "title", "location", "min_meaningful_order", "margin", "relations",
+                 "orbit")
     _FIELDS = __slots__
 
     def __init__(self, id: str, title: str, location: str, min_meaningful_order: int,
-                 margin: int, build: Callable[[Rat, str], Pairs],
-                 variants: tuple[str, ...] = (AS_STATED,)):
+                 margin: int, relations: tuple, orbit: Optional[tuple] = None):
         for name, value in zip(self.__slots__, (id, title, location, min_meaningful_order,
-                                                margin, build, variants)):
+                                                margin, relations, orbit)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -94,6 +96,29 @@ class IdentityEntry(Record):
 
     def __hash__(self) -> int:
         return hash(self._fields())
+
+    @property
+    def variants(self) -> tuple[str, ...]:
+        return tuple([v for v, _ in self.relations])
+
+    def build(self, N: Rat, variant: str) -> Pairs:
+        """The labelled pairs of ``variant`` at N, every side from one
+        ``_evaluator``; raises ArithmeticError if a unit side has a zero tail.
+        A Galois image takes every theta route as sigma_j of its
+        representative's slot.  The images and the rows they read multiply a
+        group's factor into each term, so that each monomial is one slot."""
+        theta = _slot
+        if self.orbit is not None:
+            _, j, chars, rep_chars = self.orbit
+            back = _orbit(chars, rep_chars, j)
+            theta = lambda route, n: _conjugated(route, n, back, j)  # noqa: E731
+        side = _evaluator(N, theta, self.orbit is not None or self.id in _READ_BY_IMAGES)
+        pairs = []
+        for label, lhs, rhs, *unit in dict(self.relations)[variant]:
+            if unit and side(unit[0]).is_zero_tail():
+                raise ArithmeticError(f"{self.id}: cross-multiplied denominator has zero tail")
+            pairs.append((label, side(lhs), side(rhs)))
+        return pairs
 
 
 def _ratio_field(slot: str) -> property:
@@ -205,12 +230,6 @@ def _slot(route: tuple, order: Rat) -> FracSeries:
     return _stored(_key(route), order, lambda n: _build(route, n))
 
 
-def _eta(mult: Ratio, N: Rat, offset: Ratio = (0, 1)) -> FracSeries:
-    """eta_q(mult, N, offset), the offset twisting the real product from the store."""
-    return _eta_twist(_stored(("eta_q", mult), N, lambda n: _eta_product(mult, n)),
-                      mult, offset)
-
-
 def _eta_quotient(spec: tuple, N: Rat) -> FracSeries:
     """eta_quotient(spec, N), from the store; ``spec`` is a tuple of (m, e) pairs."""
     return _stored(("eta_quotient", spec), N, lambda n: eta_quotient(spec, n))
@@ -277,17 +296,6 @@ def _orbit(chars: tuple[ThetaChar, ...], rep_chars: tuple[ThetaChar, ...], j: in
     return back
 
 
-def _served(chars: tuple[ThetaChar, ...], rep_chars: tuple[ThetaChar, ...],
-            j: int) -> Callable[[tuple, Rat], FracSeries]:
-    """How a T1 or D row with characteristics ``chars``, the image under
-    eps' -> j*eps' of a row with ``rep_chars``, gets the slot of a route at an
-    order: from the store when j is 1 (a representative), else by
-    ``_conjugated`` over ``_orbit``."""
-    if j == 1:
-        return _slot
-    return lambda route, order: _conjugated(route, order, _orbit(chars, rep_chars, j), j)
-
-
 _z = CycloQ5.zeta
 
 
@@ -296,11 +304,6 @@ def _oracle_series(N: Rat, coeff: Callable[[int], Rat | CycloQ5],
     """constant + sum_{1<=n<N} coeff(n) q^n; coeff must draw only on ``arith``."""
     terms = [(0, constant)] + [(n, coeff(n)) for n in range(1, math.ceil(N))]
     return FracSeries.from_terms(terms, order=N)
-
-
-def _check_unit_denominator(series: FracSeries, what: str) -> None:
-    if series.is_zero_tail():
-        raise ArithmeticError(f"{what}: cross-multiplied denominator has zero tail")
 
 
 def _homogeneous(pairs: Pairs) -> Pairs:
@@ -312,80 +315,129 @@ def _homogeneous(pairs: Pairs) -> Pairs:
 
 
 # ---------------------------------------------------------------------------
-# builders, one per statement family
+# declared relations and their one evaluator
 # ---------------------------------------------------------------------------
 
-def _scaled(f: FracSeries, c: Rat | CycloQ5) -> FracSeries:
-    """f times the constant c; f itself when c is 1."""
-    return f if c == 1 else f.scalar_mul(c)
+def _c(c: Rat | CycloQ5, k: int = 0, p: Optional[Phase] = None) -> tuple:
+    """The coefficient c (2*pi*i)^k e(p); no phase when p is None."""
+    return c, k, p
 
 
-def _combination(terms) -> FracSeries:
-    """The sum of c * f over the (c, f) pairs of ``terms``."""
-    out = None
-    for c, f in terms:
-        f = _scaled(f, c)
-        out = f if out is None else out + f
-    return out
+def _th(route: tuple) -> tuple:
+    """The monomial of one theta route."""
+    return (("theta", route), 1),
 
 
-def _quadratic(slot: Callable[[tuple, Rat], FracSeries], A: ThetaChar, B: ThetaChar,
-               cs: tuple, N: Rat, factor: Optional[tuple] = None) -> FracSeries:
-    """c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5, th_B^5, with (c2, c1, c0) = ``cs``,
-    each monomial taken as ``slot(route, N)``; with a ``factor`` route, each
-    monomial is its product with the factor, a slot of its own."""
+def _plain(*terms) -> tuple:
+    """The side sum_i c_i M_i of the (c_i, M_i) ``terms``, a group with no factor."""
+    return (None, terms),
+
+
+def _sum(*terms) -> tuple:
+    """The side sum c * atom over the (c, atom) ``terms``, atom None standing for 1."""
+    return _plain(*[(_c(c), () if a is None else ((a, 1),)) for c, a in terms])
+
+
+def _quadratic(A: ThetaChar, B: ThetaChar, cs: tuple) -> tuple:
+    """The terms of c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5, th_B^5, (c2, c1, c0) = ``cs``."""
     routes = (A, 0, 10), ((A, 0, 5), (B, 0, 5)), (B, 0, 10)
-    return _combination(zip(cs, [slot(r if factor is None else (factor, r), N)
-                                 for r in routes]))
+    return tuple([(_c(c), _th(r)) for c, r in zip(cs, routes)])
 
 
-#: The product forms a linear row names, each from the store.
-_FORMS: dict[str, Callable[[Rat], FracSeries]] = {
+#: atom kind -> its series at N, given the atom's arguments; eta at an offset
+#: twists the real product of its multiplier from the store
+_ATOMS: dict[str, Callable[..., FracSeries]] = {
+    "eta": lambda N, mult, offset: _eta_twist(
+        _stored(("eta_q", mult), N, lambda n: _eta_product(mult, n)), mult, offset),
+    "level": lambda N, level, name: _level(level, name, N),
+    "divisor": lambda N, kernel: _oracle_series(N, lambda n: arith.divisor_sum(kernel, n)),
+    "triple": lambda N, ch: theta_const_product(ch, N),
     "Z1": lambda N: _eta_quotient(_Z1, N),
     "Z2": lambda N: _eta_quotient(_Z2, N),
     "G+^2": lambda N: _g_product(+1, N),
     "G-^2": lambda N: _g_product(-1, N),
     "H1^2": lambda N: _h_product(1, N),
     "H2^2": lambda N: _h_product(2, N),
+    "E3": lambda N: _binomial_product(N, [(5, 5, MINUS_ONE, 5), (1, 1, MINUS_ONE, -6)]),
+    "p(5n+4)": lambda N: _oracle_series(N, lambda n: arith.partition_p(5 * n + 4),
+                                        arith.partition_p(4)),
 }
 
 
-def _side(side: tuple, N: Rat) -> FracSeries:
-    """One side of a linear row at N.  It is either a sum of (c, form) terms
-    over ``_FORMS``, or a divisor-sum oracle (constant, ((c, kernel), ...)),
-    constant + sum_n (sum of c * arith.divisor_sum(kernel, n)) q^n."""
-    if side[0].__class__ is int:
-        constant, terms = side
-        return _oracle_series(N, lambda n: sum([c * arith.divisor_sum(k, n) for c, k in terms]),
-                              constant)
-    return _combination([(c, _FORMS[form](N)) for c, form in side])
+def _evaluator(N: Rat, theta: Callable[[tuple, Rat], FracSeries],
+               spread: bool) -> Callable[[tuple], FracSeries]:
+    """The function that turns a declared side into its series at N.
+
+    ``theta(route, N)`` serves a theta route, which the store holds.  Every
+    other (atom, power) is evaluated once per evaluator, as the locals of one
+    build would hold it, so the eta_top^5 that two pairs of R3, R6 and R7a
+    name is raised once.  Terms are scaled and summed in their declared
+    order.  A group multiplies its factor into the combination of its terms,
+    one product, unless ``spread``; then the factor and each term are single
+    theta routes, and each term is the slot of the pair of routes (factor,
+    term).
+    """
+    values: dict[tuple, FracSeries] = {}
+
+    def power(atom: tuple, k: int) -> FracSeries:
+        if atom[0] == "theta":
+            return theta(atom[1], N) ** k
+        f = values.get((atom, k))
+        if f is None:
+            if k > 1:
+                f = power(atom, 1) ** k
+            elif atom[0] == "Theta":
+                f = power(atom[1], 1).theta_op()
+            else:
+                f = _ATOMS[atom[0]](N, *atom[1:])
+            values[atom, k] = f
+        return f
+
+    def monomial(mono: tuple) -> FracSeries:
+        out = None
+        for atom, k in mono:
+            f = power(atom, k)
+            out = f if out is None else out * f
+        return FracSeries.one() if out is None else out
+
+    def combination(terms) -> FracSeries:
+        out = None
+        for (c, k, p), mono in terms:
+            f = monomial(mono)
+            if c != 1:
+                f = f.scalar_mul(c)
+            if k:
+                f = f.cpow_shift(k)
+            if p is not None:
+                f = f.phase_mul(p)
+            out = f if out is None else out + f
+        return out
+
+    def side(groups: tuple) -> FracSeries:
+        out = None
+        for factor, terms in groups:
+            if factor is None:
+                f = combination(terms)
+            elif spread:
+                ((_, route), _), = factor
+                f = combination([(c, _th((route, t[1]))) for c, ((t, _),) in terms])
+            else:
+                f = monomial(factor) * combination(terms)
+            out = f if out is None else out + f
+        return FracSeries.zero() if out is None else out
+
+    return side
 
 
-def _linear(label: str, lhs: tuple, rhs: tuple) -> Callable[[Rat, str], Pairs]:
-    """An entry lhs = rhs between linear combinations of the stored product
-    forms and the divisor-sum oracles (see ``_side``); it asks for no theta slot."""
-    def build(N: Rat, variant: str) -> Pairs:
-        return [(label, _side(lhs, N), _side(rhs, N))]
-
-    build.theta_level = None
-    return build
+def _entry(entry_id: str, title: str, location: str, min_order: int, margin: int,
+           *pairs) -> IdentityEntry:
+    """An entry of one variant, as-stated, with the declared ``pairs``."""
+    return IdentityEntry(entry_id, title, location, min_order, margin, ((AS_STATED, pairs),))
 
 
-def _build_e3(N: Rat, variant: str) -> Pairs:
-    lhs = _oracle_series(N, lambda n: arith.partition_p(5 * n + 4),
-                         constant=arith.partition_p(4))
-    rhs = _binomial_product(N, [(5, 5, MINUS_ONE, 5), (1, 1, MINUS_ONE, -6)]).scalar_mul(5)
-    return [("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", lhs, rhs)]
-
-
-_build_e3.theta_level = None
-
-
-def _build_e4(N: Rat, variant: str) -> Pairs:
-    lhs = _slot((_TH11, 1, 1), N)
-    rhs = (_eta((1, 1), N) ** 3).cpow_shift(1).phase_mul(Phase(1, 4))
-    return [("theta'[1,1] = (2*pi*i) e(1/4) eta^3", lhs, rhs)]
-
+# ---------------------------------------------------------------------------
+# the statement families, as data
+# ---------------------------------------------------------------------------
 
 # Thm 1.1 entries: theta'[1,1]^4 * (P^2 + cPQ*PQ + cQ2*Q^2) = (2*pi*i)^4 w * th_A th_B (PQ)^2
 # Each row: (location, char A, char B, {variant: coefficients}, orbit).  The orbit is
@@ -405,43 +457,6 @@ _T1_DATA = {
     "T1f": ("Thm 1.1, pair (1/5,9/5),(3/5,7/5)", char(1, 9, 5), char(3, 7, 5),
             {AS_STATED: (_z(1) * -11, -_z(2), _z(3))}, ("T1c", 9)),
 }
-
-
-def _combines(data: dict, entry_id: str) -> bool:
-    """Whether a T1 or D row multiplies its shared factor into the combination
-    of its terms once: true unless it is a Galois image or an image reads its
-    monomial slots, as sigma_j of them."""
-    return data[entry_id][-1] is None and all(
-        row[-1] is None or row[-1][0] != entry_id for row in data.values())
-
-
-def _build_t1(entry_id: str) -> Callable[[Rat, str], Pairs]:
-    """theta'[1,1]^4 times the denominator P^2 + cPQ*PQ + cQ2*Q^2
-    (``_quadratic``) on the left, checked to be a unit, and (th_A^5 th_B^5)^2
-    th_A th_B on the right.  The left side is one product of theta'[1,1]^4 with
-    the denominator (``_combines``), or else the combination of the monomial
-    slots theta'[1,1]^4 th_A^10, theta'[1,1]^4 th_A^5 th_B^5 and theta'[1,1]^4
-    th_B^10."""
-    _, A, B, table, orbit = _T1_DATA[entry_id]
-    rep, j = orbit or (entry_id, 1)
-    slot = _served((A, B), _T1_DATA[rep][1:3], j)
-    PQ = (A, 0, 5), (B, 0, 5)
-    rhs_route = ((PQ, PQ), ((A, 0, 1), (B, 0, 1)))
-    tp4 = _TH11, 1, 4
-    combined = _combines(_T1_DATA, entry_id)
-
-    def build(N: Rat, variant: str) -> Pairs:
-        cpq, cq2, w = table[variant]
-        cs = 1, cpq, cq2
-        den = _quadratic(slot, A, B, cs, N)
-        _check_unit_denominator(den, entry_id)
-        lhs = (slot(tp4, N) * den if combined
-               else _quadratic(slot, A, B, cs, N, factor=tp4))
-        rhs = slot(rhs_route, N).scalar_mul(w).cpow_shift(4)
-        return [(f"{entry_id} cross-multiplied", lhs, rhs)]
-
-    return build
-
 
 # §4 derivative formulas: theta'_X * 10 th_A^3 th_B^3 = s * theta_X * theta'[1,1] * (cP*P + cQ*Q)
 # Each row: (location, char A, char B, X, {variant: coefficients}, orbit), the orbit as in T1.
@@ -469,34 +484,40 @@ _D_DATA = {
 }
 
 
-def _build_d(entry_id: str) -> Callable[[Rat, str], Pairs]:
-    """The monomial slot theta'_X th_A^3 th_B^3 on the left, its denominator
-    th_A^3 th_B^3 checked to be a unit, and s theta_X theta'[1,1] (cP*P + cQ*Q)
-    on the right: one product of the slot theta_X theta'[1,1] with cP*P + cQ*Q
-    (``_combines``), or else the combination of the monomial slots theta_X
-    theta'[1,1] th_A^5 and theta_X theta'[1,1] th_B^5."""
-    _, A, B, side, table, orbit = _D_DATA[entry_id]
-    rep, j = orbit or (entry_id, 1)
-    slot = _served((A, B), _D_DATA[rep][1:3], j)
-    X = A if side == "A" else B
-    den = (A, 0, 3), (B, 0, 3)
-    xt = (X, 0, 1), (_TH11, 1, 1)
-    combined = _combines(_D_DATA, entry_id)
+def _orbit_entry(entry_id: str, title: str, margin: int, data: dict, pair) -> IdentityEntry:
+    """The entry of the T1 or D row ``entry_id`` of ``data``, ``pair(A, B, [X,]
+    *coefficients)`` declaring its one pair per variant.  An image row's orbit
+    is (representative, j, (A, B), the representative's (A, B))."""
+    location, A, B, *side, table, orbit = data[entry_id]
+    return IdentityEntry(entry_id, title, location, 10, margin,
+                         tuple([(v, (pair(A, B, *side, *row),)) for v, row in table.items()]),
+                         orbit and (*orbit, (A, B), data[orbit[0]][1:3]))
 
-    def build(N: Rat, variant: str) -> Pairs:
-        s, cp, cq = table[variant]
-        _check_unit_denominator(slot(den, N), entry_id)
-        lhs = slot(((X, 1, 1), den), N).scalar_mul(10)
-        if combined:
-            rhs = slot(xt, N) * _combination(((cp, slot((A, 0, 5), N)),
-                                              (cq, slot((B, 0, 5), N))))
-        else:
-            rhs = _combination(((cp, slot((xt, (A, 0, 5)), N)),
-                                (cq, slot((xt, (B, 0, 5)), N))))
-        rhs = rhs.scalar_mul(s)
-        return [(f"{entry_id} cross-multiplied", lhs, rhs)]
 
-    return build
+def _t1_entry(entry_id: str) -> IdentityEntry:
+    """theta'[1,1]^4 times the denominator P^2 + cPQ*PQ + cQ2*Q^2, a unit, on
+    the left, and (2*pi*i)^4 w (th_A^5 th_B^5)^2 th_A th_B on the right."""
+    def pair(A, B, cpq, cq2, w) -> tuple:
+        PQ = (A, 0, 5), (B, 0, 5)
+        den = _quadratic(A, B, (1, cpq, cq2))
+        return (f"{entry_id} cross-multiplied", ((_th((_TH11, 1, 4)), den),),
+                _plain((_c(w, 4), _th(((PQ, PQ), ((A, 0, 1), (B, 0, 1)))))), _plain(*den))
+
+    return _orbit_entry(entry_id, "quartic derivative-formula analogue", 10, _T1_DATA, pair)
+
+
+def _d_entry(entry_id: str) -> IdentityEntry:
+    """10 theta'_X th_A^3 th_B^3 on the left, its denominator th_A^3 th_B^3 a
+    unit, and theta_X theta'[1,1] (s cP P + s cQ Q) on the right."""
+    def pair(A, B, side, s, cp, cq) -> tuple:
+        X = A if side == "A" else B
+        den = (A, 0, 3), (B, 0, 3)
+        return (f"{entry_id} cross-multiplied", _sum((10, ("theta", ((X, 1, 1), den)))),
+                ((_th(((X, 0, 1), (_TH11, 1, 1))),
+                  ((_c(s * cp), _th((A, 0, 5))), (_c(s * cq), _th((B, 0, 5))))),),
+                _sum((1, ("theta", den))))
+
+    return _orbit_entry(entry_id, "first-derivative formula, fifth powers", 8, _D_DATA, pair)
 
 
 #: the characteristic pairs (A, B) of §5 and §6
@@ -504,83 +525,71 @@ _PAIR5 = _A5, _B5 = char(5, 1, 5), char(5, 3, 5)
 _PAIR6 = _A6, _B6 = char(1, 5, 5), char(3, 5, 5)
 
 
-def _build_residue(label: str, pair: tuple[ThetaChar, ThetaChar], cs: tuple,
-                   square: tuple) -> Callable[[Rat, str], Pairs]:
+def _residue_entry(entry_id: str, location: str, label: str,
+                   pair: tuple[ThetaChar, ThetaChar], cs: tuple, square: tuple) -> IdentityEntry:
     """One of the two vanishing combinations forced by Res(phi,0) = Res(psi,0) = 0,
     cross-multiplied by theta_A^2 theta_B^2 theta'[1,1]: (c1 t1 + c2 t2 + c3 t3 +
-    c4 S) theta'[1,1] = theta'''[1,1] th_A^2 th_B^2, (c1, .., c4) = ``cs``, with t1 =
-    th''_A th_A th_B^2, t2 = th''_B th_A^2 th_B, t3 = th'_A th'_B th_A th_B and S the
-    route ``square`` (th'_A^2 th_B^2 or th'_B^2 th_A^2, FK's last term too)."""
+    c4 S) theta'[1,1] - theta'''[1,1] th_A^2 th_B^2 = 0, (c1, .., c4) = ``cs``, with
+    t1 = th''_A th_A th_B^2, t2 = th''_B th_A^2 th_B, t3 = th'_A th'_B th_A th_B and
+    S the route ``square`` (th'_A^2 th_B^2 or th'_B^2 th_A^2, FK's last term too)."""
     A, B = pair
     ab = (A, 0, 1), (B, 0, 1)
     routes = ((((A, 2, 1), (A, 0, 1)), (B, 0, 2)), (((B, 2, 1), (A, 0, 2)), (B, 0, 1)),
               (((A, 1, 1), (B, 1, 1)), ab), square)
-
-    def build(N: Rat, variant: str) -> Pairs:
-        common = _slot(((_TH11, 3, 1), (ab, ab)), N)
-        combo = _combination(zip(cs, [_slot(r, N) for r in routes]))
-        return [(label, combo * _slot((_TH11, 1, 1), N) - common, FracSeries.zero())]
-
-    return build
+    lhs = ((_th((_TH11, 1, 1)), tuple([(_c(c), _th(r)) for c, r in zip(cs, routes)])),
+           (None, ((_c(-1), _th(((_TH11, 3, 1), (ab, ab)))),)))
+    return _entry(entry_id, "vanishing residue combination", location, 10, 8,
+                  (label, lhs, ()))
 
 
-def _bracket_chain(entry_id: str, pair: tuple[ThetaChar, ThetaChar], c_l: int,
-                   bracket: tuple, top: tuple[Ratio, Ratio], bottom: tuple[Ratio, Ratio],
-                   k: Rat | CycloQ5, sign: int) -> Callable[[Rat, str], Pairs]:
+def _bracket_entry(entry_id: str, title: str, location: str, pair: tuple[ThetaChar, ThetaChar],
+                   c_l: int, bracket: tuple, top: tuple[Ratio, Ratio],
+                   bottom: tuple[Ratio, Ratio], k: Rat | CycloQ5, sign: int) -> IdentityEntry:
     """R3, R6 and R7a: a second-derivative bracket and a heat-equation chain,
     with eta_top and eta_bottom the eta forms at (multiplier, offset) ``top``
     and ``bottom``:
 
-    c_l (th''_A th_A^5 th_B^6 - th''_B th_B^5 th_A^6) = theta'[1,1]^2 (c2 P^2 + c1 PQ + c0 Q^2)
+    c_l th_A^5 th_B^5 (th''_A th_B - th''_B th_A) = theta'[1,1]^2 (c2 P^2 + c1 PQ + c0 Q^2)
     25 [Theta(th_B) th_A - Theta(th_A) th_B] * eta_bottom = k eta_top^5 * th_A th_B
     k eta_top^5 * theta'[1,1]^2 = sign * (2*pi*i)^2 * th_A^5 th_B^5 * eta_bottom
 
-    with P, Q = th_A^5, th_B^5, (c2, c1, c0) = ``bracket`` and c_l = +-50.  The
-    bracket difference is the slot PQ times th''_A th_B - th''_B th_A, a
-    difference of two-factor slots.
+    with P, Q = th_A^5, th_B^5, (c2, c1, c0) = ``bracket`` and c_l = +-50.  By
+    the heat equation, Theta(th) = th''/(2 (2*pi*i)^2), so the chain's left
+    side is -(25/2) (2*pi*i)^-2 eta_bottom times the bracket's difference
+    th''_A th_B - th''_B th_A, which takes the bracket's two slots.
     """
     A, B = pair
-    PQ = (A, 0, 5), (B, 0, 5)
-
-    def build(N: Rat, variant: str) -> Pairs:
-        ta, tb = _slot((A, 0, 1), N), _slot((B, 0, 1), N)
-        pq = _slot(PQ, N)
-        diff = pq * (_slot(((A, 2, 1), (B, 0, 1)), N) - _slot(((B, 2, 1), (A, 0, 1)), N))
-        tp2 = _slot((_TH11, 1, 2), N)
-        bracket_rhs = tp2 * _quadratic(_slot, A, B, bracket, N)
-        eta_top, eta_bottom = _eta(top[0], N, top[1]), _eta(bottom[0], N, bottom[1])
-        top5 = _scaled(eta_top ** 5, k)
-        chain_lhs = ((tb.theta_op() * ta - ta.theta_op() * tb) * eta_bottom).scalar_mul(25)
-        chain_rhs = top5 * _slot(((A, 0, 1), (B, 0, 1)), N)
-        tf_lhs = top5 * tp2
-        tf_rhs = (pq * eta_bottom).scalar_mul(sign).cpow_shift(2)
-        return [(f"{entry_id} bracket", diff.scalar_mul(c_l), bracket_rhs),
-                (f"{entry_id} eta-chain", chain_lhs, chain_rhs),
-                (f"{entry_id} theta-form", tf_lhs, tf_rhs)]
-
-    return build
+    PQ = _th(((A, 0, 5), (B, 0, 5)))
+    diff = _th(((A, 2, 1), (B, 0, 1))), _th(((B, 2, 1), (A, 0, 1)))
+    tp2 = _th((_TH11, 1, 2))
+    eta_top5, eta_bottom = (("eta", *top), 5), (("eta", *bottom), 1)
+    half = CycloQ5(25, den=2)
+    return _entry(
+        entry_id, title, location, 10, 10,
+        (f"{entry_id} bracket", ((PQ, ((_c(c_l), diff[0]), (_c(-c_l), diff[1]))),),
+         ((tp2, _quadratic(A, B, bracket)),)),
+        (f"{entry_id} eta-chain",
+         (((eta_bottom,), ((_c(-half, -2), diff[0]), (_c(half, -2), diff[1]))),),
+         _plain((_c(k), (eta_top5,) + _th(((A, 0, 1), (B, 0, 1)))))),
+        (f"{entry_id} theta-form", _plain((_c(k), (eta_top5,) + tp2)),
+         _plain((_c(sign, 2), PQ + (eta_bottom,)))))
 
 
-def _farkas_kra(label: str, pair: tuple[ThetaChar, ThetaChar],
-                top: Ratio) -> Callable[[Rat, str], Pairs]:
+def _fk_entry(entry_id: str, title: str, location: str, label: str,
+              pair: tuple[ThetaChar, ThetaChar], top: Ratio) -> IdentityEntry:
     """FK5 and FK6, with eta_top the eta form at multiplier ``top``:
 
     3 (2*pi*i)^2 [Theta(eta_top) eta - Theta(eta) eta_top] th_A^2 th_B^2
        + eta_top eta [th'_A^2 th_B^2 + th'_B^2 th_A^2] = 0.
     """
     A, B = pair
-
-    def build(N: Rat, variant: str) -> Pairs:
-        eta_top = _eta(top, N)
-        eta1 = _eta((1, 1), N)
-        ab = (A, 0, 1), (B, 0, 1)
-        log_part = ((eta_top.theta_op() * eta1 - eta1.theta_op() * eta_top)
-                    * _slot((ab, ab), N)).scalar_mul(3).cpow_shift(2)
-        sq_part = (eta_top * eta1) * (_slot(((A, 1, 2), (B, 0, 2)), N)
-                                      + _slot(((B, 1, 2), (A, 0, 2)), N))
-        return [(label, log_part + sq_part, FracSeries.zero())]
-
-    return build
+    ab = (A, 0, 1), (B, 0, 1)
+    eta_top, eta = ("eta", top, (0, 1)), ("eta", (1, 1), (0, 1))
+    lhs = ((_th((ab, ab)), ((_c(3, 2), ((("Theta", eta_top), 1), (eta, 1))),
+                            (_c(-3, 2), ((("Theta", eta), 1), (eta_top, 1))))),
+           (((eta_top, 1), (eta, 1)), ((_c(1), _th(((A, 1, 2), (B, 0, 2)))),
+                                       (_c(1), _th(((B, 1, 2), (A, 0, 2)))))))
+    return _entry(entry_id, title, location, 10, 8, (label, lhs, ()))
 
 
 def _g_product(sign: int, N: Rat) -> FracSeries:
@@ -614,32 +623,33 @@ def _fifth_order(N: Rat) -> int:
     return -(-N // 5) + 2
 
 
-#: level -> (characteristic pair, eta quotient Z, coefficient of XY in F)
-_LEVELS = {5: (_PAIR5, _Z1, -11), 6: (_PAIR6, _Z2, 11)}
+#: level -> (characteristic pair, coefficient of XY in F)
+_LEVELS = {5: (_PAIR5, -11), 6: (_PAIR6, 11)}
 
 
 def _level(level: int, name: str, N: Rat) -> FracSeries:
     """The series ``name`` of §5 or §6 at N.
 
     X, Y = th_A^5, th_B^5 over the level's pair, at t at level 5 and at 5t at
-    level 6; Z = eta^5(t)/eta(5t) at level 5 and eta^5(5t)/eta(t) at level 6;
-    F = X^2 -+ 11XY - Y^2 (``_quadratic``); and the series that ME, ODE and W
-    share: X^9 Y^9, F^5 and the Wronskian W = X Y' - Y X'.  All but Z are built
-    at the level's theta order, ``_fifth_order(N)`` at level 6, and then
-    substituted q -> q^5, under which a tau-derivative takes a factor 5.  The
-    shared series are store slots keyed (level, name), built once per level,
-    so ME and ODE clip what W builds.
+    level 6; F = X^2 -+ 11XY - Y^2 (``_quadratic``); the series that ME, ODE
+    and W share: X^9 Y^9, F^5 and the Wronskian W = X Y' - Y X'; and W6's
+    printed determinant (X - Y) X', from the level's X and Y at N.  The
+    others are built at the level's theta order, ``_fifth_order(N)`` at level
+    6, and then substituted q -> q^5, under which a tau-derivative takes a
+    factor 5.  The shared series are store slots keyed (level, name), built
+    once per level, so ME and ODE clip what W builds.
     """
-    (A, B), spec, c = _LEVELS[level]
-    if name == "Z":
-        return _eta_quotient(spec, N)
+    (A, B), c = _LEVELS[level]
+    if name == "(X-Y)X'":
+        X, Y = _level(level, "X", N), _level(level, "Y", N)
+        return (X - Y) * X.tau_derivative()
 
     def base(name: str, n: Rat) -> FracSeries:
         """``name`` at theta order n, before level 6's q -> q^5."""
         if name in ("X", "Y"):
             return _slot((A if name == "X" else B, 0, 5), n)
         if name == "F":
-            return _quadratic(_slot, A, B, (1, c, -1), n)
+            return _evaluator(n, _slot, False)(_plain(*_quadratic(A, B, (1, c, -1))))
         if name == "X^9 Y^9":
             return _slot(((A, 0, 5), (B, 0, 5)), n) ** 9
         if name == "F^5":
@@ -656,89 +666,60 @@ def _level(level: int, name: str, N: Rat) -> FracSeries:
     return f.scalar_mul(5) if name == "W" else f
 
 
-def _modular_equation(level: int, table: dict) -> Callable[[Rat, str], Pairs]:
+def _me_entry(entry_id: str, title: str, location: str, level: int,
+              table: dict) -> IdentityEntry:
     """ME5 and ME6: c_l X^9 Y^9 = c_r Z^10 F^5, ``table`` giving (c_l, c_r, label) per variant."""
-    def build(N: Rat, variant: str) -> Pairs:
-        c_l, c_r, label = table[variant]
-        rhs = (_level(level, "Z", N) ** 10) * _level(level, "F^5", N)
-        return [(label, _scaled(_level(level, "X^9 Y^9", N), c_l), _scaled(rhs, c_r))]
-
-    build.theta_level = level
-    return build
+    X9Y9, F5 = ("level", level, "X^9 Y^9"), ("level", level, "F^5")
+    Z = ("Z1",) if level == 5 else ("Z2",)
+    return IdentityEntry(entry_id, title, location, 20, 18, tuple([
+        (v, ((label, _sum((c_l, X9Y9)), _plain((_c(c_r), ((Z, 10), (F5, 1))))),))
+        for v, (c_l, c_r, label) in table.items()]))
 
 
-def _ode(level: int, label: str, c: Rat | CycloQ5) -> Callable[[Rat, str], Pairs]:
+def _ode_entry(entry_id: str, title: str, location: str, level: int, label: str,
+               c: Rat | CycloQ5) -> IdentityEntry:
     """ODE5 and ODE6: X'Y - XY' = -W = c (2*pi*i) Z F."""
-    def build(N: Rat, variant: str) -> Pairs:
-        rhs = _scaled(_level(level, "Z", N) * _level(level, "F", N), c).cpow_shift(1)
-        return [(label, -_level(level, "W", N), rhs)]
-
-    build.theta_level = level
-    return build
+    W, F = ("level", level, "W"), ("level", level, "F")
+    Z = ("Z1",) if level == 5 else ("Z2",)
+    return _entry(entry_id, title, location, 10, 10,
+                  (label, _sum((-1, W)), _plain((_c(c, 1), ((Z, 1), (F, 1))))))
 
 
-def _wronskian(level: int, table: dict) -> Callable[[Rat, str], Pairs]:
+def _w_entry(entry_id: str, title: str, location: str, level: int,
+             table: dict) -> IdentityEntry:
     """W5 and W6: det^10 = c (2*pi*i)^10 X^9 Y^9 F^5, ``table`` giving (det, c,
-    label) per variant.  det "W" is the Wronskian X Y' - Y X'; "XX" is the
+    label) per variant.  det "W" is the Wronskian X Y' - Y X'; "(X-Y)X'" is the
     printed determinant |X Y; X' X'| = (X - Y) X', which repeats X'."""
-    def build(N: Rat, variant: str) -> Pairs:
-        det, c, label = table[variant]
-        if det == "W":
-            W = _level(level, "W", N)
-        else:
-            X, Y = _level(level, "X", N), _level(level, "Y", N)
-            W = (X - Y) * X.tau_derivative()
-        rhs = _level(level, "X^9 Y^9", N) * _level(level, "F^5", N)
-        return [(label, W ** 10, _scaled(rhs, c).cpow_shift(10))]
-
-    build.theta_level = level
-    return build
+    X9Y9, F5 = ("level", level, "X^9 Y^9"), ("level", level, "F^5")
+    return IdentityEntry(entry_id, title, location, 20, 30, tuple([
+        (v, ((label, _plain((_c(1), ((("level", level, det), 10),))),
+              _plain((_c(c, 10), ((X9Y9, 1), (F5, 1))))),))
+        for v, (det, c, label) in table.items()]))
 
 
 #: ME6 and W6 per variant: the sign of the right side, and W6's determinant
 _ME6 = {AS_STATED: (1, 1, "X^9 Y^9 = Z^10 (X^2+11XY-Y^2)^5"),
         CORRECTED: (1, -1, "X^9 Y^9 = -Z^10 (X^2+11XY-Y^2)^5 (sign corrected)")}
-_W6 = {AS_STATED: ("XX", 1, "repeated-column determinant^10 = "
-                              "(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5"),
+_W6 = {AS_STATED: ("(X-Y)X'", 1, "repeated-column determinant^10 = "
+                                 "(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5"),
        CORRECTED: ("W", -1, "W(X,Y)^10 = -(2*pi*i)^10 X^9 Y^9 (X^2+11XY-Y^2)^5 "
                             "(matrix and sign corrected)")}
 
 
-def _build_heat(N: Rat, variant: str) -> Pairs:
-    pairs: Pairs = []
-    for ch in CATALOG_CHARS:
-        lhs = _slot((ch, 2, 1), N)
-        rhs = _slot((ch, 0, 1), N).tau_derivative().scalar_mul(2).cpow_shift(1)
-        pairs.append((f"heat {ch}", lhs, rhs))
-    return pairs
-
-
-def _build_shift(N: Rat, variant: str) -> Pairs:
-    pairs: Pairs = []
-    for base, m, n in [(char(1, 1, 5), 1, 0),
-                       (char(3, -1, 5), 0, 1),
-                       (char(5, 1, 5), 0, 1),
-                       (char(1, 3, 5), -1, 2)]:
+def _shift_pairs() -> list:
+    """SHIFT: the 2-shift rule on four characteristics, and theta and theta' under negation."""
+    pairs = []
+    for base, m, n in [(char(1, 1, 5), 1, 0), (char(3, -1, 5), 0, 1),
+                       (char(5, 1, 5), 0, 1), (char(1, 3, 5), -1, 2)]:
         p, shifted = char_shift_phase(base, m, n)
-        lhs = _slot((shifted, 0, 1), N)
-        rhs = _slot((base, 0, 1), N).phase_mul(p)
-        pairs.append((f"theta{shifted} = {p} theta{base}", lhs, rhs))
+        pairs.append((f"theta{shifted} = {p} theta{base}", _plain((_c(1), _th((shifted, 0, 1)))),
+                      _plain((_c(1, 0, p), _th((base, 0, 1))))))
     for ch in (char(1, 3, 5), char(3, 5, 5)):
-        lhs = _slot((ch.negated(), 0, 1), N)
-        rhs = _slot((ch, 0, 1), N)
-        pairs.append((f"theta{ch.negated()} = theta{ch}", lhs, rhs))
-        lhs1 = _slot((ch.negated(), 1, 1), N)
-        rhs1 = -_slot((ch, 1, 1), N)
-        pairs.append((f"theta'{ch.negated()} = -theta'{ch}", lhs1, rhs1))
-    return pairs
-
-
-def _build_tp_eq(N: Rat, variant: str) -> Pairs:
-    pairs: Pairs = []
-    for ch in CATALOG_CHARS:
-        pairs.append((f"sum = product {ch}",
-                      _slot((ch, 0, 1), N),
-                      theta_const_product(ch, N)))
+        neg = ch.negated()
+        pairs += [(f"theta{neg} = theta{ch}", _plain((_c(1), _th((neg, 0, 1)))),
+                   _plain((_c(1), _th((ch, 0, 1))))),
+                  (f"theta'{neg} = -theta'{ch}", _plain((_c(1), _th((neg, 1, 1)))),
+                   _plain((_c(-1), _th((ch, 1, 1)))))]
     return pairs
 
 
@@ -752,95 +733,93 @@ _CP, _CM = (25 + _R5 * 11) * CycloQ5(1, den=50), (25 - _R5 * 11) * CycloQ5(1, de
 #: (25 -+ 11 sqrt5)/4, G+-^2 = 1 + sum o+- (30 C(n) +- sqrt5 D25(n)) q^n
 _OP, _OM = (25 - _R5 * 11) * CycloQ5(1, den=4), (25 + _R5 * 11) * CycloQ5(1, den=4)
 _HALF = CycloQ5(1, den=2)
+_GP, _GM, _H1, _H2 = ("G+^2",), ("G-^2",), ("H1^2",), ("H2^2",)
+_C, _D25, _E11, _S = (("divisor", k) for k in ("C", "D25", "E11", "S"))
 
 _CATALOG: list[IdentityEntry] = [
-    IdentityEntry("E1", "eta^5(t)/eta(5t) divisor-sum expansion", "§1 Eq. (1)", 10, 2,
-                  _linear("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n",
-                          ((1, "Z1"),), (1, ((-5, "A"),)))),
-    IdentityEntry("E2", "eta^5(5t)/eta(t) divisor-sum expansion", "§1 Eq. (2)", 10, 2,
-                  _linear("eta^5(5t)/eta(t) = sum B(n) q^n", ((1, "Z2"),), (0, ((1, "B"),)))),
-    IdentityEntry("E3", "partition congruence generating function", "§1 Ramanujan identity",
-                  10, 2, _build_e3),
-    IdentityEntry("E4", "first derivative theta constant as eta cube", "§2.3", 10, 2, _build_e4),
-    *[IdentityEntry(tid, "quartic derivative-formula analogue", loc, 10, 10, _build_t1(tid),
-                    tuple(table)) for tid, (loc, _, _, table, _) in _T1_DATA.items()],
-    *[IdentityEntry(did, "first-derivative formula, fifth powers", loc, 10, 8, _build_d(did),
-                    tuple(table)) for did, (loc, _, _, _, table, _) in _D_DATA.items()],
-    IdentityEntry("R1", "vanishing residue combination", "§5.1 Eq. (11)", 10, 8,
-                  _build_residue("R1 first combination", _PAIR5, (2, 1, 4, 2),
-                                 ((_A5, 1, 2), (_B5, 0, 2)))),
-    IdentityEntry("R2", "vanishing residue combination", "§5.1 Eq. (12)", 10, 8,
-                  _build_residue("R2 second combination", _PAIR5, (1, 2, -4, 2),
-                                 ((_B5, 1, 2), (_A5, 0, 2)))),
+    _entry("E1", "eta^5(t)/eta(5t) divisor-sum expansion", "§1 Eq. (1)", 10, 2,
+           ("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n", _sum((1, ("Z1",))),
+            _sum((1, None), (-5, ("divisor", "A"))))),
+    _entry("E2", "eta^5(5t)/eta(t) divisor-sum expansion", "§1 Eq. (2)", 10, 2,
+           ("eta^5(5t)/eta(t) = sum B(n) q^n", _sum((1, ("Z2",))),
+            _sum((0, None), (1, ("divisor", "B"))))),
+    _entry("E3", "partition congruence generating function", "§1 Ramanujan identity", 10, 2,
+           ("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", _sum((1, ("p(5n+4)",))),
+            _sum((5, ("E3",))))),
+    _entry("E4", "first derivative theta constant as eta cube", "§2.3", 10, 2,
+           ("theta'[1,1] = (2*pi*i) e(1/4) eta^3", _plain((_c(1), _th((_TH11, 1, 1)))),
+            _plain((_c(1, 1, Phase(1, 4)), ((("eta", (1, 1), (0, 1)), 3),))))),
+    *map(_t1_entry, _T1_DATA),
+    *map(_d_entry, _D_DATA),
+    _residue_entry("R1", "§5.1 Eq. (11)", "R1 first combination", _PAIR5, (2, 1, 4, 2),
+                   ((_A5, 1, 2), (_B5, 0, 2))),
+    _residue_entry("R2", "§5.1 Eq. (12)", "R2 second combination", _PAIR5, (1, 2, -4, 2),
+                   ((_B5, 1, 2), (_A5, 0, 2))),
     # the chain runs through Theta log(th_A/th_B) = sqrt(5) eta^5(5t)/eta(t)
-    IdentityEntry("R3", "second-derivative difference, degree ten", "§5.1 Eq. (13)", 10, 10,
-                  _bracket_chain("R3", _PAIR5, 50, (-4, 44, 4), ((5, 1), (0, 1)),
-                                 ((1, 1), (0, 1)), _R5 * -25, 1)),
-    IdentityEntry("R4", "vanishing residue combination", "§6.1 first relation", 10, 8,
-                  _build_residue("R4 first combination", _PAIR6, (2, 1, 4, 2),
-                                 ((_A6, 1, 2), (_B6, 0, 2)))),
-    IdentityEntry("R5", "vanishing residue combination", "§6.1 second relation", 10, 8,
-                  _build_residue("R5 second combination", _PAIR6, (1, 2, -4, 2),
-                                 ((_B6, 1, 2), (_A6, 0, 2)))),
-    IdentityEntry("R6", "second-derivative difference with eta chain", "§6.1", 10, 10,
-                  _bracket_chain("R6", _PAIR6, -50, (_z(1) * 4, _z(1) * 44, _z(1) * -4),
-                                 ((1, 5), (0, 1)), ((1, 1), (0, 1)), 1, -1)),
-    IdentityEntry("R7a", "second-derivative difference with shifted eta chain", "§7.1", 10, 10,
-                  _bracket_chain("R7a", (char(1, 1, 5), char(3, 3, 5)), -50,
-                                 (4, _z(4) * -44, _z(3) * -4), ((1, 5), (1, 5)),
-                                 ((1, 1), (1, 1)), 1, 1)),
-    IdentityEntry("FK5", "log-derivative relation for eta(5t)/eta(t)", "Thm 5.2", 10, 8,
-                  _farkas_kra("FK5 log-derivative relation", _PAIR5, (5, 1))),
-    IdentityEntry("C511", "weighted eta-quotient combination", "Cor. 5.1.1", 10, 4,
-                  _linear("22*sqrt5/50 Z1 + 5*sqrt5 Z2 = c+ G+^2 - c- G-^2",
-                          ((_R5 * CycloQ5(11, den=25), "Z1"), (_R5 * 5, "Z2")),
-                          ((_CP, "G+^2"), (-_CM, "G-^2")))),
-    IdentityEntry("C521", "sigma-series as product combination", "Cor. 5.2.1", 10, 4,
-                  _linear("1 + 6 sum (sigma(n)-5 sigma(n/5)) q^n = c+ G+^2 + c- G-^2",
-                          (1, ((6, "S"),)), ((_CP, "G+^2"), (_CM, "G-^2")))),
-    IdentityEntry("PS1a", "tenth-power product-series expansion", "Thm 5.3", 10, 4,
-                  _linear("G+^2 divisor-sum expansion", ((1, "G+^2"),),
-                          (1, ((_OP * 30, "C"), (_OP * _R5, "D25"))))),
-    IdentityEntry("PS1b", "tenth-power product-series expansion", "Thm 5.3", 10, 4,
-                  _linear("G-^2 divisor-sum expansion", ((1, "G-^2"),),
-                          (1, ((_OM * 30, "C"), (_OM * -_R5, "D25"))))),
-    IdentityEntry("ME5", "modular equation of level five", "Thm 5.4", 20, 18,
-                  _modular_equation(5, {AS_STATED: (5 ** 5, 1,
-                                                    "5^5 X^9 Y^9 = Z^10 (X^2-11XY-Y^2)^5")})),
-    IdentityEntry("ODE5", "first-order differential relation", "Thm 5.5", 10, 10,
-                  _ode(5, "X'Y - XY' = (2*pi*i)/5^(3/2) Z (X^2-11XY-Y^2)",
-                       _R5 * CycloQ5(1, den=25))),
-    IdentityEntry("W5", "Wronskian tenth power", "Thm 5.6", 20, 30,
-                  _wronskian(5, {AS_STATED: ("W", CycloQ5(1, den=5 ** 10),
-                                             "W(X,Y)^10 = (2*pi*i/5)^10 X^9 Y^9 "
-                                             "(X^2-11XY-Y^2)^5")})),
-    IdentityEntry("FK6", "log-derivative relation for eta(t/5)/eta(t)", "Thm 6.2", 10, 8,
-                  _farkas_kra("FK6 log-derivative relation", _PAIR6, (1, 5))),
-    IdentityEntry("C611", "quintuple-product combination", "Cor. 6.1.1", 10, 4,
-                  _linear("H1^2 - H2^2 = 11 Z2 + Z1", ((1, "H1^2"), (-1, "H2^2")),
-                          ((11, "Z2"), (1, "Z1")))),
-    IdentityEntry("C621", "sigma-series as quintuple-product combination", "Cor. 6.2.1", 10, 4,
-                  _linear("H1^2 + H2^2 = 1 + 6 sum S(n) q^n", ((1, "H1^2"), (1, "H2^2")),
-                          (1, ((6, "S"),)))),
-    IdentityEntry("PS2a", "product-series expansion", "Thm 6.3", 10, 4,
-                  _linear("H1^2 divisor-sum expansion", ((1, "H1^2"),),
-                          (1, ((3, "C"), (_HALF, "E11"))))),
-    IdentityEntry("PS2b", "product-series expansion", "Thm 6.3", 10, 4,
-                  _linear("H2^2 divisor-sum expansion", ((1, "H2^2"),),
-                          (0, ((3, "C"), (-_HALF, "E11"))))),
-    IdentityEntry("ME6", "modular equation of level five, mirror", "Thm 6.4", 20, 18,
-                  _modular_equation(6, _ME6), tuple(_ME6)),
-    IdentityEntry("ODE6", "first-order differential relation, mirror", "Thm 6.5", 10, 10,
-                  _ode(6, "X'Y - XY' = 2*pi*i Z (X^2+11XY-Y^2)", 1)),
-    IdentityEntry("W6", "Wronskian tenth power, mirror", "Thm 6.6", 20, 30,
-                  _wronskian(6, _W6), tuple(_W6)),
-    IdentityEntry("HEAT", "heat equation across the twelve characteristics", "§2.4", 10, 4,
-                  _build_heat),
-    IdentityEntry("SHIFT", "characteristic shift and negation rules", "§2.2", 10, 4,
-                  _build_shift),
-    IdentityEntry("TP-EQ", "direct sum equals triple product", "§2.3", 10, 4, _build_tp_eq),
+    _bracket_entry("R3", "second-derivative difference, degree ten", "§5.1 Eq. (13)", _PAIR5,
+                   50, (-4, 44, 4), ((5, 1), (0, 1)), ((1, 1), (0, 1)), _R5 * -25, 1),
+    _residue_entry("R4", "§6.1 first relation", "R4 first combination", _PAIR6, (2, 1, 4, 2),
+                   ((_A6, 1, 2), (_B6, 0, 2))),
+    _residue_entry("R5", "§6.1 second relation", "R5 second combination", _PAIR6, (1, 2, -4, 2),
+                   ((_B6, 1, 2), (_A6, 0, 2))),
+    _bracket_entry("R6", "second-derivative difference with eta chain", "§6.1", _PAIR6, -50,
+                   (_z(1) * 4, _z(1) * 44, _z(1) * -4), ((1, 5), (0, 1)), ((1, 1), (0, 1)),
+                   1, -1),
+    _bracket_entry("R7a", "second-derivative difference with shifted eta chain", "§7.1",
+                   (char(1, 1, 5), char(3, 3, 5)), -50, (4, _z(4) * -44, _z(3) * -4),
+                   ((1, 5), (1, 5)), ((1, 1), (1, 1)), 1, 1),
+    _fk_entry("FK5", "log-derivative relation for eta(5t)/eta(t)", "Thm 5.2",
+              "FK5 log-derivative relation", _PAIR5, (5, 1)),
+    _entry("C511", "weighted eta-quotient combination", "Cor. 5.1.1", 10, 4,
+           ("22*sqrt5/50 Z1 + 5*sqrt5 Z2 = c+ G+^2 - c- G-^2",
+            _sum((_R5 * CycloQ5(11, den=25), ("Z1",)), (_R5 * 5, ("Z2",))),
+            _sum((_CP, _GP), (-_CM, _GM)))),
+    _entry("C521", "sigma-series as product combination", "Cor. 5.2.1", 10, 4,
+           ("1 + 6 sum (sigma(n)-5 sigma(n/5)) q^n = c+ G+^2 + c- G-^2",
+            _sum((1, None), (6, _S)), _sum((_CP, _GP), (_CM, _GM)))),
+    _entry("PS1a", "tenth-power product-series expansion", "Thm 5.3", 10, 4,
+           ("G+^2 divisor-sum expansion", _sum((1, _GP)),
+            _sum((1, None), (_OP * 30, _C), (_OP * _R5, _D25)))),
+    _entry("PS1b", "tenth-power product-series expansion", "Thm 5.3", 10, 4,
+           ("G-^2 divisor-sum expansion", _sum((1, _GM)),
+            _sum((1, None), (_OM * 30, _C), (_OM * -_R5, _D25)))),
+    _me_entry("ME5", "modular equation of level five", "Thm 5.4", 5,
+              {AS_STATED: (5 ** 5, 1, "5^5 X^9 Y^9 = Z^10 (X^2-11XY-Y^2)^5")}),
+    _ode_entry("ODE5", "first-order differential relation", "Thm 5.5", 5,
+               "X'Y - XY' = (2*pi*i)/5^(3/2) Z (X^2-11XY-Y^2)", _R5 * CycloQ5(1, den=25)),
+    _w_entry("W5", "Wronskian tenth power", "Thm 5.6", 5,
+             {AS_STATED: ("W", CycloQ5(1, den=5 ** 10),
+                          "W(X,Y)^10 = (2*pi*i/5)^10 X^9 Y^9 (X^2-11XY-Y^2)^5")}),
+    _fk_entry("FK6", "log-derivative relation for eta(t/5)/eta(t)", "Thm 6.2",
+              "FK6 log-derivative relation", _PAIR6, (1, 5)),
+    _entry("C611", "quintuple-product combination", "Cor. 6.1.1", 10, 4,
+           ("H1^2 - H2^2 = 11 Z2 + Z1", _sum((1, _H1), (-1, _H2)),
+            _sum((11, ("Z2",)), (1, ("Z1",))))),
+    _entry("C621", "sigma-series as quintuple-product combination", "Cor. 6.2.1", 10, 4,
+           ("H1^2 + H2^2 = 1 + 6 sum S(n) q^n", _sum((1, _H1), (1, _H2)),
+            _sum((1, None), (6, _S)))),
+    _entry("PS2a", "product-series expansion", "Thm 6.3", 10, 4,
+           ("H1^2 divisor-sum expansion", _sum((1, _H1)),
+            _sum((1, None), (3, _C), (_HALF, _E11)))),
+    _entry("PS2b", "product-series expansion", "Thm 6.3", 10, 4,
+           ("H2^2 divisor-sum expansion", _sum((1, _H2)),
+            _sum((0, None), (3, _C), (-_HALF, _E11)))),
+    _me_entry("ME6", "modular equation of level five, mirror", "Thm 6.4", 6, _ME6),
+    _ode_entry("ODE6", "first-order differential relation, mirror", "Thm 6.5", 6,
+               "X'Y - XY' = 2*pi*i Z (X^2+11XY-Y^2)", 1),
+    _w_entry("W6", "Wronskian tenth power, mirror", "Thm 6.6", 6, _W6),
+    _entry("HEAT", "heat equation across the twelve characteristics", "§2.4", 10, 4,
+           *[(f"heat {ch}", _plain((_c(1), _th((ch, 2, 1)))),
+              _plain((_c(2, 2), ((("Theta", ("theta", (ch, 0, 1))), 1),))))
+             for ch in CATALOG_CHARS]),
+    _entry("SHIFT", "characteristic shift and negation rules", "§2.2", 10, 4, *_shift_pairs()),
+    _entry("TP-EQ", "direct sum equals triple product", "§2.3", 10, 4,
+           *[(f"sum = product {ch}", _plain((_c(1), _th((ch, 0, 1)))), _sum((1, ("triple", ch))))
+             for ch in CATALOG_CHARS]),
 ]
 _BY_ID: dict[str, IdentityEntry] = {e.id: e for e in _CATALOG}
+#: the entries whose monomials a Galois image reads
+_READ_BY_IMAGES = frozenset([e.orbit[0] for e in _CATALOG if e.orbit])
 
 
 def catalog() -> list[IdentityEntry]:
@@ -885,11 +864,20 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
 
 def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
     """The highest order of the theta slots that entry ``e``, built at ``n``,
-    asks the store for: n, or ``_fifth_order(n)`` for a builder of level 6,
-    whose theta slots are q -> q^5 substitutions; None for a builder that asks
-    for no theta slot (the linear rows and E3)."""
-    level = getattr(e.build, "theta_level", 5)
-    return None if level is None else n if level == 5 else _fifth_order(n)
+    asks the store for, read off the atoms it names (Theta of an atom as its
+    operand): n for a theta route or a level-5 series, ``_fifth_order(n)`` for
+    level-6 series only, whose theta slots are q -> q^5 substitutions, and
+    None for neither (the rows of product forms and oracles, and E3)."""
+    levels = set()
+    for _, pairs in e.relations:
+        for _, *sides in pairs:
+            for factor, terms in sum(sides, ()):
+                for atom, _ in sum([m for _, m in terms], factor or ()):
+                    while atom[0] == "Theta":
+                        atom = atom[1]
+                    if atom[0] in ("theta", "level"):
+                        levels.add(5 if atom[0] == "theta" else atom[1])
+    return None if not levels else n if 5 in levels else _fifth_order(n)
 
 
 def verify_ids(entry_ids: list[str], order: Rat = 20,

@@ -1,7 +1,9 @@
 """Command-line front end: expansion, verification, coefficient tables, numeric checks.
 
 Exit codes: 0 all requested checks passed; 1 at least one verification
-failed (reports are still emitted); 2 usage or builder error.  Identical
+failed (reports are still emitted); 2 usage or builder error; 141 (128 +
+SIGPIPE, as for a process the signal ends) when the reader closed the output
+early, as ``head`` does, with nothing on stderr.  Identical
 invocations produce byte-identical output (numeric checks are seeded), so
 both text and JSON forms are suitable for golden-file testing.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -316,7 +319,14 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; send that flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

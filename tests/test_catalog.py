@@ -24,7 +24,7 @@ from theta5.catalog import (_D_DATA, _T1_DATA, _THETA, _TH11, AS_STATED, CORRECT
                             verify, verify_all, verify_ids)
 from theta5.cli import run, series_to_dict
 from theta5.cyclo import CycloQ5, rsub
-from theta5.series import FracSeries
+from theta5.series import FracSeries, series_equal
 from theta5.theta import CATALOG_CHARS, ThetaChar, char, theta_const
 
 #: entries whose printed form is misprinted; as-stated fails, corrected passes.
@@ -178,20 +178,27 @@ def test_reports_to_json_is_the_cli_json():
 
 
 def test_identity_entry_record():
-    e = IdentityEntry("X", "t", "loc", 5, 2, None)
-    assert (e.id, e.title, e.location, e.min_meaningful_order, e.margin, e.build,
-            e.variants) == ("X", "t", "loc", 5, 2, None, (AS_STATED,))
+    pairs = (("lbl", (), ()),)
+    e = IdentityEntry("X", "t", "loc", 5, 2, ((AS_STATED, pairs),))
+    assert (e.id, e.title, e.location, e.min_meaningful_order, e.margin, e.relations,
+            e.orbit, e.variants) == ("X", "t", "loc", 5, 2, ((AS_STATED, pairs),), None,
+                                     (AS_STATED,))
     kw = IdentityEntry(id="X", title="t", location="loc", min_meaningful_order=5, margin=2,
-                       build=None, variants=(AS_STATED,))
-    assert kw == e and hash(kw) == hash(e) == hash(("X", "t", "loc", 5, 2, None, (AS_STATED,)))
-    assert e != IdentityEntry("X", "t", "loc", 5, 3, None)
-    assert e != ("X", "t", "loc", 5, 2, None, (AS_STATED,))
+                       relations=((AS_STATED, pairs),), orbit=None)
+    assert kw == e and hash(kw) == hash(e) == hash(
+        ("X", "t", "loc", 5, 2, ((AS_STATED, pairs),), None))
+    assert e != IdentityEntry("X", "t", "loc", 5, 3, ((AS_STATED, pairs),))
+    assert e != ("X", "t", "loc", 5, 2, ((AS_STATED, pairs),), None)
     assert lookup("E1") == lookup("E1") and lookup("E1") != lookup("E2")
     assert {lookup("E1"): 1}[lookup("E1")] == 1
     with pytest.raises(AttributeError):
         e.margin = 4
     assert repr(e) == ("IdentityEntry(id='X', title='t', location='loc', "
-                       "min_meaningful_order=5, margin=2, build=None, variants=('as-stated',))")
+                       "min_meaningful_order=5, margin=2, "
+                       "relations=(('as-stated', (('lbl', (), ()),)),), orbit=None)")
+    # the empty side is zero, so the pair compares zero with zero
+    [(label, lhs, rhs)] = e.build(12, AS_STATED)
+    assert label == "lbl" and lhs.is_zero_tail() and rhs.is_zero_tail()
 
 
 def test_identity_report_record():
@@ -470,15 +477,16 @@ def test_store_work_count(empty_store, monkeypatch):
                 store_repeats.append(kb)
         seen.add((operands, kb))
     assert store_repeats == []
-    # the residue pairs' combination times theta'[1,1], and the brackets'
-    # th''_A th_B and th''_B th_A, whose operand tails the eta chains'
-    # Theta(th_A) th_B and Theta(th_B) th_A repeat; G+-^2 and H1^2, H2^2 are
-    # stored squared, so no entry squares them again; the Galois-image T1 and
-    # D entries take every monomial by sigma_j of their representative's slot,
-    # so they make none of these products (271 when they built their own, 223
-    # before the brackets were factored, X^9 Y^9, F^5 and W shared, and the
-    # T1/D rows no image reads combined before they multiply)
-    assert (len(calls), repeats) == (190, 8)
+    # G+-^2 and H1^2, H2^2 are stored squared, so no entry squares them again;
+    # the eta chains take the brackets' slots th''_A th_B and th''_B th_A,
+    # where they multiplied Theta(th_A) th_B and Theta(th_B) th_A on the same
+    # operand tails; the Galois-image T1 and D entries take every monomial by
+    # sigma_j of their representative's slot, so they make none of these
+    # products (271 when they built their own, 223 before the brackets were
+    # factored, X^9 Y^9, F^5 and W shared, and the T1/D rows no image reads
+    # combined before they multiply, 190 with 8 repeats before the chains
+    # took the brackets' slots)
+    assert (len(calls), repeats) == (184, 2)
 
 
 def test_store_builds_every_theta_constant(empty_store, monkeypatch):
@@ -710,12 +718,17 @@ def _compared_pairs(monkeypatch, order, variant) -> list:
 #: sha256 over every compared pair's entry id, label, and both sides' scale,
 #: phase, qpow, cpow, den, order and tail, recorded from the package before
 #: the bracket differences were factored and X^9 Y^9, F^5 and the Wronskian
-#: were shared
+#: were shared (orders 20 and 40), and before the entries became declared
+#: relations (orders 10 and 60)
 _PAIR_GOLDEN = {
+    (10, AS_STATED): "0ac8cc555beb89d1e8d7d7ed7ac966848b230cbed52d07a3f7e6f83a58c558ea",
+    (10, CORRECTED): "562495bf271221ee1c54bab733d36e5e4f71a3a6e07df4a55d312c567c5bbaec",
     (20, AS_STATED): "89339c8390a898a0b0fb68a33282c8ccea5ca55c1768ed9399b881e0c581daa0",
     (20, CORRECTED): "1a69cd208681ed5f235a1645d9e12ba0b7fa55f7173eb7e3341798cb6d432b67",
     (40, AS_STATED): "6ed7b1c146198e07e0ae839086983373703071d4242e5d49f12b6aa100c337d3",
     (40, CORRECTED): "7c7b413b4475926bd1974185a59bdd1acaab469a23f13cd0a64fc915c531a001",
+    (60, AS_STATED): "7dd76377af7f9806c8dff2414b72446e3df2ec7e353d03b06ae996bc5c9f2aff",
+    (60, CORRECTED): "0a232ce92971dc6d12baa89e74860e936c470f0cf93a9ecb2a75da9ea67e065f",
 }
 
 
@@ -847,7 +860,7 @@ PRODUCTS_AT_20 = {
     "T1a": 6, "T1b": 13, "T1c": 15, "T1d": 0, "T1e": 0, "T1f": 0,
     "D1": 5, "D2": 4, "D3": 0, "D4": 0, "D5": 4, "D6": 3, "D7": 0, "D8": 0, "D9": 0,
     "D10": 0, "D11": 4, "D12": 3,
-    "R1": 11, "R2": 3, "R3": 13, "R4": 11, "R5": 3, "R6": 13, "R7a": 13,
+    "R1": 11, "R2": 3, "R3": 11, "R4": 11, "R5": 3, "R6": 11, "R7a": 11,
     "FK5": 5, "C511": 2, "C521": 0, "PS1a": 0, "PS1b": 0,
     "ME5": 5, "ODE5": 1, "W5": 23,
     "FK6": 5, "C611": 2, "C621": 0, "PS2a": 0, "PS2b": 0,
@@ -858,13 +871,13 @@ PRODUCTS_AT_20 = {
 
 def test_series_products_per_entry(empty_store, monkeypatch):
     assert _products_per_entry(monkeypatch, 20) == PRODUCTS_AT_20
-    assert sum(PRODUCTS_AT_20.values()) == 190
+    assert sum(PRODUCTS_AT_20.values()) == 184
 
 
 def _fresh_level_series(level: int, name: str, n) -> FracSeries:
     """X^9 Y^9, F^5 or X Y' - Y X' of ``level`` at theta order n, before
     q -> q^5, from theta constants built afresh."""
-    (A, B), _, c = catalog_module._LEVELS[level]
+    (A, B), c = catalog_module._LEVELS[level]
     X, Y = theta_const(A, 0, n) ** 5, theta_const(B, 0, n) ** 5
     if name == "X^9 Y^9":
         return (X * Y) ** 9
@@ -925,9 +938,12 @@ _COMBINED = ("T1a", "T1b", "D5", "D6", "D11", "D12")
 
 
 def test_only_rows_no_image_reads_combine():
-    for data in (_T1_DATA, _D_DATA):
-        assert {eid for eid in data if catalog_module._combines(data, eid)} == \
-            set(_COMBINED) & set(data)
+    # the images and the rows they read multiply a group's factor into each
+    # term; every other entry with a factor combines first
+    spread = {e.id for e in catalog() if e.orbit or e.id in catalog_module._READ_BY_IMAGES}
+    assert spread == {"T1c", "T1d", "T1e", "T1f", "D1", "D2", "D3", "D4", "D7", "D8", "D9",
+                      "D10"}
+    assert set(_T1_DATA) | set(_D_DATA) == spread | set(_COMBINED)
 
 
 @pytest.mark.parametrize("order", [20, 60])
@@ -952,3 +968,62 @@ def test_combined_rows_equal_their_monomial_forms(empty_store, entry_id, order):
         want = (_slot((xt, (A, 0, 5)), n).scalar_mul(cp)
                 + _slot((xt, (B, 0, 5)), n).scalar_mul(cq)).scalar_mul(s)
         assert _side_fields(rhs) == _side_fields(want)
+
+
+# ---------------------------------------------------------------------------
+# the misprint sweep
+# ---------------------------------------------------------------------------
+
+#: each entry's detection order: the latest first mismatch, over every
+#: single-coefficient misprint of its last variant, at its minimum order
+DETECTION_ORDER = {
+    "E1": "1", "E2": "1", "E3": "0", "E4": "1/8",
+    "T1a": "11/4", "T1b": "19/20", "T1c": "19/20", "T1d": "19/20", "T1e": "19/20",
+    "T1f": "19/20",
+    "D1": "71/200", "D2": "79/200", "D3": "71/200", "D4": "79/200", "D5": "71/200",
+    "D6": "79/200", "D7": "71/200", "D8": "79/200", "D9": "71/200", "D10": "79/200",
+    "D11": "7/8", "D12": "7/8",
+    "R1": "5/8", "R2": "5/8", "R3": "3/2", "R4": "9/40", "R5": "9/40", "R6": "7/10",
+    "R7a": "7/10", "FK5": "3/4", "C511": "1", "C521": "1", "PS1a": "1", "PS1b": "1",
+    "ME5": "45/4", "ODE5": "9/4", "W5": "45/2",
+    "FK6": "3/20", "C611": "2", "C621": "2", "PS2a": "1", "PS2b": "2",
+    "ME6": "45/4", "ODE6": "5/4", "W6": "25/2",
+    "HEAT": "1/8", "SHIFT": "1/8", "TP-EQ": "1/8",
+}
+
+
+def _misprints(c):
+    """c times zeta, -c and c + 1; for c = 0, which the first two leave as it
+    is, only c + 1."""
+    return ([] if c == 0 else [CycloQ5.zeta(1) * c, -c]) + [c + 1]
+
+
+def _misprinted_pairs(e: IdentityEntry):
+    """(variant, pair) for each pair of e's last variant with one coefficient of
+    its left or right side misprinted, every coefficient in turn."""
+    variant = e.variants[-1]
+    for pair in dict(e.relations)[variant]:
+        for s in (1, 2):
+            for g, (factor, terms) in enumerate(pair[s]):
+                for t, ((c, k, p), mono) in enumerate(terms):
+                    for bad in _misprints(c):
+                        group = factor, terms[:t] + (((bad, k, p), mono),) + terms[t + 1:]
+                        yield variant, pair[:s] + (pair[s][:g] + (group,) + pair[s][g + 1:],) \
+                            + pair[s + 1:]
+
+
+def test_every_coefficient_misprint_fails_at_the_minimum_order(empty_store):
+    # mutation analysis of the declared relations: a wrong value of any one
+    # coefficient is noticed by a check at the entry's minimum order
+    detection, count = {}, 0
+    for e in catalog():
+        for variant, pair in _misprinted_pairs(e):
+            bad = IdentityEntry(e.id, e.title, e.location, e.min_meaningful_order, e.margin,
+                                ((variant, (pair,)),), e.orbit)
+            [(label, lhs, rhs)] = bad.build(e.min_meaningful_order + e.margin, variant)
+            res = series_equal(lhs, rhs)
+            assert not res.passed and res.first_mismatch is not None, (e.id, label)
+            detection[e.id] = max(detection.get(e.id, 0), res.first_mismatch)
+            count += 1
+    assert count == 704
+    assert {i: str(x) for i, x in detection.items()} == DETECTION_ORDER

@@ -320,3 +320,21 @@ def test_exact_verify_does_not_load_fractions(fmt):
         "assert rc == 1 and 'T1d' in out.getvalue() and '3/4' in out.getvalue()")
     assert "theta5.catalog" in new
     assert not new & {"fractions", "decimal", "numbers"}
+
+
+def test_closed_pipe_exits_quietly_with_the_sigpipe_status():
+    # a reader that stops early, as `| head -c 10` does: the output is far past
+    # the pipe's buffer, so writing goes on after the reader has gone
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "theta5.cli", "coeffs", "--kernel", "A",
+                             "--upto", "20000"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == b""

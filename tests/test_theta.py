@@ -558,7 +558,7 @@ def _unstored(build):
     (lambda: eta_quotient([(1, 5), (5, -1)], 120), 72),
     (lambda: eta_quotient([(5, 5), (1, -1)], 120), 48),
     # the catalog's own forms at the orders verify_all(20) builds them
-    (lambda: catalog_module._build_e3(22, catalog_module.AS_STATED)[0][2], 40),
+    (lambda: catalog_module.lookup("E3").build(22, catalog_module.AS_STATED)[0][2], 40),
     *((lambda s=s: _unstored(lambda: catalog_module._g_product(s, 24)), 48) for s in (1, -1)),
     *((lambda h=h: _unstored(lambda: catalog_module._h_product(h, 24)), 32) for h in (1, 2)),
     (lambda: theta_module._eta_product((1, 1), 30), 24),
