@@ -13,9 +13,10 @@ a unit.  A side is a tuple of groups (factor, terms), each an optional factor
 monomial times sum_i c_i M_i over its (c_i, M_i) terms; the empty side is
 zero.  A coefficient (c, k, p) is c in Q(zeta_5) times (2*pi*i)^k e(p).  A
 monomial is a tuple of (atom, power) pairs, () being 1.  An atom is ("theta",
-route), a theta product from the store; ("Theta", atom), q d/dq of an atom;
-or a kind of ``_ATOMS`` and its arguments, such as ("eta", mult, offset) or
-("level", 5, "F^5").  The family helpers (``_t1_entry``,
+route), a theta product from the store; ("sigma", j, route), the same
+product read as sigma_j of its preimage's slot; ("Theta", atom), q d/dq of
+an atom; or a kind of ``_ATOMS`` and its arguments, such as ("eta", mult,
+offset) or ("level", 5, "F^5").  The family helpers (``_orbit_entries``,
 ``_bracket_entry``, ...) only write these tuples.  ``_evaluator`` turns a
 side into a series, and ``_theta_order`` reads an entry's theta order off the
 atoms it names.
@@ -33,14 +34,14 @@ the eta chains take the same two slots.  On an empty store, ``verify_all(20)``
 makes 184 series products and leaves 146 store slots.
 
 Scaling eps' by j in {3, 7, 9} maps T1c to T1d, T1e and T1f, and D1/D2 to
-D3/D4, D7/D8 and D9/D10.  These image rows name their representative and j
-as their orbit, and take every theta route as sigma_j of the
-representative's slot (``FracSeries.conjugate``) divided by the phase of the
-2-shift from (eps, j*eps') to the printed characteristic
-(``char_shift_phase``), so they make no series product.  They and the rows
-they read multiply a group's factor into each term, each monomial one slot.
-sigma_j checks no constructor: the direct sum against the triple product
-(TP-EQ) does, so TP-EQ's twelve triple products are built directly.
+D3/D4, D7/D8 and D9/D10.  These image rows name each monomial as a sigma
+atom: sigma_j of the slot of its route over the preimage characteristics
+(``_preimage``), divided by the phases of the 2-shifts to the printed
+characteristics, so they make no series product.  They and the rows they
+read write each factor times term as one route, each monomial one slot, so
+the relations name every slot a row reads.  sigma_j checks no constructor:
+the direct sum against the triple product (TP-EQ) does, so TP-EQ's twelve
+triple products are built directly.
 
 Entries whose printed source carries a misprint ship two variants:
 "as-stated" (the printed form, which fails and is reported as failing) and
@@ -73,22 +74,19 @@ Pairs = list[tuple[str, FracSeries, FracSeries]]
 
 class IdentityEntry(Record):
     """One catalog identity: where the paper states it, the lowest order at which
-    checking it means anything, the extra order its build needs, its declared
-    pairs per variant (``relations``, (variant, pairs) tuples), and for a
-    Galois-image T1 or D row its ``orbit``: (representative id, j, its (A, B),
-    the representative's (A, B)).
+    checking it means anything, the extra order its build needs, and its
+    declared pairs per variant (``relations``, (variant, pairs) tuples).
 
     Immutable; equality and hash go by the tuple of its fields.
     """
 
-    __slots__ = ("id", "title", "location", "min_meaningful_order", "margin", "relations",
-                 "orbit")
+    __slots__ = ("id", "title", "location", "min_meaningful_order", "margin", "relations")
     _FIELDS = __slots__
 
     def __init__(self, id: str, title: str, location: str, min_meaningful_order: int,
-                 margin: int, relations: tuple, orbit: Optional[tuple] = None):
+                 margin: int, relations: tuple):
         for name, value in zip(self.__slots__, (id, title, location, min_meaningful_order,
-                                                margin, relations, orbit)):
+                                                margin, relations)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -103,16 +101,8 @@ class IdentityEntry(Record):
 
     def build(self, N: Rat, variant: str) -> Pairs:
         """The labelled pairs of ``variant`` at N, every side from one
-        ``_evaluator``; raises ArithmeticError if a unit side has a zero tail.
-        A Galois image takes every theta route as sigma_j of its
-        representative's slot.  The images and the rows they read multiply a
-        group's factor into each term, so that each monomial is one slot."""
-        theta = _slot
-        if self.orbit is not None:
-            _, j, chars, rep_chars = self.orbit
-            back = _orbit(chars, rep_chars, j)
-            theta = lambda route, n: _conjugated(route, n, back, j)  # noqa: E731
-        side = _evaluator(N, theta, self.orbit is not None or self.id in _READ_BY_IMAGES)
+        ``_evaluator``; raises ArithmeticError if a unit side has a zero tail."""
+        side = _evaluator(N)
         pairs = []
         for label, lhs, rhs, *unit in dict(self.relations)[variant]:
             if unit and side(unit[0]).is_zero_tail():
@@ -252,48 +242,41 @@ def _build(route: tuple, order: Rat) -> FracSeries:
     return fa * fa if a == b else fa * _slot(b, order)
 
 
-def _conjugated(route: tuple, order: Rat, back: dict, j: int) -> FracSeries:
-    """The slot of ``route``, a route over an image row's characteristics, as
-    sigma_j of the slot of the representative's route; no series product.
-
-    ``back`` (``_orbit``) maps each image characteristic c to (r, p): the
-    representative's characteristic r = [eps, eps'] and the phase p of the
-    2-shift theta[eps, j*eps'] = p * theta[c] (``char_shift_phase``).
-    sigma_j takes theta[r] to theta[eps, j*eps'] term by term
+def _conjugated(route: tuple, order: Rat, j: int) -> FracSeries:
+    """The slot of ``route`` as sigma_j of the slot of its preimage route, each
+    characteristic c replaced by its preimage r (``_preimage``); no series
+    product.  sigma_j takes theta[r] to p * theta[c] term by term
     (``FracSeries.conjugate``) and every product along, so the monomial
-    prod theta[c]^(m) ** k is sigma_j of the representative's monomial
-    divided by prod p ** k.
+    prod theta[c]^(m) ** k is sigma_j of the preimage's monomial divided by
+    prod p ** k.
     """
-    rep = _substituted(route, back)
     key = _key(route)
     phase = Phase(0)
     for c, _, k in (key,) if key[0].__class__ is ThetaChar else key:
-        p = back[c][1]
+        p = _preimage(c, j)[1]
         phase = phase / Phase(p.num * k, p.den)
-    return _slot(rep, order).conjugate(j).phase_mul(phase)
+    return _slot(_substituted(route, j), order).conjugate(j).phase_mul(phase)
 
 
-def _substituted(route: tuple, back: dict) -> tuple:
+def _substituted(route: tuple, j: int) -> tuple:
     if route[0].__class__ is ThetaChar:
         c, m, k = route
-        return back[c][0], m, k
-    return tuple([_substituted(r, back) for r in route])
+        return _preimage(c, j)[0], m, k
+    return tuple([_substituted(r, j) for r in route])
 
 
 @cache
-def _orbit(chars: tuple[ThetaChar, ...], rep_chars: tuple[ThetaChar, ...], j: int) -> dict:
-    """Each of ``chars``, and theta[1,1], mapped to (r, p): its representative
-    r in ``rep_chars`` and the phase p of the 2-shift from r's image
-    [eps, j*eps'] to it (``char_shift_phase``).  Raises ValueError unless
-    each is its representative with eps' times j, up to a 2-shift of eps'.
-    Built at the first request, so importing the catalog pays nothing."""
-    back = {}
-    for c, r in zip(chars + (_TH11,), rep_chars + (_TH11,)):
-        n, d = rsub((j * r.ep[0], r.ep[1]), c.ep)  # j*eps'_r = eps'_c + n
-        if d != 1 or n % 2 or c.e != r.e:
-            raise ValueError(f"{c} is not the image of {r} under eps' -> {j} eps'")
-        back[c] = r, char_shift_phase(c, 0, n // 2)[0]
-    return back
+def _preimage(c: ThetaChar, j: int) -> tuple[ThetaChar, Phase]:
+    """The preimage r = [eps, eps'/j mod 2] of c = [eps, eps'], eps'/j taken in
+    [0, 2), and the phase p of the 2-shift theta[eps, j*eps'_r] = p * theta[c]
+    (``char_shift_phase``).  Raises ValueError when j has no inverse modulo
+    2 * denominator(eps')."""
+    (e, d), (a, b) = c.e, c.ep
+    try:
+        a_r = a * pow(j, -1, 2 * b) % (2 * b)
+    except ValueError:
+        raise ValueError(f"{c} has no preimage under eps' -> {j} eps'") from None
+    return ThetaChar(e * b, a_r * d, d * b), char_shift_phase(c, 0, (j * a_r - a) // (2 * b))[0]
 
 
 _z = CycloQ5.zeta
@@ -338,10 +321,11 @@ def _sum(*terms) -> tuple:
     return _plain(*[(_c(c), () if a is None else ((a, 1),)) for c, a in terms])
 
 
-def _quadratic(A: ThetaChar, B: ThetaChar, cs: tuple) -> tuple:
-    """The terms of c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5, th_B^5, (c2, c1, c0) = ``cs``."""
+def _quadratic(A: ThetaChar, B: ThetaChar, cs: tuple, th=_th) -> tuple:
+    """The terms of c2 P^2 + c1 PQ + c0 Q^2 in P, Q = th_A^5, th_B^5, (c2, c1, c0) =
+    ``cs``, ``th`` writing the monomial of each route."""
     routes = (A, 0, 10), ((A, 0, 5), (B, 0, 5)), (B, 0, 10)
-    return tuple([(_c(c), _th(r)) for c, r in zip(cs, routes)])
+    return tuple([(_c(c), th(r)) for c, r in zip(cs, routes)])
 
 
 #: atom kind -> its series at N, given the atom's arguments; eta at an offset
@@ -364,24 +348,24 @@ _ATOMS: dict[str, Callable[..., FracSeries]] = {
 }
 
 
-def _evaluator(N: Rat, theta: Callable[[tuple, Rat], FracSeries],
-               spread: bool) -> Callable[[tuple], FracSeries]:
+def _evaluator(N: Rat) -> Callable[[tuple], FracSeries]:
     """The function that turns a declared side into its series at N.
 
-    ``theta(route, N)`` serves a theta route, which the store holds.  Every
-    other (atom, power) is evaluated once per evaluator, as the locals of one
-    build would hold it, so the eta_top^5 that two pairs of R3, R6 and R7a
-    name is raised once.  Terms are scaled and summed in their declared
-    order.  A group multiplies its factor into the combination of its terms,
-    one product, unless ``spread``; then the factor and each term are single
-    theta routes, and each term is the slot of the pair of routes (factor,
-    term).
+    A theta route comes from the store, and a sigma atom from its
+    preimage's slot, at each request, so that a build holds no clip or
+    conjugate longer than its sum needs.  Every other (atom, power) is
+    evaluated once per evaluator, as the locals of one build would hold it,
+    so the eta_top^5 that two pairs of R3, R6 and R7a name is raised once.
+    Terms are scaled and summed in their declared order, and a group
+    multiplies its factor into the combination of its terms.
     """
     values: dict[tuple, FracSeries] = {}
 
     def power(atom: tuple, k: int) -> FracSeries:
         if atom[0] == "theta":
-            return theta(atom[1], N) ** k
+            return _slot(atom[1], N) ** k
+        if atom[0] == "sigma":
+            return _conjugated(atom[2], N, atom[1]) ** k
         f = values.get((atom, k))
         if f is None:
             if k > 1:
@@ -416,13 +400,7 @@ def _evaluator(N: Rat, theta: Callable[[tuple, Rat], FracSeries],
     def side(groups: tuple) -> FracSeries:
         out = None
         for factor, terms in groups:
-            if factor is None:
-                f = combination(terms)
-            elif spread:
-                ((_, route), _), = factor
-                f = combination([(c, _th((route, t[1]))) for c, ((t, _),) in terms])
-            else:
-                f = monomial(factor) * combination(terms)
+            f = combination(terms) if factor is None else monomial(factor) * combination(terms)
             out = f if out is None else out + f
         return FracSeries.zero() if out is None else out
 
@@ -441,7 +419,7 @@ def _entry(entry_id: str, title: str, location: str, min_order: int, margin: int
 
 # Thm 1.1 entries: theta'[1,1]^4 * (P^2 + cPQ*PQ + cQ2*Q^2) = (2*pi*i)^4 w * th_A th_B (PQ)^2
 # Each row: (location, char A, char B, {variant: coefficients}, orbit).  The orbit is
-# None for a representative, or (representative, j) for its image under eps' -> j*eps'.
+# None, or (representative, j) for the image of a row under eps' -> j*eps'.
 _T1_DATA = {
     "T1a": ("Thm 1.1, pair (1,1/5),(1,3/5)", char(5, 1, 5), char(5, 3, 5),
             {AS_STATED: (-11, -1, 1)}, None),
@@ -484,40 +462,43 @@ _D_DATA = {
 }
 
 
-def _orbit_entry(entry_id: str, title: str, margin: int, data: dict, pair) -> IdentityEntry:
-    """The entry of the T1 or D row ``entry_id`` of ``data``, ``pair(A, B, [X,]
-    *coefficients)`` declaring its one pair per variant.  An image row's orbit
-    is (representative, j, (A, B), the representative's (A, B))."""
-    location, A, B, *side, table, orbit = data[entry_id]
-    return IdentityEntry(entry_id, title, location, 10, margin,
-                         tuple([(v, (pair(A, B, *side, *row),)) for v, row in table.items()]),
-                         orbit and (*orbit, (A, B), data[orbit[0]][1:3]))
+def _orbit_entries(title: str, margin: int, data: dict, pair) -> list[IdentityEntry]:
+    """The entries of the T1 or D rows ``data``, ``pair(label, th, spread, A,
+    B, [X,] *coefficients)`` declaring each row's one pair per variant.  ``th``
+    writes the monomial of a route: a sigma atom in an image under eps' ->
+    j*eps', else a theta atom.  ``spread`` holds for a row of an orbit, an
+    image or a representative an image names; such a row writes each factor
+    times term as one route, the slot that sigma_j serves."""
+    representatives = {row[-1][0] for row in data.values() if row[-1]}
+    entries = []
+    for entry_id, (location, A, B, *side, table, orbit) in data.items():
+        th = _th if orbit is None else lambda route, j=orbit[1]: ((("sigma", j, route), 1),)
+        spread = orbit is not None or entry_id in representatives
+        entries.append(IdentityEntry(entry_id, title, location, 10, margin, tuple([
+            (v, (pair(f"{entry_id} cross-multiplied", th, spread, A, B, *side, *row),))
+            for v, row in table.items()])))
+    return entries
 
 
-def _t1_entry(entry_id: str) -> IdentityEntry:
+def _t1_pair(label: str, th, spread: bool, A: ThetaChar, B: ThetaChar, cpq, cq2, w) -> tuple:
     """theta'[1,1]^4 times the denominator P^2 + cPQ*PQ + cQ2*Q^2, a unit, on
     the left, and (2*pi*i)^4 w (th_A^5 th_B^5)^2 th_A th_B on the right."""
-    def pair(A, B, cpq, cq2, w) -> tuple:
-        PQ = (A, 0, 5), (B, 0, 5)
-        den = _quadratic(A, B, (1, cpq, cq2))
-        return (f"{entry_id} cross-multiplied", ((_th((_TH11, 1, 4)), den),),
-                _plain((_c(w, 4), _th(((PQ, PQ), ((A, 0, 1), (B, 0, 1)))))), _plain(*den))
-
-    return _orbit_entry(entry_id, "quartic derivative-formula analogue", 10, _T1_DATA, pair)
+    PQ = (A, 0, 5), (B, 0, 5)
+    tp4, cs = (_TH11, 1, 4), (1, cpq, cq2)
+    den = _quadratic(A, B, cs, th)
+    lhs = _plain(*_quadratic(A, B, cs, lambda r: th((tp4, r)))) if spread else ((th(tp4), den),)
+    return label, lhs, _plain((_c(w, 4), th(((PQ, PQ), ((A, 0, 1), (B, 0, 1)))))), _plain(*den)
 
 
-def _d_entry(entry_id: str) -> IdentityEntry:
+def _d_pair(label: str, th, spread: bool, A: ThetaChar, B: ThetaChar, side: str, s, cp,
+            cq) -> tuple:
     """10 theta'_X th_A^3 th_B^3 on the left, its denominator th_A^3 th_B^3 a
     unit, and theta_X theta'[1,1] (s cP P + s cQ Q) on the right."""
-    def pair(A, B, side, s, cp, cq) -> tuple:
-        X = A if side == "A" else B
-        den = (A, 0, 3), (B, 0, 3)
-        return (f"{entry_id} cross-multiplied", _sum((10, ("theta", ((X, 1, 1), den)))),
-                ((_th(((X, 0, 1), (_TH11, 1, 1))),
-                  ((_c(s * cp), _th((A, 0, 5))), (_c(s * cq), _th((B, 0, 5))))),),
-                _sum((1, ("theta", den))))
-
-    return _orbit_entry(entry_id, "first-derivative formula, fifth powers", 8, _D_DATA, pair)
+    X = A if side == "A" else B
+    den, xt, P, Q = ((A, 0, 3), (B, 0, 3)), ((X, 0, 1), (_TH11, 1, 1)), (A, 0, 5), (B, 0, 5)
+    rhs = (_plain((_c(s * cp), th((xt, P))), (_c(s * cq), th((xt, Q)))) if spread
+           else ((th(xt), ((_c(s * cp), th(P)), (_c(s * cq), th(Q)))),))
+    return label, _plain((_c(10), th(((X, 1, 1), den)))), rhs, _plain((_c(1), th(den)))
 
 
 #: the characteristic pairs (A, B) of §5 and §6
@@ -649,7 +630,7 @@ def _level(level: int, name: str, N: Rat) -> FracSeries:
         if name in ("X", "Y"):
             return _slot((A if name == "X" else B, 0, 5), n)
         if name == "F":
-            return _evaluator(n, _slot, False)(_plain(*_quadratic(A, B, (1, c, -1))))
+            return _evaluator(n)(_plain(*_quadratic(A, B, (1, c, -1))))
         if name == "X^9 Y^9":
             return _slot(((A, 0, 5), (B, 0, 5)), n) ** 9
         if name == "F^5":
@@ -749,8 +730,8 @@ _CATALOG: list[IdentityEntry] = [
     _entry("E4", "first derivative theta constant as eta cube", "§2.3", 10, 2,
            ("theta'[1,1] = (2*pi*i) e(1/4) eta^3", _plain((_c(1), _th((_TH11, 1, 1)))),
             _plain((_c(1, 1, Phase(1, 4)), ((("eta", (1, 1), (0, 1)), 3),))))),
-    *map(_t1_entry, _T1_DATA),
-    *map(_d_entry, _D_DATA),
+    *_orbit_entries("quartic derivative-formula analogue", 10, _T1_DATA, _t1_pair),
+    *_orbit_entries("first-derivative formula, fifth powers", 8, _D_DATA, _d_pair),
     _residue_entry("R1", "§5.1 Eq. (11)", "R1 first combination", _PAIR5, (2, 1, 4, 2),
                    ((_A5, 1, 2), (_B5, 0, 2))),
     _residue_entry("R2", "§5.1 Eq. (12)", "R2 second combination", _PAIR5, (1, 2, -4, 2),
@@ -818,8 +799,6 @@ _CATALOG: list[IdentityEntry] = [
              for ch in CATALOG_CHARS]),
 ]
 _BY_ID: dict[str, IdentityEntry] = {e.id: e for e in _CATALOG}
-#: the entries whose monomials a Galois image reads
-_READ_BY_IMAGES = frozenset([e.orbit[0] for e in _CATALOG if e.orbit])
 
 
 def catalog() -> list[IdentityEntry]:
@@ -865,9 +844,10 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
 def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
     """The highest order of the theta slots that entry ``e``, built at ``n``,
     asks the store for, read off the atoms it names (Theta of an atom as its
-    operand): n for a theta route or a level-5 series, ``_fifth_order(n)`` for
-    level-6 series only, whose theta slots are q -> q^5 substitutions, and
-    None for neither (the rows of product forms and oracles, and E3)."""
+    operand): n for a theta or sigma route or a level-5 series,
+    ``_fifth_order(n)`` for level-6 series only, whose theta slots are
+    q -> q^5 substitutions, and None for neither (the rows of product forms
+    and oracles, and E3)."""
     levels = set()
     for _, pairs in e.relations:
         for _, *sides in pairs:
@@ -875,8 +855,8 @@ def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
                 for atom, _ in sum([m for _, m in terms], factor or ()):
                     while atom[0] == "Theta":
                         atom = atom[1]
-                    if atom[0] in ("theta", "level"):
-                        levels.add(5 if atom[0] == "theta" else atom[1])
+                    if atom[0] in ("theta", "sigma", "level"):
+                        levels.add(atom[1] if atom[0] == "level" else 5)
     return None if not levels else n if 5 in levels else _fifth_order(n)
 
 

@@ -196,7 +196,9 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_coeffs(args, out) -> int:
-    rows = [(n, divisor_sum(args.kernel, n)) for n in range(1, args.upto + 1)]
+    # a generator: the text table prints each row as it is computed, so a
+    # reader that closes the pipe early stops the computing
+    rows = ((n, divisor_sum(args.kernel, n)) for n in range(1, args.upto + 1))
     if args.format == "json":
         _emit({"kernel": args.kernel,
                "values": {str(n): render_rational(v) for n, v in rows}}, "json", out)
@@ -207,7 +209,7 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_partitions(args, out) -> int:
-    rows = [(n, partition_p(n)) for n in range(args.upto + 1)]
+    rows = ((n, partition_p(n)) for n in range(args.upto + 1))  # streamed, as in coeffs
     if args.format == "json":
         _emit({"values": {str(n): str(v) for n, v in rows}}, "json", out)
     else:

@@ -19,11 +19,11 @@ import theta5.catalog as catalog_module
 import theta5.series as series_module
 from theta5.arith import partition_p
 from theta5.catalog import (_D_DATA, _T1_DATA, _THETA, _TH11, AS_STATED, CORRECTED,
-                            IdentityEntry, IdentityReport, _homogeneous, _key, _orbit, _slot,
+                            IdentityEntry, IdentityReport, _homogeneous, _key, _preimage, _slot,
                             _theta_order, catalog, lookup, report_to_dict, reports_to_json,
                             verify, verify_all, verify_ids)
 from theta5.cli import run, series_to_dict
-from theta5.cyclo import CycloQ5, rsub
+from theta5.cyclo import CycloQ5, Phase, rsub
 from theta5.series import FracSeries, series_equal
 from theta5.theta import CATALOG_CHARS, ThetaChar, char, theta_const
 
@@ -181,21 +181,19 @@ def test_identity_entry_record():
     pairs = (("lbl", (), ()),)
     e = IdentityEntry("X", "t", "loc", 5, 2, ((AS_STATED, pairs),))
     assert (e.id, e.title, e.location, e.min_meaningful_order, e.margin, e.relations,
-            e.orbit, e.variants) == ("X", "t", "loc", 5, 2, ((AS_STATED, pairs),), None,
-                                     (AS_STATED,))
+            e.variants) == ("X", "t", "loc", 5, 2, ((AS_STATED, pairs),), (AS_STATED,))
     kw = IdentityEntry(id="X", title="t", location="loc", min_meaningful_order=5, margin=2,
-                       relations=((AS_STATED, pairs),), orbit=None)
-    assert kw == e and hash(kw) == hash(e) == hash(
-        ("X", "t", "loc", 5, 2, ((AS_STATED, pairs),), None))
+                       relations=((AS_STATED, pairs),))
+    assert kw == e and hash(kw) == hash(e) == hash(("X", "t", "loc", 5, 2, ((AS_STATED, pairs),)))
     assert e != IdentityEntry("X", "t", "loc", 5, 3, ((AS_STATED, pairs),))
-    assert e != ("X", "t", "loc", 5, 2, ((AS_STATED, pairs),), None)
+    assert e != ("X", "t", "loc", 5, 2, ((AS_STATED, pairs),))
     assert lookup("E1") == lookup("E1") and lookup("E1") != lookup("E2")
     assert {lookup("E1"): 1}[lookup("E1")] == 1
     with pytest.raises(AttributeError):
         e.margin = 4
     assert repr(e) == ("IdentityEntry(id='X', title='t', location='loc', "
                        "min_meaningful_order=5, margin=2, "
-                       "relations=(('as-stated', (('lbl', (), ()),)),), orbit=None)")
+                       "relations=(('as-stated', (('lbl', (), ()),)),))")
     # the empty side is zero, so the pair compares zero with zero
     [(label, lhs, rhs)] = e.build(12, AS_STATED)
     assert label == "lbl" and lhs.is_zero_tail() and rhs.is_zero_tail()
@@ -780,15 +778,57 @@ def test_galois_orbits_of_the_t1_and_d_rows():
                 assert pair == (want if target == "AB" else want[::-1]), (eid, j)
 
 
-def test_orbit_rejects_a_row_off_its_orbit():
-    rep = char(F(1, 5), F(1, 5)), char(F(3, 5), F(3, 5))
-    assert set(_orbit((char(F(1, 5), F(3, 5)), char(F(3, 5), F(9, 5))), rep, 3)) == {
-        char(F(1, 5), F(3, 5)), char(F(3, 5), F(9, 5)), _TH11}
-    for chars in [(char(F(1, 5), F(3, 5)), char(F(3, 5), F(1, 5))),
-                  (char(F(1, 5), F(7, 5)), char(F(3, 5), F(9, 5))),
-                  (char(F(3, 5), F(3, 5)), char(F(3, 5), F(9, 5)))]:
-        with pytest.raises(ValueError, match="not the image"):
-            _orbit(chars, rep, 3)
+def _sigma(k: int, row: tuple) -> tuple:
+    return tuple([(CycloQ5(1) * c).conjugate_map(k) for c in row])
+
+
+def test_image_rows_are_conjugates_of_their_representatives():
+    # the printed and corrected T1 and D rows against sigma_k of their
+    # representative's, sigma_k = CycloQ5.conjugate_map(k): the units by which
+    # they differ are what deriving the image rows from the orbit must produce
+    z = CycloQ5.zeta
+    t1c = _T1_DATA["T1c"][3][AS_STATED]
+    assert _sigma(3, t1c) == _T1_DATA["T1d"][3][CORRECTED]
+    cpq, cq2, w = _sigma(4, t1c)
+    assert (-cpq, cq2, w) == _T1_DATA["T1d"][3][AS_STATED]
+    for eid, k in (("T1e", 2), ("T1f", 4)):
+        cpq, cq2, w = _sigma(k, t1c)
+        assert (cpq, cq2, w * z(3)) == _T1_DATA[eid][3][AS_STATED], eid
+    for rep, images in (("D1", ("D3", "D7", "D9")), ("D2", ("D4", "D8", "D10"))):
+        row = _D_DATA[rep][4][AS_STATED]
+        for (eid, variant), k, unit in zip(((images[0], CORRECTED), (images[1], AS_STATED),
+                                            (images[2], AS_STATED)), (3, 2, 4),
+                                           (-1, -z(1), z(1))):
+            s, cp, cq = _sigma(k, row)
+            assert (s * unit, cp, cq) == _D_DATA[eid][4][variant], eid
+        # the printed D3 and D4 rows also have c_Q times -zeta^4
+        s, cp, cq = _D_DATA[images[0]][4][CORRECTED]
+        assert (s, cp, cq * -z(4)) == _D_DATA[images[0]][4][AS_STATED]
+
+
+def test_sigma_j_of_the_preimage_is_the_characteristic():
+    # sigma_j of theta[r], divided by the 2-shift phase p, is theta[c] field
+    # for field, derivatives included; r keeps eps and has eps' in [0, 2)
+    fields = ("scale", "phase", "_qpow", "cpow", "den", "tail", "_order")
+    for c in CATALOG_CHARS + (_TH11,):
+        for j in (3, 7, 9):
+            r, p = _preimage(c, j)
+            assert r.e == c.e and 0 <= r.eps_prime < 2, (c, j)
+            for m in range(4):
+                got = theta_const(r, m, 8).conjugate(j).phase_mul(Phase(0) / p)
+                want = theta_const(c, m, 8)
+                assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], \
+                    (c, j, m)
+    # each image row's characteristics are the preimages of its representative's
+    rows = {**_T1_DATA, **_D_DATA}
+    for row in rows.values():
+        if row[-1] is not None:
+            rep, j = row[-1]
+            assert tuple([_preimage(c, j)[0] for c in row[1:3]]) == rows[rep][1:3]
+    for c, j in [(char(F(1, 5), F(1, 3)), 3), (char(F(1, 5), F(2, 9)), 9),
+                 (char(F(1, 5), F(4, 15)), 3)]:
+        with pytest.raises(ValueError, match="no preimage"):
+            _preimage(c, j)
 
 
 @pytest.mark.parametrize("order", [20, 60])
@@ -799,8 +839,8 @@ def test_conjugated_monomials_equal_direct_builds(empty_store, monkeypatch, orde
     served = []
     real = catalog_module._conjugated
 
-    def record(route, n, back, j):
-        f = real(route, n, back, j)
+    def record(route, n, j):
+        f = real(route, n, j)
         served.append((route, n, f))
         return f
 
@@ -937,13 +977,86 @@ def test_factored_bracket_equals_the_expanded_difference(empty_store, entry_id, 
 _COMBINED = ("T1a", "T1b", "D5", "D6", "D11", "D12")
 
 
+def _groups(pairs: tuple):
+    """Every group (factor, terms) of every side of the ``pairs``."""
+    for _, *sides in pairs:
+        yield from sum(sides, ())
+
+
 def test_only_rows_no_image_reads_combine():
-    # the images and the rows they read multiply a group's factor into each
-    # term; every other entry with a factor combines first
-    spread = {e.id for e in catalog() if e.orbit or e.id in catalog_module._READ_BY_IMAGES}
-    assert spread == {"T1c", "T1d", "T1e", "T1f", "D1", "D2", "D3", "D4", "D7", "D8", "D9",
-                      "D10"}
-    assert set(_T1_DATA) | set(_D_DATA) == spread | set(_COMBINED)
+    # the images and the rows they read write each factor times term as one
+    # route; every other T1 and D row multiplies its factor into the combination
+    rows = {**_T1_DATA, **_D_DATA}
+    combined = {e.id for e in catalog()
+                if e.id in rows and any(factor for _, pairs in e.relations
+                                        for factor, _ in _groups(pairs))}
+    assert combined == set(_COMBINED)
+    assert set(rows) - combined == {"T1c", "T1d", "T1e", "T1f", "D1", "D2", "D3", "D4", "D7",
+                                    "D8", "D9", "D10"}
+
+
+def _named_atoms(e: IdentityEntry, variant: str):
+    """Every atom that e's pairs of ``variant`` name, Theta of an atom as its operand."""
+    for factor, terms in _groups(dict(e.relations)[variant]):
+        for atom, _ in sum([m for _, m in terms], factor or ()):
+            while atom[0] == "Theta":
+                atom = atom[1]
+            yield atom
+
+
+def _preimage_route(route: tuple, j: int) -> tuple:
+    if isinstance(route[0], ThetaChar):
+        return (_preimage(route[0], j)[0],) + route[1:]
+    return tuple([_preimage_route(r, j) for r in route])
+
+
+def test_theta_reads_are_the_slots_the_relations_name(empty_store, monkeypatch):
+    # the theta-store keys that an entry's theta and sigma atoms request are
+    # the keys its relations name: a theta atom's route, and a sigma atom's
+    # route over the preimage characteristics; the slots the shared level
+    # series read, and the operands of a build, do not count
+    reads, current, depth = {}, [None], [0]
+    real_slot, real_level, real_verify = (catalog_module._slot, catalog_module._level,
+                                          catalog_module.verify)
+
+    def nested(real):
+        def call(*args):
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+        return call
+
+    build = nested(real_slot)
+
+    def slot(route, order):
+        if depth[0] == 0:
+            reads[current[0]].add(_key(route))
+        return build(route, order)
+
+    def traced_verify(entry_id, *args):
+        current[0] = entry_id
+        reads[entry_id] = set()
+        return real_verify(entry_id, *args)
+
+    monkeypatch.setattr(catalog_module, "_slot", slot)
+    monkeypatch.setattr(catalog_module, "_level", nested(real_level))
+    monkeypatch.setattr(catalog_module, "verify", traced_verify)
+    verify_all(20)
+    monkeypatch.undo()
+    sigma = set()
+    for e in catalog():
+        named = set()
+        for atom in _named_atoms(e, AS_STATED):
+            if atom[0] == "theta":
+                named.add(_key(atom[1]))
+            elif atom[0] == "sigma":
+                sigma.add(e.id)
+                named.add(_key(_preimage_route(atom[2], atom[1])))
+        assert reads[e.id] == named, e.id
+    assert sigma == {eid for eid, row in {**_T1_DATA, **_D_DATA}.items() if row[-1] is not None}
+    assert len(empty_store) == 146
 
 
 @pytest.mark.parametrize("order", [20, 60])
@@ -1019,7 +1132,7 @@ def test_every_coefficient_misprint_fails_at_the_minimum_order(empty_store):
     for e in catalog():
         for variant, pair in _misprinted_pairs(e):
             bad = IdentityEntry(e.id, e.title, e.location, e.min_meaningful_order, e.margin,
-                                ((variant, (pair,)),), e.orbit)
+                                ((variant, (pair,)),))
             [(label, lhs, rhs)] = bad.build(e.min_meaningful_order + e.margin, variant)
             res = series_equal(lhs, rhs)
             assert not res.passed and res.first_mismatch is not None, (e.id, label)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import theta5.cli as cli
 from theta5.cli import run
 
 #: ``theta5 numeric-check`` text and JSON over every id, at the default seed and at
@@ -322,13 +323,36 @@ def test_exact_verify_does_not_load_fractions(fmt):
     assert not new & {"fractions", "decimal", "numbers"}
 
 
+class _ClosedPipe:
+    """An output whose reader is gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("coeffs", "--kernel", "A", "--upto", "2000"), "divisor_sum"),
+    (("partitions", "--upto", "2000"), "partition_p")])
+def test_text_tables_stop_computing_at_the_first_failed_write(monkeypatch, argv, name):
+    # each row is printed as it is computed, so a reader that leaves at once
+    # costs one row, not the table
+    calls, real = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(BrokenPipeError):
+        run(list(argv), out=_ClosedPipe())
+    assert len(calls) == 1
+
+
 def test_closed_pipe_exits_quietly_with_the_sigpipe_status():
     # a reader that stops early, as `| head -c 10` does: the output is far past
     # the pipe's buffer, so writing goes on after the reader has gone
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen([sys.executable, "-m", "theta5.cli", "coeffs", "--kernel", "A",
-                             "--upto", "20000"], env=env, stdout=subprocess.PIPE,
+                             "--upto", "200000"], env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()

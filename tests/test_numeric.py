@@ -299,6 +299,24 @@ def test_eta_num_refuses_a_truncated_product():
             eta_num(complex(0.3, im))
 
 
+def test_fricke_constants():
+    # the constants that tau -> -1/(5 tau) takes level five's X, Y and Z to
+    # level six's: with tau' = -1/(5 tau), X5, Y5 = theta[1,1/5]^5, theta[1,3/5]^5
+    # at tau', X6, Y6 = theta[1/5,1]^5, theta[3/5,1]^5 at 5 tau,
+    # Z1 = eta^5(tau')/eta(5 tau') and Z2 = eta^5(5 tau)/eta(tau)
+    r5 = math.sqrt(5)
+    for tau in (0.1 + 0.9j, -0.2 + 0.7j, 0.3 + 1.3j):
+        tp = -1 / (5 * tau)
+        X5, Y5 = (theta_num(0, tp, char(1, F(a, 5))) ** 5 for a in (1, 3))
+        X6, Y6 = (theta_num(0, 5 * tau, char(F(a, 5), 1)) ** 5 for a in (1, 3))
+        Z1 = eta_num(tp) ** 5 / eta_num(5 * tp)
+        Z2 = eta_num(5 * tau) ** 5 / eta_num(tau)
+        w = 25 * r5 * (-1j * tau) ** 2.5
+        for got, want in ((X5, -1j * w * X6), (Y5, 1j * w * Y6),
+                          (Z1, 25 * r5 * (-1j * tau) ** 2 * Z2)):
+            assert abs(got - want) <= 1e-12 * abs(got), tau
+
+
 def test_zero_location():
     assert check_zero_location(24) < 1e-9
 
