@@ -21,17 +21,24 @@ offset) or ("level", 5, "F^5").  The family helpers (``_orbit_entries``,
 side into a series, and ``_theta_order`` reads an entry's theta order off the
 atoms it names.
 
-Theta constants, their shared products, the product forms, and the X^9 Y^9,
-F^5 and Wronskian that ME, ODE and W share at each level come from one store,
-whose accessor ``_slot(route, order)`` takes a theta product by its route.
-Each slot holds its highest-order build, and a request at a lower order clips
-it by the difference of the orders (``_stored``).  ``verify_ids`` runs the
-entries that ask for theta slots first, highest theta order first, then the
-others, highest build order first, so each slot is built once per run.  A
-group multiplies its factor into the combination of its terms once: the
-brackets' left side is th_A^5 th_B^5 times th''_A th_B - th''_B th_A, and
-the eta chains take the same two slots.  On an empty store, ``verify_all(20)``
-makes 184 series products and leaves 146 store slots.
+Theta constants, their shared products, the product forms and the series
+that ME, ODE and W share at each level come from one store, whose accessor
+``_slot(route, order)`` takes a theta product by its route.  A product form is
+a row of ``_FORMS`` (progressions, q-shift, power) for the binomial-product
+kernel, named by a ("form", name) atom.  The level series are sides declared
+over theta atoms (``_level_sides``) and evaluated like any side, at the theta
+order; level 6's are then substituted q -> q^5 and multiplied by 5^cpow, as
+each tau-derivative carries one power of 2*pi*i and d/dtau f(5 tau) =
+5 f'(5 tau) (``_level``).  Each slot holds its highest-order build, and a
+request at a lower order clips it by the difference of the orders
+(``_stored``).  ``verify_ids`` runs the entries that ask for theta slots
+first, highest theta order first, then the others, highest build order
+first, so each slot is built once per run.  A group multiplies its factor
+into the combination of its terms once: the brackets' left side is th_A^5
+th_B^5 times th''_A th_B - th''_B th_A, and the eta chains take the same two
+slots.  On an empty store, ``verify_all(20)`` makes 184 series products and
+leaves 150 store slots: 41 theta constants, 90 other theta monomials, 10
+product forms and 9 level series.
 
 Scaling eps' by j in {3, 7, 9} maps T1c to T1d, T1e and T1f, and D1/D2 to
 D3/D4, D7/D8 and D9/D10.  These image rows name each monomial as a sigma
@@ -58,8 +65,8 @@ from functools import cache
 from typing import Callable, Optional
 
 from . import arith
-from .cyclo import (UNITS, CycloQ5, Phase, Rat, Ratio, Record, as_ratio, render_rational, rsub,
-                    sqrt5, to_fraction)
+from .cyclo import (CycloQ5, Phase, Rat, Ratio, Record, as_ratio, render_rational, rsub, sqrt5,
+                    to_fraction)
 from .series import FracSeries, _min_order, series_equal
 from .theta import (CATALOG_CHARS, MINUS_ONE, ThetaChar, _binomial_product, _eta_product,
                     _eta_twist, char, char_shift_phase, eta_quotient, theta_const,
@@ -150,12 +157,13 @@ class IdentityReport(Record):
 #: (order, series), the highest-order build so far, at an int or Fraction order.
 #: A monomial key is one factor (characteristic, derivative order, power), or a
 #: sorted tuple of two or more such factors with distinct (characteristic,
-#: derivative order).  A shared level series' key is its level and name, such as
-#: (5, "F^5") (``_level``).  A product form's key is its name and arguments, such
-#: as ("eta_q", (1, 5)), the real product of eta(tau/5) that every offset twists;
-#: so a key's first element is a str exactly when the slot is a product form,
-#: built at an entry's build order rather than its theta order.  Slots are read
-#: and replaced whole, and one is clipped only when its order is at least the
+#: derivative order).  A level series' key is its level and name, such as
+#: (5, "F^5") (``_shared``).  A product form's key is its atom or, for eta, the
+#: kind and multiplier: ("form", "G+^2"), ("eta_quotient", spec) or ("eta_q",
+#: (1, 5)), the real product of eta(tau/5) that every offset twists; so a key's
+#: first element is a str exactly when the slot is a product form, built at an
+#: entry's build order rather than its theta order.  Slots are read and
+#: replaced whole, and one is clipped only when its order is at least the
 #: request, so a race can only waste a build.
 _THETA: dict[tuple, tuple[Rat, FracSeries]] = {}
 
@@ -187,16 +195,15 @@ def _stored(key: tuple, order: Rat, build: Callable[[Rat], FracSeries]) -> FracS
 
     A product of theta constants is exact below min_i(A_i - v_i) + sum_i p_i v_i,
     A_i = eps_i^2/8 + order and v_i the lowest exponent of factor i, and only
-    the A_i move with the order.  Each of the shared level series F^5 and the
-    Wronskian is a sum of theta monomials of one degree, or of their
-    tau-derivatives, which keep the bound, so its bound moves one for one with
-    the theta order too, as X^9 Y^9's does.  A product form is exact below the relative
-    order it was built at, and its scale does not depend on the order: the G
-    and H products are on the grid 1, and eta and eta quotients have a factor
-    of each multiplier (at most 5) below every order the catalog asks for (at
-    least 12).  An empty tail, a product with the exact-zero theta[1,1] at
-    m = 0, has v_i = A_i, so its bound moves by a multiple of the difference;
-    it is built again.
+    the A_i move with the order.  Each level series is a sum of theta
+    monomials of one degree, or of their tau-derivatives, which keep the
+    bound, so its bound moves one for one with the theta order too.  A
+    product form is exact below the relative order it was built at, and its
+    scale does not depend on the order: the rows of ``_FORMS`` are on the
+    grid 1, and eta and eta quotients have a factor of each multiplier (at
+    most 5) below every order the catalog asks for (at least 12).  An empty
+    tail, a product with the exact-zero theta[1,1] at m = 0, has v_i = A_i,
+    so its bound moves by a multiple of the difference; it is built again.
     """
     slot = _THETA.get(key)
     if slot is None or slot[0] < order:
@@ -218,15 +225,6 @@ def _slot(route: tuple, order: Rat) -> FracSeries:
     factor is built from the slots of powers p//2 and p - p//2.
     """
     return _stored(_key(route), order, lambda n: _build(route, n))
-
-
-def _eta_quotient(spec: tuple, N: Rat) -> FracSeries:
-    """eta_quotient(spec, N), from the store; ``spec`` is a tuple of (m, e) pairs."""
-    return _stored(("eta_quotient", spec), N, lambda n: eta_quotient(spec, n))
-
-
-#: eta^5(t)/eta(5t) and eta^5(5t)/eta(t)
-_Z1, _Z2 = ((1, 5), (5, -1)), ((5, 5), (1, -1))
 
 
 def _build(route: tuple, order: Rat) -> FracSeries:
@@ -329,20 +327,18 @@ def _quadratic(A: ThetaChar, B: ThetaChar, cs: tuple, th=_th) -> tuple:
 
 
 #: atom kind -> its series at N, given the atom's arguments; eta at an offset
-#: twists the real product of its multiplier from the store
+#: twists the real product of its multiplier from the store, and an eta
+#: quotient and a product form are store slots keyed by their atom
 _ATOMS: dict[str, Callable[..., FracSeries]] = {
     "eta": lambda N, mult, offset: _eta_twist(
         _stored(("eta_q", mult), N, lambda n: _eta_product(mult, n)), mult, offset),
+    "eta_quotient": lambda N, spec: _stored(("eta_quotient", spec), N,
+                                            lambda n: eta_quotient(spec, n)),
+    "form": lambda N, name: _stored(("form", name), N, lambda n: _form(name, n)),
     "level": lambda N, level, name: _level(level, name, N),
+    "shared": lambda N, level, name: _shared(level, name, N),
     "divisor": lambda N, kernel: _oracle_series(N, lambda n: arith.divisor_sum(kernel, n)),
     "triple": lambda N, ch: theta_const_product(ch, N),
-    "Z1": lambda N: _eta_quotient(_Z1, N),
-    "Z2": lambda N: _eta_quotient(_Z2, N),
-    "G+^2": lambda N: _g_product(+1, N),
-    "G-^2": lambda N: _g_product(-1, N),
-    "H1^2": lambda N: _h_product(1, N),
-    "H2^2": lambda N: _h_product(2, N),
-    "E3": lambda N: _binomial_product(N, [(5, 5, MINUS_ONE, 5), (1, 1, MINUS_ONE, -6)]),
     "p(5n+4)": lambda N: _oracle_series(N, lambda n: arith.partition_p(5 * n + 4),
                                         arith.partition_p(4)),
 }
@@ -573,30 +569,29 @@ def _fk_entry(entry_id: str, title: str, location: str, label: str,
     return _entry(entry_id, title, location, 10, 8, (label, lhs, ()))
 
 
-def _g_product(sign: int, N: Rat) -> FracSeries:
-    """G+-^2, G+- = prod (1-q^n)^5 (1 + (1 +- sqrt5)/2 q^n + q^(2n))^5 / (1-q^(5n))^3.
+#: product form -> (progressions, shift, power), the form (q^shift prod (1 + e(t/10)
+#: q^e)^k)^power over the progressions (first, step, t, k) of ``_binomial_product``.
+#: The entries use G+- and H1/H2 only squared, and squaring the build is faster
+#: than doubling the exponents.  1 + (1 +- sqrt5)/2 x + x^2 in G+- splits over
+#: Q(zeta_5) as (1 - z^2 x)(1 - z^3 x) and (1 - z x)(1 - z^4 x), and -z^2, -z^3,
+#: -z, -z^4 are the units t = 9, 1, 7, 3.
+_FORMS = {
+    # G+- = prod (1-q^n)^5 (1 + (1 +- sqrt5)/2 q^n + q^(2n))^5 / (1-q^(5n))^3
+    "G+^2": (((1, 1, MINUS_ONE, 5), (5, 5, MINUS_ONE, -3), (1, 1, 9, 5), (1, 1, 1, 5)), 0, 2),
+    "G-^2": (((1, 1, MINUS_ONE, 5), (5, 5, MINUS_ONE, -3), (1, 1, 7, 5), (1, 1, 3, 5)), 0, 2),
+    # H1 = prod (1-q^n)^2 / ((1-q^(5n-1))(1-q^(5n-4)))^5
+    "H1^2": (((1, 1, MINUS_ONE, 2), (4, 5, MINUS_ONE, -5), (1, 5, MINUS_ONE, -5)), 0, 2),
+    # H2 = q * prod (1-q^n)^2 / ((1-q^(5n-2))(1-q^(5n-3)))^5
+    "H2^2": (((1, 1, MINUS_ONE, 2), (3, 5, MINUS_ONE, -5), (2, 5, MINUS_ONE, -5)), 1, 2),
+    # prod (1-q^(5n))^5 / (1-q^n)^6, E3's right side over 5
+    "E3": (((5, 5, MINUS_ONE, 5), (1, 1, MINUS_ONE, -6)), 0, 1),
+}
 
-    The entries use G+- only squared; squaring the build is faster than
-    doubling the exponents.  The trinomials split over Q(zeta_5): 1 + (1+sqrt5)/2 x + x^2 =
-    (1 - z^2 x)(1 - z^3 x) and 1 + (1-sqrt5)/2 x + x^2 = (1 - z x)(1 - z^4 x).
-    """
-    u1, u2 = (UNITS.index((-1, r)) for r in ((2, 3) if sign > 0 else (1, 4)))  # -z^r
-    return _stored(("G", sign), N, lambda n: _binomial_product(n, [
-        (1, 1, MINUS_ONE, 5), (5, 5, MINUS_ONE, -3), (1, 1, u1, 5), (1, 1, u2, 5)]) ** 2)
 
-
-def _h_product(which: int, N: Rat) -> FracSeries:
-    """H1^2 or H2^2, the only powers the entries use:
-       H1 = prod (1-q^n)^2 / ((1-q^(5n-1))(1-q^(5n-4)))^5,
-       H2 = q * prod (1-q^n)^2 / ((1-q^(5n-2))(1-q^(5n-3)))^5."""
-    r1, r2 = (1, 4) if which == 1 else (2, 3)
-
-    def build(n: Rat) -> FracSeries:
-        out = _binomial_product(n, [(1, 1, MINUS_ONE, 2), (5 - r1, 5, MINUS_ONE, -5),
-                                    (5 - r2, 5, MINUS_ONE, -5)])
-        return (out.qpow_shift(1) if which == 2 else out) ** 2
-
-    return _stored(("H", which), N, build)
+def _form(name: str, N: Rat) -> FracSeries:
+    """The product form ``name`` of ``_FORMS`` at N, built afresh."""
+    progressions, shift, power = _FORMS[name]
+    return _binomial_product(N, progressions).qpow_shift(shift) ** power
 
 
 def _fifth_order(N: Rat) -> int:
@@ -608,50 +603,48 @@ def _fifth_order(N: Rat) -> int:
 _LEVELS = {5: (_PAIR5, -11), 6: (_PAIR6, 11)}
 
 
-def _level(level: int, name: str, N: Rat) -> FracSeries:
-    """The series ``name`` of §5 or §6 at N.
+def _level_sides(level: int) -> dict[str, tuple]:
+    """The series of §5 or §6 that ME, ODE and W name, as sides over the
+    level's theta atoms before level 6's q -> q^5.
 
-    X, Y = th_A^5, th_B^5 over the level's pair, at t at level 5 and at 5t at
-    level 6; F = X^2 -+ 11XY - Y^2 (``_quadratic``); the series that ME, ODE
-    and W share: X^9 Y^9, F^5 and the Wronskian W = X Y' - Y X'; and W6's
-    printed determinant (X - Y) X', from the level's X and Y at N.  The
-    others are built at the level's theta order, ``_fifth_order(N)`` at level
-    6, and then substituted q -> q^5, under which a tau-derivative takes a
-    factor 5.  The shared series are store slots keyed (level, name), built
-    once per level, so ME and ODE clip what W builds.
+    With X, Y = th_A^5, th_B^5 over the level's pair: F = X^2 -+ 11XY - Y^2
+    (``_quadratic``); X^9 Y^9, the slot PQ to the 9th power; F^5, the shared F
+    to the 5th; the Wronskian W = X Y' - Y X' = (2*pi*i)(X Theta(Y) - Y
+    Theta(X)); and W6's printed determinant (X - Y) X', the group Theta(X)
+    times (2*pi*i)(X - Y).
     """
     (A, B), c = _LEVELS[level]
-    if name == "(X-Y)X'":
-        X, Y = _level(level, "X", N), _level(level, "Y", N)
-        return (X - Y) * X.tau_derivative()
+    X, Y = ("theta", (A, 0, 5)), ("theta", (B, 0, 5))
+    ThX, ThY = ("Theta", X), ("Theta", Y)
+    return {"F": _plain(*_quadratic(A, B, (1, c, -1))),
+            "X^9 Y^9": _plain((_c(1), ((("theta", ((A, 0, 5), (B, 0, 5))), 9),))),
+            "F^5": _plain((_c(1), ((("shared", level, "F"), 5),))),
+            "W": _plain((_c(1, 1), ((X, 1), (ThY, 1))), (_c(-1, 1), ((Y, 1), (ThX, 1)))),
+            "(X-Y)X'": ((((ThX, 1),), ((_c(1, 1), ((X, 1),)), (_c(-1, 1), ((Y, 1),)))),)}
 
-    def base(name: str, n: Rat) -> FracSeries:
-        """``name`` at theta order n, before level 6's q -> q^5."""
-        if name in ("X", "Y"):
-            return _slot((A if name == "X" else B, 0, 5), n)
-        if name == "F":
-            return _evaluator(n)(_plain(*_quadratic(A, B, (1, c, -1))))
-        if name == "X^9 Y^9":
-            return _slot(((A, 0, 5), (B, 0, 5)), n) ** 9
-        if name == "F^5":
-            return base("F", n) ** 5
-        X, Y = base("X", n), base("Y", n)
-        return X * Y.tau_derivative() - Y * X.tau_derivative()
 
-    n = N if level == 5 else _fifth_order(N)
-    f = (base(name, n) if name in ("X", "Y", "F")
-         else _stored((level, name), n, lambda n: base(name, n)))
+def _shared(level: int, name: str, n: Rat) -> FracSeries:
+    """The series ``name`` of ``_level_sides(level)`` at theta order n, from the
+    store slot (level, name), so that ME and ODE clip what W builds."""
+    return _stored((level, name), n, lambda n: _evaluator(n)(_level_sides(level)[name]))
+
+
+def _level(level: int, name: str, N: Rat) -> FracSeries:
+    """The series ``name`` of §5 or §6 at N: the shared slot at N at level 5,
+    at ``_fifth_order(N)`` at level 6, substituted q -> q^5 and multiplied by
+    5^cpow.  Each tau-derivative is one power of 2*pi*i, and d/dtau f(5 tau) =
+    5 f'(5 tau)."""
     if level == 5:
-        return f
-    f = f.rescale_exponent(5)
-    return f.scalar_mul(5) if name == "W" else f
+        return _shared(level, name, N)
+    f = _shared(level, name, _fifth_order(N)).rescale_exponent(5)
+    return f.scalar_mul(5 ** f.cpow) if f.cpow else f
 
 
 def _me_entry(entry_id: str, title: str, location: str, level: int,
               table: dict) -> IdentityEntry:
     """ME5 and ME6: c_l X^9 Y^9 = c_r Z^10 F^5, ``table`` giving (c_l, c_r, label) per variant."""
     X9Y9, F5 = ("level", level, "X^9 Y^9"), ("level", level, "F^5")
-    Z = ("Z1",) if level == 5 else ("Z2",)
+    Z = _Z1 if level == 5 else _Z2
     return IdentityEntry(entry_id, title, location, 20, 18, tuple([
         (v, ((label, _sum((c_l, X9Y9)), _plain((_c(c_r), ((Z, 10), (F5, 1))))),))
         for v, (c_l, c_r, label) in table.items()]))
@@ -661,7 +654,7 @@ def _ode_entry(entry_id: str, title: str, location: str, level: int, label: str,
                c: Rat | CycloQ5) -> IdentityEntry:
     """ODE5 and ODE6: X'Y - XY' = -W = c (2*pi*i) Z F."""
     W, F = ("level", level, "W"), ("level", level, "F")
-    Z = ("Z1",) if level == 5 else ("Z2",)
+    Z = _Z1 if level == 5 else _Z2
     return _entry(entry_id, title, location, 10, 10,
                   (label, _sum((-1, W)), _plain((_c(c, 1), ((Z, 1), (F, 1))))))
 
@@ -714,19 +707,21 @@ _CP, _CM = (25 + _R5 * 11) * CycloQ5(1, den=50), (25 - _R5 * 11) * CycloQ5(1, de
 #: (25 -+ 11 sqrt5)/4, G+-^2 = 1 + sum o+- (30 C(n) +- sqrt5 D25(n)) q^n
 _OP, _OM = (25 - _R5 * 11) * CycloQ5(1, den=4), (25 + _R5 * 11) * CycloQ5(1, den=4)
 _HALF = CycloQ5(1, den=2)
-_GP, _GM, _H1, _H2 = ("G+^2",), ("G-^2",), ("H1^2",), ("H2^2",)
+_GP, _GM, _H1, _H2 = (("form", name) for name in ("G+^2", "G-^2", "H1^2", "H2^2"))
+#: eta^5(t)/eta(5t) and eta^5(5t)/eta(t)
+_Z1, _Z2 = ("eta_quotient", ((1, 5), (5, -1))), ("eta_quotient", ((5, 5), (1, -1)))
 _C, _D25, _E11, _S = (("divisor", k) for k in ("C", "D25", "E11", "S"))
 
 _CATALOG: list[IdentityEntry] = [
     _entry("E1", "eta^5(t)/eta(5t) divisor-sum expansion", "§1 Eq. (1)", 10, 2,
-           ("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n", _sum((1, ("Z1",))),
+           ("eta^5(t)/eta(5t) = 1 - 5*sum A(n) q^n", _sum((1, _Z1)),
             _sum((1, None), (-5, ("divisor", "A"))))),
     _entry("E2", "eta^5(5t)/eta(t) divisor-sum expansion", "§1 Eq. (2)", 10, 2,
-           ("eta^5(5t)/eta(t) = sum B(n) q^n", _sum((1, ("Z2",))),
+           ("eta^5(5t)/eta(t) = sum B(n) q^n", _sum((1, _Z2)),
             _sum((0, None), (1, ("divisor", "B"))))),
     _entry("E3", "partition congruence generating function", "§1 Ramanujan identity", 10, 2,
            ("sum p(5n+4) q^n = 5 prod (1-q^(5n))^5/(1-q^n)^6", _sum((1, ("p(5n+4)",))),
-            _sum((5, ("E3",))))),
+            _sum((5, ("form", "E3"))))),
     _entry("E4", "first derivative theta constant as eta cube", "§2.3", 10, 2,
            ("theta'[1,1] = (2*pi*i) e(1/4) eta^3", _plain((_c(1), _th((_TH11, 1, 1)))),
             _plain((_c(1, 1, Phase(1, 4)), ((("eta", (1, 1), (0, 1)), 3),))))),
@@ -753,7 +748,7 @@ _CATALOG: list[IdentityEntry] = [
               "FK5 log-derivative relation", _PAIR5, (5, 1)),
     _entry("C511", "weighted eta-quotient combination", "Cor. 5.1.1", 10, 4,
            ("22*sqrt5/50 Z1 + 5*sqrt5 Z2 = c+ G+^2 - c- G-^2",
-            _sum((_R5 * CycloQ5(11, den=25), ("Z1",)), (_R5 * 5, ("Z2",))),
+            _sum((_R5 * CycloQ5(11, den=25), _Z1), (_R5 * 5, _Z2)),
             _sum((_CP, _GP), (-_CM, _GM)))),
     _entry("C521", "sigma-series as product combination", "Cor. 5.2.1", 10, 4,
            ("1 + 6 sum (sigma(n)-5 sigma(n/5)) q^n = c+ G+^2 + c- G-^2",
@@ -775,7 +770,7 @@ _CATALOG: list[IdentityEntry] = [
               "FK6 log-derivative relation", _PAIR6, (1, 5)),
     _entry("C611", "quintuple-product combination", "Cor. 6.1.1", 10, 4,
            ("H1^2 - H2^2 = 11 Z2 + Z1", _sum((1, _H1), (-1, _H2)),
-            _sum((11, ("Z2",)), (1, ("Z1",))))),
+            _sum((11, _Z2), (1, _Z1)))),
     _entry("C621", "sigma-series as quintuple-product combination", "Cor. 6.2.1", 10, 4,
            ("H1^2 + H2^2 = 1 + 6 sum S(n) q^n", _sum((1, _H1), (1, _H2)),
             _sum((1, None), (6, _S)))),
@@ -847,7 +842,7 @@ def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
     operand): n for a theta or sigma route or a level-5 series,
     ``_fifth_order(n)`` for level-6 series only, whose theta slots are
     q -> q^5 substitutions, and None for neither (the rows of product forms
-    and oracles, and E3)."""
+    and oracles)."""
     levels = set()
     for _, pairs in e.relations:
         for _, *sides in pairs:

@@ -594,13 +594,14 @@ def test_store_product_forms_equal_fresh_builds(empty_store, monkeypatch, prefil
     if prefill:
         verify_all(prefill)
     served = _served_forms(monkeypatch, 20)
-    assert {key[0] for key, _, _, _, _ in served} == {"eta_q", "eta_quotient", "G", "H"}
+    assert {key[0] for key, _, _, _, _ in served} == {"eta_q", "eta_quotient", "form"}
     for key, n, _, fresh, got in served:
         assert [getattr(got, a) for a in _FIELDS] == [getattr(fresh, a) for a in _FIELDS], key
         assert list(got.tail.items()) == list(fresh.tail.items()), key
     clipped = sum(built > n for _, n, built, _, _ in served)
-    # ME and ODE ask for Z, and W does not (35 and 15 while W asked for it too)
-    assert (len(served), clipped) == (33, 33 if prefill else 13)
+    # ME and ODE ask for Z, and W does not (35 and 15 while W asked for it too);
+    # E3's form is served from the store too (33 before)
+    assert (len(served), clipped) == (34, 34 if prefill else 13)
 
 
 def test_store_builds_each_product_form_once(empty_store, monkeypatch):
@@ -623,7 +624,7 @@ def test_store_builds_each_product_form_once(empty_store, monkeypatch):
     assert (len(calls), len(repeats)) == (22, 0)
     assert len({c[1:] for c in calls}) == len(calls)
     forms = [k for k in empty_store if isinstance(k[0], str)]
-    assert len(forms) == 9
+    assert len(forms) == 10
 
 
 def test_product_forms_pass_few_progressions(empty_store, monkeypatch):
@@ -915,23 +916,29 @@ def test_series_products_per_entry(empty_store, monkeypatch):
 
 
 def _fresh_level_series(level: int, name: str, n) -> FracSeries:
-    """X^9 Y^9, F^5 or X Y' - Y X' of ``level`` at theta order n, before
-    q -> q^5, from theta constants built afresh."""
+    """F, X^9 Y^9, F^5, X Y' - Y X' or (X - Y) X' of ``level`` at theta order
+    n, before q -> q^5, from theta constants built afresh."""
     (A, B), c = catalog_module._LEVELS[level]
     X, Y = theta_const(A, 0, n) ** 5, theta_const(B, 0, n) ** 5
+    F = X * X + (X * Y).scalar_mul(c) - Y * Y
+    if name == "F":
+        return F
     if name == "X^9 Y^9":
         return (X * Y) ** 9
     if name == "F^5":
-        return (X * X + (X * Y).scalar_mul(c) - Y * Y) ** 5
+        return F ** 5
+    if name == "(X-Y)X'":
+        return (X - Y) * X.tau_derivative()
     return X * Y.tau_derivative() - Y * X.tau_derivative()
 
 
 @pytest.mark.parametrize("prefill", [None, 60])
 @pytest.mark.parametrize("order", [10, 20, 40, 60])
 def test_shared_level_series_equal_fresh_builds(empty_store, monkeypatch, order, prefill):
-    # X^9 Y^9, F^5 and the Wronskian of each level, served from the store
-    # (built at the level's theta order or clipped from a higher build), are
-    # field for field the series built afresh from theta constants
+    # F, X^9 Y^9, F^5 and the Wronskian of each level, and W6's printed
+    # determinant, served from the store (built at the level's theta order or
+    # clipped from a higher build), are field for field the series built
+    # afresh from theta constants
     if prefill:
         verify_all(prefill)
     served = {}
@@ -946,8 +953,9 @@ def test_shared_level_series_equal_fresh_builds(empty_store, monkeypatch, order,
     monkeypatch.setattr(catalog_module, "_stored", record)
     verify_all(order)
     monkeypatch.undo()
+    names = ("F", "X^9 Y^9", "F^5", "W")
     assert {key for key, _ in served} == {(level, name) for level in (5, 6)
-                                          for name in ("X^9 Y^9", "F^5", "W")}
+                                          for name in names} | {(6, "(X-Y)X'")}
     for ((level, name), n), got in served.items():
         want = _fresh_level_series(level, name, n)
         assert _side_fields(got) == _side_fields(want), (level, name, n)
@@ -995,13 +1003,28 @@ def test_only_rows_no_image_reads_combine():
                                     "D8", "D9", "D10"}
 
 
-def _named_atoms(e: IdentityEntry, variant: str):
-    """Every atom that e's pairs of ``variant`` name, Theta of an atom as its operand."""
-    for factor, terms in _groups(dict(e.relations)[variant]):
+def _atoms(groups):
+    """Every atom that the ``groups`` name, Theta of an atom as its operand."""
+    for factor, terms in groups:
         for atom, _ in sum([m for _, m in terms], factor or ()):
             while atom[0] == "Theta":
                 atom = atom[1]
             yield atom
+
+
+def _named_atoms(e: IdentityEntry, variant: str):
+    """Every atom that e's pairs of ``variant`` name, Theta of an atom as its operand."""
+    return _atoms(_groups(dict(e.relations)[variant]))
+
+
+def _declared_atoms(atom: tuple):
+    """A level series, and each shared series inside it, as the atoms of its
+    side in ``_level_sides``; any other atom as itself."""
+    if atom[0] not in ("level", "shared"):
+        yield atom
+        return
+    for a in _atoms(catalog_module._level_sides(atom[1])[atom[2]]):
+        yield from _declared_atoms(a)
 
 
 def _preimage_route(route: tuple, j: int) -> tuple:
@@ -1011,29 +1034,25 @@ def _preimage_route(route: tuple, j: int) -> tuple:
 
 
 def test_theta_reads_are_the_slots_the_relations_name(empty_store, monkeypatch):
-    # the theta-store keys that an entry's theta and sigma atoms request are
-    # the keys its relations name: a theta atom's route, and a sigma atom's
-    # route over the preimage characteristics; the slots the shared level
-    # series read, and the operands of a build, do not count
+    # the theta-store keys that an entry requests, the operands of a build
+    # aside, are among the keys its relations name: a theta atom's route, a
+    # sigma atom's route over the preimage characteristics, and the theta
+    # routes of the sides that declare the level series it names.  An entry
+    # that names no level series requests exactly the keys it names; of those
+    # that do, ME5, ODE5 and ME6 request none, as they clip the level slots
+    # that W has built, and ODE6 builds the Wronskian, which W6's printed
+    # determinant does not name
     reads, current, depth = {}, [None], [0]
-    real_slot, real_level, real_verify = (catalog_module._slot, catalog_module._level,
-                                          catalog_module.verify)
-
-    def nested(real):
-        def call(*args):
-            depth[0] += 1
-            try:
-                return real(*args)
-            finally:
-                depth[0] -= 1
-        return call
-
-    build = nested(real_slot)
+    real_slot, real_verify = catalog_module._slot, catalog_module.verify
 
     def slot(route, order):
         if depth[0] == 0:
             reads[current[0]].add(_key(route))
-        return build(route, order)
+        depth[0] += 1
+        try:
+            return real_slot(route, order)
+        finally:
+            depth[0] -= 1
 
     def traced_verify(entry_id, *args):
         current[0] = entry_id
@@ -1041,22 +1060,29 @@ def test_theta_reads_are_the_slots_the_relations_name(empty_store, monkeypatch):
         return real_verify(entry_id, *args)
 
     monkeypatch.setattr(catalog_module, "_slot", slot)
-    monkeypatch.setattr(catalog_module, "_level", nested(real_level))
     monkeypatch.setattr(catalog_module, "verify", traced_verify)
     verify_all(20)
     monkeypatch.undo()
-    sigma = set()
+    sigma, level = set(), set()
     for e in catalog():
         named = set()
-        for atom in _named_atoms(e, AS_STATED):
-            if atom[0] == "theta":
-                named.add(_key(atom[1]))
-            elif atom[0] == "sigma":
-                sigma.add(e.id)
-                named.add(_key(_preimage_route(atom[2], atom[1])))
-        assert reads[e.id] == named, e.id
+        for declared in _named_atoms(e, AS_STATED):
+            if declared[0] == "level":
+                level.add(e.id)
+            for atom in _declared_atoms(declared):
+                if atom[0] == "theta":
+                    named.add(_key(atom[1]))
+                elif atom[0] == "sigma":
+                    sigma.add(e.id)
+                    named.add(_key(_preimage_route(atom[2], atom[1])))
+        if e.id in level:
+            assert reads[e.id] <= named, e.id
+        else:
+            assert reads[e.id] == named, e.id
     assert sigma == {eid for eid, row in {**_T1_DATA, **_D_DATA}.items() if row[-1] is not None}
-    assert len(empty_store) == 146
+    assert level == {"ME5", "ODE5", "W5", "ME6", "ODE6", "W6"}
+    assert {eid for eid in level if reads[eid]} == {"W5", "ODE6", "W6"}
+    assert len(empty_store) == 150
 
 
 @pytest.mark.parametrize("order", [20, 60])

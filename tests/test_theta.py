@@ -534,6 +534,34 @@ def test_binomial_product_rejects_bad_order():
             _binomial_product(order, [(1, 0, 5, 1)])
 
 
+#: the catalog's product forms, written apart from the unit indices of
+#: ``catalog._FORMS``: per n >= 1 the factors (e, c, k) of (1 + c q^e)^k, then
+#: the power of q and the power of the product
+_FORM_FACTORS = {
+    "G+^2": (lambda n: [(n, -1, 5), (n, -CycloQ5.zeta(2), 5), (n, -CycloQ5.zeta(3), 5),
+                        (5 * n, -1, -3)], 0, 2),
+    "G-^2": (lambda n: [(n, -1, 5), (n, -CycloQ5.zeta(1), 5), (n, -CycloQ5.zeta(4), 5),
+                        (5 * n, -1, -3)], 0, 2),
+    "H1^2": (lambda n: [(n, -1, 2), (5 * n - 1, -1, -5), (5 * n - 4, -1, -5)], 0, 2),
+    "H2^2": (lambda n: [(n, -1, 2), (5 * n - 2, -1, -5), (5 * n - 3, -1, -5)], 1, 2),
+    "E3": (lambda n: [(5 * n, -1, 5), (n, -1, -6)], 0, 1),
+}
+
+
+@pytest.mark.parametrize("order", [24, 60])
+@pytest.mark.parametrize("name", sorted(_FORM_FACTORS))
+def test_product_forms_match_one_product_per_factor(name, order):
+    # each row of the catalog's product forms is, field for field, the product
+    # of its factors one series multiplication at a time
+    assert _FORM_FACTORS.keys() == catalog_module._FORMS.keys()
+    per_n, shift, power = _FORM_FACTORS[name]
+    want = _ref_product(order, [f for n in range(1, order) for f in per_n(n)])
+    want = want.qpow_shift(shift) ** power
+    got = catalog_module._form(name, order)
+    fields = ("scale", "phase", "qpow", "cpow", "den", "order", "tail")
+    assert [getattr(got, a) for a in fields] == [getattr(want, a) for a in fields]
+
+
 def _unstored(build):
     """``build()`` on an empty theta store, which is then put back as it was."""
     saved = dict(catalog_module._THETA)
@@ -558,9 +586,9 @@ def _unstored(build):
     (lambda: eta_quotient([(1, 5), (5, -1)], 120), 72),
     (lambda: eta_quotient([(5, 5), (1, -1)], 120), 48),
     # the catalog's own forms at the orders verify_all(20) builds them
-    (lambda: catalog_module.lookup("E3").build(22, catalog_module.AS_STATED)[0][2], 40),
-    *((lambda s=s: _unstored(lambda: catalog_module._g_product(s, 24)), 48) for s in (1, -1)),
-    *((lambda h=h: _unstored(lambda: catalog_module._h_product(h, 24)), 32) for h in (1, 2)),
+    (lambda: catalog_module._form("E3", 22), 40),
+    *((lambda name=name: catalog_module._form(name, 24), 48) for name in ("G+^2", "G-^2")),
+    *((lambda name=name: catalog_module._form(name, 24), 32) for name in ("H1^2", "H2^2")),
     (lambda: theta_module._eta_product((1, 1), 30), 24),
     (lambda: theta_module._eta_product((5, 1), 30), 8),
     (lambda: theta_module._eta_product((1, 5), 30), 40),
