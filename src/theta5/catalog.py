@@ -352,8 +352,8 @@ def _evaluator(N: Rat) -> Callable[[tuple], FracSeries]:
     conjugate longer than its sum needs.  Every other (atom, power) is
     evaluated once per evaluator, as the locals of one build would hold it,
     so the eta_top^5 that two pairs of R3, R6 and R7a name is raised once.
-    Terms are scaled and summed in their declared order, and a group
-    multiplies its factor into the combination of its terms.
+    A side's terms, a factored group as its factor times the combination of
+    its terms, are summed in their declared order by one FracSeries.lincomb.
     """
     values: dict[tuple, FracSeries] = {}
 
@@ -380,25 +380,13 @@ def _evaluator(N: Rat) -> Callable[[tuple], FracSeries]:
             out = f if out is None else out * f
         return FracSeries.one() if out is None else out
 
-    def combination(terms) -> FracSeries:
-        out = None
-        for (c, k, p), mono in terms:
-            f = monomial(mono)
-            if c != 1:
-                f = f.scalar_mul(c)
-            if k:
-                f = f.cpow_shift(k)
-            if p is not None:
-                f = f.phase_mul(p)
-            out = f if out is None else out + f
-        return out
+    def terms(group: tuple) -> list:
+        return [(monomial(mono), c, k, p) for (c, k, p), mono in group]
 
     def side(groups: tuple) -> FracSeries:
-        out = None
-        for factor, terms in groups:
-            f = combination(terms) if factor is None else monomial(factor) * combination(terms)
-            out = f if out is None else out + f
-        return FracSeries.zero() if out is None else out
+        return FracSeries.lincomb([t for factor, group in groups for t in (
+            terms(group) if factor is None
+            else [(monomial(factor) * FracSeries.lincomb(terms(group)), 1, 0, None)])])
 
     return side
 

@@ -314,9 +314,11 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args, out)
-    except (KeyError, ValueError, ArithmeticError) as exc:
+    except BrokenPipeError:
+        raise  # main ends the run with status 141
+    except Exception as exc:  # any other failure is an error (2), never a failed check (1)
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {str(msg) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -40,6 +40,15 @@ inside ``**``) multiplies each unordered pair of terms, or of coordinates, once.
 Truncation propagates soundly: if f is exact below A and g below B, their
 product is exact below min(A + val(g), B + val(f)), val being the smallest
 stored relative exponent.
+
+Sums take one path, ``FracSeries.lincomb`` (sum_i c_i (2*pi*i)^k_i e(p_i) f_i;
+``+``, ``-`` and ``scalar_mul`` are its cases of two terms and one).  Its
+prefactor is the first nonzero term's with the lowest q-power, as in a left
+fold of additions while no partial sum has a zero tail; a zero term (empty
+tail or c_i = 0) adds only its absolute order.  Each term's coefficient, phase
+ratio to the prefactor and share of the common denominator fold into one
+Z[zeta_5] vector that scales its tail once; the tails sum into one dict,
+which is clipped and gcd-reduced once.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from itertools import chain, repeat
 from sys import byteorder
-from typing import Collection, Iterable, Optional, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .cyclo import (ONE, CycloQ5, Phase, PhaseNotRepresentable, Rat, Ratio, Record, Vec,
                     _coerce, _conjugate_vec, _join_signed, _vmul, as_ratio, radd, ratio,
@@ -58,6 +67,7 @@ from .cyclo import (ONE, CycloQ5, Phase, PhaseNotRepresentable, Rat, Ratio, Reco
 Coeff = Union[Rat, CycloQ5]
 
 _ZERO: Vec = (0, 0, 0, 0)
+_ONE: Vec = (1, 0, 0, 0)
 #: ``_term_pairs`` accumulates in lists up to this many keys per term pair.
 _DENSE_SPAN = 4
 #: ``_convolve`` multiplies by ``_kronecker`` from this many term pairs per output slot.
@@ -337,9 +347,7 @@ class FracSeries:
     __rmul__ = __mul__
 
     def scalar_mul(self, c: Coeff) -> "FracSeries":
-        c = _ccoeff(c)
-        return FracSeries._make(self.scale, self.phase, self._qpow, self.cpow,
-                                self.den * c.den, _times(c.vec, self.tail), self._order)
+        return FracSeries.lincomb(((self, c, 0, None),))
 
     def phase_mul(self, p: Phase) -> "FracSeries":
         return FracSeries._make(self.scale, self.phase * p, self._qpow, self.cpow,
@@ -358,35 +366,56 @@ class FracSeries:
         return self.scalar_mul(-1)
 
     def __add__(self, other) -> "FracSeries":
-        if not isinstance(other, FracSeries):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-            other = FracSeries.constant(other)
-        f, g = self, other
-        if f.is_zero_tail():
-            return g._clip_abs(_min_order(f._abs_order(), g._abs_order()))
-        if g.is_zero_tail():
-            return f._clip_abs(_min_order(f._abs_order(), g._abs_order()))
-        if f.cpow != g.cpow:
-            raise IncompatibleConstantPower(
-                f"cannot add series with constant powers {f.cpow} and {g.cpow}")
-        if g._qpow[0] * f._qpow[1] < f._qpow[0] * g._qpow[1]:
-            f, g = g, f
-        scale, shift, w = _align(f, g)
-        fa, ga = f._rescaled(scale), g._rescaled(scale)
-        order = _min_order(fa._abs_order(), ga._abs_order())
-        rel_order = None if order is None else rsub(order, f._qpow)
-        # both sides over the lcm of the denominators; g's side also times w
-        den = math.lcm(f.den, g.den)
-        tail = dict(_times((den // f.den, 0, 0, 0), fa.tail))
-        m = den // g.den
-        for k, v in _times(tuple([m * x for x in w]), ga.tail).items():
-            kk = k + shift
-            cur = tail.get(kk)
-            tail[kk] = v if cur is None else (cur[0] + v[0], cur[1] + v[1],
-                                              cur[2] + v[2], cur[3] + v[3])
-        return FracSeries._make(scale, f.phase, f._qpow, f.cpow, den, tail, rel_order)
+        return _sum(self, other, 1)
+
+    @classmethod
+    def lincomb(cls, terms: Sequence[tuple["FracSeries", Coeff, int, Optional[Phase]]]
+                ) -> "FracSeries":
+        """sum_i c_i (2*pi*i)^k_i e(p_i) f_i over the (f_i, c_i, k_i, p_i) ``terms``
+        (p_i None: no phase), as the module docstring says.  Raises
+        IncompatibleConstantPower when two nonzero terms differ in cpow, and
+        UnabsorbablePrefactor as ``_align`` does against the prefactor.  It checks
+        every nonzero term, also after a partial sum cancels (where a left fold of
+        ``+`` takes the next prefactor unchecked), on the grid of all the scales."""
+        if len(terms) == 1 and terms[0][1:] == (1, 0, None):
+            return terms[0][0]  # one term times 1
+        live, bound, cpow = [], None, 0
+        for f, c, k, p in terms:
+            c = _ccoeff(c)
+            bound = _min_order(bound, f._abs_order())
+            if live and f.tail and c and f.cpow + k != cpow:
+                raise IncompatibleConstantPower(
+                    f"cannot add series with constant powers {cpow} and {f.cpow + k}")
+            if not live:  # a sum with no nonzero term keeps the last term's cpow
+                cpow = f.cpow + k
+            if f.tail and c:
+                live.append((f, c, f.phase if p is None else f.phase * p))
+        if not live:
+            return cls._make(1, _PHASE0, (0, 1), cpow, 1, {}, bound, clean=True)
+        head = live[0]
+        for t in live:
+            if t[0]._qpow[0] * head[0]._qpow[1] < head[0]._qpow[0] * t[0]._qpow[1]:
+                head = t
+        qpow, phase = head[0]._qpow, head[2]
+        scale = math.lcm(*[f.scale for f, _, _ in live])
+        den = math.lcm(*[f.den * c.den for f, c, _ in live])
+        acc = None
+        for t in live:
+            f, c, ph = t
+            shift, w = (0, _ONE) if t is head else _align(scale, qpow, phase, f._qpow, ph)
+            m, u = _vmul(c.vec, w), den // (f.den * c.den)
+            tail = _times(m if u == 1 else (u * m[0], u * m[1], u * m[2], u * m[3]), f.tail)
+            r = scale // f.scale
+            if acc is None:
+                acc = {k * r + shift: v for k, v in tail.items()}
+                continue
+            for k, v in tail.items():
+                k = k * r + shift
+                cur = acc.get(k)
+                acc[k] = v if cur is None else (cur[0] + v[0], cur[1] + v[1],
+                                                cur[2] + v[2], cur[3] + v[3])
+        order = None if bound is None else rsub(bound, qpow)
+        return cls._make(scale, phase, qpow, cpow, den, acc, order)
 
     def _clip_abs(self, abs_order: Optional[Ratio]) -> "FracSeries":
         rel = None if abs_order is None else rsub(abs_order, self._qpow)
@@ -397,7 +426,7 @@ class FracSeries:
                                 self.den, self.tail, order)
 
     def __sub__(self, other) -> "FracSeries":
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __pow__(self, n: int) -> "FracSeries":
         if n < 0:
@@ -531,25 +560,32 @@ class FracSeries:
                 f"terms={len(self.tail)}, order={o})")
 
 
-def _align(f: FracSeries, g: FracSeries) -> tuple[int, int, Vec]:
-    """(scale, shift, w) folding g's prefactor into f's: on the common grid
-    1/scale, g's tail key k lands at k + shift with its coefficient times w.
+def _sum(f: FracSeries, g, sign: int) -> FracSeries:
+    """f + sign*g, the lincomb of two terms, for a series or a number g."""
+    if not isinstance(g, FracSeries):
+        g = _coerce(g)
+        if g is NotImplemented:
+            return NotImplemented
+        g = FracSeries.constant(g)
+    return FracSeries.lincomb(((f, 1, 0, None), (g, sign, 0, None)))
 
-    Raises UnabsorbablePrefactor when the q-power difference is off that grid
-    or the phase ratio is not in Q(zeta_5).
+
+def _align(scale: int, qpow: Ratio, phase: Phase, g_qpow: Ratio, g_phase: Phase) -> tuple[int, Vec]:
+    """(shift, w) folding a tail with prefactor q^g_qpow e(g_phase) into the
+    prefactor q^qpow e(phase): on the grid 1/scale its key k lands at k + shift
+    with its coefficient times w.  Raises UnabsorbablePrefactor when the q-power
+    difference is off that grid or the phase ratio is not in Q(zeta_5).
     """
-    scale = math.lcm(f.scale, g.scale)
-    dn, dd = rsub(g._qpow, f._qpow)
+    dn, dd = rsub(g_qpow, qpow)
     shift, r = divmod(dn * scale, dd)
     if r:
         raise UnabsorbablePrefactor(
             f"prefactor q-power difference {render_rational(dn, dd)} is not a multiple of 1/{scale}")
     try:
-        w = (g.phase / f.phase).to_cyclo()
+        # a root of unity has integer coordinates
+        return shift, _ONE if g_phase == phase else (g_phase / phase).to_cyclo().vec
     except PhaseNotRepresentable as exc:
         raise UnabsorbablePrefactor(str(exc)) from None
-    # a root of unity has integer coordinates
-    return scale, shift, w.vec
 
 
 def _convolve(a: dict[int, Vec], b: dict[int, Vec],
@@ -855,8 +891,9 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
         v = _min_order(f._abs_val(), g._abs_val())
         return EqualityResult(False, bound, v, f._lead(), g._lead(),
                               reason=f"constant powers differ: {f.cpow} vs {g.cpow}")
+    scale = math.lcm(f.scale, g.scale)
     try:
-        scale, shift, w = _align(f, g)
+        shift, w = _align(scale, f._qpow, f.phase, g._qpow, g.phase)
     except UnabsorbablePrefactor:
         v = _min_order(f._abs_val(), g._abs_val())
         return EqualityResult(False, bound, v, f._lead(), g._lead(),

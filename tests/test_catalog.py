@@ -487,6 +487,36 @@ def test_store_work_count(empty_store, monkeypatch):
     assert (len(calls), repeats) == (184, 2)
 
 
+def test_each_side_is_summed_in_one_pass(empty_store, monkeypatch):
+    # every side the run evaluates, a relation's or a level series', is one
+    # FracSeries.lincomb call over its terms, plus one for the combination that
+    # each factored group's factor multiplies; besides those only _level's
+    # scalar_mul calls it, and no series is added with +
+    sums, adds, scalings, sides = [], [], [], []
+    real_lincomb, real_scalar = FracSeries.lincomb.__func__, FracSeries.scalar_mul
+    real_evaluator = catalog_module._evaluator
+
+    def traced_lincomb(cls, terms):
+        sums.append(len(terms))
+        return real_lincomb(cls, terms)
+
+    def traced_evaluator(n):
+        side = real_evaluator(n)
+        return lambda groups: sides.append(groups) or side(groups)
+
+    monkeypatch.setattr(FracSeries, "lincomb", classmethod(traced_lincomb))
+    monkeypatch.setattr(FracSeries, "__add__", lambda *args: adds.append(args))
+    monkeypatch.setattr(FracSeries, "scalar_mul",
+                        lambda self, c: scalings.append(c) or real_scalar(self, c))
+    monkeypatch.setattr(catalog_module, "_evaluator", traced_evaluator)
+    verify_all(20)
+    factored = sum(1 for groups in sides for factor, _ in groups if factor is not None)
+    assert adds == []
+    assert (len(sides), factored, len(scalings)) == (193, 24, 2)
+    assert len(sums) == len(sides) + factored + len(scalings)
+    assert sum(1 for n in sums if n > 1) == 66
+
+
 def test_store_builds_every_theta_constant(empty_store, monkeypatch):
     callers = []
 
@@ -1166,3 +1196,15 @@ def test_every_coefficient_misprint_fails_at_the_minimum_order(empty_store):
             count += 1
     assert count == 704
     assert {i: str(x) for i, x in detection.items()} == DETECTION_ORDER
+
+
+def test_every_detection_order_lies_below_the_minimum_order():
+    # the typed minimum orders stay, and a check at each sees every misprint of
+    # its entry; both of W5's sides start at q^(45/2), past its minimum order
+    # 20, so its detection order is held below the minimum order plus margin
+    for e in catalog():
+        detection = F(DETECTION_ORDER[e.id])
+        if e.id == "W5":
+            assert e.min_meaningful_order <= detection < e.min_meaningful_order + e.margin
+        else:
+            assert detection < e.min_meaningful_order, e.id

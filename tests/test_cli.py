@@ -362,3 +362,27 @@ def test_closed_pipe_exits_quietly_with_the_sigpipe_status():
         proc.kill()
     assert proc.returncode == 141
     assert err == b""
+
+
+def test_an_unexpected_exception_is_an_error_not_a_failed_check(monkeypatch, capsys):
+    # status 1 means an honest failed verify, so a command that fails in any
+    # other way exits 2 with one error line
+    def broken(args, out):
+        raise RuntimeError("the command broke")
+
+    monkeypatch.setattr(cli, "_cmd_partitions", broken)
+    assert run(["partitions", "--upto", "5"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: the command broke\n"
+
+
+def test_a_warning_under_w_error_exits_with_status_2():
+    # -W error turns the warning into an exception that no handler names
+    probe = ("import warnings\n"
+             "import theta5.cli as cli\n"
+             "cli._cmd_partitions = lambda args, out: warnings.warn('old call', DeprecationWarning)\n"
+             "cli.main()\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-W", "error", "-c", probe, "partitions", "--upto", "5"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: old call\n")

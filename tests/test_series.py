@@ -642,8 +642,9 @@ _cyclos = st.one_of(
 
 
 @st.composite
-def frac_series(draw, cpow=st.just(0)):
-    """Sparse or dense tails on grids 1/scale, truncated or exact, with prefactors."""
+def frac_series(draw, cpow=st.just(0), on_grid=False):
+    """Sparse or dense tails on grids 1/scale, truncated or exact, with prefactors;
+    ``on_grid`` puts the prefactor's q-power on the tail's grid."""
     scale = draw(st.sampled_from([1, 2, 3, 5, 10]))
     if draw(st.booleans()):
         keys = range(draw(st.integers(1, 14)))
@@ -653,7 +654,10 @@ def frac_series(draw, cpow=st.just(0)):
     order = draw(st.one_of(st.none(), st.fractions(min_value=F(1, 3), max_value=6,
                                                    max_denominator=6)))
     phase = Phase(F(draw(st.integers(0, 9)), 10))
-    qpow = draw(st.sampled_from([F(0), F(1, 2), F(-3, 10), F(1, 5), F(1, 3), F(7, 8)]))
+    if on_grid:
+        qpow = F(draw(st.integers(-6, 6)), scale)
+    else:
+        qpow = draw(st.sampled_from([F(0), F(1, 2), F(-3, 10), F(1, 5), F(1, 3), F(7, 8)]))
     return FracSeries(scale, phase, qpow, draw(cpow), coeffs, order)
 
 
@@ -675,6 +679,92 @@ def test_ring_operations_match_reference(f, g):
             assert got == want
     prod, swapped = f * g, g * f
     assert (prod.den, prod.tail) == (swapped.den, swapped.tail)
+
+
+@st.composite
+def lincomb_terms(draw):
+    """(mode, cancel, terms): 1 to 5 (f, c, k, p) terms with q-powers on their
+    own grids, tenth phases and one total (2*pi*i)-power, so that they add.
+    The mode "cpow", "grid" or "phase" adds a nonzero term beside a nonzero
+    partner, and spoils its (2*pi*i)-power, its q-power (by 1/7, off every
+    grid) or its phase (by 1/4, whose ratio to a tenth phase is not in
+    Q(zeta_5)).  ``cancel`` follows the first term by its negative, a partial
+    sum that cancels to a zero tail."""
+    mode = draw(st.sampled_from(["none", "none", "none", "cpow", "grid", "phase"]))
+    terms = []
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3, 4, 5]))):
+        f = draw(frac_series(cpow=st.integers(0, 2), on_grid=True))
+        c = 0 if draw(st.integers(0, 3)) == 0 else draw(_cyclos)
+        p = draw(st.one_of(st.none(), st.builds(lambda t: Phase(F(t, 10)), st.integers(0, 9))))
+        terms.append((f, c, 2 - f.cpow, p))
+    cancel = mode == "none" and draw(st.booleans())
+    if cancel:
+        f, c, k, p = terms[0]
+        terms.insert(1, (f, -_ccoeff(c), k, p))
+    if mode != "none":
+        bad = geom([(0, 1), (1, 2)], order=3, cpow=2)
+        bad = {"cpow": (bad, 1, 1, None), "grid": (bad.qpow_shift(F(1, 7)), 1, 0, None),
+               "phase": (bad, 1, 0, Phase(F(1, 4)))}[mode]
+        for t in (bad, (FracSeries.constant(3, cpow=2), 1, 0, None)):
+            terms.insert(draw(st.integers(0, len(terms))), t)
+    return mode, cancel, terms
+
+
+def _ccoeff(c):
+    return c if isinstance(c, CycloQ5) else CycloQ5(c)
+
+
+def ref_lincomb(terms) -> tuple:
+    """(sum, cancelled): the left fold of ref_add over each term taken through
+    ref_scalar, its (2*pi*i)-power and its phase; ``cancelled`` says that a
+    partial sum with a nonzero term in it had a zero tail before the last term."""
+    out, cancelled, seen = None, False, False
+    for n, (f, c, k, p) in enumerate(terms):
+        t = ref_scalar(shape(f), _ccoeff(c))
+        t = ref_make(t.scale, t.phase * (p or Phase(0)), t.qpow, t.cpow + k, t.coeffs, t.order)
+        seen = seen or bool(t.coeffs)
+        out = t if out is None else ref_add(out, t)
+        cancelled = cancelled or (seen and not out.coeffs and n < len(terms) - 1)
+    return (ref_make(1, Phase(0), 0, 0, {}, None) if out is None else out), cancelled
+
+
+@settings(max_examples=120, deadline=None)
+@given(lincomb_terms())
+def test_lincomb_matches_the_fold_of_additions(case):
+    # lincomb takes the prefactor of the first nonzero term with the lowest
+    # q-power, as a left fold of additions does while no partial sum has a zero
+    # tail; a fold whose partial sum cancels or is clipped to a zero tail takes
+    # the next term's prefactor and skips its checks, so there the two are
+    # compared as values, and lincomb still refuses the spoiled term
+    mode, cancel, terms = case
+    got = outcome(FracSeries.lincomb, terms)
+    want = outcome(ref_lincomb, terms)
+    if not isinstance(want, tuple):
+        assert got == want
+        return
+    want, cancelled = want
+    if cancelled:
+        if mode != "none":
+            assert got == (IncompatibleConstantPower if mode == "cpow" else UnabsorbablePrefactor)
+            return
+        res = series_equal(got, FracSeries(*want))
+        assert res.passed and got.abs_order() == ref_abs_order(want)
+        assert not got.tail or got.cpow == want.cpow
+        return
+    assert shape(got) == want
+    assert_stored_form(got)
+    again = FracSeries(*want)
+    assert (got.den, got.tail) == (again.den, again.tail)
+
+
+def test_lincomb_of_one_term_is_in_stored_form():
+    # a coefficient 1/2 leaves the tail's integers as they are over twice the
+    # denominator, and 2 doubles them, so both results need the gcd reduction
+    f = geom([(0, 2), (1, 4), (2, 6)], order=3)
+    for c in (F(1, 2), 2, CycloQ5(0, F(1, 2)), 1, F(3, 4)):
+        got = FracSeries.lincomb([(f, c, 0, None), (FracSeries.zero(), 5, 1, None)])
+        assert shape(got) == ref_scalar(shape(f), _ccoeff(c))
+        assert_stored_form(got)
 
 
 @_PROPERTY
