@@ -33,12 +33,13 @@ each tau-derivative carries one power of 2*pi*i and d/dtau f(5 tau) =
 request at a lower order clips it by the difference of the orders
 (``_stored``).  ``verify_ids`` runs the entries that ask for theta slots
 first, highest theta order first, then the others, highest build order
-first, so each slot is built once per run.  A group multiplies its factor
-into the combination of its terms once: the brackets' left side is th_A^5
-th_B^5 times th''_A th_B - th''_B th_A, and the eta chains take the same two
-slots.  On an empty store, ``verify_all(20)`` makes 184 series products and
-leaves 150 store slots: 41 theta constants, 90 other theta monomials, 10
-product forms and 9 level series.
+first, so each slot is built once per run, and drops each slot after the
+last entry that reads it (``_reads``).  A group multiplies its factor into
+the combination of its terms once: the brackets' left side is th_A^5 th_B^5
+times th''_A th_B - th''_B th_A, and the eta chains take the same two slots.
+On an empty store, ``verify_all(20)`` makes 184 series products and builds
+150 store slots: 41 theta constants, 90 other theta monomials, 10 product
+forms and 9 level series; it holds at most 56 at once and leaves none.
 
 Scaling eps' by j in {3, 7, 9} maps T1c to T1d, T1e and T1f, and D1/D2 to
 D3/D4, D7/D8 and D9/D10.  These image rows name each monomial as a sigma
@@ -61,8 +62,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from functools import cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import arith
 from .cyclo import (CycloQ5, Phase, Rat, Ratio, Record, as_ratio, render_rational, rsub, sqrt5,
@@ -162,9 +164,11 @@ class IdentityReport(Record):
 #: kind and multiplier: ("form", "G+^2"), ("eta_quotient", spec) or ("eta_q",
 #: (1, 5)), the real product of eta(tau/5) that every offset twists; so a key's
 #: first element is a str exactly when the slot is a product form, built at an
-#: entry's build order rather than its theta order.  Slots are read and
-#: replaced whole, and one is clipped only when its order is at least the
-#: request, so a race can only waste a build.
+#: entry's build order rather than its theta order.  ``verify_ids`` drops each
+#: slot after its last reader in the run; a direct ``verify`` keeps what it
+#: builds.  Slots are read, replaced and dropped whole, and one is clipped
+#: only when its order is at least the request, so a race can only waste a
+#: build.
 _THETA: dict[tuple, tuple[Rat, FracSeries]] = {}
 
 #: theta[1,1], whose first derivative is the catalog's normaliser theta'[1,1]
@@ -227,17 +231,31 @@ def _slot(route: tuple, order: Rat) -> FracSeries:
     return _stored(_key(route), order, lambda n: _build(route, n))
 
 
-def _build(route: tuple, order: Rat) -> FracSeries:
-    """The route's product at ``order``, from operands clipped to ``order``."""
+def _operands(route: tuple) -> tuple:
+    """The two routes whose slots ``_build`` multiplies into ``route``: a
+    pair's routes, or the powers p//2 and p - p//2 of a factor; () for a
+    theta constant, a factor to the first power."""
     if route[0].__class__ is ThetaChar:
         ch, m, p = route
-        if p == 1:
-            return theta_const(ch, m, order)
-        low = _slot((ch, m, p // 2), order)
-        return low * low if p % 2 == 0 else _slot((ch, m, p - p // 2), order) * low
-    a, b = route
+        return () if p == 1 else ((ch, m, p // 2), (ch, m, p - p // 2))
+    return route
+
+
+def _build(route: tuple, order: Rat) -> FracSeries:
+    """The route's product at ``order``, from operands clipped to ``order``."""
+    operands = _operands(route)
+    if not operands:
+        return theta_const(route[0], route[1], order)
+    a, b = operands
     fa = _slot(a, order)
     return fa * fa if a == b else fa * _slot(b, order)
+
+
+@cache
+def _route_keys(route: tuple) -> frozenset:
+    """The store keys that ``_slot(route, n)`` can read: the route's own and,
+    through ``_build``, those of its operands."""
+    return frozenset([_key(route)]).union(*map(_route_keys, _operands(route)))
 
 
 def _conjugated(route: tuple, order: Rat, j: int) -> FracSeries:
@@ -824,6 +842,22 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
     return report
 
 
+def _atoms(sides) -> Iterator[tuple]:
+    """Every atom that the declared ``sides`` name, Theta of an atom as its operand."""
+    for side in sides:
+        for factor, terms in side:
+            for atom, _ in sum([m for _, m in terms], factor or ()):
+                while atom[0] == "Theta":
+                    atom = atom[1]
+                yield atom
+
+
+def _sides(pairs: tuple) -> Iterator[tuple]:
+    """Every side of the declared ``pairs``, a unit denominator included."""
+    for _, *sides in pairs:
+        yield from sides
+
+
 def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
     """The highest order of the theta slots that entry ``e``, built at ``n``,
     asks the store for, read off the atoms it names (Theta of an atom as its
@@ -831,16 +865,34 @@ def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
     ``_fifth_order(n)`` for level-6 series only, whose theta slots are
     q -> q^5 substitutions, and None for neither (the rows of product forms
     and oracles)."""
-    levels = set()
-    for _, pairs in e.relations:
-        for _, *sides in pairs:
-            for factor, terms in sum(sides, ()):
-                for atom, _ in sum([m for _, m in terms], factor or ()):
-                    while atom[0] == "Theta":
-                        atom = atom[1]
-                    if atom[0] in ("theta", "sigma", "level"):
-                        levels.add(atom[1] if atom[0] == "level" else 5)
+    levels = {atom[1] if atom[0] == "level" else 5
+              for atom in _atoms(side for _, pairs in e.relations for side in _sides(pairs))
+              if atom[0] in ("theta", "sigma", "level")}
     return None if not levels else n if 5 in levels else _fifth_order(n)
+
+
+def _atom_reads(atom: tuple) -> frozenset:
+    """The store keys that evaluating ``atom`` can read, at any depth."""
+    kind = atom[0]
+    if kind == "theta":
+        return _route_keys(atom[1])
+    if kind == "sigma":
+        return _route_keys(_substituted(atom[2], atom[1]))
+    if kind in ("level", "shared"):
+        return frozenset([atom[1:]]).union(
+            *map(_atom_reads, _atoms([_level_sides(atom[1])[atom[2]]])))
+    if kind == "eta":
+        return frozenset([("eta_q", atom[1])])
+    return frozenset([atom]) if kind in ("eta_quotient", "form") else frozenset()
+
+
+def _reads(entry: IdentityEntry, variant: str) -> frozenset:
+    """Every store key that ``entry.build(N, variant)`` can read, taken from
+    its declared relations: each theta route's key and its operands' (those
+    of a sigma atom over the preimage characteristics), each level series'
+    slot and the keys of its side in ``_level_sides``, and the slots of the
+    eta, eta-quotient and product-form atoms."""
+    return frozenset().union(*map(_atom_reads, _atoms(_sides(dict(entry.relations)[variant]))))
 
 
 def verify_ids(entry_ids: list[str], order: Rat = 20,
@@ -855,20 +907,30 @@ def verify_ids(entry_ids: list[str], order: Rat = 20,
     theta order (``_theta_order``) first.  Every product form an entry asks
     for is at its build order N (clamped order plus margin), and a level-6
     entry's theta order is about N/5, so the entries that ask for no theta
-    slot run last, highest N first.  Ties keep the given order.  The exact
-    lane is pure Python and holds the interpreter lock, so threads would not
-    speed it up.  An unknown id raises KeyError before anything is verified.
+    slot run last, highest N first.  Ties keep the given order.  After each
+    entry, every slot that no later entry of the run reads (``_reads``) is
+    dropped, so the store holds only what the rest of the run needs and a
+    run leaves none of the slots it read.  The exact lane is pure Python and
+    holds the interpreter lock, so threads would not speed it up.  An
+    unknown id raises KeyError before anything is verified.
     """
     runs = []  # (sort key, id, clamped order, variant) per entry
+    reads = []  # the store keys each entry can read
     for e in map(lookup, entry_ids):
         clamped = max(order, e.min_meaningful_order)
         n = clamped + e.margin
         at = _theta_order(e, n)
-        runs.append(((False, n) if at is None else (True, at), e.id, clamped,
-                     variant if variant in e.variants else AS_STATED))
+        v = variant if variant in e.variants else AS_STATED
+        runs.append(((False, n) if at is None else (True, at), e.id, clamped, v))
+        reads.append(_reads(e, v))
+    readers = Counter(key for keys in reads for key in keys)
     reports: list[Optional[IdentityReport]] = [None] * len(runs)
     for i in sorted(range(len(runs)), key=lambda i: runs[i][0], reverse=True):
         reports[i] = verify(*runs[i][1:])
+        for key in reads[i]:
+            readers[key] -= 1
+            if not readers[key]:
+                _THETA.pop(key, None)
     return reports
 
 

@@ -19,9 +19,9 @@ import theta5.catalog as catalog_module
 import theta5.series as series_module
 from theta5.arith import partition_p
 from theta5.catalog import (_D_DATA, _T1_DATA, _THETA, _TH11, AS_STATED, CORRECTED,
-                            IdentityEntry, IdentityReport, _homogeneous, _key, _preimage, _slot,
-                            _theta_order, catalog, lookup, report_to_dict, reports_to_json,
-                            verify, verify_all, verify_ids)
+                            IdentityEntry, IdentityReport, _homogeneous, _key, _preimage, _reads,
+                            _slot, _theta_order, catalog, lookup, report_to_dict,
+                            reports_to_json, verify, verify_all, verify_ids)
 from theta5.cli import run, series_to_dict
 from theta5.cyclo import CycloQ5, Phase, rsub
 from theta5.series import FracSeries, series_equal
@@ -334,6 +334,25 @@ def empty_store():
     _THETA.clear()
 
 
+def _record_builds(monkeypatch) -> list:
+    """The key of each slot the store builds from now on, one item per build."""
+    built = []
+    real = catalog_module._stored
+
+    def spy(key, order, build):
+        return real(key, order, lambda n: built.append(key) or build(n))
+
+    monkeypatch.setattr(catalog_module, "_stored", spy)
+    return built
+
+
+def _fill_store(order) -> None:
+    """Every entry verified at ``order`` with direct ``verify`` calls, which
+    keep the slots they build (a ``verify_ids`` run drops them)."""
+    for e in catalog():
+        verify(e.id, max(order, e.min_meaningful_order))
+
+
 def _shift_chars(store) -> set:
     lookup("SHIFT").build(F(14), AS_STATED)
     return {ch for ch, _, _ in store}
@@ -462,8 +481,9 @@ def test_store_work_count(empty_store, monkeypatch):
     monkeypatch.setattr(catalog_module, "theta_const", traced_theta)
     monkeypatch.setattr(catalog_module, "_slot", traced_slot)
     monkeypatch.setattr(series_module, "_convolve", traced_convolve)
+    built = _record_builds(monkeypatch)
     verify_all(20)
-    singles = [(k[0], k[1]) for k in empty_store if isinstance(k[0], ThetaChar) and k[2] == 1]
+    singles = [(k[0], k[1]) for k in built if isinstance(k[0], ThetaChar) and k[2] == 1]
     assert sorted(builds, key=repr) == sorted(singles, key=repr)
     from_store = {id(f.tail) for f in served}
     seen, repeats, store_repeats = set(), 0, []
@@ -529,17 +549,85 @@ def test_store_builds_every_theta_constant(empty_store, monkeypatch):
     assert callers and set(callers) == {"_build"}
 
 
-def test_store_keeps_one_slot_per_key(empty_store):
-    verify_all(20)
+def test_store_keeps_one_slot_per_key(empty_store, monkeypatch):
+    # direct verify calls keep what they build, one slot per key at the
+    # highest order asked for
+    _fill_store(20)
     after20 = dict(empty_store)
-    verify_all(40)
+    _fill_store(40)
     after40 = dict(empty_store)
     assert after40.keys() == after20.keys()
     assert all(after40[k][0] > after20[k][0] for k in after20)
+    served = []
+    real = catalog_module._stored
+
+    def record(key, n, build):
+        served.append((key, _THETA[key] if key in _THETA else None))
+        return real(key, n, build)
+
+    monkeypatch.setattr(catalog_module, "_stored", record)
+    built = _record_builds(monkeypatch)
     verify_all(10)
-    # every request at order 10 is served by clipping the order-40 builds
-    assert empty_store.keys() == after40.keys()
-    assert all(empty_store[k] is after40[k] for k in after40)
+    # every request at order 10 is served by clipping the order-40 builds,
+    # none is built again, and the run drops every slot it read
+    assert built == []
+    assert {key for key, _ in served} <= after40.keys()
+    assert all(slot is after40[key] for key, slot in served)
+    assert not empty_store
+
+
+@pytest.mark.parametrize("variant", [AS_STATED, CORRECTED])
+@pytest.mark.parametrize("order", [20, 60])
+def test_reads_name_every_key_an_entry_requests(empty_store, monkeypatch, order, variant):
+    # every store key that an entry requests, at any depth, is among its
+    # _reads; alone on an empty store an entry builds everything it reads, and
+    # requests exactly those keys
+    requested, current = {}, [None]
+    real_stored, real_verify = catalog_module._stored, catalog_module.verify
+
+    def record(key, n, build):
+        requested[current[0]].add(key)
+        return real_stored(key, n, build)
+
+    def traced_verify(entry_id, *args):
+        current[0] = entry_id
+        requested[entry_id] = set()
+        return real_verify(entry_id, *args)
+
+    monkeypatch.setattr(catalog_module, "_stored", record)
+    monkeypatch.setattr(catalog_module, "verify", traced_verify)
+    reads = {e.id: _reads(e, variant if variant in e.variants else AS_STATED)
+             for e in catalog()}
+    verify_all(order, variant)
+    assert all(requested[eid] <= reads[eid] for eid in reads)
+    for eid in reads:
+        empty_store.clear()
+        verify_ids([eid], order, variant)
+        assert requested[eid] == reads[eid], eid
+
+
+def test_run_builds_each_slot_once_and_drops_it(empty_store, monkeypatch):
+    # within one run no key is built twice; each slot is dropped after the
+    # last entry that reads it, so the store holds at most 56 of the 150 slots
+    # at once and the run leaves none
+    live, products = [], [0]
+    real_stored, real_convolve = catalog_module._stored, series_module._convolve
+
+    def record(key, n, build):
+        f = real_stored(key, n, build)
+        live.append(len(_THETA))
+        return f
+
+    def traced_convolve(a, b, key_bound):
+        products[0] += 1
+        return real_convolve(a, b, key_bound)
+
+    monkeypatch.setattr(catalog_module, "_stored", record)
+    monkeypatch.setattr(series_module, "_convolve", traced_convolve)
+    built = _record_builds(monkeypatch)
+    verify_all(20)
+    assert (products[0], len(built), len(set(built)), max(live)) == (184, 150, 150, 56)
+    assert not empty_store
 
 
 def test_store_under_threads_gives_the_serial_reports(empty_store):
@@ -622,7 +710,7 @@ def test_store_product_forms_equal_fresh_builds(empty_store, monkeypatch, prefil
     # a form served from the store, built at this order or clipped from a build
     # at a higher one, is field for field the form built afresh
     if prefill:
-        verify_all(prefill)
+        _fill_store(prefill)
     served = _served_forms(monkeypatch, 20)
     assert {key[0] for key, _, _, _, _ in served} == {"eta_q", "eta_quotient", "form"}
     for key, n, _, fresh, got in served:
@@ -649,11 +737,12 @@ def test_store_builds_each_product_form_once(empty_store, monkeypatch):
 
     monkeypatch.setattr(theta_module, "_binomial_product", traced)
     monkeypatch.setattr(catalog_module, "_binomial_product", traced)
+    built = _record_builds(monkeypatch)
     verify_all(20)
     repeats = [c for i, c in enumerate(calls) if c in calls[:i]]
     assert (len(calls), len(repeats)) == (22, 0)
     assert len({c[1:] for c in calls}) == len(calls)
-    forms = [k for k in empty_store if isinstance(k[0], str)]
+    forms = [k for k in built if isinstance(k[0], str)]
     assert len(forms) == 10
 
 
@@ -970,7 +1059,7 @@ def test_shared_level_series_equal_fresh_builds(empty_store, monkeypatch, order,
     # clipped from a higher build), are field for field the series built
     # afresh from theta constants
     if prefill:
-        verify_all(prefill)
+        _fill_store(prefill)
     served = {}
     real = catalog_module._stored
 
@@ -1091,6 +1180,7 @@ def test_theta_reads_are_the_slots_the_relations_name(empty_store, monkeypatch):
 
     monkeypatch.setattr(catalog_module, "_slot", slot)
     monkeypatch.setattr(catalog_module, "verify", traced_verify)
+    built = _record_builds(monkeypatch)
     verify_all(20)
     monkeypatch.undo()
     sigma, level = set(), set()
@@ -1112,7 +1202,7 @@ def test_theta_reads_are_the_slots_the_relations_name(empty_store, monkeypatch):
     assert sigma == {eid for eid, row in {**_T1_DATA, **_D_DATA}.items() if row[-1] is not None}
     assert level == {"ME5", "ODE5", "W5", "ME6", "ODE6", "W6"}
     assert {eid for eid in level if reads[eid]} == {"W5", "ODE6", "W6"}
-    assert len(empty_store) == 150
+    assert len(set(built)) == 150
 
 
 @pytest.mark.parametrize("order", [20, 60])

@@ -635,22 +635,36 @@ def assert_stored_form(h: FracSeries) -> None:
 
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+#: the common factors of a tail drawn on a sublattice, and the denominators of
+#: the unit fractions that share them
+_FACTORS = (2, 3, 6)
+_factors = st.sampled_from((None,) * 6 + _FACTORS)
 _cyclos = st.one_of(
     st.builds(CycloQ5, _rationals),
     st.builds(CycloQ5, _rationals, _rationals, _rationals, _rationals),
-    st.builds(lambda k, c: CycloQ5.zeta(k) * c, st.integers(0, 4), _rationals))
+    st.builds(lambda k, c: CycloQ5.zeta(k) * c, st.integers(0, 4), _rationals),
+    st.builds(lambda b: CycloQ5(1, den=b), st.sampled_from(_FACTORS)))
+_coordinates = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
 
 
 @st.composite
-def frac_series(draw, cpow=st.just(0), on_grid=False):
+def frac_series(draw, cpow=st.just(0), on_grid=False, factors=_factors):
     """Sparse or dense tails on grids 1/scale, truncated or exact, with prefactors;
-    ``on_grid`` puts the prefactor's q-power on the tail's grid."""
+    ``on_grid`` puts the prefactor's q-power on the tail's grid.  A tail whose
+    ``factors`` draw is g, one in three by default, has integer coordinates
+    with the common factor g, so that a result scaled by a coefficient whose
+    denominator shares a factor with g (such as 1/2) must be gcd-reduced to
+    its stored form; None draws rational coefficients."""
     scale = draw(st.sampled_from([1, 2, 3, 5, 10]))
     if draw(st.booleans()):
         keys = range(draw(st.integers(1, 14)))
     else:
         keys = draw(st.sets(st.integers(0, 6 * scale), max_size=6))
-    coeffs = {k: draw(_cyclos) for k in keys}
+    g = draw(factors)
+    if g is None:
+        coeffs = {k: draw(_cyclos) for k in keys}
+    else:
+        coeffs = {k: CycloQ5(*[g * x for x in draw(_coordinates)]) for k in keys}
     order = draw(st.one_of(st.none(), st.fractions(min_value=F(1, 3), max_value=6,
                                                    max_denominator=6)))
     phase = Phase(F(draw(st.integers(0, 9)), 10))
@@ -764,6 +778,23 @@ def test_lincomb_of_one_term_is_in_stored_form():
     for c in (F(1, 2), 2, CycloQ5(0, F(1, 2)), 1, F(3, 4)):
         got = FracSeries.lincomb([(f, c, 0, None), (FracSeries.zero(), 5, 1, None)])
         assert shape(got) == ref_scalar(shape(f), _ccoeff(c))
+        assert_stored_form(got)
+
+
+@_PROPERTY
+@given(st.sampled_from(_FACTORS).flatmap(lambda g: st.tuples(
+    frac_series(factors=st.just(g)), st.integers(1, 3).map(lambda a: CycloQ5(a, den=g)),
+    _cyclos.map(lambda c: c * CycloQ5(1, den=g)))))
+def test_scaling_a_common_factor_out_reduces_the_tail(case):
+    # coordinates with a common factor g, scaled by a/g (such as 1/2) alone or
+    # summed with a second multiple over g, give tails that only the gcd
+    # reduction puts in stored form
+    f, c, d = case
+    rf = shape(f)
+    for got, want in ((f.scalar_mul(c), ref_scalar(rf, c)),
+                      (FracSeries.lincomb([(f, c, 0, None), (f, d, 0, None)]),
+                       ref_add(ref_scalar(rf, c), ref_scalar(rf, d)))):
+        assert shape(got) == want
         assert_stored_form(got)
 
 
