@@ -872,7 +872,8 @@ def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
 
 
 def _atom_reads(atom: tuple) -> frozenset:
-    """The store keys that evaluating ``atom`` can read, at any depth."""
+    """The store keys that evaluating ``atom`` can read, at any depth; an
+    eta quotient's or a product form's slot is keyed by its atom (``_ATOMS``)."""
     kind = atom[0]
     if kind == "theta":
         return _route_keys(atom[1])
