@@ -18,8 +18,8 @@ product read as sigma_j of its preimage's slot; ("Theta", atom), q d/dq of
 an atom; or a kind of ``_ATOMS`` and its arguments, such as ("eta", mult,
 offset) or ("level", 5, "F^5").  The family helpers (``_orbit_entries``,
 ``_bracket_entry``, ...) only write these tuples.  ``_evaluator`` turns a
-side into a series, and ``_theta_order`` reads an entry's theta order off the
-atoms it names.
+side into a series, and ``_plan`` reads an entry's theta order and the store
+keys it reads off the atoms it names.
 
 Theta constants, their shared products, the product forms and the series
 that ME, ODE and W share at each level come from one store, whose accessor
@@ -34,9 +34,10 @@ request at a lower order clips it by the difference of the orders
 (``_stored``).  ``verify_ids`` runs the entries that ask for theta slots
 first, highest theta order first, then the others, highest build order
 first, so each slot is built once per run, and drops each slot after the
-last entry that reads it (``_reads``).  A group multiplies its factor into
-the combination of its terms once: the brackets' left side is th_A^5 th_B^5
-times th''_A th_B - th''_B th_A, and the eta chains take the same two slots.
+last entry of any live run that reads it (``_plan``, ``_READERS``).  A group
+multiplies its factor into the combination of its terms once: the brackets'
+left side is th_A^5 th_B^5 times th''_A th_B - th''_B th_A, and the eta
+chains take the same two slots.
 On an empty store, ``verify_all(20)`` makes 184 series products and builds
 150 store slots: 41 theta constants, 90 other theta monomials, 10 product
 forms and 9 level series; it holds at most 56 at once and leaves none.
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from collections import Counter
 from functools import cache
 from typing import Callable, Iterator, Optional
@@ -164,12 +166,16 @@ class IdentityReport(Record):
 #: kind and multiplier: ("form", "G+^2"), ("eta_quotient", spec) or ("eta_q",
 #: (1, 5)), the real product of eta(tau/5) that every offset twists; so a key's
 #: first element is a str exactly when the slot is a product form, built at an
-#: entry's build order rather than its theta order.  ``verify_ids`` drops each
-#: slot after its last reader in the run; a direct ``verify`` keeps what it
-#: builds.  Slots are read, replaced and dropped whole, and one is clipped
-#: only when its order is at least the request, so a race can only waste a
-#: build.
+#: entry's build order rather than its theta order.  ``verify_ids`` drops a
+#: slot when no live run reads it any more (``_READERS``); a direct ``verify``
+#: keeps what it builds.  Slots are read, replaced and dropped whole, and one
+#: is clipped only when its order is at least the request, so a race can only
+#: waste a build.
 _THETA: dict[tuple, tuple[Rat, FracSeries]] = {}
+#: store key -> the reads of it that the live ``verify_ids`` runs have yet to
+#: finish, summed over the runs; the lock guards these counts, not the builds
+_READERS: Counter = Counter()
+_READERS_LOCK = threading.Lock()
 
 #: theta[1,1], whose first derivative is the catalog's normaliser theta'[1,1]
 _TH11 = char(1, 1)
@@ -832,12 +838,9 @@ def verify(entry_id: str, order: Rat = 20, variant: str = AS_STATED) -> Identity
         res = series_equal(lhs, rhs)
         checked = _min_order(checked, res._order)
         if not res.passed and report.passed:
-            report.passed = False
-            report._mismatch = res._mismatch
-            report.lhs_coeff = res.lhs_coeff
-            report.rhs_coeff = res.rhs_coeff
-            report.label = label
-            report.reason = res.reason
+            report.passed, report._mismatch, report.label, report.reason = (
+                False, res._mismatch, label, res.reason)
+            report.lhs_coeff, report.rhs_coeff = res.lhs_coeff, res.rhs_coeff
     report._order = checked
     return report
 
@@ -852,28 +855,11 @@ def _atoms(sides) -> Iterator[tuple]:
                 yield atom
 
 
-def _sides(pairs: tuple) -> Iterator[tuple]:
-    """Every side of the declared ``pairs``, a unit denominator included."""
-    for _, *sides in pairs:
-        yield from sides
-
-
-def _theta_order(e: IdentityEntry, n: Rat) -> Optional[Rat]:
-    """The highest order of the theta slots that entry ``e``, built at ``n``,
-    asks the store for, read off the atoms it names (Theta of an atom as its
-    operand): n for a theta or sigma route or a level-5 series,
-    ``_fifth_order(n)`` for level-6 series only, whose theta slots are
-    q -> q^5 substitutions, and None for neither (the rows of product forms
-    and oracles)."""
-    levels = {atom[1] if atom[0] == "level" else 5
-              for atom in _atoms(side for _, pairs in e.relations for side in _sides(pairs))
-              if atom[0] in ("theta", "sigma", "level")}
-    return None if not levels else n if 5 in levels else _fifth_order(n)
-
-
 def _atom_reads(atom: tuple) -> frozenset:
-    """The store keys that evaluating ``atom`` can read, at any depth; an
-    eta quotient's or a product form's slot is keyed by its atom (``_ATOMS``)."""
+    """The store keys that evaluating ``atom`` can read, at any depth: a theta
+    route's and its operands' (over the preimage characteristics for a sigma
+    atom), a level series' slot and those of its side in ``_level_sides``, and
+    the slots of the eta, eta-quotient and product-form atoms (``_ATOMS``)."""
     kind = atom[0]
     if kind == "theta":
         return _route_keys(atom[1])
@@ -887,13 +873,31 @@ def _atom_reads(atom: tuple) -> frozenset:
     return frozenset([atom]) if kind in ("eta_quotient", "form") else frozenset()
 
 
-def _reads(entry: IdentityEntry, variant: str) -> frozenset:
-    """Every store key that ``entry.build(N, variant)`` can read, taken from
-    its declared relations: each theta route's key and its operands' (those
-    of a sigma atom over the preimage characteristics), each level series'
-    slot and the keys of its side in ``_level_sides``, and the slots of the
-    eta, eta-quotient and product-form atoms."""
-    return frozenset().union(*map(_atom_reads, _atoms(_sides(dict(entry.relations)[variant]))))
+def _plan(e: IdentityEntry, variant: str, n: Rat) -> tuple[Optional[Rat], set]:
+    """(theta order, reads) of ``e.build(n, variant)``, from one walk over the
+    atoms of every side its pairs declare, a unit denominator included.  The
+    theta order is the highest order of the theta slots it asks the store
+    for: n for a theta or sigma route or a level-5 series, ``_fifth_order(n)``
+    for level-6 series only, whose theta slots are q -> q^5 substitutions, and
+    None for neither (the rows of product forms and oracles).  The reads are
+    every store key it can read (``_atom_reads``)."""
+    levels, reads = set(), set()
+    for atom in _atoms(side for _, *sides in dict(e.relations)[variant] for side in sides):
+        if atom[0] in ("theta", "sigma", "level"):
+            levels.add(atom[1] if atom[0] == "level" else 5)
+        reads |= _atom_reads(atom)
+    return None if not levels else n if 5 in levels else _fifth_order(n), reads
+
+
+def _count(keys, step: int) -> None:
+    """Add ``step`` to the live runs' outstanding reads of each of ``keys``,
+    and drop the slot of every key that no live run reads any more."""
+    with _READERS_LOCK:
+        for key in keys:
+            _READERS[key] += step
+            if not _READERS[key]:
+                del _READERS[key]
+                _THETA.pop(key, None)
 
 
 def verify_ids(entry_ids: list[str], order: Rat = 20,
@@ -905,33 +909,34 @@ def verify_ids(entry_ids: list[str], order: Rat = 20,
     The entries run one after another so that each store slot is built once,
     at the highest order any of them asks for, and every later request is
     only a clip.  The entries that ask for theta slots run first, highest
-    theta order (``_theta_order``) first.  Every product form an entry asks
+    theta order (``_plan``) first.  Every product form an entry asks
     for is at its build order N (clamped order plus margin), and a level-6
     entry's theta order is about N/5, so the entries that ask for no theta
-    slot run last, highest N first.  Ties keep the given order.  After each
-    entry, every slot that no later entry of the run reads (``_reads``) is
-    dropped, so the store holds only what the rest of the run needs and a
-    run leaves none of the slots it read.  The exact lane is pure Python and
-    holds the interpreter lock, so threads would not speed it up.  An
-    unknown id raises KeyError before anything is verified.
+    slot run last, highest N first.  Ties keep the given order.  A run adds
+    its entries' reads (``_plan``) to the store-wide count ``_READERS`` as it
+    starts and takes each entry's off after it (as it leaves, for an entry
+    that raised and those after it), and a slot is dropped when its count
+    reaches zero: no run drops a slot that another live run reads, and the
+    last run leaves none.  The exact lane is pure Python and holds the
+    interpreter lock, so threads would not speed it up.  An unknown id raises
+    KeyError before anything is verified.
     """
-    runs = []  # (sort key, id, clamped order, variant) per entry
-    reads = []  # the store keys each entry can read
+    runs = []  # (sort key, the store keys it can read, id, clamped order, variant) per entry
     for e in map(lookup, entry_ids):
         clamped = max(order, e.min_meaningful_order)
-        n = clamped + e.margin
-        at = _theta_order(e, n)
         v = variant if variant in e.variants else AS_STATED
-        runs.append(((False, n) if at is None else (True, at), e.id, clamped, v))
-        reads.append(_reads(e, v))
-    readers = Counter(key for keys in reads for key in keys)
+        at, reads = _plan(e, v, clamped + e.margin)
+        runs.append(((False, clamped + e.margin) if at is None else (True, at), reads,
+                     e.id, clamped, v))
     reports: list[Optional[IdentityReport]] = [None] * len(runs)
-    for i in sorted(range(len(runs)), key=lambda i: runs[i][0], reverse=True):
-        reports[i] = verify(*runs[i][1:])
-        for key in reads[i]:
-            readers[key] -= 1
-            if not readers[key]:
-                _THETA.pop(key, None)
+    queue = sorted(range(len(runs)), key=lambda i: runs[i][0], reverse=True)
+    _count([key for run in runs for key in run[1]], 1)
+    try:
+        while queue:
+            reports[queue[0]] = verify(*runs[queue[0]][2:])
+            _count(runs[queue.pop(0)][1], -1)
+    finally:  # an entry that raised, and those after it, read nothing more
+        _count([key for i in queue for key in runs[i][1]], -1)
     return reports
 
 
@@ -945,22 +950,15 @@ def verify_all(order: Rat = 20, variant: str = AS_STATED) -> list[IdentityReport
 # ---------------------------------------------------------------------------
 
 def _coeff_json(c: Optional[CycloQ5]):
-    if c is None:
-        return None
-    return [render_rational(x, c.den) for x in c.vec]
+    return None if c is None else [render_rational(x, c.den) for x in c.vec]
 
 
 def report_to_dict(r: IdentityReport) -> dict:
     """Stable-field-order dict: {id, location, variant, passed, order, first_mismatch}."""
-    mismatch = None
-    if not r.passed:
-        mismatch = {
-            "exponent": None if r._mismatch is None else render_rational(*r._mismatch),
-            "lhs": _coeff_json(r.lhs_coeff),
-            "rhs": _coeff_json(r.rhs_coeff),
-            "label": r.label,
-            "reason": r.reason,
-        }
+    mismatch = None if r.passed else {
+        "exponent": None if r._mismatch is None else render_rational(*r._mismatch),
+        "lhs": _coeff_json(r.lhs_coeff), "rhs": _coeff_json(r.rhs_coeff),
+        "label": r.label, "reason": r.reason}
     return {
         "id": r.id,
         "location": r.location,

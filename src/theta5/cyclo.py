@@ -4,13 +4,19 @@ Every series coefficient in this package lives in Q(zeta_5), in the power basis
 1, z, z^2, z^3 with z = zeta_5 = exp(2*pi*i/5) and z^4 = -1 - z - z^2 - z^3.  A
 CycloQ5 element stores what a series tail entry stores, an integer 4-vector over
 one positive denominator in a unique reduced form, and multiplies through
-``_vmul``, the product in Z[zeta_5].  Roots of unity e(a) = exp(2*pi*i*a), a
-rational, are Phase objects; a Phase converts to a CycloQ5 element exactly when
-the reduced denominator of a divides 10 (via zeta_10 = -zeta_5^3).  Every other
-rational (exponent, order, phase, characteristic) is a ``Ratio``, a reduced
-integer pair, read from an int or Fraction input by ``as_ratio``; ``fractions``
-is imported only by the accessors that hand a Fraction back to a caller.
-``Record`` gives the package's record classes one field-tuple equality and repr.
+``_vmul``, the one general product in Z[zeta_5].  A multiple n*z^j of a power
+of z and each Galois conjugation sigma_k: z -> z^k only move coordinates, fold
+z^4 and scale by n; one table worked out at import (``_MOVES``) holds the map
+of v -> z^j * sigma_k(v) for every j and k, and ``_moved`` applies it to a dict
+of vectors, for ``conjugate_map``, ``inverse`` and the series tails.
+
+Roots of unity e(a) = exp(2*pi*i*a), a rational, are Phase objects; a Phase
+converts to a CycloQ5 element exactly when the reduced denominator of a
+divides 10 (via zeta_10 = -zeta_5^3).  Every other rational (exponent, order,
+phase, characteristic) is a ``Ratio``, a reduced integer pair, read from an
+int or Fraction input by ``as_ratio``; ``fractions`` is imported only by the
+accessors that hand a Fraction back to a caller.  ``Record`` gives the
+package's record classes one field-tuple equality and repr.
 """
 
 from __future__ import annotations
@@ -114,13 +120,42 @@ def _vmul(a: Vec, b: Vec) -> Vec:
             a0 * b2 + a1 * b1 + a2 * b0 - d4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - d4)
 
 
+#: The coordinate moves v -> z^j * sigma_k(v) for j in 0..4 and k in 1..4,
+#: sigma_k being z -> z^k: coordinate i lands on z^((ik + j) mod 5), then
+#: z^4 = -(1+z+z^2+z^3) is folded.  ``_MOVES[j, k]`` is (s0, .., s4) over the
+#: lifted vector w = (v0, v1, v2, v3, 0): coordinate m of the image is
+#: w[s_m] - w[s_4], s_m = (m - j) k^3 mod 5 being the coordinate that lands on
+#: z^m (k^3 is the inverse of k mod 5), or 4, the lifted zero, where none does.
+_MOVES: dict[tuple[int, int], tuple[int, int, int, int, int]] = {
+    (j, k): tuple([(m - j) * k ** 3 % 5 for m in range(5)]) for j in range(5) for k in range(1, 5)}
+_LIFT = (0,)
+
+
+def _moved(vecs: dict, j: int, k: int, n: int = 1) -> dict:
+    """n * z^j * sigma_k(v) for each integer 4-vector v of ``vecs``, under its
+    key, by the coordinate move ``_MOVES[j, k]``: no product of coordinates,
+    and 4 integer products per vector only when n is not 1 or -1.  sigma_k is
+    an automorphism of Z[zeta_5] and z^j a unit, so for n = 1 or -1 each image
+    keeps the gcd of its coordinates."""
+    a, b, c, d, f = _MOVES[j, k]
+    out = {}
+    if n == 1 or n == -1:
+        i0, i1, i2, i3, i4, i5, i6, i7 = ((a, f, b, f, c, f, d, f) if n == 1
+                                          else (f, a, f, b, f, c, f, d))
+        for key, v in vecs.items():
+            w = v + _LIFT
+            out[key] = (w[i0] - w[i1], w[i2] - w[i3], w[i4] - w[i5], w[i6] - w[i7])
+        return out
+    for key, v in vecs.items():
+        w = v + _LIFT
+        t = w[f]
+        out[key] = (n * (w[a] - t), n * (w[b] - t), n * (w[c] - t), n * (w[d] - t))
+    return out
+
+
 def _conjugate_vec(v: Vec, k: int) -> Vec:
-    """z -> z^k on an integer 4-vector, k a unit mod 5: z^j moves to z^(jk mod 5),
-    then z^4 = -(1+z+z^2+z^3).  An automorphism of Z[zeta_5], so it keeps the
-    gcd of the coordinates."""
-    u = [v[0], 0, 0, 0, 0]
-    u[k % 5], u[2 * k % 5], u[3 * k % 5] = v[1:]
-    return (u[0] - u[4], u[1] - u[4], u[2] - u[4], u[3] - u[4])
+    """sigma_k(v), z -> z^k on an integer 4-vector, k in 1..4 (``_moved``)."""
+    return _moved({0: v}, 0, k)[0]
 
 
 class CycloQ5:
@@ -234,15 +269,15 @@ class CycloQ5:
         """The Galois conjugate sending z to z^k (k = 1, 2, 3, 4); z^j moves to z^(jk mod 5)."""
         if k % 5 == 0:
             raise ValueError("k must be a unit mod 5")
-        return CycloQ5.from_ints(_conjugate_vec(self.vec, k), self.den)
+        return CycloQ5.from_ints(_conjugate_vec(self.vec, k % 5), self.den)
 
     def inverse(self) -> "CycloQ5":
         """Multiplicative inverse via the product of Galois conjugates: v * adj
         is the field norm n of the integer vector v, so 1/(v/den) = den*adj/n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in Q(zeta_5)")
-        v, c = self.vec, self.conjugate_map
-        adj = _vmul(_vmul(c(2).vec, c(3).vec), c(4).vec)
+        v = self.vec
+        adj = _vmul(_vmul(_conjugate_vec(v, 2), _conjugate_vec(v, 3)), _conjugate_vec(v, 4))
         n, r1, r2, r3 = _vmul(v, adj)
         assert not (r1 or r2 or r3) and n > 0  # the norm of a CM field is positive
         return CycloQ5.from_ints(tuple([self.den * x for x in adj]), n)

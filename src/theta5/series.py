@@ -49,6 +49,12 @@ tail or c_i = 0) adds only its absolute order.  Each term's coefficient, phase
 ratio to the prefactor and share of the common denominator fold into one
 Z[zeta_5] vector that scales its tail once; the tails sum into one dict,
 which is clipped and gcd-reduced once.
+
+A tail is scaled by ``_times``: 4 integer products per key for an integer, a
+coordinate move of ``cyclo._moved`` for n*z^j, as the phase units and such
+coefficients as 11z or -z^3 are, and the general product ``_vmul`` only for
+any other factor.  ``series_equal``'s alignment factor takes the same path,
+and sigma_j (``FracSeries.conjugate``) is the coordinate move of z -> z^j.
 """
 
 from __future__ import annotations
@@ -61,8 +67,8 @@ from sys import byteorder
 from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .cyclo import (ONE, CycloQ5, Phase, PhaseNotRepresentable, Rat, Ratio, Record, Vec,
-                    _coerce, _conjugate_vec, _join_signed, _vmul, as_ratio, radd, ratio,
-                    render_cyclo, render_rational, rsub, to_fraction)
+                    _coerce, _join_signed, _moved, _vmul, as_ratio, radd, ratio, render_cyclo,
+                    render_rational, rsub, to_fraction)
 
 Coeff = Union[Rat, CycloQ5]
 
@@ -114,14 +120,20 @@ def _to_ints(values: Collection[CycloQ5]) -> tuple[int, list[Vec]]:
 
 
 def _times(c: Vec, tail: dict[int, Vec]) -> dict[int, Vec]:
-    """tail times c in Z[zeta_5]; 4 multiplications per key when c is an
-    integer, and the tail itself when c is 1."""
+    """tail times c in Z[zeta_5]: the tail itself when c is 1, 4 integer
+    products per key when c is an integer, a coordinate move (``_moved``) when
+    c = n*z^j (one nonzero coordinate, or four equal ones for z^4 = -(1+z+z^2+z^3)),
+    and the general product ``_vmul`` otherwise."""
     n, c1, c2, c3 = c
-    if c1 or c2 or c3:
-        return {k: _vmul(v, c) for k, v in tail.items()}
-    if n == 1:
-        return tail
-    return {k: (n * a0, n * a1, n * a2, n * a3) for k, (a0, a1, a2, a3) in tail.items()}
+    if not (c1 or c2 or c3):
+        if n == 1:
+            return tail
+        return {k: (n * a0, n * a1, n * a2, n * a3) for k, (a0, a1, a2, a3) in tail.items()}
+    if n == c1 == c2 == c3:
+        return _moved(tail, 4, 1, -n)
+    if not n and (not c1) + (not c2) + (not c3) == 2:
+        return _moved(tail, 1 if c1 else 2 if c2 else 3, 1, c1 or c2 or c3)
+    return {k: _vmul(v, c) for k, v in tail.items()}
 
 
 def _reduced(den: int, tail: dict[int, Vec]) -> tuple[int, dict[int, Vec]]:
@@ -525,8 +537,7 @@ class FracSeries:
             raise ValueError("j must be prime to 10")
         return FracSeries._make(self.scale, Phase(self.phase.num * j, self.phase.den),
                                 self._qpow, self.cpow, self.den,
-                                {k: _conjugate_vec(v, j) for k, v in self.tail.items()},
-                                self._order, clean=True)
+                                _moved(self.tail, 0, j % 5), self._order, clean=True)
 
     # -- rendering ----------------------------------------------------------
 

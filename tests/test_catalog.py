@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 from operator import mul
@@ -19,8 +20,8 @@ import theta5.catalog as catalog_module
 import theta5.series as series_module
 from theta5.arith import partition_p
 from theta5.catalog import (_D_DATA, _T1_DATA, _THETA, _TH11, AS_STATED, CORRECTED,
-                            IdentityEntry, IdentityReport, _homogeneous, _key, _preimage, _reads,
-                            _slot, _theta_order, catalog, lookup, report_to_dict,
+                            IdentityEntry, IdentityReport, _homogeneous, _key, _plan, _preimage,
+                            _slot, catalog, lookup, report_to_dict,
                             reports_to_json, verify, verify_all, verify_ids)
 from theta5.cli import run, series_to_dict
 from theta5.cyclo import CycloQ5, Phase, rsub
@@ -427,10 +428,10 @@ def test_verify_order_does_not_change_the_reports(empty_store):
 
 @pytest.mark.parametrize("order", [10, 20, 33])
 def test_store_order_rule(empty_store, order):
-    # verify_ids runs an entry by _theta_order; on an empty store the entry's
-    # highest theta slot is at that order, and every product form it asks for
-    # is at its build order N, so running the entries with no theta order
-    # last, highest N first, builds every slot once
+    # verify_ids runs an entry by its theta order (_plan); on an empty store
+    # the entry's highest theta slot is at that order, and every product form
+    # it asks for is at its build order N, so running the entries with no
+    # theta order last, highest N first, builds every slot once
     for e in catalog():
         clamped = max(order, e.min_meaningful_order)
         n = clamped + e.margin
@@ -440,10 +441,10 @@ def test_store_order_rule(empty_store, order):
             theta = [built for key, (built, _) in empty_store.items()
                      if not isinstance(key[0], str)]
             forms = {built for key, (built, _) in empty_store.items() if isinstance(key[0], str)}
-            assert max(theta, default=None) == _theta_order(e, n), (e.id, variant)
+            assert max(theta, default=None) == _plan(e, variant, n)[0], (e.id, variant)
             assert forms <= {n}, (e.id, variant)
     # exactly the linear rows and E3 ask for no theta slot
-    assert {e.id for e in catalog() if _theta_order(e, 20) is None} == {
+    assert {e.id for e in catalog() if _plan(e, AS_STATED, 20)[0] is None} == {
         "E1", "E2", "E3", "C511", "C521", "PS1a", "PS1b", "C611", "C621", "PS2a", "PS2b"}
 
 
@@ -579,9 +580,9 @@ def test_store_keeps_one_slot_per_key(empty_store, monkeypatch):
 @pytest.mark.parametrize("variant", [AS_STATED, CORRECTED])
 @pytest.mark.parametrize("order", [20, 60])
 def test_reads_name_every_key_an_entry_requests(empty_store, monkeypatch, order, variant):
-    # every store key that an entry requests, at any depth, is among its
-    # _reads; alone on an empty store an entry builds everything it reads, and
-    # requests exactly those keys
+    # every store key that an entry requests, at any depth, is among the
+    # reads of its _plan; alone on an empty store an entry builds everything
+    # it reads, and requests exactly those keys
     requested, current = {}, [None]
     real_stored, real_verify = catalog_module._stored, catalog_module.verify
 
@@ -596,7 +597,7 @@ def test_reads_name_every_key_an_entry_requests(empty_store, monkeypatch, order,
 
     monkeypatch.setattr(catalog_module, "_stored", record)
     monkeypatch.setattr(catalog_module, "verify", traced_verify)
-    reads = {e.id: _reads(e, variant if variant in e.variants else AS_STATED)
+    reads = {e.id: _plan(e, variant if variant in e.variants else AS_STATED, order)[1]
              for e in catalog()}
     verify_all(order, variant)
     assert all(requested[eid] <= reads[eid] for eid in reads)
@@ -630,11 +631,15 @@ def test_run_builds_each_slot_once_and_drops_it(empty_store, monkeypatch):
     assert not empty_store
 
 
-def test_store_under_threads_gives_the_serial_reports(empty_store):
+def test_store_under_threads_gives_the_serial_reports(empty_store, monkeypatch):
+    # the runs share one count of outstanding reads, so none drops a slot that
+    # another still reads: 159-297 builds over 30 runs on a 2-CPU host,
+    # against 629-667 when each run counted only its own reads
     want = json.loads(REFERENCE.read_text())["catalog"]
     orders = [10, 20, 10, 20]
     got = [None] * len(orders)
     start = threading.Barrier(len(orders))
+    built = _record_builds(monkeypatch)
 
     def work(i):
         start.wait()
@@ -648,6 +653,77 @@ def test_store_under_threads_gives_the_serial_reports(empty_store):
     assert not any(t.is_alive() for t in threads)
     for order, reports in zip(orders, got):
         assert reports == want[str(order)], order
+    assert len(built) <= 400 and not empty_store and not catalog_module._READERS
+
+
+def test_reader_counts_hold_under_thread_switches(empty_store):
+    # six runs over overlapping entries, with the interpreter switching
+    # threads every 10 microseconds: every report is the serial one, and no
+    # count or slot is left once all the runs are done, as a lost update to
+    # the shared count would leave one
+    want = json.loads(REFERENCE.read_text())["catalog"]["10"]
+    ids = [e.id for e in catalog() if e.id.startswith(("T1", "D", "R"))]
+    got, start = [None] * 6, threading.Barrier(6)
+
+    def work(i):
+        start.wait()
+        got[i] = verify_ids(ids[i % 3:] + ids[:i % 3], 10)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all({r.id: report_to_dict(r) for r in run} == {i: want[i] for i in ids} for run in got)
+    assert not catalog_module._READERS and not empty_store
+
+
+@pytest.mark.parametrize("at", [0, 24])
+def test_nested_run_keeps_the_slots_the_outer_run_reads(empty_store, monkeypatch, at):
+    # a verify_ids run started inside the outer run's entry number ``at`` (in
+    # run order) drops no slot that the outer run still reads: after it, the
+    # outer run builds no slot again, and no slot is built more than twice
+    real_verify, calls, inner, mark = catalog_module.verify, [0], [], []
+
+    def nesting_verify(*args):
+        calls[0] += 1
+        if calls[0] == at + 1:
+            inner.extend(verify_all(20))
+            mark.append(len(built))
+        return real_verify(*args)
+
+    monkeypatch.setattr(catalog_module, "verify", nesting_verify)
+    built = _record_builds(monkeypatch)
+    outer = verify_all(20)
+    want = json.loads(REFERENCE.read_text())["catalog"]["20"]
+    assert [{r.id: report_to_dict(r) for r in run} for run in (outer, inner)] == [want, want]
+    counts = Counter(built)
+    assert not set(built[mark[0]:]) & set(built[:mark[0]])
+    assert len(counts) == 150 and set(counts.values()) <= ({1} if at == 0 else {1, 2})
+    assert not empty_store and not catalog_module._READERS
+
+
+def test_a_raising_entry_leaves_no_reads_counted(empty_store, monkeypatch):
+    # the entry that raised and the entries after it give their reads back,
+    # so the run leaves no count and no slot behind
+    real_verify, calls = catalog_module.verify, [0]
+
+    def failing_verify(*args):
+        calls[0] += 1
+        if calls[0] == 10:
+            raise RuntimeError("entry failed")
+        return real_verify(*args)
+
+    monkeypatch.setattr(catalog_module, "verify", failing_verify)
+    with pytest.raises(RuntimeError, match="entry failed"):
+        verify_all(20)
+    assert calls[0] == 10 and not catalog_module._READERS and not empty_store
 
 
 def test_store_races_return_the_requested_order(empty_store):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from theta5.cyclo import (CycloQ5, Phase, PhaseNotRepresentable, as_ratio, golden_ratio, radd,
-                          rational_hash, render_cyclo, render_rational, rsub, sqrt5,
-                          unit_index)
+from theta5.cyclo import (_MOVES, CycloQ5, Phase, PhaseNotRepresentable, _conjugate_vec, _moved,
+                          _vmul, as_ratio, golden_ratio, radd, rational_hash, render_cyclo,
+                          render_rational, rsub, sqrt5, unit_index, unit_vec)
 from theta5.series import _add_order, _key_bound, _min_order
 
 Z = CycloQ5.zeta
@@ -247,6 +247,30 @@ def test_arithmetic_matches_the_fraction_reference(a, b, k):
     assert (x == y) == (tuple(map(Fraction, a)) == tuple(map(Fraction, b)))
     if x.is_rational():
         assert x == a[0] and hash(x) == hash(Fraction(a[0]))
+
+
+_huge = st.integers(-2 ** 300, 2 ** 300)
+_int_vecs = st.one_of(st.just((0, 0, 0, 0)), st.tuples(_huge, _huge, _huge, _huge),
+                      st.tuples(*[st.sampled_from([0, 1, -1, 2 ** 300])] * 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_int_vecs, min_size=1, max_size=3), st.one_of(st.sampled_from([0, 1, -1]), _huge))
+def test_coordinate_moves_equal_the_product_and_the_reference(vecs, n):
+    # every entry of the table moves each vector v to n * z^j * sigma_k(v),
+    # as the general product of z^j and sigma_k(v) times n, and as the
+    # Fraction formula of sigma_k does
+    assert len(_MOVES) == 20
+    tail = dict(enumerate(vecs))
+    for (j, k) in _MOVES:
+        got = _moved(tail, j, k, n)
+        assert list(got) == list(tail)
+        for v, w in zip(vecs, got.values()):
+            image = _ref_conjugate(v, k)
+            assert w == tuple([n * x for x in _vmul(unit_vec(2 * j % 10), image)])
+            assert w == tuple([n * x for x in _ref_mul(_REF_ZETA[j], image)])
+            if j == 0 and n == 1:
+                assert w == _conjugate_vec(v, k) == image
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import theta5.cyclo as cyclo_module
 import theta5.series as series_module
 from theta5.arith import divisor_sum, partition_p, pentagonal_numbers
 from theta5.cli import series_to_dict
@@ -834,6 +835,44 @@ def test_series_equal_matches_reference(f, g, perturb):
     r = series_equal(f, g)
     assert (r.passed, r.order_checked, r.first_mismatch, r.lhs_coeff, r.rhs_coeff) == want
     assert series_equal(f, f).passed
+
+
+def _times_by_products(c, tail):
+    """tail times c by the general product alone, each key through cyclo._vmul."""
+    return tail if c == (1, 0, 0, 0) else {k: cyclo_module._vmul(v, c) for k, v in tail.items()}
+
+
+@pytest.mark.parametrize("c", [(1, 0, 0, 0), (-7, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0),
+                               (0, 0, 0, 2 ** 70), (3, 3, 3, 3), (-1, -1, -1, -1),
+                               (0, 5, 5, 5), (2, 2, 2, 0), (0, 1, 0, 1), (1, 2, -3, 4)])
+def test_times_moves_the_coordinates_of_a_unit_multiple(c):
+    # n*z^j (one nonzero coordinate, or four equal ones for z^4) moves the
+    # coordinates; three equal ones or two nonzero ones are general products
+    tail = {0: (1, 0, 0, 0), 3: (5, -2, 2 ** 90, 0), 4: (-1, -1, -1, -1), 9: (7, 6, -5, 4)}
+    assert series_module._times(c, tail) == _times_by_products(c, tail)
+
+
+@_PROPERTY
+@given(frac_series(), frac_series(on_grid=True), st.integers(-12, 12).filter(bool),
+       st.integers(0, 9))
+def test_unit_multipliers_give_what_the_general_product_gives(f, g, n, t):
+    # lincomb's coefficient and phase factors n*z^j, j = 0..4 (z^4 as four
+    # equal coordinates), beside a general coefficient, and series_equal's
+    # alignment factor e(t/10) give the series and the results that the
+    # general product _vmul gives
+    p = Phase(F(t, 10))
+    cs = [CycloQ5.zeta(j) * n for j in range(5)] + [CycloQ5(-n, -n, -n, -n), CycloQ5(n, 1, 0, 2)]
+
+    def results():
+        sums = [outcome(FracSeries.lincomb, [(f, c, 0, None), (h, n, 0, p)])
+                for c in cs for h in (f, g)]
+        return ([s if isinstance(s, type) else _stored_fields(s) for s in sums],
+                [series_equal(f.scalar_mul(c), f.phase_mul(p)) for c in cs],
+                [series_equal(f, g.phase_mul(p)), series_equal(f.phase_mul(p), f)])
+
+    moved = results()
+    with mock.patch.object(series_module, "_times", _times_by_products):
+        assert results() == moved
 
 
 def test_coeffs_view_is_thread_safe():
