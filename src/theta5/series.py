@@ -36,6 +36,10 @@ other product packs each 4-vector into one integer, so that a pair of terms
 costs one integer product (a Kronecker substitution in zeta only;
 ``_term_pairs``).  A square (both operands one object, as in ``f * f`` and
 inside ``**``) multiplies each unordered pair of terms, or of coordinates, once.
+When both tails are real, every vector (x, 0, 0, 0), as half of the products
+of a catalog run are, ``_term_pairs`` multiplies the integers x unpacked and
+reads each sum back as is; ``_kronecker`` makes one product for them, as their
+other three coordinates are 0.
 
 Truncation propagates soundly: if f is exact below A and g below B, their
 product is exact below min(A + val(g), B + val(f)), val being the smallest
@@ -53,8 +57,9 @@ which is clipped and gcd-reduced once.
 A tail is scaled by ``_times``: 4 integer products per key for an integer, a
 coordinate move of ``cyclo._moved`` for n*z^j, as the phase units and such
 coefficients as 11z or -z^3 are, and the general product ``_vmul`` only for
-any other factor.  ``series_equal``'s alignment factor takes the same path,
-and sigma_j (``FracSeries.conjugate``) is the coordinate move of z -> z^j.
+any other factor.  ``series_equal`` scales the second series by its alignment
+factor times the first one's den, n*z^j again, in one ``_times``, and sigma_j
+(``FracSeries.conjugate``) is the coordinate move of z -> z^j.
 """
 
 from __future__ import annotations
@@ -609,7 +614,8 @@ def _convolve(a: dict[int, Vec], b: dict[int, Vec],
     which multiplies only half of its pairs), goes to ``_kronecker``; the
     output slots are the keys from min(a) + min(b) up to the bound.  Every
     other product goes to ``_term_pairs``.  The gate reads only the operands'
-    sizes and key ranges.
+    sizes and key ranges.  Two real tails, every vector (x, 0, 0, 0)
+    (``_real``), multiply as the integers x on either path.
     """
     if not a or not b:
         return {}
@@ -623,16 +629,33 @@ def _convolve(a: dict[int, Vec], b: dict[int, Vec],
     return _term_pairs(a, b, key_bound)
 
 
+def _bits(t: dict[int, Vec]) -> int:
+    """Bit length of the largest |coordinate| of t."""
+    return max(map(abs, chain.from_iterable(t.values()))).bit_length()
+
+
+def _real(t: dict[int, Vec]) -> bool:
+    """Whether every vector of t is (x, 0, 0, 0); stops at the first that is not."""
+    for _, v1, v2, v3 in t.values():
+        if v1 or v2 or v3:
+            return False
+    return True
+
+
 def _term_pairs(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int, Vec]:
     """``_convolve`` one term pair at a time, ``key_bound`` at least
     min(a) + min(b) and at most max(a) + max(b).
 
-    Each vector v is packed once as v0 + v1*X + v2*X^2 + v3*X^3 with X = 2^s,
-    so a term pair costs one integer product, and the sum at a key is
+    Each term becomes one integer, so that a term pair costs one integer
+    product.  When both tails are real (``_real``) that integer is the
+    coordinate x of (x, 0, 0, 0), and each nonzero sum t reads back as
+    (t, 0, 0, 0).  Otherwise each vector v is packed as
+    v0 + v1*X + v2*X^2 + v3*X^3 with X = 2^s, and the sum at a key is
     sum_m u_m X^m (m = 0..6), the product in z before z^5 = 1.  A slot u_m
     sums at most 4 coordinate products per term pair over at most
     L = min(len a, len b) pairs, so |u_m| < 4 * 2^(bits a + bits b) * L
-    <= 2^(s-1), bits being the bit length of the largest |coordinate|.  With
+    <= 2^(s-1), bits being the bit length of the largest |coordinate|
+    (``_bits``, read once for a square).  With
     2^(s-1) added to every slot each digit is in [0, 2^s) and reads back
     exactly; z^5 = 1 and z^4 = -(1+z+z^2+z^3) then fold 7 slots to 4.
     Sums accumulate in a list indexed by key, or in a dict when the key range
@@ -645,12 +668,15 @@ def _term_pairs(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[in
     square = a is b
     if len(a) > len(b):
         a, b = b, a
-    s = (max(map(abs, chain.from_iterable(a.values()))).bit_length()
-         + max(map(abs, chain.from_iterable(b.values()))).bit_length()
-         + len(a).bit_length() + 3)
-    s2, s3, s4, s5, s6 = 2 * s, 3 * s, 4 * s, 5 * s, 6 * s
-    pb = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3))
-          for k, (v0, v1, v2, v3) in sorted(b.items())]
+    real = _real(a) and (square or _real(b))
+    if real:
+        pb = [(k, v[0]) for k, v in sorted(b.items())]
+    else:
+        bits = _bits(a)
+        s = bits + (bits if square else _bits(b)) + len(a).bit_length() + 3
+        s2, s3, s4, s5, s6 = 2 * s, 3 * s, 4 * s, 5 * s, 6 * s
+        pb = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3))
+              for k, (v0, v1, v2, v3) in sorted(b.items())]
     c = [0] * (key_bound + 1) if key_bound < _DENSE_SPAN * len(a) * len(b) else defaultdict(int)
     if square:
         keys = [k for k, _ in pb]
@@ -663,18 +689,22 @@ def _term_pairs(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[in
             for k2, y in pb[i + 1:j]:
                 c[k1 + k2] += x2 * y
     else:
-        pa = [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3))
-              for k, (v0, v1, v2, v3) in a.items()]
+        pa = ([(k, v[0]) for k, v in a.items()] if real else
+              [(k, v0 + (v1 << s) + (v2 << s2) + (v3 << s3))
+               for k, (v0, v1, v2, v3) in a.items()])
         for k1, x in pa:
             lim = key_bound - k1
             for k2, y in pb:
                 if k2 > lim:
                     break
                 c[k1 + k2] += x * y
+    sums = enumerate(c) if isinstance(c, list) else sorted(c.items())
+    if real:
+        return {k: (t, 0, 0, 0) for k, t in sums if t}
     mask, half = (1 << s) - 1, 1 << (s - 1)
     bias = half * (((1 << (7 * s)) - 1) // mask)  # 2^(s-1) in each of the 7 slots
     out = {}
-    for k, t in (enumerate(c) if isinstance(c, list) else sorted(c.items())):
+    for k, t in sums:
         if not t:
             continue
         t += bias
@@ -716,8 +746,9 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int
     Slot width.  At one key, at most L = min(len a, len b) term pairs meet,
     and each U_m sums at most 4 coordinate products of each, so
     |U_m| < 4 * L * 2^(bits a + bits b), bits being the bit length of the
-    largest |coordinate|.  A folded slot sums at most three such U_m, and
-    12 < 2^4, so |R_j| < 2^(bits a + bits b + bit_length(L) + 4) and
+    largest |coordinate| (``_bits``, read once for a square).  A folded slot
+    sums at most three such U_m, and 12 < 2^4, so
+    |R_j| < 2^(bits a + bits b + bit_length(L) + 4) and
     w = bits a + bits b + bit_length(L) + 5 holds it with a sign bit.  Only the
     folded slots need to fit: the packed operands and products are exact
     signed integers, whatever their slots carry into each other.  w is rounded
@@ -739,9 +770,8 @@ def _kronecker(a: dict[int, Vec], b: dict[int, Vec], key_bound: int) -> dict[int
     square = a is b
     la, lb = min(a), min(b)
     n = key_bound - la - lb + 1  # the output slots
-    w = (max(map(abs, chain.from_iterable(a.values()))).bit_length()
-         + max(map(abs, chain.from_iterable(b.values()))).bit_length()
-         + min(len(a), len(b)).bit_length() + 5)
+    bits = _bits(a)
+    w = bits + (bits if square else _bits(b)) + min(len(a), len(b)).bit_length() + 5
     nbytes = 2 if w <= 16 else 4 if w <= 32 else 8 if w <= 64 else -(-w // 8)
     w = 8 * nbytes
     fmt = _SLOT_FORMATS.get(nbytes)
@@ -882,9 +912,9 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
     An all-zero tail equals zero regardless of its prefactor.  Structural
     incompatibilities (constant-power mismatch, prefactors not absorbable)
     are reported as failures, never raised.  Tails, clipped at the bound,
-    compare as a*den_g against b*den_f in one dict comparison; only when they
-    differ are the keys scanned in order for the first mismatch, and only that
-    one is turned into CycloQ5 values.
+    compare as a*den_g against b*w*den_f in one dict comparison, w being the
+    alignment factor; only when they differ are the keys scanned in order for
+    the first mismatch, and only that one is turned into CycloQ5 values.
     """
     bound = _min_order(f._abs_order(), g._abs_order())
     zf, zg = f.is_zero_tail(), g.is_zero_tail()
@@ -909,20 +939,21 @@ def series_equal(f: FracSeries, g: FracSeries) -> EqualityResult:
         v = _min_order(f._abs_val(), g._abs_val())
         return EqualityResult(False, bound, v, f._lead(), g._lead(),
                               reason="prefactors not absorbable")
-    fa, ga = f._rescaled(scale), g._rescaled(scale)
-    ftail = fa.tail
-    gtail = {k + shift: v for k, v in _times(w, ga.tail).items()}
+    ftail, gtail = f._rescaled(scale).tail, g._rescaled(scale).tail
     fd, gd = f.den, g.den
     kb = _key_bound(None if bound is None else rsub(bound, f._qpow), scale)
     if kb is not None:
         ftail = {k: v for k, v in ftail.items() if k <= kb}
-        gtail = {k: v for k, v in gtail.items() if k <= kb}
+        gtail = {k + shift: v for k, v in gtail.items() if k + shift <= kb}
+    elif shift:
+        gtail = {k + shift: v for k, v in gtail.items()}
     # neither side stores a zero vector, so the scaled tails are equal as dicts
-    # exactly when every coefficient agrees below the bound
-    fs, gs = _times((gd, 0, 0, 0), ftail), _times((fd, 0, 0, 0), gtail)
+    # exactly when every coefficient agrees below the bound; fd*w is n*z^j
+    # (w a root of unity), one coordinate move for g
+    fs, gs = _times((gd, 0, 0, 0), ftail), _times(tuple([fd * x for x in w]), gtail)
     if fs == gs:
         return EqualityResult(True, bound)
     k = next(k for k in sorted(fs.keys() | gs.keys()) if fs.get(k) != gs.get(k))
     return EqualityResult(False, bound, radd(f._qpow, (k, scale)),
                           CycloQ5.from_ints(ftail.get(k, _ZERO), fd),
-                          CycloQ5.from_ints(gtail.get(k, _ZERO), gd))
+                          CycloQ5.from_ints(gs.get(k, _ZERO), fd * gd))

@@ -918,7 +918,9 @@ def test_coeffs_view_is_thread_safe():
 # allows, on dense runs of keys, so one key sums min(len a, len b) term pairs
 # of 4 coordinate products each.  A run against itself (``run, run``) takes
 # the square path, which sums each unordered pair once and doubles it: the
-# same sums under the same width.
+# same sums under the same width.  Real runs (m, 0, 0, 0) take _term_pairs'
+# real path, which multiplies the integers m unpacked, and _kronecker's one
+# product of the live coordinate 0.
 
 
 def _vmul(a, b):
@@ -947,20 +949,25 @@ def _schoolbook(a, b, key_bound):
 
 def _slot_cases(b):
     """(a, b) tail pairs at bit length b: for each run length n in 1..64, a
-    dense run against itself, against another vector, and against a run of 64;
-    the vectors cycle through equal and alternating signs of 2^b - 1 and -2^b,
-    and every eighth n also alternates the sign along the keys."""
-    vecs = []
+    dense run against itself, against another vector, and against a run of 64,
+    once with full vectors and once with real ones.  The full vectors cycle
+    through equal and alternating signs of 2^b - 1 and -2^b, the real ones
+    (m, 0, 0, 0) through m = 2^b - 1, -2^b, 1 - 2^b and 2^b, so that a run
+    meets one of the same and one of the other sign; every eighth n also
+    alternates the sign along the keys."""
+    full = []
     for m in (2 ** b - 1, -2 ** b):
-        vecs += [(m, m, m, m), (-m, -m, -m, -m), (m, -m, m, -m), (-m, m, -m, m)]
-    for n in range(1, 65):
-        x, y = vecs[n % 8], vecs[(3 * n + 1) % 8]
-        run = {k: x for k in range(n)}
-        yield run, run
-        yield run, {k: y for k in range(n)}
-        yield run, {k: y for k in range(64)}
-        if n % 8 == 3:
-            yield {k: tuple(-c for c in x) if k % 2 else x for k in range(n)}, run
+        full += [(m, m, m, m), (-m, -m, -m, -m), (m, -m, m, -m), (-m, m, -m, m)]
+    real = [(m, 0, 0, 0) for m in (2 ** b - 1, -2 ** b, 1 - 2 ** b, 2 ** b)]
+    for vecs in (full, real):
+        for n in range(1, 65):
+            x, y = vecs[n % len(vecs)], vecs[(3 * n + 1) % len(vecs)]
+            run = {k: x for k in range(n)}
+            yield run, run
+            yield run, {k: y for k in range(n)}
+            yield run, {k: y for k in range(64)}
+            if n % 8 == 3:
+                yield {k: tuple(-c for c in x) if k % 2 else x for k in range(n)}, run
 
 
 @functools.lru_cache(maxsize=None)
@@ -1041,15 +1048,18 @@ def test_unpack_reads_every_slot_width(monkeypatch, nbytes, readback):
 
 _big = st.integers(-2 ** 200, 2 ** 200)
 _vecs = st.tuples(_big, _big, _big, _big).filter(any)
+_real_vecs = st.tuples(_big.filter(bool), st.just(0), st.just(0), st.just(0))
 
 
 @st.composite
 def int_tails(draw):
+    """A dense run or a sparse set of keys, with full or real vectors."""
     if draw(st.booleans()):
         keys = range(draw(st.integers(1, 40)))
     else:
         keys = draw(st.sets(st.integers(0, 200), min_size=1, max_size=12))
-    return {k: draw(_vecs) for k in keys}
+    vecs = draw(st.sampled_from([_vecs, _real_vecs]))
+    return {k: draw(vecs) for k in keys}
 
 
 @settings(max_examples=80, deadline=None)
@@ -1064,6 +1074,54 @@ def test_convolve_square_matches_schoolbook_property(a, key_bound):
     # the square path: both operands are one object; bounds inside and past the product
     assert _convolve(a, a, key_bound) == _schoolbook(a, a, key_bound)
     assert _convolve(a, a, key_bound) == _convolve(a, dict(a), key_bound)
+
+
+def _real_run(n, sign=1):
+    return {k: (sign * (k + 1), 0, 0, 0) for k in range(n)}
+
+
+@pytest.mark.parametrize("path", [_kronecker, _term_pairs])
+def test_a_tail_real_but_for_one_key_takes_the_general_path(path):
+    # one non-real vector, at the last key or at a key above the bound, must
+    # keep the product off _term_pairs' real path and give _kronecker a live
+    # coordinate past 0, and every coordinate still comes out; the odd vector
+    # has a nonzero coordinate 1, 2 or 3, or several
+    real = _real_run(50, -1)
+    for odd in [(0, 1, 0, 0), (0, 0, -5, 0), (0, 0, 0, 2), (3, -1, 0, 2)]:
+        last = {**_real_run(50), 49: odd}
+        high = {**_real_run(50), 90: odd}
+        for a, b, kb in [(real, last, None), (last, real, 60), (last, last, None),
+                         (real, high, None), (high, real, 80), (high, real, 40),
+                         (high, high, 48)]:
+            want = _schoolbook(a, b, kb)
+            for got in (_clamped(path, a, b, kb), _convolve(a, b, kb)):
+                assert got == want and list(got) == sorted(got), (odd, len(a), len(b), kb)
+
+
+@pytest.mark.parametrize("path", [_kronecker, _term_pairs])
+def test_a_real_product_leaves_out_the_keys_where_it_cancels(path):
+    # each product cancels at some keys, which must not be stored as zero
+    # vectors, and the rest come out ascending: the list accumulator, the dict
+    # one (key bound past _DENSE_SPAN times the term pairs) with terms in
+    # descending key order, a square through each, and a run that crosses the
+    # Kronecker gate
+    one, neg = (1, 0, 0, 0), (-1, 0, 0, 0)
+    alternating = {k: neg if k % 2 else one for k in range(60)}
+    square_low = {0: one, 1: (2, 0, 0, 0), 2: (-2, 0, 0, 0)}  # 1 + 4q - 8q^3 + 4q^4
+    square_sparse = {0: one, 10: (2, 0, 0, 0), 20: (-2, 0, 0, 0), 45: one}
+    cases = [({0: one, 1: one}, {0: one, 1: neg}, {0: one, 2: neg}),  # 1 - q^2
+             ({40: one, 0: one}, {0: one, 40: neg}, {0: one, 80: neg}),  # 1 - q^80
+             (square_low, square_low, {0: one, 1: (4, 0, 0, 0), 3: (-8, 0, 0, 0),
+                                       4: (4, 0, 0, 0)}),
+             (square_sparse, square_sparse, None),
+             ({k: one for k in range(60)}, alternating, None)]  # 1/(1 - q^2) below q^60
+    for a, b, want in cases:
+        want = _schoolbook(a, b, None) if want is None else want
+        assert {k1 + k2 for k1 in a for k2 in b} - set(want)  # some key cancels
+        for got in (_clamped(path, a, b, None), _convolve(a, b, None)):
+            assert got == want and list(got) == sorted(got), (a, b)
+    assert _convolve({k: one for k in range(60)}, alternating, 59) == {
+        k: one for k in range(0, 60, 2)}
 
 
 # ---------------------------------------------------------------------------
